@@ -27,6 +27,7 @@ from __future__ import annotations
 import base64
 import io
 import json
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -260,6 +261,9 @@ class EigenBasis:
     kind : "analytic" or "numeric".
     mode_index : per-mode metadata (interval: wavenumber k-1; rectangle:
         the pair (a, b); numeric: solver position).
+
+    gradients() is filled lazily under a lock, since one basis may be shared
+    by the suite's worker threads.
     """
 
     grid: Grid
@@ -267,7 +271,9 @@ class EigenBasis:
     functions: NDArray
     kind: str
     mode_index: list = field(default_factory=list)
-    _gradients: NDArray | None = field(default=None, repr=False)
+    _gradients: NDArray | None = field(default=None, init=False, repr=False, compare=False)
+    _cache_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                        repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -310,7 +316,9 @@ class EigenBasis:
         bases fall back to finite differences of the sampled modes.
         """
         if self._gradients is None:
-            self._gradients = _mode_gradients(self)
+            with self._cache_lock:
+                if self._gradients is None:
+                    self._gradients = _mode_gradients(self)
         return self._gradients
 
 
@@ -522,8 +530,10 @@ def _mode_gradients(basis: EigenBasis) -> NDArray:
             xs = _interval_nodes(Lx, Nx)
             ys = _interval_nodes(Ly, Ny)
             for r, (a, b) in enumerate(basis.mode_index):
-                fx = (Lx ** -0.5) if a == 0 else np.sqrt(2.0 / Lx) * np.cos(a * np.pi * xs / Lx)
-                fy = (Ly ** -0.5) if b == 0 else np.sqrt(2.0 / Ly) * np.cos(b * np.pi * ys / Ly)
+                fx = (np.full(Nx, Lx**-0.5) if a == 0
+                      else np.sqrt(2.0 / Lx) * np.cos(a * np.pi * xs / Lx))
+                fy = (np.full(Ny, Ly**-0.5) if b == 0
+                      else np.sqrt(2.0 / Ly) * np.cos(b * np.pi * ys / Ly))
                 if a > 0:
                     ka = a * np.pi / Lx
                     dfx = -np.sqrt(2.0 / Lx) * ka * np.sin(ka * xs)

@@ -9,9 +9,8 @@ with integral kernel K(x, y) = sum_k phi(lambda_k) e_k(x) e_k(y).  This
 module provides the coefficient transforms, multiplier application, heat
 semigroup, mean-zero projection (the spectral projection onto positive
 frequencies on a bounded domain), gradients, fractional resolvent powers via
-the Gamma-function integral of the heat semigroup, and operator-norm
-machinery on kernels (exact endpoint norms, interpolation upper bounds,
-probe lower bounds).
+the Gamma-function integral of the heat semigroup, and exact endpoint
+operator norms of kernels.
 
 Every kernel carries a reported tail bound over the unresolved modes,
 estimated through the leading-order Weyl law; nothing above the resolved
@@ -47,14 +46,13 @@ __all__ = [
     "symbol_tail_bound",
     "heat",
     "heat_kernel",
-    "projected_heat_kernel",
     "project_P",
     "decompose_mean",
     "resolvent_gamma",
     "gradient",
     "gradient_kernels",
     "endpoint_norms",
-    "operator_norm_bounds",
+    "magnitude_norms",
     "random_band_limited",
     "heat_symbol",
     "resolvent_symbol",
@@ -306,17 +304,6 @@ def heat_kernel(t: float, basis: EigenBasis) -> OperatorKernel:
     return multiplier_kernel(heat_symbol(t), basis)
 
 
-def projected_heat_kernel(t: float, basis: EigenBasis) -> OperatorKernel:
-    """Kernel of P e^{-tH}: the heat kernel minus the flat mode 1/|Omega|."""
-    ker = heat_kernel(t, basis)
-    ker.matrix = ker.matrix - 1.0 / basis.domain.volume
-    sv = ker.symbol_values.copy()
-    sv[0] = 0.0
-    ker.symbol_values = sv
-    ker.tag = "P*" + ker.tag
-    return ker
-
-
 def project_P(f: GridFunction) -> GridFunction:
     """Remove the mean: the spectral projection onto positive frequencies."""
     return GridFunction(f.values - f.mean(), f.grid)
@@ -470,13 +457,11 @@ def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
 # Operator norms from kernels
 
 
-def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
-    """Exact endpoint operator norms of a kernel on the weighted grid.
+def magnitude_norms(kernel: OperatorKernel) -> dict[str, float]:
+    """Endpoint norms read off |K_ij|: 1->1, 1->inf and inf->inf.
 
     1->1: max over columns of the weighted absolute column sum;
-    1->inf: max |K_ij|; inf->inf: max weighted absolute row sum;
-    2->2: max |phi(lambda_k)| when the spectral symbol is attached,
-    otherwise the largest singular value of the weighted matrix.
+    1->inf: max |K_ij|; inf->inf: max weighted absolute row sum.
 
     Vector-valued kernels (components set) use the Euclidean magnitude
     across components, which keeps 1->1 and 1->inf exact; for inf->inf it
@@ -487,86 +472,38 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
         mag = np.sqrt(np.sum(kernel.components**2, axis=0))
     else:
         mag = np.abs(kernel.matrix)
-    n11 = float(np.max(w @ mag))
-    n1inf = float(np.max(mag))
-    ninf = float(np.max(mag @ w))
-    if kernel.symbol_values is not None and kernel.components is None:
+    return {"1->1": float(np.max(w @ mag)), "1->inf": float(np.max(mag)),
+            "inf->inf": float(np.max(mag @ w))}
+
+
+def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
+    """Exact endpoint operator norms of a kernel on the weighted grid.
+
+    magnitude_norms() gives 1->1, 1->inf and inf->inf; callers that need
+    only those should call it, since 2->2 of a vector kernel is the costly
+    one.  2->2 takes one of three routes:
+
+    - scalar kernel with symbol_values: max |phi(lambda_k)|, exact for an
+      analytic basis and accurate to the Gram deviation of a numeric one;
+    - scalar kernel without them: the largest singular value of the
+      weighted (N, N) matrix;
+    - vector kernel: sqrt of the top eigenvalue of sum_c A_c^* A_c over the
+      weighted (N, N) components, exact for the discrete operator.  This
+      costs O(N^3).
+    """
+    norms = magnitude_norms(kernel)
+    sw = np.sqrt(kernel.grid.weights)
+    if kernel.components is not None:
+        Aw = [sw[:, None] * Ac * sw[None, :] for Ac in kernel.components]
+        Gram = sum(A.T @ A for A in Aw)
+        n22 = float(np.sqrt(max(np.linalg.eigvalsh(Gram)[-1], 0.0)))
+    elif kernel.symbol_values is not None:
         n22 = float(np.max(np.abs(kernel.symbol_values)))
     else:
-        sw = np.sqrt(w)
-        if kernel.components is not None:
-            # 2->2 norm of the full vector-valued map: sqrt of the top
-            # eigenvalue of sum_c A_c^* A_c in the weighted space.
-            Aw = [sw[:, None] * Ac * sw[None, :] for Ac in kernel.components]
-            Gram = sum(A.T @ A for A in Aw)
-            n22 = float(np.sqrt(max(np.linalg.eigvalsh(Gram)[-1], 0.0)))
-        else:
-            Aw = sw[:, None] * kernel.matrix * sw[None, :]
-            n22 = float(np.linalg.svd(Aw, compute_uv=False)[0])
-    return {"1->1": n11, "1->inf": n1inf, "inf->inf": ninf, "2->2": n22}
-
-
-def operator_norm_bounds(
-    kernel: OperatorKernel,
-    p: float,
-    q: float,
-    n_probes: int = 64,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """(lower, upper) bounds on the L^p -> L^q operator norm, p <= q.
-
-    Upper bound: endpoint interpolation through the corners (1,1), (1,inf),
-    (inf,inf) of the Riesz diagram (log-convexity of the norm), refined
-    along the diagonal with the exact 2->2 value.  Lower bound: the best of
-    seeded random probes (band-limited Gaussian fields and near-delta
-    spikes).  At endpoints the two coincide with the exact norms.
-    """
-    if p > q:
-        raise ValueError("interpolation bounds cover p <= q only")
-    ends = endpoint_norms(kernel)
-    key = {(1.0, 1.0): "1->1", (1.0, np.inf): "1->inf", (np.inf, np.inf): "inf->inf",
-           (2.0, 2.0): "2->2"}.get((p, q))
-    if key is not None:
-        v = ends[key]
-        return v, v
-    ip, iq = 1.0 / p, 1.0 / q
-    cands = []
-    # Triangle (1,1)-(1,inf)-(inf,inf): barycentric weights (iq, ip-iq, 1-ip).
-    if ends["1->1"] > 0 or iq == 0:
-        cands.append(ends["1->1"] ** iq * ends["1->inf"] ** (ip - iq) * ends["inf->inf"] ** (1 - ip))
-    if p == q:
-        if p <= 2.0:
-            th = 2.0 * ip - 1.0
-            cands.append(ends["1->1"] ** th * ends["2->2"] ** (1 - th))
-        else:
-            th = 2.0 * ip
-            cands.append(ends["2->2"] ** th * ends["inf->inf"] ** (1 - th))
-    upper = float(min(c for c in cands if np.isfinite(c)))
-    # Probe lower bound.
-    rng = np.random.default_rng(seed)
-    grid = kernel.grid
-    N = grid.n_nodes
-    best = 0.0
-    mat = kernel.matrix
-    w = grid.weights
-    for i in range(n_probes):
-        if i % 4 == 3:
-            f = np.zeros(N)
-            f[rng.integers(N)] = 1.0
-        elif i % 4 == 2:
-            # One application of the operator pulls the probe toward its
-            # dominant directions.
-            f = mat @ (w * rng.standard_normal(N))
-            if not np.any(f):
-                f = rng.standard_normal(N)
-        else:
-            f = rng.standard_normal(N)
-        nf = lp_norm(f, p, grid=grid)
-        if nf == 0:
-            continue
-        g = mat @ (w * f)
-        best = max(best, lp_norm(g, q, grid=grid) / nf)
-    return best, upper
+        Aw = sw[:, None] * kernel.matrix * sw[None, :]
+        n22 = float(np.linalg.svd(Aw, compute_uv=False)[0])
+    norms["2->2"] = n22
+    return norms
 
 
 def random_band_limited(
@@ -595,7 +532,12 @@ def random_band_limited(
 
 
 def save_kernel(kernel: OperatorKernel, path: str) -> None:
-    """Binary dump (npz) with the symbol tag and grid id in the header."""
+    """Binary dump (npz) with the symbol tag and grid id in the header.
+
+    Vector kernels also store their components, so a loaded kernel gives
+    the same endpoint norms as the one saved.
+    """
+    extra = {} if kernel.components is None else {"components": kernel.components}
     np.savez(
         path,
         matrix=kernel.matrix,
@@ -603,6 +545,7 @@ def save_kernel(kernel: OperatorKernel, path: str) -> None:
         grid_id=np.array(kernel.grid.grid_id()),
         tail_bound=np.array(kernel.tail_bound),
         symbol_values=kernel.symbol_values if kernel.symbol_values is not None else np.array([]),
+        **extra,
     )
 
 
@@ -613,10 +556,16 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
         if gid != grid.grid_id():
             raise ValueError(f"kernel was dumped for grid {gid}, not {grid.grid_id()}")
         sv = z["symbol_values"]
+        comps = z["components"] if "components" in z.files else None
+        N = grid.n_nodes
+        if comps is not None and comps.shape != (grid.domain.n, N, N):
+            raise ValueError(f"kernel components have shape {comps.shape}, "
+                             f"expected {(grid.domain.n, N, N)}")
         return OperatorKernel(
             matrix=z["matrix"],
             grid=grid,
             tag=tag,
             symbol_values=sv if sv.size else None,
             tail_bound=float(z["tail_bound"]),
+            components=comps,
         )

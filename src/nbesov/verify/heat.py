@@ -50,14 +50,39 @@ def _pair_dist2(points: np.ndarray) -> np.ndarray:
     return np.sum(diff**2, axis=2)
 
 
+def _distance_groups(points: np.ndarray):
+    """Grid pairs grouped by bitwise-equal squared distance.
+
+    Returns the flat pair order that sorts |x-y|^2 ascending (stable), the
+    sorted squared distances, the start of each group in that order, and
+    each group's squared distance.
+    """
+    D2 = _pair_dist2(points).ravel()
+    order = np.argsort(D2, kind="stable")
+    d2 = D2[order]
+    starts = np.flatnonzero(np.r_[True, d2[1:] != d2[:-1]])
+    return order, d2, starts, d2[starts]
+
+
 def _domain_scan(basis, ts, cs, P, dim):
     """Per-time Gaussian-envelope scan.
 
     Returns rows (one per t) with admissibility, positivity margin, the
     needed constant log C(t, c) for every c, and the projected-kernel
     maximum used for the decay fit.
+
+    log C(t, c) is the max over decidable pairs with K_t > 0 of
+    log K_t - log m_t + |x-y|^2 / (c t).  Pairs are grouped once per grid by
+    their squared distance, so each t takes one max of log K_t per group
+    and the c loop runs over groups only.  The result is bit-identical to
+    the per-pair max: for a fixed group the shifts -log m_t and
+    +|x-y|^2 / (c t) are the same for every pair, and rounded addition and
+    subtraction are monotone in each operand, so the group max commutes
+    with them.  Decidability (|x-y|^2 <= c t L) keeps a prefix of the
+    sorted groups, found by searchsorted.
     """
-    D2 = _pair_dist2(basis.grid.points)
+    order, d2_sorted, starts, d2_groups = _distance_groups(basis.grid.points)
+    n_pairs = d2_sorted.size
     vol = basis.domain.volume
     c_max = cs[-1]
     rows = []
@@ -74,19 +99,20 @@ def _domain_scan(basis, ts, cs, P, dim):
         # by exp(|x-y|^2/(c t)).
         floor = max(tail, 1e-14 * float(np.max(np.diag(Kt))))
         L = math.log(max(m_t / (P["tail_margin"] * floor), 1e-300)) if floor > 0 else math.inf
-        decidable = D2 <= c_max * t * L
-        frac = float(decidable.mean())
+        frac = int(np.searchsorted(d2_sorted, c_max * t * L, side="right")) / n_pairs
         admissible = (tail <= P["tail_abs_frac"] * m_t) and (frac >= P["min_pair_frac"])
         pos_margin = float(Kt.min()) + tail  # positivity: min K_t >= -tail
         logC = np.full(len(cs), -np.inf)
-        pos = Kt > 0
+        k_sorted = Kt.ravel()[order]
+        pos = k_sorted > 0
         if np.any(pos):
-            base_all = np.log(Kt[pos]) - math.log(m_t)
-            d2_all = D2[pos]
+            log_k = np.full(n_pairs, -np.inf)
+            log_k[pos] = np.log(k_sorted[pos])
+            base = np.maximum.reduceat(log_k, starts) - math.log(m_t)
             for i, c in enumerate(cs):
-                sel = d2_all <= c * t * L
-                if np.any(sel):
-                    logC[i] = float(np.max(base_all[sel] + d2_all[sel] / (c * t)))
+                n_sel = int(np.searchsorted(d2_groups, c * t * L, side="right"))
+                if n_sel:
+                    logC[i] = float(np.max(base[:n_sel] + d2_groups[:n_sel] / (c * t)))
         pk_max = float(np.max(np.abs(Kt - 1.0 / vol)))
         rows.append({
             "t": float(t), "tail": float(tail), "admissible": bool(admissible),

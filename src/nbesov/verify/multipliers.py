@@ -17,6 +17,7 @@ from ..spectral import (
     endpoint_norms,
     gradient_kernels,
     heat_symbol,
+    magnitude_norms,
     multiplier_kernel,
     power_block_symbol,
 )
@@ -347,7 +348,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     # Dyadic blocks.  On an interval the gradient maps the cosine modes to
     # the matching orthonormal sine family, so the 2->2 norm is available
     # exactly as max_k sqrt(lambda_k) phi_j(sqrt(lambda_k)); 1->1 and
-    # inf->inf come from the composed kernels.
+    # inf->inf come from the magnitudes of the composed kernels.
     vals22, vals11, valsinf = [], [], []
     for j in js:
         svals = pou.phi(j, sq)
@@ -357,7 +358,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
                      tag=f"block:j={j}"),
             basis,
         )
-        ends = endpoint_norms(ker)
+        ends = magnitude_norms(ker)
         vals22.append(n22)
         vals11.append(ends["1->1"])
         valsinf.append(ends["inf->inf"])
@@ -376,7 +377,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     kept_t, kept_v, dropped = [], [], []
     for t in ts:
         ker = gradient_kernels(heat_symbol(t), basis)
-        v = endpoint_norms(ker)["inf->inf"]
+        v = magnitude_norms(ker)["inf->inf"]
         if ker.tail_bound > P["tail_frac"] * v:
             dropped.append(float(t))
             points.append({"kind": "heat", "t": float(t), "norminf": v,

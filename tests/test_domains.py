@@ -1,8 +1,12 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from nbesov import domains
 from nbesov.domains import (
     build_fd_basis,
     build_interval_basis,
@@ -13,7 +17,7 @@ from nbesov.domains import (
     save_basis,
     weyl_count_estimate,
 )
-from nbesov.spectral import GridFunction
+from nbesov.spectral import GridFunction, gradient
 
 
 def test_interval_grid_layout():
@@ -127,3 +131,61 @@ def test_lp_norm_of_constant():
     assert lp_norm(f, np.inf) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         lp_norm(f, 0.5)
+
+
+def _cosine_factor(k, L, x):
+    """Normalised Neumann cosine on [0, L] and its derivative, closed form."""
+    if k == 0:
+        return np.full_like(x, L**-0.5), np.zeros_like(x)
+    kap = k * math.pi / L
+    return (math.sqrt(2.0 / L) * np.cos(kap * x),
+            -math.sqrt(2.0 / L) * kap * np.sin(kap * x))
+
+
+def test_rectangle_mode_gradients_closed_form():
+    Lx, Ly, Nx, Ny = 2.0, 1.5, 8, 6
+    basis = build_rectangle_basis(Lx, Ly, 12, Nx=Nx, Ny=Ny)
+    x, y = basis.grid.points[:, 0], basis.grid.points[:, 1]
+    G = basis.gradients()
+    assert G.shape == (2, 12, Nx * Ny)
+    for r, (a, b) in enumerate(basis.mode_index):
+        fx, dfx = _cosine_factor(a, Lx, x)
+        fy, dfy = _cosine_factor(b, Ly, y)
+        np.testing.assert_allclose(G[0, r], dfx * fy, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(G[1, r], fx * dfy, rtol=0, atol=1e-12)
+        grad = gradient(GridFunction(basis.functions[r], basis.grid), basis)
+        np.testing.assert_allclose(grad, G[:, r], rtol=0, atol=1e-12)
+
+
+def test_gradient_cache_fills_once_under_threads(monkeypatch):
+    calls = []
+    real = domains._mode_gradients
+
+    def counting(basis):
+        calls.append(threading.get_ident())
+        time.sleep(0.05)  # hold the fill open so the other threads race it
+        return real(basis)
+
+    monkeypatch.setattr(domains, "_mode_gradients", counting)
+    basis = build_interval_basis(math.pi, 32, N=64)
+    n = 8
+    barrier = threading.Barrier(n)
+    got = [None] * n
+
+    def work(i):
+        barrier.wait(timeout=10)
+        got[i] = basis.gradients()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert got[0] is not None and all(g is got[0] for g in got)

@@ -16,6 +16,7 @@ from nbesov.spectral import (
     heat_kernel,
     heat_symbol,
     load_kernel,
+    magnitude_norms,
     multiplier_kernel,
     resolvent_gamma,
     resolvent_symbol,
@@ -163,3 +164,46 @@ def test_kernel_save_load_round_trip(tmp_path, basis):
     other = build_rectangle_basis(1.0, 1.0, 9, Nx=8, Ny=8)
     with pytest.raises(ValueError):
         load_kernel(str(p1), other.grid)
+
+
+def test_gradient_kernel_22_is_the_sine_family_value(basis):
+    # On an interval the gradient maps the cosine modes to the orthonormal
+    # sine family, so the dense vector 2->2 route must give
+    # max_k sqrt(lambda_k) |phi(lambda_k)|.
+    pou = make_partition("standard")
+    sq = np.sqrt(np.maximum(basis.eigenvalues, 0.0))
+    for sym in (heat_symbol(0.05), block_symbol(pou, 2)):
+        ker = gradient_kernels(sym, basis)
+        ref = float(np.max(sq * np.abs(sym(basis.eigenvalues))))
+        assert endpoint_norms(ker)["2->2"] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_magnitude_norms_are_endpoint_norms_without_22(basis):
+    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
+    for ker in (heat_kernel(0.05, basis), gradient_kernels(heat_symbol(0.05), basis),
+                gradient_kernels(heat_symbol(0.05), rect)):
+        ends = endpoint_norms(ker)
+        assert ends.pop("2->2") > 0
+        assert magnitude_norms(ker) == ends
+
+
+def test_gradient_kernel_save_load_keeps_vector_data(tmp_path, basis):
+    ker = gradient_kernels(heat_symbol(0.05), basis)
+    p = tmp_path / "g.npz"
+    save_kernel(ker, str(p))
+    loaded = load_kernel(str(p), basis.grid)
+    for name in ("matrix", "symbol_values", "components"):
+        a, b = getattr(loaded, name), getattr(ker, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
+    assert endpoint_norms(loaded) == endpoint_norms(ker)
+
+
+def test_load_kernel_rejects_mismatched_components(tmp_path, basis):
+    ker = gradient_kernels(heat_symbol(0.05), basis)
+    p = tmp_path / "bad.npz"
+    np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
+             grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
+             symbol_values=ker.symbol_values, components=ker.components[:, :-1])
+    with pytest.raises(ValueError, match="components"):
+        load_kernel(str(p), basis.grid)

@@ -30,7 +30,6 @@ from .spectral import (
     analyze,
     apply_kernel,
     apply_multiplier,
-    decompose_mean,
     endpoint_norms,
     gradient,
     heat,

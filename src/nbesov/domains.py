@@ -350,9 +350,35 @@ def build_interval_basis(L: float, K: int, N: int = 512) -> EigenBasis:
         )
     grid = interval_grid(L, N)
     ks = list(range(K))
-    lam = (np.array(ks, dtype=float) * np.pi / L) ** 2
     E = _interval_modes(L, N, ks)
-    return EigenBasis(grid=grid, eigenvalues=lam, functions=E, kind="analytic", mode_index=ks)
+    return EigenBasis(grid=grid, eigenvalues=_interval_eigenvalues(L, K), functions=E,
+                      kind="analytic", mode_index=ks)
+
+
+def _interval_eigenvalues(L: float, K: int) -> NDArray:
+    return (np.arange(K, dtype=float) * np.pi / L) ** 2
+
+
+def _check_interval_metadata(basis: EigenBasis) -> None:
+    """Reject an analytic interval basis whose metadata disagrees with itself.
+
+    Interval kernels are assembled from the wavenumbers, L and N, not from
+    the sampled functions, so those must describe the closed-form family:
+    mode_index 0..K-1 within the resolution cutoff, eigenvalues (k pi / L)^2
+    and the cell-centred grid of interval_grid(L, N).  Each check is O(K + N).
+    """
+    L = basis.domain.lengths[0]
+    N = basis.grid.n_nodes
+    K = basis.K
+    if (basis.mode_index != list(range(K)) or any(type(k) is not int for k in basis.mode_index)
+            or K - 1 > N / 2):
+        raise ValueError(f"interval mode_index is not the wavenumbers 0..{K - 1} <= N/2")
+    if not np.array_equal(basis.eigenvalues, _interval_eigenvalues(L, K)):
+        raise ValueError("interval eigenvalues are not (k pi / L)^2 for the stored modes")
+    ref = interval_grid(L, N)
+    if not (np.array_equal(basis.grid.points, ref.points)
+            and np.array_equal(basis.grid.weights, ref.weights)):
+        raise ValueError(f"grid nodes and weights are not those of interval_grid({L!r}, {N})")
 
 
 def rectangle_mode_table(Lx: float, Ly: float, Nx: int, Ny: int) -> list[tuple[float, int, int]]:
@@ -687,6 +713,8 @@ def save_basis(basis: EigenBasis, path: str) -> None:
 
 
 def load_basis(path: str) -> EigenBasis:
+    """Read a save_basis file; an analytic interval file must carry
+    self-consistent metadata (_check_interval_metadata)."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != "nbesov-eigenbasis/1":
@@ -710,10 +738,13 @@ def load_basis(path: str) -> EigenBasis:
         shape=tuple(g["shape"]) if g["shape"] else None,
     )
     mode_index = [tuple(m) if isinstance(m, list) else m for m in payload["mode_index"]]
-    return EigenBasis(
+    basis = EigenBasis(
         grid=grid,
         eigenvalues=_decode_array(payload["eigenvalues"]),
         functions=_decode_array(payload["functions"]),
         kind=payload["kind"],
         mode_index=mode_index,
     )
+    if basis.kind == "analytic" and dom.kind == "interval":
+        _check_interval_metadata(basis)
+    return basis

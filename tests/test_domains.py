@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -120,6 +121,46 @@ def test_load_rejects_foreign_file(tmp_path):
     p = tmp_path / "x.json"
     p.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
+        load_basis(str(p))
+
+
+def _swap_modes(payload):
+    payload["mode_index"][1], payload["mode_index"][2] = 2, 1
+
+
+def _fake_eigenvalue(payload):
+    lam = domains._decode_array(payload["eigenvalues"])
+    lam[5] *= 1.01
+    payload["eigenvalues"] = domains._encode_array(lam)
+
+
+def _vertex_nodes(payload):
+    pts = domains._decode_array(payload["grid"]["points"])
+    payload["grid"]["points"] = domains._encode_array(pts - 0.5 * payload["grid"]["spacing"][0])
+
+
+def _uneven_weights(payload):
+    # Same total (the volume check passes), different quadrature.
+    w = domains._decode_array(payload["grid"]["weights"])
+    w[0], w[1] = 1.5 * w[0], 0.5 * w[1]
+    payload["grid"]["weights"] = domains._encode_array(w)
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (_swap_modes, "mode_index"),
+    (_fake_eigenvalue, "eigenvalues"),
+    (_vertex_nodes, "grid nodes"),
+    (_uneven_weights, "grid nodes and weights"),
+])
+def test_load_rejects_inconsistent_interval_metadata(tmp_path, tamper, match):
+    # Interval kernels are assembled from mode_index, L and N, not from the
+    # stored functions, so a file whose metadata disagrees must not load.
+    p = tmp_path / "b.json"
+    save_basis(build_interval_basis(math.pi, 17, N=64), str(p))
+    payload = json.loads(p.read_text())
+    tamper(payload)
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
         load_basis(str(p))
 
 

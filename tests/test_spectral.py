@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nbesov.domains import build_interval_basis, build_rectangle_basis
+from nbesov.domains import build_interval_basis, build_rectangle_basis, load_basis, save_basis
 from nbesov.littlewood_paley import make_partition
 from nbesov.spectral import (
     GridFunction,
@@ -18,6 +18,7 @@ from nbesov.spectral import (
     load_kernel,
     magnitude_norms,
     multiplier_kernel,
+    power_block_symbol,
     resolvent_gamma,
     resolvent_symbol,
     save_kernel,
@@ -207,3 +208,51 @@ def test_load_kernel_rejects_mismatched_components(tmp_path, basis):
              symbol_values=ker.symbol_values, components=ker.components[:, :-1])
     with pytest.raises(ValueError, match="components"):
         load_kernel(str(p), basis.grid)
+
+
+def _oracle_symbols(basis):
+    pou = make_partition("standard")
+    top = math.sqrt(float(basis.eigenvalues[-1]))
+    j = max(0, math.floor(math.log2(top)) - 1) if top > 0 else 0
+    return (heat_symbol(1e-3), block_symbol(pou, j), power_block_symbol(pou, j, -0.5),
+            resolvent_symbol(0.75, 1.0))
+
+
+@pytest.mark.parametrize("N", [7, 512, 2048])
+@pytest.mark.parametrize("top", [False, True])
+def test_interval_kernels_match_dense_oracle(N, top):
+    # The interval route (Toeplitz + Hankel from one DCT-I / DST-I) against
+    # the dense sums it replaces, at K = 1 and at the top resolved mode.
+    basis = build_interval_basis(math.pi, N // 2 + 1 if top else 1, N=N)
+    E, G = basis.functions, basis.gradients()[0]
+    for sym in _oracle_symbols(basis):
+        s = sym(basis.eigenvalues)
+        ker = multiplier_kernel(sym, basis).matrix
+        assert np.array_equal(ker, ker.T), sym.tag
+        grad = gradient_kernels(sym, basis)
+        assert grad.components.shape == (1, N, N)
+        for got, ref in ((ker, (E.T * s) @ E), (grad.matrix, (G.T * s) @ E)):
+            err = float(np.max(np.abs(got - ref)))
+            assert err <= 1e-12 * float(np.max(np.abs(ref))), (sym.tag, err)
+
+
+def test_interval_kernels_from_loaded_basis_are_bitwise_equal(tmp_path):
+    built = build_interval_basis(math.pi, 257, N=512)
+    p = tmp_path / "b.json"
+    save_basis(built, str(p))
+    loaded = load_basis(str(p))
+    for sym in _oracle_symbols(built):
+        assert np.array_equal(multiplier_kernel(sym, loaded).matrix,
+                              multiplier_kernel(sym, built).matrix)
+        assert np.array_equal(gradient_kernels(sym, loaded).components,
+                              gradient_kernels(sym, built).components)
+
+
+def test_product_rejects_equal_size_grid_of_other_length():
+    a = build_interval_basis(1.0, 4, N=16).grid
+    b = build_interval_basis(2.0, 4, N=16).grid
+    f = GridFunction.constant(a, 2.0)
+    assert np.all(f.product(GridFunction.constant(build_interval_basis(1.0, 4, N=16).grid,
+                                                  3.0)).values == 6.0)
+    with pytest.raises(ValueError, match="shared grid"):
+        f.product(GridFunction.constant(b, 3.0))

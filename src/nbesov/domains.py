@@ -207,9 +207,7 @@ def polygon_grid(domain: Domain, h: float) -> Grid:
     """
     if domain.kind != "polygon":
         raise ValueError("polygon_grid requires a polygon domain")
-    pts = []
-    idx = []
-    seen = set()
+    blocks = []
     for (x0, x1, y0, y1) in domain.cells:
         for span, name in (((x1 - x0), "x"), ((y1 - y0), "y")):
             m = span / h
@@ -217,34 +215,35 @@ def polygon_grid(domain: Domain, h: float) -> Grid:
                 raise ValueError(
                     f"spacing h={h} does not tile the {name}-span {span} of a domain cell"
                 )
-    for (x0, x1, y0, y1) in domain.cells:
-        mx = int(round((x1 - x0) / h))
-        my = int(round((y1 - y0) / h))
-        ox = int(round(x0 / h))
-        oy = int(round(y0 / h))
-        for ix in range(mx):
-            for iy in range(my):
-                key = (ox + ix, oy + iy)
-                if key in seen:
-                    raise ValueError("domain cells overlap")
-                seen.add(key)
-                idx.append(key)
-                pts.append(((ox + ix + 0.5) * h, (oy + iy + 0.5) * h))
+        ox, oy = int(round(x0 / h)), int(round(y0 / h))
+        mx, my = int(round((x1 - x0) / h)), int(round((y1 - y0) / h))
+        IX, IY = np.meshgrid(ox + np.arange(mx), oy + np.arange(my), indexing="ij")
+        blocks.append(np.column_stack([IX.ravel(), IY.ravel()]))
     # Deterministic node order: sort by (ix, iy).
-    idx_arr = np.array(idx, dtype=int)
-    pts_arr = np.array(pts, dtype=float)
-    order = np.lexsort((idx_arr[:, 1], idx_arr[:, 0]))
-    idx_arr = idx_arr[order]
-    pts_arr = pts_arr[order]
-    N = len(pts_arr)
+    idx = np.concatenate(blocks)
+    idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
+    if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
+        raise ValueError("domain cells overlap")
+    N = len(idx)
     return Grid(
         domain=domain,
-        points=pts_arr,
+        points=(idx + 0.5) * h,
         weights=np.full(N, h * h),
         spacing=(h, h),
-        index=idx_arr,
+        index=idx,
         shape=None,
     )
+
+
+def _neighbours(grid: Grid, axis: int, offset: int) -> NDArray:
+    """Node number at index + offset along axis for every node, -1 where the
+    grid has no such node; read from the index table padded by |offset|."""
+    pad = abs(offset)
+    pos = grid.index - grid.index.min(axis=0) + pad
+    table = np.full(pos.max(axis=0) + 1 + pad, -1)
+    table[tuple(pos.T)] = np.arange(grid.n_nodes)
+    pos[:, axis] += offset
+    return table[tuple(pos.T)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +358,6 @@ def _interval_eigenvalues(L: float, K: int) -> NDArray:
     return (np.arange(K, dtype=float) * np.pi / L) ** 2
 
 
-def _check_interval_metadata(basis: EigenBasis) -> None:
-    """Reject an analytic interval basis whose metadata disagrees with itself.
-
-    Interval kernels are assembled from the wavenumbers, L and N, not from
-    the sampled functions, so those must describe the closed-form family:
-    mode_index 0..K-1 within the resolution cutoff, eigenvalues (k pi / L)^2
-    and the cell-centred grid of interval_grid(L, N).  Each check is O(K + N).
-    """
-    L = basis.domain.lengths[0]
-    N = basis.grid.n_nodes
-    K = basis.K
-    if (basis.mode_index != list(range(K)) or any(type(k) is not int for k in basis.mode_index)
-            or K - 1 > N / 2):
-        raise ValueError(f"interval mode_index is not the wavenumbers 0..{K - 1} <= N/2")
-    if not np.array_equal(basis.eigenvalues, _interval_eigenvalues(L, K)):
-        raise ValueError("interval eigenvalues are not (k pi / L)^2 for the stored modes")
-    ref = interval_grid(L, N)
-    if not (np.array_equal(basis.grid.points, ref.points)
-            and np.array_equal(basis.grid.weights, ref.weights)):
-        raise ValueError(f"grid nodes and weights are not those of interval_grid({L!r}, {N})")
-
-
 def rectangle_mode_table(Lx: float, Ly: float, Nx: int, Ny: int) -> list[tuple[float, int, int]]:
     """All tensor modes below the per-axis cutoffs, sorted by (lambda, a, b)."""
     amax = Nx // 2
@@ -428,6 +405,36 @@ def build_rectangle_basis(Lx: float, Ly: float, K: int, Nx: int = 64, Ny: int = 
     )
 
 
+def _check_analytic_metadata(basis: EigenBasis) -> None:
+    """Reject an analytic basis whose metadata disagrees with its builder.
+
+    Analytic kernels and gradients are computed from the mode numbers, the
+    side lengths and the grid shape, not from the sampled functions, so
+    those must describe the closed-form family: mode_index, the eigenvalues
+    (bitwise) and the grid nodes and weights must be what
+    build_interval_basis / build_rectangle_basis produce for them.
+    """
+    dom, grid, K = basis.domain, basis.grid, basis.K
+    if dom.kind == "interval":
+        L, N = dom.lengths[0], grid.n_nodes
+        modes = list(range(K)) if K - 1 <= N / 2 else None
+        lam, ref = _interval_eigenvalues(L, K), interval_grid(L, N)
+    elif dom.kind == "rectangle" and grid.shape is not None and len(grid.shape) == 2:
+        (Lx, Ly), (Nx, Ny) = dom.lengths, grid.shape
+        table = rectangle_mode_table(Lx, Ly, Nx, Ny)[:K]
+        modes = [(a, b) for _, a, b in table] if len(table) == K else None
+        lam, ref = np.array([t[0] for t in table]), rectangle_grid(Lx, Ly, Nx, Ny)
+    else:
+        raise ValueError(f"no analytic eigenbasis on a {dom.kind} grid")
+    numbers = [v for m in basis.mode_index for v in (m if isinstance(m, tuple) else (m,))]
+    if modes is None or basis.mode_index != modes or any(type(v) is not int for v in numbers):
+        raise ValueError(f"{dom.kind} mode_index is not the first {K} closed-form modes")
+    if not np.array_equal(basis.eigenvalues, lam):
+        raise ValueError(f"{dom.kind} eigenvalues are not the closed-form ones of the stored modes")
+    if not (np.array_equal(grid.points, ref.points) and np.array_equal(grid.weights, ref.weights)):
+        raise ValueError(f"grid nodes and weights are not those of the {dom.kind} builder")
+
+
 def _fd_laplacian(grid: Grid) -> sp.csr_matrix:
     """5-point Neumann Laplacian on a polygon mesh via ghost-point reflection.
 
@@ -435,24 +442,21 @@ def _fd_laplacian(grid: Grid) -> sp.csr_matrix:
     contribution; the result is symmetric positive semidefinite with the
     constants in its kernel when the mesh is connected.
     """
-    idx = grid.index
     h = grid.spacing[0]
     N = grid.n_nodes
-    lookup = {tuple(k): i for i, k in enumerate(map(tuple, idx))}
-    rows, cols, vals = [], [], []
+    rows, cols = [], []
     diag = np.zeros(N)
-    for i, (ix, iy) in enumerate(map(tuple, idx)):
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            jn = lookup.get((ix + dx, iy + dy))
-            if jn is not None:
-                rows.append(i)
-                cols.append(jn)
-                vals.append(-1.0 / h**2)
-                diag[i] += 1.0 / h**2
-    rows.extend(range(N))
-    cols.extend(range(N))
-    vals.extend(diag)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+    for axis, offset in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        nb = _neighbours(grid, axis, offset)
+        has = nb >= 0
+        rows.append(np.nonzero(has)[0])
+        cols.append(nb[has])
+        diag += np.where(has, 1.0 / h**2, 0.0)
+    n_off = sum(len(r) for r in rows)
+    rows.append(np.arange(N))
+    cols.append(np.arange(N))
+    vals = np.concatenate([np.full(n_off, -1.0 / h**2), diag])
+    return sp.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=(N, N))
 
 
 def _deterministic_sign(v: NDArray) -> NDArray:
@@ -571,49 +575,34 @@ def _mode_gradients(basis: EigenBasis) -> NDArray:
         else:
             raise ValueError("analytic gradients are only defined on intervals/rectangles")
     else:
-        for r in range(K):
-            g = fd_gradient(basis.functions[r], grid)
-            out[:, r, :] = g
+        out[:] = fd_gradient(basis.functions.T, grid).transpose(0, 2, 1)
     return out
 
 
 def fd_gradient(values: NDArray, grid: Grid) -> NDArray:
-    """(n, N) finite-difference gradient on a structured or polygon mesh.
+    """(n, N) finite-difference gradient on a structured or polygon mesh;
+    (n, N, S) for an (N, S) stack of node values.
 
     Centered second-order differences in the interior; one-sided
     second-order stencils where a neighbor is missing (falling back to
     first-order, then zero, on very thin features).
     """
-    idx = grid.index
-    if idx is None:
+    if grid.index is None:
         raise ValueError("finite-difference gradient needs a structured grid index")
-    n = grid.domain.n
-    N = grid.n_nodes
-    out = np.zeros((n, N))
-    lookup = {tuple(k): i for i, k in enumerate(map(tuple, idx))}
-    steps = [(1, 0), (0, 1)][:n] if n == 2 else [(1,)]
-    for axis in range(n):
-        h = grid.spacing[axis]
-        for i, key in enumerate(map(tuple, idx)):
-            def nb(offset: int):
-                k = list(key)
-                k[axis] += offset
-                return lookup.get(tuple(k))
-            ip, im = nb(+1), nb(-1)
-            if ip is not None and im is not None:
-                out[axis, i] = (values[ip] - values[im]) / (2 * h)
-            elif ip is not None:
-                ipp = nb(+2)
-                if ipp is not None:
-                    out[axis, i] = (-3 * values[i] + 4 * values[ip] - values[ipp]) / (2 * h)
-                else:
-                    out[axis, i] = (values[ip] - values[i]) / h
-            elif im is not None:
-                imm = nb(-2)
-                if imm is not None:
-                    out[axis, i] = (3 * values[i] - 4 * values[im] + values[imm]) / (2 * h)
-                else:
-                    out[axis, i] = (values[i] - values[im]) / h
+    v = np.asarray(values)
+    out = np.zeros((grid.domain.n,) + v.shape)
+    for axis, h in enumerate(grid.spacing):
+        nb = {d: _neighbours(grid, axis, d) for d in (1, -1, 2, -2)}
+        ip, im, ipp, imm = (nb[d] >= 0 for d in (1, -1, 2, -2))
+        g = out[axis]
+        c = ip & im
+        g[c] = (v[nb[1][c]] - v[nb[-1][c]]) / (2 * h)
+        f2, f1 = ip & ~im & ipp, ip & ~im & ~ipp
+        g[f2] = (-3 * v[f2] + 4 * v[nb[1][f2]] - v[nb[2][f2]]) / (2 * h)
+        g[f1] = (v[nb[1][f1]] - v[f1]) / h
+        b2, b1 = ~ip & im & imm, ~ip & im & ~imm
+        g[b2] = (3 * v[b2] - 4 * v[nb[-1][b2]] + v[nb[-2][b2]]) / (2 * h)
+        g[b1] = (v[b1] - v[nb[-1][b1]]) / h
     return out
 
 
@@ -713,8 +702,8 @@ def save_basis(basis: EigenBasis, path: str) -> None:
 
 
 def load_basis(path: str) -> EigenBasis:
-    """Read a save_basis file; an analytic interval file must carry
-    self-consistent metadata (_check_interval_metadata)."""
+    """Read a save_basis file; an analytic file must carry the metadata of
+    its closed-form family (_check_analytic_metadata)."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != "nbesov-eigenbasis/1":
@@ -745,6 +734,6 @@ def load_basis(path: str) -> EigenBasis:
         kind=payload["kind"],
         mode_index=mode_index,
     )
-    if basis.kind == "analytic" and dom.kind == "interval":
-        _check_interval_metadata(basis)
+    if basis.kind == "analytic":
+        _check_analytic_metadata(basis)
     return basis

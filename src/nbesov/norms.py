@@ -34,15 +34,7 @@ from numpy.typing import NDArray
 
 from .domains import EigenBasis, Grid, lp_norm
 from .littlewood_paley import PartitionOfUnity
-from .spectral import (
-    GridFunction,
-    OperatorKernel,
-    SpectralCoeffs,
-    analyze,
-    block_symbol,
-    cap_symbol,
-    synthesize,
-)
+from .spectral import GridFunction, OperatorKernel, analyze
 
 __all__ = [
     "BesovParams",
@@ -53,8 +45,9 @@ __all__ = [
     "default_besov_params",
     "besov_inhom",
     "besov_hom",
-    "block_norm",
+    "besov_table",
     "block_lp_table",
+    "lp_columns",
     "seminorm_pM",
     "seminorm_qM",
     "amalgam_cells",
@@ -166,14 +159,11 @@ def _coverage_defect(
     return math.sqrt(num / den)
 
 
-def block_norm(
-    f: GridFunction, j: int, p: float, pou: PartitionOfUnity, basis: EigenBasis
-) -> float:
-    """||phi_j(sqrt H) f||_p."""
-    c = analyze(f, basis)
-    svals = block_symbol(pou, j)(basis.eigenvalues)
-    field = synthesize(SpectralCoeffs(values=svals * c.values, basis=basis))
-    return lp_norm(field, p)
+def lp_columns(F: NDArray, w: NDArray, p: float) -> NDArray:
+    """Quadrature L^p norm of every column of F (N, S); p = inf gives the max."""
+    if np.isinf(p):
+        return np.max(np.abs(F), axis=0)
+    return (w @ np.abs(F) ** p) ** (1.0 / p)
 
 
 def block_lp_table(
@@ -189,8 +179,7 @@ def block_lp_table(
     One synthesis per block serves every sample and exponent, which is what
     keeps the sweep experiments fast.
     """
-    lam = basis.eigenvalues
-    sq = np.sqrt(np.maximum(lam, 0.0))
+    sq = np.sqrt(np.maximum(basis.eigenvalues, 0.0))
     E = basis.functions
     w = basis.grid.weights
     out = np.empty((len(js), len(ps), C.shape[1]))
@@ -201,11 +190,40 @@ def block_lp_table(
             continue
         fields = E.T @ (svals[:, None] * C)  # (N, S)
         for b, p in enumerate(ps):
-            if np.isinf(p):
-                out[a, b] = np.max(np.abs(fields), axis=0)
-            else:
-                out[a, b] = (w @ np.abs(fields) ** p) ** (1.0 / p)
+            out[a, b] = lp_columns(fields, w, p)
     return out
+
+
+def besov_table(
+    C: NDArray,
+    s: float,
+    p: float,
+    q: float,
+    pou: PartitionOfUnity,
+    basis: EigenBasis,
+    j_max: int,
+    j_min: int = 1,
+    include_cap: bool = True,
+) -> NDArray:
+    """Besov norms of a (K, S) coefficient stack, one per column.
+
+    include_cap=True gives the inhomogeneous norm (psi term plus blocks
+    j = 1..j_max); include_cap=False gives the homogeneous window
+    j_min..j_max with no cap.  This is the one Besov computation; the
+    single-function norms below wrap it.
+    """
+    js = list(range(1 if include_cap else j_min, j_max + 1))
+    blocks = block_lp_table(C, js, [p], pou, basis)[:, 0, :]  # (J, S)
+    weights = 2.0 ** (s * np.asarray(js, dtype=float))[:, None]
+    weighted = weights * blocks
+    if np.isinf(q):
+        body = weighted.max(axis=0)
+    else:
+        body = np.sum(weighted**q, axis=0) ** (1.0 / q)
+    if not include_cap:
+        return body
+    cap_fields = basis.functions.T @ (pou.psi(basis.eigenvalues)[:, None] * C)
+    return lp_columns(cap_fields, basis.grid.weights, p) + body
 
 
 def besov_inhom(
@@ -223,14 +241,8 @@ def besov_inhom(
         raise ResolutionError(
             f"scale window j <= {params.j_max} misses a relative energy {defect:.3e} of f"
         )
-    cap = cap_symbol(pou)(basis.eigenvalues)
-    psi_term = lp_norm(
-        synthesize(SpectralCoeffs(values=cap * c.values, basis=basis)), params.p
-    )
-    js = list(range(1, params.j_max + 1))
-    blocks = block_lp_table(c.values[:, None], js, [params.p], pou, basis)[:, 0, 0]
-    weights = 2.0 ** (params.s * np.arange(1, params.j_max + 1))
-    return psi_term + ell_q(weights * blocks, params.q)
+    C = c.values[:, None]
+    return float(besov_table(C, params.s, params.p, params.q, pou, basis, params.j_max)[0])
 
 
 def besov_hom(
@@ -261,18 +273,13 @@ def besov_hom(
             f"scale window [{params.j_min}, {params.j_max}] misses a relative "
             f"energy {defect:.3e} of f (modulo constants)"
         )
-    js = list(range(params.j_min, params.j_max + 1))
-    blocks = block_lp_table(c.values[:, None], js, [params.p], pou, basis)[:, 0, 0]
-    weights = 2.0 ** (params.s * np.asarray(js, dtype=float))
-    value = ell_q(weights * blocks, params.q)
-    if j_support >= params.j_min:
-        tail = 0.0
-    else:
-        tail_js = list(range(j_support, params.j_min))
-        tail_blocks = block_lp_table(c.values[:, None], tail_js, [params.p], pou, basis)[:, 0, 0]
-        tail_w = 2.0 ** (params.s * np.asarray(tail_js, dtype=float))
-        tail = ell_q(tail_w * tail_blocks, params.q)
-    return HomNorm(value=value, tail_bound=tail)
+    C, s, p, q = c.values[:, None], params.s, params.p, params.q
+    value = besov_table(C, s, p, q, pou, basis, params.j_max, params.j_min, include_cap=False)
+    tail = 0.0
+    if j_support < params.j_min:
+        tail = besov_table(C, s, p, q, pou, basis, params.j_min - 1, j_support,
+                           include_cap=False)[0]
+    return HomNorm(value=float(value[0]), tail_bound=float(tail))
 
 
 def seminorm_pM(
@@ -286,10 +293,8 @@ def seminorm_pM(
     c = analyze(f, basis)
     lam_top = float(basis.eigenvalues[-1])
     j_hi = max(1, math.ceil(math.log2(math.sqrt(lam_top))) + 1 if lam_top > 0 else 1)
-    js = list(range(1, j_hi + 1))
-    blocks = block_lp_table(c.values[:, None], js, [1.0], pou, basis)[:, 0, 0]
-    sup = float(np.max(2.0 ** (M * np.asarray(js)) * blocks)) if js else 0.0
-    return lp_norm(f, 1.0) + sup
+    sup = besov_table(c.values[:, None], M, 1.0, np.inf, pou, basis, j_hi, include_cap=False)
+    return lp_norm(f, 1.0) + float(sup[0])
 
 
 def seminorm_qM(
@@ -303,6 +308,8 @@ def seminorm_qM(
 
     f_0 is the flat component; any nonzero f_0 makes the sup infinite
     (the function is not in the mean-zero test class), reported as +inf.
+    The weight 2^{M|j|} is not a Besov weight, so this reads block_lp_table
+    directly.
     """
     one_norm = lp_norm(f, 1.0)
     f0 = f.mean()

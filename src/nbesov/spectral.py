@@ -90,11 +90,17 @@ class GridFunction:
                 f"values shape {self.values.shape} does not match grid ({self.grid.n_nodes},)"
             )
 
+    def _shared(self, other: "GridFunction", op: str) -> NDArray:
+        """other's values, once its grid is known to be this one."""
+        if other.grid.grid_id() != self.grid.grid_id():
+            raise ValueError(f"{op} needs a shared grid")
+        return other.values
+
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.values + other.values, self.grid)
+        return GridFunction(self.values + self._shared(other, "sum"), self.grid)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.values - other.values, self.grid)
+        return GridFunction(self.values - self._shared(other, "difference"), self.grid)
 
     def __mul__(self, c: float) -> "GridFunction":
         return GridFunction(self.values * c, self.grid)
@@ -103,9 +109,7 @@ class GridFunction:
 
     def product(self, other: "GridFunction") -> "GridFunction":
         """Pointwise product fg on the shared grid."""
-        if other.grid.grid_id() != self.grid.grid_id():
-            raise ValueError("pointwise product needs a shared grid")
-        return GridFunction(self.values * other.values, self.grid)
+        return GridFunction(self.values * self._shared(other, "pointwise product"), self.grid)
 
     def mean(self) -> float:
         return float(np.sum(self.grid.weights * self.values) / self.grid.domain.volume)

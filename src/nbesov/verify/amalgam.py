@@ -9,7 +9,6 @@ localization norm of the bump kernel.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -149,7 +148,6 @@ def _block_operator_bounds(kernel, cells, rng, n_probes):
 
 
 def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
-    t0 = time.perf_counter()
     P = spec.merged(AMALGAM_DEFAULTS)
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
@@ -259,7 +257,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
         notes.append(f"bump bound gap {worst_gap:.1f} exceeds {P['gap_cap']:g}")
     else:
         verdict = PASS
-    rep = EstimateReport(
+    return EstimateReport(
         id="amalgam",
         params={"interval_K": P["interval_K"], "rect_K": P["rect_K"],
                 "betas_1d": list(P["betas_1d"]), "beta_2d": P["beta_2d"],
@@ -278,5 +276,3 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
             )
         },
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep

@@ -5,22 +5,13 @@ rule, and independence of the norms from the partition choice."""
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from ..littlewood_paley import make_partition
+from ..norms import besov_table, lp_columns
 from ..reports import FAIL, PASS, EstimateReport
-from .common import (
-    ExperimentSpec,
-    besov_table,
-    coeff_batch,
-    fields_from_coeffs,
-    interval_basis,
-    lp_table,
-    partition_for,
-    rectangle_basis,
-)
+from .common import ExperimentSpec, coeff_batch, interval_basis, partition_for, rectangle_basis
 
 __all__ = [
     "exp_reconstruction",
@@ -54,7 +45,6 @@ def exp_reconstruction(spec: ExperimentSpec) -> EstimateReport:
     """f equals its cap + dyadic-block resynthesis; mean-zero f equals the
     homogeneous block sum; f with a mean reconstructs exactly to its
     mean-removed part, with residual |mean component| / ||f||."""
-    t0 = time.perf_counter()
     P = spec.merged(RECON_DEFAULTS)
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
@@ -73,7 +63,7 @@ def exp_reconstruction(spec: ExperimentSpec) -> EstimateReport:
         J = _j_cover(basis)
         a = _j_gap(basis)
         C = coeff_batch(rng, basis.K, P["n_samples"], decay=0.05)
-        F = fields_from_coeffs(C, basis)
+        F = E.T @ C
         coeffs = E @ (w[:, None] * F)
 
         rec = E.T @ (pou.psi(lam)[:, None] * coeffs)
@@ -84,7 +74,7 @@ def exp_reconstruction(spec: ExperimentSpec) -> EstimateReport:
 
         Cz = C.copy()
         Cz[0] = 0.0
-        Fz = fields_from_coeffs(Cz, basis)
+        Fz = E.T @ Cz
         coeffs_z = E @ (w[:, None] * Fz)
         rec_h = np.zeros_like(Fz)
         for j in range(a, J + 1):
@@ -111,14 +101,12 @@ def exp_reconstruction(spec: ExperimentSpec) -> EstimateReport:
     fits["mean_case_gap"] = worst_mean_gap
     ok = (worst_inhom < P["tol"] and worst_hom < P["tol"]
           and worst_mean_gap < P["exact_tol"])
-    rep = EstimateReport(
+    return EstimateReport(
         id="reconstruction",
         params={"n_samples": P["n_samples"], "tol": P["tol"],
                 "pou": spec.pou_variant},
         points=points, fit=fits, verdict=PASS if ok else FAIL, seed=spec.seed,
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +130,6 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
     epsilon-loss embedding is checked against its explicit geometric-series
     constant rather than an empirical cap.
     """
-    t0 = time.perf_counter()
     P = spec.merged(EMBED_DEFAULTS)
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
@@ -152,11 +139,12 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
         K = basis.K
         C = np.zeros((K, C0.shape[1]))
         C[: P["k_max"]] = C0
-        F = fields_from_coeffs(C, basis)
+        F = basis.functions.T @ C
+        w = basis.grid.weights
         J = _j_cover(basis)
         out = {}
         b02 = besov_table(C, 0.0, 2.0, 2.0, pou, basis, J)
-        l2 = lp_table(F, basis, 2.0)
+        l2 = lp_columns(F, w, 2.0)
         out["b022_vs_l2_hi"] = float(np.max(b02 / l2))
         out["b022_vs_l2_lo"] = float(np.max(l2 / b02))
         # Lifting by (I + H)^{s0/2}, s0 = +1 and -1, at s = 1.
@@ -181,7 +169,7 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
         # L^p into B^0_{p,2} for p >= 2.
         for p in (2.0, 4.0):
             bp = besov_table(C, 0.0, p, 2.0, pou, basis, J)
-            out[f"lp_embed_p{p:g}"] = float(np.max(bp / lp_table(F, basis, p)))
+            out[f"lp_embed_p{p:g}"] = float(np.max(bp / lp_columns(F, w, p)))
         # l^q monotonicity is exact.
         b01 = besov_table(C, 0.0, 2.0, 1.0, pou, basis, J)
         b0inf = besov_table(C, 0.0, 2.0, np.inf, pou, basis, J)
@@ -208,7 +196,7 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
     failures = [name for name, ok in checks if not ok]
     points = [{"check": k, "ratio": v, "refined": fine.get(k)}
               for k, v in base.items()]
-    rep = EstimateReport(
+    return EstimateReport(
         id="embeddings",
         params={"n_samples": P["n_samples"], "k_max": P["k_max"],
                 "pou": spec.pou_variant},
@@ -218,8 +206,6 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
         seed=spec.seed,
         notes=(["failed: " + ", ".join(failures)] if failures else []),
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +227,6 @@ def _conj(p: float) -> float:
 
 def exp_duality(spec: ExperimentSpec) -> EstimateReport:
     """|<f, g>| <= C ||f||_{B^s_{p,q}} ||g||_{B^{-s}_{p',q'}} over sample pairs."""
-    t0 = time.perf_counter()
     P = spec.merged(DUALITY_DEFAULTS)
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
@@ -283,7 +268,7 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
         failures.append("refinement_drift")
     if pair_const > 1e-12 or scale_gap > 1e-12:
         failures.append("structural")
-    rep = EstimateReport(
+    return EstimateReport(
         id="duality",
         params={"n_pairs": P["n_pairs"], "table": [list(t) for t in _DUAL_TABLE],
                 "pou": spec.pou_variant},
@@ -295,8 +280,6 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
         seed=spec.seed,
         notes=(["failed: " + ", ".join(failures)] if failures else []),
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +309,6 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
     exactly representable; the empirical constant must be stable under
     grid refinement and partition-variant swap.
     """
-    t0 = time.perf_counter()
     P = spec.merged(LEIBNIZ_DEFAULTS)
     rng = np.random.default_rng(spec.seed)
     kcap = P["band_cap"] + 1
@@ -353,8 +335,8 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         for s, p, q, p1, p2, p3, p4 in _LEIBNIZ_TUPLES:
             lhs = besov_table(Ch[:, keep], s, p, q, pou, basis, J)
             rhs = (besov_table(Cf[:, keep], s, p1, q, pou, basis, J)
-                   * lp_table(G[:, keep], basis, p2)
-                   + lp_table(F[:, keep], basis, p3)
+                   * lp_columns(G[:, keep], w, p2)
+                   + lp_columns(F[:, keep], w, p3)
                    * besov_table(Cg[:, keep], s, p4, q, pou, basis, J))
             out[f"s{s:g}_p{p:g}"] = float(np.max(lhs / rhs))
         # Homogeneous variant on mean-removed inputs.
@@ -367,8 +349,8 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         s, p, q, p1, p2, p3, p4 = _LEIBNIZ_TUPLES[0]
         lhs = besov_table(Chz, s, p, q, pou, basis, J, j_min=a, include_cap=False)
         rhs = (besov_table(Cfz, s, p1, q, pou, basis, J, j_min=a, include_cap=False)
-               * lp_table(Gz, basis, p2)
-               + lp_table(Fz, basis, p3)
+               * lp_columns(Gz, w, p2)
+               + lp_columns(Fz, w, p3)
                * besov_table(Cgz, s, p4, q, pou, basis, J, j_min=a, include_cap=False))
         out["hom"] = float(np.max(lhs / rhs))
         return out, discarded
@@ -388,10 +370,10 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         failures.append("variant drift")
     if disc > 0:
         failures.append(f"{disc} samples left the band")
-    rep = EstimateReport(
+    return EstimateReport(
         id="leibniz",
         params={"n_pairs": P["n_pairs"], "band_cap": P["band_cap"],
-                "tuples": [[_fmt(x) for x in t] for t in _LEIBNIZ_TUPLES],
+                "tuples": _LEIBNIZ_TUPLES,
                 "pou": spec.pou_variant},
         points=[{"case": k, "C": v, "C_refined": fine[k], "C_variant": swap[k]}
                 for k, v in base.items()],
@@ -401,12 +383,6 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         seed=spec.seed,
         notes=(["failed: " + ", ".join(failures)] if failures else []),
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep
-
-
-def _fmt(x):
-    return "inf" if isinstance(x, float) and math.isinf(x) else x
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +402,6 @@ PARTITION_DEFAULTS = {
 def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
     """Besov norms computed with the two partition variants agree up to a
     bounded ratio, uniformly over a grid of (s, p, q)."""
-    t0 = time.perf_counter()
     P = spec.merged(PARTITION_DEFAULTS)
     pou_a = make_partition("standard")
     pou_b = make_partition("perturbed")
@@ -458,21 +433,19 @@ def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
         worst_lo, worst_hi = min(worst_lo, lo), max(worst_hi, hi)
         worst_drift = max(worst_drift, drift)
         s, p, q = key
-        points.append({"s": s, "p": _fmt(p), "q": _fmt(q), "ratio_min": lo,
+        points.append({"s": s, "p": p, "q": q, "ratio_min": lo,
                        "ratio_max": hi, "ratio_max_refined": fhi,
                        "drift": drift})
     ok = (worst_lo >= P["ratio_lo"] and worst_hi <= P["ratio_hi"]
           and worst_drift <= P["drift_tol"])
-    rep = EstimateReport(
+    return EstimateReport(
         id="partition_independence",
         params={"n_samples": P["n_samples"],
                 "s_table": list(P["s_table"]),
-                "pq_table": [_fmt(v) for v in P["pq_table"]]},
+                "pq_table": P["pq_table"]},
         points=points,
         fit={"ratio_min": worst_lo, "ratio_max": worst_hi,
              "max_drift": worst_drift},
         verdict=PASS if ok else FAIL,
         seed=spec.seed,
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep

@@ -15,20 +15,16 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from ..domains import EigenBasis, build_interval_basis, build_rectangle_basis, lp_norm
+from ..domains import EigenBasis, build_interval_basis, build_rectangle_basis
 from ..littlewood_paley import PartitionOfUnity, make_partition
-from ..norms import block_lp_table, ell_q
-from ..spectral import GridFunction
 
 __all__ = [
     "ExperimentSpec",
     "interval_basis",
     "rectangle_basis",
     "coeff_batch",
-    "fields_from_coeffs",
-    "besov_table",
-    "max_ratio",
     "geometric_spread",
+    "partition_for",
 ]
 
 
@@ -83,64 +79,6 @@ def coeff_batch(
     return C
 
 
-def fields_from_coeffs(C: NDArray, basis: EigenBasis) -> NDArray:
-    """(N, n_samples) grid values for a stack of coefficient vectors."""
-    return basis.functions.T @ C
-
-
-def besov_table(
-    C: NDArray,
-    s: float,
-    p: float,
-    q: float,
-    pou: PartitionOfUnity,
-    basis: EigenBasis,
-    j_max: int,
-    j_min: int = 1,
-    include_cap: bool = True,
-) -> NDArray:
-    """Besov norms of a coefficient stack, vectorized over samples.
-
-    include_cap=True gives the inhomogeneous norm (psi term plus blocks
-    j = 1..j_max); include_cap=False gives the homogeneous window
-    j_min..j_max with no cap.
-    """
-    lam = basis.eigenvalues
-    js = list(range(1 if include_cap else j_min, j_max + 1))
-    blocks = block_lp_table(C, js, [p], pou, basis)[:, 0, :]  # (J, S)
-    weights = 2.0 ** (s * np.asarray(js, dtype=float))[:, None]
-    weighted = weights * blocks
-    if np.isinf(q):
-        body = weighted.max(axis=0)
-    else:
-        body = np.sum(weighted**q, axis=0) ** (1.0 / q)
-    if not include_cap:
-        return body
-    cap_vals = pou.psi(lam)
-    cap_fields = basis.functions.T @ (cap_vals[:, None] * C)
-    w = basis.grid.weights
-    if np.isinf(p):
-        cap_norm = np.max(np.abs(cap_fields), axis=0)
-    else:
-        cap_norm = (w @ np.abs(cap_fields) ** p) ** (1.0 / p)
-    return cap_norm + body
-
-
-def lp_table(F: NDArray, basis: EigenBasis, p: float) -> NDArray:
-    """Quadrature L^p norms of a stack of grid-value columns."""
-    w = basis.grid.weights
-    if np.isinf(p):
-        return np.max(np.abs(F), axis=0)
-    return (w @ np.abs(F) ** p) ** (1.0 / p)
-
-
-def max_ratio(num: NDArray, den: NDArray, floor: float = 1e-300) -> float:
-    """max over samples of num/den, guarding exact-zero denominators."""
-    num = np.asarray(num, dtype=float)
-    den = np.maximum(np.asarray(den, dtype=float), floor)
-    return float(np.max(num / den))
-
-
 def geometric_spread(values) -> float:
     """max/min of a positive sequence (inf when it touches zero)."""
     v = np.asarray(values, dtype=float)
@@ -150,34 +88,5 @@ def geometric_spread(values) -> float:
     return float(v.max() / v.min())
 
 
-def function_from_coeffs(c: NDArray, basis: EigenBasis) -> GridFunction:
-    return GridFunction(values=basis.functions.T @ np.asarray(c, dtype=float), grid=basis.grid)
-
-
-def l2_norm_from_coeffs(c: NDArray) -> float:
-    return float(np.linalg.norm(c))
-
-
-def quadrature_pairing(f: NDArray, g: NDArray, basis: EigenBasis) -> float:
-    return float(np.sum(basis.grid.weights * f * g))
-
-
 def partition_for(spec: ExperimentSpec) -> PartitionOfUnity:
     return make_partition(spec.pou_variant)
-
-
-def check_band(j_max: int, basis: EigenBasis) -> None:
-    """Ranges must stay inside the resolved band."""
-    top = float(np.sqrt(basis.eigenvalues[-1]))
-    if 2.0 ** (j_max - 1) >= top:
-        raise ValueError(
-            f"j range reaches 2^{j_max} but the basis only resolves sqrt(lambda) <= {top:.3g}"
-        )
-
-
-def lp_norm_grid(values: NDArray, basis: EigenBasis, p: float) -> float:
-    return lp_norm(GridFunction(values=values, grid=basis.grid), p)
-
-
-def ell_q_over_j(weighted: NDArray, q: float) -> float:
-    return ell_q(weighted, q)

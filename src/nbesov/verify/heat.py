@@ -14,7 +14,6 @@ scale itself) is dropped and reported.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -145,7 +144,6 @@ def _mu_fit(rows, t_floor=1.0):
 
 
 def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
-    t0 = time.perf_counter()
     P = spec.merged(HEAT_DEFAULTS)
     n_c = int(math.ceil(math.log(P["c_hi"] / P["c_lo"]) / math.log(P["c_step"]))) + 1
     cs = P["c_lo"] * P["c_step"] ** np.arange(n_c)
@@ -231,5 +229,4 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
     adm_ts = [r["t"] for r in rows_b if r["admissible"]]
     adm_pk = [math.log(max(r["pk_max"], 1e-300)) for r in rows_b if r["admissible"]]
     rep.figures["pk_decay_interval"] = (adm_ts, adm_pk)
-    rep.runtime = time.perf_counter() - t0
     return rep

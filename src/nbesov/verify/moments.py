@@ -8,8 +8,6 @@ decay slope of each member should match its index.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from numpy.polynomial import hermite
 
@@ -41,7 +39,6 @@ def _hermite_gaussian(M: int, x: np.ndarray) -> np.ndarray:
 
 
 def exp_moment_decay(spec: ExperimentSpec) -> EstimateReport:
-    t0 = time.perf_counter()
     P = spec.merged(MOMENT_DEFAULTS)
     pou = partition_for(spec)
     R, N = float(P["R"]), int(P["N"])
@@ -95,7 +92,7 @@ def exp_moment_decay(spec: ExperimentSpec) -> EstimateReport:
         f"[{P['fit_lo']}, {P['fit_hi']}]; coarser recorded blocks feel the "
         "periodization of the transform and are reported but not fitted")
 
-    rep = EstimateReport(
+    return EstimateReport(
         id="moment_decay",
         params={"R": R, "N": N, "orders": list(P["orders"]),
                 "fit_window": [P["fit_lo"], P["fit_hi"]],
@@ -108,5 +105,3 @@ def exp_moment_decay(spec: ExperimentSpec) -> EstimateReport:
         notes=notes + (["failed: " + "; ".join(failures)] if failures else []),
         figures=figures,
     )
-    rep.runtime = time.perf_counter() - t0
-    return rep

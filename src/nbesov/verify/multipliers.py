@@ -5,7 +5,6 @@ composition bounds."""
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -81,7 +80,6 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     2->2.  A continuous theta sweep of ||phi0(theta H)||_{1->inf} checks
     the theta^{-n/2(1/p-1/q)} form of the same bound off the dyadic grid.
     """
-    t0 = time.perf_counter()
     P = spec.merged(MULTIPLIER_DEFAULTS)
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
@@ -167,7 +165,7 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
         notes.append("failed: " + "; ".join(failures))
     rep = EstimateReport(
         id="multiplier_scaling",
-        params={k: _show(v) for k, v in P.items()} | {"pou": spec.pou_variant},
+        params=P | {"pou": spec.pou_variant},
         points=points,
         fit=fits,
         verdict=verdict,
@@ -178,7 +176,6 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
         js, [math.log2(max(r["norm"], CLIP)) for r in points
              if r["dim"] == 1 and r["alpha"] == 0.0 and r["p"] == "1.0"
              and r["q"] == "inf" and "j" in r])
-    rep.runtime = time.perf_counter() - t0
     return rep
 
 
@@ -194,14 +191,6 @@ def _scaling_verdict(js, vals, target, P):
     spread = geometric_spread(ratios)
     ok = abs(fit.slope - target) <= P["slope_tol"] and spread <= P["spread_cap"]
     return ok, fit.slope, spread
-
-
-def _show(v):
-    if isinstance(v, (tuple, list)):
-        return [_show(u) for u in v]
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +220,6 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
     which is what ties the decay rate to the gap: a basis with a fake
     eigenvalue far below the true gap turns the fitted mu negative.
     """
-    t0 = time.perf_counter()
     P = spec.merged(LOWFREQ_DEFAULTS)
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
@@ -302,7 +290,6 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
         [r["j"] for r in points if r["domain"] == "interval_long"],
         [math.log(max(r["norm22"], CLIP)) for r in points
          if r["domain"] == "interval_long"])
-    rep.runtime = time.perf_counter() - t0
     return rep
 
 
@@ -334,7 +321,6 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     sum misses a non-negligible share of the gradient kernel are dropped
     and reported.
     """
-    t0 = time.perf_counter()
     P = spec.merged(GRADIENT_DEFAULTS)
     pou = partition_for(spec)
     basis = build_interval_basis(P["L"], P["K"], N=P["N"])
@@ -417,5 +403,4 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     )
     rep.figures["heat_grad_scaled"] = (list(np.log10(kept_t)), list(np.log10(scaled)))
     rep.figures["block_grad_22"] = (js, [math.log2(v) for v in vals22])
-    rep.runtime = time.perf_counter() - t0
     return rep

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..reports import FAIL, INCONCLUSIVE, EstimateReport
@@ -77,6 +78,14 @@ def _spec_for(name: str, base_seed: int, pou_variant: str, overrides) -> Experim
     )
 
 
+def _run_timed(spec: ExperimentSpec) -> EstimateReport:
+    """Run one experiment and record its wall time on the report."""
+    t0 = time.perf_counter()
+    rep = REGISTRY[spec.id](spec)
+    rep.runtime = time.perf_counter() - t0
+    return rep
+
+
 def run_suite(
     ids=None,
     base_seed: int = 0,
@@ -95,7 +104,7 @@ def run_suite(
     specs = [_spec_for(n, base_seed, pou_variant, overrides) for n in names]
     jobs = jobs or min(len(names), os.cpu_count() or 1) or 1
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        reports = list(pool.map(lambda sn: REGISTRY[sn.id](sn), specs))
+        reports = list(pool.map(_run_timed, specs))
     if out_dir is not None:
         for rep in reports:
             rep.save(out_dir)

@@ -9,16 +9,20 @@ import pytest
 
 from nbesov import domains
 from nbesov.domains import (
+    Domain,
     build_fd_basis,
     build_interval_basis,
     build_rectangle_basis,
+    interval_grid,
     load_basis,
     lp_norm,
     lshape_domain,
+    polygon_grid,
+    rectangle_grid,
     save_basis,
     weyl_count_estimate,
 )
-from nbesov.spectral import GridFunction, gradient
+from nbesov.spectral import GridFunction, gradient, gradient_kernels, heat_symbol, multiplier_kernel
 
 
 def test_interval_grid_layout():
@@ -164,6 +168,48 @@ def test_load_rejects_inconsistent_interval_metadata(tmp_path, tamper, match):
         load_basis(str(p))
 
 
+def _swap_rectangle_modes(payload):
+    # (0, 1) and (1, 0) share an eigenvalue on a square, so only the labels move.
+    m = payload["mode_index"]
+    assert m[1:3] == [[0, 1], [1, 0]]
+    m[1], m[2] = m[2], m[1]
+
+
+def _rectangle_eigenvalue(payload):
+    lam = domains._decode_array(payload["eigenvalues"])
+    lam[4] = np.nextafter(lam[4], np.inf)
+    payload["eigenvalues"] = domains._encode_array(lam)
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (_swap_rectangle_modes, "mode_index"),
+    (_rectangle_eigenvalue, "eigenvalues"),
+    (_vertex_nodes, "grid nodes"),
+])
+def test_load_rejects_inconsistent_rectangle_metadata(tmp_path, tamper, match):
+    p = tmp_path / "r.json"
+    save_basis(build_rectangle_basis(1.0, 1.0, 12, Nx=8, Ny=8), str(p))
+    payload = json.loads(p.read_text())
+    tamper(payload)
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_basis(str(p))
+
+
+def test_loaded_rectangle_kernels_and_gradients_match_built(tmp_path):
+    built = build_rectangle_basis(1.0, 1.0, 12, Nx=8, Ny=8)
+    p = tmp_path / "r.json"
+    save_basis(built, str(p))
+    loaded = load_basis(str(p))
+    assert loaded.mode_index == built.mode_index
+    assert np.array_equal(loaded.gradients(), built.gradients())
+    sym = heat_symbol(0.05)
+    assert np.array_equal(multiplier_kernel(sym, loaded).matrix,
+                          multiplier_kernel(sym, built).matrix)
+    assert np.array_equal(gradient_kernels(sym, loaded).components,
+                          gradient_kernels(sym, built).components)
+
+
 def test_lp_norm_of_constant():
     basis = build_interval_basis(2.0, 4, N=64)
     f = GridFunction.constant(basis.grid, 3.0)
@@ -230,3 +276,117 @@ def test_gradient_cache_fills_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1
     assert got[0] is not None and all(g is got[0] for g in got)
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference stencil against the per-node reference implementation
+
+
+def _lookup(grid):
+    return {tuple(k): i for i, k in enumerate(map(tuple, grid.index))}
+
+
+def _fd_laplacian_per_node(grid):
+    h = grid.spacing[0]
+    N = grid.n_nodes
+    lookup = _lookup(grid)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(N)
+    for i, (ix, iy) in enumerate(map(tuple, grid.index)):
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            jn = lookup.get((ix + dx, iy + dy))
+            if jn is not None:
+                rows.append(i)
+                cols.append(jn)
+                vals.append(-1.0 / h**2)
+                diag[i] += 1.0 / h**2
+    rows.extend(range(N))
+    cols.extend(range(N))
+    vals.extend(diag)
+    return domains.sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+
+
+def _fd_gradient_per_node(values, grid):
+    n = grid.domain.n
+    out = np.zeros((n, grid.n_nodes))
+    lookup = _lookup(grid)
+    for axis in range(n):
+        h = grid.spacing[axis]
+        for i, key in enumerate(map(tuple, grid.index)):
+            def nb(offset):
+                k = list(key)
+                k[axis] += offset
+                return lookup.get(tuple(k))
+            ip, im = nb(+1), nb(-1)
+            if ip is not None and im is not None:
+                out[axis, i] = (values[ip] - values[im]) / (2 * h)
+            elif ip is not None:
+                ipp = nb(+2)
+                if ipp is not None:
+                    out[axis, i] = (-3 * values[i] + 4 * values[ip] - values[ipp]) / (2 * h)
+                else:
+                    out[axis, i] = (values[ip] - values[i]) / h
+            elif im is not None:
+                imm = nb(-2)
+                if imm is not None:
+                    out[axis, i] = (3 * values[i] - 4 * values[im] + values[imm]) / (2 * h)
+                else:
+                    out[axis, i] = (values[i] - values[im]) / h
+    return out
+
+
+def _thin_arms():
+    """A one-cell-thick strip joined to a two-cell-wide column (h = 0.1):
+    the strip has no y-neighbours (zero fallback), the column no second
+    x-neighbour (first-order fallback)."""
+    return Domain(kind="polygon", n=2, lengths=(1.0, 1.0), volume=0.28,
+                  diameter=math.sqrt(2.0),
+                  cells=((0.0, 1.0, 0.0, 0.1), (0.0, 0.2, 0.1, 1.0)))
+
+
+@pytest.mark.parametrize("grid", [
+    polygon_grid(lshape_domain(), 0.1),
+    polygon_grid(_thin_arms(), 0.1),
+    rectangle_grid(2.0, 1.0, 12, 7),
+    interval_grid(2.0, 50),
+], ids=["lshape", "thin_arms", "rectangle", "interval"])
+def test_fd_stencils_bitwise_equal_per_node_reference(grid):
+    rng = np.random.default_rng(11)
+    V = rng.standard_normal((grid.n_nodes, 3))
+    stacked = domains.fd_gradient(V, grid)
+    for k in range(V.shape[1]):
+        ref = _fd_gradient_per_node(V[:, k], grid)
+        assert np.array_equal(domains.fd_gradient(V[:, k], grid), ref)
+        assert np.array_equal(stacked[:, :, k], ref)
+    if grid.domain.kind == "polygon":
+        A, R = domains._fd_laplacian(grid), _fd_laplacian_per_node(grid)
+        for attr in ("data", "indices", "indptr"):
+            got, ref = getattr(A, attr), getattr(R, attr)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_thin_arms_take_every_fallback():
+    grid = polygon_grid(_thin_arms(), 0.1)
+    x, y = grid.points[:, 0], grid.points[:, 1]
+    G = domains.fd_gradient(x + 2 * y, grid)
+    strip = (y < 0.1) & (x > 0.2)
+    assert np.all(G[1, strip] == 0.0)  # no y-neighbour at all
+    np.testing.assert_allclose(G[0, ~strip], 1.0, rtol=1e-12)  # exact on linear data
+    np.testing.assert_allclose(G[1, ~strip], 2.0, rtol=1e-12)
+
+
+def test_polygon_grid_rejects_overlap_and_untiled_spacing():
+    overlap = Domain(kind="polygon", n=2, lengths=(1.5, 1.0), volume=1.5, diameter=2.0,
+                     cells=((0.0, 1.0, 0.0, 1.0), (0.5, 1.5, 0.0, 1.0)))
+    with pytest.raises(ValueError, match="overlap"):
+        polygon_grid(overlap, 0.5)
+    with pytest.raises(ValueError, match="does not tile"):
+        polygon_grid(lshape_domain(), 0.3)
+
+
+def test_fd_basis_gradients_are_the_per_mode_stencil():
+    basis = build_fd_basis(lshape_domain(), 0.1, 12)
+    G = basis.gradients()
+    assert G.shape == (2, 12, basis.grid.n_nodes) and G.flags.c_contiguous
+    for r in range(basis.K):
+        assert np.array_equal(G[:, r], _fd_gradient_per_node(basis.functions[r], basis.grid))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbesov.domains import build_interval_basis, lp_norm
+from nbesov.domains import build_interval_basis, build_rectangle_basis, lp_norm
 from nbesov.littlewood_paley import make_partition
 from nbesov.norms import (
     AmalgamParams,
@@ -16,9 +16,11 @@ from nbesov.norms import (
     amalgam_norm,
     besov_hom,
     besov_inhom,
+    besov_table,
     default_besov_params,
     ell_q,
     identity_kernel,
+    lp_columns,
     norm_csv_header,
     norm_csv_row,
     seminorm_pM,
@@ -217,6 +219,51 @@ def test_besov_triangle_inequality(a, b):
     nb = besov_inhom(fb, params, pou, basis)
     nab = besov_inhom(fab, params, pou, basis)
     assert nab <= na + nb + 1e-9 * (1.0 + na + nb)
+
+
+@pytest.mark.parametrize("shape", ["interval", "rectangle"])
+def test_besov_table_columns_are_the_single_function_norms(shape, pou):
+    # The batched core is the one Besov computation: each column must be
+    # the norm the single-function wrappers report for that function.
+    if shape == "interval":
+        b = build_interval_basis(4 * math.pi, 64, N=256)
+    else:
+        b = build_rectangle_basis(4 * math.pi, 4 * math.pi, 60, Nx=32, Ny=32)
+    rng = np.random.default_rng(3)
+    C = rng.standard_normal((b.K, 4)) * np.exp(-0.05 * np.arange(b.K))[:, None]
+    fs = [_from_coeffs(b, C[:, i]) for i in range(C.shape[1])]
+    # sqrt(lambda_2) = 1/4, so the scales below j_min = 0 carry a nonzero tail.
+    j_support = math.floor(math.log2(math.sqrt(b.eigenvalues[1]))) - 1
+    for s in (-0.5, 1.0):
+        for p in (1.0, 2.0, 4.0, np.inf):
+            for q in (1.0, 2.0, np.inf):
+                prm = BesovParams(s=s, p=p, q=q, j_min=0,
+                                  j_max=default_besov_params(b, s, p, q).j_max)
+                inhom = besov_table(C, s, p, q, pou, b, prm.j_max)
+                hom = besov_table(C, s, p, q, pou, b, prm.j_max, prm.j_min,
+                                  include_cap=False)
+                tail = besov_table(C, s, p, q, pou, b, -1, j_support,
+                                   include_cap=False)
+                for i, f in enumerate(fs):
+                    h = besov_hom(f, prm, pou, b)
+                    assert besov_inhom(f, prm, pou, b) == pytest.approx(inhom[i], rel=1e-14)
+                    assert h.value == pytest.approx(hom[i], rel=1e-14)
+                    assert h.tail_bound == pytest.approx(tail[i], rel=1e-14)
+                    assert h.tail_bound > 0.0
+    j_hi = math.ceil(math.log2(math.sqrt(b.eigenvalues[-1]))) + 1
+    for M in (0.5, 2.0):
+        sup = besov_table(C, M, 1.0, np.inf, pou, b, j_hi, include_cap=False)
+        for i, f in enumerate(fs):
+            assert seminorm_pM(f, M, pou, b) == pytest.approx(
+                lp_norm(f, 1.0) + sup[i], rel=1e-14)
+
+
+def test_lp_columns_match_lp_norm(basis):
+    F = np.random.default_rng(4).standard_normal((basis.grid.n_nodes, 3))
+    for p in (1.0, 2.0, 3.5, np.inf):
+        got = lp_columns(F, basis.grid.weights, p)
+        for i in range(F.shape[1]):
+            assert got[i] == pytest.approx(lp_norm(F[:, i], p, basis.grid), rel=1e-14)
 
 
 def test_besov_rejects_underresolved_window(basis, pou):

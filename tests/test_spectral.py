@@ -256,3 +256,14 @@ def test_product_rejects_equal_size_grid_of_other_length():
                                                   3.0)).values == 6.0)
     with pytest.raises(ValueError, match="shared grid"):
         f.product(GridFunction.constant(b, 3.0))
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__"])
+def test_arithmetic_rejects_functions_on_other_grids(op):
+    from nbesov.domains import interval_grid
+
+    f = GridFunction.constant(interval_grid(1.0, 8))
+    same = GridFunction.constant(interval_grid(1.0, 8), 2.0)
+    assert np.all(getattr(f, op)(same).values == (3.0 if op == "__add__" else -1.0))
+    with pytest.raises(ValueError, match="shared grid"):
+        getattr(f, op)(GridFunction.constant(interval_grid(2.0, 8)))

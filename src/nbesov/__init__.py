@@ -17,7 +17,6 @@ from .domains import (
 )
 from .littlewood_paley import (
     PartitionOfUnity,
-    check_partition,
     make_partition,
     partition_sum,
     phi_j,

@@ -38,7 +38,7 @@ from .norms import (
     seminorm_pM,
     seminorm_qM,
 )
-from .reports import FAIL, INCONCLUSIVE, summary_table
+from .reports import EstimateReport, summary_table
 from .spectral import (
     GridFunction,
     block_symbol,
@@ -280,19 +280,15 @@ def _cmd_report(args) -> int:
         try:
             with open(os.path.join(args.dir, name)) as fh:
                 payload = json.load(fh)
-            rows.append((payload["id"], payload["verdict"]))
+            rows.append(EstimateReport(id=payload["id"], params={},
+                                       verdict=payload["verdict"]))
         except (json.JSONDecodeError, KeyError) as exc:
             return _fail(f"report: {name} is not a report file ({exc})")
-    rows.sort(key=lambda r: (order.get(r[0], len(order)), r[0]))
+    rows.sort(key=lambda r: (order.get(r.id, len(order)), r.id))
     print(f"{'experiment':<28s} {'verdict':<13s}")
-    for rid, verdict in rows:
-        print(f"{rid:<28s} {verdict:<13s}")
-    verdicts = [v for _, v in rows]
-    if FAIL in verdicts:
-        return 3
-    if INCONCLUSIVE in verdicts:
-        return 2
-    return 0
+    for rep in rows:
+        print(f"{rep.id:<28s} {rep.verdict:<13s}")
+    return suite_exit_code(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,6 @@ class Domain:
     diameter: float
     cells: tuple[tuple[float, float, float, float], ...] = ()
 
-    @property
-    def bbox(self) -> tuple[float, ...]:
-        return self.lengths
-
 
 def interval_domain(L: float) -> Domain:
     if L <= 0:

@@ -21,7 +21,7 @@ probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,11 +29,9 @@ from numpy.typing import NDArray
 
 __all__ = [
     "PartitionOfUnity",
-    "PartitionCheck",
     "make_partition",
     "phi_j",
     "partition_sum",
-    "check_partition",
     "VARIANTS",
 ]
 
@@ -154,87 +152,3 @@ def partition_sum(pou: PartitionOfUnity, lam: NDArray) -> NDArray:
     for j in range(j_lo, j_hi + 1):
         total += pou.phi(j, lam)
     return total
-
-
-@dataclass
-class PartitionCheck:
-    """Result of validating a partition against its defining identities."""
-
-    passed: bool
-    max_dev_dyadic: float
-    argmax_dyadic: float
-    max_dev_capped: float
-    argmax_capped: float
-    support_violation: float
-    support_violation_at: float | None
-    notes: list[str] = field(default_factory=list)
-
-
-def check_partition(
-    pou: PartitionOfUnity,
-    lam_min: float = 1e-6,
-    lam_max: float = 1e5,
-    n_samples: int = 10_000,
-    tol: float = 1e-10,
-) -> PartitionCheck:
-    """Validate both partition identities and the phi_0 support window.
-
-    Checks, over log-spaced samples lam in [lam_min, lam_max]:
-      * |sum_j phi_j(lam) - 1| < tol for lam > 0,
-      * |psi(lam**2) + sum_{j>=1} phi_j(lam) - 1| < tol for lam >= 0
-        (lam = 0 included separately, where the sum is empty and psi(0) = 1),
-      * phi_0 vanishes outside [1/2, 2].
-
-    The failure report locates the worst sample so a broken bump can be
-    traced to a frequency.
-    """
-    lam = np.logspace(np.log10(lam_min), np.log10(lam_max), n_samples)
-
-    dev1 = np.abs(partition_sum(pou, lam) - 1.0)
-    i1 = int(np.argmax(dev1))
-
-    # Capped identity, evaluated in the sqrt-spectral variable.
-    j_hi = int(np.ceil(np.log2(lam.max()))) + 2
-    tail = np.zeros_like(lam)
-    for j in range(1, j_hi + 1):
-        tail += pou.phi(j, lam)
-    dev2 = np.abs(pou.psi(lam**2) + tail - 1.0)
-    dev2_zero = abs(float(pou.psi(np.array(0.0))) - 1.0)
-    i2 = int(np.argmax(dev2))
-    max_dev2 = max(float(dev2[i2]), dev2_zero)
-    arg2 = float(lam[i2]) if dev2[i2] >= dev2_zero else 0.0
-
-    # Support window: phi_0 must vanish outside [1/2, 2].
-    lam_out = np.concatenate(
-        [
-            np.linspace(1e-9, 0.5, 2001),
-            np.linspace(2.0, max(4.0, lam_max), 2001),
-        ]
-    )
-    vals_out = np.abs(pou.phi0(lam_out))
-    i3 = int(np.argmax(vals_out))
-    support_violation = float(vals_out[i3])
-    support_at = float(lam_out[i3]) if support_violation > 0.0 else None
-
-    passed = (
-        float(dev1[i1]) < tol and max_dev2 < tol and support_violation < tol
-    )
-    notes = []
-    if float(dev1[i1]) >= tol:
-        notes.append(f"dyadic identity off by {dev1[i1]:.3e} at lam={lam[i1]:.6g}")
-    if max_dev2 >= tol:
-        notes.append(f"capped identity off by {max_dev2:.3e} at lam={arg2:.6g}")
-    if support_violation >= tol:
-        notes.append(
-            f"phi_0 = {support_violation:.3e} outside [1/2, 2] at lam={support_at:.6g}"
-        )
-    return PartitionCheck(
-        passed=passed,
-        max_dev_dyadic=float(dev1[i1]),
-        argmax_dyadic=float(lam[i1]),
-        max_dev_capped=max_dev2,
-        argmax_capped=arg2,
-        support_violation=support_violation,
-        support_violation_at=support_at,
-        notes=notes,
-    )

@@ -43,6 +43,7 @@ __all__ = [
     "ResolutionError",
     "PowerIterationError",
     "default_besov_params",
+    "scale_window",
     "besov_inhom",
     "besov_hom",
     "besov_table",
@@ -116,8 +117,7 @@ def default_besov_params(
 ) -> BesovParams:
     """Scale window adapted to the basis: j_max just covers the resolved
     band, j_min reaches two octaves below the grid scale."""
-    lam_top = float(basis.eigenvalues[-1])
-    j_max = max(1, math.ceil(math.log2(math.sqrt(lam_top))) if lam_top > 1 else 1)
+    _, j_max = scale_window(basis)
     h = basis.grid.h
     j_min = min(0, -math.ceil(math.log2(1.0 / h)) - 2 if h < 1 else 0)
     return BesovParams(s=s, p=p, q=q, j_min=j_min, j_max=j_max)
@@ -139,6 +139,25 @@ def _check_window(params: BesovParams, basis: EigenBasis) -> None:
             f"j_max={params.j_max} exceeds the grid's resolved band "
             f"(2^j_max must stay below {math.sqrt(basis.lambda_cutoff):.4g})"
         )
+
+
+def scale_window(basis: EigenBasis) -> tuple[int, int]:
+    """(j_gap, j_cover): the coarsest block that reaches the smallest
+    nonzero eigenvalue, floor(log2 sqrt(lambda)), and the smallest J >= 1
+    with psi + sum_{1 <= j <= J} phi_j identically 1 on the band,
+    ceil(log2 sqrt(lambda_top)).
+
+    supp phi_0 lies in (1/2, 2), so every block outside [j_gap, j_cover]
+    vanishes on the whole spectrum.  j_gap is j_cover when no eigenvalue
+    is nonzero.
+    """
+    lam = basis.eigenvalues
+    lam_top = float(lam[-1])
+    j_cover = math.ceil(math.log2(math.sqrt(lam_top))) if lam_top > 1 else 1
+    nz = lam[lam > 0]
+    if nz.size == 0:
+        return j_cover, j_cover
+    return math.floor(math.log2(math.sqrt(float(nz.min())))), j_cover
 
 
 def _coverage_defect(
@@ -262,9 +281,7 @@ def besov_hom(
     _check_window(params, basis)
     c = analyze(f, basis)
     lam = basis.eigenvalues
-    # Coarsest scale any resolved mode can touch: 2^{j+1} > sqrt(lambda_2).
-    nz = lam[lam > 0]
-    j_support = int(math.floor(math.log2(math.sqrt(nz.min())))) - 1 if nz.size else 0
+    j_support, _ = scale_window(basis)
     defect = _coverage_defect(
         c.values, lam, pou, params.j_max, inhom=False, j_lo=min(params.j_min, j_support)
     )
@@ -291,8 +308,7 @@ def seminorm_pM(
     vanish identically, so the scan stops there.
     """
     c = analyze(f, basis)
-    lam_top = float(basis.eigenvalues[-1])
-    j_hi = max(1, math.ceil(math.log2(math.sqrt(lam_top))) + 1 if lam_top > 0 else 1)
+    _, j_hi = scale_window(basis)
     sup = besov_table(c.values[:, None], M, 1.0, np.inf, pou, basis, j_hi, include_cap=False)
     return lp_norm(f, 1.0) + float(sup[0])
 
@@ -316,12 +332,7 @@ def seminorm_qM(
     if abs(f0) * basis.domain.volume > mean_rtol * max(one_norm, 1e-300):
         return float("inf")
     c = analyze(f, basis)
-    lam = basis.eigenvalues
-    nz = lam[lam > 0]
-    if nz.size == 0:
-        return one_norm
-    j_lo = int(math.floor(math.log2(math.sqrt(nz.min())))) - 1
-    j_hi = int(math.ceil(math.log2(math.sqrt(float(lam[-1]))))) + 1
+    j_lo, j_hi = scale_window(basis)
     js = list(range(j_lo, j_hi + 1))
     blocks = block_lp_table(c.values[:, None], js, [1.0], pou, basis)[:, 0, 0]
     sup = float(np.max(2.0 ** (M * np.abs(np.asarray(js, dtype=float))) * blocks))

@@ -42,13 +42,6 @@ class FitResult:
     intercept: float
     residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "slope": float(self.slope),
-            "intercept": float(self.intercept),
-            "residual": float(self.residual),
-        }
-
 
 def least_squares_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     x = np.asarray(x, dtype=float)
@@ -71,10 +64,10 @@ def _jsonable(value):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return v
-    if isinstance(value, (np.integer, int)):
-        return int(value)
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):

@@ -12,13 +12,19 @@ import math
 
 import numpy as np
 
-from ..domains import weyl_eigenvalue_estimate
 from ..norms import AmalgamParams, amalgam_cells, amalgam_norm, triple_norm
-from ..reports import FAIL, INCONCLUSIVE, PASS, EstimateReport, least_squares_fit
-from ..spectral import GridFunction, SymbolFn, multiplier_kernel, resolvent_symbol
+from ..reports import EstimateReport, least_squares_fit
+from ..spectral import (
+    GridFunction,
+    SymbolFn,
+    multiplier_kernel,
+    resolvent_symbol,
+    symbol_tail_bound,
+)
 from .common import (
     ExperimentSpec,
     coeff_batch,
+    conclude,
     interval_basis,
     partition_for,
     rectangle_basis,
@@ -70,25 +76,17 @@ def _column_norm(kernel, perm, starts):
     return float(np.max(_l1l2_columns(kernel.matrix, w, perm, starts)))
 
 
-def _column_tail_bound(symbol, basis, n_cells, k_extra=200_000):
+def _column_tail_bound(symbol, basis, n_cells):
     """Bound on the truncation error of a per-column amalgam norm.
 
     By orthonormality the truncated column satisfies
-    ||dK(., y)||_2^2 = sum_{k>K} phi(lam_k)^2 e_k(y)^2, and the cube sum of
-    per-cube L^2 norms is at most sqrt(n_cells) times the global L^2 norm.
-    Unresolved eigenvalues come from the leading Weyl count and the mode
-    concentration from the largest resolved sup-norm, as elsewhere.
+    ||dK(., y)||_2^2 = sum_{k>K} phi(lam_k)^2 e_k(y)^2, which is the
+    symbol tail of phi^2, and the cube sum of per-cube L^2 norms is at most
+    sqrt(n_cells) times the global L^2 norm.
     """
-    lam_top = float(basis.eigenvalues[-1])
-    if symbol.support is not None and symbol.support[1] <= lam_top:
-        return 0.0
-    ks = np.arange(basis.K + 1, basis.K + 1 + k_extra)
-    lam_est = np.maximum(weyl_eigenvalue_estimate(basis.domain, ks), lam_top)
-    with np.errstate(over="ignore", under="ignore"):
-        vals = symbol(lam_est) ** 2
-    vals = vals[np.isfinite(vals)]
-    sup2 = float(np.max(np.abs(basis.functions)) ** 2)
-    return math.sqrt(n_cells * sup2 * float(np.sum(vals)))
+    squared = SymbolFn(fn=lambda lam: symbol(lam) ** 2, tag=f"({symbol.tag})^2",
+                       support=symbol.support)
+    return math.sqrt(n_cells * symbol_tail_bound(squared, basis))
 
 
 def _bump_symbol(pou, theta):
@@ -151,7 +149,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(AMALGAM_DEFAULTS)
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
-    points, notes, failures = [], [], []
+    points, notes, checks = [], [], {}
     fits = {}
 
     basis1 = interval_basis(math.pi, P["interval_K"], P["interval_N"])
@@ -176,8 +174,8 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
                            "band_edge_level": edge})
         fit = least_squares_fit(np.log(thetas1), np.log(norms))
         fits[f"slope_1d_beta{beta:g}"] = fit.slope
-        if abs(fit.slope - (-0.25)) > P["slope_tol"]:
-            failures.append(f"1d beta={beta:g} slope {fit.slope:.3f}")
+        checks[f"1d beta={beta:g} slope {fit.slope:.3f}"] = (
+            abs(fit.slope - (-0.25)) <= P["slope_tol"])
         if max(tails) > 0.2:
             notes.append(
                 f"1d beta={beta:g}: truncation error bound reaches "
@@ -202,8 +200,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
                        "theta": float(th), "norm": val, "tail_frac": tail / val})
     fit2 = least_squares_fit(np.log(thetas2), np.log(norms2))
     fits["slope_2d"] = fit2.slope
-    if abs(fit2.slope - (-0.5)) > P["slope_tol"]:
-        failures.append(f"2d slope {fit2.slope:.3f}")
+    checks[f"2d slope {fit2.slope:.3f}"] = abs(fit2.slope - (-0.5)) <= P["slope_tol"]
 
     # Uniform boundedness of the bump on the cube-summed L^2 space.
     uppers, gaps = [], []
@@ -220,9 +217,10 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     worst_gap = max(gaps)
     fits["bump_upper_spread"] = spread
     fits["bump_gap"] = worst_gap
-    if spread > P["uniform_spread_cap"]:
-        failures.append(f"bump bound spread {spread:.2f}")
-    inconclusive = worst_gap > P["gap_cap"]
+    checks[f"bump bound spread {spread:.2f}"] = spread <= P["uniform_spread_cap"]
+    unresolved = None
+    if worst_gap > P["gap_cap"]:
+        unresolved = f"bump bound gap {worst_gap:.1f} exceeds {P['gap_cap']:g}"
 
     # Localization norm of the bump grows like theta^(alpha/2).
     for alpha in P["alphas"]:
@@ -232,8 +230,8 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
             vals.append(triple_norm(ker, alpha, th))
         fit = least_squares_fit(np.log(thetas1), np.log(vals))
         fits[f"triple_slope_alpha{alpha:g}"] = fit.slope
-        if abs(fit.slope - alpha / 2.0) > P["slope_tol"]:
-            failures.append(f"triple alpha={alpha:g} slope {fit.slope:.3f}")
+        checks[f"triple alpha={alpha:g} slope {fit.slope:.3f}"] = (
+            abs(fit.slope - alpha / 2.0) <= P["slope_tol"])
         for th, v in zip(thetas1, vals):
             points.append({"part": "triple", "alpha": alpha, "theta": float(th),
                            "norm": v})
@@ -247,27 +245,16 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
         for th in thetas1
     )
     fits["pq_collapse_defect"] = defect
-    if defect > P["exact_tol"] * max(l2, 1.0):
-        failures.append(f"p=q collapse defect {defect:.2e}")
+    checks[f"p=q collapse defect {defect:.2e}"] = defect <= P["exact_tol"] * max(l2, 1.0)
 
-    if failures:
-        verdict = FAIL
-    elif inconclusive:
-        verdict = INCONCLUSIVE
-        notes.append(f"bump bound gap {worst_gap:.1f} exceeds {P['gap_cap']:g}")
-    else:
-        verdict = PASS
-    return EstimateReport(
-        id="amalgam",
+    return conclude(
+        spec, checks, unresolved, notes,
         params={"interval_K": P["interval_K"], "rect_K": P["rect_K"],
                 "betas_1d": list(P["betas_1d"]), "beta_2d": P["beta_2d"],
                 "alphas": list(P["alphas"]), "slope_tol": P["slope_tol"],
                 "pou": spec.pou_variant},
         points=points,
         fit=fits,
-        verdict=verdict,
-        seed=spec.seed,
-        notes=notes + (["failed: " + "; ".join(failures)] if failures else []),
         figures={
             "resolvent_1d_beta2": (
                 thetas1,

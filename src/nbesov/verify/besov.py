@@ -9,9 +9,16 @@ import math
 import numpy as np
 
 from ..littlewood_paley import make_partition
-from ..norms import besov_table, lp_columns
-from ..reports import FAIL, PASS, EstimateReport
-from .common import ExperimentSpec, coeff_batch, interval_basis, partition_for, rectangle_basis
+from ..norms import besov_table, lp_columns, scale_window
+from ..reports import EstimateReport
+from .common import (
+    ExperimentSpec,
+    coeff_batch,
+    conclude,
+    interval_basis,
+    partition_for,
+    rectangle_basis,
+)
 
 __all__ = [
     "exp_reconstruction",
@@ -20,18 +27,6 @@ __all__ = [
     "exp_leibniz",
     "exp_partition_independence",
 ]
-
-
-def _j_cover(basis) -> int:
-    """Smallest J whose cumulative partition is identically 1 on the band."""
-    lam_top = float(basis.eigenvalues[-1])
-    return max(1, math.ceil(math.log2(math.sqrt(lam_top))) if lam_top > 1 else 1)
-
-
-def _j_gap(basis) -> int:
-    """Coarsest scale the first nonzero eigenvalue can reach."""
-    lam2 = float(basis.eigenvalues[1])
-    return int(math.floor(math.log2(math.sqrt(lam2))))
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +55,7 @@ def exp_reconstruction(spec: ExperimentSpec) -> EstimateReport:
         sq = np.sqrt(np.maximum(lam, 0.0))
         E = basis.functions
         w = basis.grid.weights
-        J = _j_cover(basis)
-        a = _j_gap(basis)
+        a, J = scale_window(basis)
         C = coeff_batch(rng, basis.K, P["n_samples"], decay=0.05)
         F = E.T @ C
         coeffs = E @ (w[:, None] * F)
@@ -99,13 +93,14 @@ def exp_reconstruction(spec: ExperimentSpec) -> EstimateReport:
     fits["max_inhom_residual"] = worst_inhom
     fits["max_hom_residual"] = worst_hom
     fits["mean_case_gap"] = worst_mean_gap
-    ok = (worst_inhom < P["tol"] and worst_hom < P["tol"]
-          and worst_mean_gap < P["exact_tol"])
-    return EstimateReport(
-        id="reconstruction",
+    checks = {"inhom_residual": worst_inhom < P["tol"],
+              "hom_residual": worst_hom < P["tol"],
+              "mean_case_gap": worst_mean_gap < P["exact_tol"]}
+    return conclude(
+        spec, checks,
         params={"n_samples": P["n_samples"], "tol": P["tol"],
                 "pou": spec.pou_variant},
-        points=points, fit=fits, verdict=PASS if ok else FAIL, seed=spec.seed,
+        points=points, fit=fits,
     )
 
 
@@ -141,7 +136,7 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
         C[: P["k_max"]] = C0
         F = basis.functions.T @ C
         w = basis.grid.weights
-        J = _j_cover(basis)
+        _, J = scale_window(basis)
         out = {}
         b02 = besov_table(C, 0.0, 2.0, 2.0, pou, basis, J)
         l2 = lp_columns(F, w, 2.0)
@@ -180,31 +175,28 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
     base = ratios(interval_basis(math.pi, 64, 512))
     fine = ratios(interval_basis(math.pi, 128, 1024))
 
-    checks = []
-    checks.append(("b022_vs_l2_hi", base["b022_vs_l2_hi"] <= P["cap_l2"]))
-    checks.append(("b022_vs_l2_lo", base["b022_vs_l2_lo"] <= P["cap_l2"]))
-    checks.append(("eps_loss", base["eps_loss"] <= base["eps_loss_bound"] + 1e-9))
-    checks.append(("q_monotone", base["q_monotone_defect"] <= 1e-12))
+    checks = {
+        "b022_vs_l2_hi": base["b022_vs_l2_hi"] <= P["cap_l2"],
+        "b022_vs_l2_lo": base["b022_vs_l2_lo"] <= P["cap_l2"],
+        "eps_loss": base["eps_loss"] <= base["eps_loss_bound"] + 1e-9,
+        "q_monotone": base["q_monotone_defect"] <= 1e-12,
+    }
     for key in ("lift_+1", "lift_-1", "sobolev_1to2", "sobolev_2toinf",
                 "lp_embed_p2", "lp_embed_p4"):
-        checks.append((key, base[key] <= P["cap_generic"]))
+        checks[key] = base[key] <= P["cap_generic"]
     drift_keys = ("b022_vs_l2_hi", "lift_+1", "lift_-1", "sobolev_1to2",
                   "sobolev_2toinf", "lp_embed_p2", "lp_embed_p4", "eps_loss")
     drift = {k: abs(fine[k] - base[k]) / base[k] for k in drift_keys}
-    checks.append(("refinement_drift", max(drift.values()) <= P["drift_tol"]))
+    checks["refinement_drift"] = max(drift.values()) <= P["drift_tol"]
 
-    failures = [name for name, ok in checks if not ok]
     points = [{"check": k, "ratio": v, "refined": fine.get(k)}
               for k, v in base.items()]
-    return EstimateReport(
-        id="embeddings",
+    return conclude(
+        spec, checks,
         params={"n_samples": P["n_samples"], "k_max": P["k_max"],
                 "pou": spec.pou_variant},
         points=points,
         fit={"ratios": base, "refined": fine, "drift": drift},
-        verdict=PASS if not failures else FAIL,
-        seed=spec.seed,
-        notes=(["failed: " + ", ".join(failures)] if failures else []),
     )
 
 
@@ -238,7 +230,7 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
         Cf = np.zeros((K, Cf0.shape[1]))
         Cg = np.zeros((K, Cg0.shape[1]))
         Cf[:48], Cg[:48] = Cf0, Cg0
-        J = _j_cover(basis)
+        _, J = scale_window(basis)
         pair = np.abs(np.sum(Cf * Cg, axis=0))  # quadrature-exact pairing
         out = {}
         for s, p, q in _DUAL_TABLE:
@@ -257,28 +249,24 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
     cz = np.zeros(basis.K)
     cz[1:5] = 1.0
     pair_const = abs(cz[0]) * math.sqrt(basis.domain.volume)
+    _, J = scale_window(basis)
     scale_gap = 0.0
     for s, p, q in _DUAL_TABLE[:1]:
-        n1 = besov_table(cz[:, None], s, p, q, pou, basis, _j_cover(basis))[0]
-        n2 = besov_table(2.0 * cz[:, None], s, p, q, pou, basis, _j_cover(basis))[0]
+        n1 = besov_table(cz[:, None], s, p, q, pou, basis, J)[0]
+        n2 = besov_table(2.0 * cz[:, None], s, p, q, pou, basis, J)[0]
         scale_gap = abs(n2 / n1 - 2.0)
 
-    failures = [k for k, v in base.items() if v > P["cap"]]
-    if max(drift.values()) > P["drift_tol"]:
-        failures.append("refinement_drift")
-    if pair_const > 1e-12 or scale_gap > 1e-12:
-        failures.append("structural")
-    return EstimateReport(
-        id="duality",
+    checks = {k: v <= P["cap"] for k, v in base.items()}
+    checks["refinement_drift"] = max(drift.values()) <= P["drift_tol"]
+    checks["structural"] = pair_const <= 1e-12 and scale_gap <= 1e-12
+    return conclude(
+        spec, checks,
         params={"n_pairs": P["n_pairs"], "table": [list(t) for t in _DUAL_TABLE],
                 "pou": spec.pou_variant},
         points=[{"case": k, "C": v, "C_refined": fine[k], "drift": drift[k]}
                 for k, v in base.items()],
         fit={"C_emp": base, "drift": drift, "mean_zero_pairing": pair_const,
              "scale_invariance_gap": scale_gap},
-        verdict=PASS if not failures else FAIL,
-        seed=spec.seed,
-        notes=(["failed: " + ", ".join(failures)] if failures else []),
     )
 
 
@@ -330,7 +318,7 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         leak = np.sqrt(w @ (H - Hback) ** 2) / np.sqrt(w @ H**2)
         discarded = int(np.sum(leak > P["band_leak_tol"]))
         keep = leak <= P["band_leak_tol"]
-        J = _j_cover(basis)
+        a, J = scale_window(basis)
         out = {}
         for s, p, q, p1, p2, p3, p4 in _LEIBNIZ_TUPLES:
             lhs = besov_table(Ch[:, keep], s, p, q, pou, basis, J)
@@ -345,7 +333,6 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         Fz, Gz = E.T @ Cfz, E.T @ Cgz
         Hz = Fz * Gz
         Chz = E @ (w[:, None] * Hz)
-        a = _j_gap(basis)
         s, p, q, p1, p2, p3, p4 = _LEIBNIZ_TUPLES[0]
         lhs = besov_table(Chz, s, p, q, pou, basis, J, j_min=a, include_cap=False)
         rhs = (besov_table(Cfz, s, p1, q, pou, basis, J, j_min=a, include_cap=False)
@@ -363,15 +350,11 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
     drift_refine = {k: abs(fine[k] - base[k]) / base[k] for k in base}
     drift_swap = {k: abs(swap[k] - base[k]) / base[k] for k in base}
 
-    failures = []
-    if max(drift_refine.values()) > P["stability_tol"]:
-        failures.append("refinement drift")
-    if max(drift_swap.values()) > P["stability_tol"]:
-        failures.append("variant drift")
-    if disc > 0:
-        failures.append(f"{disc} samples left the band")
-    return EstimateReport(
-        id="leibniz",
+    checks = {"refinement_drift": max(drift_refine.values()) <= P["stability_tol"],
+              "variant_drift": max(drift_swap.values()) <= P["stability_tol"],
+              "band_leak": disc == 0}
+    return conclude(
+        spec, checks,
         params={"n_pairs": P["n_pairs"], "band_cap": P["band_cap"],
                 "tuples": _LEIBNIZ_TUPLES,
                 "pou": spec.pou_variant},
@@ -379,9 +362,6 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
                 for k, v in base.items()],
         fit={"C_emp": base, "drift_refine": drift_refine,
              "drift_swap": drift_swap, "discarded": disc},
-        verdict=PASS if not failures else FAIL,
-        seed=spec.seed,
-        notes=(["failed: " + ", ".join(failures)] if failures else []),
     )
 
 
@@ -412,7 +392,7 @@ def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
         K = basis.K
         C = np.zeros((K, C0.shape[1]))
         C[:48] = C0
-        J = _j_cover(basis)
+        _, J = scale_window(basis)
         out = {}
         for s in P["s_table"]:
             for p in P["pq_table"]:
@@ -436,16 +416,15 @@ def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
         points.append({"s": s, "p": p, "q": q, "ratio_min": lo,
                        "ratio_max": hi, "ratio_max_refined": fhi,
                        "drift": drift})
-    ok = (worst_lo >= P["ratio_lo"] and worst_hi <= P["ratio_hi"]
-          and worst_drift <= P["drift_tol"])
-    return EstimateReport(
-        id="partition_independence",
+    checks = {"ratio_min": worst_lo >= P["ratio_lo"],
+              "ratio_max": worst_hi <= P["ratio_hi"],
+              "refinement_drift": worst_drift <= P["drift_tol"]}
+    return conclude(
+        spec, checks,
         params={"n_samples": P["n_samples"],
                 "s_table": list(P["s_table"]),
                 "pq_table": P["pq_table"]},
         points=points,
         fit={"ratio_min": worst_lo, "ratio_max": worst_hi,
              "max_drift": worst_drift},
-        verdict=PASS if ok else FAIL,
-        seed=spec.seed,
     )

@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 
 from ..domains import EigenBasis, build_interval_basis, build_rectangle_basis
 from ..littlewood_paley import PartitionOfUnity, make_partition
+from ..reports import FAIL, INCONCLUSIVE, PASS, EstimateReport
 
 __all__ = [
     "ExperimentSpec",
@@ -25,6 +26,7 @@ __all__ = [
     "coeff_batch",
     "geometric_spread",
     "partition_for",
+    "conclude",
 ]
 
 
@@ -90,3 +92,29 @@ def geometric_spread(values) -> float:
 
 def partition_for(spec: ExperimentSpec) -> PartitionOfUnity:
     return make_partition(spec.pou_variant)
+
+
+def conclude(
+    spec: ExperimentSpec,
+    checks: dict,
+    unresolved: str | None = None,
+    notes=(),
+    **fields,
+) -> EstimateReport:
+    """The experiment's report, with id and seed from the spec.
+
+    checks maps each named check to whether it passed, in report order.
+    Any failed check gives fail; otherwise an unresolved reason gives
+    inconclusive; otherwise pass.  After the caller's notes comes one
+    "failed: a; b" note naming the failed checks, or the reason when it
+    decided the verdict.  fields go to EstimateReport unchanged.
+    """
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        verdict, last = FAIL, ["failed: " + "; ".join(failed)]
+    elif unresolved:
+        verdict, last = INCONCLUSIVE, [unresolved]
+    else:
+        verdict, last = PASS, []
+    return EstimateReport(id=spec.id, seed=spec.seed, verdict=verdict,
+                          notes=list(notes) + last, **fields)

@@ -18,9 +18,9 @@ import math
 import numpy as np
 
 from ..domains import build_interval_basis, build_rectangle_basis
-from ..reports import FAIL, PASS, EstimateReport, least_squares_fit
+from ..reports import EstimateReport, least_squares_fit
 from ..spectral import heat_kernel
-from .common import ExperimentSpec, geometric_spread
+from .common import ExperimentSpec, conclude, geometric_spread
 
 __all__ = ["exp_heat_gaussian"]
 
@@ -147,8 +147,7 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(HEAT_DEFAULTS)
     n_c = int(math.ceil(math.log(P["c_hi"] / P["c_lo"]) / math.log(P["c_step"]))) + 1
     cs = P["c_lo"] * P["c_step"] ** np.arange(n_c)
-    points, fits, notes = [], {}, []
-    ok = True
+    points, fits, notes, checks = [], {}, [], {}
 
     # Interval, base and refined.
     base = build_interval_basis(math.pi, P["interval_K"], N=P["interval_N"])
@@ -176,9 +175,10 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
         "positivity_ok": pos_ok, "stable": stable,
         "C_floor_volume": 1.0 / base.domain.volume,
     }
-    if not (stable and pos_ok and mu_b >= 0.5 * lam2
-            and unif_b <= P["uniformity_cap"] and Cb >= 1.0 / base.domain.volume):
-        ok = False
+    checks |= {"interval stable": stable, "interval positivity": pos_ok,
+               "interval mu": mu_b >= 0.5 * lam2,
+               "interval uniformity": unif_b <= P["uniformity_cap"],
+               "interval C floor": Cb >= 1.0 / base.domain.volume}
     if dropped:
         notes.append(
             f"interval: dropped {len(dropped)} undecidable small t (truncation tail "
@@ -206,9 +206,10 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
             "positivity_ok": pos_ok_r,
             "C_floor_volume": 1.0 / rect.domain.volume,
         }
-        if not (pos_ok_r and mu_r >= 0.5 * lam2_r and unif_r <= P["uniformity_cap"]
-                and Cr >= 1.0 / rect.domain.volume):
-            ok = False
+        checks |= {"rectangle positivity": pos_ok_r,
+                   "rectangle mu": mu_r >= 0.5 * lam2_r,
+                   "rectangle uniformity": unif_r <= P["uniformity_cap"],
+                   "rectangle C floor": Cr >= 1.0 / rect.domain.volume}
         ndropped = sum(1 for r in rows_r if not r["admissible"])
         if ndropped:
             notes.append(f"rectangle: dropped {ndropped} undecidable small t")
@@ -217,14 +218,11 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
                            "admissible": r["admissible"], "pair_frac": r["pair_frac"],
                            "pos_margin": r["pos_margin"], "pk_max": r["pk_max"]})
 
-    rep = EstimateReport(
-        id="heat_gaussian",
+    rep = conclude(
+        spec, checks, notes=notes,
         params={k: v for k, v in P.items()} | {"pou": spec.pou_variant},
         points=points,
         fit=fits,
-        verdict=PASS if ok else FAIL,
-        seed=spec.seed,
-        notes=notes,
     )
     adm_ts = [r["t"] for r in rows_b if r["admissible"]]
     adm_pk = [math.log(max(r["pk_max"], 1e-300)) for r in rows_b if r["admissible"]]

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import hermite
 
-from ..reports import FAIL, PASS, EstimateReport, least_squares_fit
-from .common import ExperimentSpec, partition_for
+from ..reports import EstimateReport, least_squares_fit
+from .common import ExperimentSpec, conclude, partition_for
 
 __all__ = ["exp_moment_decay"]
 
@@ -48,7 +48,7 @@ def exp_moment_decay(spec: ExperimentSpec) -> EstimateReport:
     js = list(range(P["j_lo"], P["j_hi"] + 1))
     fit_js = [j for j in js if P["fit_lo"] <= j <= P["fit_hi"]]
 
-    points, figures, notes, failures = [], {}, [], []
+    points, figures, notes, checks = [], {}, [], {}
     slopes, sup_consts = {}, {}
     boundary_leak = 0.0
     for M in P["orders"]:
@@ -77,31 +77,27 @@ def exp_moment_decay(spec: ExperimentSpec) -> EstimateReport:
                        "first_nonzero_moment": float(moments[min(n_vanish, 5)]),
                        "sup_scaled": sup_consts[M]})
         figures[f"block_l1_M{M}"] = (np.asarray(js, dtype=float), norms)
-        if n_vanish != M:
-            failures.append(f"M={M} measured {n_vanish} vanishing moments")
+        checks[f"M={M} measured {n_vanish} vanishing moments"] = n_vanish == M
         if M < max(P["orders"]):
-            if abs(fit.slope - M) > P["slope_tol"]:
-                failures.append(f"M={M} slope {fit.slope:.3f}")
-        elif fit.slope < P["top_order_floor"]:
-            failures.append(f"M={M} slope {fit.slope:.3f} below floor")
+            checks[f"M={M} slope {fit.slope:.3f}"] = abs(fit.slope - M) <= P["slope_tol"]
+        else:
+            checks[f"M={M} slope {fit.slope:.3f} vs floor {P['top_order_floor']:g}"] = (
+                fit.slope >= P["top_order_floor"])
 
-    if boundary_leak > P["boundary_tol"]:
-        failures.append(f"boundary leakage {boundary_leak:.2e}; double R")
+    checks[f"boundary leakage {boundary_leak:.2e} (double R)"] = (
+        boundary_leak <= P["boundary_tol"])
     notes.append(
         "slopes fitted on j in "
         f"[{P['fit_lo']}, {P['fit_hi']}]; coarser recorded blocks feel the "
         "periodization of the transform and are reported but not fitted")
 
-    return EstimateReport(
-        id="moment_decay",
+    return conclude(
+        spec, checks, notes=notes,
         params={"R": R, "N": N, "orders": list(P["orders"]),
                 "fit_window": [P["fit_lo"], P["fit_hi"]],
                 "slope_tol": P["slope_tol"], "pou": spec.pou_variant},
         points=points,
         fit={**{f"slope_M{M}": s for M, s in slopes.items()},
              "boundary_leak": boundary_leak},
-        verdict=PASS if not failures else FAIL,
-        seed=spec.seed,
-        notes=notes + (["failed: " + "; ".join(failures)] if failures else []),
         figures=figures,
     )

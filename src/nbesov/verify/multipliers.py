@@ -10,7 +10,7 @@ import numpy as np
 
 from ..domains import build_interval_basis, build_rectangle_basis
 from ..littlewood_paley import make_partition
-from ..reports import FAIL, INCONCLUSIVE, PASS, EstimateReport, least_squares_fit
+from ..reports import EstimateReport, least_squares_fit
 from ..spectral import (
     SymbolFn,
     endpoint_norms,
@@ -20,7 +20,7 @@ from ..spectral import (
     multiplier_kernel,
     power_block_symbol,
 )
-from .common import ExperimentSpec, geometric_spread, partition_for
+from .common import ExperimentSpec, conclude, geometric_spread, partition_for
 
 __all__ = ["exp_multiplier_scaling", "exp_low_freq_decay", "exp_gradient"]
 
@@ -83,8 +83,13 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(MULTIPLIER_DEFAULTS)
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
-    points, fits, failures = [], {}, []
-    inconclusive = len(js) < P["min_points"]
+    points, fits, checks = [], {}, {}
+    # Too few scales to fit a slope leaves the scaling claims unresolved:
+    # their slope checks are recorded in fit but not counted.
+    unresolved = None
+    if len(js) < P["min_points"]:
+        unresolved = (f"only {len(js)} scales j in [{P['j_lo']}, {P['j_hi']}]; "
+                      f"a slope fit needs {P['min_points']}")
 
     basis = build_interval_basis(P["L"], P["K"], N=P["N"])
     if 2.0 ** (max(js) + 1) > math.sqrt(float(basis.eigenvalues[-1])) + 1e-9:
@@ -108,8 +113,8 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
             ok, slope, spread = _scaling_verdict(js, vals, target, P)
             fits[f"1d_a{alpha:g}_{p:g}to{q:g}"] = {
                 "slope": slope, "target": target, "spread": spread}
-            if not ok:
-                failures.append(f"1d alpha={alpha:g} {p:g}->{q:g}")
+            if unresolved is None:
+                checks[f"1d alpha={alpha:g} {p:g}->{q:g}"] = ok
 
     # 2-D rectangle, separable evaluation.
     side = P["rect_side"]
@@ -137,8 +142,8 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
             ok, slope, spread = _scaling_verdict(js, vals, target, P)
             fits[f"2d_a{alpha:g}_{p:g}to{q:g}"] = {
                 "slope": slope, "target": target, "spread": spread}
-            if not ok:
-                failures.append(f"2d alpha={alpha:g} {p:g}->{q:g}")
+            if unresolved is None:
+                checks[f"2d alpha={alpha:g} {p:g}->{q:g}"] = ok
 
     notes = []
     if P["theta_sweep"]:
@@ -156,21 +161,14 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
         fit = least_squares_fit(np.log2(thetas), np.log2(np.maximum(vals, CLIP)))
         fits["theta_sweep_1to_inf"] = {"slope": fit.slope, "target": -0.5,
                                        "residual": fit.residual}
-        if abs(fit.slope + 0.5) > P["slope_tol"]:
-            failures.append("theta sweep 1->inf")
+        checks["theta sweep 1->inf"] = abs(fit.slope + 0.5) <= P["slope_tol"]
         notes.append("theta sweep covers the continuous form of the dyadic bound")
 
-    verdict = INCONCLUSIVE if inconclusive else (FAIL if failures else PASS)
-    if failures:
-        notes.append("failed: " + "; ".join(failures))
-    rep = EstimateReport(
-        id="multiplier_scaling",
+    rep = conclude(
+        spec, checks, unresolved, notes,
         params=P | {"pou": spec.pou_variant},
         points=points,
         fit=fits,
-        verdict=verdict,
-        seed=spec.seed,
-        notes=notes,
     )
     rep.figures["slope_1d_a0_1toinf"] = (
         js, [math.log2(max(r["norm"], CLIP)) for r in points
@@ -223,8 +221,7 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(LOWFREQ_DEFAULTS)
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
-    points, fits, notes = [], {}, []
-    all_ok = True
+    points, fits, notes, checks = [], {}, [], {}
 
     for name in P["domains"]:
         basis = _LOWFREQ_BUILDERS[name]()
@@ -271,20 +268,16 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
         fits[name] = {"mu": mu, "envelope_C": envelope_C,
                       "lambda2": lam2, "n_nonzero": len(nonzero),
                       "gap_consistent": consistent}
-        if mu <= 0 or not consistent:
-            all_ok = False
+        checks[f"{name} mu > 0"] = mu > 0
+        checks[f"{name} gap_consistent"] = consistent
 
-    verdict = PASS if all_ok else FAIL
-    rep = EstimateReport(
-        id="low_freq_decay",
+    rep = conclude(
+        spec, checks, notes=notes,
         params={"j_lo": P["j_lo"], "j_hi": P["j_hi"],
                 "domains": list(P["domains"]), "pou": spec.pou_variant,
                 "fake_lambda2": P["fake_lambda2"]},
         points=points,
         fit=fits,
-        verdict=verdict,
-        seed=spec.seed,
-        notes=notes,
     )
     rep.figures["decay_interval_long"] = (
         [r["j"] for r in points if r["domain"] == "interval_long"],
@@ -388,18 +381,18 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
                                   (basis.functions @ (basis.grid.weights * np.ones(basis.grid.n_nodes)))))))
     fits["constant_gradient"] = const_grad
 
-    ok = (spread22 <= P["spread_cap_22"] and spread_t <= P["spread_cap_22"]
-          and spread11 <= P["spread_cap_other"] and spreadinf <= P["spread_cap_other"]
-          and const_grad < 1e-10 and len(kept_t) >= 6)
-    rep = EstimateReport(
-        id="gradient",
+    checks = {"block spread22": spread22 <= P["spread_cap_22"],
+              "heat spread": spread_t <= P["spread_cap_22"],
+              "block spread11": spread11 <= P["spread_cap_other"],
+              "block spreadinf": spreadinf <= P["spread_cap_other"],
+              "constant_gradient": const_grad < 1e-10,
+              "kept t >= 6": len(kept_t) >= 6}
+    rep = conclude(
+        spec, checks, notes=notes,
         params={"L": P["L"], "K": P["K"], "N": P["N"], "j_lo": P["j_lo"],
                 "j_hi": P["j_hi"], "n_t": P["n_t"], "pou": spec.pou_variant},
         points=points,
         fit=fits,
-        verdict=PASS if ok else FAIL,
-        seed=spec.seed,
-        notes=notes,
     )
     rep.figures["heat_grad_scaled"] = (list(np.log10(kept_t)), list(np.log10(scaled)))
     rep.figures["block_grad_22"] = (js, [math.log2(v) for v in vals22])

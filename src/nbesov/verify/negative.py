@@ -5,14 +5,13 @@ pass from any of them means the checks upstream have gone soft."""
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from ..littlewood_paley import PartitionOfUnity, make_partition, partition_sum
 from ..norms import besov_table
-from ..reports import FAIL, PASS, EstimateReport
-from .common import ExperimentSpec, coeff_batch, interval_basis
+from ..reports import EstimateReport
+from .common import ExperimentSpec, coeff_batch, conclude, interval_basis
 from .multipliers import exp_low_freq_decay
 
 __all__ = [
@@ -20,6 +19,8 @@ __all__ = [
     "neg_fake_eigenvalue",
     "neg_reversed_inequality",
 ]
+
+_EXPECTED = "control: a fail verdict here is the expected outcome"
 
 
 def _broken_pou(scale: float = 0.9) -> PartitionOfUnity:
@@ -51,28 +52,22 @@ def neg_broken_partition(spec: ExperimentSpec) -> EstimateReport:
     w = basis.grid.weights
     resid = float(np.max(np.sqrt(w @ (F - rec) ** 2) / np.sqrt(w @ F**2)))
 
-    ok = defect < 1e-12 and resid < 1e-8
-    return EstimateReport(
-        id="neg_broken_partition",
+    checks = {"partition_identity": defect < 1e-12, "resynthesis": resid < 1e-8}
+    return conclude(
+        spec, checks, notes=[_EXPECTED],
         params={"chi_scale": 0.9},
         points=[{"partition_defect": defect, "max_residual": resid}],
         fit={"partition_defect": defect, "max_residual": resid},
-        verdict=PASS if ok else FAIL,
-        seed=spec.seed,
-        notes=["control: a fail verdict here is the expected outcome"],
     )
 
 
 def neg_fake_eigenvalue(spec: ExperimentSpec) -> EstimateReport:
     """Second eigenvalue faked down to 2^-12: the low-frequency decay fit
     must refuse the sub-dyadic blocks it suddenly fills."""
-    doctored = spec.with_params(fake_lambda2=2.0**-12, domains=("interval_pi",))
-    rep = exp_low_freq_decay(replace(doctored, id="low_freq_decay"))
-    return replace(
-        rep,
-        id="neg_fake_eigenvalue",
-        notes=list(rep.notes) + ["control: a fail verdict here is the expected outcome"],
-    )
+    rep = exp_low_freq_decay(
+        spec.with_params(fake_lambda2=2.0**-12, domains=("interval_pi",)))
+    rep.notes.append(_EXPECTED)
+    return rep
 
 
 def neg_reversed_inequality(spec: ExperimentSpec) -> EstimateReport:
@@ -86,13 +81,10 @@ def neg_reversed_inequality(spec: ExperimentSpec) -> EstimateReport:
     rough = besov_table(C, 0.0, 2.0, 2.0, pou, basis, 6)
     smooth = besov_table(C, 0.5, 2.0, 2.0, pou, basis, 6)
     ratio = float(np.max(smooth / rough))
-    ok = ratio <= 3.0
-    return EstimateReport(
-        id="neg_reversed_inequality",
-        params={"claim": "B(s=1/2) <= 3 B(s=0)", "modes": "32..63"},
+    claim = "B(s=1/2) <= 3 B(s=0)"
+    return conclude(
+        spec, {claim: ratio <= 3.0}, notes=[_EXPECTED],
+        params={"claim": claim, "modes": "32..63"},
         points=[{"max_ratio": ratio}],
         fit={"max_ratio": ratio},
-        verdict=PASS if ok else FAIL,
-        seed=spec.seed,
-        notes=["control: a fail verdict here is the expected outcome"],
     )

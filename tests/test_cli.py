@@ -271,6 +271,8 @@ def test_report_exit_code_tracks_verdicts(tmp_path, capsys):
     (tmp_path / "x.json").write_text(json.dumps({"id": "x", "verdict": "fail"}))
     (tmp_path / "y.json").write_text(json.dumps({"id": "y", "verdict": "pass"}))
     assert main(["report", "--dir", str(tmp_path)]) == 3
+    (tmp_path / "x.json").write_text(json.dumps({"id": "x", "verdict": "inconclusive"}))
+    assert main(["report", "--dir", str(tmp_path)]) == 2
     capsys.readouterr()
 
 

@@ -17,12 +17,14 @@ from nbesov.norms import (
     besov_hom,
     besov_inhom,
     besov_table,
+    block_lp_table,
     default_besov_params,
     ell_q,
     identity_kernel,
     lp_columns,
     norm_csv_header,
     norm_csv_row,
+    scale_window,
     seminorm_pM,
     seminorm_qM,
     triple_norm,
@@ -347,3 +349,65 @@ def test_norm_csv_row_shape():
     assert row[3] == ""
     row2 = norm_csv_row("besov_hom", {}, 1.0, 0.125)
     assert float(row2[3]) == 0.125
+
+
+# The three scale-window rules that scale_window replaced, kept as oracles.
+
+
+def _pM_wide(f, M, pou, basis):
+    lam_top = float(basis.eigenvalues[-1])
+    j_hi = max(1, math.ceil(math.log2(math.sqrt(lam_top))) + 1 if lam_top > 0 else 1)
+    c = basis.functions @ (basis.grid.weights * f.values)
+    sup = besov_table(c[:, None], M, 1.0, np.inf, pou, basis, j_hi, include_cap=False)
+    return lp_norm(f, 1.0) + float(sup[0])
+
+
+def _qM_wide(f, M, pou, basis):
+    lam = basis.eigenvalues
+    nz = lam[lam > 0]
+    j_lo = int(math.floor(math.log2(math.sqrt(nz.min())))) - 1
+    j_hi = int(math.ceil(math.log2(math.sqrt(float(lam[-1]))))) + 1
+    js = list(range(j_lo, j_hi + 1))
+    c = basis.functions @ (basis.grid.weights * f.values)
+    blocks = block_lp_table(c[:, None], js, [1.0], pou, basis)[:, 0, 0]
+    return lp_norm(f, 1.0) + float(np.max(2.0 ** (M * np.abs(np.asarray(js, dtype=float))) * blocks))
+
+
+def _hom_tail_wide(f, params, pou, basis):
+    lam = basis.eigenvalues
+    j_support = int(math.floor(math.log2(math.sqrt(lam[lam > 0].min())))) - 1
+    if j_support >= params.j_min:
+        return 0.0
+    c = basis.functions @ (basis.grid.weights * f.values)
+    return float(besov_table(c[:, None], params.s, params.p, params.q, pou, basis,
+                             params.j_min - 1, j_support, include_cap=False)[0])
+
+
+@pytest.mark.parametrize("L, K, N, window", [
+    (math.pi, 65, 256, (0, 6)),        # sqrt(lambda_top) = 64 exactly
+    (3.0, 50, 256, (0, 6)),            # generic top, sqrt = 49 pi / 3
+    (32 * math.pi, 129, 512, (-5, 2)),  # gap below 1, sqrt(lambda_top) = 4
+])
+def test_scale_window_keeps_seminorm_and_tail_values(L, K, N, window, pou):
+    """Blocks outside [j_gap, j_cover] vanish on the spectrum, so the tight
+    window gives bit-identical values to the wider windows it replaced."""
+    basis = build_interval_basis(L, K, N=N)
+    assert scale_window(basis) == window
+    j_gap, j_cover = window
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(K) * np.exp(-0.05 * np.arange(K))
+    c[0] = 0.0
+    f = _from_coeffs(basis, c)
+    for M in (0.5, 2.0):
+        assert seminorm_pM(f, M, pou, basis) == _pM_wide(f, M, pou, basis)
+        assert seminorm_qM(f, M, pou, basis) == _qM_wide(f, M, pou, basis)
+    j_mins = sorted({default_besov_params(basis, 0, 1, 1).j_min, min(j_gap, 0),
+                     min(j_gap + 1, 0), 0})
+    for j_min in j_mins:
+        for s, p, q in [(-0.5, 1.0, 1.0), (1.0, 2.0, 2.0), (0.5, np.inf, 2.0),
+                        (0.0, 2.0, np.inf)]:
+            params = BesovParams(s=s, p=p, q=q, j_min=j_min, j_max=j_cover)
+            got = besov_hom(f, params, pou, basis)
+            assert got.tail_bound == _hom_tail_wide(f, params, pou, basis)
+            if j_min > j_gap:
+                assert got.tail_bound > 0

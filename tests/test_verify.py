@@ -1,13 +1,33 @@
 import csv
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from nbesov.reports import FAIL, INCONCLUSIVE, PASS, EstimateReport
-from nbesov.verify import DEFAULT_IDS, REGISTRY, resolve_ids, run_suite, suite_exit_code
+from nbesov.verify import (
+    DEFAULT_IDS,
+    REGISTRY,
+    ExperimentSpec,
+    resolve_ids,
+    run_suite,
+    suite_exit_code,
+)
+from nbesov.domains import build_interval_basis, build_rectangle_basis, weyl_eigenvalue_estimate
+from nbesov.spectral import resolvent_symbol
+from nbesov.verify.amalgam import _column_tail_bound
+from nbesov.verify.common import conclude
 
 NEG_IDS = [k for k in REGISTRY if k.startswith("neg_")]
+
+
+@pytest.fixture(scope="module")
+def control_reports(tmp_path_factory):
+    out = tmp_path_factory.mktemp("control_reports")
+    reports = run_suite(ids=NEG_IDS, out_dir=str(out), jobs=1)
+    return {"reports": {r.id: r for r in reports}, "out_dir": out}
 
 
 def test_default_suite_passes(suite_reports):
@@ -101,3 +121,109 @@ def test_suite_exit_code_precedence():
     assert suite_exit_code([rep(PASS), rep(PASS)]) == 0
     assert suite_exit_code([rep(PASS), rep(INCONCLUSIVE)]) == 2
     assert suite_exit_code([rep(FAIL), rep(INCONCLUSIVE), rep(PASS)]) == 3
+
+
+def _assert_reloads(raw, loaded, where):
+    """The reloaded JSON value keeps the in-memory value and its type class."""
+    if isinstance(raw, dict):
+        assert sorted(loaded) == sorted(str(k) for k in raw), where
+        for k, v in raw.items():
+            _assert_reloads(v, loaded[str(k)], f"{where}.{k}")
+    elif isinstance(raw, (list, tuple, np.ndarray)):
+        assert len(loaded) == len(raw), where
+        for i, v in enumerate(raw):
+            _assert_reloads(v, loaded[i], f"{where}[{i}]")
+    elif isinstance(raw, (bool, np.bool_)):
+        assert type(loaded) is bool and loaded == bool(raw), where
+    elif isinstance(raw, (int, np.integer)):
+        assert type(loaded) is int and loaded == int(raw), where
+    elif isinstance(raw, (float, np.floating)) and not np.isfinite(raw):
+        assert loaded == str(float(raw)), where
+    elif isinstance(raw, (float, np.floating)):
+        assert type(loaded) is float and loaded == float(raw), where
+    else:
+        assert loaded == raw, where
+
+
+def _csv_agrees(cell: str, value) -> bool:
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == str(value)
+    if isinstance(value, (int, float)):
+        return float(cell) == value
+    return cell == value
+
+
+@pytest.mark.parametrize("which", ["suite_reports", "control_reports"])
+def test_canonical_reports_reload_with_their_types(which, request):
+    run = request.getfixturevalue(which)
+    for rid, rep in run["reports"].items():
+        with open(os.path.join(run["out_dir"], f"{rid}.json")) as fh:
+            payload = json.load(fh)
+        for key in ("params", "points", "fit"):
+            _assert_reloads(getattr(rep, key), payload[key], f"{rid}.{key}")
+        if not rep.points:
+            continue
+        with open(os.path.join(run["out_dir"], f"{rid}.points.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(payload["points"])
+        for row, point in zip(rows, payload["points"]):
+            for col, cell in row.items():
+                assert _csv_agrees(cell, point.get(col)), (rid, col, cell, point.get(col))
+
+
+def test_fail_verdict_iff_one_failed_note(suite_reports, control_reports):
+    reports = {**suite_reports["reports"], **control_reports["reports"]}
+    assert len(reports) == len(REGISTRY)
+    for rid, rep in reports.items():
+        failed = [n for n in rep.notes if n.startswith("failed: ")]
+        names_check = len(failed) == 1 and failed[0][len("failed: "):].strip() != ""
+        assert (rep.verdict == FAIL) == names_check, (rid, rep.verdict, rep.notes)
+
+
+def test_too_few_scales_is_inconclusive_without_failures():
+    rep = run_suite(ids=["multiplier_scaling"], overrides={"multiplier_scaling": {"j_hi": 4}},
+                    jobs=1)[0]
+    assert rep.verdict == INCONCLUSIVE
+    assert not [n for n in rep.notes if n.startswith("failed:")]
+    assert rep.notes[-1] == "only 3 scales j in [2, 4]; a slope fit needs 4"
+
+
+def test_amalgam_failure_outranks_an_unresolved_gap():
+    overrides = {"amalgam": {"slope_tol": 0.0, "gap_cap": 1.0,
+                             "n_theta_1d": 3, "n_theta_2d": 2}}
+    rep = run_suite(ids=["amalgam"], overrides=overrides, jobs=1)[0]
+    assert rep.fit["bump_gap"] > 1.0  # the gap alone would be inconclusive
+    assert rep.verdict == FAIL
+    assert rep.notes[-1].startswith("failed: 1d beta=1 slope")
+    assert not any("bump bound gap" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("checks, reason, verdict, last", [
+    ({}, None, PASS, None),
+    ({}, "too few points", INCONCLUSIVE, "too few points"),
+    ({"a": True, "b": True}, None, PASS, None),
+    ({"a": True, "b": True}, "too few points", INCONCLUSIVE, "too few points"),
+    ({"a": False, "b": True, "c": np.False_}, None, FAIL, "failed: a; c"),
+    ({"a": False, "b": True}, "too few points", FAIL, "failed: a"),
+])
+def test_conclude_verdict_table(checks, reason, verdict, last):
+    spec = ExperimentSpec(id="x", seed=7)
+    rep = conclude(spec, checks, reason, ["own note"], params={"k": 1})
+    assert (rep.id, rep.seed, rep.verdict, rep.params) == ("x", 7, verdict, {"k": 1})
+    assert rep.notes == ["own note"] + ([last] if last else [])
+
+
+@pytest.mark.parametrize("basis", [build_interval_basis(math.pi, 65, N=128),
+                                   build_rectangle_basis(math.pi, math.pi, 40, Nx=16, Ny=16)],
+                         ids=["interval", "rectangle"])
+def test_column_tail_bound_is_the_squared_symbol_tail(basis):
+    """sqrt(n_cells * symbol_tail_bound(phi^2)) against the Weyl sum written out."""
+    for beta, theta in [(1.0, 1e-3), (2.0, 0.1)]:
+        sym = resolvent_symbol(beta, 1.0, theta)
+        ks = np.arange(basis.K + 1, basis.K + 1 + 200_000)
+        lam = np.maximum(weyl_eigenvalue_estimate(basis.domain, ks), basis.eigenvalues[-1])
+        sup2 = float(np.max(np.abs(basis.functions)) ** 2)
+        want = math.sqrt(7 * sup2 * float(np.sum(sym(lam) ** 2)))
+        assert _column_tail_bound(sym, basis, 7) == pytest.approx(want, rel=1e-14)

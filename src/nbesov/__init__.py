@@ -19,7 +19,6 @@ from .littlewood_paley import (
     PartitionOfUnity,
     make_partition,
     partition_sum,
-    phi_j,
 )
 from .spectral import (
     GridFunction,

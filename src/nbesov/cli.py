@@ -38,7 +38,7 @@ from .norms import (
     seminorm_pM,
     seminorm_qM,
 )
-from .reports import EstimateReport, summary_table
+from .reports import FAIL, INCONCLUSIVE, PASS, EstimateReport, summary_table
 from .spectral import (
     GridFunction,
     block_symbol,
@@ -49,6 +49,7 @@ from .spectral import (
     power_block_symbol,
     resolvent_symbol,
     save_kernel,
+    to_grid,
 )
 from .verify import REGISTRY, resolve_ids, run_suite, suite_exit_code
 
@@ -107,7 +108,7 @@ def _load_function(path: str, basis) -> GridFunction:
             raise ValueError(
                 f"{given.size} coefficients exceed the {basis.K}-mode basis")
         c[: given.size] = given
-        return GridFunction(basis.functions.T @ c, basis.grid)
+        return GridFunction(to_grid(c, basis), basis.grid)
     raise ValueError(f"{path} carries neither 'values' nor 'coeffs'")
 
 
@@ -284,6 +285,9 @@ def _cmd_report(args) -> int:
                                        verdict=payload["verdict"]))
         except (json.JSONDecodeError, KeyError) as exc:
             return _fail(f"report: {name} is not a report file ({exc})")
+        if rows[-1].verdict not in (PASS, FAIL, INCONCLUSIVE):
+            return _fail(f"report: {name} is not a report file "
+                         f"(unknown verdict {rows[-1].verdict!r})")
     rows.sort(key=lambda r: (order.get(r.id, len(order)), r.id))
     print(f"{'experiment':<28s} {'verdict':<13s}")
     for rep in rows:

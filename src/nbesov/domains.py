@@ -25,7 +25,6 @@ carry; requests beyond it are rejected rather than silently aliased.
 from __future__ import annotations
 
 import base64
-import io
 import json
 import threading
 from dataclasses import dataclass, field
@@ -47,6 +46,7 @@ __all__ = [
     "build_interval_basis",
     "build_rectangle_basis",
     "build_fd_basis",
+    "cosine_modes",
     "lp_norm",
     "save_basis",
     "load_basis",
@@ -151,9 +151,10 @@ class Grid:
         return float(sum((np.pi / (2.0 * h)) ** 2 for h in self.spacing))
 
     def grid_id(self) -> str:
+        """kind[lengths]/h=spacing/N=nodes, floats at full (repr) precision."""
         dom = self.domain
-        dims = "x".join(f"{L:g}" for L in dom.lengths)
-        return f"{dom.kind}[{dims}]/h={'x'.join(f'{h:g}' for h in self.spacing)}/N={self.n_nodes}"
+        dims, hs = ("x".join(repr(float(v)) for v in vs) for vs in (dom.lengths, self.spacing))
+        return f"{dom.kind}[{dims}]/h={hs}/N={self.n_nodes}"
 
 
 def _interval_nodes(L: float, N: int) -> NDArray:
@@ -317,16 +318,46 @@ class EigenBasis:
         return self._gradients
 
 
-def _interval_modes(L: float, N: int, ks: Sequence[int]) -> NDArray:
-    """Samples of sqrt-normalized cosine modes cos(k pi x / L), k in ks, on N nodes."""
-    x = _interval_nodes(L, N)
-    rows = np.empty((len(ks), N))
-    for r, k in enumerate(ks):
-        if k == 0:
-            rows[r] = L ** -0.5
-        else:
-            rows[r] = np.sqrt(2.0 / L) * np.cos(k * np.pi * x / L)
-    return rows
+def cosine_modes(lengths: Sequence[float], shape: Sequence[int], modes: Sequence,
+                 derivatives: bool = False) -> NDArray:
+    """(K, N) samples of the normalized Neumann cosine products at the
+    cell-centred nodes, or with derivatives their (n, K, N) per-axis
+    derivatives.
+
+    modes lists K mode numbers (interval) or mode tuples (a, b) (rectangle,
+    nodes x-major).  Per axis e_0 = L^{-1/2} and e_k = sqrt(2/L) cos(k pi x / L),
+    with derivative -sqrt(2/L) kappa sin(kappa x), kappa = k pi / L.  The
+    two arguments are rounded in those two orders, and derivative factors
+    vanish as +0.0, so every sample is the bit pattern of the termwise
+    closed form.
+    """
+    k = np.asarray(modes).reshape(len(modes), -1)
+    vals, ders = [], []
+    for d, (L, N) in enumerate(zip(lengths, shape)):
+        x, kd, flat = _interval_nodes(L, N), k[:, d:d + 1], k[:, d] == 0
+        if not derivatives or len(lengths) > 1:  # 1-D derivatives need no cosines
+            v = kd * np.pi * x
+            v /= L
+            np.cos(v, out=v)
+            v *= np.sqrt(2.0 / L)
+            v[flat] = L ** -0.5
+            vals.append(v)
+        if derivatives:
+            kappa = kd * np.pi / L
+            g = kappa * x
+            np.sin(g, out=g)
+            g *= -np.sqrt(2.0 / L) * kappa
+            g[flat] = 0.0
+            ders.append(g)
+    if len(lengths) == 1:
+        return ders[0][None] if derivatives else vals[0]
+    (fx, fy), K = vals, len(k)
+    if not derivatives:
+        return (fx[:, :, None] * fy[:, None, :]).reshape(K, -1)
+    G = np.stack([ders[0][:, :, None] * fy[:, None, :], fx[:, :, None] * ders[1][:, None, :]])
+    G = G.reshape(2, K, -1)
+    G[k.T == 0] = 0.0  # a zero factor times a negative cosine would give -0.0
+    return G
 
 
 def build_interval_basis(L: float, K: int, N: int = 512) -> EigenBasis:
@@ -343,11 +374,9 @@ def build_interval_basis(L: float, K: int, N: int = 512) -> EigenBasis:
         raise ValueError(
             f"K={K} asks for modes beyond the resolution cutoff (k-1 <= N/2 = {N / 2:g})"
         )
-    grid = interval_grid(L, N)
     ks = list(range(K))
-    E = _interval_modes(L, N, ks)
-    return EigenBasis(grid=grid, eigenvalues=_interval_eigenvalues(L, K), functions=E,
-                      kind="analytic", mode_index=ks)
+    return EigenBasis(grid=interval_grid(L, N), eigenvalues=_interval_eigenvalues(L, K),
+                      functions=cosine_modes((L,), (N,), ks), kind="analytic", mode_index=ks)
 
 
 def _interval_eigenvalues(L: float, K: int) -> NDArray:
@@ -382,22 +411,14 @@ def build_rectangle_basis(Lx: float, Ly: float, K: int, Nx: int = 64, Ny: int = 
         raise ValueError(
             f"K={K} exceeds the {len(table)} modes resolvable on a {Nx}x{Ny} grid"
         )
-    grid = rectangle_grid(Lx, Ly, Nx, Ny)
     chosen = table[:K]
-    lam = np.array([t[0] for t in chosen])
-    a_needed = sorted({t[1] for t in chosen})
-    b_needed = sorted({t[2] for t in chosen})
-    ex = {a: row for a, row in zip(a_needed, _interval_modes(Lx, Nx, a_needed))}
-    ey = {b: row for b, row in zip(b_needed, _interval_modes(Ly, Ny, b_needed))}
-    E = np.empty((K, Nx * Ny))
-    for r, (_, a, b) in enumerate(chosen):
-        E[r] = np.outer(ex[a], ey[b]).ravel()
+    modes = [(a, b) for (_, a, b) in chosen]
     return EigenBasis(
-        grid=grid,
-        eigenvalues=lam,
-        functions=E,
+        grid=rectangle_grid(Lx, Ly, Nx, Ny),
+        eigenvalues=np.array([t[0] for t in chosen]),
+        functions=cosine_modes((Lx, Ly), (Nx, Ny), modes),
         kind="analytic",
-        mode_index=[(a, b) for (_, a, b) in chosen],
+        mode_index=modes,
     )
 
 
@@ -427,8 +448,10 @@ def _check_analytic_metadata(basis: EigenBasis) -> None:
         raise ValueError(f"{dom.kind} mode_index is not the first {K} closed-form modes")
     if not np.array_equal(basis.eigenvalues, lam):
         raise ValueError(f"{dom.kind} eigenvalues are not the closed-form ones of the stored modes")
-    if not (np.array_equal(grid.points, ref.points) and np.array_equal(grid.weights, ref.weights)):
-        raise ValueError(f"grid nodes and weights are not those of the {dom.kind} builder")
+    if not (np.array_equal(grid.points, ref.points) and np.array_equal(grid.weights, ref.weights)
+            and grid.shape == ref.shape):
+        raise ValueError(f"grid nodes and weights, or the grid shape, are not those of the "
+                         f"{dom.kind} builder")
 
 
 def _fd_laplacian(grid: Grid) -> sp.csr_matrix:
@@ -538,41 +561,11 @@ def build_fd_basis(domain: Domain, h: float, K: int) -> EigenBasis:
 def _mode_gradients(basis: EigenBasis) -> NDArray:
     """Per-axis derivatives of every mode: exact for analytic, FD for numeric."""
     grid = basis.grid
-    n = grid.domain.n
-    K, N = basis.functions.shape
-    out = np.zeros((n, K, N))
-    if basis.kind == "analytic":
-        if grid.domain.kind == "interval":
-            L = grid.domain.lengths[0]
-            x = grid.points[:, 0]
-            for r, k in enumerate(basis.mode_index):
-                if k == 0:
-                    continue
-                kappa = k * np.pi / L
-                out[0, r] = -np.sqrt(2.0 / L) * kappa * np.sin(kappa * x)
-        elif grid.domain.kind == "rectangle":
-            Lx, Ly = grid.domain.lengths
-            Nx, Ny = grid.shape
-            xs = _interval_nodes(Lx, Nx)
-            ys = _interval_nodes(Ly, Ny)
-            for r, (a, b) in enumerate(basis.mode_index):
-                fx = (np.full(Nx, Lx**-0.5) if a == 0
-                      else np.sqrt(2.0 / Lx) * np.cos(a * np.pi * xs / Lx))
-                fy = (np.full(Ny, Ly**-0.5) if b == 0
-                      else np.sqrt(2.0 / Ly) * np.cos(b * np.pi * ys / Ly))
-                if a > 0:
-                    ka = a * np.pi / Lx
-                    dfx = -np.sqrt(2.0 / Lx) * ka * np.sin(ka * xs)
-                    out[0, r] = np.outer(dfx, fy).ravel()
-                if b > 0:
-                    kb = b * np.pi / Ly
-                    dfy = -np.sqrt(2.0 / Ly) * kb * np.sin(kb * ys)
-                    out[1, r] = np.outer(fx, dfy).ravel()
-        else:
-            raise ValueError("analytic gradients are only defined on intervals/rectangles")
-    else:
-        out[:] = fd_gradient(basis.functions.T, grid).transpose(0, 2, 1)
-    return out
+    if basis.kind != "analytic":
+        return np.ascontiguousarray(fd_gradient(basis.functions.T, grid).transpose(0, 2, 1))
+    if grid.domain.kind not in ("interval", "rectangle"):
+        raise ValueError("analytic gradients are only defined on intervals/rectangles")
+    return cosine_modes(grid.domain.lengths, grid.shape, basis.mode_index, derivatives=True)
 
 
 def fd_gradient(values: NDArray, grid: Grid) -> NDArray:

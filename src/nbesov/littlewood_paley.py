@@ -30,7 +30,6 @@ from numpy.typing import NDArray
 __all__ = [
     "PartitionOfUnity",
     "make_partition",
-    "phi_j",
     "partition_sum",
     "VARIANTS",
 ]
@@ -88,16 +87,12 @@ class PartitionOfUnity:
     plateau, support_end : float
         chi's plateau edge and support end; supp phi_0 = [plateau/2...
         support_end] up to the telescoping difference.
-    smoothness_witness : int
-        Number of derivatives certified by sampled finite differences
-        (the construction is C-infinity; the witness records what is checked).
     """
 
     variant: str
     chi: Callable[[NDArray], NDArray]
     plateau: float
     support_end: float = 2.0
-    smoothness_witness: int = 2
 
     def phi0(self, lam: NDArray) -> NDArray:
         lam = np.asarray(lam, dtype=float)
@@ -129,11 +124,6 @@ def make_partition(variant: str = "standard") -> PartitionOfUnity:
         raise ValueError(f"unknown partition variant {variant!r}; expected one of {VARIANTS}")
     plateau = _PLATEAU[variant]
     return PartitionOfUnity(variant=variant, chi=_make_chi(plateau), plateau=plateau)
-
-
-def phi_j(pou: PartitionOfUnity, j: int, lam: NDArray) -> NDArray:
-    """Evaluate the j-th dyadic bump at lam (vectorized)."""
-    return pou.phi(j, lam)
 
 
 def partition_sum(pou: PartitionOfUnity, lam: NDArray) -> NDArray:

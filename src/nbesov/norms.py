@@ -34,7 +34,7 @@ from numpy.typing import NDArray
 
 from .domains import EigenBasis, Grid, lp_norm
 from .littlewood_paley import PartitionOfUnity
-from .spectral import GridFunction, OperatorKernel, analyze
+from .spectral import GridFunction, OperatorKernel, analyze, to_grid
 
 __all__ = [
     "BesovParams",
@@ -199,7 +199,6 @@ def block_lp_table(
     keeps the sweep experiments fast.
     """
     sq = np.sqrt(np.maximum(basis.eigenvalues, 0.0))
-    E = basis.functions
     w = basis.grid.weights
     out = np.empty((len(js), len(ps), C.shape[1]))
     for a, j in enumerate(js):
@@ -207,7 +206,7 @@ def block_lp_table(
         if not np.any(svals):
             out[a] = 0.0
             continue
-        fields = E.T @ (svals[:, None] * C)  # (N, S)
+        fields = to_grid(svals[:, None] * C, basis)  # (N, S)
         for b, p in enumerate(ps):
             out[a, b] = lp_columns(fields, w, p)
     return out
@@ -241,7 +240,7 @@ def besov_table(
         body = np.sum(weighted**q, axis=0) ** (1.0 / q)
     if not include_cap:
         return body
-    cap_fields = basis.functions.T @ (pou.psi(basis.eigenvalues)[:, None] * C)
+    cap_fields = to_grid(pou.psi(basis.eigenvalues)[:, None] * C, basis)
     return lp_columns(cap_fields, basis.grid.weights, p) + body
 
 

@@ -6,8 +6,9 @@ acts as
     phi(H) f = sum_k phi(lambda_k) <f, e_k> e_k,
 
 with integral kernel K(x, y) = sum_k phi(lambda_k) e_k(x) e_k(y).  This
-module provides the coefficient transforms, multiplier application, heat
-semigroup, mean-zero projection (the spectral projection onto positive
+module provides the coefficient transforms (to_grid and to_coeffs, the one
+seam between coefficient arrays and node values), multiplier application,
+heat semigroup, mean-zero projection (the spectral projection onto positive
 frequencies on a bounded domain), gradients, fractional resolvent powers via
 the Gamma-function integral of the heat semigroup, and exact endpoint
 operator norms of kernels.
@@ -48,6 +49,8 @@ __all__ = [
     "OperatorKernel",
     "QuadratureSpec",
     "QuadratureWarning",
+    "to_grid",
+    "to_coeffs",
     "analyze",
     "synthesize",
     "apply_multiplier",
@@ -226,16 +229,30 @@ def power_block_symbol(pou: PartitionOfUnity, j: int, alpha: float) -> SymbolFn:
 # Transforms and multipliers
 
 
+def to_grid(C: NDArray, basis: EigenBasis) -> NDArray:
+    """Node values E^T C = sum_k C_k e_k of a (K,) coefficient vector or a
+    (K, S) stack of S of them."""
+    return basis.functions.T @ C
+
+
+def to_coeffs(F: NDArray, basis: EigenBasis) -> NDArray:
+    """Coefficients E (w F), c_k = sum_i w_i F_i e_k(x_i), of (N,) node values
+    or an (N, S) stack of S of them."""
+    w = basis.grid.weights
+    return basis.functions @ ((w if F.ndim == 1 else w[:, None]) * F)
+
+
 def analyze(f: GridFunction, basis: EigenBasis) -> SpectralCoeffs:
-    """c_k = sum_i w_i f_i e_k(x_i)."""
-    c = basis.functions @ (f.grid.weights * f.values)
-    return SpectralCoeffs(values=c, basis=basis)
+    """c_k = sum_i w_i f_i e_k(x_i); rejects f on a grid other than the basis'."""
+    if f.grid is not basis.grid and f.grid.grid_id() != basis.grid.grid_id():
+        raise ValueError(f"function on {f.grid.grid_id()} cannot be analyzed in a basis "
+                         f"on {basis.grid.grid_id()}")
+    return SpectralCoeffs(values=to_coeffs(f.values, basis), basis=basis)
 
 
 def synthesize(coeffs: SpectralCoeffs) -> GridFunction:
     """f = sum_k c_k e_k."""
-    vals = coeffs.basis.functions.T @ coeffs.values
-    return GridFunction(values=vals, grid=coeffs.basis.grid)
+    return GridFunction(values=to_grid(coeffs.values, coeffs.basis), grid=coeffs.basis.grid)
 
 
 def apply_multiplier(symbol: SymbolFn, f: GridFunction, basis: EigenBasis) -> GridFunction:
@@ -594,12 +611,14 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
             raise ValueError(f"kernel was dumped for grid {gid}, not {grid.grid_id()}")
         sv = z["symbol_values"]
         comps = z["components"] if "components" in z.files else None
-        N = grid.n_nodes
+        matrix, N = z["matrix"], grid.n_nodes
+        if matrix.shape != (N, N):
+            raise ValueError(f"kernel matrix has shape {matrix.shape}, expected {(N, N)}")
         if comps is not None and comps.shape != (grid.domain.n, N, N):
             raise ValueError(f"kernel components have shape {comps.shape}, "
                              f"expected {(grid.domain.n, N, N)}")
         return OperatorKernel(
-            matrix=z["matrix"],
+            matrix=matrix,
             grid=grid,
             tag=tag,
             symbol_values=sv if sv.size else None,

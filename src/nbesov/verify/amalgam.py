@@ -20,6 +20,7 @@ from ..spectral import (
     multiplier_kernel,
     resolvent_symbol,
     symbol_tail_bound,
+    to_grid,
 )
 from .common import (
     ExperimentSpec,
@@ -238,7 +239,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
 
     # Matching inner and outer exponents must reduce to the plain L^2 norm.
     C = coeff_batch(rng, basis1.K, 1, decay=0.05)
-    f = GridFunction(basis1.functions.T @ C[:, 0], basis1.grid)
+    f = GridFunction(to_grid(C[:, 0], basis1), basis1.grid)
     l2 = float(np.sqrt(basis1.grid.weights @ f.values**2))
     defect = max(
         abs(amalgam_norm(f, AmalgamParams(p=2.0, q=2.0, theta=float(th))) - l2)

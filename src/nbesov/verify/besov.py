@@ -11,6 +11,7 @@ import numpy as np
 from ..littlewood_paley import make_partition
 from ..norms import besov_table, lp_columns, scale_window
 from ..reports import EstimateReport
+from ..spectral import to_coeffs, to_grid
 from .common import (
     ExperimentSpec,
     coeff_batch,
@@ -18,6 +19,7 @@ from .common import (
     interval_basis,
     partition_for,
     rectangle_basis,
+    resynthesis_residual,
 )
 
 __all__ = [
@@ -51,37 +53,23 @@ def exp_reconstruction(spec: ExperimentSpec) -> EstimateReport:
         ("rectangle", rectangle_basis(math.pi, math.pi, 200, 32, 32)),
     ]
     for name, basis in cases:
-        lam = basis.eigenvalues
-        sq = np.sqrt(np.maximum(lam, 0.0))
-        E = basis.functions
-        w = basis.grid.weights
         a, J = scale_window(basis)
         C = coeff_batch(rng, basis.K, P["n_samples"], decay=0.05)
-        F = E.T @ C
-        coeffs = E @ (w[:, None] * F)
-
-        rec = E.T @ (pou.psi(lam)[:, None] * coeffs)
-        for j in range(1, J + 1):
-            rec += E.T @ (pou.phi(j, sq)[:, None] * coeffs)
-        resid = np.sqrt(w @ (F - rec) ** 2) / np.sqrt(w @ F**2)
+        F = to_grid(C, basis)
+        coeffs = to_coeffs(F, basis)
+        resid = resynthesis_residual(F, coeffs, basis, pou, range(1, J + 1))
         worst_inhom = max(worst_inhom, float(resid.max()))
 
         Cz = C.copy()
         Cz[0] = 0.0
-        Fz = E.T @ Cz
-        coeffs_z = E @ (w[:, None] * Fz)
-        rec_h = np.zeros_like(Fz)
-        for j in range(a, J + 1):
-            rec_h += E.T @ (pou.phi(j, sq)[:, None] * coeffs_z)
-        resid_h = np.sqrt(w @ (Fz - rec_h) ** 2) / np.sqrt(w @ Fz**2)
+        Fz = to_grid(Cz, basis)
+        resid_h = resynthesis_residual(Fz, to_coeffs(Fz, basis), basis, pou, range(a, J + 1),
+                                       cap=False)
         worst_hom = max(worst_hom, float(resid_h.max()))
 
         # With the flat mode present, the homogeneous sum returns the
         # mean-removed part, so the residual is exactly |c_0| / ||f||_2.
-        rec_hm = np.zeros_like(F)
-        for j in range(a, J + 1):
-            rec_hm += E.T @ (pou.phi(j, sq)[:, None] * coeffs)
-        resid_m = np.sqrt(w @ (F - rec_hm) ** 2) / np.sqrt(w @ F**2)
+        resid_m = resynthesis_residual(F, coeffs, basis, pou, range(a, J + 1), cap=False)
         expect = np.abs(coeffs[0]) / np.sqrt(np.sum(coeffs**2, axis=0))
         gap = float(np.max(np.abs(resid_m - expect)))
         worst_mean_gap = max(worst_mean_gap, gap)
@@ -134,7 +122,7 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
         K = basis.K
         C = np.zeros((K, C0.shape[1]))
         C[: P["k_max"]] = C0
-        F = basis.functions.T @ C
+        F = to_grid(C, basis)
         w = basis.grid.weights
         _, J = scale_window(basis)
         out = {}
@@ -304,17 +292,16 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
     Cg0 = coeff_batch(rng, kcap, P["n_pairs"], decay=0.08)
 
     def run(basis, pou):
-        E = basis.functions
         w = basis.grid.weights
         K = basis.K
         Cf = np.zeros((K, Cf0.shape[1]))
         Cg = np.zeros((K, Cg0.shape[1]))
         Cf[:kcap], Cg[:kcap] = Cf0, Cg0
-        F, G = E.T @ Cf, E.T @ Cg
+        F, G = to_grid(Cf, basis), to_grid(Cg, basis)
         H = F * G
-        Ch = E @ (w[:, None] * H)
+        Ch = to_coeffs(H, basis)
         # Band check: the product must re-analyze losslessly.
-        Hback = E.T @ Ch
+        Hback = to_grid(Ch, basis)
         leak = np.sqrt(w @ (H - Hback) ** 2) / np.sqrt(w @ H**2)
         discarded = int(np.sum(leak > P["band_leak_tol"]))
         keep = leak <= P["band_leak_tol"]
@@ -330,9 +317,9 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         # Homogeneous variant on mean-removed inputs.
         Cfz, Cgz = Cf.copy(), Cg.copy()
         Cfz[0] = Cgz[0] = 0.0
-        Fz, Gz = E.T @ Cfz, E.T @ Cgz
+        Fz, Gz = to_grid(Cfz, basis), to_grid(Cgz, basis)
         Hz = Fz * Gz
-        Chz = E @ (w[:, None] * Hz)
+        Chz = to_coeffs(Hz, basis)
         s, p, q, p1, p2, p3, p4 = _LEIBNIZ_TUPLES[0]
         lhs = besov_table(Chz, s, p, q, pou, basis, J, j_min=a, include_cap=False)
         rhs = (besov_table(Cfz, s, p1, q, pou, basis, J, j_min=a, include_cap=False)

@@ -18,6 +18,7 @@ from numpy.typing import NDArray
 from ..domains import EigenBasis, build_interval_basis, build_rectangle_basis
 from ..littlewood_paley import PartitionOfUnity, make_partition
 from ..reports import FAIL, INCONCLUSIVE, PASS, EstimateReport
+from ..spectral import to_grid
 
 __all__ = [
     "ExperimentSpec",
@@ -26,6 +27,7 @@ __all__ = [
     "coeff_batch",
     "geometric_spread",
     "partition_for",
+    "resynthesis_residual",
     "conclude",
 ]
 
@@ -92,6 +94,21 @@ def geometric_spread(values) -> float:
 
 def partition_for(spec: ExperimentSpec) -> PartitionOfUnity:
     return make_partition(spec.pou_variant)
+
+
+def resynthesis_residual(F: NDArray, C: NDArray, basis: EigenBasis, pou: PartitionOfUnity,
+                         js, cap: bool = True) -> NDArray:
+    """Relative L^2 gap ||F - R|| / ||F|| of every column of the (N, S)
+    fields F, where R resynthesizes the (K, S) coefficients C as the cap
+    psi(H) C (when cap) plus the blocks phi_j(sqrt H) C, j in js, added in
+    that order."""
+    lam = basis.eigenvalues
+    sq = np.sqrt(np.maximum(lam, 0.0))
+    rec = to_grid(pou.psi(lam)[:, None] * C, basis) if cap else np.zeros_like(F)
+    for j in js:
+        rec += to_grid(pou.phi(j, sq)[:, None] * C, basis)
+    w = basis.grid.weights
+    return np.sqrt(w @ (F - rec) ** 2) / np.sqrt(w @ F**2)
 
 
 def conclude(

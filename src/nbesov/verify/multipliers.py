@@ -8,8 +8,7 @@ import math
 
 import numpy as np
 
-from ..domains import build_interval_basis, build_rectangle_basis
-from ..littlewood_paley import make_partition
+from ..domains import build_interval_basis, build_rectangle_basis, cosine_modes
 from ..reports import EstimateReport, least_squares_fit
 from ..spectral import (
     SymbolFn,
@@ -19,6 +18,7 @@ from ..spectral import (
     magnitude_norms,
     multiplier_kernel,
     power_block_symbol,
+    to_coeffs,
 )
 from .common import ExperimentSpec, conclude, geometric_spread, partition_for
 
@@ -29,18 +29,6 @@ CLIP = 1e-300
 
 # ---------------------------------------------------------------------------
 # Block-norm scaling in j
-
-
-def _axis_modes(L: float, n_modes: int, n_eval: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis squared eigenfunction samples and frequencies for the
-    separable diagonal evaluation on a rectangle."""
-    x = (np.arange(n_eval) + 0.5) * (L / n_eval)
-    a = np.arange(n_modes)
-    kap = a * math.pi / L
-    E = np.cos(np.outer(kap, x))
-    E[0] *= math.sqrt(1.0 / L)
-    E[1:] *= math.sqrt(2.0 / L)
-    return E**2, kap**2
 
 
 def _rect_diag_max(S: np.ndarray, U2: np.ndarray, V2: np.ndarray) -> float:
@@ -119,8 +107,10 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     # 2-D rectangle, separable evaluation.
     side = P["rect_side"]
     A = P["rect_modes"]
-    U2, kx2 = _axis_modes(side, A, 256)
-    V2, ky2 = U2, kx2
+    # Per-axis squared modes and eigenvalues; the square's two axes agree.
+    U2 = V2 = cosine_modes((side,), (256,), range(A))
+    U2 *= U2
+    kx2 = ky2 = (np.arange(A) * math.pi / side) ** 2
     lam2d = kx2[:, None] + ky2[None, :]
     need = 2.0 ** (max(js) + 1)
     if need > math.sqrt(float(lam2d.max())) + 1e-9:
@@ -231,8 +221,7 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
             lam[1] = float(P["fake_lambda2"])
         sq = np.sqrt(np.maximum(lam, 0.0))
         lam2 = float(lam[1])
-        E = basis.functions
-        w = basis.grid.weights
+        E = basis.functions  # read directly: lam may carry a faked eigenvalue
 
         norms22, norms1inf, consistent = [], [], True
         for j in js:
@@ -376,9 +365,8 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
                      + ", ".join(f"{t:.3g}" for t in dropped))
 
     # Constants are annihilated by the gradient at every t.
-    const_grad = float(np.max(np.abs(
-        basis.gradients()[0].T @ (heat_symbol(ts[-1])(lam) *
-                                  (basis.functions @ (basis.grid.weights * np.ones(basis.grid.n_nodes)))))))
+    const_grad = float(np.max(np.abs(basis.gradients()[0].T @ (
+        heat_symbol(ts[-1])(lam) * to_coeffs(np.ones(basis.grid.n_nodes), basis)))))
     fits["constant_gradient"] = const_grad
 
     checks = {"block spread22": spread22 <= P["spread_cap_22"],

@@ -11,7 +11,8 @@ import numpy as np
 from ..littlewood_paley import PartitionOfUnity, make_partition, partition_sum
 from ..norms import besov_table
 from ..reports import EstimateReport
-from .common import ExperimentSpec, coeff_batch, conclude, interval_basis
+from ..spectral import to_grid
+from .common import ExperimentSpec, coeff_batch, conclude, interval_basis, resynthesis_residual
 from .multipliers import exp_low_freq_decay
 
 __all__ = [
@@ -43,14 +44,7 @@ def neg_broken_partition(spec: ExperimentSpec) -> EstimateReport:
     basis = interval_basis(math.pi, 64, 512)
     rng = np.random.default_rng(spec.seed)
     C = coeff_batch(rng, basis.K, 20, decay=0.05)
-    F = basis.functions.T @ C
-    lam_b = basis.eigenvalues
-    sq = np.sqrt(np.maximum(lam_b, 0.0))
-    rec = basis.functions.T @ (pou.psi(lam_b)[:, None] * C)
-    for j in range(1, 7):
-        rec += basis.functions.T @ (pou.phi(j, sq)[:, None] * C)
-    w = basis.grid.weights
-    resid = float(np.max(np.sqrt(w @ (F - rec) ** 2) / np.sqrt(w @ F**2)))
+    resid = float(np.max(resynthesis_residual(to_grid(C, basis), C, basis, pou, range(1, 7))))
 
     checks = {"partition_identity": defect < 1e-12, "resynthesis": resid < 1e-8}
     return conclude(

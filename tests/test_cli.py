@@ -276,6 +276,13 @@ def test_report_exit_code_tracks_verdicts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_rejects_an_unknown_verdict(tmp_path, capsys):
+    (tmp_path / "x.json").write_text(json.dumps({"id": "x", "verdict": "Fail"}))
+    assert main(["report", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "x.json" in err and "'Fail'" in err
+
+
 def test_report_empty_directory(tmp_path, capsys):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     assert main(["report", "--dir", str(tmp_path / "empty")]) == 1

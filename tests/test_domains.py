@@ -150,11 +150,17 @@ def _uneven_weights(payload):
     payload["grid"]["weights"] = domains._encode_array(w)
 
 
+def _reshaped_grid(payload):
+    # Same nodes and weights, read as a 32x2 grid by the gradient fill.
+    payload["grid"]["shape"] = [32, 2]
+
+
 @pytest.mark.parametrize("tamper, match", [
     (_swap_modes, "mode_index"),
     (_fake_eigenvalue, "eigenvalues"),
     (_vertex_nodes, "grid nodes"),
     (_uneven_weights, "grid nodes and weights"),
+    (_reshaped_grid, "shape"),
 ])
 def test_load_rejects_inconsistent_interval_metadata(tmp_path, tamper, match):
     # Interval kernels are assembled from mode_index, L and N, not from the
@@ -390,3 +396,89 @@ def test_fd_basis_gradients_are_the_per_mode_stencil():
     assert G.shape == (2, 12, basis.grid.n_nodes) and G.flags.c_contiguous
     for r in range(basis.K):
         assert np.array_equal(G[:, r], _fd_gradient_per_node(basis.functions[r], basis.grid))
+
+
+# Per-mode loops that built the analytic bases and their gradients before
+# domains.cosine_modes; kept as oracles for the vectorized family.
+
+
+def _interval_modes_per_mode(L, N, ks):
+    x = (np.arange(N) + 0.5) * (L / N)
+    rows = np.empty((len(ks), N))
+    for r, k in enumerate(ks):
+        if k == 0:
+            rows[r] = L ** -0.5
+        else:
+            rows[r] = np.sqrt(2.0 / L) * np.cos(k * np.pi * x / L)
+    return rows
+
+
+def _functions_per_mode(basis):
+    dom, shape = basis.domain, basis.grid.shape
+    if dom.kind == "interval":
+        return _interval_modes_per_mode(dom.lengths[0], shape[0], basis.mode_index)
+    (Lx, Ly), (Nx, Ny) = dom.lengths, shape
+    a_needed = sorted({a for a, _ in basis.mode_index})
+    b_needed = sorted({b for _, b in basis.mode_index})
+    ex = dict(zip(a_needed, _interval_modes_per_mode(Lx, Nx, a_needed)))
+    ey = dict(zip(b_needed, _interval_modes_per_mode(Ly, Ny, b_needed)))
+    E = np.empty((basis.K, Nx * Ny))
+    for r, (a, b) in enumerate(basis.mode_index):
+        E[r] = np.outer(ex[a], ey[b]).ravel()
+    return E
+
+
+def _gradients_per_mode(basis):
+    grid = basis.grid
+    out = np.zeros((grid.domain.n, basis.K, grid.n_nodes))
+    if grid.domain.kind == "interval":
+        L = grid.domain.lengths[0]
+        x = grid.points[:, 0]
+        for r, k in enumerate(basis.mode_index):
+            if k == 0:
+                continue
+            kappa = k * np.pi / L
+            out[0, r] = -np.sqrt(2.0 / L) * kappa * np.sin(kappa * x)
+        return out
+    (Lx, Ly), (Nx, Ny) = grid.domain.lengths, grid.shape
+    xs = (np.arange(Nx) + 0.5) * (Lx / Nx)
+    ys = (np.arange(Ny) + 0.5) * (Ly / Ny)
+    for r, (a, b) in enumerate(basis.mode_index):
+        fx = (np.full(Nx, Lx**-0.5) if a == 0
+              else np.sqrt(2.0 / Lx) * np.cos(a * np.pi * xs / Lx))
+        fy = (np.full(Ny, Ly**-0.5) if b == 0
+              else np.sqrt(2.0 / Ly) * np.cos(b * np.pi * ys / Ly))
+        if a > 0:
+            ka = a * np.pi / Lx
+            out[0, r] = np.outer(-np.sqrt(2.0 / Lx) * ka * np.sin(ka * xs), fy).ravel()
+        if b > 0:
+            kb = b * np.pi / Ly
+            out[1, r] = np.outer(fx, -np.sqrt(2.0 / Ly) * kb * np.sin(kb * ys)).ravel()
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_interval_basis(math.pi, 1, N=8),  # K = 1
+    lambda: build_interval_basis(math.pi, 33, N=64),  # K - 1 = N/2
+    lambda: build_interval_basis(2.5, 4, N=7),  # odd N
+    lambda: build_interval_basis(32 * math.pi, 1025, N=2048),
+    lambda: build_rectangle_basis(1.0, 1.0, 30, Nx=9, Ny=12),  # degenerate levels
+    lambda: build_rectangle_basis(2.0, 1.0, 20, Nx=8, Ny=6),  # (2, 0) ~ (0, 1)
+    lambda: build_rectangle_basis(math.pi, 2 * math.pi, 80, Nx=32, Ny=64),
+])
+def test_cosine_family_is_the_per_mode_loops_bit_for_bit(build):
+    basis = build()
+    assert basis.functions.tobytes() == _functions_per_mode(basis).tobytes()
+    G = basis.gradients()
+    assert G.flags.c_contiguous and G.tobytes() == _gradients_per_mode(basis).tobytes()
+
+
+def test_cosine_family_squares_are_the_separable_axis_table():
+    # The squared per-axis table of the 2-D multiplier-scaling check, as
+    # it was written before (cos(kappa x), then the normalization).
+    L, A, n = 2.0, 85, 256
+    x = (np.arange(n) + 0.5) * (L / n)
+    E = np.cos(np.outer(np.arange(A) * math.pi / L, x))
+    E[0] *= math.sqrt(1.0 / L)
+    E[1:] *= math.sqrt(2.0 / L)
+    assert (domains.cosine_modes((L,), (n,), range(A)) ** 2).tobytes() == (E**2).tobytes()

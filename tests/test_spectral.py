@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nbesov.domains import build_interval_basis, build_rectangle_basis, load_basis, save_basis
+from nbesov.domains import (
+    build_interval_basis,
+    build_rectangle_basis,
+    interval_grid,
+    load_basis,
+    save_basis,
+)
 from nbesov.littlewood_paley import make_partition
 from nbesov.spectral import (
     GridFunction,
@@ -23,6 +29,8 @@ from nbesov.spectral import (
     resolvent_symbol,
     save_kernel,
     synthesize,
+    to_coeffs,
+    to_grid,
 )
 
 
@@ -267,3 +275,57 @@ def test_arithmetic_rejects_functions_on_other_grids(op):
     assert np.all(getattr(f, op)(same).values == (3.0 if op == "__add__" else -1.0))
     with pytest.raises(ValueError, match="shared grid"):
         getattr(f, op)(GridFunction.constant(interval_grid(2.0, 8)))
+
+
+def test_load_kernel_rejects_a_matrix_of_another_size(tmp_path, basis):
+    ker = multiplier_kernel(heat_symbol(0.05), basis)
+    p = tmp_path / "small.npz"
+    np.savez(p, matrix=ker.matrix[:3, :3], tag=np.array(ker.tag),
+             grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
+             symbol_values=ker.symbol_values)
+    with pytest.raises(ValueError, match="matrix"):
+        load_kernel(str(p), basis.grid)
+
+
+def test_grid_id_keeps_full_precision(tmp_path, basis):
+    assert interval_grid(math.pi, 512).grid_id() != interval_grid(3.14159, 512).grid_id()
+    assert basis.grid.grid_id() == f"interval[{math.pi!r}]/h={math.pi / 256!r}/N=256"
+    # A kernel file stamped with the old six-digit id no longer loads.
+    ker = multiplier_kernel(heat_symbol(0.05), basis)
+    p = tmp_path / "old.npz"
+    np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
+             grid_id=np.array("interval[3.14159]/h=0.0122718/N=256"),
+             tail_bound=np.array(0.0), symbol_values=ker.symbol_values)
+    with pytest.raises(ValueError, match="dumped for grid"):
+        load_kernel(str(p), basis.grid)
+
+
+def test_analyze_rejects_a_function_on_another_grid():
+    basis = build_interval_basis(math.pi, 8, N=64)
+    grid = interval_grid(2.0, 64)
+    f = GridFunction(np.cos(np.pi * grid.points[:, 0] / 2.0), grid)
+    with pytest.raises(ValueError, match="cannot be analyzed"):
+        analyze(f, basis)
+    same = GridFunction(np.ones(64), interval_grid(math.pi, 64))  # equal grid, new object
+    np.testing.assert_allclose(analyze(same, basis).values[0], math.sqrt(math.pi), rtol=1e-14)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_interval_basis(math.pi, 64, N=256),
+    lambda: build_rectangle_basis(math.pi, 2 * math.pi, 80, Nx=32, Ny=64),
+])
+def test_transform_pair_is_the_dense_products(build):
+    # to_grid is E^T C and to_coeffs is E (w F), bit for bit, on one
+    # vector and on a stack.
+    basis = build()
+    E, w = basis.functions, basis.grid.weights
+    rng = np.random.default_rng(3)
+    c, C = rng.standard_normal(basis.K), rng.standard_normal((basis.K, 5))
+    f, F = rng.standard_normal(basis.grid.n_nodes), rng.standard_normal((basis.grid.n_nodes, 5))
+    assert to_grid(c, basis).tobytes() == (E.T @ c).tobytes()
+    assert to_grid(C, basis).tobytes() == (E.T @ C).tobytes()
+    assert to_coeffs(f, basis).tobytes() == (E @ (w * f)).tobytes()
+    assert to_coeffs(F, basis).tobytes() == (E @ (w[:, None] * F)).tobytes()
+    g = GridFunction(f, basis.grid)
+    assert analyze(g, basis).values.tobytes() == (E @ (w * f)).tobytes()
+    assert synthesize(analyze(g, basis)).values.tobytes() == (E.T @ (E @ (w * f))).tobytes()

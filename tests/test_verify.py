@@ -18,7 +18,8 @@ from nbesov.verify import (
 from nbesov.domains import build_interval_basis, build_rectangle_basis, weyl_eigenvalue_estimate
 from nbesov.spectral import resolvent_symbol
 from nbesov.verify.amalgam import _column_tail_bound
-from nbesov.verify.common import conclude
+from nbesov.littlewood_paley import make_partition
+from nbesov.verify.common import coeff_batch, conclude, resynthesis_residual
 
 NEG_IDS = [k for k in REGISTRY if k.startswith("neg_")]
 
@@ -227,3 +228,29 @@ def test_column_tail_bound_is_the_squared_symbol_tail(basis):
         sup2 = float(np.max(np.abs(basis.functions)) ** 2)
         want = math.sqrt(7 * sup2 * float(np.sum(sym(lam) ** 2)))
         assert _column_tail_bound(sym, basis, 7) == pytest.approx(want, rel=1e-14)
+
+
+def _resynthesis_loop(F, C, basis, pou, js, cap):
+    """The cap-plus-blocks loop the reconstruction experiments wrote by hand."""
+    E, lam, w = basis.functions, basis.eigenvalues, basis.grid.weights
+    sq = np.sqrt(np.maximum(lam, 0.0))
+    rec = E.T @ (pou.psi(lam)[:, None] * C) if cap else np.zeros_like(F)
+    for j in js:
+        rec += E.T @ (pou.phi(j, sq)[:, None] * C)
+    return np.sqrt(w @ (F - rec) ** 2) / np.sqrt(w @ F**2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_interval_basis(math.pi, 64, N=512),
+    lambda: build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32),
+])
+@pytest.mark.parametrize("cap, j_lo", [(True, 1), (False, 0)])
+def test_resynthesis_residual_is_the_hand_loop(build, cap, j_lo):
+    basis, pou = build(), make_partition("standard")
+    C = coeff_batch(np.random.default_rng(0), basis.K, 7, decay=0.05)
+    F = basis.functions.T @ C
+    js = range(j_lo, 7)
+    got = resynthesis_residual(F, C, basis, pou, js, cap=cap)
+    assert got.tobytes() == _resynthesis_loop(F, C, basis, pou, js, cap).tobytes()
+    if cap:
+        assert got.max() < 1e-8

@@ -33,7 +33,6 @@ from .spectral import (
     heat,
     heat_kernel,
     multiplier_kernel,
-    project_P,
     resolvent_gamma,
     synthesize,
 )

@@ -151,10 +151,13 @@ class Grid:
         return float(sum((np.pi / (2.0 * h)) ** 2 for h in self.spacing))
 
     def grid_id(self) -> str:
-        """kind[lengths]/h=spacing/N=nodes, floats at full (repr) precision."""
+        """kind[lengths]/h=spacing/N=nodes, floats at full (repr) precision;
+        a polygon also names its cells, kind[lengths]{x0,x1,y0,y1;...}."""
         dom = self.domain
         dims, hs = ("x".join(repr(float(v)) for v in vs) for vs in (dom.lengths, self.spacing))
-        return f"{dom.kind}[{dims}]/h={hs}/N={self.n_nodes}"
+        cells = ";".join(",".join(repr(float(v)) for v in c) for c in dom.cells)
+        shape = f"{{{cells}}}" if dom.cells else ""
+        return f"{dom.kind}[{dims}]{shape}/h={hs}/N={self.n_nodes}"
 
 
 def _interval_nodes(L: float, N: int) -> NDArray:

@@ -214,34 +214,39 @@ def block_lp_table(
 
 def besov_table(
     C: NDArray,
-    s: float,
-    p: float,
-    q: float,
+    spq: Sequence[tuple[float, float, float]],
     pou: PartitionOfUnity,
     basis: EigenBasis,
     j_max: int,
     j_min: int = 1,
     include_cap: bool = True,
 ) -> NDArray:
-    """Besov norms of a (K, S) coefficient stack, one per column.
+    """Besov norms of a (K, S) coefficient stack for every (s, p, q) in spq.
 
-    include_cap=True gives the inhomogeneous norm (psi term plus blocks
-    j = 1..j_max); include_cap=False gives the homogeneous window
-    j_min..j_max with no cap.  This is the one Besov computation; the
-    single-function norms below wrap it.
+    Returns (len(spq), S).  include_cap=True gives the inhomogeneous norm
+    (psi term plus blocks j = 1..j_max); include_cap=False gives the
+    homogeneous window j_min..j_max with no cap.  A block depends on j and
+    the function only, so one block synthesis and one cap synthesis serve
+    every triple.  This is the one Besov computation; the single-function
+    norms below wrap it.
     """
+    ps = list(dict.fromkeys(p for _, p, _ in spq))
     js = list(range(1 if include_cap else j_min, j_max + 1))
-    blocks = block_lp_table(C, js, [p], pou, basis)[:, 0, :]  # (J, S)
-    weights = 2.0 ** (s * np.asarray(js, dtype=float))[:, None]
-    weighted = weights * blocks
-    if np.isinf(q):
-        body = weighted.max(axis=0)
-    else:
-        body = np.sum(weighted**q, axis=0) ** (1.0 / q)
-    if not include_cap:
-        return body
-    cap_fields = to_grid(pou.psi(basis.eigenvalues)[:, None] * C, basis)
-    return lp_columns(cap_fields, basis.grid.weights, p) + body
+    jw = np.asarray(js, dtype=float)
+    blocks = block_lp_table(C, js, ps, pou, basis)  # (J, len(ps), S)
+    if include_cap:
+        cap_fields = to_grid(pou.psi(basis.eigenvalues)[:, None] * C, basis)
+        caps = [lp_columns(cap_fields, basis.grid.weights, p) for p in ps]
+    out = np.empty((len(spq), C.shape[1]))
+    for row, (s, p, q) in enumerate(spq):
+        b = ps.index(p)
+        weighted = 2.0 ** (s * jw)[:, None] * blocks[:, b]
+        if np.isinf(q):
+            body = weighted.max(axis=0)
+        else:
+            body = np.sum(weighted**q, axis=0) ** (1.0 / q)
+        out[row] = caps[b] + body if include_cap else body
+    return out
 
 
 def besov_inhom(
@@ -259,8 +264,8 @@ def besov_inhom(
         raise ResolutionError(
             f"scale window j <= {params.j_max} misses a relative energy {defect:.3e} of f"
         )
-    C = c.values[:, None]
-    return float(besov_table(C, params.s, params.p, params.q, pou, basis, params.j_max)[0])
+    spq = [(params.s, params.p, params.q)]
+    return float(besov_table(c.values[:, None], spq, pou, basis, params.j_max)[0, 0])
 
 
 def besov_hom(
@@ -289,13 +294,13 @@ def besov_hom(
             f"scale window [{params.j_min}, {params.j_max}] misses a relative "
             f"energy {defect:.3e} of f (modulo constants)"
         )
-    C, s, p, q = c.values[:, None], params.s, params.p, params.q
-    value = besov_table(C, s, p, q, pou, basis, params.j_max, params.j_min, include_cap=False)
+    C, spq = c.values[:, None], [(params.s, params.p, params.q)]
+    value = besov_table(C, spq, pou, basis, params.j_max, params.j_min, include_cap=False)
     tail = 0.0
     if j_support < params.j_min:
-        tail = besov_table(C, s, p, q, pou, basis, params.j_min - 1, j_support,
-                           include_cap=False)[0]
-    return HomNorm(value=float(value[0]), tail_bound=float(tail))
+        tail = besov_table(C, spq, pou, basis, params.j_min - 1, j_support,
+                           include_cap=False)[0, 0]
+    return HomNorm(value=float(value[0, 0]), tail_bound=float(tail))
 
 
 def seminorm_pM(
@@ -308,8 +313,8 @@ def seminorm_pM(
     """
     c = analyze(f, basis)
     _, j_hi = scale_window(basis)
-    sup = besov_table(c.values[:, None], M, 1.0, np.inf, pou, basis, j_hi, include_cap=False)
-    return lp_norm(f, 1.0) + float(sup[0])
+    sup = besov_table(c.values[:, None], [(M, 1.0, np.inf)], pou, basis, j_hi, include_cap=False)
+    return lp_norm(f, 1.0) + float(sup[0, 0])
 
 
 def seminorm_qM(

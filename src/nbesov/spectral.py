@@ -59,7 +59,6 @@ __all__ = [
     "symbol_tail_bound",
     "heat",
     "heat_kernel",
-    "project_P",
     "resolvent_gamma",
     "gradient",
     "gradient_kernels",
@@ -381,11 +380,6 @@ def heat_kernel(t: float, basis: EigenBasis) -> OperatorKernel:
     return multiplier_kernel(heat_symbol(t), basis)
 
 
-def project_P(f: GridFunction) -> GridFunction:
-    """Remove the mean: the spectral projection onto positive frequencies."""
-    return GridFunction(f.values - f.mean(), f.grid)
-
-
 # ---------------------------------------------------------------------------
 # Fractional resolvent powers via the heat integral
 
@@ -554,27 +548,25 @@ def magnitude_norms(kernel: OperatorKernel) -> dict[str, float]:
 def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
     """Exact endpoint operator norms of a kernel on the weighted grid.
 
-    magnitude_norms() gives 1->1, 1->inf and inf->inf; callers that need
-    only those should call it, since 2->2 of a vector kernel is the costly
-    one.  2->2 takes one of three routes:
+    magnitude_norms() gives 1->1, 1->inf and inf->inf.  2->2 takes one of
+    two routes, both for scalar kernels:
 
-    - scalar kernel with symbol_values: max |phi(lambda_k)|, exact for an
-      analytic basis and accurate to the Gram deviation of a numeric one;
-    - scalar kernel without them: the largest singular value of the
-      weighted (N, N) matrix;
-    - vector kernel: sqrt of the top eigenvalue of sum_c A_c^* A_c over the
-      weighted (N, N) components, exact for the discrete operator.  This
-      costs O(N^3).
+    - with symbol_values: max |phi(lambda_k)|, exact for an analytic basis
+      and accurate to the Gram deviation of a numeric one;
+    - without them: the largest singular value of the weighted (N, N)
+      matrix.
+
+    A vector kernel (components set) raises ValueError: its endpoint norms
+    are magnitude_norms().
     """
-    norms = magnitude_norms(kernel)
-    sw = np.sqrt(kernel.grid.weights)
     if kernel.components is not None:
-        Aw = [sw[:, None] * Ac * sw[None, :] for Ac in kernel.components]
-        Gram = sum(A.T @ A for A in Aw)
-        n22 = float(np.sqrt(max(np.linalg.eigvalsh(Gram)[-1], 0.0)))
-    elif kernel.symbol_values is not None:
+        raise ValueError("endpoint_norms takes scalar kernels; use magnitude_norms "
+                         "for a vector kernel")
+    norms = magnitude_norms(kernel)
+    if kernel.symbol_values is not None:
         n22 = float(np.max(np.abs(kernel.symbol_values)))
     else:
+        sw = np.sqrt(kernel.grid.weights)
         Aw = sw[:, None] * kernel.matrix * sw[None, :]
         n22 = float(np.linalg.svd(Aw, compute_uv=False)[0])
     norms["2->2"] = n22

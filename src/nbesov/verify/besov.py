@@ -4,6 +4,7 @@ rule, and independence of the norms from the partition choice."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -116,52 +117,45 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(EMBED_DEFAULTS)
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
-    C0 = coeff_batch(rng, P["k_max"], P["n_samples"], decay=0.05)
+    coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
+    C0 = coeff_batch(rng, refined.K, P["n_samples"], k_max=P["k_max"], decay=0.05)
+    eps = 0.5
 
     def ratios(basis):
-        K = basis.K
-        C = np.zeros((K, C0.shape[1]))
-        C[: P["k_max"]] = C0
+        C = C0[: basis.K]
         F = to_grid(C, basis)
         w = basis.grid.weights
         _, J = scale_window(basis)
+        b02, b1, b01, bsup, b_half_12, b_half_22, b0_inf2, b04, b0inf = besov_table(
+            C, [(0.0, 2.0, 2.0), (1.0, 2.0, 2.0), (0.0, 2.0, 1.0), (eps, 2.0, np.inf),
+                (0.5, 1.0, 2.0), (0.5, 2.0, 2.0), (0.0, np.inf, 2.0), (0.0, 4.0, 2.0),
+                (0.0, 2.0, np.inf)], pou, basis, J)
         out = {}
-        b02 = besov_table(C, 0.0, 2.0, 2.0, pou, basis, J)
         l2 = lp_columns(F, w, 2.0)
         out["b022_vs_l2_hi"] = float(np.max(b02 / l2))
         out["b022_vs_l2_lo"] = float(np.max(l2 / b02))
         # Lifting by (I + H)^{s0/2}, s0 = +1 and -1, at s = 1.
         lam = basis.eigenvalues
-        b1 = besov_table(C, 1.0, 2.0, 2.0, pou, basis, J)
         for s0 in (1.0, -1.0):
             CL = (1.0 + lam[:, None]) ** (s0 / 2.0) * C
-            target = besov_table(CL, 1.0 - s0, 2.0, 2.0, pou, basis, J)
+            target = besov_table(CL, [(1.0 - s0, 2.0, 2.0)], pou, basis, J)[0]
             out[f"lift_{s0:+g}"] = float(np.max(target / b1))
         # Epsilon-loss against the explicit geometric constant.
-        eps = 0.5
-        bsum = besov_table(C, 0.0, 2.0, 1.0, pou, basis, J)
-        bsup = besov_table(C, eps, 2.0, np.inf, pou, basis, J)
-        out["eps_loss"] = float(np.max(bsum / bsup))
+        out["eps_loss"] = float(np.max(b01 / bsup))
         out["eps_loss_bound"] = 1.0 + sum(2.0 ** (-eps * j) for j in range(1, J + 1))
         # One-dimensional Sobolev-type gains.
-        b_half_12 = besov_table(C, 0.5, 1.0, 2.0, pou, basis, J)
         out["sobolev_1to2"] = float(np.max(b02 / b_half_12))
-        b_half_22 = besov_table(C, 0.5, 2.0, 2.0, pou, basis, J)
-        b0_inf2 = besov_table(C, 0.0, np.inf, 2.0, pou, basis, J)
         out["sobolev_2toinf"] = float(np.max(b0_inf2 / b_half_22))
         # L^p into B^0_{p,2} for p >= 2.
-        for p in (2.0, 4.0):
-            bp = besov_table(C, 0.0, p, 2.0, pou, basis, J)
+        for p, bp in ((2.0, b02), (4.0, b04)):
             out[f"lp_embed_p{p:g}"] = float(np.max(bp / lp_columns(F, w, p)))
         # l^q monotonicity is exact.
-        b01 = besov_table(C, 0.0, 2.0, 1.0, pou, basis, J)
-        b0inf = besov_table(C, 0.0, 2.0, np.inf, pou, basis, J)
         out["q_monotone_defect"] = float(np.max(
             np.maximum(b02 - b01, b0inf - b02) / b01))
         return out
 
-    base = ratios(interval_basis(math.pi, 64, 512))
-    fine = ratios(interval_basis(math.pi, 128, 1024))
+    base = ratios(coarse)
+    fine = ratios(refined)
 
     checks = {
         "b022_vs_l2_hi": base["b022_vs_l2_hi"] <= P["cap_l2"],
@@ -210,39 +204,33 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(DUALITY_DEFAULTS)
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
-    Cf0 = coeff_batch(rng, 48, P["n_pairs"], decay=0.05)
-    Cg0 = coeff_batch(rng, 48, P["n_pairs"], decay=0.05)
+    coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
+    Cf0 = coeff_batch(rng, refined.K, P["n_pairs"], k_max=48, decay=0.05)
+    Cg0 = coeff_batch(rng, refined.K, P["n_pairs"], k_max=48, decay=0.05)
+    dual = [(-s, _conj(p), _conj(q)) for s, p, q in _DUAL_TABLE]
 
     def run(basis):
-        K = basis.K
-        Cf = np.zeros((K, Cf0.shape[1]))
-        Cg = np.zeros((K, Cg0.shape[1]))
-        Cf[:48], Cg[:48] = Cf0, Cg0
+        Cf, Cg = Cf0[: basis.K], Cg0[: basis.K]
         _, J = scale_window(basis)
         pair = np.abs(np.sum(Cf * Cg, axis=0))  # quadrature-exact pairing
-        out = {}
-        for s, p, q in _DUAL_TABLE:
-            nf = besov_table(Cf, s, p, q, pou, basis, J)
-            ng = besov_table(Cg, -s, _conj(p), _conj(q), pou, basis, J)
-            out[f"s{s:g}_p{p:g}_q{q:g}"] = float(np.max(pair / (nf * ng)))
-        return out
+        nf = besov_table(Cf, _DUAL_TABLE, pou, basis, J)
+        ng = besov_table(Cg, dual, pou, basis, J)
+        return {f"s{s:g}_p{p:g}_q{q:g}": float(np.max(pair / (nf[i] * ng[i])))
+                for i, (s, p, q) in enumerate(_DUAL_TABLE)}
 
-    base = run(interval_basis(math.pi, 64, 512))
-    fine = run(interval_basis(math.pi, 128, 1024))
+    base = run(coarse)
+    fine = run(refined)
     drift = {k: abs(fine[k] - base[k]) / base[k] for k in base}
 
     # Structural checks: pairing against constants vanishes for mean-zero f,
     # and the ratio is invariant under rescaling f.
-    basis = interval_basis(math.pi, 64, 512)
-    cz = np.zeros(basis.K)
+    cz = np.zeros(coarse.K)
     cz[1:5] = 1.0
-    pair_const = abs(cz[0]) * math.sqrt(basis.domain.volume)
-    _, J = scale_window(basis)
-    scale_gap = 0.0
-    for s, p, q in _DUAL_TABLE[:1]:
-        n1 = besov_table(cz[:, None], s, p, q, pou, basis, J)[0]
-        n2 = besov_table(2.0 * cz[:, None], s, p, q, pou, basis, J)[0]
-        scale_gap = abs(n2 / n1 - 2.0)
+    pair_const = abs(cz[0]) * math.sqrt(coarse.domain.volume)
+    _, J = scale_window(coarse)
+    n1 = besov_table(cz[:, None], _DUAL_TABLE[:1], pou, coarse, J)[0, 0]
+    n2 = besov_table(2.0 * cz[:, None], _DUAL_TABLE[:1], pou, coarse, J)[0, 0]
+    scale_gap = abs(n2 / n1 - 2.0)
 
     checks = {k: v <= P["cap"] for k, v in base.items()}
     checks["refinement_drift"] = max(drift.values()) <= P["drift_tol"]
@@ -287,16 +275,17 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
     """
     P = spec.merged(LEIBNIZ_DEFAULTS)
     rng = np.random.default_rng(spec.seed)
+    coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
     kcap = P["band_cap"] + 1
-    Cf0 = coeff_batch(rng, kcap, P["n_pairs"], decay=0.08)
-    Cg0 = coeff_batch(rng, kcap, P["n_pairs"], decay=0.08)
+    Cf0 = coeff_batch(rng, refined.K, P["n_pairs"], k_max=kcap, decay=0.08)
+    Cg0 = coeff_batch(rng, refined.K, P["n_pairs"], k_max=kcap, decay=0.08)
+    lhs_spq = [(s, p, q) for s, p, q, *_ in _LEIBNIZ_TUPLES]
+    f_spq = [(s, p1, q) for s, _, q, p1, *_ in _LEIBNIZ_TUPLES]
+    g_spq = [(s, p4, q) for s, _, q, *_, p4 in _LEIBNIZ_TUPLES]
 
     def run(basis, pou):
         w = basis.grid.weights
-        K = basis.K
-        Cf = np.zeros((K, Cf0.shape[1]))
-        Cg = np.zeros((K, Cg0.shape[1]))
-        Cf[:kcap], Cg[:kcap] = Cf0, Cg0
+        Cf, Cg = Cf0[: basis.K], Cg0[: basis.K]
         F, G = to_grid(Cf, basis), to_grid(Cg, basis)
         H = F * G
         Ch = to_coeffs(H, basis)
@@ -306,34 +295,34 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         discarded = int(np.sum(leak > P["band_leak_tol"]))
         keep = leak <= P["band_leak_tol"]
         a, J = scale_window(basis)
+        lhs = besov_table(Ch[:, keep], lhs_spq, pou, basis, J)
+        bf = besov_table(Cf[:, keep], f_spq, pou, basis, J)
+        bg = besov_table(Cg[:, keep], g_spq, pou, basis, J)
         out = {}
-        for s, p, q, p1, p2, p3, p4 in _LEIBNIZ_TUPLES:
-            lhs = besov_table(Ch[:, keep], s, p, q, pou, basis, J)
-            rhs = (besov_table(Cf[:, keep], s, p1, q, pou, basis, J)
-                   * lp_columns(G[:, keep], w, p2)
-                   + lp_columns(F[:, keep], w, p3)
-                   * besov_table(Cg[:, keep], s, p4, q, pou, basis, J))
-            out[f"s{s:g}_p{p:g}"] = float(np.max(lhs / rhs))
+        for i, (s, p, q, p1, p2, p3, p4) in enumerate(_LEIBNIZ_TUPLES):
+            rhs = (bf[i] * lp_columns(G[:, keep], w, p2)
+                   + lp_columns(F[:, keep], w, p3) * bg[i])
+            out[f"s{s:g}_p{p:g}"] = float(np.max(lhs[i] / rhs))
         # Homogeneous variant on mean-removed inputs.
         Cfz, Cgz = Cf.copy(), Cg.copy()
         Cfz[0] = Cgz[0] = 0.0
         Fz, Gz = to_grid(Cfz, basis), to_grid(Cgz, basis)
         Hz = Fz * Gz
         Chz = to_coeffs(Hz, basis)
-        s, p, q, p1, p2, p3, p4 = _LEIBNIZ_TUPLES[0]
-        lhs = besov_table(Chz, s, p, q, pou, basis, J, j_min=a, include_cap=False)
-        rhs = (besov_table(Cfz, s, p1, q, pou, basis, J, j_min=a, include_cap=False)
+        p2, p3 = _LEIBNIZ_TUPLES[0][4:6]
+        lhs = besov_table(Chz, lhs_spq[:1], pou, basis, J, j_min=a, include_cap=False)[0]
+        rhs = (besov_table(Cfz, f_spq[:1], pou, basis, J, j_min=a, include_cap=False)[0]
                * lp_columns(Gz, w, p2)
                + lp_columns(Fz, w, p3)
-               * besov_table(Cgz, s, p4, q, pou, basis, J, j_min=a, include_cap=False))
+               * besov_table(Cgz, g_spq[:1], pou, basis, J, j_min=a, include_cap=False)[0])
         out["hom"] = float(np.max(lhs / rhs))
         return out, discarded
 
     pou = partition_for(spec)
-    base, disc = run(interval_basis(math.pi, 64, 512), pou)
-    fine, _ = run(interval_basis(math.pi, 128, 1024), pou)
+    base, disc = run(coarse, pou)
+    fine, _ = run(refined, pou)
     other = "perturbed" if spec.pou_variant == "standard" else "standard"
-    swap, _ = run(interval_basis(math.pi, 64, 512), make_partition(other))
+    swap, _ = run(coarse, make_partition(other))
     drift_refine = {k: abs(fine[k] - base[k]) / base[k] for k in base}
     drift_swap = {k: abs(swap[k] - base[k]) / base[k] for k in base}
 
@@ -373,25 +362,18 @@ def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
     pou_a = make_partition("standard")
     pou_b = make_partition("perturbed")
     rng = np.random.default_rng(spec.seed)
-    C0 = coeff_batch(rng, 48, P["n_samples"], decay=0.05)
+    coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
+    C0 = coeff_batch(rng, refined.K, P["n_samples"], k_max=48, decay=0.05)
+    spq = list(itertools.product(P["s_table"], P["pq_table"], P["pq_table"]))
 
     def table(basis):
-        K = basis.K
-        C = np.zeros((K, C0.shape[1]))
-        C[:48] = C0
+        C = C0[: basis.K]
         _, J = scale_window(basis)
-        out = {}
-        for s in P["s_table"]:
-            for p in P["pq_table"]:
-                for q in P["pq_table"]:
-                    na = besov_table(C, s, p, q, pou_a, basis, J)
-                    nb = besov_table(C, s, p, q, pou_b, basis, J)
-                    r = na / nb
-                    out[(s, p, q)] = (float(r.min()), float(r.max()))
-        return out
+        r = besov_table(C, spq, pou_a, basis, J) / besov_table(C, spq, pou_b, basis, J)
+        return {key: (float(row.min()), float(row.max())) for key, row in zip(spq, r)}
 
-    base = table(interval_basis(math.pi, 64, 512))
-    fine = table(interval_basis(math.pi, 128, 1024))
+    base = table(coarse)
+    fine = table(refined)
 
     points, worst_lo, worst_hi, worst_drift = [], math.inf, 0.0, 0.0
     for key, (lo, hi) in base.items():

@@ -72,8 +72,7 @@ def neg_reversed_inequality(spec: ExperimentSpec) -> EstimateReport:
     rng = np.random.default_rng(spec.seed)
     C = np.zeros((basis.K, 50))
     C[32:] = rng.standard_normal((basis.K - 32, 50))
-    rough = besov_table(C, 0.0, 2.0, 2.0, pou, basis, 6)
-    smooth = besov_table(C, 0.5, 2.0, 2.0, pou, basis, 6)
+    rough, smooth = besov_table(C, [(0.0, 2.0, 2.0), (0.5, 2.0, 2.0)], pou, basis, 6)
     ratio = float(np.max(smooth / rough))
     claim = "B(s=1/2) <= 3 B(s=0)"
     return conclude(

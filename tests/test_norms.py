@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,8 @@ from nbesov.norms import (
     seminorm_qM,
     triple_norm,
 )
-from nbesov.spectral import GridFunction, heat_kernel
+from nbesov.spectral import GridFunction, heat_kernel, to_grid
+from nbesov.verify.besov import PARTITION_DEFAULTS
 
 
 @pytest.fixture(scope="module")
@@ -223,38 +225,87 @@ def test_besov_triangle_inequality(a, b):
     assert nab <= na + nb + 1e-9 * (1.0 + na + nb)
 
 
+def _besov_table_scalar(C, s, p, q, pou, basis, j_max, j_min=1, include_cap=True):
+    """besov_table as it was before it took a list of (s, p, q) triples:
+    one triple per call, every block synthesised again.  Kept as the
+    oracle for the batched rows."""
+    js = list(range(1 if include_cap else j_min, j_max + 1))
+    blocks = block_lp_table(C, js, [p], pou, basis)[:, 0, :]  # (J, S)
+    weights = 2.0 ** (s * np.asarray(js, dtype=float))[:, None]
+    weighted = weights * blocks
+    if np.isinf(q):
+        body = weighted.max(axis=0)
+    else:
+        body = np.sum(weighted**q, axis=0) ** (1.0 / q)
+    if not include_cap:
+        return body
+    cap_fields = to_grid(pou.psi(basis.eigenvalues)[:, None] * C, basis)
+    return lp_columns(cap_fields, basis.grid.weights, p) + body
+
+
+def _wide_basis(shape):
+    # sqrt(lambda_2) = 1/4 on both, so scales below j = 0 carry a nonzero tail.
+    if shape == "interval":
+        return build_interval_basis(4 * math.pi, 64, N=256)
+    return build_rectangle_basis(4 * math.pi, 4 * math.pi, 60, Nx=32, Ny=32)
+
+
+@pytest.mark.parametrize("shape", ["interval", "rectangle"])
+def test_besov_table_rows_are_the_scalar_calls_bit_for_bit(shape, pou):
+    b = _wide_basis(shape)
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((b.K, 6)) * np.exp(-0.05 * np.arange(b.K))[:, None]
+    j_gap, j_cover = scale_window(b)
+    assert j_gap == -2
+    P = PARTITION_DEFAULTS
+    tables = [
+        list(itertools.product(P["s_table"], P["pq_table"], P["pq_table"])),
+        [(0.5, 2.0, 1.0), (-1.0, 2.0, 2.0), (0.5, 2.0, 1.0), (2.0, np.inf, 2.0),
+         (1.0, 4.0, np.inf)],
+        [(1.0, 4.0, 2.0)],
+    ]
+    # Inhomogeneous, two homogeneous windows, and the besov_hom tail below j_min = 0.
+    windows = [
+        {"j_max": j_cover},
+        {"j_max": j_cover, "j_min": j_gap, "include_cap": False},
+        {"j_max": j_cover, "j_min": 0, "include_cap": False},
+        {"j_max": -1, "j_min": j_gap, "include_cap": False},
+    ]
+    for spq in tables:
+        for win in windows:
+            got = besov_table(C, spq, pou, b, **win)
+            assert got.shape == (len(spq), C.shape[1])
+            for row, (s, p, q) in enumerate(spq):
+                want = _besov_table_scalar(C, s, p, q, pou, b, **win)
+                assert np.array_equal(got[row], want), (spq[row], win)
+
+
 @pytest.mark.parametrize("shape", ["interval", "rectangle"])
 def test_besov_table_columns_are_the_single_function_norms(shape, pou):
     # The batched core is the one Besov computation: each column must be
     # the norm the single-function wrappers report for that function.
-    if shape == "interval":
-        b = build_interval_basis(4 * math.pi, 64, N=256)
-    else:
-        b = build_rectangle_basis(4 * math.pi, 4 * math.pi, 60, Nx=32, Ny=32)
+    b = _wide_basis(shape)
     rng = np.random.default_rng(3)
     C = rng.standard_normal((b.K, 4)) * np.exp(-0.05 * np.arange(b.K))[:, None]
     fs = [_from_coeffs(b, C[:, i]) for i in range(C.shape[1])]
-    # sqrt(lambda_2) = 1/4, so the scales below j_min = 0 carry a nonzero tail.
     j_support = math.floor(math.log2(math.sqrt(b.eigenvalues[1]))) - 1
-    for s in (-0.5, 1.0):
-        for p in (1.0, 2.0, 4.0, np.inf):
-            for q in (1.0, 2.0, np.inf):
-                prm = BesovParams(s=s, p=p, q=q, j_min=0,
-                                  j_max=default_besov_params(b, s, p, q).j_max)
-                inhom = besov_table(C, s, p, q, pou, b, prm.j_max)
-                hom = besov_table(C, s, p, q, pou, b, prm.j_max, prm.j_min,
-                                  include_cap=False)
-                tail = besov_table(C, s, p, q, pou, b, -1, j_support,
-                                   include_cap=False)
-                for i, f in enumerate(fs):
-                    h = besov_hom(f, prm, pou, b)
-                    assert besov_inhom(f, prm, pou, b) == pytest.approx(inhom[i], rel=1e-14)
-                    assert h.value == pytest.approx(hom[i], rel=1e-14)
-                    assert h.tail_bound == pytest.approx(tail[i], rel=1e-14)
-                    assert h.tail_bound > 0.0
+    spq = list(itertools.product((-0.5, 1.0), (1.0, 2.0, 4.0, np.inf), (1.0, 2.0, np.inf)))
+    j_max = default_besov_params(b, 0.0, 1.0, 1.0).j_max
+    inhom = besov_table(C, spq, pou, b, j_max)
+    hom = besov_table(C, spq, pou, b, j_max, 0, include_cap=False)
+    tail = besov_table(C, spq, pou, b, -1, j_support, include_cap=False)
+    for row, (s, p, q) in enumerate(spq):
+        prm = BesovParams(s=s, p=p, q=q, j_min=0, j_max=j_max)
+        assert default_besov_params(b, s, p, q).j_max == j_max
+        for i, f in enumerate(fs):
+            h = besov_hom(f, prm, pou, b)
+            assert besov_inhom(f, prm, pou, b) == pytest.approx(inhom[row, i], rel=1e-14)
+            assert h.value == pytest.approx(hom[row, i], rel=1e-14)
+            assert h.tail_bound == pytest.approx(tail[row, i], rel=1e-14)
+            assert h.tail_bound > 0.0
     j_hi = math.ceil(math.log2(math.sqrt(b.eigenvalues[-1]))) + 1
     for M in (0.5, 2.0):
-        sup = besov_table(C, M, 1.0, np.inf, pou, b, j_hi, include_cap=False)
+        sup = besov_table(C, [(M, 1.0, np.inf)], pou, b, j_hi, include_cap=False)[0]
         for i, f in enumerate(fs):
             assert seminorm_pM(f, M, pou, b) == pytest.approx(
                 lp_norm(f, 1.0) + sup[i], rel=1e-14)
@@ -358,7 +409,7 @@ def _pM_wide(f, M, pou, basis):
     lam_top = float(basis.eigenvalues[-1])
     j_hi = max(1, math.ceil(math.log2(math.sqrt(lam_top))) + 1 if lam_top > 0 else 1)
     c = basis.functions @ (basis.grid.weights * f.values)
-    sup = besov_table(c[:, None], M, 1.0, np.inf, pou, basis, j_hi, include_cap=False)
+    sup = _besov_table_scalar(c[:, None], M, 1.0, np.inf, pou, basis, j_hi, include_cap=False)
     return lp_norm(f, 1.0) + float(sup[0])
 
 
@@ -379,8 +430,8 @@ def _hom_tail_wide(f, params, pou, basis):
     if j_support >= params.j_min:
         return 0.0
     c = basis.functions @ (basis.grid.weights * f.values)
-    return float(besov_table(c[:, None], params.s, params.p, params.q, pou, basis,
-                             params.j_min - 1, j_support, include_cap=False)[0])
+    return float(_besov_table_scalar(c[:, None], params.s, params.p, params.q, pou, basis,
+                                     params.j_min - 1, j_support, include_cap=False)[0])
 
 
 @pytest.mark.parametrize("L, K, N, window", [

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from nbesov.domains import (
+    Domain,
+    build_fd_basis,
     build_interval_basis,
     build_rectangle_basis,
     interval_grid,
     load_basis,
+    lshape_domain,
+    polygon_grid,
+    rectangle_grid,
     save_basis,
 )
 from nbesov.littlewood_paley import make_partition
@@ -175,25 +180,20 @@ def test_kernel_save_load_round_trip(tmp_path, basis):
         load_kernel(str(p1), other.grid)
 
 
-def test_gradient_kernel_22_is_the_sine_family_value(basis):
-    # On an interval the gradient maps the cosine modes to the orthonormal
-    # sine family, so the dense vector 2->2 route must give
-    # max_k sqrt(lambda_k) |phi(lambda_k)|.
-    pou = make_partition("standard")
-    sq = np.sqrt(np.maximum(basis.eigenvalues, 0.0))
-    for sym in (heat_symbol(0.05), block_symbol(pou, 2)):
-        ker = gradient_kernels(sym, basis)
-        ref = float(np.max(sq * np.abs(sym(basis.eigenvalues))))
-        assert endpoint_norms(ker)["2->2"] == pytest.approx(ref, rel=1e-12, abs=0)
-
-
 def test_magnitude_norms_are_endpoint_norms_without_22(basis):
     rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
-    for ker in (heat_kernel(0.05, basis), gradient_kernels(heat_symbol(0.05), basis),
-                gradient_kernels(heat_symbol(0.05), rect)):
+    for ker in (heat_kernel(0.05, basis), heat_kernel(0.05, rect)):
         ends = endpoint_norms(ker)
         assert ends.pop("2->2") > 0
         assert magnitude_norms(ker) == ends
+
+
+def test_endpoint_norms_rejects_vector_kernels(basis):
+    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
+    for b in (basis, rect):
+        ker = gradient_kernels(heat_symbol(0.05), b)
+        with pytest.raises(ValueError, match="magnitude_norms"):
+            endpoint_norms(ker)
 
 
 def test_gradient_kernel_save_load_keeps_vector_data(tmp_path, basis):
@@ -205,7 +205,7 @@ def test_gradient_kernel_save_load_keeps_vector_data(tmp_path, basis):
         a, b = getattr(loaded, name), getattr(ker, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
-    assert endpoint_norms(loaded) == endpoint_norms(ker)
+    assert magnitude_norms(loaded) == magnitude_norms(ker)
 
 
 def test_load_kernel_rejects_mismatched_components(tmp_path, basis):
@@ -298,6 +298,28 @@ def test_grid_id_keeps_full_precision(tmp_path, basis):
              tail_bound=np.array(0.0), symbol_values=ker.symbol_values)
     with pytest.raises(ValueError, match="dumped for grid"):
         load_kernel(str(p), basis.grid)
+
+
+def test_polygon_grid_ids_name_the_cells():
+    # The L-shape and its mirror image have the same bounding box, spacing
+    # and node count but different nodes.
+    lshape = lshape_domain()
+    mirror = Domain(kind="polygon", n=2, lengths=(2.0, 2.0), volume=3.0,
+                    diameter=lshape.diameter,
+                    cells=((0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 2.0)))
+    grid, other = polygon_grid(lshape, 0.1), polygon_grid(mirror, 0.1)
+    assert grid.n_nodes == other.n_nodes == 300
+    assert grid.grid_id() == ("polygon[2.0x2.0]{0.0,1.0,0.0,2.0;1.0,2.0,0.0,1.0}"
+                              "/h=0.1x0.1/N=300")
+    assert other.grid_id() != grid.grid_id()
+    basis = build_fd_basis(lshape, 0.1, 6)
+    with pytest.raises(ValueError, match="cannot be analyzed"):
+        analyze(GridFunction(np.ones(300), other), basis)
+    with pytest.raises(ValueError):
+        GridFunction(np.ones(300), grid) + GridFunction(np.ones(300), other)
+    # Interval and rectangle ids carry no cell list.
+    rect = rectangle_grid(math.pi, 2.0, 12, 8)
+    assert rect.grid_id() == f"rectangle[{math.pi!r}x2.0]/h={math.pi / 12!r}x0.25/N=96"
 
 
 def test_analyze_rejects_a_function_on_another_grid():

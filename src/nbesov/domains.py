@@ -633,10 +633,10 @@ def weyl_count_estimate(domain: Domain, lam: float) -> float:
 def weyl_eigenvalue_estimate(domain: Domain, k: NDArray) -> NDArray:
     """Inverse of the leading-order Weyl count: estimated lambda_k.
 
-    Used to bound symbol tails over unresolved modes.  The estimate
-    undershoots true Neumann eigenvalues (the boundary term is positive),
-    which makes the resulting tail bounds conservative for decaying
-    symbols.
+    Used to estimate symbol tails over unresolved modes.  Exact on the
+    interval; in 2-D the Neumann boundary term raises the count, so it
+    overshoots (pi x pi square: lambda_50 = 52, estimate 62.4) and the
+    tails built on it are estimates, not bounds (ROADMAP item 3).
     """
     k = np.asarray(k, dtype=float)
     if domain.n == 1:

@@ -18,8 +18,9 @@ basis the cell-centred nodes turn every product e_k(x_i) e_k(x_j) into a
 sum of two cosines of (i - j) and (i + j + 1), so the kernel of phi(H) is
 exactly a Toeplitz plus a Hankel matrix whose profile is one DCT-I of the
 symbol values (one DST-I for the gradient kernel): O(N log N) plus one
-N^2 pass, equal to the dense sum up to roundoff.  Rectangle and
-finite-difference bases form the dense product E^T diag(phi(lambda)) E.
+N^2 pass, equal to the dense sum up to roundoff; the heat-envelope scan
+reads the same profile (interval_profile) without the N^2 pass.  Rectangle
+and finite-difference bases form the dense product E^T diag(phi(lambda)) E.
 
 Every kernel carries a reported tail bound over the unresolved modes,
 estimated through the leading-order Weyl law; nothing above the resolved
@@ -56,6 +57,7 @@ __all__ = [
     "apply_multiplier",
     "apply_kernel",
     "multiplier_kernel",
+    "interval_profile",
     "symbol_tail_bound",
     "heat",
     "heat_kernel",
@@ -265,13 +267,13 @@ def apply_multiplier(symbol: SymbolFn, f: GridFunction, basis: EigenBasis) -> Gr
 
 
 def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis, k_extra: int = 200_000) -> float:
-    """Reported bound on the truncated kernel part sum_{k>K} |phi(lambda_k)|.
+    """Reported tail of the truncated kernel part sum_{k>K} |phi(lambda_k)|.
 
-    Unresolved eigenvalues are estimated by the leading-order Weyl law
-    (an underestimate for Neumann boundary conditions, hence conservative
-    for decaying symbols), and the mode sup-norms by the largest observed
-    sup-norm among resolved modes.  Exactly zero for symbols supported
-    below the top resolved eigenvalue.
+    Unresolved eigenvalues come from the leading-order Weyl law (exact on
+    the interval, an overshoot of the Neumann eigenvalues in 2-D, so there
+    the value is an estimate, not a bound: ROADMAP item 3), and the mode
+    sup-norms from the largest observed sup-norm among resolved modes.
+    Exactly zero for symbols supported below the top resolved eigenvalue.
     """
     lam_top = float(basis.eigenvalues[-1])
     if symbol.support is not None and symbol.support[1] <= lam_top:
@@ -311,7 +313,12 @@ def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> tuple[NDArray,
     if not np.all(np.isfinite(svals)):
         raise ValueError(f"symbol {symbol.tag} is not finite on the spectrum")
     if basis.kind == "analytic" and basis.domain.kind == "interval":
-        Kmat = _interval_kernel(svals, basis, grad)
+        v = interval_profile(svals, basis, grad)
+        N = v.size - 1
+        mirror = (-v if grad else v)[N - 1:0:-1]  # copies: the scalar K is symmetric
+        prof = np.concatenate((mirror, v, mirror))  # v(q) for q = -(N-1)..2N-1
+        # T_ij = v(i-j) plus H_ij = v(i+j+1) in one N^2 pass
+        Kmat = sliding_window_view(prof[:2 * N - 1], N)[:, ::-1] + sliding_window_view(prof[N:], N)
         return svals, Kmat[None] if grad else Kmat
     E = basis.functions
     if grad:
@@ -320,13 +327,15 @@ def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> tuple[NDArray,
     return svals, (E.T * svals) @ E
 
 
-def _interval_kernel(svals: NDArray, basis: EigenBasis, grad: bool) -> NDArray:
-    """Kernel of phi(H), or of d/dx phi(H), on an analytic interval basis.
+def interval_profile(svals: NDArray, basis: EigenBasis, grad: bool = False) -> NDArray:
+    """Profile v(q), q = 0..N, of the kernel of phi(H), or with grad of
+    d/dx phi(H), on an analytic interval basis, from the symbol values
+    svals = phi(lambda_k).
 
     On the nodes x_i = (i + 1/2) h, h = L/N, the product formula gives
     e_k(x_i) e_k(x_j) = (c_k / 2L) [cos(pi k (i-j) / N) + cos(pi k (i+j+1) / N)]
-    with c_0 = 1 and c_k = 2, so the kernel is exactly T + H with
-    T_ij = v(i-j) and H_ij = v(i+j+1), where
+    with c_0 = 1 and c_k = 2, so the kernel is exactly K_ij = v(i-j) + v(i+j+1),
+    where
 
         v(q) = sum_k c_k phi(lambda_k) / (2L) cos(pi k q / N)   (one DCT-I),
 
@@ -334,10 +343,11 @@ def _interval_kernel(svals: NDArray, basis: EigenBasis, grad: bool) -> NDArray:
 
         v(q) = -sum_k kappa_k phi(lambda_k) / L sin(pi k q / N)   (one DST-I).
 
-    Both transforms give q = 0..N; the other offsets come by mirroring,
-    v(-q) = v(2N - q) = +-v(q), so the scalar kernel is exactly symmetric.
-    Cost O(N log N) plus one N^2 pass instead of an O(N^2 K) product.
+    The other offsets follow by mirroring, v(-q) = v(2N - q) = +-v(q).
+    Cost O(N log N).
     """
+    if not (basis.kind == "analytic" and basis.domain.kind == "interval"):
+        raise ValueError("interval_profile needs an analytic interval basis")
     L = basis.domain.lengths[0]
     N = basis.grid.n_nodes
     k = np.asarray(basis.mode_index)
@@ -347,15 +357,9 @@ def _interval_kernel(svals: NDArray, basis: EigenBasis, grad: bool) -> NDArray:
         half = np.zeros(N + 1)  # the sine sum vanishes at q = 0 and q = N
         if N > 1:
             half[1:N] = dst(c[1:N], type=1)
-        mirror = -half[N - 1:0:-1]
-    else:
-        c[k] = svals / (2.0 * L)
-        half = dct(c, type=1)
-        mirror = half[N - 1:0:-1]
-    prof = np.concatenate((mirror, half, mirror))  # v(q) for q = -(N-1)..2N-1
-    T = sliding_window_view(prof[:2 * N - 1], N)[:, ::-1]
-    H = sliding_window_view(prof[N:], N)
-    return T + H
+        return half
+    c[k] = svals / (2.0 * L)
+    return dct(c, type=1)
 
 
 def apply_kernel(kernel: OperatorKernel, f: GridFunction) -> GridFunction:

@@ -222,11 +222,11 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
     fine = run(refined)
     drift = {k: abs(fine[k] - base[k]) / base[k] for k in base}
 
-    # Structural checks: pairing against constants vanishes for mean-zero f,
-    # and the ratio is invariant under rescaling f.
+    # Structural checks: the quadrature pairing of a mean-zero f with the
+    # constant 1 vanishes, and the ratio is invariant under rescaling f.
     cz = np.zeros(coarse.K)
     cz[1:5] = 1.0
-    pair_const = abs(cz[0]) * math.sqrt(coarse.domain.volume)
+    pair_const = abs(float(np.sum(coarse.grid.weights * to_grid(cz, coarse))))
     _, J = scale_window(coarse)
     n1 = besov_table(cz[:, None], _DUAL_TABLE[:1], pou, coarse, J)[0, 0]
     n2 = besov_table(2.0 * cz[:, None], _DUAL_TABLE[:1], pou, coarse, J)[0, 0]

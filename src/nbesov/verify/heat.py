@@ -19,7 +19,7 @@ import numpy as np
 
 from ..domains import build_interval_basis, build_rectangle_basis
 from ..reports import EstimateReport, least_squares_fit
-from ..spectral import heat_kernel
+from ..spectral import heat_kernel, heat_symbol, interval_profile, symbol_tail_bound
 from .common import ExperimentSpec, conclude, geometric_spread
 
 __all__ = ["exp_heat_gaussian"]
@@ -44,23 +44,56 @@ HEAT_DEFAULTS = {
 }
 
 
-def _pair_dist2(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sum(diff**2, axis=2)
-
-
-def _distance_groups(points: np.ndarray):
-    """Grid pairs grouped by bitwise-equal squared distance.
-
-    Returns the flat pair order that sorts |x-y|^2 ascending (stable), the
-    sorted squared distances, the start of each group in that order, and
-    each group's squared distance.
-    """
-    D2 = _pair_dist2(points).ravel()
+def _distance_groups(basis, ts):
+    """Dense route: pairs grouped by bitwise-equal squared distance.  Returns
+    the groups' squared distances (ascending) and pair counts, and per t the
+    tail bound, the max of the gathered K_t per group and min K_t."""
+    x = basis.grid.points
+    D2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2).ravel()
     order = np.argsort(D2, kind="stable")
     d2 = D2[order]
     starts = np.flatnonzero(np.r_[True, d2[1:] != d2[:-1]])
-    return order, d2, starts, d2[starts]
+
+    def stats():
+        for t in ts:
+            ker = heat_kernel(float(t), basis)
+            Kt = ker.matrix
+            yield ker.tail_bound, np.maximum.reduceat(Kt.ravel()[order], starts), float(Kt.min())
+
+    return d2[starts], np.diff(np.r_[starts, d2.size]), stats()
+
+
+def _parity_suffix(ufunc, v):
+    """out[u] = ufunc over v[u], v[u+2], v[u+4], ..."""
+    out = np.empty_like(v)
+    for p in (0, 1):
+        out[p::2] = ufunc.accumulate(v[p::2][::-1])[::-1]
+    return out
+
+
+def _offset_groups(basis, ts):
+    """Profile route on an analytic interval basis, same returns as
+    _distance_groups with one group per offset d = |i - j|: squared distance
+    (d h)^2, N pairs at d = 0 and 2(N - d) otherwise.
+
+    K_ij = v(d) + v(i+j+1), and for fixed d the sums i+j+1 run over
+    {d+1, d+3, ..., 2N-1-d}; as v(2N - s) = v(s), the values met are v(u)
+    for u in [d+1, N] with the parity of d+1.  The group max (min) is v(d)
+    plus their max (min), the dense kernel's value exactly, because rounded
+    addition is monotone.
+    """
+    N = basis.grid.n_nodes
+    d = np.arange(N)
+    counts = np.where(d == 0, N, 2 * (N - d))
+
+    def stats():
+        for t in ts:
+            sym = heat_symbol(float(t))
+            v = interval_profile(sym(basis.eigenvalues), basis)
+            k_min = float(np.min(v[:N] + _parity_suffix(np.minimum, v)[1:]))
+            yield symbol_tail_bound(sym, basis), v[:N] + _parity_suffix(np.maximum, v)[1:], k_min
+
+    return (d * basis.grid.h) ** 2, counts, stats()
 
 
 def _domain_scan(basis, ts, cs, P, dim):
@@ -71,52 +104,53 @@ def _domain_scan(basis, ts, cs, P, dim):
     maximum used for the decay fit.
 
     log C(t, c) is the max over decidable pairs with K_t > 0 of
-    log K_t - log m_t + |x-y|^2 / (c t).  Pairs are grouped once per grid by
-    their squared distance, so each t takes one max of log K_t per group
-    and the c loop runs over groups only.  The result is bit-identical to
-    the per-pair max: for a fixed group the shifts -log m_t and
-    +|x-y|^2 / (c t) are the same for every pair, and rounded addition and
-    subtraction are monotone in each operand, so the group max commutes
-    with them.  Decidability (|x-y|^2 <= c t L) keeps a prefix of the
-    sorted groups, found by searchsorted.
+    log K_t - log m_t + |x-y|^2 / (c t).  Pairs are grouped by squared
+    distance, so each t takes one max of K_t and one log per group and the
+    c loop runs over groups only: for a fixed group the shifts -log m_t and
+    +|x-y|^2 / (c t) are the same for every pair, and log and rounded
+    addition are monotone, so the group max commutes with them.
+    Decidability (|x-y|^2 <= c t L) keeps a prefix of the sorted groups,
+    found by searchsorted.  Rectangle and FD bases group the dense K_t
+    (_distance_groups) and equal the per-pair scan bit for bit.  Analytic
+    interval bases never form K_t (_offset_groups); an offset's pairwise
+    distances differ from (d h)^2 by ulps, so there log C can move by ulps,
+    while the kernel extrema (pk_max, pos_margin, the floor) are exact.
     """
-    order, d2_sorted, starts, d2_groups = _distance_groups(basis.grid.points)
-    n_pairs = d2_sorted.size
+    if basis.kind == "analytic" and basis.domain.kind == "interval":
+        d2, counts, stats = _offset_groups(basis, ts)
+    else:
+        d2, counts, stats = _distance_groups(basis, ts)
+    cum = np.r_[0, np.cumsum(counts)]
+    n_pairs = int(cum[-1])
     vol = basis.domain.volume
     c_max = cs[-1]
     rows = []
-    for t in ts:
-        ker = heat_kernel(float(t), basis)
-        tail = ker.tail_bound
+    for t, (tail, gmax, k_min) in zip(ts, stats):
         m_t = max(t ** (-dim / 2.0), 1.0)
-        Kt = ker.matrix
+        k_diag_max = float(gmax[0])  # the d = 0 group is the diagonal
         # Kernel values are indeterminate below the spectral truncation tail
         # OR the roundoff floor of the mode sum, whichever is larger.  A pair
         # is decidable at scale c only where the envelope clears that floor
         # by the declared margin; the decidable region therefore shrinks
         # with c, which keeps floor-dominated far pairs from being amplified
         # by exp(|x-y|^2/(c t)).
-        floor = max(tail, 1e-14 * float(np.max(np.diag(Kt))))
+        floor = max(tail, 1e-14 * k_diag_max)
         L = math.log(max(m_t / (P["tail_margin"] * floor), 1e-300)) if floor > 0 else math.inf
-        frac = int(np.searchsorted(d2_sorted, c_max * t * L, side="right")) / n_pairs
+        frac = int(cum[np.searchsorted(d2, c_max * t * L, side="right")]) / n_pairs
         admissible = (tail <= P["tail_abs_frac"] * m_t) and (frac >= P["min_pair_frac"])
-        pos_margin = float(Kt.min()) + tail  # positivity: min K_t >= -tail
+        pos_margin = k_min + tail  # positivity: min K_t >= -tail
         logC = np.full(len(cs), -np.inf)
-        k_sorted = Kt.ravel()[order]
-        pos = k_sorted > 0
-        if np.any(pos):
-            log_k = np.full(n_pairs, -np.inf)
-            log_k[pos] = np.log(k_sorted[pos])
-            base = np.maximum.reduceat(log_k, starts) - math.log(m_t)
-            for i, c in enumerate(cs):
-                n_sel = int(np.searchsorted(d2_groups, c * t * L, side="right"))
-                if n_sel:
-                    logC[i] = float(np.max(base[:n_sel] + d2_groups[:n_sel] / (c * t)))
-        pk_max = float(np.max(np.abs(Kt - 1.0 / vol)))
+        with np.errstate(divide="ignore"):  # groups with no K_t > 0 give -inf
+            base = np.log(np.maximum(gmax, 0.0)) - math.log(m_t)
+        for i, c in enumerate(cs):
+            n_sel = int(np.searchsorted(d2, c * t * L, side="right"))
+            if n_sel:
+                logC[i] = float(np.max(base[:n_sel] + d2[:n_sel] / (c * t)))
+        pk_max = max(float(np.max(gmax)) - 1.0 / vol, 1.0 / vol - k_min)
         rows.append({
             "t": float(t), "tail": float(tail), "admissible": bool(admissible),
             "pair_frac": frac, "pos_margin": pos_margin, "logC": logC,
-            "pk_max": pk_max, "k_diag_max": float(np.max(np.diag(Kt))),
+            "pk_max": pk_max, "k_diag_max": k_diag_max,
         })
     return rows
 

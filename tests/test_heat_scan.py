@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from nbesov.domains import build_interval_basis, build_rectangle_basis
+from nbesov import spectral
+from nbesov.domains import (build_fd_basis, build_interval_basis, build_rectangle_basis,
+                            lshape_domain)
 from nbesov.spectral import heat_kernel
-from nbesov.verify.heat import HEAT_DEFAULTS, _domain_scan, _pair_dist2
+from nbesov.verify import heat as heat_module
+from nbesov.verify.heat import HEAT_DEFAULTS, _domain_scan
 
 
 def _per_pair_scan(basis, ts, cs, P, dim):
     """Reference: the envelope scan that masks every pair for every c."""
-    D2 = _pair_dist2(basis.grid.points)
+    x = basis.grid.points
+    D2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
     vol = basis.domain.volume
     c_max = cs[-1]
     rows = []
@@ -43,27 +47,65 @@ def _per_pair_scan(basis, ts, cs, P, dim):
     return rows
 
 
-@pytest.mark.parametrize("domain", ["interval", "rectangle"])
-def test_grouped_scan_is_bit_identical_to_per_pair_scan(domain):
+def _cs():
     P = HEAT_DEFAULTS
     n_c = int(math.ceil(math.log(P["c_hi"] / P["c_lo"]) / math.log(P["c_step"]))) + 1
-    cs = P["c_lo"] * P["c_step"] ** np.arange(n_c)
-    if domain == "interval":
-        basis, dim = build_interval_basis(math.pi, 24, N=48), 1
-    else:
-        basis, dim = build_rectangle_basis(math.pi, math.pi, 20, Nx=8, Ny=8), 2
+    return P["c_lo"] * P["c_step"] ** np.arange(n_c)
+
+
+def _ts(basis):
     # Start below the experiment's h^2 so that the smallest t leave every
     # pair undecidable and log C at -inf.
-    ts = np.logspace(math.log10(basis.grid.h**2) - 2, math.log10(P["t_max"]), 14)
-    got = _domain_scan(basis, ts, cs, P, dim)
-    ref = _per_pair_scan(basis, ts, cs, P, dim)
+    return np.logspace(math.log10(basis.grid.h**2) - 2, math.log10(HEAT_DEFAULTS["t_max"]), 14)
+
+
+def _scan_pairs(basis, dim):
+    """(grouped row, per-pair row) for every t, after checking that the
+    window covers decided, partly decided and undecided scans and that every
+    field but log C is exactly equal."""
+    got = _domain_scan(basis, _ts(basis), _cs(), HEAT_DEFAULTS, dim)
+    ref = _per_pair_scan(basis, _ts(basis), _cs(), HEAT_DEFAULTS, dim)
     assert len(got) == len(ref)
-    for g, r in zip(got, ref):
-        assert g.keys() == r.keys()
-        assert np.array_equal(g["logC"], r["logC"])
-        for key in r.keys() - {"logC"}:
-            assert type(g[key]) is type(r[key]) and g[key] == r[key], key
-    # The comparison covers decided, partly decided and undecided scans.
     logC = np.stack([r["logC"] for r in ref])
     assert np.isfinite(logC).any() and np.isinf(logC).any()
     assert any(0 < r["pair_frac"] < 1 for r in ref)
+    for g, r in zip(got, ref):
+        assert g.keys() == r.keys()
+        for key in r.keys() - {"logC"}:
+            assert type(g[key]) is type(r[key]) and g[key] == r[key], key
+    return zip(got, ref)
+
+
+@pytest.mark.parametrize("domain", ["rectangle", "polygon"])
+def test_grouped_scan_is_bit_identical_to_per_pair_scan(domain):
+    """Dense route: bitwise-equal distance groups reproduce the per-pair scan."""
+    if domain == "rectangle":
+        basis = build_rectangle_basis(math.pi, math.pi, 20, Nx=8, Ny=8)
+    else:
+        basis = build_fd_basis(lshape_domain(), 0.25, 12)
+    for g, r in _scan_pairs(basis, 2):
+        assert np.array_equal(g["logC"], r["logC"])
+
+
+@pytest.mark.parametrize("N", [48, 49])
+def test_interval_profile_scan_matches_per_pair_scan(N):
+    """Profile route: offset groups agree with the per-pair scan to roundoff
+    in log C (the (d h)^2 of an offset differs from the pairwise squared
+    distances by ulps) and exactly in everything else."""
+    for g, r in _scan_pairs(build_interval_basis(math.pi, 24, N=N), 1):
+        np.testing.assert_allclose(g["logC"], r["logC"], rtol=1e-12, atol=0.0)
+        assert np.array_equal(np.isinf(g["logC"]), np.isinf(r["logC"]))
+
+
+def test_interval_scan_forms_no_kernel(monkeypatch):
+    """The interval scan reads the profile; a return to the dense kernel
+    route would call one of these."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense kernel built")
+
+    monkeypatch.setattr(heat_module, "heat_kernel", refuse)
+    monkeypatch.setattr(spectral, "multiplier_kernel", refuse)
+    monkeypatch.setattr(spectral, "_assemble", refuse)
+    basis = build_interval_basis(math.pi, 24, N=48)
+    rows = _domain_scan(basis, _ts(basis), _cs(), HEAT_DEFAULTS, 1)
+    assert len(rows) == 14 and any(r["admissible"] for r in rows)

@@ -26,6 +26,7 @@ from nbesov.spectral import (
     gradient_kernels,
     heat_kernel,
     heat_symbol,
+    interval_profile,
     load_kernel,
     magnitude_norms,
     multiplier_kernel,
@@ -242,6 +243,32 @@ def test_interval_kernels_match_dense_oracle(N, top):
         for got, ref in ((ker, (E.T * s) @ E), (grad.matrix, (G.T * s) @ E)):
             err = float(np.max(np.abs(got - ref)))
             assert err <= 1e-12 * float(np.max(np.abs(ref))), (sym.tag, err)
+
+
+@pytest.mark.parametrize("N", [1, 7, 512])
+@pytest.mark.parametrize("top", [False, True])
+def test_interval_kernels_are_sums_of_the_profile(N, top):
+    # Both interval kernels are v(i-j) + v(i+j+1) bit for bit, with v(0..N)
+    # from interval_profile and v(-q) = v(2N-q) = v(q), or -v(q) for the
+    # gradient's DST-I profile.
+    basis = build_interval_basis(math.pi, N // 2 + 1 if top else 1, N=N)
+    i, j = np.indices((N, N))
+    for sym in _oracle_symbols(basis):
+        s = sym(basis.eigenvalues)
+        for grad, ker in ((False, multiplier_kernel(sym, basis).matrix),
+                          (True, gradient_kernels(sym, basis).matrix)):
+            v = interval_profile(s, basis, grad)
+            assert v.shape == (N + 1,)
+            sign = -1.0 if grad else 1.0
+            full = np.concatenate((v, sign * v[N - 1:0:-1]))  # v(q), q = 0..2N-1
+            T = np.where(i >= j, full[np.abs(i - j)], sign * full[np.abs(i - j)])
+            assert np.array_equal(ker, T + full[i + j + 1]), (sym.tag, grad)
+
+
+def test_interval_profile_rejects_other_bases():
+    basis = build_rectangle_basis(math.pi, math.pi, 4, Nx=4, Ny=4)
+    with pytest.raises(ValueError, match="analytic interval"):
+        interval_profile(np.ones(4), basis)
 
 
 def test_interval_kernels_from_loaded_basis_are_bitwise_equal(tmp_path):

@@ -254,3 +254,15 @@ def test_resynthesis_residual_is_the_hand_loop(build, cap, j_lo):
     assert got.tobytes() == _resynthesis_loop(F, C, basis, pou, js, cap).tobytes()
     if cap:
         assert got.max() < 1e-8
+
+
+def test_duality_pairs_its_mean_zero_function_with_the_constant(suite_reports):
+    """mean_zero_pairing is the midpoint-rule integral of f = e_1 + ... + e_4
+    on the coarse (K=64, N=512) interval basis, recomputed here from the
+    closed-form cosines."""
+    L, N = math.pi, 512
+    x = (np.arange(N) + 0.5) * (L / N)
+    f = sum(math.sqrt(2.0 / L) * np.cos(k * x) for k in range(1, 5))
+    pairing = abs(float(np.sum(f)) * (L / N))
+    reported = suite_reports["reports"]["duality"].fit["mean_zero_pairing"]
+    assert reported <= 1e-12 and abs(reported - pairing) <= 1e-14

@@ -98,6 +98,8 @@ def _cmd_basis(args) -> int:
 def _load_function(path: str, basis) -> GridFunction:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} is not a JSON object")
     if "values" in payload:
         vals = np.asarray(payload["values"], dtype=float)
         return GridFunction(vals, basis.grid)
@@ -281,9 +283,11 @@ def _cmd_report(args) -> int:
         try:
             with open(os.path.join(args.dir, name)) as fh:
                 payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ValueError(f"a JSON {type(payload).__name__}, not an object")
             rows.append(EstimateReport(id=payload["id"], params={},
                                        verdict=payload["verdict"]))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:
             return _fail(f"report: {name} is not a report file ({exc})")
         if rows[-1].verdict not in (PASS, FAIL, INCONCLUSIVE):
             return _fail(f"report: {name} is not a report file "

@@ -377,13 +377,9 @@ def build_interval_basis(L: float, K: int, N: int = 512) -> EigenBasis:
         raise ValueError(
             f"K={K} asks for modes beyond the resolution cutoff (k-1 <= N/2 = {N / 2:g})"
         )
-    ks = list(range(K))
-    return EigenBasis(grid=interval_grid(L, N), eigenvalues=_interval_eigenvalues(L, K),
+    ks, lam = list(range(K)), (np.arange(K, dtype=float) * np.pi / L) ** 2
+    return EigenBasis(grid=interval_grid(L, N), eigenvalues=lam,
                       functions=cosine_modes((L,), (N,), ks), kind="analytic", mode_index=ks)
-
-
-def _interval_eigenvalues(L: float, K: int) -> NDArray:
-    return (np.arange(K, dtype=float) * np.pi / L) ** 2
 
 
 def rectangle_mode_table(Lx: float, Ly: float, Nx: int, Ny: int) -> list[tuple[float, int, int]]:
@@ -423,38 +419,6 @@ def build_rectangle_basis(Lx: float, Ly: float, K: int, Nx: int = 64, Ny: int = 
         kind="analytic",
         mode_index=modes,
     )
-
-
-def _check_analytic_metadata(basis: EigenBasis) -> None:
-    """Reject an analytic basis whose metadata disagrees with its builder.
-
-    Analytic kernels and gradients are computed from the mode numbers, the
-    side lengths and the grid shape, not from the sampled functions, so
-    those must describe the closed-form family: mode_index, the eigenvalues
-    (bitwise) and the grid nodes and weights must be what
-    build_interval_basis / build_rectangle_basis produce for them.
-    """
-    dom, grid, K = basis.domain, basis.grid, basis.K
-    if dom.kind == "interval":
-        L, N = dom.lengths[0], grid.n_nodes
-        modes = list(range(K)) if K - 1 <= N / 2 else None
-        lam, ref = _interval_eigenvalues(L, K), interval_grid(L, N)
-    elif dom.kind == "rectangle" and grid.shape is not None and len(grid.shape) == 2:
-        (Lx, Ly), (Nx, Ny) = dom.lengths, grid.shape
-        table = rectangle_mode_table(Lx, Ly, Nx, Ny)[:K]
-        modes = [(a, b) for _, a, b in table] if len(table) == K else None
-        lam, ref = np.array([t[0] for t in table]), rectangle_grid(Lx, Ly, Nx, Ny)
-    else:
-        raise ValueError(f"no analytic eigenbasis on a {dom.kind} grid")
-    numbers = [v for m in basis.mode_index for v in (m if isinstance(m, tuple) else (m,))]
-    if modes is None or basis.mode_index != modes or any(type(v) is not int for v in numbers):
-        raise ValueError(f"{dom.kind} mode_index is not the first {K} closed-form modes")
-    if not np.array_equal(basis.eigenvalues, lam):
-        raise ValueError(f"{dom.kind} eigenvalues are not the closed-form ones of the stored modes")
-    if not (np.array_equal(grid.points, ref.points) and np.array_equal(grid.weights, ref.weights)
-            and grid.shape == ref.shape):
-        raise ValueError(f"grid nodes and weights, or the grid shape, are not those of the "
-                         f"{dom.kind} builder")
 
 
 def _fd_laplacian(grid: Grid) -> sp.csr_matrix:
@@ -648,6 +612,8 @@ def weyl_eigenvalue_estimate(domain: Domain, k: NDArray) -> NDArray:
 # ---------------------------------------------------------------------------
 # Serialization (bit-exact round trip)
 
+BASIS_FORMAT = "nbesov-eigenbasis/2"
+
 
 def _encode_array(a: NDArray) -> dict:
     a = np.ascontiguousarray(a)
@@ -663,69 +629,92 @@ def _decode_array(d: dict) -> NDArray:
     return np.frombuffer(raw, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
 
 
+def _basis_from_payload(payload: dict, eigenvalues=None, functions=None) -> EigenBasis:
+    """Rebuild the basis a save_basis payload describes: an analytic one by
+    its builder, a numeric one from the given (else the stored) eigenpairs
+    on polygon_grid(domain, spacing), checked by EigenBasis.validate()."""
+    d, K, kind = payload["domain"], payload["K"], payload["kind"]
+    lengths = tuple(d["lengths"])
+    dom = Domain(kind=d["kind"], n=len(lengths), lengths=lengths, volume=d["volume"],
+                 diameter=float(np.hypot(*lengths)) if len(lengths) == 2 else lengths[0],
+                 cells=tuple(tuple(c) for c in d["cells"]))
+    if kind == "analytic" and dom.kind == "interval" and len(payload["shape"]) == 1:
+        basis = build_interval_basis(lengths[0], K, N=payload["shape"][0])
+    elif kind == "analytic" and dom.kind == "rectangle" and len(payload["shape"]) == 2:
+        basis = build_rectangle_basis(*lengths, K, *payload["shape"])
+    elif kind == "numeric":
+        if eigenvalues is None:
+            eigenvalues = _decode_array(payload["eigenvalues"])
+            functions = _decode_array(payload["functions"])
+        basis = EigenBasis(grid=polygon_grid(dom, payload["spacing"]), eigenvalues=eigenvalues,
+                           functions=functions, kind=kind, mode_index=list(range(K)))
+        basis.validate()
+    else:
+        raise ValueError(f"no {kind} eigenbasis on a {dom.kind} grid of shape "
+                         f"{payload.get('shape')}")
+    if basis.domain != dom or basis.K != K:
+        raise ValueError(f"the rebuilt basis has K={basis.K} on {basis.domain}, "
+                         f"not K={K} on {dom}")
+    return basis
+
+
+def _same_bits(a, b) -> bool:
+    return a is b or (a is not None and b is not None and a.dtype == b.dtype
+                      and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
 def save_basis(basis: EigenBasis, path: str) -> None:
-    """Write a self-describing JSON file; float arrays are raw little-endian
-    bytes in base64, so load_basis(save_basis(b)) reproduces b bit for bit
-    and rebuilding with the same inputs rewrites the same bytes."""
-    dom = basis.domain
+    """Write a self-describing JSON file of format BASIS_FORMAT.
+
+    An analytic file holds only its builder's arguments (domain, grid shape,
+    K); a numeric file holds the mesh spacing and the eigenvalues and
+    functions as raw bytes in base64.  Raises ValueError, writing nothing,
+    unless load_basis would return this basis bit for bit (e.g. for an
+    analytic basis on a hand-made grid)."""
+    dom, grid = basis.domain, basis.grid
     payload = {
-        "format": "nbesov-eigenbasis/1",
+        "format": BASIS_FORMAT,
+        "kind": basis.kind,
+        "K": basis.K,
         "domain": {
             "kind": dom.kind,
             "lengths": list(dom.lengths),
             "volume": dom.volume,
             "cells": [list(c) for c in dom.cells],
         },
-        "grid": {
-            "spacing": list(basis.grid.spacing),
-            "shape": list(basis.grid.shape) if basis.grid.shape else None,
-            "points": _encode_array(basis.grid.points),
-            "weights": _encode_array(basis.grid.weights),
-            "index": _encode_array(basis.grid.index) if basis.grid.index is not None else None,
-        },
-        "kind": basis.kind,
-        "K": basis.K,
-        "eigenvalues": _encode_array(basis.eigenvalues),
-        "functions": _encode_array(basis.functions),
-        "mode_index": [list(m) if isinstance(m, tuple) else m for m in basis.mode_index],
     }
+    if basis.kind == "numeric":
+        payload["spacing"] = grid.spacing[0]
+        payload["eigenvalues"] = _encode_array(basis.eigenvalues)
+        payload["functions"] = _encode_array(basis.functions)
+    else:
+        payload["shape"] = list(grid.shape or ())
+    back = _basis_from_payload(payload, basis.eigenvalues, basis.functions)
+    if not (back.kind == basis.kind and back.mode_index == basis.mode_index
+            and back.domain == dom and back.grid.spacing == grid.spacing
+            and back.grid.shape == grid.shape
+            and all(_same_bits(x, y) for x, y in (
+                (back.eigenvalues, basis.eigenvalues), (back.functions, basis.functions),
+                (back.grid.points, grid.points), (back.grid.weights, grid.weights),
+                (back.grid.index, grid.index)))):
+        raise ValueError(f"{basis.kind} basis on {grid.grid_id()} is not what its builder "
+                         "makes from the stored arguments, so it cannot be saved")
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
 
 def load_basis(path: str) -> EigenBasis:
-    """Read a save_basis file; an analytic file must carry the metadata of
-    its closed-form family (_check_analytic_metadata)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "nbesov-eigenbasis/1":
-        raise ValueError(f"{path} is not an eigenbasis file")
-    d = payload["domain"]
-    dom = Domain(
-        kind=d["kind"],
-        n=len(d["lengths"]),
-        lengths=tuple(d["lengths"]),
-        volume=d["volume"],
-        diameter=float(np.linalg.norm(d["lengths"])) if len(d["lengths"]) > 1 else d["lengths"][0],
-        cells=tuple(tuple(c) for c in d["cells"]),
-    )
-    g = payload["grid"]
-    grid = Grid(
-        domain=dom,
-        points=_decode_array(g["points"]),
-        weights=_decode_array(g["weights"]),
-        spacing=tuple(g["spacing"]),
-        index=_decode_array(g["index"]) if g["index"] is not None else None,
-        shape=tuple(g["shape"]) if g["shape"] else None,
-    )
-    mode_index = [tuple(m) if isinstance(m, list) else m for m in payload["mode_index"]]
-    basis = EigenBasis(
-        grid=grid,
-        eigenvalues=_decode_array(payload["eigenvalues"]),
-        functions=_decode_array(payload["functions"]),
-        kind=payload["kind"],
-        mode_index=mode_index,
-    )
-    if basis.kind == "analytic":
-        _check_analytic_metadata(basis)
-    return basis
+    """Read a save_basis file: rebuild an analytic basis from its builder's
+    arguments, and validate a numeric one's stored eigenpairs."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        fmt = payload.get("format") if isinstance(payload, dict) else None
+        if fmt != BASIS_FORMAT:
+            raise ValueError(f"not an {BASIS_FORMAT} file (format {fmt!r}); "
+                             "rebuild it with nbesov basis --out")
+        return _basis_from_payload(payload)
+    except KeyError as exc:
+        raise ValueError(f"{path}: eigenbasis file lacks the field {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

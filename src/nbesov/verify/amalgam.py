@@ -103,7 +103,7 @@ def _bump_symbol(pou, theta):
     )
 
 
-def _block_operator_bounds(kernel, cells, rng, n_probes):
+def _block_operator_bounds(kernel, cells, perm, starts, rng, n_probes):
     """Two-sided bounds on the kernel's norm on the cube-summed L^2 space.
 
     Upper: sum over row cubes of the largest singular value of each
@@ -135,9 +135,6 @@ def _block_operator_bounds(kernel, cells, rng, n_probes):
         lower = max(lower, float(sig.max()))
     upper = float(S.sum(axis=0).max())
 
-    perm = np.concatenate([idx for _, idx in cells])
-    sizes = np.array([len(idx) for _, idx in cells])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     G = rng.standard_normal((kernel.grid.n_nodes, n_probes))
     KG = kernel.matrix @ (w[:, None] * G)
     num = _l1l2_columns(KG, w, perm, starts)
@@ -203,17 +200,21 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     fits["slope_2d"] = fit2.slope
     checks[f"2d slope {fit2.slope:.3f}"] = abs(fit2.slope - (-0.5)) <= P["slope_tol"]
 
-    # Uniform boundedness of the bump on the cube-summed L^2 space.
+    # Uniform boundedness of the bump on the cube-summed L^2 space, and
+    # growth like theta^(alpha/2) of its localization norm.
     uppers, gaps = [], []
+    triples = {alpha: [] for alpha in P["alphas"]}
     for th in thetas1:
-        cells, _, _ = _cell_layout(basis1.grid, th)
+        cells, perm, starts = _cell_layout(basis1.grid, th)
         ker = multiplier_kernel(_bump_symbol(pou, th), basis1)
-        up, lo = _block_operator_bounds(ker, cells, rng, P["n_probes"])
+        up, lo = _block_operator_bounds(ker, cells, perm, starts, rng, P["n_probes"])
         uppers.append(up)
         gaps.append(up / lo)
         points.append({"part": "bump_bound", "theta": float(th), "upper": up,
                        "lower": lo, "gap": up / lo,
                        "tail_bound": ker.tail_bound})
+        for alpha, vals in triples.items():
+            vals.append(triple_norm(ker, alpha, th))
     spread = max(uppers) / min(uppers)
     worst_gap = max(gaps)
     fits["bump_upper_spread"] = spread
@@ -223,12 +224,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     if worst_gap > P["gap_cap"]:
         unresolved = f"bump bound gap {worst_gap:.1f} exceeds {P['gap_cap']:g}"
 
-    # Localization norm of the bump grows like theta^(alpha/2).
-    for alpha in P["alphas"]:
-        vals = []
-        for th in thetas1:
-            ker = multiplier_kernel(_bump_symbol(pou, th), basis1)
-            vals.append(triple_norm(ker, alpha, th))
+    for alpha, vals in triples.items():
         fit = least_squares_fit(np.log(thetas1), np.log(vals))
         fits[f"triple_slope_alpha{alpha:g}"] = fit.slope
         checks[f"triple alpha={alpha:g} slope {fit.slope:.3f}"] = (

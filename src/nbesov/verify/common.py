@@ -2,9 +2,11 @@
 
 Experiments are pure functions from an ExperimentSpec to an EstimateReport.
 Everything here is deterministic given the spec's seed: random draws come
-from a generator seeded per experiment, bases are rebuilt from scratch on
-every call (construction itself is deterministic), and reductions over
-parameter grids preserve a fixed order.
+from a generator seeded per experiment, and reductions over parameter grids
+preserve a fixed order.  interval_basis and rectangle_basis are lru_cached:
+one deterministic build per argument tuple, shared by every experiment and
+every worker thread of the suite, so experiments must not mutate the bases
+they return.
 """
 
 from __future__ import annotations

@@ -2,10 +2,18 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from nbesov.cli import main
-from nbesov.domains import build_interval_basis, save_basis
+from nbesov.domains import (
+    build_fd_basis,
+    build_interval_basis,
+    build_rectangle_basis,
+    lshape_domain,
+    save_basis,
+)
+from nbesov.spectral import endpoint_norms, heat_kernel
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +194,39 @@ def test_heat_prints_mean_removed_sup(basis_file, capsys):
     assert float(vals["mean_removed_sup"]) == pytest.approx(expect, rel=1e-4)
 
 
+@pytest.mark.parametrize("flags, build", [
+    (["--shape", "rectangle", "--Lx", "1.0", "--Ly", "2.0", "--Nx", "8", "--Ny", "12",
+      "--K", "20"], lambda: build_rectangle_basis(1.0, 2.0, 20, Nx=8, Ny=12)),
+    (["--shape", "lshape", "--h", "0.2", "--K", "12"],
+     lambda: build_fd_basis(lshape_domain(), 0.2, 12)),
+], ids=["rectangle", "lshape"])
+def test_heat_on_saved_basis_matches_in_process_build(tmp_path, capsys, flags, build):
+    path = str(tmp_path / "b.json")
+    assert main(["basis", *flags, "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["heat", "--basis", path, "--t", "0.1"]) == 0
+    basis = build()
+    kernel = heat_kernel(0.1, basis)
+    expect = [f"norm[{name}] = {float(val)!r}" for name, val in endpoint_norms(kernel).items()]
+    sup = float(np.max(np.abs(kernel.matrix - 1.0 / basis.domain.volume)))
+    expect += [f"tail_bound = {float(kernel.tail_bound)!r}", f"mean_removed_sup = {sup!r}"]
+    assert capsys.readouterr().out.splitlines() == expect
+
+
+@pytest.mark.parametrize("command", ["norm", "multiplier", "heat"])
+@pytest.mark.parametrize("payload, message", [
+    ({"format": "nbesov-eigenbasis/1", "kind": "analytic"}, "nbesov-eigenbasis/1"),
+    ({"format": "nbesov-eigenbasis/2", "kind": "analytic"}, "lacks the field"),
+], ids=["v1", "no_domain"])
+def test_malformed_basis_file_exits_one(tmp_path, capsys, command, payload, message):
+    basis = _write_function(tmp_path, "bad.json", payload)
+    extra = {"norm": ["--function", _write_function(tmp_path, "f.json", {"coeffs": [1.0]})],
+             "multiplier": ["--j", "2"], "heat": ["--t", "0.1"]}[command]
+    assert main([command, "--basis", basis, *extra]) == 1
+    err = capsys.readouterr().err
+    assert "bad.json" in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # verify / report
 
@@ -281,6 +322,13 @@ def test_report_rejects_an_unknown_verdict(tmp_path, capsys):
     assert main(["report", "--dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "x.json" in err and "'Fail'" in err
+
+
+def test_report_rejects_a_non_object_file(tmp_path, capsys):
+    (tmp_path / "x.json").write_text("[1]")
+    assert main(["report", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "x.json" in err and "not an object" in err
 
 
 def test_report_empty_directory(tmp_path, capsys):

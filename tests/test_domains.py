@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from nbesov import domains
 from nbesov.domains import (
     Domain,
+    EigenBasis,
     build_fd_basis,
     build_interval_basis,
     build_rectangle_basis,
@@ -109,16 +111,33 @@ def test_weyl_count_two_dimensional():
     assert 1.0 < ratio < 1.2
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_save_load_round_trip(tmp_path):
-    basis = build_interval_basis(math.pi, 32, N=128)
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_basis(basis, str(p1))
-    loaded = load_basis(str(p1))
-    np.testing.assert_array_equal(loaded.eigenvalues, basis.eigenvalues)
-    np.testing.assert_array_equal(loaded.functions, basis.functions)
-    np.testing.assert_array_equal(loaded.grid.points, basis.grid.points)
-    save_basis(loaded, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
+    for basis in (build_interval_basis(math.pi, 32, N=128),
+                  build_rectangle_basis(1.0, 2.0, 30, Nx=12, Ny=16),
+                  build_fd_basis(lshape_domain(), 0.1, 20)):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_basis(basis, str(p1))
+        loaded = load_basis(str(p1))
+        for name in ("eigenvalues", "functions"):
+            assert _same_bits(getattr(loaded, name), getattr(basis, name)), name
+        for name in ("points", "weights", "index"):
+            assert _same_bits(getattr(loaded.grid, name), getattr(basis.grid, name)), name
+        for name in ("domain", "spacing", "shape"):
+            assert getattr(loaded.grid, name) == getattr(basis.grid, name), name
+        assert (loaded.kind, loaded.mode_index) == (basis.kind, basis.mode_index)
+        save_basis(loaded, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_analytic_file_holds_only_builder_arguments(tmp_path):
+    p = tmp_path / "i2048.json"
+    save_basis(build_interval_basis(math.pi, 1025, N=2048), str(p))
+    assert p.stat().st_size < 1024
+    assert set(json.loads(p.read_text())) == {"format", "kind", "domain", "shape", "K"}
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -128,78 +147,99 @@ def test_load_rejects_foreign_file(tmp_path):
         load_basis(str(p))
 
 
-def _swap_modes(payload):
-    payload["mode_index"][1], payload["mode_index"][2] = 2, 1
+def test_load_rejects_v1_file(tmp_path):
+    p = tmp_path / "v1.json"
+    p.write_text('{"format": "nbesov-eigenbasis/1", "kind": "analytic"}')
+    with pytest.raises(ValueError, match="nbesov-eigenbasis/1.*nbesov basis"):
+        load_basis(str(p))
 
 
-def _fake_eigenvalue(payload):
-    lam = domains._decode_array(payload["eigenvalues"])
-    lam[5] *= 1.01
-    payload["eigenvalues"] = domains._encode_array(lam)
-
-
-def _vertex_nodes(payload):
-    pts = domains._decode_array(payload["grid"]["points"])
-    payload["grid"]["points"] = domains._encode_array(pts - 0.5 * payload["grid"]["spacing"][0])
-
-
-def _uneven_weights(payload):
-    # Same total (the volume check passes), different quadrature.
-    w = domains._decode_array(payload["grid"]["weights"])
-    w[0], w[1] = 1.5 * w[0], 0.5 * w[1]
-    payload["grid"]["weights"] = domains._encode_array(w)
-
-
-def _reshaped_grid(payload):
-    # Same nodes and weights, read as a 32x2 grid by the gradient fill.
-    payload["grid"]["shape"] = [32, 2]
-
-
-@pytest.mark.parametrize("tamper, match", [
-    (_swap_modes, "mode_index"),
-    (_fake_eigenvalue, "eigenvalues"),
-    (_vertex_nodes, "grid nodes"),
-    (_uneven_weights, "grid nodes and weights"),
-    (_reshaped_grid, "shape"),
-])
-def test_load_rejects_inconsistent_interval_metadata(tmp_path, tamper, match):
-    # Interval kernels are assembled from mode_index, L and N, not from the
-    # stored functions, so a file whose metadata disagrees must not load.
+def test_load_rejects_analytic_file_its_builder_refuses(tmp_path):
     p = tmp_path / "b.json"
     save_basis(build_interval_basis(math.pi, 17, N=64), str(p))
     payload = json.loads(p.read_text())
-    tamper(payload)
+    payload["K"] = 34  # k - 1 = 33 > N/2
     p.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match="resolution cutoff"):
         load_basis(str(p))
 
 
-def _swap_rectangle_modes(payload):
-    # (0, 1) and (1, 0) share an eigenvalue on a square, so only the labels move.
-    m = payload["mode_index"]
-    assert m[1:3] == [[0, 1], [1, 0]]
+def test_load_rejects_numeric_file_with_a_changed_function(tmp_path):
+    p = tmp_path / "l.json"
+    save_basis(build_fd_basis(lshape_domain(), 0.1, 12), str(p))
+    payload = json.loads(p.read_text())
+    E = domains._decode_array(payload["functions"])
+    E[5, np.argmax(np.abs(E[5]))] += 1e-3
+    payload["functions"] = domains._encode_array(E)
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="Gram"):
+        load_basis(str(p))
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"format": "nbesov-eigenbasis/2", "kind": "analytic", "K": 4, "shape": [16]}',
+    None,
+], ids=["not_an_object", "missing_domain", "truncated"])
+def test_load_rejects_malformed_file(tmp_path, text):
+    p = tmp_path / "m.json"
+    if text is None:
+        save_basis(build_interval_basis(math.pi, 4, N=16), str(p))
+        text = p.read_text()[:-20]
+    p.write_text(text)
+    with pytest.raises(ValueError, match="m.json"):
+        load_basis(str(p))
+
+
+def _eigenvalue_ulp(b):
+    b["eigenvalues"] = b["eigenvalues"].copy()
+    b["eigenvalues"][4] = np.nextafter(b["eigenvalues"][4], np.inf)
+
+
+def _swap_modes(b):
+    # On a square (0, 1) and (1, 0) share an eigenvalue, so only the labels move.
+    m = b["mode_index"] = list(b["mode_index"])
     m[1], m[2] = m[2], m[1]
 
 
-def _rectangle_eigenvalue(payload):
-    lam = domains._decode_array(payload["eigenvalues"])
-    lam[4] = np.nextafter(lam[4], np.inf)
-    payload["eigenvalues"] = domains._encode_array(lam)
+def _vertex_nodes(b):
+    b["grid"] = replace(b["grid"], points=b["grid"].points - 0.5 * b["grid"].spacing[0])
 
 
-@pytest.mark.parametrize("tamper, match", [
-    (_swap_rectangle_modes, "mode_index"),
-    (_rectangle_eigenvalue, "eigenvalues"),
-    (_vertex_nodes, "grid nodes"),
-])
-def test_load_rejects_inconsistent_rectangle_metadata(tmp_path, tamper, match):
-    p = tmp_path / "r.json"
-    save_basis(build_rectangle_basis(1.0, 1.0, 12, Nx=8, Ny=8), str(p))
-    payload = json.loads(p.read_text())
-    tamper(payload)
-    p.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=match):
-        load_basis(str(p))
+def _uneven_weights(b):
+    # Same total (the volume check passes), different quadrature.
+    w = b["grid"].weights.copy()
+    w[0], w[1] = 1.5 * w[0], 0.5 * w[1]
+    b["grid"] = replace(b["grid"], weights=w)
+
+
+def _reshaped_grid(b):
+    # Same nodes and weights, read as a 32x2 grid by the gradient fill.
+    b["grid"] = replace(b["grid"], shape=(32, 2))
+
+
+def _function_entry(b):
+    b["functions"] = b["functions"].copy()
+    b["functions"][3, 7] = np.nextafter(b["functions"][3, 7], np.inf)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_interval_basis(math.pi, 17, N=64),
+    lambda: build_rectangle_basis(1.0, 1.0, 12, Nx=8, Ny=8),
+], ids=["interval", "rectangle"])
+@pytest.mark.parametrize("tamper", [_eigenvalue_ulp, _swap_modes, _vertex_nodes,
+                                    _uneven_weights, _reshaped_grid, _function_entry])
+def test_save_rejects_basis_its_builder_does_not_make(tmp_path, build, tamper):
+    # A file stores only the builder's arguments, so saving such a basis
+    # would silently load as a different one.
+    b = build()
+    fields = {"grid": b.grid, "eigenvalues": b.eigenvalues, "functions": b.functions,
+              "kind": b.kind, "mode_index": b.mode_index}
+    tamper(fields)
+    p = tmp_path / "b.json"
+    with pytest.raises(ValueError):
+        save_basis(EigenBasis(**fields), str(p))
+    assert not p.exists()
 
 
 def test_loaded_rectangle_kernels_and_gradients_match_built(tmp_path):

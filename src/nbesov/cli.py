@@ -212,7 +212,6 @@ _CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "seed": {"type": "integer"},
-        "jobs": {"type": "integer", "minimum": 1},
         "pou": {"enum": list(VARIANTS)},
         "out": {"type": "string"},
         "only": {"type": "array", "items": {"type": "string"}, "minItems": 1},
@@ -252,7 +251,6 @@ def _cmd_verify(args) -> int:
             return _fail(f"verify: {exc}")
     only = args.only if args.only else cfg.get("only")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs")
     pou = args.pou if args.pou is not None else cfg.get("pou", "standard")
     out = (args.out or cfg.get("out") or os.environ.get("NB_OUT")
            or "nbesov_reports")
@@ -261,8 +259,8 @@ def _cmd_verify(args) -> int:
         overrides = {}
         for key, params in cfg.get("experiments", {}).items():
             overrides[resolve_ids([key])[0]] = params
-        reports = run_suite(ids=ids, base_seed=seed, out_dir=out, jobs=jobs,
-                            pou_variant=pou, overrides=overrides)
+        reports = run_suite(ids=ids, base_seed=seed, out_dir=out, pou_variant=pou,
+                            overrides=overrides)
     except (ValueError, KeyError) as exc:
         return _fail(f"verify: {exc}")
     print(summary_table(reports))
@@ -365,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--only", nargs="+", metavar="ID",
                    help="experiment ids (an exp_ prefix is accepted)")
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers (default: cpu count)")
     v.add_argument("--pou", choices=list(VARIANTS), default=None)
     v.add_argument("--out", default=None,
                    help="report directory (default: $NB_OUT or nbesov_reports)")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import base64
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -261,8 +260,7 @@ class EigenBasis:
     mode_index : per-mode metadata (interval: wavenumber k-1; rectangle:
         the pair (a, b); numeric: solver position).
 
-    gradients() is filled lazily under a lock, since one basis may be shared
-    by the suite's worker threads.
+    gradients() is filled on first use and kept.
     """
 
     grid: Grid
@@ -271,8 +269,6 @@ class EigenBasis:
     kind: str
     mode_index: list = field(default_factory=list)
     _gradients: NDArray | None = field(default=None, init=False, repr=False, compare=False)
-    _cache_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                        repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -315,9 +311,7 @@ class EigenBasis:
         bases fall back to finite differences of the sampled modes.
         """
         if self._gradients is None:
-            with self._cache_lock:
-                if self._gradients is None:
-                    self._gradients = _mode_gradients(self)
+            self._gradients = _mode_gradients(self)
         return self._gradients
 
 

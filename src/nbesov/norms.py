@@ -54,7 +54,6 @@ __all__ = [
     "amalgam_cells",
     "amalgam_norm",
     "triple_norm",
-    "identity_kernel",
     "ell_q",
     "norm_csv_header",
     "norm_csv_row",
@@ -382,13 +381,6 @@ def amalgam_norm(f: GridFunction, params: AmalgamParams) -> float:
         else:
             per_cell[i] = float(np.sum(w[idx] * vals[idx] ** params.q) ** (1.0 / params.q))
     return ell_q(per_cell, params.p)
-
-
-def identity_kernel(grid: Grid) -> OperatorKernel:
-    """Kernel representing the identity on the quadrature grid (1/w diagonal)."""
-    return OperatorKernel(
-        matrix=np.diag(1.0 / grid.weights), grid=grid, tag="identity", symbol_values=None
-    )
 
 
 def _power_iteration_sigma(M: NDArray, max_iters: int, tol: float) -> float:

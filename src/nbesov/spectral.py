@@ -158,9 +158,9 @@ class SymbolFn:
 class OperatorKernel:
     """Dense kernel matrix K(x_i, y_j) acting by (Af)_i = sum_j w_j K_ij f_j.
 
-    symbol_values holds phi(lambda_k) when the kernel came from the
-    calculus (enables exact 2->2 norms); tail_bound reports the Weyl
-    estimate of the truncated part sum_{k>K} |phi(lambda_k)| times the
+    symbol_values holds phi(lambda_k) when the kernel is phi(H) itself, so
+    that max |phi(lambda_k)| is its exact 2->2 norm; tail_bound reports the
+    Weyl estimate of the truncated part sum_{k>K} |phi(lambda_k)| times the
     observed sup-norm concentration of the resolved modes.
     """
 
@@ -169,7 +169,9 @@ class OperatorKernel:
     tag: str
     symbol_values: NDArray | None = None
     tail_bound: float = 0.0
-    components: NDArray | None = None  # (n, N, N) for vector-valued kernels
+    # Not a field: every kernel is scalar.  perfbench's tracer still reads
+    # this name off traced kernels; ROADMAP item 1 drops that read.
+    components = None
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +307,10 @@ def multiplier_kernel(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
     )
 
 
-def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> tuple[NDArray, NDArray]:
-    """phi(lambda_k) and the (N, N) kernel of phi(H), or with grad the
-    (n, N, N) components of grad phi(H); rejects symbols that are not
+def _assemble(symbol: SymbolFn, basis: EigenBasis,
+              grad: bool) -> tuple[NDArray, NDArray | tuple[NDArray, ...]]:
+    """phi(lambda_k) and the (N, N) kernel of phi(H), or with grad the tuple
+    of the n (N, N) kernels d/dx_c phi(H); rejects symbols that are not
     finite on the spectrum."""
     svals = symbol(basis.eigenvalues)
     if not np.all(np.isfinite(svals)):
@@ -319,11 +322,10 @@ def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> tuple[NDArray,
         prof = np.concatenate((mirror, v, mirror))  # v(q) for q = -(N-1)..2N-1
         # T_ij = v(i-j) plus H_ij = v(i+j+1) in one N^2 pass
         Kmat = sliding_window_view(prof[:2 * N - 1], N)[:, ::-1] + sliding_window_view(prof[N:], N)
-        return svals, Kmat[None] if grad else Kmat
+        return svals, (Kmat,) if grad else Kmat
     E = basis.functions
     if grad:
-        G = basis.gradients()
-        return svals, np.stack([(G[c].T * svals) @ E for c in range(G.shape[0])])
+        return svals, tuple((Gc.T * svals) @ E for Gc in basis.gradients())
     return svals, (E.T * svals) @ E
 
 
@@ -500,25 +502,37 @@ def gradient(f: GridFunction, basis: EigenBasis | None = None) -> NDArray:
     return fd_gradient(np.asarray(f.values, dtype=float), f.grid)
 
 
-def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
-    """Vector-valued kernel of grad phi(H): components (d/dx_c) K(x, y).
+class _AxisKernels(tuple):
+    """A plain tuple of the per-axis gradient kernels, plus the grid and the
+    components = None that perfbench's tracer reads off a traced kernel;
+    ROADMAP item 1 drops that read, and this class with it."""
 
-    Analytic interval bases build the one component as Toeplitz plus
-    Hankel from one DST-I; other bases form the dense products
-    G_c^T diag(phi(lambda)) E with the mode gradients G_c.
+    components = None
+
+    @property
+    def grid(self) -> Grid:
+        return self[0].grid
+
+
+def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> tuple[OperatorKernel, ...]:
+    """The scalar kernels (d/dx_c) K(x, y) of d/dx_c phi(H), one per axis c.
+
+    Analytic interval bases build the one kernel as Toeplitz plus Hankel
+    from one DST-I; other bases form the dense products
+    G_c^T diag(phi(lambda)) E with the mode gradients G_c.  No kernel
+    carries symbol_values: the 2->2 norm of d/dx_c phi(H) is not
+    max |phi(lambda_k)| (on an interval it is max sqrt(lambda_k) |phi|).
+    All share the tail bound of sqrt(lambda) phi(lambda).
     """
-    svals, comps = _assemble(symbol, basis, grad=True)
-    return OperatorKernel(
-        matrix=comps[0],
-        grid=basis.grid,
-        tag="grad:" + symbol.tag,
-        symbol_values=svals,
-        tail_bound=symbol_tail_bound(
-            SymbolFn(fn=lambda lam: np.sqrt(np.maximum(lam, 0.0)) * symbol(lam),
-                     tag=symbol.tag, support=symbol.support),
-            basis,
-        ),
-        components=comps,
+    _, mats = _assemble(symbol, basis, grad=True)
+    tail = symbol_tail_bound(
+        SymbolFn(fn=lambda lam: np.sqrt(np.maximum(lam, 0.0)) * symbol(lam),
+                 tag=symbol.tag, support=symbol.support),
+        basis,
+    )
+    return _AxisKernels(
+        OperatorKernel(matrix=m, grid=basis.grid, tag=f"grad{c}:{symbol.tag}", tail_bound=tail)
+        for c, m in enumerate(mats)
     )
 
 
@@ -531,20 +545,9 @@ def magnitude_norms(kernel: OperatorKernel) -> dict[str, float]:
 
     1->1: max over columns of the weighted absolute column sum;
     1->inf: max |K_ij|; inf->inf: max weighted absolute row sum.
-
-    Vector-valued kernels (components set) use the Euclidean magnitude
-    across components, which keeps 1->1 and 1->inf exact; for inf->inf it
-    gives the standard upper envelope (exact in one dimension).  With one
-    component that magnitude is taken as |K_ij| directly: the same bits as
-    sqrt(K_ij^2) except where K_ij^2 underflows (|K_ij| < 1e-154), and
-    there |K_ij| is the exact value.
     """
     w = kernel.grid.weights
-    comps = kernel.components
-    if comps is not None and comps.shape[0] > 1:
-        mag = np.sqrt(np.sum(comps**2, axis=0))
-    else:
-        mag = np.abs(kernel.matrix if comps is None else comps[0])
+    mag = np.abs(kernel.matrix)
     return {"1->1": float(np.max(w @ mag)), "1->inf": float(np.max(mag)),
             "inf->inf": float(np.max(mag @ w))}
 
@@ -553,19 +556,13 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
     """Exact endpoint operator norms of a kernel on the weighted grid.
 
     magnitude_norms() gives 1->1, 1->inf and inf->inf.  2->2 takes one of
-    two routes, both for scalar kernels:
+    two routes:
 
     - with symbol_values: max |phi(lambda_k)|, exact for an analytic basis
       and accurate to the Gram deviation of a numeric one;
-    - without them: the largest singular value of the weighted (N, N)
-      matrix.
-
-    A vector kernel (components set) raises ValueError: its endpoint norms
-    are magnitude_norms().
+    - without them, as for gradient kernels: the largest singular value
+      of the weighted (N, N) matrix.
     """
-    if kernel.components is not None:
-        raise ValueError("endpoint_norms takes scalar kernels; use magnitude_norms "
-                         "for a vector kernel")
     norms = magnitude_norms(kernel)
     if kernel.symbol_values is not None:
         n22 = float(np.max(np.abs(kernel.symbol_values)))
@@ -582,42 +579,44 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
 
 
 def save_kernel(kernel: OperatorKernel, path: str) -> None:
-    """Binary dump (npz) with the symbol tag and grid id in the header.
+    """Binary dump (npz) to exactly path, with the symbol tag and grid id in
+    the header."""
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            matrix=kernel.matrix,
+            tag=np.array(kernel.tag),
+            grid_id=np.array(kernel.grid.grid_id()),
+            tail_bound=np.array(kernel.tail_bound),
+            symbol_values=kernel.symbol_values if kernel.symbol_values is not None else np.array([]),
+        )
 
-    Vector kernels also store their components, so a loaded kernel gives
-    the same endpoint norms as the one saved.
-    """
-    extra = {} if kernel.components is None else {"components": kernel.components}
-    np.savez(
-        path,
-        matrix=kernel.matrix,
-        tag=np.array(kernel.tag),
-        grid_id=np.array(kernel.grid.grid_id()),
-        tail_bound=np.array(kernel.tail_bound),
-        symbol_values=kernel.symbol_values if kernel.symbol_values is not None else np.array([]),
-        **extra,
-    )
+
+_KERNEL_FIELDS = ("matrix", "tag", "grid_id", "tail_bound", "symbol_values")
 
 
 def load_kernel(path: str, grid: Grid) -> OperatorKernel:
+    """Read a save_kernel file for grid; ValueError names the file when a
+    field is missing, the file holds a vector kernel, or it does not fit
+    grid."""
     with np.load(path, allow_pickle=False) as z:
-        tag = str(z["tag"])
+        if "components" in z.files:
+            raise ValueError(f"{path}: holds a vector kernel (components); "
+                             "kernels are scalar, one file per gradient axis")
+        missing = [f for f in _KERNEL_FIELDS if f not in z.files]
+        if missing:
+            raise ValueError(f"{path}: kernel file lacks field {missing[0]!r}")
         gid = str(z["grid_id"])
         if gid != grid.grid_id():
             raise ValueError(f"kernel was dumped for grid {gid}, not {grid.grid_id()}")
         sv = z["symbol_values"]
-        comps = z["components"] if "components" in z.files else None
         matrix, N = z["matrix"], grid.n_nodes
         if matrix.shape != (N, N):
             raise ValueError(f"kernel matrix has shape {matrix.shape}, expected {(N, N)}")
-        if comps is not None and comps.shape != (grid.domain.n, N, N):
-            raise ValueError(f"kernel components have shape {comps.shape}, "
-                             f"expected {(grid.domain.n, N, N)}")
         return OperatorKernel(
             matrix=matrix,
             grid=grid,
-            tag=tag,
+            tag=str(z["tag"]),
             symbol_values=sv if sv.size else None,
             tail_bound=float(z["tail_bound"]),
-            components=comps,
         )

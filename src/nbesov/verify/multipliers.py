@@ -321,7 +321,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     for j in js:
         svals = pou.phi(j, sq)
         n22 = float(np.max(sq * svals))
-        ker = gradient_kernels(
+        (ker,) = gradient_kernels(
             SymbolFn(fn=lambda l, j=j: pou.phi(j, np.sqrt(np.maximum(l, 0.0))),
                      tag=f"block:j={j}"),
             basis,
@@ -344,7 +344,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     ts = np.logspace(math.log10(basis.grid.h**2), math.log10(P["t_max"]), P["n_t"])
     kept_t, kept_v, dropped = [], [], []
     for t in ts:
-        ker = gradient_kernels(heat_symbol(t), basis)
+        (ker,) = gradient_kernels(heat_symbol(t), basis)
         v = magnitude_norms(ker)["inf->inf"]
         if ker.tail_bound > P["tail_frac"] * v:
             dropped.append(float(t))

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from ..reports import FAIL, INCONCLUSIVE, EstimateReport
 from .amalgam import exp_amalgam
@@ -90,21 +88,21 @@ def run_suite(
     ids=None,
     base_seed: int = 0,
     out_dir: str | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
     pou_variant: str = "standard",
     overrides=None,
 ) -> list[EstimateReport]:
-    """Run the requested experiments and return reports in request order.
+    """Run the requested experiments one after another and return their
+    reports in request order; reports are written under out_dir when one is
+    given.
 
-    Experiments run concurrently (each is internally deterministic and
-    carries its own seed, so the merge order alone fixes the output);
-    reports are written under out_dir when one is given.
+    jobs is accepted for callers that pass jobs=1; any other value raises
+    ValueError, because the suite runs on one thread.
     """
+    if jobs != 1:
+        raise ValueError(f"run_suite runs serially; jobs={jobs!r} is not 1")
     names = resolve_ids(ids if ids is not None else DEFAULT_IDS)
-    specs = [_spec_for(n, base_seed, pou_variant, overrides) for n in names]
-    jobs = jobs or min(len(names), os.cpu_count() or 1) or 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        reports = list(pool.map(_run_timed, specs))
+    reports = [_run_timed(_spec_for(n, base_seed, pou_variant, overrides)) for n in names]
     if out_dir is not None:
         for rep in reports:
             rep.save(out_dir)

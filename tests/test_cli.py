@@ -10,10 +10,11 @@ from nbesov.domains import (
     build_fd_basis,
     build_interval_basis,
     build_rectangle_basis,
+    load_basis,
     lshape_domain,
     save_basis,
 )
-from nbesov.spectral import endpoint_norms, heat_kernel
+from nbesov.spectral import endpoint_norms, heat_kernel, load_kernel
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,13 @@ def test_missing_required_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["norm", "--norm", "lp"])
     assert exc.value.code == 1
+
+
+def test_verify_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jobs", "2"])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +202,18 @@ def test_heat_prints_mean_removed_sup(basis_file, capsys):
     assert float(vals["mean_removed_sup"]) == pytest.approx(expect, rel=1e-4)
 
 
+def test_heat_out_writes_the_named_file(basis_file, tmp_path, capsys):
+    path = tmp_path / "kern"
+    assert main(["heat", "--basis", basis_file, "--t", "0.5", "--out", str(path)]) == 0
+    assert f"saved: {path}" in capsys.readouterr().out
+    assert path.exists() and not (tmp_path / "kern.npz").exists()
+    basis = load_basis(basis_file)
+    loaded, ker = load_kernel(str(path), basis.grid), heat_kernel(0.5, basis)
+    assert np.array_equal(loaded.matrix, ker.matrix)
+    assert np.array_equal(loaded.symbol_values, ker.symbol_values)
+    assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
+
+
 @pytest.mark.parametrize("flags, build", [
     (["--shape", "rectangle", "--Lx", "1.0", "--Ly", "2.0", "--Nx", "8", "--Ny", "12",
       "--K", "20"], lambda: build_rectangle_basis(1.0, 2.0, 20, Nx=8, Ny=12)),
@@ -246,16 +266,18 @@ def test_verify_unknown_experiment(tmp_path, capsys):
 
 def test_verify_config_parse_error_cites_location(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{\n  "seed": 1,\n  "jobs": 2,\n  BAD\n}\n')
+    cfg.write_text('{\n  "seed": 1,\n  BAD\n}\n')
     assert main(["verify", "--config", str(cfg)]) == 1
-    assert "line 4" in capsys.readouterr().err
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_verify_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"sedd": 7}\n')
-    assert main(["verify", "--config", str(cfg)]) == 1
-    assert "invalid config" in capsys.readouterr().err
+    for key, value in (("sedd", 7), ("jobs", 2)):
+        cfg.write_text(json.dumps({key: value}) + "\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid config" in err and repr(key) in err, key
 
 
 def test_verify_flag_overrides_config_and_seed_strides(tmp_path, capsys):

@@ -21,7 +21,6 @@ from nbesov.norms import (
     block_lp_table,
     default_besov_params,
     ell_q,
-    identity_kernel,
     lp_columns,
     norm_csv_header,
     norm_csv_row,
@@ -30,7 +29,7 @@ from nbesov.norms import (
     seminorm_qM,
     triple_norm,
 )
-from nbesov.spectral import GridFunction, heat_kernel, to_grid
+from nbesov.spectral import GridFunction, OperatorKernel, heat_kernel, to_grid
 from nbesov.verify.besov import PARTITION_DEFAULTS
 
 
@@ -103,6 +102,11 @@ def test_amalgam_params_validation():
 
 # ---------------------------------------------------------------------------
 # Triple norm
+
+
+def identity_kernel(grid):
+    """Kernel representing the identity on the quadrature grid (1/w diagonal)."""
+    return OperatorKernel(matrix=np.diag(1.0 / grid.weights), grid=grid, tag="identity")
 
 
 def test_triple_norm_of_identity_is_max_offset(basis):

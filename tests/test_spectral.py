@@ -118,19 +118,19 @@ def test_resolvent_gamma_reports_unmet_tolerance(basis):
 
 def test_gradient_kernel_on_single_mode(basis):
     sym = heat_symbol(0.1)
-    grad = gradient_kernels(sym, basis)
+    (grad,) = gradient_kernels(sym, basis)
     e2 = basis.functions[1]
     w = basis.grid.weights
-    out = grad.components[0] @ (w * e2)
+    out = grad.matrix @ (w * e2)
     x = basis.grid.points[:, 0]
     expect = -math.exp(-0.1) * math.sqrt(2.0 / math.pi) * np.sin(x)
     np.testing.assert_allclose(out, expect, atol=2e-4)
 
 
 def test_gradient_annihilates_constants(basis):
-    grad = gradient_kernels(heat_symbol(0.5), basis)
+    (grad,) = gradient_kernels(heat_symbol(0.5), basis)
     ones = np.ones(basis.grid.n_nodes)
-    out = grad.components[0] @ (basis.grid.weights * ones)
+    out = grad.matrix @ (basis.grid.weights * ones)
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -189,34 +189,62 @@ def test_magnitude_norms_are_endpoint_norms_without_22(basis):
         assert magnitude_norms(ker) == ends
 
 
-def test_endpoint_norms_rejects_vector_kernels(basis):
-    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
-    for b in (basis, rect):
-        ker = gradient_kernels(heat_symbol(0.05), b)
-        with pytest.raises(ValueError, match="magnitude_norms"):
-            endpoint_norms(ker)
+def test_gradient_kernel_22_norm_is_max_sqrt_lambda_phi():
+    # Negative control for the 2->2 route: d/dx phi(H) maps the cosines to
+    # the orthonormal sines with factors sqrt(lambda_k) phi(lambda_k), so a
+    # gradient kernel that read max|phi| off symbol_values would report
+    # 1.0 here instead of 1.91 and 9.35.
+    b = build_interval_basis(math.pi, 33, N=64)
+    sq = np.sqrt(b.eigenvalues)
+    for sym in (heat_symbol(0.05), block_symbol(make_partition("standard"), 3)):
+        (ker,) = gradient_kernels(sym, b)
+        assert ker.symbol_values is None
+        want = float(np.max(sq * np.abs(sym(b.eigenvalues))))
+        assert want > 1.5
+        assert endpoint_norms(ker)["2->2"] == pytest.approx(want, rel=1e-10, abs=0), sym.tag
 
 
 def test_gradient_kernel_save_load_keeps_vector_data(tmp_path, basis):
-    ker = gradient_kernels(heat_symbol(0.05), basis)
-    p = tmp_path / "g.npz"
-    save_kernel(ker, str(p))
-    loaded = load_kernel(str(p), basis.grid)
-    for name in ("matrix", "symbol_values", "components"):
-        a, b = getattr(loaded, name), getattr(ker, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
-    assert magnitude_norms(loaded) == magnitude_norms(ker)
+    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
+    for b in (basis, rect):
+        kers = gradient_kernels(heat_symbol(0.05), b)
+        assert len(kers) == b.domain.n
+        for c, ker in enumerate(kers):
+            p = tmp_path / f"g{c}.npz"
+            save_kernel(ker, str(p))
+            loaded = load_kernel(str(p), b.grid)
+            a, m = loaded.matrix, ker.matrix
+            assert a.dtype == m.dtype and a.shape == m.shape and a.tobytes() == m.tobytes()
+            assert loaded.symbol_values is None
+            assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
+            assert endpoint_norms(loaded) == endpoint_norms(ker)
 
 
 def test_load_kernel_rejects_mismatched_components(tmp_path, basis):
-    ker = gradient_kernels(heat_symbol(0.05), basis)
-    p = tmp_path / "bad.npz"
+    # A vector kernel file of the former layout (components beside matrix)
+    # is refused, even with a well-formed components array.
+    (ker,) = gradient_kernels(heat_symbol(0.05), basis)
+    p = tmp_path / "vector.npz"
     np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
              grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
-             symbol_values=ker.symbol_values, components=ker.components[:, :-1])
-    with pytest.raises(ValueError, match="components"):
+             symbol_values=np.array([]), components=ker.matrix[None])
+    with pytest.raises(ValueError, match="components") as exc:
         load_kernel(str(p), basis.grid)
+    assert str(p) in str(exc.value)
+
+
+@pytest.mark.parametrize("field", ["matrix", "tag", "grid_id", "tail_bound", "symbol_values"])
+def test_load_kernel_names_a_missing_field(tmp_path, basis, field):
+    ker = heat_kernel(0.05, basis)
+    fields = dict(matrix=ker.matrix, tag=np.array(ker.tag),
+                  grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
+                  symbol_values=ker.symbol_values)
+    del fields[field]
+    p = tmp_path / "bad.npz"
+    np.savez(p, **fields)
+    with pytest.raises(ValueError) as exc:
+        load_kernel(str(p), basis.grid)
+    assert str(p) in str(exc.value) and repr(field) in str(exc.value)
 
 
 def _oracle_symbols(basis):
@@ -238,8 +266,8 @@ def test_interval_kernels_match_dense_oracle(N, top):
         s = sym(basis.eigenvalues)
         ker = multiplier_kernel(sym, basis).matrix
         assert np.array_equal(ker, ker.T), sym.tag
-        grad = gradient_kernels(sym, basis)
-        assert grad.components.shape == (1, N, N)
+        (grad,) = gradient_kernels(sym, basis)
+        assert grad.matrix.shape == (N, N)
         for got, ref in ((ker, (E.T * s) @ E), (grad.matrix, (G.T * s) @ E)):
             err = float(np.max(np.abs(got - ref)))
             assert err <= 1e-12 * float(np.max(np.abs(ref))), (sym.tag, err)
@@ -256,7 +284,7 @@ def test_interval_kernels_are_sums_of_the_profile(N, top):
     for sym in _oracle_symbols(basis):
         s = sym(basis.eigenvalues)
         for grad, ker in ((False, multiplier_kernel(sym, basis).matrix),
-                          (True, gradient_kernels(sym, basis).matrix)):
+                          (True, gradient_kernels(sym, basis)[0].matrix)):
             v = interval_profile(s, basis, grad)
             assert v.shape == (N + 1,)
             sign = -1.0 if grad else 1.0
@@ -279,8 +307,8 @@ def test_interval_kernels_from_loaded_basis_are_bitwise_equal(tmp_path):
     for sym in _oracle_symbols(built):
         assert np.array_equal(multiplier_kernel(sym, loaded).matrix,
                               multiplier_kernel(sym, built).matrix)
-        assert np.array_equal(gradient_kernels(sym, loaded).components,
-                              gradient_kernels(sym, built).components)
+        (got,), (want,) = gradient_kernels(sym, loaded), gradient_kernels(sym, built)
+        assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_product_rejects_equal_size_grid_of_other_length():

@@ -27,7 +27,7 @@ NEG_IDS = [k for k in REGISTRY if k.startswith("neg_")]
 @pytest.fixture(scope="module")
 def control_reports(tmp_path_factory):
     out = tmp_path_factory.mktemp("control_reports")
-    reports = run_suite(ids=NEG_IDS, out_dir=str(out), jobs=1)
+    reports = run_suite(ids=NEG_IDS, out_dir=str(out))
     return {"reports": {r.id: r for r in reports}, "out_dir": out}
 
 
@@ -50,10 +50,15 @@ def test_every_experiment_gets_its_own_seed(suite_reports):
 def test_subset_rerun_reproduces_suite_reports(suite_reports):
     """A partial run must produce byte-identical canonical reports: seeding
     depends on registry position, never on which experiments ride along."""
-    fresh = run_suite(ids=["duality", "reconstruction"], jobs=1)
+    fresh = run_suite(ids=["duality", "reconstruction"])
     want = suite_reports["reports"]
     for rep in fresh:
         assert rep.to_json() == want[rep.id].to_json()
+
+
+def test_run_suite_refuses_more_than_one_job():
+    with pytest.raises(ValueError, match="jobs=2"):
+        run_suite(ids=["duality"], jobs=2)
 
 
 def test_saved_report_files(suite_reports):
@@ -184,8 +189,8 @@ def test_fail_verdict_iff_one_failed_note(suite_reports, control_reports):
 
 
 def test_too_few_scales_is_inconclusive_without_failures():
-    rep = run_suite(ids=["multiplier_scaling"], overrides={"multiplier_scaling": {"j_hi": 4}},
-                    jobs=1)[0]
+    rep = run_suite(ids=["multiplier_scaling"],
+                    overrides={"multiplier_scaling": {"j_hi": 4}})[0]
     assert rep.verdict == INCONCLUSIVE
     assert not [n for n in rep.notes if n.startswith("failed:")]
     assert rep.notes[-1] == "only 3 scales j in [2, 4]; a slope fit needs 4"
@@ -194,7 +199,7 @@ def test_too_few_scales_is_inconclusive_without_failures():
 def test_amalgam_failure_outranks_an_unresolved_gap():
     overrides = {"amalgam": {"slope_tol": 0.0, "gap_cap": 1.0,
                              "n_theta_1d": 3, "n_theta_2d": 2}}
-    rep = run_suite(ids=["amalgam"], overrides=overrides, jobs=1)[0]
+    rep = run_suite(ids=["amalgam"], overrides=overrides)[0]
     assert rep.fit["bump_gap"] > 1.0  # the gap alone would be inconclusive
     assert rep.verdict == FAIL
     assert rep.notes[-1].startswith("failed: 1d beta=1 slope")

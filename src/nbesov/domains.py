@@ -260,7 +260,7 @@ class EigenBasis:
     mode_index : per-mode metadata (interval: wavenumber k-1; rectangle:
         the pair (a, b); numeric: solver position).
 
-    gradients() is filled on first use and kept.
+    gradients() and sup2() are filled on first use and kept.
     """
 
     grid: Grid
@@ -269,6 +269,7 @@ class EigenBasis:
     kind: str
     mode_index: list = field(default_factory=list)
     _gradients: NDArray | None = field(default=None, init=False, repr=False, compare=False)
+    _sup2: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -313,6 +314,13 @@ class EigenBasis:
         if self._gradients is None:
             self._gradients = _mode_gradients(self)
         return self._gradients
+
+    def sup2(self) -> float:
+        """max_{k, i} e_k(x_i)^2, the largest squared node value of any mode."""
+        if self._sup2 is None:
+            E = self.functions  # max |E| without a (K, N) |E| temporary
+            self._sup2 = float(max(E.max(), -E.min()) ** 2)
+        return self._sup2
 
 
 def cosine_modes(lengths: Sequence[float], shape: Sequence[int], modes: Sequence,

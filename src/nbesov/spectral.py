@@ -13,14 +13,16 @@ frequencies on a bounded domain), gradients, fractional resolvent powers via
 the Gamma-function integral of the heat semigroup, and exact endpoint
 operator norms of kernels.
 
-Kernels are assembled along one of two routes.  On an analytic interval
-basis the cell-centred nodes turn every product e_k(x_i) e_k(x_j) into a
-sum of two cosines of (i - j) and (i + j + 1), so the kernel of phi(H) is
-exactly a Toeplitz plus a Hankel matrix whose profile is one DCT-I of the
-symbol values (one DST-I for the gradient kernel): O(N log N) plus one
-N^2 pass, equal to the dense sum up to roundoff; the heat-envelope scan
-reads the same profile (interval_profile) without the N^2 pass.  Rectangle
-and finite-difference bases form the dense product E^T diag(phi(lambda)) E.
+Kernels are held in one of two forms.  On an analytic interval basis the
+cell-centred nodes turn every product e_k(x_i) e_k(x_j) into a sum of two
+cosines of (i - j) and (i + j + 1), so the kernel of phi(H) is exactly a
+Toeplitz plus a Hankel matrix whose profile is one DCT-I of the symbol
+values (one DST-I for the gradient kernel), O(N log N) and equal to the
+dense sum up to roundoff.  The kernel keeps only that profile: the endpoint
+norms read it in row blocks, and the N^2 matrix is formed only for a caller
+that asks for it; the heat-envelope scan reads the same profile
+(interval_profile).  Rectangle and finite-difference bases form the dense
+product E^T diag(phi(lambda)) E.
 
 Every kernel carries a reported tail bound over the unresolved modes,
 estimated through the leading-order Weyl law; nothing above the resolved
@@ -154,9 +156,14 @@ class SymbolFn:
         return self.fn(np.asarray(lam, dtype=float))
 
 
-@dataclass
 class OperatorKernel:
-    """Dense kernel matrix K(x_i, y_j) acting by (Af)_i = sum_j w_j K_ij f_j.
+    """Kernel K(x_i, y_j) acting by (Af)_i = sum_j w_j K_ij f_j.
+
+    It is held either as a dense (N, N) matrix or, on an analytic interval
+    basis, as its mirrored profile prof(q + N - 1) = v(q), q = -(N-1)..2N-1,
+    with K_ij = v(i - j) + v(i + j + 1) (see interval_profile).  row_blocks()
+    reads either form in blocks of rows; matrix forms the dense array on
+    first access and keeps it.
 
     symbol_values holds phi(lambda_k) when the kernel is phi(H) itself, so
     that max |phi(lambda_k)| is its exact 2->2 norm; tail_bound reports the
@@ -164,14 +171,48 @@ class OperatorKernel:
     observed sup-norm concentration of the resolved modes.
     """
 
-    matrix: NDArray
-    grid: Grid
-    tag: str
-    symbol_values: NDArray | None = None
-    tail_bound: float = 0.0
-    # Not a field: every kernel is scalar.  perfbench's tracer still reads
-    # this name off traced kernels; ROADMAP item 1 drops that read.
+    # Every kernel is scalar.  perfbench's tracer still reads this name off
+    # traced kernels; ROADMAP item 1 drops that read.
     components = None
+
+    def __init__(self, grid: Grid, tag: str, *, matrix: NDArray | None = None,
+                 profile: NDArray | None = None, symbol_values: NDArray | None = None,
+                 tail_bound: float = 0.0):
+        if (matrix is None) == (profile is None):
+            raise ValueError("a kernel is given by exactly one of matrix and profile")
+        self.grid, self.tag = grid, tag
+        self.symbol_values, self.tail_bound = symbol_values, tail_bound
+        self._matrix, self._profile = matrix, profile
+
+    def _toeplitz_hankel(self) -> tuple[NDArray, NDArray]:
+        """Read-only (N, N) views T_ij = v(i - j) and H_ij = v(i + j + 1).
+        T reads a reversed copy of the profile, so both run forward along
+        a row."""
+        prof, N = self._profile, self.grid.n_nodes
+        T = sliding_window_view(prof[::-1].copy()[N:], N)[::-1]
+        return T, sliding_window_view(prof[N:], N)
+
+    @property
+    def matrix(self) -> NDArray:
+        if self._matrix is None:
+            T, H = self._toeplitz_hankel()
+            self._matrix = T + H
+        return self._matrix
+
+    def row_blocks(self):
+        """Yield (r0, K[r0:r0 + 64]) down the kernel.  Each block is written
+        into one scratch array: the caller may overwrite it, not keep it."""
+        N, rows = self.grid.n_nodes, 64
+        buf = np.empty((min(rows, N), N))
+        T, H = (None, None) if self._matrix is not None else self._toeplitz_hankel()
+        for r0 in range(0, N, rows):
+            r1 = min(r0 + rows, N)
+            out = buf[:r1 - r0]
+            if T is None:
+                out[...] = self._matrix[r0:r1]
+            else:
+                np.add(T[r0:r1], H[r0:r1], out=out)
+            yield r0, out
 
 
 # ---------------------------------------------------------------------------
@@ -287,46 +328,36 @@ def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis, k_extra: int = 200_00
     with np.errstate(over="ignore", under="ignore"):
         vals = np.abs(symbol(lam_est))
     vals = vals[np.isfinite(vals)]
-    sup2 = float(np.max(np.abs(basis.functions)) ** 2)
-    return float(np.sum(vals) * sup2)
+    return float(np.sum(vals) * basis.sup2())
 
 
 def multiplier_kernel(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
     """Kernel of phi(H), sum_k phi(lambda_k) e_k(x) e_k(y), with tail report.
 
-    Analytic interval bases build it as Toeplitz plus Hankel from one
+    Analytic interval bases keep the Toeplitz plus Hankel profile of one
     DCT-I; other bases form the dense product E^T diag(phi(lambda)) E.
     """
-    svals, Kmat = _assemble(symbol, basis, grad=False)
-    return OperatorKernel(
-        matrix=Kmat,
-        grid=basis.grid,
-        tag=symbol.tag,
-        symbol_values=svals,
-        tail_bound=symbol_tail_bound(symbol, basis),
-    )
+    svals, (source,) = _assemble(symbol, basis, grad=False)
+    return OperatorKernel(basis.grid, symbol.tag, symbol_values=svals,
+                          tail_bound=symbol_tail_bound(symbol, basis), **source)
 
 
 def _assemble(symbol: SymbolFn, basis: EigenBasis,
-              grad: bool) -> tuple[NDArray, NDArray | tuple[NDArray, ...]]:
-    """phi(lambda_k) and the (N, N) kernel of phi(H), or with grad the tuple
-    of the n (N, N) kernels d/dx_c phi(H); rejects symbols that are not
-    finite on the spectrum."""
+              grad: bool) -> tuple[NDArray, list[dict[str, NDArray]]]:
+    """phi(lambda_k) and the OperatorKernel source (profile= or matrix=) of
+    phi(H), or with grad one per axis of d/dx_c phi(H); rejects symbols
+    that are not finite on the spectrum."""
     svals = symbol(basis.eigenvalues)
     if not np.all(np.isfinite(svals)):
         raise ValueError(f"symbol {symbol.tag} is not finite on the spectrum")
     if basis.kind == "analytic" and basis.domain.kind == "interval":
         v = interval_profile(svals, basis, grad)
         N = v.size - 1
-        mirror = (-v if grad else v)[N - 1:0:-1]  # copies: the scalar K is symmetric
-        prof = np.concatenate((mirror, v, mirror))  # v(q) for q = -(N-1)..2N-1
-        # T_ij = v(i-j) plus H_ij = v(i+j+1) in one N^2 pass
-        Kmat = sliding_window_view(prof[:2 * N - 1], N)[:, ::-1] + sliding_window_view(prof[N:], N)
-        return svals, (Kmat,) if grad else Kmat
+        mirror = (-v if grad else v)[N - 1:0:-1]  # v(-q) = v(2N - q) = +-v(q)
+        return svals, [{"profile": np.concatenate((mirror, v, mirror))}]
     E = basis.functions
-    if grad:
-        return svals, tuple((Gc.T * svals) @ E for Gc in basis.gradients())
-    return svals, (E.T * svals) @ E
+    mats = [(Gc.T * svals) @ E for Gc in basis.gradients()] if grad else [(E.T * svals) @ E]
+    return svals, [{"matrix": m} for m in mats]
 
 
 def interval_profile(svals: NDArray, basis: EigenBasis, grad: bool = False) -> NDArray:
@@ -524,15 +555,15 @@ def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> tuple[OperatorKerne
     max |phi(lambda_k)| (on an interval it is max sqrt(lambda_k) |phi|).
     All share the tail bound of sqrt(lambda) phi(lambda).
     """
-    _, mats = _assemble(symbol, basis, grad=True)
+    _, sources = _assemble(symbol, basis, grad=True)
     tail = symbol_tail_bound(
         SymbolFn(fn=lambda lam: np.sqrt(np.maximum(lam, 0.0)) * symbol(lam),
                  tag=symbol.tag, support=symbol.support),
         basis,
     )
     return _AxisKernels(
-        OperatorKernel(matrix=m, grid=basis.grid, tag=f"grad{c}:{symbol.tag}", tail_bound=tail)
-        for c, m in enumerate(mats)
+        OperatorKernel(basis.grid, f"grad{c}:{symbol.tag}", tail_bound=tail, **source)
+        for c, source in enumerate(sources)
     )
 
 
@@ -544,12 +575,19 @@ def magnitude_norms(kernel: OperatorKernel) -> dict[str, float]:
     """Endpoint norms read off |K_ij|: 1->1, 1->inf and inf->inf.
 
     1->1: max over columns of the weighted absolute column sum;
-    1->inf: max |K_ij|; inf->inf: max weighted absolute row sum.
+    1->inf: max |K_ij|; inf->inf: max weighted absolute row sum.  One pass
+    over kernel.row_blocks(), so a profile kernel never forms its matrix.
     """
     w = kernel.grid.weights
-    mag = np.abs(kernel.matrix)
-    return {"1->1": float(np.max(w @ mag)), "1->inf": float(np.max(mag)),
-            "inf->inf": float(np.max(mag @ w))}
+    cols, rows, peaks = np.zeros(w.size), np.empty(w.size), np.empty(w.size)
+    for r0, B in kernel.row_blocks():
+        mag = np.abs(B, out=B)
+        r1 = r0 + len(mag)
+        cols += w[r0:r1] @ mag
+        rows[r0:r1] = mag @ w
+        peaks[r0:r1] = mag.max(axis=1)
+    return {"1->1": float(np.max(cols)), "1->inf": float(np.max(peaks)),
+            "inf->inf": float(np.max(rows))}
 
 
 def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
@@ -613,10 +651,6 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
         matrix, N = z["matrix"], grid.n_nodes
         if matrix.shape != (N, N):
             raise ValueError(f"kernel matrix has shape {matrix.shape}, expected {(N, N)}")
-        return OperatorKernel(
-            matrix=matrix,
-            grid=grid,
-            tag=str(z["tag"]),
-            symbol_values=sv if sv.size else None,
-            tail_bound=float(z["tail_bound"]),
-        )
+        return OperatorKernel(grid, str(z["tag"]), matrix=matrix,
+                              symbol_values=sv if sv.size else None,
+                              tail_bound=float(z["tail_bound"]))

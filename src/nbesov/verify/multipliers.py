@@ -226,13 +226,13 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
         norms22, norms1inf, consistent = [], [], True
         for j in js:
             svals = pou.phi(j, sq)
+            if np.any(svals < 0.0):
+                raise ValueError(f"block j={j} has a negative symbol value")
             n22 = float(np.max(svals))
             nz = svals != 0.0
-            if np.any(nz):
-                ker = (E[nz].T * svals[nz]) @ E[nz]
-                n1inf = float(np.max(np.abs(ker)))
-            else:
-                n1inf = 0.0
+            # svals >= 0 makes the kernel E^T diag(svals) E positive
+            # semidefinite, so max |K_ij| is its largest diagonal entry.
+            n1inf = float(np.max(svals[nz] @ (E[nz] * E[nz])))
             lo, hi = pou.phi0_support
             predicted_zero = not np.any((sq > lo * 2.0**j) & (sq < hi * 2.0**j))
             if predicted_zero != (n22 == 0.0):
@@ -364,9 +364,14 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
                      f"exceeds {P['tail_frac']:.0%} of the measured norm: "
                      + ", ".join(f"{t:.3g}" for t in dropped))
 
-    # Constants are annihilated by the gradient at every t.
-    const_grad = float(np.max(np.abs(basis.gradients()[0].T @ (
-        heat_symbol(ts[-1])(lam) * to_coeffs(np.ones(basis.grid.n_nodes), basis)))))
+    # Constants are annihilated by the gradient at every t.  Modes whose
+    # coefficient a_k vanishes contribute exactly 0, so only the others are
+    # differentiated.
+    a = heat_symbol(ts[-1])(lam) * to_coeffs(np.ones(basis.grid.n_nodes), basis)
+    nz = np.flatnonzero(a)
+    G = cosine_modes(basis.domain.lengths, basis.grid.shape,
+                     np.asarray(basis.mode_index)[nz], derivatives=True)[0]
+    const_grad = float(np.max(np.abs(G.T @ a[nz])))
     fits["constant_gradient"] = const_grad
 
     checks = {"block spread22": spread22 <= P["spread_cap_22"],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nbesov.domains import (
     Domain,
@@ -18,6 +19,7 @@ from nbesov.domains import (
 from nbesov.littlewood_paley import make_partition
 from nbesov.spectral import (
     GridFunction,
+    OperatorKernel,
     QuadratureWarning,
     analyze,
     apply_kernel,
@@ -291,6 +293,66 @@ def test_interval_kernels_are_sums_of_the_profile(N, top):
             full = np.concatenate((v, sign * v[N - 1:0:-1]))  # v(q), q = 0..2N-1
             T = np.where(i >= j, full[np.abs(i - j)], sign * full[np.abs(i - j)])
             assert np.array_equal(ker, T + full[i + j + 1]), (sym.tag, grad)
+
+
+def _dense_magnitude_norms(ker):
+    """The three norms read off one dense |K|.  1->1 sums each candidate
+    column exactly (math.fsum): the BLAS column sums w @ |K| are themselves
+    off by up to 1.3e-15 relative at N = 2048."""
+    w, mag = ker.grid.weights, np.abs(ker.matrix)
+    sums = w @ mag
+    cand = np.flatnonzero(sums >= sums.max() * (1 - 1e-12))
+    return {"1->1": max(math.fsum((w * mag[:, j]).tolist()) for j in cand),
+            "1->inf": float(np.max(mag)), "inf->inf": float(np.max(mag @ w))}
+
+
+@pytest.mark.parametrize("N", [255, 512, 2048])
+def test_streamed_norms_match_the_dense_oracle(N):
+    # 1->inf and inf->inf read every entry and every whole row, so they
+    # equal the dense oracle bit for bit; 1->1 adds the column sums block
+    # by block, so it agrees with the exact column sums to roundoff.
+    basis = build_interval_basis(32 * math.pi, N // 2 + 1, N=N)
+    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
+    kernels = [k for sym in _oracle_symbols(basis)
+               for k in (multiplier_kernel(sym, basis), gradient_kernels(sym, basis)[0])]
+    for ker in kernels + [heat_kernel(0.05, rect)]:
+        got = magnitude_norms(ker)
+        want = _dense_magnitude_norms(ker)
+        assert got["1->inf"] == want["1->inf"] and got["inf->inf"] == want["inf->inf"], ker.tag
+        assert got["1->1"] == pytest.approx(want["1->1"], rel=1e-15, abs=0), ker.tag
+
+
+@pytest.mark.parametrize("N", [1, 255, 256])
+def test_interval_matrix_is_formed_once(N, monkeypatch):
+    # The lazy matrix is the Toeplitz + Hankel sum the kernel builders used
+    # to return, and row_blocks() reads the same rows from the profile
+    # before it is formed and from the matrix after.
+    basis = build_interval_basis(math.pi, N // 2 + 1, N=N)
+    calls = []
+    real = OperatorKernel._toeplitz_hankel
+    monkeypatch.setattr(OperatorKernel, "_toeplitz_hankel",
+                        lambda self: calls.append(1) or real(self))
+    sym = heat_symbol(0.05)
+    for grad, ker in ((False, multiplier_kernel(sym, basis)),
+                      (True, gradient_kernels(sym, basis)[0])):
+        v = interval_profile(sym(basis.eigenvalues), basis, grad)
+        mirror = (-v if grad else v)[N - 1:0:-1]
+        prof = np.concatenate((mirror, v, mirror))
+        Kmat = sliding_window_view(prof[:2 * N - 1], N)[:, ::-1] + sliding_window_view(prof[N:], N)
+        calls.clear()
+        streamed = np.vstack([B.copy() for _, B in ker.row_blocks()])
+        first = ker.matrix
+        assert np.array_equal(streamed, Kmat) and np.array_equal(first, Kmat)
+        assert ker.matrix is first and len(calls) == 2
+        again = np.vstack([B.copy() for _, B in ker.row_blocks()])
+        assert np.array_equal(again, Kmat) and len(calls) == 2
+
+
+def test_kernel_takes_one_source(basis):
+    with pytest.raises(ValueError, match="exactly one"):
+        OperatorKernel(basis.grid, "none")
+    with pytest.raises(ValueError, match="exactly one"):
+        OperatorKernel(basis.grid, "both", matrix=np.eye(256), profile=np.zeros(767))
 
 
 def test_interval_profile_rejects_other_bases():

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,17 @@ from nbesov.verify import (
     run_suite,
     suite_exit_code,
 )
-from nbesov.domains import build_interval_basis, build_rectangle_basis, weyl_eigenvalue_estimate
-from nbesov.spectral import resolvent_symbol
+from nbesov.domains import (
+    EigenBasis,
+    build_interval_basis,
+    build_rectangle_basis,
+    weyl_eigenvalue_estimate,
+)
+from nbesov.spectral import OperatorKernel, heat_kernel, magnitude_norms, resolvent_symbol
 from nbesov.verify.amalgam import _column_tail_bound
 from nbesov.littlewood_paley import make_partition
 from nbesov.verify.common import coeff_batch, conclude, resynthesis_residual
+from nbesov.verify.multipliers import _LOWFREQ_BUILDERS, exp_gradient, exp_low_freq_decay
 
 NEG_IDS = [k for k in REGISTRY if k.startswith("neg_")]
 
@@ -271,3 +278,46 @@ def test_duality_pairs_its_mean_zero_function_with_the_constant(suite_reports):
     pairing = abs(float(np.sum(f)) * (L / N))
     reported = suite_reports["reports"]["duality"].fit["mean_zero_pairing"]
     assert reported <= 1e-12 and abs(reported - pairing) <= 1e-14
+
+
+def test_gradient_experiment_forms_no_kernel(monkeypatch):
+    """exp_gradient and magnitude_norms read interval kernels in row blocks;
+    forming a dense (N, N) kernel or the (K, N) mode-gradient table would
+    call one of these."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense array formed")
+
+    monkeypatch.setattr(OperatorKernel, "matrix", property(refuse))
+    monkeypatch.setattr(EigenBasis, "gradients", refuse)
+    rep = exp_gradient(ExperimentSpec(id="gradient", params={"K": 129, "N": 256, "j_hi": 1}))
+    assert [p["j"] for p in rep.points if p["kind"] == "block"] == [-3, -2, -1, 0, 1]
+    assert rep.fit["constant_gradient"] < 1e-10
+    N = 2048
+    ker = heat_kernel(0.05, build_interval_basis(32 * math.pi, N // 2 + 1, N=N))
+    tracemalloc.start()
+    try:
+        magnitude_norms(ker)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8 / 8
+
+
+@pytest.mark.parametrize("fake", [None, 2.0**-12])
+def test_low_freq_1inf_is_the_dense_kernel_max(fake):
+    """The PSD diagonal value of exp_low_freq_decay against max |K_ij| of
+    the kernel E^T diag(s) E formed densely, on its three bases, with and
+    without the faked second eigenvalue of the negative control."""
+    rep = exp_low_freq_decay(ExperimentSpec(id="low_freq_decay", params={"fake_lambda2": fake}))
+    pou = make_partition("standard")
+    for name, build in _LOWFREQ_BUILDERS.items():
+        basis = build()
+        lam = basis.eigenvalues.copy()
+        if fake is not None:
+            lam[1] = fake
+        sq, E = np.sqrt(np.maximum(lam, 0.0)), basis.functions
+        points = [p for p in rep.points if p["domain"] == name]
+        assert len(points) == 9 and any(p["norm1inf"] > 0 for p in points)
+        for p in points:
+            want = float(np.max(np.abs((E.T * pou.phi(p["j"], sq)) @ E)))
+            assert p["norm1inf"] == pytest.approx(want, rel=1e-15, abs=0), (name, p["j"])

@@ -100,18 +100,19 @@ def _load_function(path: str, basis) -> GridFunction:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path} is not a JSON object")
-    if "values" in payload:
-        vals = np.asarray(payload["values"], dtype=float)
-        return GridFunction(vals, basis.grid)
-    if "coeffs" in payload:
-        c = np.zeros(basis.K)
-        given = np.asarray(payload["coeffs"], dtype=float)
-        if given.size > basis.K:
-            raise ValueError(
-                f"{given.size} coefficients exceed the {basis.K}-mode basis")
-        c[: given.size] = given
-        return GridFunction(to_grid(c, basis), basis.grid)
-    raise ValueError(f"{path} carries neither 'values' nor 'coeffs'")
+    field = "values" if "values" in payload else "coeffs"
+    if field not in payload:
+        raise ValueError(f"{path} carries neither 'values' nor 'coeffs'")
+    given = np.asarray(payload[field], dtype=float)
+    if not np.all(np.isfinite(given)):
+        raise ValueError(f"{path}: '{field}' holds a non-finite number")
+    if field == "values":
+        return GridFunction(given, basis.grid)
+    c = np.zeros(basis.K)
+    if given.size > basis.K:
+        raise ValueError(f"{given.size} coefficients exceed the {basis.K}-mode basis")
+    c[: given.size] = given
+    return GridFunction(to_grid(c, basis), basis.grid)
 
 
 def _cmd_norm(args) -> int:

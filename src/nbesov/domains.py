@@ -287,9 +287,11 @@ class EigenBasis:
         W = self.grid.weights
         return (self.functions * W) @ self.functions.T
 
-    def validate(self, gram_tol: float | None = None) -> None:
+    def validate(self) -> None:
         """Check the basis invariants; raise ValueError on violation."""
         lam = self.eigenvalues
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(self.functions))):
+            raise ValueError("basis carries non-finite eigenvalues or mode values")
         if np.any(np.diff(lam) < -1e-12):
             raise ValueError("eigenvalues are not sorted")
         if abs(lam[0]) > 1e-10:
@@ -299,7 +301,7 @@ class EigenBasis:
         const = self.domain.volume ** -0.5
         if not np.allclose(self.functions[0], const, rtol=0, atol=1e-8 * const):
             raise ValueError("lowest mode is not the constant |Omega|^{-1/2}")
-        tol = gram_tol if gram_tol is not None else (1e-8 if self.kind == "analytic" else 1e-6)
+        tol = 1e-8 if self.kind == "analytic" else 1e-6
         G = self.gram()
         dev = np.max(np.abs(G - np.eye(self.K)))
         if dev > tol:

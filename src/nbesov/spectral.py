@@ -309,20 +309,21 @@ def apply_multiplier(symbol: SymbolFn, f: GridFunction, basis: EigenBasis) -> Gr
     return synthesize(SpectralCoeffs(values=svals * c.values, basis=basis))
 
 
-def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis, k_extra: int = 200_000) -> float:
+def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
     """Reported tail of the truncated kernel part sum_{k>K} |phi(lambda_k)|.
 
-    Unresolved eigenvalues come from the leading-order Weyl law (exact on
-    the interval, an overshoot of the Neumann eigenvalues in 2-D, so there
-    the value is an estimate, not a bound: ROADMAP item 3), and the mode
-    sup-norms from the largest observed sup-norm among resolved modes.
+    The next 200,000 unresolved eigenvalues come from the leading-order
+    Weyl law (exact on the interval, an overshoot of the Neumann
+    eigenvalues in 2-D, so there the value is an estimate, not a bound:
+    ROADMAP item 3), and the mode sup-norms from the largest observed
+    sup-norm among resolved modes.
     Exactly zero for symbols supported below the top resolved eigenvalue.
     """
     lam_top = float(basis.eigenvalues[-1])
     if symbol.support is not None and symbol.support[1] <= lam_top:
         return 0.0
     K = basis.K
-    ks = np.arange(K + 1, K + 1 + k_extra)
+    ks = np.arange(K + 1, K + 1 + 200_000)
     lam_est = weyl_eigenvalue_estimate(basis.domain, ks)
     lam_est = np.maximum(lam_est, lam_top)
     with np.errstate(over="ignore", under="ignore"):
@@ -635,8 +636,9 @@ _KERNEL_FIELDS = ("matrix", "tag", "grid_id", "tail_bound", "symbol_values")
 
 def load_kernel(path: str, grid: Grid) -> OperatorKernel:
     """Read a save_kernel file for grid; ValueError names the file when a
-    field is missing, the file holds a vector kernel, or it does not fit
-    grid."""
+    field is missing, the file holds a vector kernel, the matrix or symbol
+    values are not finite, the tail bound is NaN or negative, or it does
+    not fit grid."""
     with np.load(path, allow_pickle=False) as z:
         if "components" in z.files:
             raise ValueError(f"{path}: holds a vector kernel (components); "
@@ -649,8 +651,12 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
             raise ValueError(f"kernel was dumped for grid {gid}, not {grid.grid_id()}")
         sv = z["symbol_values"]
         matrix, N = z["matrix"], grid.n_nodes
+        tail = float(z["tail_bound"])
         if matrix.shape != (N, N):
             raise ValueError(f"kernel matrix has shape {matrix.shape}, expected {(N, N)}")
+        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(sv))):
+            raise ValueError(f"{path}: kernel matrix or symbol values are not finite")
+        if not tail >= 0.0:  # inf stays legal: a divergent tail reads inf
+            raise ValueError(f"{path}: tail bound {tail!r} is not >= 0")
         return OperatorKernel(grid, str(z["tag"]), matrix=matrix,
-                              symbol_values=sv if sv.size else None,
-                              tail_bound=float(z["tail_bound"]))
+                              symbol_values=sv if sv.size else None, tail_bound=tail)

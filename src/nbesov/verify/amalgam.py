@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..norms import AmalgamParams, amalgam_cells, amalgam_norm, triple_norm
+from ..norms import AmalgamParams, amalgam_cells, amalgam_columns, amalgam_norm, triple_norm
 from ..reports import EstimateReport, least_squares_fit
 from ..spectral import (
     GridFunction,
@@ -52,29 +52,14 @@ AMALGAM_DEFAULTS = {
 }
 
 
-def _cell_layout(grid, theta):
-    """Concatenated cell indices plus reduceat starts, cells sorted."""
-    cells = amalgam_cells(grid, theta)
-    perm = np.concatenate([idx for _, idx in cells])
-    sizes = np.array([len(idx) for _, idx in cells])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return cells, perm, starts
-
-
-def _l1l2_columns(F, w, perm, starts):
-    """Per-column sum over cubes of the quadrature L^2 norm on each cube."""
-    sq = w[perm, None] * F[perm, :] ** 2
-    return np.sqrt(np.add.reduceat(sq, starts, axis=0)).sum(axis=0)
-
-
-def _column_norm(kernel, perm, starts):
+def _column_norm(kernel, theta):
     """Operator norm from L^1 into the cube-summed L^2 space.
 
     For an integral kernel this is the essential sup over source points of
     the amalgam norm of the corresponding kernel column, exact on the grid.
     """
-    w = kernel.grid.weights
-    return float(np.max(_l1l2_columns(kernel.matrix, w, perm, starts)))
+    params = AmalgamParams(p=1.0, q=2.0, theta=theta)
+    return float(np.max(amalgam_columns(kernel.matrix, kernel.grid, params)))
 
 
 def _column_tail_bound(symbol, basis, n_cells):
@@ -103,14 +88,16 @@ def _bump_symbol(pou, theta):
     )
 
 
-def _block_operator_bounds(kernel, cells, perm, starts, rng, n_probes):
+def _block_operator_bounds(kernel, theta, rng, n_probes):
     """Two-sided bounds on the kernel's norm on the cube-summed L^2 space.
 
     Upper: sum over row cubes of the largest singular value of each
     weighted block, maximized over column cubes.  Lower: best ratio over
-    random probes, plus the top singular value of each full weighted
-    column block (functions supported in a single cube).
+    random probes, and triple_norm(kernel, 0, theta), the largest norm of
+    the kernel on functions supported in a single cube (at alpha = 0 its
+    per-cube matrix is the full weighted column block).
     """
+    cells = amalgam_cells(kernel.grid, theta)
     w = kernel.grid.weights
     sw = np.sqrt(w)
     Kw = sw[:, None] * kernel.matrix * sw[None, :]
@@ -123,23 +110,18 @@ def _block_operator_bounds(kernel, cells, perm, starts, rng, n_probes):
         for s, ids in by_size.items()
     }
     S = np.zeros((n_c, n_c))
-    lower = 0.0
     for s1, (ids1, A) in groups.items():
         for s2, (ids2, B) in groups.items():
             blocks = Kw[A[:, None, :, None], B[None, :, None, :]]
             sig = np.linalg.svd(blocks, compute_uv=False)[..., 0]
             S[np.ix_(ids1, ids2)] = sig
-    for s2, (ids2, B) in groups.items():
-        colblocks = Kw[:, B].transpose(1, 0, 2)
-        sig = np.linalg.svd(colblocks, compute_uv=False)[..., 0]
-        lower = max(lower, float(sig.max()))
     upper = float(S.sum(axis=0).max())
 
     G = rng.standard_normal((kernel.grid.n_nodes, n_probes))
     KG = kernel.matrix @ (w[:, None] * G)
-    num = _l1l2_columns(KG, w, perm, starts)
-    den = _l1l2_columns(G, w, perm, starts)
-    lower = max(lower, float(np.max(num / den)))
+    params = AmalgamParams(p=1.0, q=2.0, theta=theta)
+    ratios = amalgam_columns(KG, kernel.grid, params) / amalgam_columns(G, kernel.grid, params)
+    lower = max(triple_norm(kernel, 0.0, theta), float(np.max(ratios)))
     return upper, lower
 
 
@@ -157,19 +139,18 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     # Resolvent column norms against theta, one-dimensional.
     lam_top1 = float(basis1.eigenvalues[-1])
     for beta in P["betas_1d"]:
-        norms, tails = [], []
+        norms, tails, edges = [], [], []
         for th in thetas1:
-            cells, perm, starts = _cell_layout(basis1.grid, th)
             sym = resolvent_symbol(beta, 1.0, th)
             ker = multiplier_kernel(sym, basis1)
-            val = _column_norm(ker, perm, starts)
-            tail = _column_tail_bound(sym, basis1, len(cells))
-            edge = float(sym(np.array([lam_top1]))[0])
+            val = _column_norm(ker, th)
+            tail = _column_tail_bound(sym, basis1, len(amalgam_cells(basis1.grid, th)))
             norms.append(val)
             tails.append(tail / val)
+            edges.append(float(sym(np.array([lam_top1]))[0]))
             points.append({"part": "resolvent_1d", "beta": beta, "theta": float(th),
                            "norm": val, "tail_frac": tail / val,
-                           "band_edge_level": edge})
+                           "band_edge_level": edges[-1]})
         fit = least_squares_fit(np.log(thetas1), np.log(norms))
         fits[f"slope_1d_beta{beta:g}"] = fit.slope
         checks[f"1d beta={beta:g} slope {fit.slope:.3f}"] = (
@@ -178,7 +159,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
             notes.append(
                 f"1d beta={beta:g}: truncation error bound reaches "
                 f"{max(tails):.0%} of the measured norm at the smallest theta "
-                f"(symbol still at {100 * float(resolvent_symbol(beta, 1.0, thetas1[0])(np.array([lam_top1]))[0]):.1f}% "
+                f"(symbol still at {100 * edges[0]:.1f}% "
                 "of its peak at the band edge); the fitted slope is quoted "
                 "over the full sweep and stays inside tolerance")
 
@@ -188,11 +169,10 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     thetas2 = np.geomspace(4.0 * h2 * h2, 1.0, P["n_theta_2d"])
     norms2 = []
     for th in thetas2:
-        cells, perm, starts = _cell_layout(basis2.grid, th)
         sym = resolvent_symbol(P["beta_2d"], 1.0, th)
         ker = multiplier_kernel(sym, basis2)
-        val = _column_norm(ker, perm, starts)
-        tail = _column_tail_bound(sym, basis2, len(cells))
+        val = _column_norm(ker, th)
+        tail = _column_tail_bound(sym, basis2, len(amalgam_cells(basis2.grid, th)))
         norms2.append(val)
         points.append({"part": "resolvent_2d", "beta": P["beta_2d"],
                        "theta": float(th), "norm": val, "tail_frac": tail / val})
@@ -205,9 +185,8 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     uppers, gaps = [], []
     triples = {alpha: [] for alpha in P["alphas"]}
     for th in thetas1:
-        cells, perm, starts = _cell_layout(basis1.grid, th)
         ker = multiplier_kernel(_bump_symbol(pou, th), basis1)
-        up, lo = _block_operator_bounds(ker, cells, perm, starts, rng, P["n_probes"])
+        up, lo = _block_operator_bounds(ker, th, rng, P["n_probes"])
         uppers.append(up)
         gaps.append(up / lo)
         points.append({"part": "bump_bound", "theta": float(th), "upper": up,

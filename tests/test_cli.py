@@ -164,6 +164,17 @@ def test_norm_rejects_malformed_function(basis_file, tmp_path, capsys):
     assert "neither" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    {"values": [1.0] * 511 + [math.nan]},
+    {"coeffs": [1.0, math.inf]},
+], ids=["nan_value", "inf_coeff"])
+def test_norm_rejects_a_non_finite_function(basis_file, tmp_path, capsys, payload):
+    fn = _write_function(tmp_path, "bad.json", payload)
+    assert main(["norm", "--basis", basis_file, "--function", fn]) == 1
+    err = capsys.readouterr().err
+    assert fn in err and "non-finite" in err
+
+
 # ---------------------------------------------------------------------------
 # multiplier / heat
 

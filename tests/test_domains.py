@@ -173,6 +173,19 @@ def test_load_rejects_numeric_file_with_a_changed_function(tmp_path):
         load_basis(str(p))
 
 
+@pytest.mark.parametrize("field, index", [("eigenvalues", 3), ("functions", (5, 0))])
+def test_load_rejects_numeric_file_with_a_nan(tmp_path, field, index):
+    p = tmp_path / "l.json"
+    save_basis(build_fd_basis(lshape_domain(), 0.1, 12), str(p))
+    payload = json.loads(p.read_text())
+    a = domains._decode_array(payload[field])
+    a[index] = np.nan
+    payload[field] = domains._encode_array(a)
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="l.json.*non-finite"):
+        load_basis(str(p))
+
+
 @pytest.mark.parametrize("text", [
     "[1]",
     '{"format": "nbesov-eigenbasis/2", "kind": "analytic", "K": 4, "shape": [16]}',

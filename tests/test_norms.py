@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbesov.domains import build_interval_basis, build_rectangle_basis, lp_norm
+from nbesov.domains import (
+    build_interval_basis,
+    build_rectangle_basis,
+    interval_grid,
+    lp_norm,
+    lshape_domain,
+    polygon_grid,
+    rectangle_grid,
+)
 from nbesov.littlewood_paley import make_partition
 from nbesov.norms import (
     AmalgamParams,
@@ -14,13 +22,13 @@ from nbesov.norms import (
     PowerIterationError,
     ResolutionError,
     amalgam_cells,
+    amalgam_columns,
     amalgam_norm,
     besov_hom,
     besov_inhom,
     besov_table,
     block_lp_table,
     default_besov_params,
-    ell_q,
     lp_columns,
     norm_csv_header,
     norm_csv_row,
@@ -89,8 +97,43 @@ def test_amalgam_homogeneity(basis):
 
 def test_amalgam_rejects_cubes_below_grid_scale(basis):
     f = GridFunction.constant(basis.grid, 1.0)
+    params = AmalgamParams(p=1.0, q=2.0, theta=(basis.grid.h / 2) ** 2)
     with pytest.raises(ValueError, match="grid spacing"):
-        amalgam_norm(f, AmalgamParams(p=1.0, q=2.0, theta=(basis.grid.h / 2) ** 2))
+        amalgam_norm(f, params)
+    with pytest.raises(ValueError, match="grid spacing"):
+        amalgam_columns(np.ones((basis.grid.n_nodes, 3)), basis.grid, params)
+
+
+def _amalgam_by_cells(F, grid, params):
+    """The per-cell loop amalgam_norm ran before amalgam_columns, column by
+    column: the L^q norm of each cube, then l^p across cubes."""
+    w, p, q = grid.weights, params.p, params.q
+    out = []
+    for col in np.abs(F.T):
+        per_cell = np.array([
+            col[idx].max() if np.isinf(q) else np.sum(w[idx] * col[idx] ** q) ** (1.0 / q)
+            for _, idx in amalgam_cells(grid, params.theta)
+        ])
+        out.append(per_cell.max() if np.isinf(p) else np.sum(per_cell**p) ** (1.0 / p))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: interval_grid(math.pi, 256),
+    lambda: rectangle_grid(math.pi, 2.0, 24, 16),
+    lambda: polygon_grid(lshape_domain(), 0.1),
+], ids=["interval", "rectangle", "lshape"])
+def test_amalgam_columns_matches_a_per_cell_loop(make_grid):
+    grid = make_grid()
+    F = np.random.default_rng(3).standard_normal((grid.n_nodes, 4))
+    for theta in ((3.0 * grid.h) ** 2, 0.5):
+        for p, q in itertools.product((1.0, 2.0, 3.0, math.inf), repeat=2):
+            params = AmalgamParams(p=p, q=q, theta=theta)
+            got = amalgam_columns(F, grid, params)
+            # Summation order depends on the stack's shape: a few ulp apart.
+            np.testing.assert_allclose(got, _amalgam_by_cells(F, grid, params), rtol=1e-13)
+            one = amalgam_norm(GridFunction(F[:, 0], grid), params)
+            assert got[0] == pytest.approx(one, rel=1e-14)
 
 
 def test_amalgam_params_validation():
@@ -121,6 +164,28 @@ def test_triple_norm_of_identity_is_max_offset(basis):
         dist = np.linalg.norm(basis.grid.points[idx] - center, axis=1)
         brute = max(brute, float(np.max(dist**alpha)))
     assert got == pytest.approx(brute, rel=1e-10)
+
+
+def _column_block_svd(kernel, theta):
+    """Largest singular value over the weighted column blocks Kw[:, cell],
+    batched by cell size: the single-cube lower bound exp_amalgam took by
+    SVD before it read triple_norm(kernel, 0, theta)."""
+    sw = np.sqrt(kernel.grid.weights)
+    Kw = sw[:, None] * kernel.matrix * sw[None, :]
+    by_size: dict[int, list] = {}
+    for _, idx in amalgam_cells(kernel.grid, theta):
+        by_size.setdefault(len(idx), []).append(idx)
+    return max(
+        float(np.linalg.svd(Kw[:, np.stack(cols)].transpose(1, 0, 2), compute_uv=False)[:, 0].max())
+        for cols in by_size.values()
+    )
+
+
+def test_triple_norm_at_alpha_zero_is_the_column_block_svd(basis):
+    ker = heat_kernel(0.05, basis)
+    for theta in ((4.0 * basis.grid.h) ** 2, 0.1, 1.0):
+        assert triple_norm(ker, 0.0, theta) == pytest.approx(
+            _column_block_svd(ker, theta), rel=1e-12)
 
 
 def test_triple_norm_iteration_cap_is_loud(basis):
@@ -386,14 +451,6 @@ def test_seminorm_qM_infinite_off_mean_zero(basis, pou):
 
 # ---------------------------------------------------------------------------
 # Small pieces
-
-
-def test_ell_q_reductions():
-    v = np.array([3.0, -4.0])
-    assert ell_q(v, 1.0) == 7.0
-    assert ell_q(v, 2.0) == pytest.approx(5.0, rel=1e-15)
-    assert ell_q(v, math.inf) == 4.0
-    assert ell_q(np.array([]), 2.0) == 0.0
 
 
 def test_norm_csv_row_shape():

@@ -404,6 +404,35 @@ def test_load_kernel_rejects_a_matrix_of_another_size(tmp_path, basis):
         load_kernel(str(p), basis.grid)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("matrix", np.nan), ("matrix", np.inf), ("symbol_values", np.nan),
+    ("tail_bound", np.nan), ("tail_bound", -1.0),
+])
+def test_load_kernel_rejects_non_finite_or_negative_numbers(tmp_path, basis, field, value):
+    ker = multiplier_kernel(heat_symbol(0.05), basis)
+    fields = dict(matrix=ker.matrix.copy(), tag=np.array(ker.tag),
+                  grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
+                  symbol_values=ker.symbol_values.copy())
+    if field == "tail_bound":
+        fields[field] = np.array(value)
+    else:
+        fields[field][1] = value
+    p = tmp_path / "bad.npz"
+    np.savez(p, **fields)
+    with pytest.raises(ValueError) as exc:
+        load_kernel(str(p), basis.grid)
+    assert str(p) in str(exc.value)
+
+
+def test_load_kernel_keeps_an_infinite_tail_bound(tmp_path, basis):
+    ker = multiplier_kernel(heat_symbol(0.05), basis)
+    p = tmp_path / "divergent.npz"
+    np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
+             grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(np.inf),
+             symbol_values=ker.symbol_values)
+    assert load_kernel(str(p), basis.grid).tail_bound == np.inf
+
+
 def test_grid_id_keeps_full_precision(tmp_path, basis):
     assert interval_grid(math.pi, 512).grid_id() != interval_grid(3.14159, 512).grid_id()
     assert basis.grid.grid_id() == f"interval[{math.pi!r}]/h={math.pi / 256!r}/N=256"

@@ -96,23 +96,30 @@ def _cmd_basis(args) -> int:
 
 
 def _load_function(path: str, basis) -> GridFunction:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path} is not a JSON object")
-    field = "values" if "values" in payload else "coeffs"
-    if field not in payload:
-        raise ValueError(f"{path} carries neither 'values' nor 'coeffs'")
-    given = np.asarray(payload[field], dtype=float)
-    if not np.all(np.isfinite(given)):
-        raise ValueError(f"{path}: '{field}' holds a non-finite number")
-    if field == "values":
-        return GridFunction(given, basis.grid)
-    c = np.zeros(basis.K)
-    if given.size > basis.K:
-        raise ValueError(f"{given.size} coefficients exceed the {basis.K}-mode basis")
-    c[: given.size] = given
-    return GridFunction(to_grid(c, basis), basis.grid)
+    """The function a JSON file gives as grid 'values' or as 'coeffs'; a
+    malformed file raises a ValueError that names it."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        field = "values" if "values" in payload else "coeffs"
+        if field not in payload:
+            raise ValueError("carries neither 'values' nor 'coeffs'")
+        given = np.asarray(payload[field], dtype=float)
+        if given.ndim != 1:
+            raise ValueError(f"'{field}' has shape {given.shape}, not a flat list")
+        if not np.all(np.isfinite(given)):
+            raise ValueError(f"'{field}' holds a non-finite number")
+        if field == "values":
+            return GridFunction(given, basis.grid)
+        if given.size > basis.K:
+            raise ValueError(f"{given.size} coefficients exceed the {basis.K}-mode basis")
+        c = np.zeros(basis.K)
+        c[: given.size] = given
+        return GridFunction(to_grid(c, basis), basis.grid)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_norm(args) -> int:

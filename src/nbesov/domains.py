@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,10 +47,10 @@ __all__ = [
     "build_rectangle_basis",
     "build_fd_basis",
     "cosine_modes",
+    "lp_columns",
     "lp_norm",
     "save_basis",
     "load_basis",
-    "weyl_count_estimate",
     "weyl_eigenvalue_estimate",
 ]
 
@@ -71,39 +72,25 @@ class Domain:
     n: int
     lengths: tuple[float, ...]
     volume: float
-    diameter: float
     cells: tuple[tuple[float, float, float, float], ...] = ()
 
 
 def interval_domain(L: float) -> Domain:
     if L <= 0:
         raise ValueError("interval length must be positive")
-    return Domain(kind="interval", n=1, lengths=(float(L),), volume=float(L), diameter=float(L))
+    return Domain(kind="interval", n=1, lengths=(float(L),), volume=float(L))
 
 
 def rectangle_domain(Lx: float, Ly: float) -> Domain:
     if Lx <= 0 or Ly <= 0:
         raise ValueError("rectangle side lengths must be positive")
-    return Domain(
-        kind="rectangle",
-        n=2,
-        lengths=(float(Lx), float(Ly)),
-        volume=float(Lx * Ly),
-        diameter=float(np.hypot(Lx, Ly)),
-    )
+    return Domain(kind="rectangle", n=2, lengths=(float(Lx), float(Ly)), volume=float(Lx * Ly))
 
 
 def lshape_domain() -> Domain:
     """The L-shape [0, 2]^2 with the open quadrant (1, 2)^2 removed."""
     cells = ((0.0, 1.0, 0.0, 2.0), (1.0, 2.0, 0.0, 1.0))
-    return Domain(
-        kind="polygon",
-        n=2,
-        lengths=(2.0, 2.0),
-        volume=3.0,
-        diameter=float(np.hypot(2.0, 2.0)),
-        cells=cells,
-    )
+    return Domain(kind="polygon", n=2, lengths=(2.0, 2.0), volume=3.0, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -159,43 +146,23 @@ class Grid:
         return f"{dom.kind}[{dims}]{shape}/h={hs}/N={self.n_nodes}"
 
 
-def _interval_nodes(L: float, N: int) -> NDArray:
-    h = L / N
-    return (np.arange(N) + 0.5) * h
+def _cell_grid(domain: Domain, spacing: tuple[float, ...], index: NDArray,
+               shape: tuple[int, ...] | None) -> Grid:
+    """The grid whose node p is the centre (index[p] + 1/2) h of an integer
+    cell, per axis spacing h, with weight prod h."""
+    return Grid(domain=domain, points=(index + 0.5) * np.asarray(spacing),
+                weights=np.full(len(index), math.prod(spacing)), spacing=spacing,
+                index=index, shape=shape)
 
 
 def interval_grid(L: float, N: int) -> Grid:
-    dom = interval_domain(L)
-    x = _interval_nodes(L, N)
-    h = L / N
-    return Grid(
-        domain=dom,
-        points=x[:, None],
-        weights=np.full(N, h),
-        spacing=(h,),
-        index=np.arange(N)[:, None],
-        shape=(N,),
-    )
+    return _cell_grid(interval_domain(L), (L / N,), np.arange(N)[:, None], (N,))
 
 
 def rectangle_grid(Lx: float, Ly: float, Nx: int, Ny: int) -> Grid:
-    dom = rectangle_domain(Lx, Ly)
-    xs = _interval_nodes(Lx, Nx)
-    ys = _interval_nodes(Ly, Ny)
-    hx, hy = Lx / Nx, Ly / Ny
     # Node ordering: x-major, i.e. node p = ix * Ny + iy.
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    IX, IY = np.meshgrid(np.arange(Nx), np.arange(Ny), indexing="ij")
-    idx = np.column_stack([IX.ravel(), IY.ravel()])
-    return Grid(
-        domain=dom,
-        points=pts,
-        weights=np.full(Nx * Ny, hx * hy),
-        spacing=(hx, hy),
-        index=idx,
-        shape=(Nx, Ny),
-    )
+    index = np.indices((Nx, Ny)).reshape(2, -1).T.copy()
+    return _cell_grid(rectangle_domain(Lx, Ly), (Lx / Nx, Ly / Ny), index, (Nx, Ny))
 
 
 def polygon_grid(domain: Domain, h: float) -> Grid:
@@ -216,22 +183,13 @@ def polygon_grid(domain: Domain, h: float) -> Grid:
                 )
         ox, oy = int(round(x0 / h)), int(round(y0 / h))
         mx, my = int(round((x1 - x0) / h)), int(round((y1 - y0) / h))
-        IX, IY = np.meshgrid(ox + np.arange(mx), oy + np.arange(my), indexing="ij")
-        blocks.append(np.column_stack([IX.ravel(), IY.ravel()]))
+        blocks.append(np.indices((mx, my)).reshape(2, -1).T + (ox, oy))
     # Deterministic node order: sort by (ix, iy).
     idx = np.concatenate(blocks)
     idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
     if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
         raise ValueError("domain cells overlap")
-    N = len(idx)
-    return Grid(
-        domain=domain,
-        points=(idx + 0.5) * h,
-        weights=np.full(N, h * h),
-        spacing=(h, h),
-        index=idx,
-        shape=None,
-    )
+    return _cell_grid(domain, (h, h), idx, None)
 
 
 def _neighbours(grid: Grid, axis: int, offset: int) -> NDArray:
@@ -341,7 +299,7 @@ def cosine_modes(lengths: Sequence[float], shape: Sequence[int], modes: Sequence
     k = np.asarray(modes).reshape(len(modes), -1)
     vals, ders = [], []
     for d, (L, N) in enumerate(zip(lengths, shape)):
-        x, kd, flat = _interval_nodes(L, N), k[:, d:d + 1], k[:, d] == 0
+        x, kd, flat = interval_grid(L, N).points[:, 0], k[:, d:d + 1], k[:, d] == 0
         if not derivatives or len(lengths) > 1:  # 1-D derivatives need no cosines
             v = kd * np.pi * x
             v /= L
@@ -567,35 +525,24 @@ def fd_gradient(values: NDArray, grid: Grid) -> NDArray:
 
 
 # ---------------------------------------------------------------------------
-# Norms and Weyl estimates
+# Quadrature L^p norms and the Weyl law
 
 
-def lp_norm(f, p: float, grid: Grid | None = None) -> float:
-    """Quadrature L^p norm: (sum w |f|^p)^(1/p); p = inf gives the max.
-
-    Accepts a GridFunction-like object (attributes .values/.grid) or a bare
-    array with an explicit grid.  Rejects p < 1.
-    """
-    values = getattr(f, "values", None)
-    if values is None:
-        values = np.asarray(f)
-        if grid is None:
-            raise ValueError("bare arrays need an explicit grid")
-    else:
-        grid = f.grid
-    if np.isinf(p):
-        return float(np.max(np.abs(values)))
-    if p < 1:
+def lp_columns(F: NDArray, w: NDArray, p: float) -> NDArray:
+    """Quadrature L^p norm (w @ |F|^p)^(1/p) of every column of F (N, S);
+    p = inf gives the max.  Rejects every p that is not >= 1, NaN and -inf
+    included."""
+    if not p >= 1:
         raise ValueError(f"p={p} is not a norm exponent (need p >= 1)")
-    w = grid.weights
-    return float(np.sum(w * np.abs(values) ** p) ** (1.0 / p))
+    if np.isinf(p):
+        return np.max(np.abs(F), axis=0)
+    return (w @ np.abs(F) ** p) ** (1.0 / p)
 
 
-def weyl_count_estimate(domain: Domain, lam: float) -> float:
-    """Leading-order Weyl count of eigenvalues <= lam."""
-    if domain.n == 1:
-        return domain.lengths[0] / np.pi * np.sqrt(max(lam, 0.0))
-    return domain.volume / (4 * np.pi) * max(lam, 0.0)
+def lp_norm(f, p: float) -> float:
+    """Quadrature L^p norm of a GridFunction-like f (attributes .values and
+    .grid): the one-column case of lp_columns."""
+    return float(lp_columns(np.asarray(f.values)[:, None], f.grid.weights, p)[0])
 
 
 def weyl_eigenvalue_estimate(domain: Domain, k: NDArray) -> NDArray:
@@ -640,7 +587,6 @@ def _basis_from_payload(payload: dict, eigenvalues=None, functions=None) -> Eige
     d, K, kind = payload["domain"], payload["K"], payload["kind"]
     lengths = tuple(d["lengths"])
     dom = Domain(kind=d["kind"], n=len(lengths), lengths=lengths, volume=d["volume"],
-                 diameter=float(np.hypot(*lengths)) if len(lengths) == 2 else lengths[0],
                  cells=tuple(tuple(c) for c in d["cells"]))
     if kind == "analytic" and dom.kind == "interval" and len(payload["shape"]) == 1:
         basis = build_interval_basis(lengths[0], K, N=payload["shape"][0])

@@ -7,7 +7,8 @@ low-frequency cap ``psi`` such that, exactly by construction,
     psi(lam**2) + sum_{j >= 1} phi_j(lam) = 1   for lam >= 0.
 
 Everything is derived from a single smooth cutoff ``chi`` with chi = 1 on
-[0, a], supp chi in [0, 2], assembled from the C-infinity transition
+[0, a] and supp chi in [0, 2], the support end 2 being a fixed constant of
+the library for every variant, assembled from the C-infinity transition
 exp(-1/t).  Setting phi_0(lam) = chi(lam) - chi(2 lam) makes partial sums
 telescope, so the identities above hold to machine precision rather than
 being numerically tuned.  ``psi(mu) = chi(sqrt(mu))`` caps the low end when
@@ -36,8 +37,9 @@ __all__ = [
 
 VARIANTS = ("standard", "perturbed")
 
-# Plateau edge of chi per variant; support end is fixed at 2.
+# Plateau edge of chi per variant; the support end is fixed.
 _PLATEAU = {"standard": 1.0, "perturbed": 1.2}
+_SUPPORT_END = 2.0
 
 
 def _smooth_step(t: NDArray) -> NDArray:
@@ -62,9 +64,9 @@ def _smooth_step(t: NDArray) -> NDArray:
     return out
 
 
-def _make_chi(plateau: float, support_end: float = 2.0) -> Callable[[NDArray], NDArray]:
-    """Smooth cutoff chi: 1 on [0, plateau], 0 beyond support_end, monotone."""
-    width = support_end - plateau
+def _make_chi(plateau: float) -> Callable[[NDArray], NDArray]:
+    """Smooth cutoff chi: 1 on [0, plateau], 0 beyond 2, monotone."""
+    width = _SUPPORT_END - plateau
 
     def chi(lam: NDArray) -> NDArray:
         lam = np.asarray(lam, dtype=float)
@@ -83,16 +85,15 @@ class PartitionOfUnity:
         Construction tag ("standard" or "perturbed"; tests may build ad-hoc
         broken instances directly).
     chi : callable
-        The underlying cutoff, 1 near zero, supported in [0, support_end].
-    plateau, support_end : float
-        chi's plateau edge and support end; supp phi_0 = [plateau/2...
-        support_end] up to the telescoping difference.
+        The underlying cutoff, 1 near zero, supported in [0, 2].
+    plateau : float
+        chi's plateau edge; supp phi_0 = [plateau/2, 2] up to the
+        telescoping difference.
     """
 
     variant: str
     chi: Callable[[NDArray], NDArray]
     plateau: float
-    support_end: float = 2.0
 
     def phi0(self, lam: NDArray) -> NDArray:
         lam = np.asarray(lam, dtype=float)
@@ -109,7 +110,7 @@ class PartitionOfUnity:
 
     @property
     def phi0_support(self) -> tuple[float, float]:
-        return (self.plateau / 2.0, self.support_end)
+        return (self.plateau / 2.0, _SUPPORT_END)
 
 
 def make_partition(variant: str = "standard") -> PartitionOfUnity:

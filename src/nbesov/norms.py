@@ -5,6 +5,12 @@ Besov norms combine the low-frequency cap with weighted dyadic block norms:
     inhomogeneous: ||psi(H) f||_p + || { 2^{s j} ||phi_j(sqrt H) f||_p }_{j >= 1} ||_{l^q}
     homogeneous:   || { 2^{s j} ||phi_j(sqrt H) f||_p }_{j in Z} ||_{l^q}
 
+Every norm here reduces node values through the one quadrature L^p
+routine, domains.lp_columns (re-exported here), and every dyadic block
+through littlewood_paley, whose cutoff chi has the fixed support [0, 2]: a
+constant of the library, not a parameter, so supp phi_0 lies in
+[plateau / 2, 2] for every variant.
+
 The homogeneous family never sees the flat mode (every block annihilates
 constants), so it measures f modulo constants.  On a bounded domain the
 spectral gap makes all blocks below a cutoff scale vanish identically;
@@ -34,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .domains import EigenBasis, Grid, lp_norm
+from .domains import EigenBasis, Grid, lp_columns, lp_norm
 from .littlewood_paley import PartitionOfUnity
 from .spectral import GridFunction, OperatorKernel, analyze, to_grid
 
@@ -85,8 +91,10 @@ class BesovParams:
     j_max: int
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("p and q must be >= 1")
+        if not (self.p >= 1 and self.q >= 1):  # written so that NaN fails
+            raise ValueError(f"p={self.p} and q={self.q} must be >= 1")
+        if not math.isfinite(self.s):
+            raise ValueError(f"smoothness s={self.s} must be finite")
         if not (self.j_min <= 0 < self.j_max):
             raise ValueError("scale window must satisfy j_min <= 0 < j_max")
 
@@ -100,10 +108,10 @@ class AmalgamParams:
     theta: float
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("p and q must be >= 1")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not (self.p >= 1 and self.q >= 1):  # written so that NaN fails
+            raise ValueError(f"p={self.p} and q={self.q} must be >= 1")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta={self.theta} must be positive and finite")
 
 
 class HomNorm(NamedTuple):
@@ -167,13 +175,6 @@ def _coverage_defect(
     num = float(np.sum((defect * coeffs) ** 2))
     den = float(np.sum(coeffs**2)) or 1.0
     return math.sqrt(num / den)
-
-
-def lp_columns(F: NDArray, w: NDArray, p: float) -> NDArray:
-    """Quadrature L^p norm of every column of F (N, S); p = inf gives the max."""
-    if np.isinf(p):
-        return np.max(np.abs(F), axis=0)
-    return (w @ np.abs(F) ** p) ** (1.0 / p)
 
 
 def block_lp_table(
@@ -292,14 +293,20 @@ def besov_hom(
     return HomNorm(value=float(value[0, 0]), tail_bound=float(tail))
 
 
+def _check_order(M: float) -> None:
+    if not math.isfinite(M):
+        raise ValueError(f"order M={M} must be finite")
+
+
 def seminorm_pM(
     f: GridFunction, M: float, pou: PartitionOfUnity, basis: EigenBasis
 ) -> float:
     """||f||_1 + sup_{j >= 1} 2^{M j} ||phi_j(sqrt H) f||_1.
 
     The sup is exact for band-limited data: blocks above the resolved band
-    vanish identically, so the scan stops there.
+    vanish identically, so the scan stops there.  Rejects a non-finite M.
     """
+    _check_order(M)
     c = analyze(f, basis)
     _, j_hi = scale_window(basis)
     sup = besov_table(c.values[:, None], [(M, 1.0, np.inf)], pou, basis, j_hi, include_cap=False)
@@ -314,8 +321,9 @@ def seminorm_qM(
     f_0 is the flat component; any nonzero f_0 makes the sup infinite
     (the function is not in the mean-zero test class), reported as +inf.
     The weight 2^{M|j|} is not a Besov weight, so this reads block_lp_table
-    directly.
+    directly.  Rejects a non-finite M.
     """
+    _check_order(M)
     one_norm = lp_norm(f, 1.0)
     f0 = f.mean()
     if abs(f0) * basis.domain.volume > 1e-12 * max(one_norm, 1e-300):
@@ -384,7 +392,13 @@ def amalgam_norm(f: GridFunction, params: AmalgamParams) -> float:
     return float(amalgam_columns(np.asarray(f.values)[:, None], f.grid, params)[0])
 
 
-def _power_iteration_sigma(M: NDArray, max_iters: int, tol: float) -> float:
+# Step cap and relative stopping tolerance of the triple norm's power
+# iteration: rules of the library, not of the call.
+_POWER_MAX_ITERS = 10_000
+_POWER_TOL = 1e-12
+
+
+def _power_iteration_sigma(M: NDArray) -> float:
     """Largest singular value of M via power iteration on M^T M."""
     m = M.shape[1]
     if m == 0:
@@ -395,27 +409,22 @@ def _power_iteration_sigma(M: NDArray, max_iters: int, tol: float) -> float:
     v += np.linspace(0.0, 1e-3, m)
     v /= np.linalg.norm(v)
     prev = 0.0
-    for _ in range(max_iters):
+    for _ in range(_POWER_MAX_ITERS):
         y = G @ v
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return 0.0
         v = y / ny
-        if abs(ny - prev) <= tol * max(ny, 1e-300):
+        if abs(ny - prev) <= _POWER_TOL * max(ny, 1e-300):
             return math.sqrt(ny)
         prev = ny
     raise PowerIterationError(
-        f"power iteration did not converge within {max_iters} steps (last value {ny:.6e})"
+        f"power iteration did not converge within {_POWER_MAX_ITERS} steps "
+        f"(last value {ny:.6e})"
     )
 
 
-def triple_norm(
-    kernel: OperatorKernel,
-    alpha: float,
-    theta: float,
-    max_iters: int = 10_000,
-    tol: float = 1e-12,
-) -> float:
+def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
     """sup over cubes of || |x - c_m|^alpha A chi_{C(m)} ||_{2->2}.
 
     The per-cube norm is the largest singular value of the weighted
@@ -433,7 +442,7 @@ def triple_norm(
         dist = np.linalg.norm(grid.points - center, axis=1)
         rowscale = sw * dist**alpha
         M = rowscale[:, None] * K[:, idx] * sw[idx][None, :]
-        best = max(best, _power_iteration_sigma(M, max_iters, tol))
+        best = max(best, _power_iteration_sigma(M))
     return best
 
 

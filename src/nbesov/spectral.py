@@ -50,7 +50,6 @@ __all__ = [
     "SpectralCoeffs",
     "SymbolFn",
     "OperatorKernel",
-    "QuadratureSpec",
     "QuadratureWarning",
     "to_grid",
     "to_coeffs",
@@ -426,53 +425,44 @@ class QuadratureWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Log-time trapezoid rule for (H + M)^{-beta} = 1/Gamma(beta)
-    int_0^inf t^{beta-1} e^{-Mt} e^{-tH} dt.
+# The resolvent quadrature is a rule of the library, not of the call: a
+# log-time trapezoid rule for (H + M)^{-beta} = 1/Gamma(beta)
+# int_0^inf t^{beta-1} e^{-Mt} e^{-tH} dt on _QUAD_NODES log-spaced times in
+# [t_min, T].  T solves e^{-MT} T^{beta-1} < _QUAD_TAIL_EPS (upper
+# truncation), and t_min is scaled so the omitted lower mass (at most
+# ((lam_max + M) t_min)^beta / Gamma(beta+1) relative) stays below
+# _QUAD_LOW_EPS across the whole resolved spectrum.  In the log variable the
+# integrand family is a shift of one fixed shape, so the rule converges
+# geometrically and the two truncation bounds dominate the error budget.
+# A self-estimate above _QUAD_RTOL raises a QuadratureWarning.
+_QUAD_NODES = 400
+_QUAD_TAIL_EPS = 1e-14
+_QUAD_LOW_EPS = 1e-10
+_QUAD_RTOL = 1e-8
 
-    n_nodes log-spaced times on [t_min, T]:
-    T solves e^{-MT} T^{beta-1} < tail_eps (upper truncation), and t_min is
-    scaled so the omitted lower mass (at most ((lam_max + M) t_min)^beta /
-    Gamma(beta+1) relative) stays below low_eps across the whole resolved
-    spectrum.  In the log variable the integrand family is a shift of one
-    fixed shape, so the trapezoid rule converges geometrically and the two
-    truncation bounds dominate the error budget.
-    """
 
-    n_nodes: int = 400
-    tail_eps: float = 1e-14
-    low_eps: float = 1e-10
-
-    def nodes(self, beta: float, M: float, lam_max: float) -> NDArray:
-        T = 1.0
-        for _ in range(100):
-            T_new = (math.log(1.0 / self.tail_eps) + (beta - 1.0) * math.log(max(T, 1e-300))) / M
-            if T_new <= 0:
-                T_new = 1.0 / M
-            if abs(T_new - T) < 1e-12 * max(1.0, T):
-                T = T_new
-                break
+def _quadrature_nodes(beta: float, M: float, lam_max: float) -> NDArray:
+    T = 1.0
+    for _ in range(100):
+        T_new = (math.log(1.0 / _QUAD_TAIL_EPS) + (beta - 1.0) * math.log(max(T, 1e-300))) / M
+        if T_new <= 0:
+            T_new = 1.0 / M
+        if abs(T_new - T) < 1e-12 * max(1.0, T):
             T = T_new
-        t_min = (self.low_eps * gamma_fn(beta + 1.0)) ** (1.0 / beta) / (lam_max + M)
-        t_min = min(t_min, T * 1e-6)
-        return np.exp(np.linspace(math.log(t_min), math.log(T), self.n_nodes))
+            break
+        T = T_new
+    t_min = (_QUAD_LOW_EPS * gamma_fn(beta + 1.0)) ** (1.0 / beta) / (lam_max + M)
+    t_min = min(t_min, T * 1e-6)
+    return np.exp(np.linspace(math.log(t_min), math.log(T), _QUAD_NODES))
 
 
-def resolvent_gamma(
-    beta: float,
-    M: float,
-    f: GridFunction,
-    basis: EigenBasis,
-    quad: QuadratureSpec | None = None,
-    rtol: float = 1e-8,
-) -> GridFunction:
+def resolvent_gamma(beta: float, M: float, f: GridFunction, basis: EigenBasis) -> GridFunction:
     """(H + M)^{-beta} f by integrating the heat semigroup against the
     Gamma-function weight; the independent route checked against the direct
     spectral multiplier (lambda + M)^{-beta}.
 
     The quadrature carries its own error estimate (halved-node comparison
-    plus the analytic truncation bounds).  If the estimate exceeds rtol the
+    plus the analytic truncation bounds).  If it exceeds _QUAD_RTOL the
     result is still returned but a QuadratureWarning reports the estimate;
     nothing is silently accepted.
     """
@@ -480,10 +470,8 @@ def resolvent_gamma(
         raise ValueError("beta must be positive")
     if M <= 0:
         raise ValueError("M must be positive")
-    quad = quad or QuadratureSpec()
     lam = basis.eigenvalues
-    lam_max = float(lam[-1])
-    ts = quad.nodes(beta, M, lam_max)
+    ts = _quadrature_nodes(beta, M, float(lam[-1]))
     u = np.log(ts)
     du = u[1] - u[0]
     # Trapezoid in u = log t: integrand t^beta e^{-(M + lam) t} per mode.
@@ -494,22 +482,21 @@ def resolvent_gamma(
     decay = np.exp(-lam[:, None] * ts[None, :])  # (K, T) e^{-lam t}
     weight = ts**beta * np.exp(-M * ts) * wts
     factors = (decay * weight).sum(axis=1) / gamma_fn(beta)
-    # Self-estimate: the same rule on every second node.
+    # Self-estimate: the same rule on every second node.  The node count is
+    # even, so the endpoint falls between the kept nodes; close the rule at
+    # the last one.
     wts2 = np.full(len(ts[::2]), 2 * du)
     wts2[0] *= 0.5
-    if len(ts) % 2 == 1:
-        wts2[-1] *= 0.5
-    else:
-        # Endpoint falls between nodes; close the rule at the last odd node.
-        wts2[-1] *= 1.5
+    wts2[-1] *= 1.5
     weight2 = ts[::2] ** beta * np.exp(-M * ts[::2]) * wts2
     factors2 = (decay[:, ::2] * weight2).sum(axis=1) / gamma_fn(beta)
     exact_scale = (lam + M) ** (-beta)
     err_quad = float(np.max(np.abs(factors - factors2) / exact_scale))
-    err_trunc = quad.low_eps + quad.tail_eps
-    if err_quad + err_trunc > rtol:
+    err_trunc = _QUAD_LOW_EPS + _QUAD_TAIL_EPS
+    if err_quad + err_trunc > _QUAD_RTOL:
         warnings.warn(
-            f"resolvent quadrature self-estimate {err_quad + err_trunc:.2e} exceeds rtol={rtol:g}",
+            f"resolvent quadrature self-estimate {err_quad + err_trunc:.2e} exceeds "
+            f"rtol={_QUAD_RTOL:g}",
             QuadratureWarning,
             stacklevel=2,
         )

@@ -72,15 +72,12 @@ def coeff_batch(
     n_samples: int,
     k_max: int | None = None,
     decay: float = 0.1,
-    mean_zero: bool = False,
 ) -> NDArray:
     """(K, n_samples) spectral coefficients with geometric damping in k."""
     k_max = K if k_max is None else min(k_max, K)
     C = np.zeros((K, n_samples))
     amp = np.exp(-decay * np.arange(k_max))
     C[:k_max] = rng.standard_normal((k_max, n_samples)) * amp[:, None]
-    if mean_zero:
-        C[0] = 0.0
     return C
 
 

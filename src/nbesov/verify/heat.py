@@ -167,13 +167,14 @@ def _fit_envelope(rows, cs, P):
     C_star = float(math.exp(logC_c[idx]))
     per_t = [math.exp(r["logC"][idx]) for r in adm if np.isfinite(r["logC"][idx])]
     uniformity = geometric_spread(per_t)
-    return C_star, c_star, uniformity, idx
+    return C_star, c_star, uniformity
 
 
-def _mu_fit(rows, t_floor=1.0):
-    ts = [r["t"] for r in rows if r["t"] >= t_floor]
-    ys = [math.log(max(r["pk_max"], 1e-300)) for r in rows if r["t"] >= t_floor]
-    fit = least_squares_fit(ts, ys)
+def _mu_fit(rows):
+    """Decay rate mu of max |K_t - 1/|Omega||, fitted over the times t >= 1."""
+    late = [r for r in rows if r["t"] >= 1.0]
+    fit = least_squares_fit([r["t"] for r in late],
+                            [math.log(max(r["pk_max"], 1e-300)) for r in late])
     return -fit.slope, fit.residual
 
 
@@ -194,8 +195,8 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
               if rows_b[i]["admissible"] and rows_f[i]["admissible"]]
     if len(shared) < 6:
         raise ValueError("too few shared admissible times between refinements")
-    Cb, cb, unif_b, _ = _fit_envelope([rows_b[i] for i in shared], cs, P)
-    Cf, cf, unif_f, _ = _fit_envelope([rows_f[i] for i in shared], cs, P)
+    Cb, cb, unif_b = _fit_envelope([rows_b[i] for i in shared], cs, P)
+    Cf, cf, unif_f = _fit_envelope([rows_f[i] for i in shared], cs, P)
     mu_b, mu_res = _mu_fit(rows_b)
     lam2 = float(base.eigenvalues[1])
     pos_ok = all(r["pos_margin"] >= -1e-12 * r["k_diag_max"] for r in rows_b)
@@ -230,7 +231,7 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
         adm = [r for r in rows_r if r["admissible"]]
         if len(adm) < 6:
             raise ValueError("too few admissible times on the rectangle")
-        Cr, cr, unif_r, _ = _fit_envelope(adm, cs, P)
+        Cr, cr, unif_r = _fit_envelope(adm, cs, P)
         mu_r, mu_res_r = _mu_fit(rows_r)
         lam2_r = float(rect.eigenvalues[1])
         pos_ok_r = all(r["pos_margin"] >= -1e-12 * r["k_diag_max"] for r in rows_r)

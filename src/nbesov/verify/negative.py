@@ -22,16 +22,13 @@ __all__ = [
 ]
 
 _EXPECTED = "control: a fail verdict here is the expected outcome"
+_CHI_SCALE = 0.9  # the broken partition's cutoff is chi times this
 
 
-def _broken_pou(scale: float = 0.9) -> PartitionOfUnity:
+def _broken_pou() -> PartitionOfUnity:
     base = make_partition("standard")
-    return PartitionOfUnity(
-        variant="broken",
-        chi=lambda lam: scale * base.chi(lam),
-        plateau=base.plateau,
-        support_end=base.support_end,
-    )
+    return PartitionOfUnity(variant="broken", chi=lambda lam: _CHI_SCALE * base.chi(lam),
+                            plateau=base.plateau)
 
 
 def neg_broken_partition(spec: ExperimentSpec) -> EstimateReport:
@@ -49,7 +46,7 @@ def neg_broken_partition(spec: ExperimentSpec) -> EstimateReport:
     checks = {"partition_identity": defect < 1e-12, "resynthesis": resid < 1e-8}
     return conclude(
         spec, checks, notes=[_EXPECTED],
-        params={"chi_scale": 0.9},
+        params={"chi_scale": _CHI_SCALE},
         points=[{"partition_defect": defect, "max_residual": resid}],
         fit={"partition_defect": defect, "max_residual": resid},
     )

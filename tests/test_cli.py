@@ -175,6 +175,37 @@ def test_norm_rejects_a_non_finite_function(basis_file, tmp_path, capsys, payloa
     assert fn in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"values": {"a": 1}}, "float()"),
+    ({"values": [1, 2, 3]}, "values shape (3,) does not match grid (64,)"),
+    ({"coeffs": [[1, 2], [3, 4]]}, "'coeffs' has shape (2, 2)"),
+], ids=["values_object", "values_too_short", "coeffs_matrix"])
+def test_norm_names_the_file_of_a_malformed_function(unit_basis_file, tmp_path, capsys,
+                                                     payload, message):
+    fn = _write_function(tmp_path, "bad.json", payload)
+    assert main(["norm", "--basis", unit_basis_file, "--function", fn]) == 1
+    err = capsys.readouterr().err
+    assert f"norm: {fn}: " in err and message in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--norm", "lp", "--p", "nan"],
+    ["--norm", "lp", "--p=-inf"],
+    ["--norm", "amalgam", "--p", "nan"],
+    ["--norm", "amalgam", "--theta", "nan"],
+    ["--norm", "besov", "--s", "nan"],
+    ["--norm", "besov", "--q", "nan"],
+    ["--norm", "pM", "--M", "nan"],
+    ["--norm", "qM", "--M", "nan"],
+], ids=["lp_p_nan", "lp_p_minus_inf", "amalgam_p_nan", "amalgam_theta_nan", "besov_s_nan",
+        "besov_q_nan", "pM_M_nan", "qM_M_nan"])
+def test_norm_rejects_nan_and_out_of_range_parameters(unit_basis_file, tmp_path, capsys, flags):
+    fn = _write_function(tmp_path, "f.json", {"coeffs": [0.0, 1.0, 0.5]})
+    assert main(["norm", "--basis", unit_basis_file, "--function", fn] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("norm: ")
+
+
 # ---------------------------------------------------------------------------
 # multiplier / heat
 

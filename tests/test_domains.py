@@ -19,7 +19,6 @@ from nbesov.domains import (
     polygon_grid,
     rectangle_grid,
     save_basis,
-    weyl_count_estimate,
 )
 from nbesov.spectral import GridFunction, gradient, gradient_kernels, heat_symbol, multiplier_kernel
 
@@ -99,13 +98,45 @@ def test_lshape_eigenvalue_convergence():
                                fine.eigenvalues[1:], rtol=0.02)
 
 
-def test_weyl_count_two_dimensional():
-    """Leading-order count at the 200th rectangle eigenvalue is within a
-    modest factor; boundary corrections die off slowly in 2-D."""
-    basis = build_rectangle_basis(1.0, 2.0, 200, Nx=48, Ny=96)
-    lam = float(basis.eigenvalues[-1])
-    ratio = 200.0 / weyl_count_estimate(basis.domain, lam)
-    assert 1.0 < ratio < 1.2
+def _box_layout(lengths, shape):
+    """Cell centres (arange(N) + 1/2) h per axis, x-major via meshgrid."""
+    hs = tuple(L / N for L, N in zip(lengths, shape))
+    axes = [(np.arange(N) + 0.5) * h for N, h in zip(shape, hs)]
+    pts = np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
+    idx = np.column_stack([a.ravel() for a in
+                           np.meshgrid(*(np.arange(N) for N in shape), indexing="ij")])
+    weight = hs[0] * hs[1] if len(hs) == 2 else hs[0]
+    return pts, np.full(len(pts), weight), idx, hs, tuple(shape)
+
+
+def _lshape_layout(h):
+    """The L-shape's cells block by block, lexsorted by (ix, iy)."""
+    n = round(1.0 / h)
+    right = [(ix, iy) for ix in range(n, 2 * n) for iy in range(n)]
+    left = [(ix, iy) for ix in range(n) for iy in range(2 * n)]
+    idx = np.array(right + left)
+    idx = idx[np.lexsort((idx[:, 1], idx[:, 0]))]
+    return (idx + 0.5) * h, np.full(len(idx), h * h), idx, (h, h), None
+
+
+@pytest.mark.parametrize("build, layout", [
+    (lambda: interval_grid(math.pi, 512), lambda: _box_layout((math.pi,), (512,))),
+    (lambda: interval_grid(2.0, 51), lambda: _box_layout((2.0,), (51,))),
+    (lambda: interval_grid(1.0, 7), lambda: _box_layout((1.0,), (7,))),
+    (lambda: rectangle_grid(math.pi, 2.0, 13, 8), lambda: _box_layout((math.pi, 2.0), (13, 8))),
+    (lambda: rectangle_grid(2.0, 1.0, 12, 7), lambda: _box_layout((2.0, 1.0), (12, 7))),
+    (lambda: rectangle_grid(1.0, 3.0, 9, 27), lambda: _box_layout((1.0, 3.0), (9, 27))),
+    (lambda: polygon_grid(lshape_domain(), 0.1), lambda: _lshape_layout(0.1)),
+    (lambda: polygon_grid(lshape_domain(), 0.05), lambda: _lshape_layout(0.05)),
+], ids=["interval_pi_512", "interval_odd_51", "interval_odd_7", "rect_13x8", "rect_12x7",
+        "rect_9x27", "lshape_0.1", "lshape_0.05"])
+def test_grid_builders_match_the_written_out_layout(build, layout):
+    grid = build()
+    pts, weights, idx, spacing, shape = layout()
+    for got, want in ((grid.points, pts), (grid.weights, weights), (grid.index, idx)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert grid.spacing == spacing and grid.shape == shape
 
 
 def _same_bits(a, b):
@@ -274,8 +305,9 @@ def test_lp_norm_of_constant():
     assert lp_norm(f, 1.0) == pytest.approx(6.0, rel=1e-14)
     assert lp_norm(f, 2.0) == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-14)
     assert lp_norm(f, np.inf) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+    for p in (0.5, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="norm exponent"):
+            lp_norm(f, p)
 
 
 def _cosine_factor(k, L, x):
@@ -379,7 +411,6 @@ def _thin_arms():
     the strip has no y-neighbours (zero fallback), the column no second
     x-neighbour (first-order fallback)."""
     return Domain(kind="polygon", n=2, lengths=(1.0, 1.0), volume=0.28,
-                  diameter=math.sqrt(2.0),
                   cells=((0.0, 1.0, 0.0, 0.1), (0.0, 0.2, 0.1, 1.0)))
 
 
@@ -415,7 +446,7 @@ def test_thin_arms_take_every_fallback():
 
 
 def test_polygon_grid_rejects_overlap_and_untiled_spacing():
-    overlap = Domain(kind="polygon", n=2, lengths=(1.5, 1.0), volume=1.5, diameter=2.0,
+    overlap = Domain(kind="polygon", n=2, lengths=(1.5, 1.0), volume=1.5,
                      cells=((0.0, 1.0, 0.0, 1.0), (0.5, 1.5, 0.0, 1.0)))
     with pytest.raises(ValueError, match="overlap"):
         polygon_grid(overlap, 0.5)

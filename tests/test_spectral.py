@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from nbesov import spectral
 from nbesov.domains import (
     Domain,
     build_fd_basis,
@@ -112,10 +113,11 @@ def test_resolvent_gamma_matches_direct_multiplier(basis):
         assert err / ref < 1e-9
 
 
-def test_resolvent_gamma_reports_unmet_tolerance(basis):
+def test_resolvent_gamma_reports_unmet_tolerance(basis, monkeypatch):
+    monkeypatch.setattr(spectral, "_QUAD_RTOL", 1e-16)
     f = GridFunction.constant(basis.grid, 1.0)
-    with pytest.warns(QuadratureWarning):
-        resolvent_gamma(1.0, 1.0, f, basis, rtol=1e-16)
+    with pytest.warns(QuadratureWarning, match="exceeds rtol=1e-16"):
+        resolvent_gamma(1.0, 1.0, f, basis)
 
 
 def test_gradient_kernel_on_single_mode(basis):
@@ -451,7 +453,6 @@ def test_polygon_grid_ids_name_the_cells():
     # and node count but different nodes.
     lshape = lshape_domain()
     mirror = Domain(kind="polygon", n=2, lengths=(2.0, 2.0), volume=3.0,
-                    diameter=lshape.diameter,
                     cells=((0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 2.0)))
     grid, other = polygon_grid(lshape, 0.1), polygon_grid(mirror, 0.1)
     assert grid.n_nodes == other.n_nodes == 300

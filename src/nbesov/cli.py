@@ -28,7 +28,6 @@ from .littlewood_paley import VARIANTS, make_partition
 from .norms import (
     AmalgamParams,
     BesovParams,
-    ResolutionError,
     amalgam_norm,
     besov_hom,
     besov_inhom,
@@ -154,9 +153,7 @@ def _cmd_norm(args) -> int:
                 "amalgam", {"p": args.p, "q": args.q, "theta": args.theta}, val, None))
         else:
             rows.append(norm_csv_row("lp", {"p": args.p}, lp_norm(f, args.p), None))
-    except ResolutionError as exc:
-        return _fail(f"norm: {exc}")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ResolutionError and JSONDecodeError included
         return _fail(f"norm: {exc}")
     print(",".join(norm_csv_header()))
     for row in rows:

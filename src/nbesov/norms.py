@@ -345,8 +345,11 @@ def amalgam_cells(grid: Grid, theta: float) -> list[tuple[tuple[int, ...], NDArr
 
     Cube m covers [theta^(1/2) (m_i - 1/2), theta^(1/2) (m_i + 1/2)] per
     axis; nodes on a face boundary round half-up deterministically.  Cells
-    are returned sorted by their integer index.
+    are returned sorted by their integer index.  Rejects theta that is not
+    positive and finite.
     """
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta={theta} must be positive and finite")
     root = math.sqrt(theta)
     if root < grid.h * (1 - 1e-12):
         raise ValueError(
@@ -429,8 +432,11 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
 
     The per-cube norm is the largest singular value of the weighted
     localized block, found by power iteration (step cap reported through
-    PowerIterationError rather than silently accepted).
+    PowerIterationError rather than silently accepted).  Rejects alpha that
+    is not finite and >= 0, and theta as amalgam_cells does.
     """
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha={alpha} must be finite and >= 0")
     grid = kernel.grid
     cells = amalgam_cells(grid, theta)
     root = math.sqrt(theta)

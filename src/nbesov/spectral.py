@@ -20,9 +20,9 @@ Toeplitz plus a Hankel matrix whose profile is one DCT-I of the symbol
 values (one DST-I for the gradient kernel), O(N log N) and equal to the
 dense sum up to roundoff.  The kernel keeps only that profile: the endpoint
 norms read it in row blocks, and the N^2 matrix is formed only for a caller
-that asks for it; the heat-envelope scan reads the same profile
-(interval_profile).  Rectangle and finite-difference bases form the dense
-product E^T diag(phi(lambda)) E.
+that asks for it; the heat-envelope scan reads the same profile through
+heat_kernel (OperatorKernel.profile).  Rectangle and finite-difference
+bases form the dense product E^T diag(phi(lambda)) E.
 
 Every kernel carries a reported tail bound over the unresolved modes,
 estimated through the leading-order Weyl law; nothing above the resolved
@@ -70,6 +70,7 @@ __all__ = [
     "heat_symbol",
     "resolvent_symbol",
     "block_symbol",
+    "bump_symbol",
     "cap_symbol",
     "power_block_symbol",
     "save_kernel",
@@ -192,6 +193,17 @@ class OperatorKernel:
         return T, sliding_window_view(prof[N:], N)
 
     @property
+    def profile(self) -> NDArray | None:
+        """Read-only v(0..N) of a profile kernel, K_ij = v(i - j) + v(i + j + 1);
+        None for a dense one."""
+        if self._profile is None:
+            return None
+        N = self.grid.n_nodes
+        v = self._profile[N - 1:2 * N]
+        v.flags.writeable = False
+        return v
+
+    @property
     def matrix(self) -> NDArray:
         if self._matrix is None:
             T, H = self._toeplitz_hankel()
@@ -238,6 +250,18 @@ def block_symbol(pou: PartitionOfUnity, j: int) -> SymbolFn:
 
     return SymbolFn(fn=fn, tag=f"block:j={j},pou={pou.variant}",
                     support=((lo * 2.0**j) ** 2, (hi * 2.0**j) ** 2))
+
+
+def bump_symbol(pou: PartitionOfUnity, theta: float) -> SymbolFn:
+    """phi_0(theta lambda): the base bump in the operator variable itself.
+
+    phi_0 eats lambda directly here, not sqrt(lambda), so its support in
+    lambda is phi0_support divided by theta, not squared.
+    """
+    lo, hi = pou.phi0_support
+    return SymbolFn(fn=lambda lam: pou.phi0(theta * lam),
+                    tag=f"bump:theta={theta:g},pou={pou.variant}",
+                    support=(lo / theta, hi / theta))
 
 
 def cap_symbol(pou: PartitionOfUnity, j: int | None = None) -> SymbolFn:

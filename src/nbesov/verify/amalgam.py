@@ -12,11 +12,13 @@ import math
 
 import numpy as np
 
+from ..domains import lp_norm
 from ..norms import AmalgamParams, amalgam_cells, amalgam_columns, amalgam_norm, triple_norm
 from ..reports import EstimateReport, least_squares_fit
 from ..spectral import (
     GridFunction,
     SymbolFn,
+    bump_symbol,
     multiplier_kernel,
     resolvent_symbol,
     symbol_tail_bound,
@@ -73,19 +75,6 @@ def _column_tail_bound(symbol, basis, n_cells):
     squared = SymbolFn(fn=lambda lam: symbol(lam) ** 2, tag=f"({symbol.tag})^2",
                        support=symbol.support)
     return math.sqrt(n_cells * symbol_tail_bound(squared, basis))
-
-
-def _bump_symbol(pou, theta):
-    """phi_0(theta * lambda): a bump in the operator variable itself."""
-    lo, hi = pou.phi0_support
-    # phi_0 here eats lambda directly, so its support in lambda is the
-    # support of phi_0 divided by theta (phi0_support is quoted in the
-    # frequency variable; squaring is not wanted for this symbol).
-    return SymbolFn(
-        fn=lambda lam: pou.phi0(theta * lam),
-        tag=f"bump:theta={theta:g},pou={pou.variant}",
-        support=(pou.plateau / (2.0 * theta), 2.0 / theta),
-    )
 
 
 def _block_operator_bounds(kernel, theta, rng, n_probes):
@@ -185,7 +174,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     uppers, gaps = [], []
     triples = {alpha: [] for alpha in P["alphas"]}
     for th in thetas1:
-        ker = multiplier_kernel(_bump_symbol(pou, th), basis1)
+        ker = multiplier_kernel(bump_symbol(pou, th), basis1)
         up, lo = _block_operator_bounds(ker, th, rng, P["n_probes"])
         uppers.append(up)
         gaps.append(up / lo)
@@ -215,7 +204,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     # Matching inner and outer exponents must reduce to the plain L^2 norm.
     C = coeff_batch(rng, basis1.K, 1, decay=0.05)
     f = GridFunction(to_grid(C[:, 0], basis1), basis1.grid)
-    l2 = float(np.sqrt(basis1.grid.weights @ f.values**2))
+    l2 = lp_norm(f, 2.0)
     defect = max(
         abs(amalgam_norm(f, AmalgamParams(p=2.0, q=2.0, theta=float(th))) - l2)
         for th in thetas1

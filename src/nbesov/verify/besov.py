@@ -291,7 +291,7 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         Ch = to_coeffs(H, basis)
         # Band check: the product must re-analyze losslessly.
         Hback = to_grid(Ch, basis)
-        leak = np.sqrt(w @ (H - Hback) ** 2) / np.sqrt(w @ H**2)
+        leak = lp_columns(H - Hback, w, 2.0) / lp_columns(H, w, 2.0)
         discarded = int(np.sum(leak > P["band_leak_tol"]))
         keep = leak <= P["band_leak_tol"]
         a, J = scale_window(basis)

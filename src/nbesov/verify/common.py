@@ -16,10 +16,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from ..domains import EigenBasis, build_interval_basis, build_rectangle_basis
+from ..domains import EigenBasis, build_interval_basis, build_rectangle_basis, lp_columns
 from ..littlewood_paley import PartitionOfUnity, make_partition
 from ..reports import FAIL, INCONCLUSIVE, PASS, EstimateReport
-from ..spectral import to_grid
+from ..spectral import block_symbol, cap_symbol, to_grid
 
 __all__ = [
     "ExperimentSpec",
@@ -101,12 +101,11 @@ def resynthesis_residual(F: NDArray, C: NDArray, basis: EigenBasis, pou: Partiti
     psi(H) C (when cap) plus the blocks phi_j(sqrt H) C, j in js, added in
     that order."""
     lam = basis.eigenvalues
-    sq = np.sqrt(np.maximum(lam, 0.0))
-    rec = to_grid(pou.psi(lam)[:, None] * C, basis) if cap else np.zeros_like(F)
+    rec = to_grid(cap_symbol(pou)(lam)[:, None] * C, basis) if cap else np.zeros_like(F)
     for j in js:
-        rec += to_grid(pou.phi(j, sq)[:, None] * C, basis)
+        rec += to_grid(block_symbol(pou, j)(lam)[:, None] * C, basis)
     w = basis.grid.weights
-    return np.sqrt(w @ (F - rec) ** 2) / np.sqrt(w @ F**2)
+    return lp_columns(F - rec, w, 2.0) / lp_columns(F, w, 2.0)
 
 
 def conclude(

@@ -9,6 +9,10 @@ Weyl tail bound, pairs whose envelope falls below a multiple of that tail
 are excluded as undecidable at this resolution, and a time where that
 leaves fewer than half the pairs (or where the tail rivals the kernel
 scale itself) is dropped and reported.
+
+Every K_t and its tail bound come from spectral.heat_kernel, read in the
+form the kernel is held: its profile on an analytic interval (no N x N
+matrix is formed), its dense matrix on any other basis.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from ..domains import build_interval_basis, build_rectangle_basis
 from ..reports import EstimateReport, least_squares_fit
-from ..spectral import heat_kernel, heat_symbol, interval_profile, symbol_tail_bound
+from ..spectral import heat_kernel
 from .common import ExperimentSpec, conclude, geometric_spread
 
 __all__ = ["exp_heat_gaussian"]
@@ -44,23 +48,21 @@ HEAT_DEFAULTS = {
 }
 
 
-def _distance_groups(basis, ts):
+def _distance_groups(grid):
     """Dense route: pairs grouped by bitwise-equal squared distance.  Returns
-    the groups' squared distances (ascending) and pair counts, and per t the
-    tail bound, the max of the gathered K_t per group and min K_t."""
-    x = basis.grid.points
+    the groups' squared distances (ascending), their pair counts, and the
+    reader of a dense K_t: the max of the gathered K_t per group and min K_t."""
+    x = grid.points
     D2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2).ravel()
     order = np.argsort(D2, kind="stable")
     d2 = D2[order]
     starts = np.flatnonzero(np.r_[True, d2[1:] != d2[:-1]])
 
-    def stats():
-        for t in ts:
-            ker = heat_kernel(float(t), basis)
-            Kt = ker.matrix
-            yield ker.tail_bound, np.maximum.reduceat(Kt.ravel()[order], starts), float(Kt.min())
+    def stats(ker):
+        Kt = ker.matrix
+        return np.maximum.reduceat(Kt.ravel()[order], starts), float(Kt.min())
 
-    return d2[starts], np.diff(np.r_[starts, d2.size]), stats()
+    return d2[starts], np.diff(np.r_[starts, d2.size]), stats
 
 
 def _parity_suffix(ufunc, v):
@@ -71,10 +73,10 @@ def _parity_suffix(ufunc, v):
     return out
 
 
-def _offset_groups(basis, ts):
-    """Profile route on an analytic interval basis, same returns as
-    _distance_groups with one group per offset d = |i - j|: squared distance
-    (d h)^2, N pairs at d = 0 and 2(N - d) otherwise.
+def _offset_groups(grid):
+    """Profile route, same returns as _distance_groups with one group per
+    offset d = |i - j|: squared distance (d h)^2, N pairs at d = 0 and
+    2(N - d) otherwise, read off the kernel's profile v(0..N).
 
     K_ij = v(d) + v(i+j+1), and for fixed d the sums i+j+1 run over
     {d+1, d+3, ..., 2N-1-d}; as v(2N - s) = v(s), the values met are v(u)
@@ -82,18 +84,16 @@ def _offset_groups(basis, ts):
     plus their max (min), the dense kernel's value exactly, because rounded
     addition is monotone.
     """
-    N = basis.grid.n_nodes
+    N = grid.n_nodes
     d = np.arange(N)
     counts = np.where(d == 0, N, 2 * (N - d))
 
-    def stats():
-        for t in ts:
-            sym = heat_symbol(float(t))
-            v = interval_profile(sym(basis.eigenvalues), basis)
-            k_min = float(np.min(v[:N] + _parity_suffix(np.minimum, v)[1:]))
-            yield symbol_tail_bound(sym, basis), v[:N] + _parity_suffix(np.maximum, v)[1:], k_min
+    def stats(ker):
+        v = ker.profile
+        k_min = float(np.min(v[:N] + _parity_suffix(np.minimum, v)[1:]))
+        return v[:N] + _parity_suffix(np.maximum, v)[1:], k_min
 
-    return (d * basis.grid.h) ** 2, counts, stats()
+    return (d * grid.h) ** 2, counts, stats
 
 
 def _domain_scan(basis, ts, cs, P, dim):
@@ -110,22 +110,26 @@ def _domain_scan(basis, ts, cs, P, dim):
     +|x-y|^2 / (c t) are the same for every pair, and log and rounded
     addition are monotone, so the group max commutes with them.
     Decidability (|x-y|^2 <= c t L) keeps a prefix of the sorted groups,
-    found by searchsorted.  Rectangle and FD bases group the dense K_t
-    (_distance_groups) and equal the per-pair scan bit for bit.  Analytic
-    interval bases never form K_t (_offset_groups); an offset's pairwise
-    distances differ from (d h)^2 by ulps, so there log C can move by ulps,
-    while the kernel extrema (pk_max, pos_margin, the floor) are exact.
+    found by searchsorted.  The form of heat_kernel(t, basis) picks the
+    groups: a dense K_t by distance (_distance_groups), equal to the
+    per-pair scan bit for bit; a profile K_t by offset (_offset_groups),
+    never forming its matrix.  An offset's pairwise distances differ from
+    (d h)^2 by ulps, so there log C can move by ulps, while the kernel
+    extrema (pk_max, pos_margin, the floor) are exact.
     """
-    if basis.kind == "analytic" and basis.domain.kind == "interval":
-        d2, counts, stats = _offset_groups(basis, ts)
-    else:
-        d2, counts, stats = _distance_groups(basis, ts)
+    # A kernel's form depends on the basis, not on t.  The probe at ts[0] is
+    # freed before the groups are built, so no dense K_t sits beside the sort.
+    dense = heat_kernel(float(ts[0]), basis).profile is None
+    d2, counts, stats = (_distance_groups if dense else _offset_groups)(basis.grid)
     cum = np.r_[0, np.cumsum(counts)]
     n_pairs = int(cum[-1])
     vol = basis.domain.volume
     c_max = cs[-1]
     rows = []
-    for t, (tail, gmax, k_min) in zip(ts, stats):
+    for t in ts:
+        ker = heat_kernel(float(t), basis)
+        tail = ker.tail_bound
+        gmax, k_min = stats(ker)
         m_t = max(t ** (-dim / 2.0), 1.0)
         k_diag_max = float(gmax[0])  # the d = 0 group is the diagonal
         # Kernel values are indeterminate below the spectral truncation tail
@@ -170,19 +174,38 @@ def _fit_envelope(rows, cs, P):
     return C_star, c_star, uniformity
 
 
-def _mu_fit(rows):
-    """Decay rate mu of max |K_t - 1/|Omega||, fitted over the times t >= 1."""
+def _summarize(name, basis, rows, fit_rows, cs, P):
+    """One domain's fit entry, checks, dropped-t note (None when no t is
+    dropped) and report points: the envelope (C, c) fitted over fit_rows,
+    positivity over every row, and the decay rate mu of max |K_t - 1/|Omega||
+    over the rows with t >= 1.  Rejects fit_rows with fewer than 6
+    admissible times."""
+    if sum(r["admissible"] for r in fit_rows) < 6:
+        raise ValueError(f"too few admissible times to fit the {name} envelope")
+    C, c, unif = _fit_envelope(fit_rows, cs, P)
     late = [r for r in rows if r["t"] >= 1.0]
-    fit = least_squares_fit([r["t"] for r in late],
-                            [math.log(max(r["pk_max"], 1e-300)) for r in late])
-    return -fit.slope, fit.residual
+    mu_fit = least_squares_fit([r["t"] for r in late],
+                               [math.log(max(r["pk_max"], 1e-300)) for r in late])
+    mu = -mu_fit.slope
+    lam2 = float(basis.eigenvalues[1])
+    pos_ok = all(r["pos_margin"] >= -1e-12 * r["k_diag_max"] for r in rows)
+    floor = 1.0 / basis.domain.volume
+    fit = {"C": C, "c": c, "uniformity": unif, "mu": mu, "mu_residual": mu_fit.residual,
+           "lambda2": lam2, "positivity_ok": pos_ok, "C_floor_volume": floor}
+    checks = {f"{name} positivity": pos_ok, f"{name} mu": mu >= 0.5 * lam2,
+              f"{name} uniformity": unif <= P["uniformity_cap"], f"{name} C floor": C >= floor}
+    ndropped = sum(1 for r in rows if not r["admissible"])
+    note = f"{name}: dropped {ndropped} undecidable small t" if ndropped else None
+    keys = ("t", "tail", "admissible", "pair_frac", "pos_margin", "pk_max")
+    points = [{"domain": name} | {k: r[k] for k in keys} for r in rows]
+    return fit, checks, note, points
 
 
 def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(HEAT_DEFAULTS)
     n_c = int(math.ceil(math.log(P["c_hi"] / P["c_lo"]) / math.log(P["c_step"]))) + 1
     cs = P["c_lo"] * P["c_step"] ** np.arange(n_c)
-    points, fits, notes, checks = [], {}, [], {}
+    notes = []
 
     # Interval, base and refined.
     base = build_interval_basis(math.pi, P["interval_K"], N=P["interval_N"])
@@ -193,65 +216,30 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
     rows_f = _domain_scan(fine, ts, cs, P, dim=1)
     shared = [i for i in range(len(ts))
               if rows_b[i]["admissible"] and rows_f[i]["admissible"]]
-    if len(shared) < 6:
-        raise ValueError("too few shared admissible times between refinements")
-    Cb, cb, unif_b = _fit_envelope([rows_b[i] for i in shared], cs, P)
+    fit_b, checks_b, note, points = _summarize(
+        "interval", base, rows_b, [rows_b[i] for i in shared], cs, P)
     Cf, cf, unif_f = _fit_envelope([rows_f[i] for i in shared], cs, P)
-    mu_b, mu_res = _mu_fit(rows_b)
-    lam2 = float(base.eigenvalues[1])
-    pos_ok = all(r["pos_margin"] >= -1e-12 * r["k_diag_max"] for r in rows_b)
-    dropped = [r["t"] for r in rows_b if not r["admissible"]]
+    Cb, cb = fit_b["C"], fit_b["c"]
     stable = (abs(Cf - Cb) <= P["refine_tol"] * Cb
               and abs(cf - cb) <= P["refine_tol"] * cb)
-    fits["interval"] = {
-        "C": Cb, "c": cb, "C_refined": Cf, "c_refined": cf,
-        "uniformity": unif_b, "uniformity_refined": unif_f,
-        "mu": mu_b, "mu_residual": mu_res, "lambda2": lam2,
-        "positivity_ok": pos_ok, "stable": stable,
-        "C_floor_volume": 1.0 / base.domain.volume,
-    }
-    checks |= {"interval stable": stable, "interval positivity": pos_ok,
-               "interval mu": mu_b >= 0.5 * lam2,
-               "interval uniformity": unif_b <= P["uniformity_cap"],
-               "interval C floor": Cb >= 1.0 / base.domain.volume}
-    if dropped:
-        notes.append(
-            f"interval: dropped {len(dropped)} undecidable small t (truncation tail "
-            "dominates the envelope there): " + ", ".join(f"{t:.3g}" for t in dropped))
-    for r in rows_b:
-        points.append({"domain": "interval", "t": r["t"], "tail": r["tail"],
-                       "admissible": r["admissible"], "pair_frac": r["pair_frac"],
-                       "pos_margin": r["pos_margin"], "pk_max": r["pk_max"]})
+    fits = {"interval": fit_b | {"C_refined": Cf, "c_refined": cf,
+                                 "uniformity_refined": unif_f, "stable": stable}}
+    checks = {"interval stable": stable} | checks_b
+    if note:
+        notes.append(note + " (truncation tail dominates the envelope there): " + ", ".join(
+            f"{r['t']:.3g}" for r in rows_b if not r["admissible"]))
 
     if P["include_rectangle"]:
         rect = build_rectangle_basis(math.pi, math.pi, P["rect_K"],
                                      Nx=P["rect_N"], Ny=P["rect_N"])
         ts2 = np.logspace(math.log10(rect.grid.h**2), math.log10(P["t_max"]), 15)
         rows_r = _domain_scan(rect, ts2, cs, P, dim=2)
-        adm = [r for r in rows_r if r["admissible"]]
-        if len(adm) < 6:
-            raise ValueError("too few admissible times on the rectangle")
-        Cr, cr, unif_r = _fit_envelope(adm, cs, P)
-        mu_r, mu_res_r = _mu_fit(rows_r)
-        lam2_r = float(rect.eigenvalues[1])
-        pos_ok_r = all(r["pos_margin"] >= -1e-12 * r["k_diag_max"] for r in rows_r)
-        fits["rectangle"] = {
-            "C": Cr, "c": cr, "uniformity": unif_r, "mu": mu_r,
-            "mu_residual": mu_res_r, "lambda2": lam2_r,
-            "positivity_ok": pos_ok_r,
-            "C_floor_volume": 1.0 / rect.domain.volume,
-        }
-        checks |= {"rectangle positivity": pos_ok_r,
-                   "rectangle mu": mu_r >= 0.5 * lam2_r,
-                   "rectangle uniformity": unif_r <= P["uniformity_cap"],
-                   "rectangle C floor": Cr >= 1.0 / rect.domain.volume}
-        ndropped = sum(1 for r in rows_r if not r["admissible"])
-        if ndropped:
-            notes.append(f"rectangle: dropped {ndropped} undecidable small t")
-        for r in rows_r:
-            points.append({"domain": "rectangle", "t": r["t"], "tail": r["tail"],
-                           "admissible": r["admissible"], "pair_frac": r["pair_frac"],
-                           "pos_margin": r["pos_margin"], "pk_max": r["pk_max"]})
+        fits["rectangle"], checks_r, note, points_r = _summarize(
+            "rectangle", rect, rows_r, rows_r, cs, P)
+        checks |= checks_r
+        points += points_r
+        if note:
+            notes.append(note)
 
     rep = conclude(
         spec, checks, notes=notes,

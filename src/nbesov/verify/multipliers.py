@@ -11,7 +11,8 @@ import numpy as np
 from ..domains import build_interval_basis, build_rectangle_basis, cosine_modes
 from ..reports import EstimateReport, least_squares_fit
 from ..spectral import (
-    SymbolFn,
+    block_symbol,
+    bump_symbol,
     endpoint_norms,
     gradient_kernels,
     heat_symbol,
@@ -29,6 +30,12 @@ CLIP = 1e-300
 
 # ---------------------------------------------------------------------------
 # Block-norm scaling in j
+
+
+def _check_band(js, lam_top, what):
+    """Reject js whose top block phi_j(sqrt(lambda)) ends above lam_top."""
+    if 2.0 ** (max(js) + 1) > math.sqrt(float(lam_top)) + 1e-9:
+        raise ValueError(f"j range leaves the resolved band of {what}")
 
 
 def _rect_diag_max(S: np.ndarray, U2: np.ndarray, V2: np.ndarray) -> float:
@@ -80,8 +87,7 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
                       f"a slope fit needs {P['min_points']}")
 
     basis = build_interval_basis(P["L"], P["K"], N=P["N"])
-    if 2.0 ** (max(js) + 1) > math.sqrt(float(basis.eigenvalues[-1])) + 1e-9:
-        raise ValueError("j range leaves the resolved band of the 1-D basis")
+    _check_band(js, basis.eigenvalues[-1], "the 1-D basis")
 
     pairs_1d = [(1.0, np.inf), (1.0, 1.0), (2.0, 2.0), (np.inf, np.inf)]
     for alpha in P["alphas_1d"]:
@@ -112,9 +118,7 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     U2 *= U2
     kx2 = ky2 = (np.arange(A) * math.pi / side) ** 2
     lam2d = kx2[:, None] + ky2[None, :]
-    need = 2.0 ** (max(js) + 1)
-    if need > math.sqrt(float(lam2d.max())) + 1e-9:
-        raise ValueError("j range leaves the resolved band of the 2-D mode set")
+    _check_band(js, lam2d.max(), "the 2-D mode set")
     for alpha in P["alphas_2d"]:
         vals_1inf, vals_22 = [], []
         for j in js:
@@ -140,10 +144,7 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
         thetas = np.logspace(-4, 0, 9)
         vals = []
         for th in thetas:
-            sym = SymbolFn(fn=lambda lam, th=th: pou.phi0(th * lam),
-                           tag=f"bump:theta={th:g}",
-                           support=(0.5 / th, 2.0 / th))
-            ker = multiplier_kernel(sym, basis)
+            ker = multiplier_kernel(bump_symbol(pou, th), basis)
             v = endpoint_norms(ker)["1->inf"]
             vals.append(v)
             points.append({"dim": 1, "alpha": 0.0, "p": "1", "q": "inf",
@@ -309,8 +310,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     lam = basis.eigenvalues
     sq = np.sqrt(np.maximum(lam, 0.0))
     js = list(range(P["j_lo"], P["j_hi"] + 1))
-    if 2.0 ** (max(js) + 1) > math.sqrt(float(lam[-1])) + 1e-9:
-        raise ValueError("j range leaves the resolved band")
+    _check_band(js, lam[-1], "the gradient basis")
     points, fits, notes = [], {}, []
 
     # Dyadic blocks.  On an interval the gradient maps the cosine modes to
@@ -319,13 +319,9 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     # inf->inf come from the magnitudes of the composed kernels.
     vals22, vals11, valsinf = [], [], []
     for j in js:
-        svals = pou.phi(j, sq)
-        n22 = float(np.max(sq * svals))
-        (ker,) = gradient_kernels(
-            SymbolFn(fn=lambda l, j=j: pou.phi(j, np.sqrt(np.maximum(l, 0.0))),
-                     tag=f"block:j={j}"),
-            basis,
-        )
+        sym = block_symbol(pou, j)
+        n22 = float(np.max(sq * sym(lam)))
+        (ker,) = gradient_kernels(sym, basis)
         ends = magnitude_norms(ker)
         vals22.append(n22)
         vals11.append(ends["1->1"])

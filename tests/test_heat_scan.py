@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nbesov import spectral
 from nbesov.domains import (build_fd_basis, build_interval_basis, build_rectangle_basis,
                             lshape_domain)
-from nbesov.spectral import heat_kernel
-from nbesov.verify import heat as heat_module
+from nbesov.spectral import OperatorKernel, heat_kernel
 from nbesov.verify.heat import HEAT_DEFAULTS, _domain_scan
 
 
@@ -98,14 +96,12 @@ def test_interval_profile_scan_matches_per_pair_scan(N):
 
 
 def test_interval_scan_forms_no_kernel(monkeypatch):
-    """The interval scan reads the profile; a return to the dense kernel
-    route would call one of these."""
+    """The interval scan reads each heat kernel's profile; forming the
+    dense (N, N) matrix would read OperatorKernel.matrix."""
     def refuse(*args, **kwargs):
-        raise AssertionError("dense kernel built")
+        raise AssertionError("dense kernel formed")
 
-    monkeypatch.setattr(heat_module, "heat_kernel", refuse)
-    monkeypatch.setattr(spectral, "multiplier_kernel", refuse)
-    monkeypatch.setattr(spectral, "_assemble", refuse)
+    monkeypatch.setattr(OperatorKernel, "matrix", property(refuse))
     basis = build_interval_basis(math.pi, 24, N=48)
     rows = _domain_scan(basis, _ts(basis), _cs(), HEAT_DEFAULTS, 1)
     assert len(rows) == 14 and any(r["admissible"] for r in rows)

@@ -144,6 +144,14 @@ def test_amalgam_params_validation():
         AmalgamParams(p=1.0, q=2.0, theta=0.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0, 0.0])
+def test_amalgam_cells_rejects_theta_that_is_not_positive_and_finite(basis, theta):
+    with pytest.raises(ValueError, match="positive and finite"):
+        amalgam_cells(basis.grid, theta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        triple_norm(heat_kernel(0.1, basis), 0.5, theta)
+
+
 # ---------------------------------------------------------------------------
 # Triple norm
 
@@ -187,6 +195,12 @@ def test_triple_norm_at_alpha_zero_is_the_column_block_svd(basis):
     for theta in ((4.0 * basis.grid.h) ** 2, 0.1, 1.0):
         assert triple_norm(ker, 0.0, theta) == pytest.approx(
             _column_block_svd(ker, theta), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+def test_triple_norm_rejects_alpha_that_is_not_finite_and_nonnegative(basis, alpha):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        triple_norm(heat_kernel(0.1, basis), alpha, 0.25)
 
 
 def test_triple_norm_iteration_cap_is_loud(basis, monkeypatch):

@@ -22,9 +22,11 @@ from nbesov.spectral import (
     GridFunction,
     OperatorKernel,
     QuadratureWarning,
+    SymbolFn,
     analyze,
     apply_kernel,
     block_symbol,
+    bump_symbol,
     endpoint_norms,
     gradient_kernels,
     heat_kernel,
@@ -142,6 +144,28 @@ def test_block_symbol_tail_is_zero_in_band(basis):
     pou = make_partition("standard")
     ker = multiplier_kernel(block_symbol(pou, 3), basis)
     assert ker.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("variant", ["standard", "perturbed"])
+def test_bump_symbol_support_values_and_tail(variant, basis):
+    """phi_0(theta lambda) vanishes outside (plateau/(2 theta), 2/theta),
+    equals pou.phi0(theta lambda) bit for bit, and its kernel's tail bound
+    is the one the amalgam experiment's private bump gave, in band (0) and
+    with the support past the band."""
+    pou = make_partition(variant)
+    for theta in (1e-4, 0.05, 1.0):
+        bump = bump_symbol(pou, theta)
+        lo, hi = bump.support
+        assert lo == pytest.approx(pou.plateau / (2.0 * theta), rel=1e-15) and hi == 2.0 / theta
+        lam = np.concatenate((np.linspace(0.0, 3.0 / theta, 3001), [lo, hi]))
+        vals = bump(lam)
+        assert np.array_equal(vals, pou.phi0(theta * lam))
+        assert np.all(vals[(lam <= lo) | (lam >= hi)] == 0.0) and vals.max() > 0.0
+        old = SymbolFn(fn=lambda lam: pou.phi0(theta * lam), tag="bump",
+                       support=(pou.plateau / (2.0 * theta), 2.0 / theta))
+        tail = multiplier_kernel(bump, basis).tail_bound
+        assert tail == multiplier_kernel(old, basis).tail_bound
+        assert (tail > 0.0) == (hi > basis.eigenvalues[-1])
 
 
 def test_non_finite_symbol_rejected(basis):
@@ -282,15 +306,17 @@ def test_interval_kernels_match_dense_oracle(N, top):
 def test_interval_kernels_are_sums_of_the_profile(N, top):
     # Both interval kernels are v(i-j) + v(i+j+1) bit for bit, with v(0..N)
     # from interval_profile and v(-q) = v(2N-q) = v(q), or -v(q) for the
-    # gradient's DST-I profile.
+    # gradient's DST-I profile.  The kernel's read-only profile is that v.
     basis = build_interval_basis(math.pi, N // 2 + 1 if top else 1, N=N)
     i, j = np.indices((N, N))
     for sym in _oracle_symbols(basis):
         s = sym(basis.eigenvalues)
-        for grad, ker in ((False, multiplier_kernel(sym, basis).matrix),
-                          (True, gradient_kernels(sym, basis)[0].matrix)):
+        for grad, kernel in ((False, multiplier_kernel(sym, basis)),
+                             (True, gradient_kernels(sym, basis)[0])):
             v = interval_profile(s, basis, grad)
             assert v.shape == (N + 1,)
+            assert np.array_equal(kernel.profile, v) and not kernel.profile.flags.writeable
+            ker = kernel.matrix
             sign = -1.0 if grad else 1.0
             full = np.concatenate((v, sign * v[N - 1:0:-1]))  # v(q), q = 0..2N-1
             T = np.where(i >= j, full[np.abs(i - j)], sign * full[np.abs(i - j)])
@@ -361,6 +387,7 @@ def test_interval_profile_rejects_other_bases():
     basis = build_rectangle_basis(math.pi, math.pi, 4, Nx=4, Ny=4)
     with pytest.raises(ValueError, match="analytic interval"):
         interval_profile(np.ones(4), basis)
+    assert heat_kernel(0.1, basis).profile is None
 
 
 def test_interval_kernels_from_loaded_basis_are_bitwise_equal(tmp_path):

@@ -288,6 +288,8 @@ def _cmd_report(args) -> int:
                 payload = json.load(fh)
             if not isinstance(payload, dict):
                 raise ValueError(f"a JSON {type(payload).__name__}, not an object")
+            if not isinstance(payload["id"], str):
+                raise ValueError(f"id {payload['id']!r} is not a string")
             rows.append(EstimateReport(id=payload["id"], params={},
                                        verdict=payload["verdict"]))
         except (ValueError, KeyError) as exc:

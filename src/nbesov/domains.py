@@ -76,14 +76,14 @@ class Domain:
 
 
 def interval_domain(L: float) -> Domain:
-    if L <= 0:
-        raise ValueError("interval length must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError(f"interval length L={L} must be positive and finite")
     return Domain(kind="interval", n=1, lengths=(float(L),), volume=float(L))
 
 
 def rectangle_domain(Lx: float, Ly: float) -> Domain:
-    if Lx <= 0 or Ly <= 0:
-        raise ValueError("rectangle side lengths must be positive")
+    if not (0 < Lx < math.inf and 0 < Ly < math.inf):
+        raise ValueError(f"rectangle sides Lx={Lx}, Ly={Ly} must be positive and finite")
     return Domain(kind="rectangle", n=2, lengths=(float(Lx), float(Ly)), volume=float(Lx * Ly))
 
 
@@ -294,7 +294,7 @@ def cosine_modes(lengths: Sequence[float], shape: Sequence[int], modes: Sequence
     with derivative -sqrt(2/L) kappa sin(kappa x), kappa = k pi / L.  The
     two arguments are rounded in those two orders, and derivative factors
     vanish as +0.0, so every sample is the bit pattern of the termwise
-    closed form.
+    closed form.  Raises ValueError if a sample is not finite.
     """
     k = np.asarray(modes).reshape(len(modes), -1)
     vals, ders = [], []
@@ -306,6 +306,8 @@ def cosine_modes(lengths: Sequence[float], shape: Sequence[int], modes: Sequence
             np.cos(v, out=v)
             v *= np.sqrt(2.0 / L)
             v[flat] = L ** -0.5
+            if not np.isfinite(v).all():
+                raise ValueError(f"axis length {L} gives non-finite mode samples")
             vals.append(v)
         if derivatives:
             kappa = kd * np.pi / L
@@ -536,7 +538,9 @@ def lp_columns(F: NDArray, w: NDArray, p: float) -> NDArray:
         raise ValueError(f"p={p} is not a norm exponent (need p >= 1)")
     if np.isinf(p):
         return np.max(np.abs(F), axis=0)
-    return (w @ np.abs(F) ** p) ** (1.0 / p)
+    A = np.abs(F).astype(float, copy=False)
+    A **= p  # in place: one (N, S) temporary
+    return (w @ A) ** (1.0 / p)
 
 
 def lp_norm(f, p: float) -> float:

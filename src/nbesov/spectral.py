@@ -488,12 +488,12 @@ def resolvent_gamma(beta: float, M: float, f: GridFunction, basis: EigenBasis) -
     The quadrature carries its own error estimate (halved-node comparison
     plus the analytic truncation bounds).  If it exceeds _QUAD_RTOL the
     result is still returned but a QuadratureWarning reports the estimate;
-    nothing is silently accepted.
+    nothing is silently accepted.  Rejects beta and M that are not
+    positive and finite.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if M <= 0:
-        raise ValueError("M must be positive")
+    for name, value in (("beta", beta), ("M", M)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name}={value} must be positive and finite")
     lam = basis.eigenvalues
     ts = _quadrature_nodes(beta, M, float(lam[-1]))
     u = np.log(ts)

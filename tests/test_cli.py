@@ -78,6 +78,22 @@ def test_basis_rejects_overcrowded_band(capsys):
     assert "basis:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--L", "inf"], "L=inf must be positive and finite"),
+    (["--L", "nan"], "L=nan must be positive and finite"),
+    (["--L", "1e308"], "non-finite mode samples"),
+    (["--shape", "rectangle", "--Lx", "inf"], "Lx=inf, Ly=1.0 must be positive and finite"),
+], ids=["inf", "nan", "overflow", "rectangle"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_basis_rejects_non_finite_lengths(tmp_path, capsys, flags, reason):
+    """Exit 1 with the reason, and no basis file is written."""
+    out = tmp_path / "b.json"
+    assert main(["basis", *flags, "--K", "4", "--N", "8", "--out", str(out)]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_flag_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--shape", "triangle"])
@@ -393,6 +409,20 @@ def test_report_rejects_a_non_object_file(tmp_path, capsys):
     assert main(["report", "--dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "x.json" in err and "not an object" in err
+
+
+@pytest.mark.parametrize("ids, message", [
+    ((["a"],), "id ['a'] is not a string"),
+    ((3, "y"), "id 3 is not a string"),
+], ids=["unhashable", "unorderable"])
+def test_report_rejects_an_id_that_is_not_a_string(tmp_path, capsys, ids, message):
+    """An id that cannot be hashed, or ordered beside a string id, names the
+    file and exits 1."""
+    for name, rid in zip("xy", ids):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"id": rid, "verdict": "pass"}))
+    assert main(["report", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"x.json is not a report file ({message})" in err
 
 
 def test_report_empty_directory(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,9 +177,9 @@ def test_triple_norm_of_identity_is_max_offset(basis):
 
 
 def _column_block_svd(kernel, theta):
-    """Largest singular value over the weighted column blocks Kw[:, cell],
-    batched by cell size: the single-cube lower bound exp_amalgam took by
-    SVD before it read triple_norm(kernel, 0, theta)."""
+    """Oracle for triple_norm(kernel, 0, theta): the largest singular value
+    over the weighted column blocks Kw[:, cell], one batched SVD per cell
+    size, with no power iteration."""
     sw = np.sqrt(kernel.grid.weights)
     Kw = sw[:, None] * kernel.matrix * sw[None, :]
     by_size: dict[int, list] = {}
@@ -407,6 +408,19 @@ def test_lp_columns_match_an_fsum_oracle(basis):
             want = (max(col) if math.isinf(p)
                     else math.fsum(float(wk) * v**p for wk, v in zip(w, col)) ** (1.0 / p))
             assert got[i] == pytest.approx(want, rel=1e-14)
+
+
+def test_lp_columns_builds_one_temporary():
+    """|F|^p is raised in place: the peak holds one (N, S) temporary."""
+    F = np.random.default_rng(5).standard_normal((4096, 100))
+    w = np.full(4096, 1.0 / 4096)
+    tracemalloc.start()
+    try:
+        lp_columns(F, w, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * F.nbytes
 
 
 def test_besov_rejects_underresolved_window(basis, pou):

@@ -122,6 +122,16 @@ def test_resolvent_gamma_reports_unmet_tolerance(basis, monkeypatch):
         resolvent_gamma(1.0, 1.0, f, basis)
 
 
+@pytest.mark.parametrize("beta, M", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                     (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)])
+def test_resolvent_gamma_rejects_parameters_not_positive_and_finite(basis, beta, M):
+    """Each parameter is named in the error, before any quadrature runs."""
+    f = GridFunction.constant(basis.grid, 1.0)
+    name, value = ("beta", beta) if not 0 < beta < math.inf else ("M", M)
+    with pytest.raises(ValueError, match=f"{name}={value} must be positive and finite"):
+        resolvent_gamma(beta, M, f, basis)
+
+
 def test_gradient_kernel_on_single_mode(basis):
     sym = heat_symbol(0.1)
     (grad,) = gradient_kernels(sym, basis)

@@ -22,8 +22,17 @@ from nbesov.domains import (
     build_rectangle_basis,
     weyl_eigenvalue_estimate,
 )
-from nbesov.spectral import OperatorKernel, heat_kernel, magnitude_norms, resolvent_symbol
-from nbesov.verify.amalgam import _column_tail_bound
+from nbesov.norms import AmalgamParams, amalgam_cells, amalgam_columns, triple_norm
+from nbesov.spectral import (
+    OperatorKernel,
+    bump_symbol,
+    heat_kernel,
+    magnitude_norms,
+    multiplier_kernel,
+    resolvent_symbol,
+)
+from nbesov.verify import amalgam
+from nbesov.verify.amalgam import _block_operator_bounds, _column_tail_bound, exp_amalgam
 from nbesov.littlewood_paley import make_partition
 from nbesov.verify.common import coeff_batch, conclude, resynthesis_residual
 from nbesov.verify.multipliers import _LOWFREQ_BUILDERS, exp_gradient, exp_low_freq_decay
@@ -240,6 +249,68 @@ def test_column_tail_bound_is_the_squared_symbol_tail(basis):
         sup2 = float(np.max(np.abs(basis.functions)) ** 2)
         want = math.sqrt(7 * sup2 * float(np.sum(sym(lam) ** 2)))
         assert _column_tail_bound(sym, basis, 7) == pytest.approx(want, rel=1e-14)
+
+
+def _svd_block_bounds(kernel, theta, rng, n_probes):
+    """Oracle for _block_operator_bounds: one batched SVD of the weighted
+    blocks B_rc per cube-size pair, summed over row cubes, for the upper
+    bound; triple_norm(kernel, 0, theta) and the same random probes for the
+    lower bound."""
+    cells = amalgam_cells(kernel.grid, theta)
+    w = kernel.grid.weights
+    sw = np.sqrt(w)
+    Kw = sw[:, None] * kernel.matrix * sw[None, :]
+    by_size: dict[int, list[int]] = {}
+    for i, (_, idx) in enumerate(cells):
+        by_size.setdefault(len(idx), []).append(i)
+    groups = [(np.asarray(ids), np.stack([cells[i][1] for i in ids])) for ids in by_size.values()]
+    S = np.zeros((len(cells), len(cells)))
+    for ids1, A in groups:
+        for ids2, B in groups:
+            blocks = Kw[A[:, None, :, None], B[None, :, None, :]]
+            S[np.ix_(ids1, ids2)] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    G = rng.standard_normal((kernel.grid.n_nodes, n_probes))
+    params = AmalgamParams(p=1.0, q=2.0, theta=theta)
+    ratios = (amalgam_columns(kernel.matrix @ (w[:, None] * G), kernel.grid, params)
+              / amalgam_columns(G, kernel.grid, params))
+    single = triple_norm(kernel, 0.0, theta)
+    assert single >= np.max(ratios)  # the comparison below reaches the single-cube value
+    return float(S.sum(axis=0).max()), single
+
+
+@pytest.mark.parametrize("build, thetas", [
+    (lambda: build_interval_basis(math.pi, 257, N=512),
+     np.geomspace(4.0 * (math.pi / 512) ** 2, 1.0, 9)),
+    (lambda: build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32), (0.1, 0.3)),
+], ids=["i512", "rect32"])
+def test_gram_bounds_match_the_svd_and_triple_norm_oracles(build, thetas):
+    """The experiment's 9 theta on i512; on the rectangle the cubes come in
+    9 and 10 sizes."""
+    basis, pou = build(), make_partition("standard")
+    for theta in thetas:
+        ker = multiplier_kernel(bump_symbol(pou, theta), basis)
+        got = _block_operator_bounds(ker, theta, np.random.default_rng(1), 64)
+        want = _svd_block_bounds(ker, theta, np.random.default_rng(1), 64)
+        assert got == pytest.approx(want, rel=1e-14, abs=0), theta
+
+
+def test_amalgam_calls_triple_norm_only_at_positive_alpha(monkeypatch):
+    """The bump bounds read every alpha = 0 value from the per-cube Gram
+    matrices, with no SVD."""
+    seen = []
+
+    def positive_only(kernel, alpha, theta):
+        assert alpha > 0, "triple_norm called at alpha = 0"
+        seen.append(alpha)
+        return triple_norm(kernel, alpha, theta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(amalgam, "triple_norm", positive_only)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    rep = exp_amalgam(ExperimentSpec(id="amalgam", params={"n_theta_1d": 3, "n_theta_2d": 2}))
+    assert len(rep.points) and sorted(set(seen)) == [0.5, 1.0]
 
 
 def _resynthesis_loop(F, C, basis, pou, js, cap):

@@ -237,10 +237,6 @@ class EigenBasis:
     def domain(self) -> Domain:
         return self.grid.domain
 
-    @property
-    def lambda_cutoff(self) -> float:
-        return self.grid.resolution_cutoff
-
     def gram(self) -> NDArray:
         W = self.grid.weights
         return (self.functions * W) @ self.functions.T
@@ -254,7 +250,7 @@ class EigenBasis:
             raise ValueError("eigenvalues are not sorted")
         if abs(lam[0]) > 1e-10:
             raise ValueError(f"lowest eigenvalue {lam[0]!r} is not 0 within 1e-10")
-        if np.any(lam > self.lambda_cutoff * (1 + 1e-12)):
+        if np.any(lam > self.grid.resolution_cutoff * (1 + 1e-12)):
             raise ValueError("basis carries modes beyond the grid resolution cutoff")
         const = self.domain.volume ** -0.5
         if not np.allclose(self.functions[0], const, rtol=0, atol=1e-8 * const):
@@ -330,8 +326,9 @@ def cosine_modes(lengths: Sequence[float], shape: Sequence[int], modes: Sequence
 def build_interval_basis(L: float, K: int, N: int = 512) -> EigenBasis:
     """Closed-form Neumann basis on [0, L] with K modes on an N-node grid.
 
-    lambda_k = ((k-1) pi / L)^2; e_1 is constant.  Requires K <= N and the
-    top mode to sit below the per-axis resolution cutoff (k-1 <= N/2).
+    lambda_k = ((k-1) pi / L)^2; e_1 is constant.  Requires K <= N, the
+    top mode to sit below the per-axis resolution cutoff (k-1 <= N/2), and
+    lambda_2 > 0 when K > 1 (a simple zero eigenvalue).
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -342,8 +339,18 @@ def build_interval_basis(L: float, K: int, N: int = 512) -> EigenBasis:
             f"K={K} asks for modes beyond the resolution cutoff (k-1 <= N/2 = {N / 2:g})"
         )
     ks, lam = list(range(K)), (np.arange(K, dtype=float) * np.pi / L) ** 2
-    return EigenBasis(grid=interval_grid(L, N), eigenvalues=lam,
-                      functions=cosine_modes((L,), (N,), ks), kind="analytic", mode_index=ks)
+    return _simple_zero(f"L={L}", EigenBasis(
+        grid=interval_grid(L, N), eigenvalues=lam,
+        functions=cosine_modes((L,), (N,), ks), kind="analytic", mode_index=ks))
+
+
+def _simple_zero(what: str, basis: EigenBasis) -> EigenBasis:
+    """basis, unless its lambda_2 is not > 0 (it underflows to 0 on a huge
+    domain): then the zero eigenvalue is not simple and this raises."""
+    if basis.K > 1 and not basis.eigenvalues[1] > 0:
+        raise ValueError(f"{what} gives lambda_2 = {float(basis.eigenvalues[1])!r}; "
+                         "the zero eigenvalue is not simple")
+    return basis
 
 
 def rectangle_mode_table(Lx: float, Ly: float, Nx: int, Ny: int) -> list[tuple[float, int, int]]:
@@ -366,6 +373,7 @@ def build_rectangle_basis(Lx: float, Ly: float, K: int, Nx: int = 64, Ny: int = 
     Modes e_(a,b)(x, y) = e_a(x) e_b(y) with lambda = (a pi/Lx)^2 +
     (b pi/Ly)^2, sorted by eigenvalue with lexicographic tie-break on
     (a, b) so degenerate levels come out in a deterministic order.
+    Requires lambda_2 > 0 when K > 1, as the interval builder does.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -376,13 +384,13 @@ def build_rectangle_basis(Lx: float, Ly: float, K: int, Nx: int = 64, Ny: int = 
         )
     chosen = table[:K]
     modes = [(a, b) for (_, a, b) in chosen]
-    return EigenBasis(
+    return _simple_zero(f"Lx={Lx}, Ly={Ly}", EigenBasis(
         grid=rectangle_grid(Lx, Ly, Nx, Ny),
         eigenvalues=np.array([t[0] for t in chosen]),
         functions=cosine_modes((Lx, Ly), (Nx, Ny), modes),
         kind="analytic",
         mode_index=modes,
-    )
+    ))
 
 
 def _fd_laplacian(grid: Grid) -> sp.csr_matrix:
@@ -455,7 +463,7 @@ def build_fd_basis(domain: Domain, h: float, K: int) -> EigenBasis:
     if lam[0] > 1e-8 * max(1.0, lam[-1]):
         raise ValueError("no zero eigenvalue found; mesh is not a Neumann discretization")
     lam[0] = 0.0
-    if K <= lam.size and lam[-1] > grid.resolution_cutoff:
+    if lam[-1] > grid.resolution_cutoff:
         raise ValueError(
             f"K={K} reaches eigenvalue {lam[-1]:.4g} beyond the resolution cutoff "
             f"{grid.resolution_cutoff:.4g}"

@@ -133,10 +133,11 @@ def default_besov_params(
 
 
 def _check_window(params: BesovParams, basis: EigenBasis) -> None:
-    if 2.0**params.j_max > math.sqrt(basis.lambda_cutoff) * (1 + 1e-12):
+    top = math.sqrt(basis.grid.resolution_cutoff)
+    if 2.0**params.j_max > top * (1 + 1e-12):
         raise ValueError(
             f"j_max={params.j_max} exceeds the grid's resolved band "
-            f"(2^j_max must stay below {math.sqrt(basis.lambda_cutoff):.4g})"
+            f"(2^j_max must stay below {top:.4g})"
         )
 
 

@@ -42,7 +42,7 @@ from numpy.typing import NDArray
 from scipy.fft import dct, dst
 from scipy.special import gamma as gamma_fn
 
-from .domains import EigenBasis, Grid, fd_gradient, lp_norm, weyl_eigenvalue_estimate
+from .domains import EigenBasis, Grid, fd_gradient, weyl_eigenvalue_estimate
 from .littlewood_paley import PartitionOfUnity
 
 __all__ = [
@@ -131,12 +131,6 @@ class SpectralCoeffs:
 
     values: NDArray
     basis: EigenBasis
-
-    def parseval_defect(self, f: GridFunction) -> float:
-        """||f||_2^2 - sum |c_k|^2 (nonnegative up to roundoff; energy above
-        the resolved band)."""
-        e2 = lp_norm(f, 2.0) ** 2
-        return e2 - float(np.sum(np.abs(self.values) ** 2))
 
 
 @dataclass(frozen=True)
@@ -340,7 +334,8 @@ def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
     eigenvalues in 2-D, so there the value is an estimate, not a bound:
     ROADMAP item 3), and the mode sup-norms from the largest observed
     sup-norm among resolved modes.
-    Exactly zero for symbols supported below the top resolved eigenvalue.
+    Exactly zero for symbols supported below the top resolved eigenvalue;
+    inf when any tail term is not finite.
     """
     lam_top = float(basis.eigenvalues[-1])
     if symbol.support is not None and symbol.support[1] <= lam_top:
@@ -351,7 +346,8 @@ def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
     lam_est = np.maximum(lam_est, lam_top)
     with np.errstate(over="ignore", under="ignore"):
         vals = np.abs(symbol(lam_est))
-    vals = vals[np.isfinite(vals)]
+    if not np.all(np.isfinite(vals)):
+        return math.inf
     return float(np.sum(vals) * basis.sup2())
 
 

@@ -213,11 +213,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     checks[f"p=q collapse defect {defect:.2e}"] = defect <= P["exact_tol"] * max(l2, 1.0)
 
     return conclude(
-        spec, checks, unresolved, notes,
-        params={"interval_K": P["interval_K"], "rect_K": P["rect_K"],
-                "betas_1d": list(P["betas_1d"]), "beta_2d": P["beta_2d"],
-                "alphas": list(P["alphas"]), "slope_tol": P["slope_tol"],
-                "pou": spec.pou_variant},
+        spec, P, checks, unresolved, notes,
         points=points,
         fit=fits,
         figures={

@@ -85,12 +85,7 @@ def exp_reconstruction(spec: ExperimentSpec) -> EstimateReport:
     checks = {"inhom_residual": worst_inhom < P["tol"],
               "hom_residual": worst_hom < P["tol"],
               "mean_case_gap": worst_mean_gap < P["exact_tol"]}
-    return conclude(
-        spec, checks,
-        params={"n_samples": P["n_samples"], "tol": P["tol"],
-                "pou": spec.pou_variant},
-        points=points, fit=fits,
-    )
+    return conclude(spec, P, checks, points=points, fit=fits)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +169,7 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
     points = [{"check": k, "ratio": v, "refined": fine.get(k)}
               for k, v in base.items()]
     return conclude(
-        spec, checks,
-        params={"n_samples": P["n_samples"], "k_max": P["k_max"],
-                "pou": spec.pou_variant},
+        spec, P, checks,
         points=points,
         fit={"ratios": base, "refined": fine, "drift": drift},
     )
@@ -201,7 +194,7 @@ def _conj(p: float) -> float:
 
 def exp_duality(spec: ExperimentSpec) -> EstimateReport:
     """|<f, g>| <= C ||f||_{B^s_{p,q}} ||g||_{B^{-s}_{p',q'}} over sample pairs."""
-    P = spec.merged(DUALITY_DEFAULTS)
+    P = spec.merged(DUALITY_DEFAULTS) | {"table": _DUAL_TABLE}
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
     coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
@@ -236,9 +229,7 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
     checks["refinement_drift"] = max(drift.values()) <= P["drift_tol"]
     checks["structural"] = pair_const <= 1e-12 and scale_gap <= 1e-12
     return conclude(
-        spec, checks,
-        params={"n_pairs": P["n_pairs"], "table": [list(t) for t in _DUAL_TABLE],
-                "pou": spec.pou_variant},
+        spec, P, checks,
         points=[{"case": k, "C": v, "C_refined": fine[k], "drift": drift[k]}
                 for k, v in base.items()],
         fit={"C_emp": base, "drift": drift, "mean_zero_pairing": pair_const,
@@ -273,7 +264,7 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
     exactly representable; the empirical constant must be stable under
     grid refinement and partition-variant swap.
     """
-    P = spec.merged(LEIBNIZ_DEFAULTS)
+    P = spec.merged(LEIBNIZ_DEFAULTS) | {"tuples": _LEIBNIZ_TUPLES}
     rng = np.random.default_rng(spec.seed)
     coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
     kcap = P["band_cap"] + 1
@@ -330,10 +321,7 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
               "variant_drift": max(drift_swap.values()) <= P["stability_tol"],
               "band_leak": disc == 0}
     return conclude(
-        spec, checks,
-        params={"n_pairs": P["n_pairs"], "band_cap": P["band_cap"],
-                "tuples": _LEIBNIZ_TUPLES,
-                "pou": spec.pou_variant},
+        spec, P, checks,
         points=[{"case": k, "C": v, "C_refined": fine[k], "C_variant": swap[k]}
                 for k, v in base.items()],
         fit={"C_emp": base, "drift_refine": drift_refine,
@@ -358,9 +346,8 @@ PARTITION_DEFAULTS = {
 def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
     """Besov norms computed with the two partition variants agree up to a
     bounded ratio, uniformly over a grid of (s, p, q)."""
-    P = spec.merged(PARTITION_DEFAULTS)
-    pou_a = make_partition("standard")
-    pou_b = make_partition("perturbed")
+    P = spec.merged(PARTITION_DEFAULTS) | {"pou": ("standard", "perturbed")}
+    pou_a, pou_b = map(make_partition, P["pou"])
     rng = np.random.default_rng(spec.seed)
     coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
     C0 = coeff_batch(rng, refined.K, P["n_samples"], k_max=48, decay=0.05)
@@ -389,10 +376,7 @@ def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
               "ratio_max": worst_hi <= P["ratio_hi"],
               "refinement_drift": worst_drift <= P["drift_tol"]}
     return conclude(
-        spec, checks,
-        params={"n_samples": P["n_samples"],
-                "s_table": list(P["s_table"]),
-                "pq_table": P["pq_table"]},
+        spec, P, checks,
         points=points,
         fit={"ratio_min": worst_lo, "ratio_max": worst_hi,
              "max_drift": worst_drift},

@@ -110,6 +110,7 @@ def resynthesis_residual(F: NDArray, C: NDArray, basis: EigenBasis, pou: Partiti
 
 def conclude(
     spec: ExperimentSpec,
+    P: dict,
     checks: dict,
     unresolved: str | None = None,
     notes=(),
@@ -117,11 +118,15 @@ def conclude(
 ) -> EstimateReport:
     """The experiment's report, with id and seed from the spec.
 
-    checks maps each named check to whether it passed, in report order.
-    Any failed check gives fail; otherwise an unresolved reason gives
-    inconclusive; otherwise pass.  After the caller's notes comes one
-    "failed: a; b" note naming the failed checks, or the reason when it
-    decided the verdict.  fields go to EstimateReport unchanged.
+    params records the spec's partition variant under "pou", then P, the
+    parameters the experiment ran with (spec.merged(defaults) plus any
+    module constant that defines its claim); a "pou" in P names the
+    partition the experiment used instead.  checks maps each named check
+    to whether it passed, in report order.  Any failed check gives fail;
+    otherwise an unresolved reason gives inconclusive; otherwise pass.
+    After the caller's notes comes one "failed: a; b" note naming the
+    failed checks, or the reason when it decided the verdict.  fields go
+    to EstimateReport unchanged.
     """
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
@@ -130,5 +135,5 @@ def conclude(
         verdict, last = INCONCLUSIVE, [unresolved]
     else:
         verdict, last = PASS, []
-    return EstimateReport(id=spec.id, seed=spec.seed, verdict=verdict,
-                          notes=list(notes) + last, **fields)
+    return EstimateReport(id=spec.id, seed=spec.seed, params={"pou": spec.pou_variant} | P,
+                          verdict=verdict, notes=list(notes) + last, **fields)

@@ -40,7 +40,6 @@ HEAT_DEFAULTS = {
     "c_slack": 1.5,
     "uniformity_cap": 5.0,
     "refine_tol": 0.20,
-    "include_rectangle": True,
     "interval_K": 200,
     "interval_N": 512,
     "rect_K": 200,
@@ -229,24 +228,17 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
         notes.append(note + " (truncation tail dominates the envelope there): " + ", ".join(
             f"{r['t']:.3g}" for r in rows_b if not r["admissible"]))
 
-    if P["include_rectangle"]:
-        rect = build_rectangle_basis(math.pi, math.pi, P["rect_K"],
-                                     Nx=P["rect_N"], Ny=P["rect_N"])
-        ts2 = np.logspace(math.log10(rect.grid.h**2), math.log10(P["t_max"]), 15)
-        rows_r = _domain_scan(rect, ts2, cs, P, dim=2)
-        fits["rectangle"], checks_r, note, points_r = _summarize(
-            "rectangle", rect, rows_r, rows_r, cs, P)
-        checks |= checks_r
-        points += points_r
-        if note:
-            notes.append(note)
+    rect = build_rectangle_basis(math.pi, math.pi, P["rect_K"], Nx=P["rect_N"], Ny=P["rect_N"])
+    ts2 = np.logspace(math.log10(rect.grid.h**2), math.log10(P["t_max"]), 15)
+    rows_r = _domain_scan(rect, ts2, cs, P, dim=2)
+    fits["rectangle"], checks_r, note, points_r = _summarize(
+        "rectangle", rect, rows_r, rows_r, cs, P)
+    checks |= checks_r
+    points += points_r
+    if note:
+        notes.append(note)
 
-    rep = conclude(
-        spec, checks, notes=notes,
-        params={k: v for k, v in P.items()} | {"pou": spec.pou_variant},
-        points=points,
-        fit=fits,
-    )
+    rep = conclude(spec, P, checks, notes=notes, points=points, fit=fits)
     adm_ts = [r["t"] for r in rows_b if r["admissible"]]
     adm_pk = [math.log(max(r["pk_max"], 1e-300)) for r in rows_b if r["admissible"]]
     rep.figures["pk_decay_interval"] = (adm_ts, adm_pk)

@@ -92,10 +92,7 @@ def exp_moment_decay(spec: ExperimentSpec) -> EstimateReport:
         "periodization of the transform and are reported but not fitted")
 
     return conclude(
-        spec, checks, notes=notes,
-        params={"R": R, "N": N, "orders": list(P["orders"]),
-                "fit_window": [P["fit_lo"], P["fit_hi"]],
-                "slope_tol": P["slope_tol"], "pou": spec.pou_variant},
+        spec, P, checks, notes=notes,
         points=points,
         fit={**{f"slope_M{M}": s for M, s in slopes.items()},
              "boundary_leak": boundary_leak},

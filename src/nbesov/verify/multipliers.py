@@ -61,7 +61,6 @@ MULTIPLIER_DEFAULTS = {
     "rect_modes": 85,
     "slope_tol": 0.15,
     "spread_cap": 4.0,
-    "theta_sweep": True,
     "min_points": 4,
 }
 
@@ -139,28 +138,21 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
             if unresolved is None:
                 checks[f"2d alpha={alpha:g} {p:g}->{q:g}"] = ok
 
-    notes = []
-    if P["theta_sweep"]:
-        thetas = np.logspace(-4, 0, 9)
-        vals = []
-        for th in thetas:
-            ker = multiplier_kernel(bump_symbol(pou, th), basis)
-            v = endpoint_norms(ker)["1->inf"]
-            vals.append(v)
-            points.append({"dim": 1, "alpha": 0.0, "p": "1", "q": "inf",
-                           "theta": float(th), "norm": v})
-        fit = least_squares_fit(np.log2(thetas), np.log2(np.maximum(vals, CLIP)))
-        fits["theta_sweep_1to_inf"] = {"slope": fit.slope, "target": -0.5,
-                                       "residual": fit.residual}
-        checks["theta sweep 1->inf"] = abs(fit.slope + 0.5) <= P["slope_tol"]
-        notes.append("theta sweep covers the continuous form of the dyadic bound")
+    thetas = np.logspace(-4, 0, 9)
+    vals = []
+    for th in thetas:
+        ker = multiplier_kernel(bump_symbol(pou, th), basis)
+        v = endpoint_norms(ker)["1->inf"]
+        vals.append(v)
+        points.append({"dim": 1, "alpha": 0.0, "p": "1", "q": "inf",
+                       "theta": float(th), "norm": v})
+    fit = least_squares_fit(np.log2(thetas), np.log2(np.maximum(vals, CLIP)))
+    fits["theta_sweep_1to_inf"] = {"slope": fit.slope, "target": -0.5,
+                                   "residual": fit.residual}
+    checks["theta sweep 1->inf"] = abs(fit.slope + 0.5) <= P["slope_tol"]
+    notes = ["theta sweep covers the continuous form of the dyadic bound"]
 
-    rep = conclude(
-        spec, checks, unresolved, notes,
-        params=P | {"pou": spec.pou_variant},
-        points=points,
-        fit=fits,
-    )
+    rep = conclude(spec, P, checks, unresolved, notes, points=points, fit=fits)
     rep.figures["slope_1d_a0_1toinf"] = (
         js, [math.log2(max(r["norm"], CLIP)) for r in points
              if r["dim"] == 1 and r["alpha"] == 0.0 and r["p"] == "1.0"
@@ -261,14 +253,7 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
         checks[f"{name} mu > 0"] = mu > 0
         checks[f"{name} gap_consistent"] = consistent
 
-    rep = conclude(
-        spec, checks, notes=notes,
-        params={"j_lo": P["j_lo"], "j_hi": P["j_hi"],
-                "domains": list(P["domains"]), "pou": spec.pou_variant,
-                "fake_lambda2": P["fake_lambda2"]},
-        points=points,
-        fit=fits,
-    )
+    rep = conclude(spec, P, checks, notes=notes, points=points, fit=fits)
     rep.figures["decay_interval_long"] = (
         [r["j"] for r in points if r["domain"] == "interval_long"],
         [math.log(max(r["norm22"], CLIP)) for r in points
@@ -376,13 +361,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
               "block spreadinf": spreadinf <= P["spread_cap_other"],
               "constant_gradient": const_grad < 1e-10,
               "kept t >= 6": len(kept_t) >= 6}
-    rep = conclude(
-        spec, checks, notes=notes,
-        params={"L": P["L"], "K": P["K"], "N": P["N"], "j_lo": P["j_lo"],
-                "j_hi": P["j_hi"], "n_t": P["n_t"], "pou": spec.pou_variant},
-        points=points,
-        fit=fits,
-    )
+    rep = conclude(spec, P, checks, notes=notes, points=points, fit=fits)
     rep.figures["heat_grad_scaled"] = (list(np.log10(kept_t)), list(np.log10(scaled)))
     rep.figures["block_grad_22"] = (js, [math.log2(v) for v in vals22])
     return rep

@@ -35,6 +35,7 @@ def neg_broken_partition(spec: ExperimentSpec) -> EstimateReport:
     """Cutoff rescaled by 0.9: the dyadic sum telescopes to 0.9, so both
     the partition identity and block resynthesis must come out broken."""
     pou = _broken_pou()
+    P = spec.merged({}) | {"pou": pou.variant, "chi_scale": _CHI_SCALE}
     lam = np.geomspace(1e-4, 1e4, 4001)
     defect = float(np.max(np.abs(partition_sum(pou, lam) - 1.0)))
 
@@ -45,8 +46,7 @@ def neg_broken_partition(spec: ExperimentSpec) -> EstimateReport:
 
     checks = {"partition_identity": defect < 1e-12, "resynthesis": resid < 1e-8}
     return conclude(
-        spec, checks, notes=[_EXPECTED],
-        params={"chi_scale": _CHI_SCALE},
+        spec, P, checks, notes=[_EXPECTED],
         points=[{"partition_defect": defect, "max_residual": resid}],
         fit={"partition_defect": defect, "max_residual": resid},
     )
@@ -64,6 +64,8 @@ def neg_fake_eigenvalue(spec: ExperimentSpec) -> EstimateReport:
 def neg_reversed_inequality(spec: ExperimentSpec) -> EstimateReport:
     """Asserts the smoothness comparison the wrong way round, on samples
     pushed to the top of the band where the gap is widest."""
+    claim = "B(s=1/2) <= 3 B(s=0)"
+    P = spec.merged({}) | {"claim": claim, "modes": "32..63"}
     pou = make_partition(spec.pou_variant)
     basis = interval_basis(math.pi, 64, 512)
     rng = np.random.default_rng(spec.seed)
@@ -71,10 +73,8 @@ def neg_reversed_inequality(spec: ExperimentSpec) -> EstimateReport:
     C[32:] = rng.standard_normal((basis.K - 32, 50))
     rough, smooth = besov_table(C, [(0.0, 2.0, 2.0), (0.5, 2.0, 2.0)], pou, basis, 6)
     ratio = float(np.max(smooth / rough))
-    claim = "B(s=1/2) <= 3 B(s=0)"
     return conclude(
-        spec, {claim: ratio <= 3.0}, notes=[_EXPECTED],
-        params={"claim": claim, "modes": "32..63"},
+        spec, P, {claim: ratio <= 3.0}, notes=[_EXPECTED],
         points=[{"max_ratio": ratio}],
         fit={"max_ratio": ratio},
     )

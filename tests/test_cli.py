@@ -83,11 +83,14 @@ def test_basis_rejects_overcrowded_band(capsys):
     (["--L", "nan"], "L=nan must be positive and finite"),
     (["--L", "1e308"], "non-finite mode samples"),
     (["--shape", "rectangle", "--Lx", "inf"], "Lx=inf, Ly=1.0 must be positive and finite"),
-], ids=["inf", "nan", "overflow", "rectangle"])
+    (["--L", "1e300"], "L=1e+300 gives lambda_2 = 0.0; the zero eigenvalue is not simple"),
+    (["--shape", "rectangle", "--Lx", "1e300"], "Lx=1e+300, Ly=1.0 gives lambda_2 = 0.0"),
+], ids=["inf", "nan", "overflow", "rectangle", "underflow", "rectangle_underflow"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_basis_rejects_non_finite_lengths(tmp_path, capsys, flags, reason):
-    """Exit 1 with the reason, and no basis file is written."""
+    """Exit 1 with the reason, and no basis file is written; a huge but
+    finite length fails the same way, as its lambda_2 underflows to 0."""
     out = tmp_path / "b.json"
     assert main(["basis", *flags, "--K", "4", "--N", "8", "--out", str(out)]) == 1
     assert reason in capsys.readouterr().err
@@ -360,6 +363,16 @@ def test_verify_inconclusive_exit_code(tmp_path, capsys):
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert rc == 2
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_verify_config_override_is_recorded_in_the_report(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"only": ["embeddings"],
+                               "experiments": {"embeddings": {"cap_l2": 0.5}}}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "r" / "embeddings.json").read_text())
+    assert payload["params"]["cap_l2"] == 0.5
 
 
 def test_verify_negative_control_exit_code(tmp_path, capsys):

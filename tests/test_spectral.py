@@ -12,6 +12,7 @@ from nbesov.domains import (
     build_rectangle_basis,
     interval_grid,
     load_basis,
+    lp_norm,
     lshape_domain,
     polygon_grid,
     rectangle_grid,
@@ -156,6 +157,14 @@ def test_block_symbol_tail_is_zero_in_band(basis):
     assert ker.tail_bound == 0.0
 
 
+def test_symbol_tail_bound_is_inf_when_a_tail_term_overflows(basis):
+    """lambda^80 overflows on part of the j = 6 block past the band: the
+    finite terms alone bound nothing, so the tail is inf."""
+    pou = make_partition("standard")
+    assert spectral.symbol_tail_bound(power_block_symbol(pou, 6, 80.0), basis) == math.inf
+    assert 0.0 < spectral.symbol_tail_bound(power_block_symbol(pou, 6, 1.0), basis) < math.inf
+
+
 @pytest.mark.parametrize("variant", ["standard", "perturbed"])
 def test_bump_symbol_support_values_and_tail(variant, basis):
     """phi_0(theta lambda) vanishes outside (plateau/(2 theta), 2/theta),
@@ -203,7 +212,8 @@ def test_analyze_synthesize_round_trip(basis):
     np.testing.assert_allclose(coeffs.values, c, atol=1e-13)
     back = synthesize(coeffs)
     np.testing.assert_allclose(back.values, f.values, atol=1e-13)
-    assert coeffs.parseval_defect(f) == pytest.approx(0.0, abs=1e-12)
+    defect = lp_norm(f, 2.0) ** 2 - float(np.sum(coeffs.values**2))
+    assert defect == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kernel_save_load_round_trip(tmp_path, basis):

@@ -32,10 +32,31 @@ from nbesov.spectral import (
     resolvent_symbol,
 )
 from nbesov.verify import amalgam
-from nbesov.verify.amalgam import _block_operator_bounds, _column_tail_bound, exp_amalgam
+from nbesov.verify.amalgam import (
+    AMALGAM_DEFAULTS,
+    _block_operator_bounds,
+    _column_tail_bound,
+    exp_amalgam,
+)
 from nbesov.littlewood_paley import make_partition
+from nbesov.verify.besov import (
+    DUALITY_DEFAULTS,
+    EMBED_DEFAULTS,
+    LEIBNIZ_DEFAULTS,
+    PARTITION_DEFAULTS,
+    RECON_DEFAULTS,
+)
 from nbesov.verify.common import coeff_batch, conclude, resynthesis_residual
-from nbesov.verify.multipliers import _LOWFREQ_BUILDERS, exp_gradient, exp_low_freq_decay
+from nbesov.verify.heat import HEAT_DEFAULTS
+from nbesov.verify.moments import MOMENT_DEFAULTS
+from nbesov.verify.multipliers import (
+    _LOWFREQ_BUILDERS,
+    GRADIENT_DEFAULTS,
+    LOWFREQ_DEFAULTS,
+    MULTIPLIER_DEFAULTS,
+    exp_gradient,
+    exp_low_freq_decay,
+)
 
 NEG_IDS = [k for k in REGISTRY if k.startswith("neg_")]
 
@@ -231,10 +252,50 @@ def test_amalgam_failure_outranks_an_unresolved_gap():
     ({"a": False, "b": True}, "too few points", FAIL, "failed: a"),
 ])
 def test_conclude_verdict_table(checks, reason, verdict, last):
-    spec = ExperimentSpec(id="x", seed=7)
-    rep = conclude(spec, checks, reason, ["own note"], params={"k": 1})
-    assert (rep.id, rep.seed, rep.verdict, rep.params) == ("x", 7, verdict, {"k": 1})
+    spec = ExperimentSpec(id="x", seed=7, pou_variant="perturbed")
+    rep = conclude(spec, {"k": 1}, checks, reason, ["own note"])
+    assert (rep.id, rep.seed, rep.verdict) == ("x", 7, verdict)
+    assert rep.params == {"pou": "perturbed", "k": 1}
     assert rep.notes == ["own note"] + ([last] if last else [])
+
+
+# What each experiment runs with at the suite's defaults, and the partition
+# it records when that is not the spec's.
+_MERGED = {
+    "multiplier_scaling": MULTIPLIER_DEFAULTS,
+    "low_freq_decay": LOWFREQ_DEFAULTS,
+    "heat_gaussian": HEAT_DEFAULTS,
+    "gradient": GRADIENT_DEFAULTS,
+    "reconstruction": RECON_DEFAULTS,
+    "embeddings": EMBED_DEFAULTS,
+    "duality": DUALITY_DEFAULTS,
+    "leibniz": LEIBNIZ_DEFAULTS,
+    "partition_independence": PARTITION_DEFAULTS,
+    "amalgam": AMALGAM_DEFAULTS,
+    "moment_decay": MOMENT_DEFAULTS,
+    "neg_broken_partition": {},
+    "neg_fake_eigenvalue": LOWFREQ_DEFAULTS | {"fake_lambda2": 2.0**-12,
+                                               "domains": ("interval_pi",)},
+    "neg_reversed_inequality": {},
+}
+_POU = {"partition_independence": ("standard", "perturbed"), "neg_broken_partition": "broken"}
+
+
+@pytest.mark.parametrize("which", ["suite_reports", "control_reports"])
+def test_params_hold_every_parameter_the_experiment_ran_with(which, request):
+    for rid, rep in request.getfixturevalue(which)["reports"].items():
+        missing = {k: v for k, v in _MERGED[rid].items()
+                   if k not in rep.params or rep.params[k] != v}
+        assert not missing, (rid, missing)
+        assert rep.params["pou"] == _POU.get(rid, "standard"), rid
+
+
+def test_a_gate_override_is_recorded_in_params():
+    """Only exact_tol tells this run's params from a default run's."""
+    rep = run_suite(ids=["reconstruction"],
+                    overrides={"reconstruction": {"exact_tol": 1e-30}})[0]
+    assert rep.verdict == FAIL
+    assert rep.params["exact_tol"] == 1e-30
 
 
 @pytest.mark.parametrize("basis", [build_interval_basis(math.pi, 65, N=128),

@@ -51,7 +51,6 @@ __all__ = [
     "lp_norm",
     "save_basis",
     "load_basis",
-    "weyl_eigenvalue_estimate",
 ]
 
 
@@ -535,7 +534,7 @@ def fd_gradient(values: NDArray, grid: Grid) -> NDArray:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature L^p norms and the Weyl law
+# Quadrature L^p norms
 
 
 def lp_columns(F: NDArray, w: NDArray, p: float) -> NDArray:
@@ -555,21 +554,6 @@ def lp_norm(f, p: float) -> float:
     """Quadrature L^p norm of a GridFunction-like f (attributes .values and
     .grid): the one-column case of lp_columns."""
     return float(lp_columns(np.asarray(f.values)[:, None], f.grid.weights, p)[0])
-
-
-def weyl_eigenvalue_estimate(domain: Domain, k: NDArray) -> NDArray:
-    """Inverse of the leading-order Weyl count: estimated lambda_k.
-
-    Used to estimate symbol tails over unresolved modes.  Exact on the
-    interval; in 2-D the Neumann boundary term raises the count, so it
-    overshoots (pi x pi square: lambda_50 = 52, estimate 62.4) and the
-    tails built on it are estimates, not bounds (ROADMAP item 3).
-    """
-    k = np.asarray(k, dtype=float)
-    if domain.n == 1:
-        L = domain.lengths[0]
-        return ((k - 1) * np.pi / L) ** 2
-    return 4 * np.pi * (k - 1) / domain.volume
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ heat_kernel (OperatorKernel.profile).  Rectangle and finite-difference
 bases form the dense product E^T diag(phi(lambda)) E.
 
 Every kernel carries a reported tail bound over the unresolved modes,
-estimated through the leading-order Weyl law; nothing above the resolved
-band is silently discarded.
+estimated in symbol_tail_bound through the leading-order Weyl law;
+nothing above the resolved band is silently discarded.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from numpy.typing import NDArray
 from scipy.fft import dct, dst
 from scipy.special import gamma as gamma_fn
 
-from .domains import EigenBasis, Grid, fd_gradient, weyl_eigenvalue_estimate
+from .domains import EigenBasis, Grid, fd_gradient
 from .littlewood_paley import PartitionOfUnity
 
 __all__ = [
@@ -224,11 +224,21 @@ class OperatorKernel:
 # Symbol constructors
 
 
+def _check(ok: bool, name: str, value: float, rule: str) -> None:
+    """Raise ValueError naming the parameter unless ok."""
+    if not ok:
+        raise ValueError(f"{name}={value} must be {rule}")
+
+
 def heat_symbol(t: float) -> SymbolFn:
+    _check(0 < t < math.inf, "t", t, "positive and finite")
     return SymbolFn(fn=lambda lam: np.exp(-t * lam), tag=f"heat:t={t:g}")
 
 
 def resolvent_symbol(beta: float, M: float, theta: float = 1.0) -> SymbolFn:
+    _check(0 < beta < math.inf, "beta", beta, "positive and finite")
+    _check(0 < theta < math.inf, "theta", theta, "positive and finite")
+    _check(0 <= M < math.inf, "M", M, "finite and >= 0")  # M = 0: assembly rejects lambda = 0
     return SymbolFn(
         fn=lambda lam: (theta * lam + M) ** (-beta),
         tag=f"resolvent:beta={beta:g},M={M:g},theta={theta:g}",
@@ -252,6 +262,7 @@ def bump_symbol(pou: PartitionOfUnity, theta: float) -> SymbolFn:
     phi_0 eats lambda directly here, not sqrt(lambda), so its support in
     lambda is phi0_support divided by theta, not squared.
     """
+    _check(0 < theta < math.inf, "theta", theta, "positive and finite")
     lo, hi = pou.phi0_support
     return SymbolFn(fn=lambda lam: pou.phi0(theta * lam),
                     tag=f"bump:theta={theta:g},pou={pou.variant}",
@@ -272,10 +283,10 @@ def power_block_symbol(pou: PartitionOfUnity, j: int, alpha: float) -> SymbolFn:
     The bump vanishes at lambda = 0, so the product is 0 there for every
     alpha, including negative powers where lambda^alpha alone blows up.
     """
+    _check(math.isfinite(alpha), "alpha", alpha, "finite")
     base = block_symbol(pou, j)
 
     def fn(lam: NDArray) -> NDArray:
-        lam = np.asarray(lam, dtype=float)
         b = base(lam)
         out = np.zeros_like(b)
         nz = b != 0.0
@@ -316,12 +327,18 @@ def synthesize(coeffs: SpectralCoeffs) -> GridFunction:
     return GridFunction(values=to_grid(coeffs.values, coeffs.basis), grid=coeffs.basis.grid)
 
 
-def apply_multiplier(symbol: SymbolFn, f: GridFunction, basis: EigenBasis) -> GridFunction:
-    """phi(H) f through the eigenbasis; rejects non-finite symbol values."""
+def _symbol_values(symbol: SymbolFn, basis: EigenBasis) -> NDArray:
+    """phi(lambda_k); rejects a symbol that is not finite on the spectrum."""
     svals = symbol(basis.eigenvalues)
     if not np.all(np.isfinite(svals)):
         bad = basis.eigenvalues[~np.isfinite(svals)]
         raise ValueError(f"symbol {symbol.tag} is not finite at eigenvalues {bad[:3]}...")
+    return svals
+
+
+def apply_multiplier(symbol: SymbolFn, f: GridFunction, basis: EigenBasis) -> GridFunction:
+    """phi(H) f through the eigenbasis; rejects non-finite symbol values."""
+    svals = _symbol_values(symbol, basis)
     c = analyze(f, basis)
     return synthesize(SpectralCoeffs(values=svals * c.values, basis=basis))
 
@@ -329,20 +346,20 @@ def apply_multiplier(symbol: SymbolFn, f: GridFunction, basis: EigenBasis) -> Gr
 def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
     """Reported tail of the truncated kernel part sum_{k>K} |phi(lambda_k)|.
 
-    The next 200,000 unresolved eigenvalues come from the leading-order
-    Weyl law (exact on the interval, an overshoot of the Neumann
-    eigenvalues in 2-D, so there the value is an estimate, not a bound:
-    ROADMAP item 3), and the mode sup-norms from the largest observed
-    sup-norm among resolved modes.
+    The next 200,000 unresolved eigenvalues come from the inverse of the
+    leading-order Weyl count, ((k - 1) pi / L)^2 on an interval (exact) and
+    4 pi (k - 1) / |Omega| in 2-D (an overshoot: lambda_50 = 52 on the pi x pi
+    square, estimate 62.4, so there the value is an estimate, not a bound:
+    ROADMAP item 3); the mode sup-norms from the largest resolved one.
     Exactly zero for symbols supported below the top resolved eigenvalue;
     inf when any tail term is not finite.
     """
     lam_top = float(basis.eigenvalues[-1])
     if symbol.support is not None and symbol.support[1] <= lam_top:
         return 0.0
-    K = basis.K
-    ks = np.arange(K + 1, K + 1 + 200_000)
-    lam_est = weyl_eigenvalue_estimate(basis.domain, ks)
+    dom = basis.domain
+    k1 = np.arange(basis.K, basis.K + 200_000, dtype=float)  # k - 1 for k > K
+    lam_est = (k1 * np.pi / dom.lengths[0]) ** 2 if dom.n == 1 else 4 * np.pi * k1 / dom.volume
     lam_est = np.maximum(lam_est, lam_top)
     with np.errstate(over="ignore", under="ignore"):
         vals = np.abs(symbol(lam_est))
@@ -367,9 +384,7 @@ def _assemble(symbol: SymbolFn, basis: EigenBasis,
     """phi(lambda_k) and the OperatorKernel source (profile= or matrix=) of
     phi(H), or with grad one per axis of d/dx_c phi(H); rejects symbols
     that are not finite on the spectrum."""
-    svals = symbol(basis.eigenvalues)
-    if not np.all(np.isfinite(svals)):
-        raise ValueError(f"symbol {symbol.tag} is not finite on the spectrum")
+    svals = _symbol_values(symbol, basis)
     if basis.kind == "analytic" and basis.domain.kind == "interval":
         v = interval_profile(svals, basis, grad)
         N = v.size - 1
@@ -425,15 +440,11 @@ def apply_kernel(kernel: OperatorKernel, f: GridFunction) -> GridFunction:
 
 
 def heat(t: float, f: GridFunction, basis: EigenBasis) -> GridFunction:
-    """e^{-tH} f; rejects t <= 0 (the semigroup is only used forward)."""
-    if t <= 0:
-        raise ValueError("heat flow requires t > 0")
+    """e^{-tH} f, for t positive and finite (heat_symbol checks it)."""
     return apply_multiplier(heat_symbol(t), f, basis)
 
 
 def heat_kernel(t: float, basis: EigenBasis) -> OperatorKernel:
-    if t <= 0:
-        raise ValueError("heat kernel requires t > 0")
     return multiplier_kernel(heat_symbol(t), basis)
 
 
@@ -484,12 +495,11 @@ def resolvent_gamma(beta: float, M: float, f: GridFunction, basis: EigenBasis) -
     The quadrature carries its own error estimate (halved-node comparison
     plus the analytic truncation bounds).  If it exceeds _QUAD_RTOL the
     result is still returned but a QuadratureWarning reports the estimate;
-    nothing is silently accepted.  Rejects beta and M that are not
-    positive and finite.
+    nothing is silently accepted.  Rejects beta (through resolvent_symbol)
+    and M that are not positive and finite.
     """
-    for name, value in (("beta", beta), ("M", M)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name}={value} must be positive and finite")
+    _check(0 < M < math.inf, "M", M, "positive and finite")
+    exact = resolvent_symbol(beta, M)
     lam = basis.eigenvalues
     ts = _quadrature_nodes(beta, M, float(lam[-1]))
     u = np.log(ts)
@@ -510,8 +520,7 @@ def resolvent_gamma(beta: float, M: float, f: GridFunction, basis: EigenBasis) -
     wts2[-1] *= 1.5
     weight2 = ts[::2] ** beta * np.exp(-M * ts[::2]) * wts2
     factors2 = (decay[:, ::2] * weight2).sum(axis=1) / gamma_fn(beta)
-    exact_scale = (lam + M) ** (-beta)
-    err_quad = float(np.max(np.abs(factors - factors2) / exact_scale))
+    err_quad = float(np.max(np.abs(factors - factors2) / exact(lam)))
     err_trunc = _QUAD_LOW_EPS + _QUAD_TAIL_EPS
     if err_quad + err_trunc > _QUAD_RTOL:
         warnings.warn(

@@ -4,14 +4,15 @@ Experiments are pure functions from an ExperimentSpec to an EstimateReport.
 Everything here is deterministic given the spec's seed: random draws come
 from a generator seeded per experiment, and reductions over parameter grids
 preserve a fixed order.  interval_basis and rectangle_basis are lru_cached:
-one deterministic build per argument tuple, shared by every experiment of
-the suite, so experiments must not mutate the bases they return.
+one deterministic build per argument tuple, shared by the experiments that
+call them (not heat or multipliers), which must not mutate what they get.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.typing import NDArray
@@ -41,14 +42,19 @@ class ExperimentSpec:
     seed: int = 0
     params: dict = field(default_factory=dict)
     pou_variant: str = "standard"
+    _TYPES = {int: Integral, float: Real, type(None): Real | None, tuple: list | tuple}
 
     def merged(self, defaults: dict) -> dict:
+        """defaults | params, each override of a type _TYPES allows for its default, no bool."""
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise ValueError(f"unknown parameters for {self.id}: {sorted(unknown)}")
-        out = dict(defaults)
-        out.update(self.params)
-        return out
+        for key, value in self.params.items():
+            want = self._TYPES.get(type(defaults[key]), type(defaults[key]))
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise ValueError(f"parameter {key}={value!r} for {self.id} does not have "
+                                 f"the type of its default {defaults[key]!r}")
+        return defaults | self.params
 
     def with_params(self, **kw) -> "ExperimentSpec":
         merged = dict(self.params)

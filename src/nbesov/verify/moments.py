@@ -41,7 +41,7 @@ def _hermite_gaussian(M: int, x: np.ndarray) -> np.ndarray:
 def exp_moment_decay(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(MOMENT_DEFAULTS)
     pou = partition_for(spec)
-    R, N = float(P["R"]), int(P["N"])
+    R, N = P["R"], P["N"]
     h = 2.0 * R / N
     x = -R + h * (np.arange(N) + 0.5)
     xi = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)

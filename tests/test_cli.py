@@ -229,6 +229,22 @@ def test_norm_rejects_nan_and_out_of_range_parameters(unit_basis_file, tmp_path,
 # multiplier / heat
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["multiplier", "--symbol", "resolvent", "--theta", "0"], "theta=0.0 must be"),
+    (["multiplier", "--symbol", "resolvent", "--beta", "0"], "beta=0.0 must be"),
+    (["multiplier", "--symbol", "resolvent", "--beta=-1"], "beta=-1.0 must be"),
+    (["multiplier", "--symbol", "resolvent", "--M", "inf"], "M=inf must be"),
+    (["heat", "--t", "0"], "t=0.0 must be"),
+    (["heat", "--t", "nan"], "t=nan must be"),
+], ids=["resolvent_theta_0", "resolvent_beta_0", "resolvent_beta_minus_1", "resolvent_M_inf",
+        "heat_t_0", "heat_t_nan"])
+def test_symbol_commands_reject_parameters_outside_the_symbol(basis_file, capsys, argv, reason):
+    """No kernel and no tail_bound for a symbol outside its definition."""
+    assert main(argv + ["--basis", basis_file]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{argv[0]}: ") and reason in err
+
+
 def test_multiplier_block_requires_j(basis_file, capsys):
     assert main(["multiplier", "--basis", basis_file]) == 1
     assert "--j is required" in capsys.readouterr().err
@@ -373,6 +389,19 @@ def test_verify_config_override_is_recorded_in_the_report(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((tmp_path / "r" / "embeddings.json").read_text())
     assert payload["params"]["cap_l2"] == 0.5
+
+
+@pytest.mark.parametrize("rid, key, value", [
+    ("moment_decay", "N", 8192.9), ("heat_gaussian", "interval_K", 200.5),
+    ("reconstruction", "n_samples", "5"), ("amalgam", "n_probes", 64.0),
+    ("gradient", "K", True),
+], ids=["float_for_int", "half_for_int", "string_for_int", "whole_float_for_int", "bool_for_int"])
+def test_verify_config_rejects_an_override_of_another_type(tmp_path, capsys, rid, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"only": [rid], "experiments": {rid: {key: value}}}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify: ") and f"{key}=" in err
 
 
 def test_verify_negative_control_exit_code(tmp_path, capsys):

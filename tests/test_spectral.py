@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +187,37 @@ def test_bump_symbol_support_values_and_tail(variant, basis):
         tail = multiplier_kernel(bump, basis).tail_bound
         assert tail == multiplier_kernel(old, basis).tail_bound
         assert (tail > 0.0) == (hi > basis.eigenvalues[-1])
+
+
+# Every float parameter of a symbol constructor: a valid value and the
+# domain it must lie in.  A new parameter name fails collection until it is
+# listed here.
+_SYMBOL_PARAMS = {"t": (0.5, "positive"), "beta": (1.0, "positive"), "theta": (1.0, "positive"),
+                  "M": (1.0, "non-negative"), "alpha": (0.5, "finite")}
+_OUTSIDE = {"positive": (0.0, -1.0, math.nan, math.inf),
+            "non-negative": (-1.0, math.nan, math.inf),
+            "finite": (math.nan, math.inf, -math.inf)}
+
+
+def _symbol_float_params():
+    for ctor in (name for name in spectral.__all__ if name.endswith("_symbol")):
+        for p in inspect.signature(getattr(spectral, ctor)).parameters.values():
+            if p.annotation in ("float", float):
+                for bad in _OUTSIDE[_SYMBOL_PARAMS[p.name][1]]:
+                    yield pytest.param(ctor, p.name, bad, id=f"{ctor}-{p.name}={bad}")
+
+
+@pytest.mark.parametrize("ctor, name, bad", list(_symbol_float_params()))
+def test_symbol_constructors_reject_parameters_outside_their_domain(ctor, name, bad):
+    """Each constructor builds from valid values and names the one float
+    parameter set outside its domain."""
+    fn = getattr(spectral, ctor)
+    valid = {"pou": make_partition("standard"), "j": 2} | {
+        k: v for k, (v, _) in _SYMBOL_PARAMS.items()}
+    args = {p: valid[p] for p in inspect.signature(fn).parameters}
+    fn(**args)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name}={bad} must be")):
+        fn(**(args | {name: bad}))
 
 
 def test_non_finite_symbol_rejected(basis):

@@ -20,7 +20,6 @@ from nbesov.domains import (
     EigenBasis,
     build_interval_basis,
     build_rectangle_basis,
-    weyl_eigenvalue_estimate,
 )
 from nbesov.norms import AmalgamParams, amalgam_cells, amalgam_columns, triple_norm
 from nbesov.spectral import (
@@ -141,6 +140,24 @@ def test_resolve_ids_rejects_unknown():
 def test_override_with_unknown_parameter_rejected():
     with pytest.raises(ValueError, match="unknown parameters"):
         run_suite(ids=["reconstruction"], overrides={"reconstruction": {"bogus": 1}})
+
+
+@pytest.mark.parametrize("rid, key, value", [
+    ("moment_decay", "N", 8192.9), ("heat_gaussian", "interval_K", 200.5),
+    ("reconstruction", "n_samples", "5"), ("amalgam", "n_probes", 64.0),
+    ("gradient", "K", True),
+], ids=["float_for_int", "half_for_int", "string_for_int", "whole_float_for_int", "bool_for_int"])
+def test_override_of_another_type_rejected(rid, key, value):
+    with pytest.raises(ValueError, match=f"parameter {key}="):
+        run_suite(ids=[rid], overrides={rid: {key: value}})
+
+
+def test_override_takes_its_default_type():
+    """int for int (numpy's too), int or float for float, a number for
+    None, a list for a tuple."""
+    defaults = {"n": 1, "x": 1.0, "opt": None, "seq": (1, 2)}
+    given = {"n": np.int64(3), "x": 2, "opt": 0.5, "seq": [3]}
+    assert ExperimentSpec("e", params=given).merged(defaults) == defaults | given
 
 
 def test_reduced_override_run():
@@ -306,7 +323,9 @@ def test_column_tail_bound_is_the_squared_symbol_tail(basis):
     for beta, theta in [(1.0, 1e-3), (2.0, 0.1)]:
         sym = resolvent_symbol(beta, 1.0, theta)
         ks = np.arange(basis.K + 1, basis.K + 1 + 200_000)
-        lam = np.maximum(weyl_eigenvalue_estimate(basis.domain, ks), basis.eigenvalues[-1])
+        # The leading-order Weyl law on [0, pi] and on the pi x pi square.
+        weyl = (ks - 1.0) ** 2 if basis.domain.n == 1 else 4 * (ks - 1.0) / math.pi
+        lam = np.maximum(weyl, basis.eigenvalues[-1])
         sup2 = float(np.max(np.abs(basis.functions)) ** 2)
         want = math.sqrt(7 * sup2 * float(np.sum(sym(lam) ** 2)))
         assert _column_tail_bound(sym, basis, 7) == pytest.approx(want, rel=1e-14)

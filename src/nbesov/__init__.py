@@ -30,7 +30,6 @@ from .spectral import (
     apply_multiplier,
     endpoint_norms,
     gradient,
-    heat,
     heat_kernel,
     multiplier_kernel,
     resolvent_gamma,

@@ -49,7 +49,6 @@ __all__ = [
     "AmalgamParams",
     "HomNorm",
     "ResolutionError",
-    "PowerIterationError",
     "default_besov_params",
     "scale_window",
     "besov_inhom",
@@ -70,10 +69,6 @@ __all__ = [
 
 class ResolutionError(ValueError):
     """The requested scale window cannot represent the function's band."""
-
-
-class PowerIterationError(RuntimeError):
-    """Localized norm iteration failed to converge within the step cap."""
 
 
 @dataclass(frozen=True)
@@ -396,45 +391,13 @@ def amalgam_norm(f: GridFunction, params: AmalgamParams) -> float:
     return float(amalgam_columns(np.asarray(f.values)[:, None], f.grid, params)[0])
 
 
-# Step cap and relative stopping tolerance of the triple norm's power
-# iteration: rules of the library, not of the call.
-_POWER_MAX_ITERS = 10_000
-_POWER_TOL = 1e-12
-
-
-def _power_iteration_sigma(M: NDArray) -> float:
-    """Largest singular value of M via power iteration on M^T M."""
-    m = M.shape[1]
-    if m == 0:
-        return 0.0
-    G = M.T @ M
-    v = np.full(m, 1.0 / math.sqrt(m))
-    # A deterministic nudge avoids starting orthogonal to the top space.
-    v += np.linspace(0.0, 1e-3, m)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        y = G @ v
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        v = y / ny
-        if abs(ny - prev) <= _POWER_TOL * max(ny, 1e-300):
-            return math.sqrt(ny)
-        prev = ny
-    raise PowerIterationError(
-        f"power iteration did not converge within {_POWER_MAX_ITERS} steps "
-        f"(last value {ny:.6e})"
-    )
-
-
 def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
     """sup over cubes of || |x - c_m|^alpha A chi_{C(m)} ||_{2->2}.
 
     The per-cube norm is the largest singular value of the weighted
-    localized block, found by power iteration (step cap reported through
-    PowerIterationError rather than silently accepted).  Rejects alpha that
-    is not finite and >= 0, and theta as amalgam_cells does.
+    localized block M, read as sqrt(lambda_max(M^T M)) from the symmetric
+    eigensolver.  Rejects alpha that is not finite and >= 0, and theta as
+    amalgam_cells does.
     """
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha={alpha} must be finite and >= 0")
@@ -449,8 +412,8 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
         dist = np.linalg.norm(grid.points - center, axis=1)
         rowscale = sw * dist**alpha
         M = rowscale[:, None] * K[:, idx] * sw[idx][None, :]
-        best = max(best, _power_iteration_sigma(M))
-    return best
+        best = max(best, np.linalg.eigvalsh(M.T @ M)[-1])
+    return math.sqrt(best)
 
 
 # ---------------------------------------------------------------------------

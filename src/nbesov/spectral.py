@@ -60,7 +60,6 @@ __all__ = [
     "multiplier_kernel",
     "interval_profile",
     "symbol_tail_bound",
-    "heat",
     "heat_kernel",
     "resolvent_gamma",
     "gradient",
@@ -246,14 +245,20 @@ def resolvent_symbol(beta: float, M: float, theta: float = 1.0) -> SymbolFn:
 
 
 def block_symbol(pou: PartitionOfUnity, j: int) -> SymbolFn:
-    """phi_j(sqrt(lambda)): the dyadic frequency block at scale 2^j."""
-    lo, hi = pou.phi0_support
+    """phi_j(sqrt(lambda)): the dyadic frequency block at scale 2^j.
+
+    The support (lo 2^j)^2, (hi 2^j)^2 is formed in numpy floats, so a large
+    j gives inf (and is rejected) rather than an OverflowError.
+    """
+    e = max(-2048, min(j, 2048))  # past +-2048 every bound is 0 or inf anyway
+    with np.errstate(over="ignore"):
+        support = tuple(float(np.square(np.ldexp(b, e))) for b in pou.phi0_support)
+    _check(math.isfinite(support[1]), "j", j, "small enough that the support is finite")
 
     def fn(lam: NDArray) -> NDArray:
         return pou.phi(j, np.sqrt(np.maximum(lam, 0.0)))
 
-    return SymbolFn(fn=fn, tag=f"block:j={j},pou={pou.variant}",
-                    support=((lo * 2.0**j) ** 2, (hi * 2.0**j) ** 2))
+    return SymbolFn(fn=fn, tag=f"block:j={j},pou={pou.variant}", support=support)
 
 
 def bump_symbol(pou: PartitionOfUnity, theta: float) -> SymbolFn:
@@ -361,7 +366,7 @@ def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
     k1 = np.arange(basis.K, basis.K + 200_000, dtype=float)  # k - 1 for k > K
     lam_est = (k1 * np.pi / dom.lengths[0]) ** 2 if dom.n == 1 else 4 * np.pi * k1 / dom.volume
     lam_est = np.maximum(lam_est, lam_top)
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore"):
         vals = np.abs(symbol(lam_est))
     if not np.all(np.isfinite(vals)):
         return math.inf
@@ -437,11 +442,6 @@ def apply_kernel(kernel: OperatorKernel, f: GridFunction) -> GridFunction:
 
 # ---------------------------------------------------------------------------
 # Heat semigroup and the mean projection
-
-
-def heat(t: float, f: GridFunction, basis: EigenBasis) -> GridFunction:
-    """e^{-tH} f, for t positive and finite (heat_symbol checks it)."""
-    return apply_multiplier(heat_symbol(t), f, basis)
 
 
 def heat_kernel(t: float, basis: EigenBasis) -> OperatorKernel:

@@ -363,5 +363,5 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
               "kept t >= 6": len(kept_t) >= 6}
     rep = conclude(spec, P, checks, notes=notes, points=points, fit=fits)
     rep.figures["heat_grad_scaled"] = (list(np.log10(kept_t)), list(np.log10(scaled)))
-    rep.figures["block_grad_22"] = (js, [math.log2(v) for v in vals22])
+    rep.figures["block_grad_22"] = (js, [math.log2(max(v, CLIP)) for v in vals22])
     return rep

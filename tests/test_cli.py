@@ -236,13 +236,16 @@ def test_norm_rejects_nan_and_out_of_range_parameters(unit_basis_file, tmp_path,
     (["multiplier", "--symbol", "resolvent", "--M", "inf"], "M=inf must be"),
     (["heat", "--t", "0"], "t=0.0 must be"),
     (["heat", "--t", "nan"], "t=nan must be"),
+    (["multiplier", "--symbol", "block", "--j", "600"], "j=600 must be"),
+    (["multiplier", "--symbol", "power-block", "--j", "600"], "j=600 must be"),
 ], ids=["resolvent_theta_0", "resolvent_beta_0", "resolvent_beta_minus_1", "resolvent_M_inf",
-        "heat_t_0", "heat_t_nan"])
+        "heat_t_0", "heat_t_nan", "block_j_600", "power_block_j_600"])
 def test_symbol_commands_reject_parameters_outside_the_symbol(basis_file, capsys, argv, reason):
     """No kernel and no tail_bound for a symbol outside its definition."""
     assert main(argv + ["--basis", basis_file]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"{argv[0]}: ") and reason in err
+    assert "Traceback" not in err
 
 
 def test_multiplier_block_requires_j(basis_file, capsys):

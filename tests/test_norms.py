@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbesov import norms
 from nbesov.domains import (
     build_interval_basis,
     build_rectangle_basis,
@@ -21,7 +20,6 @@ from nbesov.littlewood_paley import make_partition
 from nbesov.norms import (
     AmalgamParams,
     BesovParams,
-    PowerIterationError,
     ResolutionError,
     amalgam_cells,
     amalgam_columns,
@@ -176,39 +174,37 @@ def test_triple_norm_of_identity_is_max_offset(basis):
     assert got == pytest.approx(brute, rel=1e-10)
 
 
-def _column_block_svd(kernel, theta):
-    """Oracle for triple_norm(kernel, 0, theta): the largest singular value
-    over the weighted column blocks Kw[:, cell], one batched SVD per cell
-    size, with no power iteration."""
-    sw = np.sqrt(kernel.grid.weights)
+def _column_block_svd(kernel, alpha, theta):
+    """Oracle for triple_norm(kernel, alpha, theta): the largest singular
+    value over the weighted column blocks Kw[:, cell], with rows scaled by
+    the distance to the cell centre to the power alpha, one batched SVD per
+    cell size."""
+    grid = kernel.grid
+    sw = np.sqrt(grid.weights)
     Kw = sw[:, None] * kernel.matrix * sw[None, :]
     by_size: dict[int, list] = {}
-    for _, idx in amalgam_cells(kernel.grid, theta):
-        by_size.setdefault(len(idx), []).append(idx)
+    for m_idx, idx in amalgam_cells(grid, theta):
+        center = math.sqrt(theta) * np.asarray(m_idx, dtype=float)
+        rows = np.linalg.norm(grid.points - center, axis=1) ** alpha
+        by_size.setdefault(len(idx), []).append(rows[:, None] * Kw[:, idx])
     return max(
-        float(np.linalg.svd(Kw[:, np.stack(cols)].transpose(1, 0, 2), compute_uv=False)[:, 0].max())
-        for cols in by_size.values()
+        float(np.linalg.svd(np.stack(blocks), compute_uv=False)[:, 0].max())
+        for blocks in by_size.values()
     )
 
 
-def test_triple_norm_at_alpha_zero_is_the_column_block_svd(basis):
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_triple_norm_is_the_weighted_column_block_svd(basis, alpha):
     ker = heat_kernel(0.05, basis)
     for theta in ((4.0 * basis.grid.h) ** 2, 0.1, 1.0):
-        assert triple_norm(ker, 0.0, theta) == pytest.approx(
-            _column_block_svd(ker, theta), rel=1e-12)
+        assert triple_norm(ker, alpha, theta) == pytest.approx(
+            _column_block_svd(ker, alpha, theta), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
 def test_triple_norm_rejects_alpha_that_is_not_finite_and_nonnegative(basis, alpha):
     with pytest.raises(ValueError, match="finite and >= 0"):
         triple_norm(heat_kernel(0.1, basis), alpha, 0.25)
-
-
-def test_triple_norm_iteration_cap_is_loud(basis, monkeypatch):
-    monkeypatch.setattr(norms, "_POWER_MAX_ITERS", 1)
-    monkeypatch.setattr(norms, "_POWER_TOL", 1e-15)
-    with pytest.raises(PowerIterationError, match="within 1 steps"):
-        triple_norm(heat_kernel(0.1, basis), 1.0, 0.25)
 
 
 # ---------------------------------------------------------------------------

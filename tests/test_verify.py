@@ -250,6 +250,16 @@ def test_too_few_scales_is_inconclusive_without_failures():
     assert rep.notes[-1] == "only 3 scales j in [2, 4]; a slope fit needs 4"
 
 
+def test_gradient_blocks_below_the_spectral_gap_fail_with_a_report(tmp_path):
+    """Blocks below the first nonzero eigenvalue vanish, so their 2->2 norm
+    is 0: the run fails on the block spread and still writes its report."""
+    rep = run_suite(ids=["gradient"], overrides={"gradient": {"j_lo": -10}},
+                    out_dir=str(tmp_path))[0]
+    assert rep.verdict == FAIL
+    assert rep.notes[-1].startswith("failed: block spread22")
+    assert (tmp_path / "gradient.json").exists()
+
+
 def test_amalgam_failure_outranks_an_unresolved_gap():
     overrides = {"amalgam": {"slope_tol": 0.0, "gap_cap": 1.0,
                              "n_theta_1d": 3, "n_theta_2d": 2}}

@@ -100,8 +100,17 @@ class PartitionOfUnity:
         return self.chi(lam) - self.chi(2.0 * lam)
 
     def phi(self, j: int, lam: NDArray) -> NDArray:
-        """phi_j(lam) = phi_0(2**-j lam)."""
-        return self.phi0(np.ldexp(np.asarray(lam, dtype=float), -int(j)))
+        """phi_j(lam) = phi_0(2**-j lam).
+
+        The exponent is clamped to +-2048, where it fits a C long: past that
+        bound 2**-j lam lies outside supp phi_0 for every finite lam,
+        clamped or not, so the values are the same.  A scaled lam that
+        overflows is inf, also outside the support, and not warned about.
+        """
+        e = max(-2048, min(-int(j), 2048))
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(np.asarray(lam, dtype=float), e)
+        return self.phi0(scaled)
 
     def psi(self, mu: NDArray) -> NDArray:
         """Low-frequency cap in the operator variable: psi(mu) = chi(sqrt(mu))."""

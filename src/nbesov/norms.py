@@ -396,8 +396,9 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
 
     The per-cube norm is the largest singular value of the weighted
     localized block M, read as sqrt(lambda_max(M^T M)) from the symmetric
-    eigensolver.  Rejects alpha that is not finite and >= 0, and theta as
-    amalgam_cells does.
+    eigensolver.  M^T is built from the cube's columns of the kernel
+    (kernel.columns), so a profile kernel never forms its matrix.  Rejects
+    alpha that is not finite and >= 0, and theta as amalgam_cells does.
     """
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha={alpha} must be finite and >= 0")
@@ -405,14 +406,13 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
     cells = amalgam_cells(grid, theta)
     root = math.sqrt(theta)
     sw = np.sqrt(grid.weights)
-    K = kernel.matrix
     best = 0.0
     for m_idx, idx in cells:
         center = root * np.asarray(m_idx, dtype=float)
         dist = np.linalg.norm(grid.points - center, axis=1)
         rowscale = sw * dist**alpha
-        M = rowscale[:, None] * K[:, idx] * sw[idx][None, :]
-        best = max(best, np.linalg.eigvalsh(M.T @ M)[-1])
+        Mt = kernel.columns(idx) * rowscale[None, :] * sw[idx][:, None]  # (rowscale_r K_rc) sw_c
+        best = max(best, np.linalg.eigvalsh(Mt @ Mt.T)[-1])
     return math.sqrt(best)
 
 

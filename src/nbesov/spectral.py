@@ -19,10 +19,12 @@ cosines of (i - j) and (i + j + 1), so the kernel of phi(H) is exactly a
 Toeplitz plus a Hankel matrix whose profile is one DCT-I of the symbol
 values (one DST-I for the gradient kernel), O(N log N) and equal to the
 dense sum up to roundoff.  The kernel keeps only that profile: the endpoint
-norms read it in row blocks, and the N^2 matrix is formed only for a caller
-that asks for it; the heat-envelope scan reads the same profile through
-heat_kernel (OperatorKernel.profile).  Rectangle and finite-difference
-bases form the dense product E^T diag(phi(lambda)) E.
+norms read it in row blocks, norms.triple_norm reads each cube's columns,
+save_kernel writes it (3N - 1 numbers) and load_kernel reads it back, and
+the heat-envelope scan reads it through heat_kernel (OperatorKernel.profile).
+The N^2 matrix is formed only for a caller that reads OperatorKernel.matrix.
+Rectangle and finite-difference bases form the dense product
+E^T diag(phi(lambda)) E.
 
 Every kernel carries a reported tail bound over the unresolved modes,
 estimated in symbol_tail_bound through the leading-order Weyl law;
@@ -155,8 +157,8 @@ class OperatorKernel:
     It is held either as a dense (N, N) matrix or, on an analytic interval
     basis, as its mirrored profile prof(q + N - 1) = v(q), q = -(N-1)..2N-1,
     with K_ij = v(i - j) + v(i + j + 1) (see interval_profile).  row_blocks()
-    reads either form in blocks of rows; matrix forms the dense array on
-    first access and keeps it.
+    reads either form in blocks of rows and columns() a set of columns;
+    matrix forms the dense array on first access and keeps it.
 
     symbol_values holds phi(lambda_k) when the kernel is phi(H) itself, so
     that max |phi(lambda_k)| is its exact 2->2 norm; tail_bound reports the
@@ -177,13 +179,14 @@ class OperatorKernel:
         self.symbol_values, self.tail_bound = symbol_values, tail_bound
         self._matrix, self._profile = matrix, profile
 
-    def _toeplitz_hankel(self) -> tuple[NDArray, NDArray]:
-        """Read-only (N, N) views T_ij = v(i - j) and H_ij = v(i + j + 1).
-        T reads a reversed copy of the profile, so both run forward along
-        a row."""
+    def _toeplitz_hankel(self, transpose: bool = False) -> tuple[NDArray, NDArray]:
+        """Read-only (N, N) views T_ij = v(i - j) and H_ij = v(i + j + 1), or
+        with transpose T^T in place of T (H is symmetric).  All run forward
+        along a row: T reads a reversed copy of the profile, T^T the profile
+        itself."""
         prof, N = self._profile, self.grid.n_nodes
-        T = sliding_window_view(prof[::-1].copy()[N:], N)[::-1]
-        return T, sliding_window_view(prof[N:], N)
+        src = prof[:2 * N - 1] if transpose else prof[::-1].copy()[N:]
+        return sliding_window_view(src, N)[::-1], sliding_window_view(prof[N:], N)
 
     @property
     def profile(self) -> NDArray | None:
@@ -217,6 +220,17 @@ class OperatorKernel:
             else:
                 np.add(T[r0:r1], H[r0:r1], out=out)
             yield r0, out
+
+    def columns(self, idx: NDArray) -> NDArray:
+        """K[:, idx]^T as a new (len(idx), N) array, read from the profile
+        while the matrix is not formed.  Columns, not rows: a gradient
+        kernel is not symmetric."""
+        if self._matrix is not None:
+            return self._matrix[:, idx].T
+        Tt, H = self._toeplitz_hankel(transpose=True)
+        out = Tt[idx]
+        out += H[idx]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +648,15 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
 
 
 def save_kernel(kernel: OperatorKernel, path: str) -> None:
-    """Binary dump (npz) to exactly path, with the symbol tag and grid id in
-    the header."""
+    """Binary dump (npz) to exactly path of the source the kernel holds,
+    its mirrored (3N - 1,) profile or its (N, N) matrix, with the symbol tag
+    and grid id in the header."""
+    source = ({"matrix": kernel._matrix} if kernel._profile is None
+              else {"profile": kernel._profile})
     with open(path, "wb") as fh:
         np.savez(
             fh,
-            matrix=kernel.matrix,
+            **source,
             tag=np.array(kernel.tag),
             grid_id=np.array(kernel.grid.grid_id()),
             tail_bound=np.array(kernel.tail_bound),
@@ -647,32 +664,41 @@ def save_kernel(kernel: OperatorKernel, path: str) -> None:
         )
 
 
-_KERNEL_FIELDS = ("matrix", "tag", "grid_id", "tail_bound", "symbol_values")
+_KERNEL_FIELDS = ("tag", "grid_id", "tail_bound", "symbol_values")
 
 
 def load_kernel(path: str, grid: Grid) -> OperatorKernel:
-    """Read a save_kernel file for grid; ValueError names the file when a
-    field is missing, the file holds a vector kernel, the matrix or symbol
-    values are not finite, the tail bound is NaN or negative, or it does
-    not fit grid."""
+    """Read a save_kernel file for grid, of either layout (profile or
+    matrix); ValueError names the file when a field is missing, the file
+    holds both sources or a vector kernel, the source or symbol values are
+    not finite, the tail bound is NaN or negative, or the source does not
+    fit grid (a profile needs a 1-D grid)."""
     with np.load(path, allow_pickle=False) as z:
         if "components" in z.files:
             raise ValueError(f"{path}: holds a vector kernel (components); "
                              "kernels are scalar, one file per gradient axis")
+        sources = [f for f in ("matrix", "profile") if f in z.files]
+        if not sources:
+            raise ValueError(f"{path}: kernel file lacks field 'matrix' (or 'profile')")
+        if len(sources) == 2:
+            raise ValueError(f"{path}: kernel file holds both 'matrix' and 'profile'")
         missing = [f for f in _KERNEL_FIELDS if f not in z.files]
         if missing:
             raise ValueError(f"{path}: kernel file lacks field {missing[0]!r}")
         gid = str(z["grid_id"])
         if gid != grid.grid_id():
-            raise ValueError(f"kernel was dumped for grid {gid}, not {grid.grid_id()}")
-        sv = z["symbol_values"]
-        matrix, N = z["matrix"], grid.n_nodes
+            raise ValueError(f"{path}: kernel was dumped for grid {gid}, not {grid.grid_id()}")
+        (name,), N = sources, grid.n_nodes
+        if name == "profile" and grid.domain.n != 1:
+            raise ValueError(f"{path}: a kernel profile needs a 1-D grid, not {gid}")
+        source, sv = z[name], z["symbol_values"]
         tail = float(z["tail_bound"])
-        if matrix.shape != (N, N):
-            raise ValueError(f"kernel matrix has shape {matrix.shape}, expected {(N, N)}")
-        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(sv))):
-            raise ValueError(f"{path}: kernel matrix or symbol values are not finite")
+        shape = (N, N) if name == "matrix" else (3 * N - 1,)
+        if source.shape != shape:
+            raise ValueError(f"{path}: kernel {name} has shape {source.shape}, expected {shape}")
+        if not (np.all(np.isfinite(source)) and np.all(np.isfinite(sv))):
+            raise ValueError(f"{path}: kernel {name} or symbol values are not finite")
         if not tail >= 0.0:  # inf stays legal: a divergent tail reads inf
             raise ValueError(f"{path}: tail bound {tail!r} is not >= 0")
-        return OperatorKernel(grid, str(z["tag"]), matrix=matrix,
+        return OperatorKernel(grid, str(z["tag"]), **{name: source},
                               symbol_values=sv if sv.size else None, tail_bound=tail)

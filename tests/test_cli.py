@@ -248,6 +248,24 @@ def test_symbol_commands_reject_parameters_outside_the_symbol(basis_file, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("j", ["-100000000000000000000", "100000000000000000000"])
+def test_multiplier_block_at_a_scale_beyond_a_c_long_exits_cleanly(basis_file, capsys, j):
+    # A scale far below the spectrum gives the zero operator (support
+    # (0, 0)); one far above it has an infinite support and is rejected.
+    below = j.startswith("-")
+    assert main(["multiplier", "--basis", basis_file, "--symbol", "block",
+                 f"--j={j}"]) == (0 if below else 1)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if below:
+        vals = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert set(vals) == {"norm[1->1]", "norm[1->inf]", "norm[inf->inf]", "norm[2->2]",
+                             "tail_bound"}
+        assert all(float(v) == 0.0 for v in vals.values()) and err == ""
+    else:
+        assert f"j={j} must be" in err
+
+
 def test_multiplier_block_requires_j(basis_file, capsys):
     assert main(["multiplier", "--basis", basis_file]) == 1
     assert "--j is required" in capsys.readouterr().err
@@ -295,11 +313,13 @@ def test_heat_out_writes_the_named_file(basis_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, build", [
+    (["--shape", "interval", "--L", "2.0", "--K", "33", "--N", "64"],
+     lambda: build_interval_basis(2.0, 33, N=64)),
     (["--shape", "rectangle", "--Lx", "1.0", "--Ly", "2.0", "--Nx", "8", "--Ny", "12",
       "--K", "20"], lambda: build_rectangle_basis(1.0, 2.0, 20, Nx=8, Ny=12)),
     (["--shape", "lshape", "--h", "0.2", "--K", "12"],
      lambda: build_fd_basis(lshape_domain(), 0.2, 12)),
-], ids=["rectangle", "lshape"])
+], ids=["interval", "rectangle", "lshape"])
 def test_heat_on_saved_basis_matches_in_process_build(tmp_path, capsys, flags, build):
     path = str(tmp_path / "b.json")
     assert main(["basis", *flags, "--out", path]) == 0

@@ -37,7 +37,17 @@ from nbesov.norms import (
     seminorm_qM,
     triple_norm,
 )
-from nbesov.spectral import GridFunction, OperatorKernel, heat_kernel, to_grid
+from nbesov.spectral import (
+    GridFunction,
+    OperatorKernel,
+    gradient_kernels,
+    heat_kernel,
+    heat_symbol,
+    load_kernel,
+    multiplier_kernel,
+    save_kernel,
+    to_grid,
+)
 from nbesov.verify.besov import PARTITION_DEFAULTS
 
 
@@ -194,11 +204,24 @@ def _column_block_svd(kernel, alpha, theta):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-def test_triple_norm_is_the_weighted_column_block_svd(basis, alpha):
-    ker = heat_kernel(0.05, basis)
+@pytest.mark.parametrize("grad", [False, True], ids=["heat", "gradient"])
+def test_triple_norm_is_the_weighted_column_block_svd(basis, alpha, grad):
+    # The gradient kernel is not symmetric, so a block read from rows
+    # instead of columns fails here.
+    sym = heat_symbol(0.05)
     for theta in ((4.0 * basis.grid.h) ** 2, 0.1, 1.0):
-        assert triple_norm(ker, alpha, theta) == pytest.approx(
-            _column_block_svd(ker, alpha, theta), rel=1e-12)
+        ker = gradient_kernels(sym, basis)[0] if grad else multiplier_kernel(sym, basis)
+        got = triple_norm(ker, alpha, theta)
+        assert got == pytest.approx(_column_block_svd(ker, alpha, theta), rel=1e-12)
+
+
+def test_triple_norm_and_kernel_files_keep_a_profile_kernel_unformed(basis, tmp_path):
+    for ker in (heat_kernel(0.05, basis), gradient_kernels(heat_symbol(0.05), basis)[0]):
+        triple_norm(ker, 0.5, 0.1)
+        save_kernel(ker, str(tmp_path / "k.npz"))
+        loaded = load_kernel(str(tmp_path / "k.npz"), basis.grid)
+        triple_norm(loaded, 0.5, 0.1)
+        assert ker._matrix is None and loaded._matrix is None
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])

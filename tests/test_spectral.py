@@ -262,6 +262,84 @@ def test_kernel_save_load_round_trip(tmp_path, basis):
         load_kernel(str(p1), other.grid)
 
 
+def _interval_kernels(N):
+    b = build_interval_basis(math.pi, N // 2 + 1, N=N)
+    return b, (heat_kernel(0.05, b), gradient_kernels(heat_symbol(0.05), b)[0])
+
+
+@pytest.mark.parametrize("N", [64, 2048])
+def test_interval_kernel_files_hold_the_profile(tmp_path, N):
+    # The file holds the kernel's own source, 3N - 1 numbers (48 KB at
+    # N = 2048, against 32 MB for the matrix), and the loaded kernel's
+    # matrix is the original's bit for bit, for the odd gradient mirror too.
+    b, kernels = _interval_kernels(N)
+    for ker in kernels:
+        p = tmp_path / "k.npz"
+        save_kernel(ker, str(p))
+        with np.load(p) as z:
+            assert "profile" in z.files and "matrix" not in z.files
+            assert z["profile"].shape == (3 * N - 1,)
+        assert p.stat().st_size < 100_000
+        loaded = load_kernel(str(p), b.grid)
+        assert np.array_equal(loaded.profile, ker.profile)
+        assert loaded.matrix.tobytes() == ker.matrix.tobytes()
+        assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
+        assert np.array_equal(loaded.symbol_values, ker.symbol_values)
+
+
+def test_matrix_layout_interval_files_still_load(tmp_path):
+    b, kernels = _interval_kernels(64)
+    for ker in kernels:
+        p = tmp_path / "old.npz"
+        np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
+                 grid_id=np.array(b.grid.grid_id()), tail_bound=np.array(ker.tail_bound),
+                 symbol_values=ker.symbol_values if ker.symbol_values is not None
+                 else np.array([]))
+        loaded = load_kernel(str(p), b.grid)
+        assert loaded.profile is None and np.array_equal(loaded.matrix, ker.matrix)
+        assert endpoint_norms(loaded) == endpoint_norms(ker)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("short", "shape"), ("nan", "not finite"), ("inf", "not finite"),
+    ("both", "both"), ("rectangle", "1-D grid"),
+])
+def test_load_kernel_rejects_a_bad_profile(tmp_path, case, message):
+    b, (ker, _) = _interval_kernels(64)
+    grid = b.grid
+    prof = ker._profile.copy()
+    fields = dict(tag=np.array(ker.tag), tail_bound=np.array(0.0),
+                  symbol_values=ker.symbol_values)
+    if case == "short":
+        prof = prof[:-1]
+    elif case in ("nan", "inf"):
+        prof[5] = np.nan if case == "nan" else np.inf
+    elif case == "both":
+        fields["matrix"] = ker.matrix
+    else:
+        grid = build_rectangle_basis(math.pi, 2.0, 4, Nx=8, Ny=8).grid
+    p = tmp_path / "bad.npz"
+    np.savez(p, profile=prof, grid_id=np.array(grid.grid_id()), **fields)
+    with pytest.raises(ValueError, match=message) as exc:
+        load_kernel(str(p), grid)
+    assert str(p) in str(exc.value)
+
+
+def test_columns_are_the_transposed_matrix_columns():
+    # Bit for bit, before and after the matrix is formed, and for the
+    # gradient kernel, whose odd mirror makes it far from symmetric.
+    b, kernels = _interval_kernels(64)
+    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
+    idx = np.array([0, 1, 2, 17, 40, 63])
+    for ker in (*kernels, heat_kernel(0.05, rect)):
+        got = ker.columns(idx)
+        want = ker.matrix[:, idx].T
+        assert got.shape == (idx.size, ker.grid.n_nodes), ker.tag
+        assert np.array_equal(got, want) and np.array_equal(ker.columns(idx), want), ker.tag
+    grad = kernels[1].matrix
+    assert float(np.max(np.abs(grad - grad.T))) > 1.0
+
+
 def test_magnitude_norms_are_endpoint_norms_without_22(basis):
     rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
     for ker in (heat_kernel(0.05, basis), heat_kernel(0.05, rect)):

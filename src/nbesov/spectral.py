@@ -13,18 +13,19 @@ frequencies on a bounded domain), gradients, fractional resolvent powers via
 the Gamma-function integral of the heat semigroup, and exact endpoint
 operator norms of kernels.
 
-Kernels are held in one of two forms.  On an analytic interval basis the
-cell-centred nodes turn every product e_k(x_i) e_k(x_j) into a sum of two
-cosines of (i - j) and (i + j + 1), so the kernel of phi(H) is exactly a
-Toeplitz plus a Hankel matrix whose profile is one DCT-I of the symbol
-values (one DST-I for the gradient kernel), O(N log N) and equal to the
-dense sum up to roundoff.  The kernel keeps only that profile: the endpoint
-norms read it in row blocks, norms.triple_norm reads each cube's columns,
-save_kernel writes it (3N - 1 numbers) and load_kernel reads it back, and
-the heat-envelope scan reads it through heat_kernel (OperatorKernel.profile).
-The N^2 matrix is formed only for a caller that reads OperatorKernel.matrix.
-Rectangle and finite-difference bases form the dense product
-E^T diag(phi(lambda)) E.
+Kernels are held in one of two forms.  On an analytic basis (interval or
+rectangle) the cell-centred nodes turn every per-axis product
+e_a(x_i) e_a(x_i') into a sum of two cosines of (i - i') and (i + i' + 1),
+so the kernel of phi(H) is exactly a sum of 2^n reads of one profile: a
+type-I DCT per axis of the symbol values (a DST-I on the axis of a
+gradient kernel; Makhoul 1980), O(N log N) and equal to the dense sum up
+to roundoff (see OperatorKernel and kernel_profile).  The kernel keeps only
+that profile: the endpoint norms read it in row blocks, norms.triple_norm
+reads each cube's columns, save_kernel writes it (3N - 1 numbers per axis)
+and load_kernel reads it back, and the heat-envelope scan reads it through
+heat_kernel (OperatorKernel.profile).  The N^2 matrix is formed only for a
+caller that reads OperatorKernel.matrix.  Finite-difference bases form the
+dense product E^T diag(phi(lambda)) E.
 
 Every kernel carries a reported tail bound over the unresolved modes,
 estimated in symbol_tail_bound through the leading-order Weyl law;
@@ -60,7 +61,7 @@ __all__ = [
     "apply_multiplier",
     "apply_kernel",
     "multiplier_kernel",
-    "interval_profile",
+    "kernel_profile",
     "symbol_tail_bound",
     "heat_kernel",
     "resolvent_gamma",
@@ -151,14 +152,39 @@ class SymbolFn:
         return self.fn(np.asarray(lam, dtype=float))
 
 
+def _fold(src: NDArray, N: int, transpose: bool = False) -> tuple[NDArray, NDArray]:
+    """Read-only views T[i, i'] = src[i - i' + N - 1] and H[i, i'] = src[i + i' + N]
+    over the first axis of src (length 3N - 1), shape (N, N, *src.shape[1:]);
+    with transpose T[i, i'] = src[i' - i + N - 1] in place of T.  Along i'
+    T reads forward in a reversed copy of src, or with transpose in src
+    itself."""
+    base = src[:2 * N - 1] if transpose else src[2 * N - 2::-1].copy()
+    T = np.moveaxis(sliding_window_view(base, N, axis=0), -1, 1)[::-1]
+    return T, np.moveaxis(sliding_window_view(src[N:], N, axis=0), -1, 1)
+
+
+def _rows(T: NDArray, H: NDArray, out: NDArray) -> NDArray:
+    """out = T + H for (b, Nx, m, m) folds, written as the b m kernel rows
+    they hold (node p = i m + j), shape (b m, N)."""
+    b, n0, m = T.shape[:3]
+    np.add(T, H, out=out.reshape(b, m, n0, m).transpose(0, 2, 1, 3))
+    return out
+
+
 class OperatorKernel:
     """Kernel K(x_i, y_j) acting by (Af)_i = sum_j w_j K_ij f_j.
 
-    It is held either as a dense (N, N) matrix or, on an analytic interval
-    basis, as its mirrored profile prof(q + N - 1) = v(q), q = -(N-1)..2N-1,
-    with K_ij = v(i - j) + v(i + j + 1) (see interval_profile).  row_blocks()
-    reads either form in blocks of rows and columns() a set of columns;
-    matrix forms the dense array on first access and keeps it.
+    It is held either as a dense (N, N) matrix or, on an analytic basis, as
+    its mirrored profile: prof[q + N - 1] = V(q) per axis, q = -(N-1)..2N-1,
+    shape (3N - 1,) on an interval and (3Nx - 1, 3Ny - 1) on a rectangle
+    (see kernel_profile).  With d = i - i' and s = i + i' + 1 per axis,
+
+        interval:  K = V(d) + V(s),
+        rectangle: K = (V(d1, d2) + V(d1, s2)) + (V(s1, d2) + V(s1, s2)),
+
+    summed in that order by every reader: row_blocks() reads the kernel in
+    blocks of rows, columns() a set of columns, and matrix forms the dense
+    array on first access and keeps it, so all three agree bit for bit.
 
     symbol_values holds phi(lambda_k) when the kernel is phi(H) itself, so
     that max |phi(lambda_k)| is its exact 2->2 norm; tail_bound reports the
@@ -178,47 +204,59 @@ class OperatorKernel:
         self.grid, self.tag = grid, tag
         self.symbol_values, self.tail_bound = symbol_values, tail_bound
         self._matrix, self._profile = matrix, profile
+        self._folded: dict[bool, tuple[NDArray, NDArray]] = {}
 
-    def _toeplitz_hankel(self, transpose: bool = False) -> tuple[NDArray, NDArray]:
-        """Read-only (N, N) views T_ij = v(i - j) and H_ij = v(i + j + 1), or
-        with transpose T^T in place of T (H is symmetric).  All run forward
-        along a row: T reads a reversed copy of the profile, T^T the profile
-        itself."""
-        prof, N = self._profile, self.grid.n_nodes
-        src = prof[:2 * N - 1] if transpose else prof[::-1].copy()[N:]
-        return sliding_window_view(src, N)[::-1], sliding_window_view(prof[N:], N)
+    def _folds(self, transpose: bool = False) -> tuple[NDArray, NDArray]:
+        """(T, H) of shape (Nx, Nx, m, m), m = Ny on a rectangle and 1 on an
+        interval, with K[(i, j), (i', j')] = T[i, i', j, j'] + H[i, i', j, j']
+        (K^T with transpose); kept for the next read.  On a rectangle the
+        y-axis sums A(q1)[j, j'] = V(q1, j - j') + V(q1, j + j' + 1) are
+        formed first, (3Nx - 1) Ny^2 numbers, and T, H read A(i - i') and
+        A(i + i' + 1)."""
+        if transpose not in self._folded:
+            prof, shape = self._profile, self.grid.shape
+            if prof.ndim == 2:
+                Ty, Hy = _fold(prof.T, shape[1], transpose)  # (Ny, Ny, 3Nx - 1)
+                prof = np.empty((prof.shape[0], shape[1], shape[1]))
+                np.add(Ty, Hy, out=prof.transpose(1, 2, 0))
+            else:
+                prof = prof[:, None, None]
+            self._folded[transpose] = _fold(prof, shape[0], transpose)
+        return self._folded[transpose]
 
     @property
     def profile(self) -> NDArray | None:
-        """Read-only v(0..N) of a profile kernel, K_ij = v(i - j) + v(i + j + 1);
-        None for a dense one."""
+        """Read-only V(0..N) per axis of a profile kernel, (N + 1,) on an
+        interval and (Nx + 1, Ny + 1) on a rectangle; None for a dense one."""
         if self._profile is None:
             return None
-        N = self.grid.n_nodes
-        v = self._profile[N - 1:2 * N]
+        v = self._profile[tuple(slice(n - 1, 2 * n) for n in self.grid.shape)]
         v.flags.writeable = False
         return v
 
     @property
     def matrix(self) -> NDArray:
         if self._matrix is None:
-            T, H = self._toeplitz_hankel()
-            self._matrix = T + H
+            N = self.grid.n_nodes
+            self._matrix = _rows(*self._folds(), np.empty((N, N)))
         return self._matrix
 
     def row_blocks(self):
-        """Yield (r0, K[r0:r0 + 64]) down the kernel.  Each block is written
-        into one scratch array: the caller may overwrite it, not keep it."""
-        N, rows = self.grid.n_nodes, 64
-        buf = np.empty((min(rows, N), N))
-        T, H = (None, None) if self._matrix is not None else self._toeplitz_hankel()
-        for r0 in range(0, N, rows):
-            r1 = min(r0 + rows, N)
-            out = buf[:r1 - r0]
+        """Yield (r0, K[r0:r0 + rows]) down the kernel, rows = 64 (for a
+        rectangle profile the multiple of Ny below it, at least Ny).  Each
+        block is written into one scratch array: the caller may overwrite
+        it, not keep it."""
+        N, M = self.grid.n_nodes, self._matrix
+        T, H = (None, None) if M is not None else self._folds()
+        m = 1 if T is None else T.shape[2]  # rows per first-axis index
+        step = max(1, 64 // m) * m
+        buf = np.empty((min(step, N), N))
+        for r0 in range(0, N, step):
+            out = buf[:min(step, N - r0)]
             if T is None:
-                out[...] = self._matrix[r0:r1]
+                out[...] = M[r0:r0 + step]
             else:
-                np.add(T[r0:r1], H[r0:r1], out=out)
+                _rows(T[r0 // m:(r0 + step) // m], H[r0 // m:(r0 + step) // m], out)
             yield r0, out
 
     def columns(self, idx: NDArray) -> NDArray:
@@ -227,10 +265,11 @@ class OperatorKernel:
         kernel is not symmetric."""
         if self._matrix is not None:
             return self._matrix[:, idx].T
-        Tt, H = self._toeplitz_hankel(transpose=True)
-        out = Tt[idx]
-        out += H[idx]
-        return out
+        Tt, H = self._folds(transpose=True)
+        i, j = np.divmod(np.asarray(idx), Tt.shape[2])
+        out = Tt[i, :, j, :]
+        out += H[i, :, j, :]
+        return out.reshape(len(i), self.grid.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +328,21 @@ def bump_symbol(pou: PartitionOfUnity, theta: float) -> SymbolFn:
 
 
 def cap_symbol(pou: PartitionOfUnity, j: int | None = None) -> SymbolFn:
-    """psi(lambda), or its rescaling psi(2^{-2j} lambda) when j is given."""
+    """psi(lambda), or its rescaling psi(2^{-2j} lambda) when j is given.
+
+    The rescaling is an ldexp with the exponent clamped to +-2048, so a
+    large |j| scales lambda to (nearly) 0 or to inf, where psi is 1 or 0,
+    rather than raising an OverflowError.
+    """
     if j is None:
         return SymbolFn(fn=lambda lam: pou.psi(lam), tag=f"cap:pou={pou.variant}")
-    s = 4.0 ** (-j)
-    return SymbolFn(fn=lambda lam: pou.psi(s * lam), tag=f"cap:j={j},pou={pou.variant}")
+    e = max(-2048, min(-2 * j, 2048))  # past +-2048 psi takes the same values, clamped or not
+
+    def fn(lam: NDArray) -> NDArray:
+        with np.errstate(over="ignore"):
+            return pou.psi(np.ldexp(lam, e))
+
+    return SymbolFn(fn=fn, tag=f"cap:j={j},pou={pou.variant}")
 
 
 def power_block_symbol(pou: PartitionOfUnity, j: int, alpha: float) -> SymbolFn:
@@ -390,8 +439,8 @@ def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
 def multiplier_kernel(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
     """Kernel of phi(H), sum_k phi(lambda_k) e_k(x) e_k(y), with tail report.
 
-    Analytic interval bases keep the Toeplitz plus Hankel profile of one
-    DCT-I; other bases form the dense product E^T diag(phi(lambda)) E.
+    Analytic bases keep the profile of one DCT-I per axis (kernel_profile);
+    finite-difference bases form the dense product E^T diag(phi(lambda)) E.
     """
     svals, (source,) = _assemble(symbol, basis, grad=False)
     return OperatorKernel(basis.grid, symbol.tag, symbol_values=svals,
@@ -404,49 +453,63 @@ def _assemble(symbol: SymbolFn, basis: EigenBasis,
     phi(H), or with grad one per axis of d/dx_c phi(H); rejects symbols
     that are not finite on the spectrum."""
     svals = _symbol_values(symbol, basis)
-    if basis.kind == "analytic" and basis.domain.kind == "interval":
-        v = interval_profile(svals, basis, grad)
-        N = v.size - 1
-        mirror = (-v if grad else v)[N - 1:0:-1]  # v(-q) = v(2N - q) = +-v(q)
-        return svals, [{"profile": np.concatenate((mirror, v, mirror))}]
+    if basis.kind == "analytic":
+        axes = range(basis.domain.n) if grad else (None,)
+        return svals, [{"profile": _mirrored(kernel_profile(svals, basis, c), c)} for c in axes]
     E = basis.functions
     mats = [(Gc.T * svals) @ E for Gc in basis.gradients()] if grad else [(E.T * svals) @ E]
     return svals, [{"matrix": m} for m in mats]
 
 
-def interval_profile(svals: NDArray, basis: EigenBasis, grad: bool = False) -> NDArray:
-    """Profile v(q), q = 0..N, of the kernel of phi(H), or with grad of
-    d/dx phi(H), on an analytic interval basis, from the symbol values
-    svals = phi(lambda_k).
+def _mirrored(V: NDArray, axis: int | None) -> NDArray:
+    """The profile over q = -(N-1)..2N-1 on every axis from V(0..N), by
+    V(-q) = V(2N - q) = V(q), or -V(q) on the differentiated axis."""
+    for ax in range(V.ndim):
+        m = np.take(V, np.arange(V.shape[ax] - 2, 0, -1), axis=ax)
+        if ax == axis:
+            m = -m
+        V = np.concatenate((m, V, m), axis=ax)
+    return V
 
-    On the nodes x_i = (i + 1/2) h, h = L/N, the product formula gives
-    e_k(x_i) e_k(x_j) = (c_k / 2L) [cos(pi k (i-j) / N) + cos(pi k (i+j+1) / N)]
-    with c_0 = 1 and c_k = 2, so the kernel is exactly K_ij = v(i-j) + v(i+j+1),
-    where
 
-        v(q) = sum_k c_k phi(lambda_k) / (2L) cos(pi k q / N)   (one DCT-I),
+def kernel_profile(svals: NDArray, basis: EigenBasis, axis: int | None = None) -> NDArray:
+    """Profile V(q), q = 0..N per axis, of the kernel of phi(H), or with
+    axis = c of d/dx_c phi(H), on an analytic interval or rectangle basis,
+    from the symbol values svals = phi(lambda_k): shape (N + 1,) on an
+    interval and (Nx + 1, Ny + 1) on a rectangle.
 
-    and for the derivative (d/dx e_k = -kappa_k sqrt(c_k/L) sin(kappa_k x))
+    On the nodes x_i = (i + 1/2) h, h = L/N, of one axis the product formula
+    gives e_a(x_i) e_a(x_i') = (c_a / 2L) [cos(pi a d / N) + cos(pi a s / N)],
+    d = i - i', s = i + i' + 1, c_0 = 1 and c_a = 2, and for the derivative
+    (d/dx e_a = -kappa_a sqrt(c_a/L) sin(kappa_a x)) the same with
+    -kappa_a sin in place of cos.  Multiplying over the n axes, the kernel is
+    the sum over the 2^n choices of d or s per axis of
 
-        v(q) = -sum_k kappa_k phi(lambda_k) / L sin(pi k q / N)   (one DST-I).
+        V(q) = sum_k c_k phi(lambda_k) / (2^n prod L) prod_c cos(pi k_c q_c / N_c),
 
-    The other offsets follow by mirroring, v(-q) = v(2N - q) = +-v(q).
-    Cost O(N log N).
+    c_k = prod_c c_(k_c): one DCT-I per axis, with one DST-I of
+    -kappa phi in place of the DCT-I on the differentiated axis.  The other
+    offsets follow by mirroring, V(-q) = V(2N - q) = +-V(q) per axis (- on
+    the differentiated axis).  Cost O(N log N).
     """
-    if not (basis.kind == "analytic" and basis.domain.kind == "interval"):
-        raise ValueError("interval_profile needs an analytic interval basis")
-    L = basis.domain.lengths[0]
-    N = basis.grid.n_nodes
-    k = np.asarray(basis.mode_index)
-    c = np.zeros(N + 1)
-    if grad:
-        c[k] = -(k * np.pi / L) * svals / (2.0 * L)
-        half = np.zeros(N + 1)  # the sine sum vanishes at q = 0 and q = N
-        if N > 1:
-            half[1:N] = dst(c[1:N], type=1)
-        return half
-    c[k] = svals / (2.0 * L)
-    return dct(c, type=1)
+    if not (basis.kind == "analytic" and basis.domain.kind in ("interval", "rectangle")):
+        raise ValueError("kernel_profile needs an analytic interval or rectangle basis")
+    shape, lengths = basis.grid.shape, basis.domain.lengths
+    k = np.asarray(basis.mode_index).reshape(basis.K, -1)
+    if axis is not None:
+        svals = -(k[:, axis] * np.pi / lengths[axis]) * svals
+    V = np.zeros(tuple(n + 1 for n in shape))
+    V[tuple(k.T)] = svals / (2.0 ** len(shape) * math.prod(lengths))
+    for ax, n in enumerate(shape):
+        if ax != axis:
+            V = dct(V, type=1, axis=ax)
+            continue
+        inner = (slice(None),) * ax + (slice(1, n),)
+        half = np.zeros_like(V)  # the sine sum vanishes at q = 0 and q = N
+        if n > 1:
+            half[inner] = dst(V[inner], type=1, axis=ax)
+        V = half
+    return V
 
 
 def apply_kernel(kernel: OperatorKernel, f: GridFunction) -> GridFunction:
@@ -579,9 +642,10 @@ class _AxisKernels(tuple):
 def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> tuple[OperatorKernel, ...]:
     """The scalar kernels (d/dx_c) K(x, y) of d/dx_c phi(H), one per axis c.
 
-    Analytic interval bases build the one kernel as Toeplitz plus Hankel
-    from one DST-I; other bases form the dense products
-    G_c^T diag(phi(lambda)) E with the mode gradients G_c.  No kernel
+    Analytic bases keep each kernel's profile (kernel_profile with
+    axis = c: a DST-I on axis c, a DCT-I on the other); finite-difference
+    bases form the dense products G_c^T diag(phi(lambda)) E with the mode
+    gradients G_c.  No kernel
     carries symbol_values: the 2->2 norm of d/dx_c phi(H) is not
     max |phi(lambda_k)| (on an interval it is max sqrt(lambda_k) |phi|).
     All share the tail bound of sqrt(lambda) phi(lambda).
@@ -649,8 +713,9 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
 
 def save_kernel(kernel: OperatorKernel, path: str) -> None:
     """Binary dump (npz) to exactly path of the source the kernel holds,
-    its mirrored (3N - 1,) profile or its (N, N) matrix, with the symbol tag
-    and grid id in the header."""
+    its mirrored profile ((3N - 1,) on an interval, (3Nx - 1, 3Ny - 1) on a
+    rectangle) or its (N, N) matrix, with the symbol tag and grid id in the
+    header."""
     source = ({"matrix": kernel._matrix} if kernel._profile is None
               else {"profile": kernel._profile})
     with open(path, "wb") as fh:
@@ -672,7 +737,8 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
     matrix); ValueError names the file when a field is missing, the file
     holds both sources or a vector kernel, the source or symbol values are
     not finite, the tail bound is NaN or negative, or the source does not
-    fit grid (a profile needs a 1-D grid)."""
+    fit grid (a profile needs an interval or rectangle grid and one mirrored
+    axis of 3N - 1 numbers per grid axis)."""
     with np.load(path, allow_pickle=False) as z:
         if "components" in z.files:
             raise ValueError(f"{path}: holds a vector kernel (components); "
@@ -689,11 +755,12 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
         if gid != grid.grid_id():
             raise ValueError(f"{path}: kernel was dumped for grid {gid}, not {grid.grid_id()}")
         (name,), N = sources, grid.n_nodes
-        if name == "profile" and grid.domain.n != 1:
-            raise ValueError(f"{path}: a kernel profile needs a 1-D grid, not {gid}")
+        if name == "profile" and grid.shape is None:  # only polygon grids lack a shape
+            raise ValueError(f"{path}: a kernel profile needs an interval or rectangle grid, "
+                             f"not {gid}")
         source, sv = z[name], z["symbol_values"]
         tail = float(z["tail_bound"])
-        shape = (N, N) if name == "matrix" else (3 * N - 1,)
+        shape = (N, N) if name == "matrix" else tuple(3 * n - 1 for n in grid.shape)
         if source.shape != shape:
             raise ValueError(f"{path}: kernel {name} has shape {source.shape}, expected {shape}")
         if not (np.all(np.isfinite(source)) and np.all(np.isfinite(sv))):

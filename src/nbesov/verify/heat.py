@@ -10,9 +10,9 @@ are excluded as undecidable at this resolution, and a time where that
 leaves fewer than half the pairs (or where the tail rivals the kernel
 scale itself) is dropped and reported.
 
-Every K_t and its tail bound come from spectral.heat_kernel, read in the
-form the kernel is held: its profile on an analytic interval (no N x N
-matrix is formed), its dense matrix on any other basis.
+Every K_t and its tail bound come from spectral.heat_kernel, read off the
+kernel's profile on the analytic interval and rectangle bases: no N x N
+matrix is formed and no pair distance is sorted.
 """
 
 from __future__ import annotations
@@ -47,25 +47,8 @@ HEAT_DEFAULTS = {
 }
 
 
-def _distance_groups(grid):
-    """Dense route: pairs grouped by bitwise-equal squared distance.  Returns
-    the groups' squared distances (ascending), their pair counts, and the
-    reader of a dense K_t: the max of the gathered K_t per group and min K_t."""
-    x = grid.points
-    D2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2).ravel()
-    order = np.argsort(D2, kind="stable")
-    d2 = D2[order]
-    starts = np.flatnonzero(np.r_[True, d2[1:] != d2[:-1]])
-
-    def stats(ker):
-        Kt = ker.matrix
-        return np.maximum.reduceat(Kt.ravel()[order], starts), float(Kt.min())
-
-    return d2[starts], np.diff(np.r_[starts, d2.size]), stats
-
-
 def _parity_suffix(ufunc, v):
-    """out[u] = ufunc over v[u], v[u+2], v[u+4], ..."""
+    """out[u] = ufunc over v[u], v[u+2], v[u+4], ... along the first axis."""
     out = np.empty_like(v)
     for p in (0, 1):
         out[p::2] = ufunc.accumulate(v[p::2][::-1])[::-1]
@@ -73,53 +56,68 @@ def _parity_suffix(ufunc, v):
 
 
 def _offset_groups(grid):
-    """Profile route, same returns as _distance_groups with one group per
-    offset d = |i - j|: squared distance (d h)^2, N pairs at d = 0 and
-    2(N - d) otherwise, read off the kernel's profile v(0..N).
+    """Pairs grouped by offset d = |i - i'| per axis, read off the kernel's
+    profile V (spectral.kernel_profile).  Returns the groups' squared
+    distances sum (d h)^2 (ascending), their pair counts, prod N at d = 0
+    and 2(N - d) otherwise per axis, and the reader of a K_t: its max per
+    group, in that order, and min K_t.
 
-    K_ij = v(d) + v(i+j+1), and for fixed d the sums i+j+1 run over
-    {d+1, d+3, ..., 2N-1-d}; as v(2N - s) = v(s), the values met are v(u)
-    for u in [d+1, N] with the parity of d+1.  The group max (min) is v(d)
-    plus their max (min), the dense kernel's value exactly, because rounded
+    On one axis the sums s = i + i' + 1 at a fixed d run over
+    {d+1, d+3, ..., 2N-1-d}; as V(2N - s) = V(s), the values met are V(u)
+    for u in [d+1, N] with the parity of d+1, and on a rectangle the two
+    axes' u range over the product of their sets.  So an interval group's
+    max is V(d) plus the max of those V(u); a rectangle group's max is,
+    over u2, A(d1)[d2, u2] plus the max over u1 of A(u1)[d2, u2], with
+    A(q)[d2, u2] = V(q, d2) + V(q, u2), in the summation order of the
+    kernel.  Both are the dense kernel's extrema exactly, because rounded
     addition is monotone.
     """
-    N = grid.n_nodes
-    d = np.arange(N)
-    counts = np.where(d == 0, N, 2 * (N - d))
+    shape = grid.shape
+    d = [np.arange(n) for n in shape]
+    d2 = sum(np.ix_(*[(di * h) ** 2 for di, h in zip(d, grid.spacing)]))
+    counts = math.prod(np.ix_(*[np.where(di == 0, n, 2 * (n - di)) for di, n in zip(d, shape)]))
+    order = np.argsort(d2, axis=None, kind="stable")
+
+    def extreme(ufunc, V):
+        if V.ndim == 1:
+            return V[:shape[0]] + _parity_suffix(ufunc, V)[1:]
+        Nx, Ny = shape
+        A = V[:, :Ny, None] + V[:, None, :]  # A(q1)[d2, u2]
+        G = A[:Nx] + _parity_suffix(ufunc, A)[1:]  # (Nx, Ny, Ny + 1)
+        G = _parity_suffix(ufunc, np.moveaxis(G, 2, 0))  # [u2, d1, d2], suffix over u2
+        return G[d[1] + 1, :, d[1]].T
 
     def stats(ker):
         v = ker.profile
-        k_min = float(np.min(v[:N] + _parity_suffix(np.minimum, v)[1:]))
-        return v[:N] + _parity_suffix(np.maximum, v)[1:], k_min
+        return extreme(np.maximum, v).ravel()[order], float(np.min(extreme(np.minimum, v)))
 
-    return (d * grid.h) ** 2, counts, stats
+    return d2.ravel()[order], counts.ravel()[order], stats
 
 
 def _domain_scan(basis, ts, cs, P, dim):
-    """Per-time Gaussian-envelope scan.
+    """Per-time Gaussian-envelope scan on an analytic interval or rectangle
+    basis; a finite-difference basis is rejected.
 
     Returns rows (one per t) with admissibility, positivity margin, the
     needed constant log C(t, c) for every c, and the projected-kernel
     maximum used for the decay fit.
 
     log C(t, c) is the max over decidable pairs with K_t > 0 of
-    log K_t - log m_t + |x-y|^2 / (c t).  Pairs are grouped by squared
-    distance, so each t takes one max of K_t and one log per group and the
-    c loop runs over groups only: for a fixed group the shifts -log m_t and
-    +|x-y|^2 / (c t) are the same for every pair, and log and rounded
-    addition are monotone, so the group max commutes with them.
+    log K_t - log m_t + |x-y|^2 / (c t).  Pairs are grouped by offset
+    (_offset_groups), so each t takes one max of K_t and one log per group
+    and the c loop runs over groups only: for a fixed group the shifts
+    -log m_t and +|x-y|^2 / (c t) are the same for every pair, and log and
+    rounded addition are monotone, so the group max commutes with them.
     Decidability (|x-y|^2 <= c t L) keeps a prefix of the sorted groups,
-    found by searchsorted.  The form of heat_kernel(t, basis) picks the
-    groups: a dense K_t by distance (_distance_groups), equal to the
-    per-pair scan bit for bit; a profile K_t by offset (_offset_groups),
-    never forming its matrix.  An offset's pairwise distances differ from
-    (d h)^2 by ulps, so there log C can move by ulps, while the kernel
-    extrema (pk_max, pos_margin, the floor) are exact.
+    found by searchsorted.  No K_t matrix is formed.  An offset's pairwise
+    distances differ from sum (d h)^2 by ulps, so log C can move by ulps
+    against a per-pair scan, while the kernel extrema (pk_max, pos_margin,
+    the floor) are exact.
     """
-    # A kernel's form depends on the basis, not on t.  The probe at ts[0] is
-    # freed before the groups are built, so no dense K_t sits beside the sort.
-    dense = heat_kernel(float(ts[0]), basis).profile is None
-    d2, counts, stats = (_distance_groups if dense else _offset_groups)(basis.grid)
+    if basis.kind != "analytic":
+        raise ValueError(f"the heat-envelope scan reads kernel profiles, which a "
+                         f"{basis.kind} basis on {basis.domain.kind} does not have")
+    d2, counts, stats = _offset_groups(basis.grid)
     cum = np.r_[0, np.cumsum(counts)]
     n_pairs = int(cum[-1])
     vol = basis.domain.volume

@@ -266,6 +266,21 @@ def test_multiplier_block_at_a_scale_beyond_a_c_long_exits_cleanly(basis_file, c
         assert f"j={j} must be" in err
 
 
+@pytest.mark.parametrize("j", ["-600", "600"])
+def test_multiplier_cap_at_an_extreme_scale_exits_cleanly(basis_file, capsys, j):
+    # 4^-j overflows (j = -600) or underflows (j = 600) a double.  The cap
+    # then keeps only the constant mode, the mean projector with
+    # 1->inf = 1/pi on [0, pi], or every resolved mode, with 2->2 = 1.
+    assert main(["multiplier", "--basis", basis_file, "--symbol", "cap", f"--j={j}"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    vals = {k: float(v) for k, v in (line.split(" = ") for line in out.strip().splitlines())}
+    assert vals["norm[2->2]"] == 1.0 and math.isfinite(vals["tail_bound"])
+    if j == "-600":
+        assert vals["norm[1->inf]"] == pytest.approx(1.0 / math.pi, rel=1e-12)
+        assert vals["tail_bound"] == 0.0
+
+
 def test_multiplier_block_requires_j(basis_file, capsys):
     assert main(["multiplier", "--basis", basis_file]) == 1
     assert "--j is required" in capsys.readouterr().err

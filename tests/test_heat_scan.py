@@ -74,34 +74,43 @@ def _scan_pairs(basis, dim):
     return zip(got, ref)
 
 
-@pytest.mark.parametrize("domain", ["rectangle", "polygon"])
-def test_grouped_scan_is_bit_identical_to_per_pair_scan(domain):
-    """Dense route: bitwise-equal distance groups reproduce the per-pair scan."""
-    if domain == "rectangle":
-        basis = build_rectangle_basis(math.pi, math.pi, 20, Nx=8, Ny=8)
-    else:
-        basis = build_fd_basis(lshape_domain(), 0.25, 12)
-    for g, r in _scan_pairs(basis, 2):
-        assert np.array_equal(g["logC"], r["logC"])
+def _rectangle():
+    return build_rectangle_basis(math.pi, 2.0, 20, Nx=8, Ny=6)
 
 
-@pytest.mark.parametrize("N", [48, 49])
-def test_interval_profile_scan_matches_per_pair_scan(N):
-    """Profile route: offset groups agree with the per-pair scan to roundoff
-    in log C (the (d h)^2 of an offset differs from the pairwise squared
-    distances by ulps) and exactly in everything else."""
-    for g, r in _scan_pairs(build_interval_basis(math.pi, 24, N=N), 1):
+@pytest.mark.parametrize("basis", [
+    pytest.param(lambda: build_interval_basis(math.pi, 24, N=48), id="48"),
+    pytest.param(lambda: build_interval_basis(math.pi, 24, N=49), id="49"),
+    pytest.param(_rectangle, id="rectangle"),
+    pytest.param(lambda: build_rectangle_basis(math.pi, math.pi, 20, Nx=8, Ny=8), id="square"),
+])
+def test_interval_profile_scan_matches_per_pair_scan(basis):
+    """Offset groups agree with the per-pair scan to roundoff in log C (the
+    sum (d h)^2 of an offset differs from the pairwise squared distances by
+    ulps) and exactly in everything else, on both analytic grids."""
+    basis = basis()
+    for g, r in _scan_pairs(basis, basis.domain.n):
         np.testing.assert_allclose(g["logC"], r["logC"], rtol=1e-12, atol=0.0)
         assert np.array_equal(np.isinf(g["logC"]), np.isinf(r["logC"]))
 
 
-def test_interval_scan_forms_no_kernel(monkeypatch):
-    """The interval scan reads each heat kernel's profile; forming the
-    dense (N, N) matrix would read OperatorKernel.matrix."""
+@pytest.mark.parametrize("basis", [
+    pytest.param(lambda: build_interval_basis(math.pi, 24, N=48), id="interval"),
+    pytest.param(_rectangle, id="rectangle"),
+])
+def test_interval_scan_forms_no_kernel(monkeypatch, basis):
+    """The scan reads each heat kernel's profile; forming the dense (N, N)
+    matrix would read OperatorKernel.matrix."""
     def refuse(*args, **kwargs):
         raise AssertionError("dense kernel formed")
 
     monkeypatch.setattr(OperatorKernel, "matrix", property(refuse))
-    basis = build_interval_basis(math.pi, 24, N=48)
-    rows = _domain_scan(basis, _ts(basis), _cs(), HEAT_DEFAULTS, 1)
+    basis = basis()
+    rows = _domain_scan(basis, _ts(basis), _cs(), HEAT_DEFAULTS, basis.domain.n)
     assert len(rows) == 14 and any(r["admissible"] for r in rows)
+
+
+def test_scan_rejects_a_finite_difference_basis():
+    basis = build_fd_basis(lshape_domain(), 0.25, 12)
+    with pytest.raises(ValueError, match="numeric basis on polygon"):
+        _domain_scan(basis, _ts(basis), _cs(), HEAT_DEFAULTS, 2)

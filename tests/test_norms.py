@@ -44,6 +44,7 @@ from nbesov.spectral import (
     heat_kernel,
     heat_symbol,
     load_kernel,
+    magnitude_norms,
     multiplier_kernel,
     save_kernel,
     to_grid,
@@ -216,12 +217,15 @@ def test_triple_norm_is_the_weighted_column_block_svd(basis, alpha, grad):
 
 
 def test_triple_norm_and_kernel_files_keep_a_profile_kernel_unformed(basis, tmp_path):
-    for ker in (heat_kernel(0.05, basis), gradient_kernels(heat_symbol(0.05), basis)[0]):
-        triple_norm(ker, 0.5, 0.1)
-        save_kernel(ker, str(tmp_path / "k.npz"))
-        loaded = load_kernel(str(tmp_path / "k.npz"), basis.grid)
-        triple_norm(loaded, 0.5, 0.1)
-        assert ker._matrix is None and loaded._matrix is None
+    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
+    for b in (basis, rect):
+        for ker in (heat_kernel(0.05, b), gradient_kernels(heat_symbol(0.05), b)[-1]):
+            triple_norm(ker, 0.5, 0.1)
+            magnitude_norms(ker)
+            save_kernel(ker, str(tmp_path / "k.npz"))
+            loaded = load_kernel(str(tmp_path / "k.npz"), b.grid)
+            triple_norm(loaded, 0.5, 0.1)
+            assert ker._matrix is None and loaded._matrix is None, ker.tag
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])

@@ -34,7 +34,7 @@ from nbesov.spectral import (
     gradient_kernels,
     heat_kernel,
     heat_symbol,
-    interval_profile,
+    kernel_profile,
     load_kernel,
     magnitude_norms,
     multiplier_kernel,
@@ -287,8 +287,33 @@ def test_interval_kernel_files_hold_the_profile(tmp_path, N):
         assert np.array_equal(loaded.symbol_values, ker.symbol_values)
 
 
-def test_matrix_layout_interval_files_still_load(tmp_path):
-    b, kernels = _interval_kernels(64)
+def _rectangle_kernels(Nx=12, Ny=8):
+    b = build_rectangle_basis(math.pi, 2.0, (Nx // 2 + 1) * (Ny // 2 + 1), Nx=Nx, Ny=Ny)
+    return b, (heat_kernel(0.05, b), *gradient_kernels(heat_symbol(0.05), b))
+
+
+def test_rectangle_kernel_files_hold_the_profile(tmp_path):
+    # (3Nx - 1) x (3Ny - 1) numbers, 72 KB at 32 x 32 against 8 MB for the
+    # matrix, and the loaded kernel's matrix is the original's bit for bit,
+    # for both odd gradient mirrors too.
+    b, kernels = _rectangle_kernels(32, 32)
+    for ker in kernels:
+        p = tmp_path / "k.npz"
+        save_kernel(ker, str(p))
+        with np.load(p) as z:
+            assert "profile" in z.files and "matrix" not in z.files
+            assert z["profile"].shape == (95, 95)
+        assert p.stat().st_size < 100_000
+        loaded = load_kernel(str(p), b.grid)
+        assert np.array_equal(loaded.profile, ker.profile) and loaded.profile.shape == (33, 33)
+        assert loaded.matrix.tobytes() == ker.matrix.tobytes(), ker.tag
+        assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
+
+
+@pytest.mark.parametrize("kernels", [_interval_kernels, _rectangle_kernels],
+                         ids=["interval", "rectangle"])
+def test_matrix_layout_files_still_load(tmp_path, kernels):
+    b, kernels = kernels(64) if kernels is _interval_kernels else kernels()
     for ker in kernels:
         p = tmp_path / "old.npz"
         np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
@@ -302,22 +327,28 @@ def test_matrix_layout_interval_files_still_load(tmp_path):
 
 @pytest.mark.parametrize("case, message", [
     ("short", "shape"), ("nan", "not finite"), ("inf", "not finite"),
-    ("both", "both"), ("rectangle", "1-D grid"),
+    ("both", "both"), ("rectangle", "shape"), ("rect_short", "shape"),
+    ("rect_nan", "not finite"), ("polygon", "interval or rectangle grid"),
 ])
 def test_load_kernel_rejects_a_bad_profile(tmp_path, case, message):
-    b, (ker, _) = _interval_kernels(64)
+    # A 1-D profile on a rectangle grid ("rectangle") fails the shape check:
+    # a rectangle profile is (3Nx - 1, 3Ny - 1).
+    b, (ker, *_) = _rectangle_kernels() if case.startswith("rect_") else _interval_kernels(64)
     grid = b.grid
     prof = ker._profile.copy()
     fields = dict(tag=np.array(ker.tag), tail_bound=np.array(0.0),
                   symbol_values=ker.symbol_values)
-    if case == "short":
+    if case in ("short", "rect_short"):
         prof = prof[:-1]
-    elif case in ("nan", "inf"):
-        prof[5] = np.nan if case == "nan" else np.inf
+    elif case in ("nan", "inf", "rect_nan"):
+        prof[5] = np.inf if case == "inf" else np.nan
     elif case == "both":
         fields["matrix"] = ker.matrix
-    else:
+    elif case == "rectangle":
         grid = build_rectangle_basis(math.pi, 2.0, 4, Nx=8, Ny=8).grid
+    elif case == "polygon":
+        grid = polygon_grid(lshape_domain(), 0.25)
+        prof = _rectangle_kernels(8, 8)[1][0]._profile
     p = tmp_path / "bad.npz"
     np.savez(p, profile=prof, grid_id=np.array(grid.grid_id()), **fields)
     with pytest.raises(ValueError, match=message) as exc:
@@ -432,11 +463,88 @@ def test_interval_kernels_match_dense_oracle(N, top):
             assert err <= 1e-12 * float(np.max(np.abs(ref))), (sym.tag, err)
 
 
+@pytest.mark.parametrize("Lx, Ly, Nx, Ny", [(math.pi, 2.0, 12, 8), (7.0, 4.0, 7, 4)])
+@pytest.mark.parametrize("top", [False, True])
+def test_rectangle_kernels_match_dense_oracle(Lx, Ly, Nx, Ny, top):
+    # The four-term profile route against E^T diag(phi) E and
+    # G_c^T diag(phi) E on both axes, at K = 1 and with every resolvable mode.
+    K = (Nx // 2 + 1) * (Ny // 2 + 1) if top else 1
+    basis = build_rectangle_basis(Lx, Ly, K, Nx=Nx, Ny=Ny)
+    E, G = basis.functions, basis.gradients()
+    for sym in _oracle_symbols(basis):
+        s = sym(basis.eigenvalues)
+        ker = multiplier_kernel(sym, basis)
+        assert ker.profile.shape == (Nx + 1, Ny + 1)
+        pairs = [(ker.matrix, (E.T * s) @ E)]
+        pairs += [(g.matrix, (Gc.T * s) @ E) for g, Gc in zip(gradient_kernels(sym, basis), G)]
+        for c, (got, ref) in enumerate(pairs):
+            err = float(np.max(np.abs(got - ref)))
+            assert err <= 1e-14 * float(np.max(np.abs(ref))), (sym.tag, c, err)
+        assert np.array_equal(ker.matrix, ker.matrix.T), sym.tag
+
+
+def test_rectangle_readers_agree_bit_for_bit():
+    # row_blocks(), columns() and matrix all read the one profile in the one
+    # summation order: equal before and after the matrix is formed, for the
+    # scalar kernel and both gradient axes, and no block is a partial row
+    # of nodes.
+    b, kernels = _rectangle_kernels(7, 4)
+    idx = np.array([0, 1, 5, 13, 27])
+    for ker in kernels:
+        blocks = [(r0, B.copy()) for r0, B in ker.row_blocks()]
+        cols = ker.columns(idx)
+        assert ker._matrix is None, ker.tag
+        M = ker.matrix
+        assert [r0 for r0, _ in blocks] == [0] and np.array_equal(blocks[0][1], M), ker.tag
+        assert np.array_equal(cols, M[:, idx].T) and np.array_equal(ker.columns(idx), cols)
+        assert np.array_equal(np.vstack([B.copy() for _, B in ker.row_blocks()]), M)
+    b, (ker, *_) = _rectangle_kernels(32, 10)
+    starts = [r0 for r0, _ in ker.row_blocks()]
+    assert starts == list(range(0, 320, 60))
+    assert np.array_equal(np.vstack([B.copy() for _, B in heat_kernel(0.05, b).row_blocks()]),
+                          ker.matrix)
+
+
+def _ld_rectangle_kernel(basis, svals):
+    """The kernel sum_k phi_k e_k(x) e_k(y) in long double: modes from a
+    long-double pi, summed as a tensor contraction over the mode grid."""
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    ks = np.asarray(basis.mode_index)
+    ld = np.longdouble
+
+    def modes(L, N, top):
+        a, i = np.arange(top + 1, dtype=ld)[:, None], np.arange(N, dtype=ld)[None, :]
+        e = np.cos(pi * a * (2 * i + 1) / (2 * N)) * np.sqrt(ld(2) / ld(L))
+        e[0] = 1 / np.sqrt(ld(L))
+        return e[:, :, None] * e[:, None, :]  # e_a(x_i) e_a(x_i')
+
+    (Lx, Ly), (Nx, Ny) = basis.domain.lengths, basis.grid.shape
+    X, Y = modes(Lx, Nx, ks[:, 0].max()), modes(Ly, Ny, ks[:, 1].max())
+    Phi = np.zeros((len(X), len(Y)), dtype=ld)
+    Phi[ks[:, 0], ks[:, 1]] = svals
+    K = np.tensordot(np.tensordot(Phi, X, axes=(0, 0)), Y, axes=(0, 0))
+    return K.transpose(0, 2, 1, 3).reshape(Nx * Ny, Nx * Ny)
+
+
+def test_rectangle_kernel_roundoff_leaves_the_scan_floor_headroom():
+    # The heat scan treats kernel values below 1e-14 max diag K_t as noise.
+    # On the suite's 32 x 32 rectangle the four-term kernel is within
+    # 1.7e-16 max diag of the long-double sum at these t (61x headroom;
+    # the dense E^T diag(phi) E is off by up to 2.3e-15).
+    b = build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32)
+    for t in (b.grid.h ** 2, 1e-3, 0.1):
+        ker = heat_kernel(t, b)
+        ref = _ld_rectangle_kernel(b, ker.symbol_values)
+        diag_max = float(np.max(np.diag(ref)))
+        err = float(np.max(np.abs(ker.matrix - ref)))
+        assert 6 * err <= 1e-14 * diag_max, (t, err / diag_max)
+
+
 @pytest.mark.parametrize("N", [1, 7, 512])
 @pytest.mark.parametrize("top", [False, True])
 def test_interval_kernels_are_sums_of_the_profile(N, top):
     # Both interval kernels are v(i-j) + v(i+j+1) bit for bit, with v(0..N)
-    # from interval_profile and v(-q) = v(2N-q) = v(q), or -v(q) for the
+    # from kernel_profile and v(-q) = v(2N-q) = v(q), or -v(q) for the
     # gradient's DST-I profile.  The kernel's read-only profile is that v.
     basis = build_interval_basis(math.pi, N // 2 + 1 if top else 1, N=N)
     i, j = np.indices((N, N))
@@ -444,7 +552,7 @@ def test_interval_kernels_are_sums_of_the_profile(N, top):
         s = sym(basis.eigenvalues)
         for grad, kernel in ((False, multiplier_kernel(sym, basis)),
                              (True, gradient_kernels(sym, basis)[0])):
-            v = interval_profile(s, basis, grad)
+            v = kernel_profile(s, basis, 0 if grad else None)
             assert v.shape == (N + 1,)
             assert np.array_equal(kernel.profile, v) and not kernel.profile.flags.writeable
             ker = kernel.matrix
@@ -488,13 +596,12 @@ def test_interval_matrix_is_formed_once(N, monkeypatch):
     # before it is formed and from the matrix after.
     basis = build_interval_basis(math.pi, N // 2 + 1, N=N)
     calls = []
-    real = OperatorKernel._toeplitz_hankel
-    monkeypatch.setattr(OperatorKernel, "_toeplitz_hankel",
-                        lambda self: calls.append(1) or real(self))
+    real = OperatorKernel._folds
+    monkeypatch.setattr(OperatorKernel, "_folds", lambda self: calls.append(1) or real(self))
     sym = heat_symbol(0.05)
     for grad, ker in ((False, multiplier_kernel(sym, basis)),
                       (True, gradient_kernels(sym, basis)[0])):
-        v = interval_profile(sym(basis.eigenvalues), basis, grad)
+        v = kernel_profile(sym(basis.eigenvalues), basis, 0 if grad else None)
         mirror = (-v if grad else v)[N - 1:0:-1]
         prof = np.concatenate((mirror, v, mirror))
         Kmat = sliding_window_view(prof[:2 * N - 1], N)[:, ::-1] + sliding_window_view(prof[N:], N)
@@ -514,11 +621,13 @@ def test_kernel_takes_one_source(basis):
         OperatorKernel(basis.grid, "both", matrix=np.eye(256), profile=np.zeros(767))
 
 
-def test_interval_profile_rejects_other_bases():
-    basis = build_rectangle_basis(math.pi, math.pi, 4, Nx=4, Ny=4)
-    with pytest.raises(ValueError, match="analytic interval"):
-        interval_profile(np.ones(4), basis)
+def test_kernel_profile_rejects_other_bases():
+    basis = build_fd_basis(lshape_domain(), 0.25, 6)
+    with pytest.raises(ValueError, match="analytic interval or rectangle"):
+        kernel_profile(np.ones(6), basis)
     assert heat_kernel(0.1, basis).profile is None
+    rect = build_rectangle_basis(math.pi, 2.0, 4, Nx=4, Ny=6)
+    assert heat_kernel(0.1, rect).profile.shape == (5, 7)
 
 
 def test_interval_kernels_from_loaded_basis_are_bitwise_equal(tmp_path):

@@ -271,7 +271,12 @@ class EigenBasis:
         return self._gradients
 
     def sup2(self) -> float:
-        """max_{k, i} e_k(x_i)^2, the largest squared node value of any mode."""
+        """max_{k, i} e_k(x_i)^2, the largest squared node value of any
+        resolved mode: the sup factor of the Weyl partial sum that
+        spectral.symbol_tail_bound keeps for finite-difference bases and
+        divergent tails.  It reads low as a bound on the unresolved modes,
+        which alias onto the nodes at full height; on an analytic basis the
+        tail takes their exact sup, 2^n / |Omega|."""
         if self._sup2 is None:
             E = self.functions  # max |E| without a (K, N) |E| temporary
             self._sup2 = float(max(E.max(), -E.min()) ** 2)

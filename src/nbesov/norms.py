@@ -336,13 +336,23 @@ def seminorm_qM(
 # Amalgam norms
 
 
-def amalgam_cells(grid: Grid, theta: float) -> list[tuple[tuple[int, ...], NDArray]]:
+# amalgam_cells keeps the partitions it made, per (grid id, theta): one
+# amalgam run asks for 16 of them 104 times.  The store is emptied when it
+# holds _CELLS_KEPT; every step is one dict operation, so threads at worst
+# build a partition twice.
+_CELLS_KEPT = 64
+_cells_made: dict[tuple[str, float], tuple] = {}
+
+
+def amalgam_cells(grid: Grid, theta: float) -> tuple[tuple[tuple[int, ...], NDArray], ...]:
     """Partition the grid nodes by the lattice cube containing them.
 
     Cube m covers [theta^(1/2) (m_i - 1/2), theta^(1/2) (m_i + 1/2)] per
     axis; nodes on a face boundary round half-up deterministically.  Cells
-    are returned sorted by their integer index.  Rejects theta that is not
-    positive and finite.
+    are returned sorted by their integer index, their node indices
+    read-only: a repeated (grid id, theta) returns the same cells.  Rejects
+    theta that is not positive and finite, or below the grid spacing
+    squared.
     """
     if not 0 < theta < math.inf:
         raise ValueError(f"theta={theta} must be positive and finite")
@@ -351,14 +361,20 @@ def amalgam_cells(grid: Grid, theta: float) -> list[tuple[tuple[int, ...], NDArr
         raise ValueError(
             f"cube side sqrt(theta)={root:.4g} is below the grid spacing {grid.h:.4g}"
         )
-    m = np.floor(grid.points / root + 0.5).astype(int)
-    order = np.lexsort(tuple(m[:, ax] for ax in reversed(range(m.shape[1]))))
-    m_sorted = m[order]
-    change = np.any(np.diff(m_sorted, axis=0) != 0, axis=1)
-    starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(order)]])
-    cells = []
-    for a, b in zip(starts[:-1], starts[1:]):
-        cells.append((tuple(int(v) for v in m_sorted[a]), order[a:b]))
+    key = (grid.grid_id(), float(theta))
+    cells = _cells_made.get(key)
+    if cells is None:
+        m = np.floor(grid.points / root + 0.5).astype(int)
+        order = np.lexsort(tuple(m[:, ax] for ax in reversed(range(m.shape[1]))))
+        order.flags.writeable = False
+        m_sorted = m[order]
+        change = np.any(np.diff(m_sorted, axis=0) != 0, axis=1)
+        starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(order)]])
+        cells = tuple((tuple(int(v) for v in m_sorted[a]), order[a:b])
+                      for a, b in zip(starts[:-1], starts[1:]))
+        if len(_cells_made) >= _CELLS_KEPT:
+            _cells_made.clear()
+        _cells_made[key] = cells
     return cells
 
 

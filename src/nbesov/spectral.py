@@ -27,9 +27,10 @@ heat_kernel (OperatorKernel.profile).  The N^2 matrix is formed only for a
 caller that reads OperatorKernel.matrix.  Finite-difference bases form the
 dense product E^T diag(phi(lambda)) E.
 
-Every kernel carries a reported tail bound over the unresolved modes,
-estimated in symbol_tail_bound through the leading-order Weyl law;
-nothing above the resolved band is silently discarded.
+Every kernel carries a reported tail over the unresolved modes from
+symbol_tail_bound: on an analytic basis an exact bound, the unresolved
+eigenvalues summed directly up to a cutoff and a closed-form majorant past
+it; nothing above the resolved band is silently discarded.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 from scipy.fft import dct, dst
 from scipy.special import gamma as gamma_fn
+from scipy.special import gammaincc
 
 from .domains import EigenBasis, Grid, fd_gradient
 from .littlewood_paley import PartitionOfUnity
@@ -140,13 +142,15 @@ class SymbolFn:
     """Scalar symbol phi(lambda) applied through the calculus.
 
     fn must be vectorized over a float array of eigenvalues.  support, when
-    given, is the interval outside which the symbol vanishes (used for
-    exact tail statements on compactly supported bumps).
+    given, is the interval outside which the symbol vanishes.  majorant,
+    when given, is (c, q, t) with |phi(lambda)| <= c lambda^q e^{-t lambda}
+    for every lambda > 0 in the support.  symbol_tail_bound reads both.
     """
 
     fn: Callable[[NDArray], NDArray]
     tag: str
     support: tuple[float, float] | None = None
+    majorant: tuple[float, float, float] | None = None
 
     def __call__(self, lam: NDArray) -> NDArray:
         return self.fn(np.asarray(lam, dtype=float))
@@ -188,8 +192,8 @@ class OperatorKernel:
 
     symbol_values holds phi(lambda_k) when the kernel is phi(H) itself, so
     that max |phi(lambda_k)| is its exact 2->2 norm; tail_bound reports the
-    Weyl estimate of the truncated part sum_{k>K} |phi(lambda_k)| times the
-    observed sup-norm concentration of the resolved modes.
+    truncated part, sup_k |e_k|^2 sum_{k>K} |phi(lambda_k)|, a bound on an
+    analytic basis (symbol_tail_bound).
     """
 
     # Every kernel is scalar.  perfbench's tracer still reads this name off
@@ -284,16 +288,19 @@ def _check(ok: bool, name: str, value: float, rule: str) -> None:
 
 def heat_symbol(t: float) -> SymbolFn:
     _check(0 < t < math.inf, "t", t, "positive and finite")
-    return SymbolFn(fn=lambda lam: np.exp(-t * lam), tag=f"heat:t={t:g}")
+    return SymbolFn(fn=lambda lam: np.exp(-t * lam), tag=f"heat:t={t:g}", majorant=(1.0, 0.0, t))
 
 
 def resolvent_symbol(beta: float, M: float, theta: float = 1.0) -> SymbolFn:
     _check(0 < beta < math.inf, "beta", beta, "positive and finite")
     _check(0 < theta < math.inf, "theta", theta, "positive and finite")
     _check(0 <= M < math.inf, "M", M, "finite and >= 0")  # M = 0: assembly rejects lambda = 0
+    with np.errstate(over="ignore"):  # an overflow to inf still bounds (theta lam)^-beta
+        c = float(np.power(theta, -beta))
     return SymbolFn(
         fn=lambda lam: (theta * lam + M) ** (-beta),
         tag=f"resolvent:beta={beta:g},M={M:g},theta={theta:g}",
+        majorant=(c, -beta, 0.0),
     )
 
 
@@ -311,7 +318,8 @@ def block_symbol(pou: PartitionOfUnity, j: int) -> SymbolFn:
     def fn(lam: NDArray) -> NDArray:
         return pou.phi(j, np.sqrt(np.maximum(lam, 0.0)))
 
-    return SymbolFn(fn=fn, tag=f"block:j={j},pou={pou.variant}", support=support)
+    return SymbolFn(fn=fn, tag=f"block:j={j},pou={pou.variant}", support=support,
+                    majorant=(1.0, 0.0, 0.0))
 
 
 def bump_symbol(pou: PartitionOfUnity, theta: float) -> SymbolFn:
@@ -324,7 +332,7 @@ def bump_symbol(pou: PartitionOfUnity, theta: float) -> SymbolFn:
     lo, hi = pou.phi0_support
     return SymbolFn(fn=lambda lam: pou.phi0(theta * lam),
                     tag=f"bump:theta={theta:g},pou={pou.variant}",
-                    support=(lo / theta, hi / theta))
+                    support=(lo / theta, hi / theta), majorant=(1.0, 0.0, 0.0))
 
 
 def cap_symbol(pou: PartitionOfUnity, j: int | None = None) -> SymbolFn:
@@ -332,17 +340,24 @@ def cap_symbol(pou: PartitionOfUnity, j: int | None = None) -> SymbolFn:
 
     The rescaling is an ldexp with the exponent clamped to +-2048, so a
     large |j| scales lambda to (nearly) 0 or to inf, where psi is 1 or 0,
-    rather than raising an OverflowError.
+    rather than raising an OverflowError.  psi(mu) = chi(sqrt(mu)) vanishes
+    from mu = 4 on, so the support is (0, 4), or (0, 4 4^j) through the same
+    clamped ldexp (inf past the float range).
     """
+    hi = pou.phi0_support[1] ** 2  # chi vanishes from phi0_support[1] = 2 on
     if j is None:
-        return SymbolFn(fn=lambda lam: pou.psi(lam), tag=f"cap:pou={pou.variant}")
+        return SymbolFn(fn=lambda lam: pou.psi(lam), tag=f"cap:pou={pou.variant}",
+                        support=(0.0, hi), majorant=(1.0, 0.0, 0.0))
     e = max(-2048, min(-2 * j, 2048))  # past +-2048 psi takes the same values, clamped or not
 
     def fn(lam: NDArray) -> NDArray:
         with np.errstate(over="ignore"):
             return pou.psi(np.ldexp(lam, e))
 
-    return SymbolFn(fn=fn, tag=f"cap:j={j},pou={pou.variant}")
+    with np.errstate(over="ignore"):
+        hi = float(np.ldexp(hi, -e))
+    return SymbolFn(fn=fn, tag=f"cap:j={j},pou={pou.variant}", support=(0.0, hi),
+                    majorant=(1.0, 0.0, 0.0))
 
 
 def power_block_symbol(pou: PartitionOfUnity, j: int, alpha: float) -> SymbolFn:
@@ -362,7 +377,7 @@ def power_block_symbol(pou: PartitionOfUnity, j: int, alpha: float) -> SymbolFn:
         return out
 
     return SymbolFn(fn=fn, tag=f"powerblock:j={j},alpha={alpha:g},pou={pou.variant}",
-                    support=base.support)
+                    support=base.support, majorant=(1.0, alpha, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +426,46 @@ def apply_multiplier(symbol: SymbolFn, f: GridFunction, basis: EigenBasis) -> Gr
     return synthesize(SpectralCoeffs(values=svals * c.values, basis=basis))
 
 
-def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
-    """Reported tail of the truncated kernel part sum_{k>K} |phi(lambda_k)|.
+# symbol_tail_bound sums the unresolved modes of an analytic basis directly
+# up to a cutoff about _TAIL_MODES modes past the resolved band (about 0.5 ms
+# on the 32 x 32 rectangle), and bounds the rest in closed form.
+_TAIL_MODES = 4096
 
-    The next 200,000 unresolved eigenvalues come from the inverse of the
+
+def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
+    """Reported tail of the truncated kernel part, sup_k |e_k|^2 sum_{k>K} |phi(lambda_k)|.
+
+    On an analytic basis it is a bound (_lattice_tail): the unresolved
+    eigenvalues summed directly up to a cutoff, a closed-form majorant past
+    it, and the exact sup |e_k|^2 = 2^n / |Omega| of the unresolved modes.
+
+    Two cases keep the leading-order Weyl partial sum (_weyl_partial_sum),
+    an estimate, not a bound: finite-difference bases, and analytic ones
+    where the remainder past the cutoff diverges or the symbol states no
+    majorant there.  A resolvent with beta <= 1 in 2-D (beta <= 1/2 in 1-D)
+    diverges; its value is a partial sum over 200,000 modes.
+
+    Exactly zero when no unresolved mode lies in the support (on a
+    finite-difference basis: when the support ends at or below the top
+    resolved eigenvalue); inf when any tail term is not finite.
+    """
+    end = math.inf if symbol.support is None else symbol.support[1]
+    if basis.kind == "analytic":
+        tail = _lattice_tail(symbol, basis, end)
+        if tail is not None:
+            return float(2.0 ** basis.domain.n / basis.domain.volume * tail)
+    if end <= float(basis.eigenvalues[-1]):
+        return 0.0
+    return _weyl_partial_sum(symbol, basis)
+
+
+def _weyl_partial_sum(symbol: SymbolFn, basis: EigenBasis) -> float:
+    """The next 200,000 unresolved eigenvalues from the inverse of the
     leading-order Weyl count, ((k - 1) pi / L)^2 on an interval (exact) and
     4 pi (k - 1) / |Omega| in 2-D (an overshoot: lambda_50 = 52 on the pi x pi
-    square, estimate 62.4, so there the value is an estimate, not a bound:
-    ROADMAP item 3); the mode sup-norms from the largest resolved one.
-    Exactly zero for symbols supported below the top resolved eigenvalue;
-    inf when any tail term is not finite.
-    """
+    square, estimate 62.4), summed with the mode sup-norm observed at the
+    nodes (EigenBasis.sup2); inf when any term is not finite."""
     lam_top = float(basis.eigenvalues[-1])
-    if symbol.support is not None and symbol.support[1] <= lam_top:
-        return 0.0
     dom = basis.domain
     k1 = np.arange(basis.K, basis.K + 200_000, dtype=float)  # k - 1 for k > K
     lam_est = (k1 * np.pi / dom.lengths[0]) ** 2 if dom.n == 1 else 4 * np.pi * k1 / dom.volume
@@ -434,6 +475,84 @@ def symbol_tail_bound(symbol: SymbolFn, basis: EigenBasis) -> float:
     if not np.all(np.isfinite(vals)):
         return math.inf
     return float(np.sum(vals) * basis.sup2())
+
+
+def _lattice_tail(symbol: SymbolFn, basis: EigenBasis, end: float) -> float | None:
+    """sum_{k>K} |phi(lambda_k)| over the unresolved modes of an analytic
+    basis, or a bound on it; None where the remainder below has no bound.
+
+    The unresolved eigenvalues (every lattice mode (k_1 pi / L_1)^2 + ...
+    not in basis.mode_index) are summed directly up to Lambda_c: the
+    support end if it comes first, else the level where the count bound
+    N+ below reaches K + _TAIL_MODES (at least lambda_K).  Past Lambda_c,
+    Abel summation against N <= N+ bounds the rest by the symbol's majorant
+    m = c lambda^q e^{-t lambda}, decreasing from a = max(Lambda_c, q / t)
+    on and at most m(a) before:
+
+        sum_{lambda_k > Lambda_c} m(lambda_k) <= m(a) (N+(a) - N(Lambda_c)) + int_a^end m dN+,
+
+    with N+(lambda) = L sqrt(lambda) / pi + 1 on an interval and
+    |Omega| lambda / (4 pi) + (Lx + Ly) sqrt(lambda) / pi + 1 on a rectangle
+    (the lattice points of a quarter ellipse), dN+ = (A + B / (2 sqrt(lambda)))
+    d lambda and the integral in closed form.  A majorant increasing up to a
+    finite support end (t = 0 < q) is replaced by its value there.
+    """
+    lengths = basis.domain.lengths
+    A = math.prod(lengths) / (4 * math.pi) if len(lengths) == 2 else 0.0
+    B = sum(lengths) / math.pi
+    n = basis.K + _TAIL_MODES - 1.0  # N+(lam_c) - 1
+    root = n / B if A == 0 else 2 * n / (B + math.sqrt(B * B + 4 * A * n))
+    lam_c = max(root * root, float(basis.eigenvalues[-1]))
+    if end <= lam_c:
+        lam_c = end
+    elif symbol.majorant is None:
+        return None
+    else:
+        c, q, t = (np.float64(v) for v in symbol.majorant)  # overflow gives inf, not an error
+        if t == 0 < q:
+            with np.errstate(over="ignore"):
+                c, q = c * end ** q, np.float64(0.0)
+        if t == 0 and end == math.inf and q >= (-1.0 if A else -0.5):
+            return None
+    lam, n_c = _modes_up_to(basis, lam_c)
+    with np.errstate(over="ignore"):
+        vals = np.abs(symbol(lam)) if lam.size else lam
+    if not np.all(np.isfinite(vals)):
+        return math.inf
+    if end <= lam_c:
+        return float(np.sum(vals))
+    a = max(lam_c, q / t) if t > 0 < q else lam_c
+
+    def integral(s):
+        """int_a^end lambda^{s - 1} e^{-t lambda} d lambda, or (t > 0) a bound on it."""
+        if t > 0:
+            if s > 0:
+                return t ** -s * gamma_fn(s) * gammaincc(s, t * a)
+            return a ** (s - 1) * np.exp(-t * a) / t  # lambda^{s-1} <= a^{s-1}
+        if s == 0:
+            return np.log(end / a)
+        return ((0.0 if end == math.inf else end ** s) - a ** s) / s
+
+    with np.errstate(over="ignore"):
+        boundary = max(A * a + B * np.sqrt(a) + 1.0 - n_c, 0.0)
+        rest = (c * a ** q * np.exp(-t * a) * boundary if boundary else 0.0) + c * (
+            (A * integral(q + 1) if A else 0.0) + 0.5 * B * integral(q + 0.5))
+    return float(np.sum(vals) + rest)
+
+
+def _modes_up_to(basis: EigenBasis, lam_c: float) -> tuple[NDArray, int]:
+    """The eigenvalues <= lam_c of the lattice modes an analytic basis
+    leaves out, in no particular order, and N(lam_c), the count of every
+    mode <= lam_c."""
+    axes = [(np.arange(int(L * math.sqrt(lam_c) / math.pi) + 2) * np.pi / L) ** 2
+            for L in basis.domain.lengths]
+    lam = sum(np.ix_(*axes))
+    below = lam <= lam_c
+    k = np.asarray(basis.mode_index).reshape(basis.K, -1)
+    k = k[np.all(k < lam.shape, axis=1)]
+    resolved = np.zeros_like(below)
+    resolved[tuple(k.T)] = True
+    return lam[below & ~resolved], int(np.count_nonzero(below))
 
 
 def multiplier_kernel(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
@@ -651,9 +770,11 @@ def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> tuple[OperatorKerne
     All share the tail bound of sqrt(lambda) phi(lambda).
     """
     _, sources = _assemble(symbol, basis, grad=True)
+    maj = symbol.majorant
     tail = symbol_tail_bound(
         SymbolFn(fn=lambda lam: np.sqrt(np.maximum(lam, 0.0)) * symbol(lam),
-                 tag=symbol.tag, support=symbol.support),
+                 tag=symbol.tag, support=symbol.support,
+                 majorant=maj and (maj[0], maj[1] + 0.5, maj[2])),
         basis,
     )
     return _AxisKernels(

@@ -76,8 +76,10 @@ def _column_tail_bound(symbol, basis, n_cells):
     symbol tail of phi^2, and the cube sum of per-cube L^2 norms is at most
     sqrt(n_cells) times the global L^2 norm.
     """
+    maj = symbol.majorant
     squared = SymbolFn(fn=lambda lam: symbol(lam) ** 2, tag=f"({symbol.tag})^2",
-                       support=symbol.support)
+                       support=symbol.support,
+                       majorant=maj and (maj[0] ** 2, 2 * maj[1], 2 * maj[2]))
     return math.sqrt(n_cells * symbol_tail_bound(squared, basis))
 
 

@@ -5,14 +5,17 @@ For each time t the truncated spectral kernel K_t is compared against
 C * max(t^{-n/2}, 1) * exp(-|x-y|^2 / (c t)) over grid pairs, in log space
 (the envelope underflows doubles long before the comparison becomes
 meaningless).  Truncation is handled explicitly: every kernel carries a
-Weyl tail bound, pairs whose envelope falls below a multiple of that tail
-are excluded as undecidable at this resolution, and a time where that
-leaves fewer than half the pairs (or where the tail rivals the kernel
-scale itself) is dropped and reported.
+bound on its truncated tail (spectral.symbol_tail_bound), pairs whose
+envelope falls below a multiple of that tail are excluded as undecidable
+at this resolution, and a time where that leaves fewer than half the
+pairs (or where the tail rivals the kernel scale itself) is dropped and
+reported.
 
 Every K_t and its tail bound come from spectral.heat_kernel, read off the
-kernel's profile on the analytic interval and rectangle bases: no N x N
-matrix is formed and no pair distance is sorted.
+kernel's profile on the analytic interval and rectangle bases, and
+K_t - 1/|Omega| off the profile of the same symbol values with the
+lambda = 0 mode left out (spectral.kernel_profile): no N x N matrix is
+formed and no pair distance is sorted.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from ..domains import build_interval_basis, build_rectangle_basis
 from ..reports import EstimateReport, least_squares_fit
-from ..spectral import heat_kernel
+from ..spectral import heat_kernel, kernel_profile
 from .common import ExperimentSpec, conclude, geometric_spread
 
 __all__ = ["exp_heat_gaussian"]
@@ -59,8 +62,8 @@ def _offset_groups(grid):
     """Pairs grouped by offset d = |i - i'| per axis, read off the kernel's
     profile V (spectral.kernel_profile).  Returns the groups' squared
     distances sum (d h)^2 (ascending), their pair counts, prod N at d = 0
-    and 2(N - d) otherwise per axis, and the reader of a K_t: its max per
-    group, in that order, and min K_t.
+    and 2(N - d) otherwise per axis, and the reader of a kernel's profile
+    V(0..N): its max per group, in that order, and its min.
 
     On one axis the sums s = i + i' + 1 at a fixed d run over
     {d+1, d+3, ..., 2N-1-d}; as V(2N - s) = V(s), the values met are V(u)
@@ -87,8 +90,7 @@ def _offset_groups(grid):
         G = _parity_suffix(ufunc, np.moveaxis(G, 2, 0))  # [u2, d1, d2], suffix over u2
         return G[d[1] + 1, :, d[1]].T
 
-    def stats(ker):
-        v = ker.profile
+    def stats(v):
         return extreme(np.maximum, v).ravel()[order], float(np.min(extreme(np.minimum, v)))
 
     return d2.ravel()[order], counts.ravel()[order], stats
@@ -100,7 +102,9 @@ def _domain_scan(basis, ts, cs, P, dim):
 
     Returns rows (one per t) with admissibility, positivity margin, the
     needed constant log C(t, c) for every c, and the projected-kernel
-    maximum used for the decay fit.
+    maximum max |K_t - 1/|Omega|| used for the decay fit, read off the
+    profile of the symbol values without the lambda = 0 mode, so that it
+    keeps its digits where K_t is close to 1/|Omega|.
 
     log C(t, c) is the max over decidable pairs with K_t > 0 of
     log K_t - log m_t + |x-y|^2 / (c t).  Pairs are grouped by offset
@@ -120,13 +124,12 @@ def _domain_scan(basis, ts, cs, P, dim):
     d2, counts, stats = _offset_groups(basis.grid)
     cum = np.r_[0, np.cumsum(counts)]
     n_pairs = int(cum[-1])
-    vol = basis.domain.volume
     c_max = cs[-1]
     rows = []
     for t in ts:
         ker = heat_kernel(float(t), basis)
         tail = ker.tail_bound
-        gmax, k_min = stats(ker)
+        gmax, k_min = stats(ker.profile)
         m_t = max(t ** (-dim / 2.0), 1.0)
         k_diag_max = float(gmax[0])  # the d = 0 group is the diagonal
         # Kernel values are indeterminate below the spectral truncation tail
@@ -147,7 +150,9 @@ def _domain_scan(basis, ts, cs, P, dim):
             n_sel = int(np.searchsorted(d2, c * t * L, side="right"))
             if n_sel:
                 logC[i] = float(np.max(base[:n_sel] + d2[:n_sel] / (c * t)))
-        pk_max = max(float(np.max(gmax)) - 1.0 / vol, 1.0 / vol - k_min)
+        pmax, p_min = stats(kernel_profile(
+            np.where(basis.eigenvalues > 0, ker.symbol_values, 0.0), basis))
+        pk_max = max(float(np.max(pmax)), -p_min)
         rows.append({
             "t": float(t), "tail": float(tail), "admissible": bool(admissible),
             "pair_frac": frac, "pos_margin": pos_margin, "logC": logC,

@@ -162,6 +162,26 @@ def test_amalgam_cells_rejects_theta_that_is_not_positive_and_finite(basis, thet
         triple_norm(heat_kernel(0.1, basis), 0.5, theta)
 
 
+def test_amalgam_cells_are_kept_read_only_and_still_validate_theta(basis):
+    """A repeated (grid id, theta) returns equal cells whose node indices
+    cannot be written, also for a rebuilt grid of the same id, and the
+    theta checks run before the lookup."""
+    theta = 0.1
+    first = amalgam_cells(basis.grid, theta)
+    again = amalgam_cells(build_interval_basis(basis.domain.lengths[0], basis.K,
+                                               N=basis.grid.n_nodes).grid, theta)
+    assert [m for m, _ in again] == [m for m, _ in first]
+    for (_, a), (_, b) in zip(first, again):
+        assert np.array_equal(a, b) and not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            b[0] = 0
+    for bad in (math.nan, -theta, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            amalgam_cells(basis.grid, bad)
+    with pytest.raises(ValueError, match="below the grid spacing"):
+        amalgam_cells(basis.grid, 0.25 * basis.grid.h ** 2)
+
+
 # ---------------------------------------------------------------------------
 # Triple norm
 

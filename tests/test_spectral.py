@@ -30,6 +30,7 @@ from nbesov.spectral import (
     apply_kernel,
     block_symbol,
     bump_symbol,
+    cap_symbol,
     endpoint_norms,
     gradient_kernels,
     heat_kernel,
@@ -46,6 +47,7 @@ from nbesov.spectral import (
     to_coeffs,
     to_grid,
 )
+from nbesov.verify.amalgam import _column_tail_bound
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,145 @@ def test_bump_symbol_support_values_and_tail(variant, basis):
         tail = multiplier_kernel(bump, basis).tail_bound
         assert tail == multiplier_kernel(old, basis).tail_bound
         assert (tail > 0.0) == (hi > basis.eigenvalues[-1])
+
+
+def _unresolved_lattice(basis, n):
+    """Eigenvalues of the lattice modes k_c < n per axis that basis leaves
+    out, and the exact sup |e_k|^2 = 2^dim / |Omega| of those modes."""
+    axes = [(np.arange(n) * np.pi / L) ** 2 for L in basis.domain.lengths]
+    lam = sum(np.ix_(*axes))
+    unresolved = np.ones(lam.shape, dtype=bool)
+    unresolved[tuple(np.asarray(basis.mode_index).reshape(basis.K, -1).T)] = False
+    return lam[unresolved], 2.0 ** basis.domain.n / basis.domain.volume
+
+
+def _suite_rectangle():
+    return build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32)
+
+
+@pytest.mark.parametrize("t", [(math.pi / 32) ** 2, 0.031, 0.055, 0.098, 0.17])
+def test_rectangle_heat_tail_is_the_exact_lattice_sum(t):
+    """On the heat scan's pi x pi rectangle the tail is the direct sum of
+    e^{-t lambda} over the unresolved modes a, b < 600, times 4 / pi^2 (the
+    leading-order Weyl estimate read 1.25-33.9x low at these t)."""
+    rect = _suite_rectangle()
+    lam, sup2 = _unresolved_lattice(rect, 600)
+    exact = sup2 * float(np.sum(np.exp(-t * lam)))
+    assert spectral.symbol_tail_bound(heat_symbol(t), rect) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("domain, symbol", [
+    ("interval", heat_symbol(1e-4)), ("interval", heat_symbol(1e-2)),
+    ("interval", resolvent_symbol(0.75, 1.0)), ("interval", resolvent_symbol(2.0, 0.5, 0.05)),
+    ("rectangle", resolvent_symbol(1.5, 1.0)), ("rectangle", resolvent_symbol(2.0, 0.5, 0.05)),
+], ids=lambda v: v if isinstance(v, str) else v.tag)
+def test_tail_bound_sits_just_above_a_long_partial_sum(domain, symbol):
+    """The bound is at least the direct sum over 10^6 unresolved modes (up
+    to rounding) and at most 1.2 times it, on [0, 2.5] and on [0, pi] x [0, 2]."""
+    if domain == "interval":
+        basis = build_interval_basis(2.5, 100, N=256)
+        lam, sup2 = _unresolved_lattice(basis, basis.K + 10**6)
+    else:
+        basis = build_rectangle_basis(math.pi, 2.0, 200, Nx=32, Ny=32)
+        lam, sup2 = _unresolved_lattice(basis, 1000)
+    partial = sup2 * float(np.sum(symbol(lam)))
+    got = spectral.symbol_tail_bound(symbol, basis)
+    assert partial * (1 - 1e-13) <= got <= 1.2 * partial
+
+
+@pytest.mark.parametrize("build", [lambda: build_interval_basis(math.pi, 64, N=256),
+                                   lambda: build_rectangle_basis(math.pi, 2.0, 200, Nx=32, Ny=32)],
+                         ids=["interval", "rectangle"])
+@pytest.mark.parametrize("t", [1e-3, 0.03])
+def test_derived_heat_tails_match_their_direct_sums(build, t):
+    """The gradient kernels' sqrt(lambda) e^{-t lambda} tail and the amalgam
+    column tail of e^{-2 t lambda} against the direct sums over 600 modes
+    per axis: equal where the modes past the cutoff underflow (t = 0.03),
+    above by at most 1e-3 where the closed-form remainder counts (t = 1e-3)."""
+    basis = build()
+    lam, sup2 = _unresolved_lattice(basis, 600 if basis.domain.n == 2 else 10**5)
+    heat = heat_symbol(t)
+    pairs = [(gradient_kernels(heat, basis)[0].tail_bound,
+              sup2 * float(np.sum(np.sqrt(lam) * np.exp(-t * lam)))),
+             (_column_tail_bound(heat, basis, 3) ** 2 / 3,
+              sup2 * float(np.sum(np.exp(-2 * t * lam))))]
+    for got, direct in pairs:
+        if t == 0.03:
+            assert got == pytest.approx(direct, rel=1e-12)
+        else:
+            assert direct * (1 - 1e-13) <= got <= direct * (1 + 1e-3)
+
+
+def _counting(symbol, seen):
+    """symbol with every evaluated point counted in seen[0]."""
+    def fn(lam):
+        seen[0] += np.size(lam)
+        return symbol.fn(lam)
+    return SymbolFn(fn=fn, tag=symbol.tag, support=symbol.support, majorant=symbol.majorant)
+
+
+@pytest.mark.parametrize("symbol", [heat_symbol((math.pi / 32) ** 2), heat_symbol(1.0),
+                                    resolvent_symbol(2.0, 1.0, 1e-3), resolvent_symbol(1.5, 1.0)],
+                         ids=lambda s: s.tag)
+@pytest.mark.parametrize("build", [_suite_rectangle,
+                                   lambda: build_interval_basis(math.pi, 257, N=512)],
+                         ids=["rectangle", "interval"])
+def test_a_convergent_analytic_tail_evaluates_few_points(build, symbol):
+    """At most 10^4 symbol evaluations, where the Weyl partial sum took 200,000."""
+    seen = [0]
+    tail = spectral.symbol_tail_bound(_counting(symbol, seen), build())
+    assert 0 < seen[0] <= 10**4 and math.isfinite(tail)
+
+
+def test_divergent_and_finite_difference_tails_keep_the_weyl_partial_sum():
+    """A remainder that diverges (resolvent beta <= 1 in 2-D, <= 1/2 in 1-D)
+    and every finite-difference basis keep the leading-order Weyl sum over
+    200,000 modes with the observed node sup-norm, bit for bit."""
+    cases = [(_suite_rectangle(), resolvent_symbol(1.0, 1.0)),
+             (build_interval_basis(math.pi, 64, N=256), resolvent_symbol(0.5, 2.0, 0.1)),
+             (build_fd_basis(lshape_domain(), 0.25, 12), heat_symbol(0.01)),
+             (build_fd_basis(lshape_domain(), 0.25, 12), resolvent_symbol(2.0, 1.0))]
+    for basis, symbol in cases:
+        k1 = np.arange(basis.K, basis.K + 200_000, dtype=float)
+        dom = basis.domain
+        weyl = (k1 * np.pi / dom.lengths[0]) ** 2 if dom.n == 1 else 4 * np.pi * k1 / dom.volume
+        lam = np.maximum(weyl, float(basis.eigenvalues[-1]))
+        sup2 = float(max(basis.functions.max(), -basis.functions.min()) ** 2)
+        want = float(np.sum(np.abs(symbol(lam))) * sup2)
+        assert spectral.symbol_tail_bound(symbol, basis) == want
+
+
+@pytest.mark.xfail(strict=True, reason="a divergent tail keeps the 200,000-term partial sum: "
+                   "perfbench/workloads.py fails any kernel whose tail_bound is not finite, "
+                   "and its resolvent requests draw beta in (0.5, 2)")
+def test_a_divergent_rectangle_resolvent_tail_reads_inf():
+    assert spectral.symbol_tail_bound(resolvent_symbol(1.0, 1.0), _suite_rectangle()) == math.inf
+
+
+@pytest.mark.parametrize("variant", ["standard", "perturbed"])
+@pytest.mark.parametrize("j", [None, -3, 0, 5])
+def test_cap_symbol_declares_its_support(variant, j, basis, monkeypatch):
+    """psi vanishes from mu = 4 on, so the cap's support ends at 4 4^j: it is
+    0 there and positive just below (at 0.9 of it: psi's C-infinity approach
+    to 0 rounds to 0 within 1 % of the end).  A cap whose support ends
+    inside the band has tail 0.0 and is never evaluated for it."""
+    pou = make_partition(variant)
+    cap = cap_symbol(pou, j)
+    lo, hi = cap.support
+    assert (lo, hi) == (0.0, 4.0 * 4.0 ** (0 if j is None else j))
+    assert cap(np.array([hi]))[0] == 0.0 and cap(np.array([0.9 * hi]))[0] > 0.0
+    seen = [0]
+    cls = type(pou)
+    psi = cls.psi
+
+    def counted(self, mu):
+        seen[0] += np.size(mu)
+        return psi(self, mu)
+
+    monkeypatch.setattr(cls, "psi", counted)
+    # At j = 5 the support ends at the first unresolved mode, 64^2 = 4096.
+    assert spectral.symbol_tail_bound(cap, basis) == 0.0
+    assert (seen[0] == 0) == (hi < float(basis.eigenvalues[-1]))
 
 
 # Every float parameter of a symbol constructor: a valid value and the

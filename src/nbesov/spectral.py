@@ -8,10 +8,9 @@ acts as
 with integral kernel K(x, y) = sum_k phi(lambda_k) e_k(x) e_k(y).  This
 module provides the coefficient transforms (to_grid and to_coeffs, the one
 seam between coefficient arrays and node values), multiplier application,
-heat semigroup, mean-zero projection (the spectral projection onto positive
-frequencies on a bounded domain), gradients, fractional resolvent powers via
-the Gamma-function integral of the heat semigroup, and exact endpoint
-operator norms of kernels.
+the heat semigroup, gradients, fractional resolvent powers via the
+Gamma-function integral of the heat semigroup, and exact endpoint operator
+norms of kernels.
 
 Kernels are held in one of two forms.  On an analytic basis (interval or
 rectangle) the cell-centred nodes turn every per-axis product
@@ -637,7 +636,7 @@ def apply_kernel(kernel: OperatorKernel, f: GridFunction) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Heat semigroup and the mean projection
+# Heat semigroup
 
 
 def heat_kernel(t: float, basis: EigenBasis) -> OperatorKernel:

@@ -20,6 +20,8 @@ from .common import (
     interval_basis,
     partition_for,
     rectangle_basis,
+    refinement_pair,
+    relative_drift,
     resynthesis_residual,
 )
 
@@ -112,7 +114,7 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(EMBED_DEFAULTS)
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
-    coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
+    coarse, refined = refinement_pair()
     C0 = coeff_batch(rng, refined.K, P["n_samples"], k_max=P["k_max"], decay=0.05)
     eps = 0.5
 
@@ -149,9 +151,7 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
             np.maximum(b02 - b01, b0inf - b02) / b01))
         return out
 
-    base = ratios(coarse)
-    fine = ratios(refined)
-
+    base, fine = ratios(coarse), ratios(refined)
     checks = {
         "b022_vs_l2_hi": base["b022_vs_l2_hi"] <= P["cap_l2"],
         "b022_vs_l2_lo": base["b022_vs_l2_lo"] <= P["cap_l2"],
@@ -161,9 +161,8 @@ def exp_embeddings(spec: ExperimentSpec) -> EstimateReport:
     for key in ("lift_+1", "lift_-1", "sobolev_1to2", "sobolev_2toinf",
                 "lp_embed_p2", "lp_embed_p4"):
         checks[key] = base[key] <= P["cap_generic"]
-    drift_keys = ("b022_vs_l2_hi", "lift_+1", "lift_-1", "sobolev_1to2",
-                  "sobolev_2toinf", "lp_embed_p2", "lp_embed_p4", "eps_loss")
-    drift = {k: abs(fine[k] - base[k]) / base[k] for k in drift_keys}
+    drift = relative_drift(base, fine, ("b022_vs_l2_hi", "lift_+1", "lift_-1", "sobolev_1to2",
+                                        "sobolev_2toinf", "lp_embed_p2", "lp_embed_p4", "eps_loss"))
     checks["refinement_drift"] = max(drift.values()) <= P["drift_tol"]
 
     points = [{"check": k, "ratio": v, "refined": fine.get(k)}
@@ -197,7 +196,7 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(DUALITY_DEFAULTS) | {"table": _DUAL_TABLE}
     pou = partition_for(spec)
     rng = np.random.default_rng(spec.seed)
-    coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
+    coarse, refined = refinement_pair()
     Cf0 = coeff_batch(rng, refined.K, P["n_pairs"], k_max=48, decay=0.05)
     Cg0 = coeff_batch(rng, refined.K, P["n_pairs"], k_max=48, decay=0.05)
     dual = [(-s, _conj(p), _conj(q)) for s, p, q in _DUAL_TABLE]
@@ -211,9 +210,8 @@ def exp_duality(spec: ExperimentSpec) -> EstimateReport:
         return {f"s{s:g}_p{p:g}_q{q:g}": float(np.max(pair / (nf[i] * ng[i])))
                 for i, (s, p, q) in enumerate(_DUAL_TABLE)}
 
-    base = run(coarse)
-    fine = run(refined)
-    drift = {k: abs(fine[k] - base[k]) / base[k] for k in base}
+    base, fine = run(coarse), run(refined)
+    drift = relative_drift(base, fine)
 
     # Structural checks: the quadrature pairing of a mean-zero f with the
     # constant 1 vanishes, and the ratio is invariant under rescaling f.
@@ -266,7 +264,7 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
     """
     P = spec.merged(LEIBNIZ_DEFAULTS) | {"tuples": _LEIBNIZ_TUPLES}
     rng = np.random.default_rng(spec.seed)
-    coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
+    coarse, refined = refinement_pair()
     kcap = P["band_cap"] + 1
     Cf0 = coeff_batch(rng, refined.K, P["n_pairs"], k_max=kcap, decay=0.08)
     Cg0 = coeff_batch(rng, refined.K, P["n_pairs"], k_max=kcap, decay=0.08)
@@ -310,12 +308,10 @@ def exp_leibniz(spec: ExperimentSpec) -> EstimateReport:
         return out, discarded
 
     pou = partition_for(spec)
-    base, disc = run(coarse, pou)
-    fine, _ = run(refined, pou)
+    (base, disc), (fine, _) = run(coarse, pou), run(refined, pou)
     other = "perturbed" if spec.pou_variant == "standard" else "standard"
     swap, _ = run(coarse, make_partition(other))
-    drift_refine = {k: abs(fine[k] - base[k]) / base[k] for k in base}
-    drift_swap = {k: abs(swap[k] - base[k]) / base[k] for k in base}
+    drift_refine, drift_swap = relative_drift(base, fine), relative_drift(base, swap)
 
     checks = {"refinement_drift": max(drift_refine.values()) <= P["stability_tol"],
               "variant_drift": max(drift_swap.values()) <= P["stability_tol"],
@@ -349,7 +345,7 @@ def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(PARTITION_DEFAULTS) | {"pou": ("standard", "perturbed")}
     pou_a, pou_b = map(make_partition, P["pou"])
     rng = np.random.default_rng(spec.seed)
-    coarse, refined = interval_basis(math.pi, 64, 512), interval_basis(math.pi, 128, 1024)
+    coarse, refined = refinement_pair()
     C0 = coeff_batch(rng, refined.K, P["n_samples"], k_max=48, decay=0.05)
     spq = list(itertools.product(P["s_table"], P["pq_table"], P["pq_table"]))
 
@@ -357,21 +353,14 @@ def exp_partition_independence(spec: ExperimentSpec) -> EstimateReport:
         C = C0[: basis.K]
         _, J = scale_window(basis)
         r = besov_table(C, spq, pou_a, basis, J) / besov_table(C, spq, pou_b, basis, J)
-        return {key: (float(row.min()), float(row.max())) for key, row in zip(spq, r)}
+        return dict(zip(spq, r.min(axis=1).tolist())), dict(zip(spq, r.max(axis=1).tolist()))
 
-    base = table(coarse)
-    fine = table(refined)
-
-    points, worst_lo, worst_hi, worst_drift = [], math.inf, 0.0, 0.0
-    for key, (lo, hi) in base.items():
-        flo, fhi = fine[key]
-        drift = abs(fhi - hi) / hi
-        worst_lo, worst_hi = min(worst_lo, lo), max(worst_hi, hi)
-        worst_drift = max(worst_drift, drift)
-        s, p, q = key
-        points.append({"s": s, "p": p, "q": q, "ratio_min": lo,
-                       "ratio_max": hi, "ratio_max_refined": fhi,
-                       "drift": drift})
+    (lo, hi), (_, hi_fine) = table(coarse), table(refined)
+    drift = relative_drift(hi, hi_fine)
+    worst_lo, worst_hi, worst_drift = min(lo.values()), max(hi.values()), max(drift.values())
+    points = [{"s": s, "p": p, "q": q, "ratio_min": lo[s, p, q], "ratio_max": hi[s, p, q],
+               "ratio_max_refined": hi_fine[s, p, q], "drift": drift[s, p, q]}
+              for s, p, q in spq]
     checks = {"ratio_min": worst_lo >= P["ratio_lo"],
               "ratio_max": worst_hi <= P["ratio_hi"],
               "refinement_drift": worst_drift <= P["drift_tol"]}

@@ -10,7 +10,7 @@ call them (not heat or multipliers), which must not mutate what they get.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral, Real
 
@@ -30,6 +30,8 @@ __all__ = [
     "geometric_spread",
     "partition_for",
     "resynthesis_residual",
+    "refinement_pair",
+    "relative_drift",
     "conclude",
 ]
 
@@ -55,11 +57,6 @@ class ExperimentSpec:
                 raise ValueError(f"parameter {key}={value!r} for {self.id} does not have "
                                  f"the type of its default {defaults[key]!r}")
         return defaults | self.params
-
-    def with_params(self, **kw) -> "ExperimentSpec":
-        merged = dict(self.params)
-        merged.update(kw)
-        return replace(self, params=merged)
 
 
 @lru_cache(maxsize=32)
@@ -112,6 +109,16 @@ def resynthesis_residual(F: NDArray, C: NDArray, basis: EigenBasis, pou: Partiti
         rec += to_grid(block_symbol(pou, j)(lam)[:, None] * C, basis)
     w = basis.grid.weights
     return lp_columns(F - rec, w, 2.0) / lp_columns(F, w, 2.0)
+
+
+def refinement_pair() -> tuple[EigenBasis, EigenBasis]:
+    """The interval basis refinement checks start from, and its refinement by 2."""
+    return interval_basis(np.pi, 64, 512), interval_basis(np.pi, 128, 1024)
+
+
+def relative_drift(base: dict, other: dict, keys=None) -> dict:
+    """{k: |other[k] - base[k]| / base[k]} over keys (default: all of base's)."""
+    return {k: abs(other[k] - base[k]) / base[k] for k in keys or base}
 
 
 def conclude(

@@ -5,6 +5,7 @@ pass from any of them means the checks upstream have gone soft."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,8 +56,8 @@ def neg_broken_partition(spec: ExperimentSpec) -> EstimateReport:
 def neg_fake_eigenvalue(spec: ExperimentSpec) -> EstimateReport:
     """Second eigenvalue faked down to 2^-12: the low-frequency decay fit
     must refuse the sub-dyadic blocks it suddenly fills."""
-    rep = exp_low_freq_decay(
-        spec.with_params(fake_lambda2=2.0**-12, domains=("interval_pi",)))
+    rep = exp_low_freq_decay(replace(spec, params=spec.params | {
+        "fake_lambda2": 2.0**-12, "domains": ("interval_pi",)}))
     rep.notes.append(_EXPECTED)
     return rep
 

@@ -131,6 +131,7 @@ def test_c09_amalgam_and_triple_slopes(suite_reports):
     assert abs(rep.fit["slope_2d"] - (-0.50)) <= 0.2
     assert abs(rep.fit["triple_slope_alpha0.5"] - 0.25) <= 0.2
     assert abs(rep.fit["triple_slope_alpha1"] - 0.50) <= 0.2
+    assert rep.fit["bump_gap"] <= 1.1
     assert rep.runtime < 180.0
 
 

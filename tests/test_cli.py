@@ -419,6 +419,25 @@ def test_verify_inconclusive_exit_code(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_verify_gradient_on_one_block_scale_is_inconclusive(tmp_path, capsys):
+    """One block scale gives spreads of 1.0: they decide nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"only": ["gradient"],
+                               "experiments": {"gradient": {"j_lo": 4, "j_hi": 4}}}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "inconclusive" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "r" / "gradient.json").read_text())
+    assert payload["notes"][-1] == "only 1 block scale j = 4; a spread needs 2"
+
+
+@pytest.mark.parametrize("rid", ["gradient", "multiplier_scaling"])
+def test_verify_rejects_an_empty_block_range(tmp_path, capsys, rid):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"only": [rid], "experiments": {rid: {"j_lo": 5, "j_hi": 4}}}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == "verify: j_lo=5 > j_hi=4 leaves no block scale\n"
+
+
 def test_verify_config_override_is_recorded_in_the_report(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"only": ["embeddings"],
@@ -431,7 +450,7 @@ def test_verify_config_override_is_recorded_in_the_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("rid, key, value", [
     ("moment_decay", "N", 8192.9), ("heat_gaussian", "interval_K", 200.5),
-    ("reconstruction", "n_samples", "5"), ("amalgam", "n_probes", 64.0),
+    ("reconstruction", "n_samples", "5"), ("amalgam", "interval_K", 257.0),
     ("gradient", "K", True),
 ], ids=["float_for_int", "half_for_int", "string_for_int", "whole_float_for_int", "bool_for_int"])
 def test_verify_config_rejects_an_override_of_another_type(tmp_path, capsys, rid, key, value):

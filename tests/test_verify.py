@@ -144,7 +144,7 @@ def test_override_with_unknown_parameter_rejected():
 
 @pytest.mark.parametrize("rid, key, value", [
     ("moment_decay", "N", 8192.9), ("heat_gaussian", "interval_K", 200.5),
-    ("reconstruction", "n_samples", "5"), ("amalgam", "n_probes", 64.0),
+    ("reconstruction", "n_samples", "5"), ("amalgam", "interval_K", 257.0),
     ("gradient", "K", True),
 ], ids=["float_for_int", "half_for_int", "string_for_int", "whole_float_for_int", "bool_for_int"])
 def test_override_of_another_type_rejected(rid, key, value):
@@ -260,6 +260,22 @@ def test_gradient_blocks_below_the_spectral_gap_fail_with_a_report(tmp_path):
     assert (tmp_path / "gradient.json").exists()
 
 
+def test_gradient_on_one_block_scale_leaves_the_block_claims_unresolved():
+    """A single block scale gives spreads of exactly 1.0; they are recorded
+    in fit but decide nothing."""
+    rep = run_suite(ids=["gradient"], overrides={"gradient": {"j_lo": 4, "j_hi": 4}})[0]
+    assert rep.verdict == INCONCLUSIVE
+    assert not [n for n in rep.notes if n.startswith("failed:")]
+    assert rep.notes[-1] == "only 1 block scale j = 4; a spread needs 2"
+    assert rep.fit["block"]["spread22"] == 1.0
+
+
+@pytest.mark.parametrize("rid", ["gradient", "multiplier_scaling"])
+def test_an_empty_block_range_is_rejected(rid):
+    with pytest.raises(ValueError, match=r"^j_lo=5 > j_hi=4 leaves no block scale$"):
+        run_suite(ids=[rid], overrides={rid: {"j_lo": 5, "j_hi": 4}})
+
+
 def test_amalgam_failure_outranks_an_unresolved_gap():
     overrides = {"amalgam": {"slope_tol": 0.0, "gap_cap": 1.0,
                              "n_theta_1d": 3, "n_theta_2d": 2}}
@@ -350,14 +366,13 @@ def test_column_tail_bound_is_the_squared_symbol_tail(basis):
         assert want <= got == pytest.approx(want, rel=0.02)
 
 
-def _svd_block_bounds(kernel, theta, rng, n_probes):
-    """Oracle for _block_operator_bounds: one batched SVD of the weighted
+def _svd_block_bounds(kernel, theta):
+    """Oracles for _block_operator_bounds: one batched SVD of the weighted
     blocks B_rc per cube-size pair, summed over row cubes, for the upper
-    bound; triple_norm(kernel, 0, theta) and the same random probes for the
-    lower bound."""
+    bound; triple_norm(kernel, 0, theta), the largest norm on functions
+    supported in one cube, for the ascent's start."""
     cells = amalgam_cells(kernel.grid, theta)
-    w = kernel.grid.weights
-    sw = np.sqrt(w)
+    sw = np.sqrt(kernel.grid.weights)
     Kw = sw[:, None] * kernel.matrix * sw[None, :]
     by_size: dict[int, list[int]] = {}
     for i, (_, idx) in enumerate(cells):
@@ -368,13 +383,7 @@ def _svd_block_bounds(kernel, theta, rng, n_probes):
         for ids2, B in groups:
             blocks = Kw[A[:, None, :, None], B[None, :, None, :]]
             S[np.ix_(ids1, ids2)] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
-    G = rng.standard_normal((kernel.grid.n_nodes, n_probes))
-    params = AmalgamParams(p=1.0, q=2.0, theta=theta)
-    ratios = (amalgam_columns(kernel.matrix @ (w[:, None] * G), kernel.grid, params)
-              / amalgam_columns(G, kernel.grid, params))
-    single = triple_norm(kernel, 0.0, theta)
-    assert single >= np.max(ratios)  # the comparison below reaches the single-cube value
-    return float(S.sum(axis=0).max()), single
+    return float(S.sum(axis=0).max()), triple_norm(kernel, 0.0, theta)
 
 
 @pytest.mark.parametrize("build, thetas", [
@@ -382,15 +391,86 @@ def _svd_block_bounds(kernel, theta, rng, n_probes):
      np.geomspace(4.0 * (math.pi / 512) ** 2, 1.0, 9)),
     (lambda: build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32), (0.1, 0.3)),
 ], ids=["i512", "rect32"])
-def test_gram_bounds_match_the_svd_and_triple_norm_oracles(build, thetas):
+@pytest.mark.parametrize("variant", ["standard", "perturbed"])
+def test_gram_bounds_match_the_svd_and_triple_norm_oracles(build, thetas, variant):
     """The experiment's 9 theta on i512; on the rectangle the cubes come in
-    9 and 10 sizes."""
-    basis, pou = build(), make_partition("standard")
+    9 and 10 sizes.  The upper bound is the SVD oracle's; the lower bound
+    starts at least at the single-cube norm and ends within 10 % of the
+    upper one."""
+    basis, pou = build(), make_partition(variant)
     for theta in thetas:
         ker = multiplier_kernel(bump_symbol(pou, theta), basis)
-        got = _block_operator_bounds(ker, theta, np.random.default_rng(1), 64)
-        want = _svd_block_bounds(ker, theta, np.random.default_rng(1), 64)
-        assert got == pytest.approx(want, rel=1e-14, abs=0), theta
+        upper, lower = _block_operator_bounds(ker, theta)
+        svd_upper, single = _svd_block_bounds(ker, theta)
+        assert upper == pytest.approx(svd_upper, rel=1e-14, abs=0), theta
+        assert single < lower <= upper <= 1.1 * lower, theta
+
+
+@pytest.mark.parametrize("basis", [build_interval_basis(math.pi, 65, N=128),
+                                   build_rectangle_basis(math.pi, math.pi, 40, Nx=16, Ny=16)],
+                         ids=["interval", "rectangle"])
+def test_block_bounds_are_exact_on_one_node_cubes(basis):
+    """At theta = h^2 every cube holds one node, so the norm is the largest
+    column l^1 norm of the weighted kernel, and both bounds reach it.  The
+    side sits 1e-13 below h: at h itself every node lies on a cube face, and
+    rounding puts some in the same cube."""
+    theta = (basis.grid.h * (1 - 1e-13)) ** 2
+    assert {len(idx) for _, idx in amalgam_cells(basis.grid, theta)} == {1}
+    ker = multiplier_kernel(bump_symbol(make_partition("standard"), theta), basis)
+    sw = np.sqrt(basis.grid.weights)
+    exact = np.abs(sw[:, None] * ker.matrix * sw[None, :]).sum(axis=0).max()
+    upper, lower = _block_operator_bounds(ker, theta)
+    assert upper == pytest.approx(exact, rel=1e-14, abs=0)
+    assert lower == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.1, 1.0])
+def test_block_bounds_are_exact_on_a_kernel_that_maps_each_cube_into_itself(theta):
+    """A block-diagonal control: each column cube reaches one row cube, so
+    the norm is max_c sigma_max(B_cc), the ascent's starting value."""
+    basis = build_interval_basis(math.pi, 65, N=128)
+    rng = np.random.default_rng(3)
+    M = np.zeros((128, 128))
+    sw = np.sqrt(basis.grid.weights)
+    exact = 0.0
+    for _, idx in amalgam_cells(basis.grid, theta):
+        M[np.ix_(idx, idx)] = rng.standard_normal((len(idx), len(idx)))
+        B = sw[idx, None] * M[np.ix_(idx, idx)] * sw[None, idx]
+        exact = max(exact, np.linalg.svd(B, compute_uv=False)[0])
+    upper, lower = _block_operator_bounds(OperatorKernel(basis.grid, "control", matrix=M), theta)
+    assert upper == pytest.approx(exact, rel=1e-12, abs=0)
+    assert lower == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_bounds_bracket_random_dense_kernels(seed):
+    basis = build_rectangle_basis(math.pi, math.pi, 40, Nx=12, Ny=12)
+    rng = np.random.default_rng(seed)
+    ker = OperatorKernel(basis.grid, "random", matrix=rng.standard_normal((144, 144)))
+    for theta in (4 * basis.grid.h ** 2, 0.1, 0.5, 3.0):
+        upper, lower = _block_operator_bounds(ker, theta)
+        assert triple_norm(ker, 0.0, theta) < lower < upper, theta
+
+
+def test_more_ascent_steps_never_lower_the_bound(monkeypatch):
+    """The ascent is monotone: a larger cap gives a lower bound at least as
+    large, from the single-cube value at one iterate."""
+    basis = build_interval_basis(math.pi, 257, N=512)
+    theta = float(np.geomspace(4.0 * basis.grid.h ** 2, 1.0, 9)[4])
+    ker = multiplier_kernel(bump_symbol(make_partition("perturbed"), theta), basis)
+    lowers = []
+    for cap in (1, 2, 4, 8, 16, 32):
+        monkeypatch.setattr(amalgam, "ASCENT_STEPS", cap)
+        lowers.append(_block_operator_bounds(ker, theta)[1])
+    assert triple_norm(ker, 0.0, theta) <= lowers[0] < lowers[-1]
+    assert lowers == sorted(lowers)
+
+
+def test_bump_bounds_do_not_depend_on_the_seed():
+    small = {"amalgam": {"n_theta_1d": 3, "n_theta_2d": 2}}
+    bumps = [[p for p in run_suite(ids=["amalgam"], base_seed=seed, overrides=small)[0].points
+              if p["part"] == "bump_bound"] for seed in (0, 5)]
+    assert len(bumps[0]) == 3 and bumps[0] == bumps[1]
 
 
 def test_amalgam_calls_triple_norm_only_at_positive_alpha(monkeypatch):

@@ -348,7 +348,9 @@ def amalgam_cells(grid: Grid, theta: float) -> tuple[tuple[tuple[int, ...], NDAr
     """Partition the grid nodes by the lattice cube containing them.
 
     Cube m covers [theta^(1/2) (m_i - 1/2), theta^(1/2) (m_i + 1/2)] per
-    axis; nodes on a face boundary round half-up deterministically.  Cells
+    axis, a node on a face going to the upper cube: m_i = floor(u), with
+    u = x_i / theta^(1/2) + 1/2 snapped to an integer within 4 ulps of it
+    (at theta = h^2 every node lies on a face).  Cells
     are returned sorted by their integer index, their node indices
     read-only: a repeated (grid id, theta) returns the same cells.  Rejects
     theta that is not positive and finite, or below the grid spacing
@@ -364,7 +366,9 @@ def amalgam_cells(grid: Grid, theta: float) -> tuple[tuple[tuple[int, ...], NDAr
     key = (grid.grid_id(), float(theta))
     cells = _cells_made.get(key)
     if cells is None:
-        m = np.floor(grid.points / root + 0.5).astype(int)
+        u = grid.points / root + 0.5
+        r = np.rint(u)
+        m = np.floor(np.where(np.abs(u - r) <= 4 * np.spacing(r), r, u)).astype(int)
         order = np.lexsort(tuple(m[:, ax] for ax in reversed(range(m.shape[1]))))
         order.flags.writeable = False
         m_sorted = m[order]

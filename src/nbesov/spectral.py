@@ -19,12 +19,13 @@ so the kernel of phi(H) is exactly a sum of 2^n reads of one profile: a
 type-I DCT per axis of the symbol values (a DST-I on the axis of a
 gradient kernel; Makhoul 1980), O(N log N) and equal to the dense sum up
 to roundoff (see OperatorKernel and kernel_profile).  The kernel keeps only
-that profile: the endpoint norms read it in row blocks, norms.triple_norm
+that profile: endpoint_norms reads it in row blocks, norms.triple_norm
 reads each cube's columns, save_kernel writes it (3N - 1 numbers per axis)
 and load_kernel reads it back, and the heat-envelope scan reads it through
 heat_kernel (OperatorKernel.profile).  The N^2 matrix is formed only for a
 caller that reads OperatorKernel.matrix.  Finite-difference bases form the
-dense product E^T diag(phi(lambda)) E.
+dense product E^T diag(phi(lambda)) E.  Every kernel built here carries the
+values its 2->2 norm is read from (OperatorKernel), so no norm takes an SVD.
 
 Every kernel carries a reported tail over the unresolved modes from
 symbol_tail_bound: on an analytic basis an exact bound, the unresolved
@@ -69,7 +70,6 @@ __all__ = [
     "gradient",
     "gradient_kernels",
     "endpoint_norms",
-    "magnitude_norms",
     "heat_symbol",
     "resolvent_symbol",
     "block_symbol",
@@ -189,10 +189,16 @@ class OperatorKernel:
     blocks of rows, columns() a set of columns, and matrix forms the dense
     array on first access and keeps it, so all three agree bit for bit.
 
-    symbol_values holds phi(lambda_k) when the kernel is phi(H) itself, so
-    that max |phi(lambda_k)| is its exact 2->2 norm; tail_bound reports the
-    truncated part, sup_k |e_k|^2 sum_{k>K} |phi(lambda_k)|, a bound on an
-    analytic basis (symbol_tail_bound).
+    max |symbol_values| is the exact 2->2 norm (on a finite-difference
+    basis, up to the Gram deviation of its modes).  They are phi(lambda_k)
+    for phi(H), and the singular values of d/dx_c phi(H): on an analytic
+    basis, up to sign, -kappa_{k,c} phi(lambda_k), kappa_{k,c} = k_c pi / L_c, the
+    factors mapping the grid-orthonormal cosines to grid-orthonormal sines;
+    on a finite-difference basis sqrt(lambda(diag(phi) G_c W G_c^T diag(phi)))
+    with W the node weights (the smallest to about 1e-8 of the largest).  A
+    kernel given only by its matrix has None, and endpoint_norms takes an
+    SVD.  tail_bound reports the truncated part, sup_k |e_k|^2 sum_{k>K}
+    |phi(lambda_k)|, a bound on an analytic basis (symbol_tail_bound).
     """
 
     # Every kernel is scalar.  perfbench's tracer still reads this name off
@@ -560,23 +566,32 @@ def multiplier_kernel(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
     Analytic bases keep the profile of one DCT-I per axis (kernel_profile);
     finite-difference bases form the dense product E^T diag(phi(lambda)) E.
     """
-    svals, (source,) = _assemble(symbol, basis, grad=False)
-    return OperatorKernel(basis.grid, symbol.tag, symbol_values=svals,
-                          tail_bound=symbol_tail_bound(symbol, basis), **source)
+    (source,) = _assemble(symbol, basis, grad=False)
+    return OperatorKernel(basis.grid, symbol.tag, tail_bound=symbol_tail_bound(symbol, basis),
+                          **source)
 
 
-def _assemble(symbol: SymbolFn, basis: EigenBasis,
-              grad: bool) -> tuple[NDArray, list[dict[str, NDArray]]]:
-    """phi(lambda_k) and the OperatorKernel source (profile= or matrix=) of
-    phi(H), or with grad one per axis of d/dx_c phi(H); rejects symbols
+def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> list[dict[str, NDArray]]:
+    """The OperatorKernel source (profile= or matrix=) and symbol_values= of
+    phi(H), or with grad of d/dx_c phi(H) for every axis c; rejects symbols
     that are not finite on the spectrum."""
     svals = _symbol_values(symbol, basis)
     if basis.kind == "analytic":
-        axes = range(basis.domain.n) if grad else (None,)
-        return svals, [{"profile": _mirrored(kernel_profile(svals, basis, c), c)} for c in axes]
+        return [{"profile": _mirrored(kernel_profile(svals, basis, c), c),
+                 "symbol_values": svals if c is None else _gradient_values(svals, basis, c)}
+                for c in (range(basis.domain.n) if grad else (None,))]
     E = basis.functions
-    mats = [(Gc.T * svals) @ E for Gc in basis.gradients()] if grad else [(E.T * svals) @ E]
-    return svals, [{"matrix": m} for m in mats]
+    if not grad:
+        return [{"matrix": (E.T * svals) @ E, "symbol_values": svals}]
+    As = [Gc.T * svals for Gc in basis.gradients()]  # G_c^T diag(phi), (N, K)
+    return [{"matrix": A @ E, "symbol_values": np.sqrt(np.maximum(
+        np.linalg.eigvalsh((A.T * basis.grid.weights) @ A), 0.0))} for A in As]
+
+
+def _gradient_values(svals: NDArray, basis: EigenBasis, axis: int) -> NDArray:
+    """-kappa_{k,c} phi(lambda_k), kappa_{k,c} = k_c pi / L_c, on an analytic basis."""
+    k = np.asarray(basis.mode_index).reshape(basis.K, -1)[:, axis]
+    return -(k * np.pi / basis.domain.lengths[axis]) * svals
 
 
 def _mirrored(V: NDArray, axis: int | None) -> NDArray:
@@ -615,7 +630,7 @@ def kernel_profile(svals: NDArray, basis: EigenBasis, axis: int | None = None) -
     shape, lengths = basis.grid.shape, basis.domain.lengths
     k = np.asarray(basis.mode_index).reshape(basis.K, -1)
     if axis is not None:
-        svals = -(k[:, axis] * np.pi / lengths[axis]) * svals
+        svals = _gradient_values(svals, basis, axis)
     V = np.zeros(tuple(n + 1 for n in shape))
     V[tuple(k.T)] = svals / (2.0 ** len(shape) * math.prod(lengths))
     for ax, n in enumerate(shape):
@@ -763,12 +778,10 @@ def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> tuple[OperatorKerne
     Analytic bases keep each kernel's profile (kernel_profile with
     axis = c: a DST-I on axis c, a DCT-I on the other); finite-difference
     bases form the dense products G_c^T diag(phi(lambda)) E with the mode
-    gradients G_c.  No kernel
-    carries symbol_values: the 2->2 norm of d/dx_c phi(H) is not
-    max |phi(lambda_k)| (on an interval it is max sqrt(lambda_k) |phi|).
-    All share the tail bound of sqrt(lambda) phi(lambda).
+    gradients G_c.  Each carries the symbol_values of its 2->2 norm
+    (OperatorKernel); all share the tail bound of sqrt(lambda) phi(lambda).
     """
-    _, sources = _assemble(symbol, basis, grad=True)
+    sources = _assemble(symbol, basis, grad=True)
     maj = symbol.majorant
     tail = symbol_tail_bound(
         SymbolFn(fn=lambda lam: np.sqrt(np.maximum(lam, 0.0)) * symbol(lam),
@@ -786,12 +799,14 @@ def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> tuple[OperatorKerne
 # Operator norms from kernels
 
 
-def magnitude_norms(kernel: OperatorKernel) -> dict[str, float]:
-    """Endpoint norms read off |K_ij|: 1->1, 1->inf and inf->inf.
+def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
+    """Exact endpoint operator norms of a kernel on the weighted grid.
 
-    1->1: max over columns of the weighted absolute column sum;
-    1->inf: max |K_ij|; inf->inf: max weighted absolute row sum.  One pass
-    over kernel.row_blocks(), so a profile kernel never forms its matrix.
+    1->1: max over columns of the weighted absolute column sum; 1->inf:
+    max |K_ij|; inf->inf: max weighted absolute row sum.  One pass over
+    kernel.row_blocks(), so a profile kernel never forms its matrix.
+    2->2: max |symbol_values| (OperatorKernel); only a kernel without them
+    takes the largest singular value of the weighted (N, N) matrix.
     """
     w = kernel.grid.weights
     cols, rows, peaks = np.zeros(w.size), np.empty(w.size), np.empty(w.size)
@@ -801,30 +816,13 @@ def magnitude_norms(kernel: OperatorKernel) -> dict[str, float]:
         cols += w[r0:r1] @ mag
         rows[r0:r1] = mag @ w
         peaks[r0:r1] = mag.max(axis=1)
-    return {"1->1": float(np.max(cols)), "1->inf": float(np.max(peaks)),
-            "inf->inf": float(np.max(rows))}
-
-
-def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
-    """Exact endpoint operator norms of a kernel on the weighted grid.
-
-    magnitude_norms() gives 1->1, 1->inf and inf->inf.  2->2 takes one of
-    two routes:
-
-    - with symbol_values: max |phi(lambda_k)|, exact for an analytic basis
-      and accurate to the Gram deviation of a numeric one;
-    - without them, as for gradient kernels: the largest singular value
-      of the weighted (N, N) matrix.
-    """
-    norms = magnitude_norms(kernel)
     if kernel.symbol_values is not None:
         n22 = float(np.max(np.abs(kernel.symbol_values)))
     else:
-        sw = np.sqrt(kernel.grid.weights)
-        Aw = sw[:, None] * kernel.matrix * sw[None, :]
-        n22 = float(np.linalg.svd(Aw, compute_uv=False)[0])
-    norms["2->2"] = n22
-    return norms
+        sw = np.sqrt(w)
+        n22 = float(np.linalg.svd(sw[:, None] * kernel.matrix * sw[None, :], compute_uv=False)[0])
+    return {"1->1": float(np.max(cols)), "1->inf": float(np.max(peaks)),
+            "inf->inf": float(np.max(rows)), "2->2": n22}
 
 
 # ---------------------------------------------------------------------------

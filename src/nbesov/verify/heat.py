@@ -241,8 +241,7 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
     if note:
         notes.append(note)
 
-    rep = conclude(spec, P, checks, notes=notes, points=points, fit=fits)
-    adm_ts = [r["t"] for r in rows_b if r["admissible"]]
-    adm_pk = [math.log(max(r["pk_max"], 1e-300)) for r in rows_b if r["admissible"]]
-    rep.figures["pk_decay_interval"] = (adm_ts, adm_pk)
-    return rep
+    adm = [r for r in rows_b if r["admissible"]]
+    return conclude(spec, P, checks, notes=notes, points=points, fit=fits, figures={
+        "pk_decay_interval": ([r["t"] for r in adm],
+                              [math.log(max(r["pk_max"], 1e-300)) for r in adm])})

@@ -77,15 +77,13 @@ def exp_moment_decay(spec: ExperimentSpec) -> EstimateReport:
                        "first_nonzero_moment": float(moments[min(n_vanish, 5)]),
                        "sup_scaled": sup_consts[M]})
         figures[f"block_l1_M{M}"] = (np.asarray(js, dtype=float), norms)
-        checks[f"M={M} measured {n_vanish} vanishing moments"] = n_vanish == M
+        checks[f"M={M} vanishing moments"] = n_vanish == M
         if M < max(P["orders"]):
-            checks[f"M={M} slope {fit.slope:.3f}"] = abs(fit.slope - M) <= P["slope_tol"]
+            checks[f"M={M} slope"] = abs(fit.slope - M) <= P["slope_tol"]
         else:
-            checks[f"M={M} slope {fit.slope:.3f} vs floor {P['top_order_floor']:g}"] = (
-                fit.slope >= P["top_order_floor"])
+            checks[f"M={M} slope floor"] = fit.slope >= P["top_order_floor"]
 
-    checks[f"boundary leakage {boundary_leak:.2e} (double R)"] = (
-        boundary_leak <= P["boundary_tol"])
+    checks["boundary leakage"] = boundary_leak <= P["boundary_tol"]
     notes.append(
         "slopes fitted on j in "
         f"[{P['fit_lo']}, {P['fit_hi']}]; coarser recorded blocks feel the "

@@ -16,7 +16,6 @@ from ..spectral import (
     endpoint_norms,
     gradient_kernels,
     heat_symbol,
-    magnitude_norms,
     multiplier_kernel,
     power_block_symbol,
     to_coeffs,
@@ -78,7 +77,7 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(MULTIPLIER_DEFAULTS)
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
-    points, fits, checks = [], {}, {}
+    points, fits, checks, slope_a0 = [], {}, {}, []
     # Too few scales to fit a slope leaves the scaling claims unresolved:
     # their slope checks are recorded in fit but not counted.
     unresolved = None
@@ -100,6 +99,8 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
                 norm_rows[pq].append(v)
                 points.append({"dim": 1, "alpha": alpha, "p": str(pq[0]),
                                "q": str(pq[1]), "j": j, "norm": v})
+        if alpha == 0.0:
+            slope_a0 = [math.log2(max(v, CLIP)) for v in norm_rows[(1.0, np.inf)]]
         for (p, q), vals in norm_rows.items():
             target = (1.0 / p - 1.0 / q) + 2.0 * alpha
             ok, slope, spread = _scaling_verdict(js, vals, target, P)
@@ -151,12 +152,8 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     checks["theta sweep 1->inf"] = abs(fit.slope + 0.5) <= P["slope_tol"]
     notes = ["theta sweep covers the continuous form of the dyadic bound"]
 
-    rep = conclude(spec, P, checks, unresolved, notes, points=points, fit=fits)
-    rep.figures["slope_1d_a0_1toinf"] = (
-        js, [math.log2(max(r["norm"], CLIP)) for r in points
-             if r["dim"] == 1 and r["alpha"] == 0.0 and r["p"] == "1.0"
-             and r["q"] == "inf" and "j" in r])
-    return rep
+    return conclude(spec, P, checks, unresolved, notes, points=points, fit=fits,
+                    figures={"slope_1d_a0_1toinf": (js, slope_a0)})
 
 
 def _scaling_verdict(js, vals, target, P):
@@ -204,6 +201,7 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
     points, fits, notes, checks = [], {}, [], {}
+    figures = {"decay_interval_long": ([], [])}  # empty unless interval_long runs
 
     for name in P["domains"]:
         basis = _LOWFREQ_BUILDERS[name]()
@@ -251,13 +249,10 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
                       "gap_consistent": consistent}
         checks[f"{name} mu > 0"] = mu > 0
         checks[f"{name} gap_consistent"] = consistent
+        if name == "interval_long":
+            figures["decay_interval_long"] = (js, [math.log(max(v, CLIP)) for v in norms22])
 
-    rep = conclude(spec, P, checks, notes=notes, points=points, fit=fits)
-    rep.figures["decay_interval_long"] = (
-        [r["j"] for r in points if r["domain"] == "interval_long"],
-        [math.log(max(r["norm22"], CLIP)) for r in points
-         if r["domain"] == "interval_long"])
-    return rep
+    return conclude(spec, P, checks, notes=notes, points=points, fit=fits, figures=figures)
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +287,19 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     pou = partition_for(spec)
     basis = build_interval_basis(P["L"], P["K"], N=P["N"])
     lam = basis.eigenvalues
-    sq = np.sqrt(np.maximum(lam, 0.0))
     js = list(range(P["j_lo"], P["j_hi"] + 1))
     _check_band(P, lam[-1], "the gradient basis")
     points, fits, notes = [], {}, []
 
-    # Dyadic blocks.  On an interval the gradient maps the cosine modes to
-    # the matching orthonormal sine family, so the 2->2 norm is available
-    # exactly as max_k sqrt(lambda_k) phi_j(sqrt(lambda_k)); 1->1 and
-    # inf->inf come from the magnitudes of the composed kernels.
+    # Dyadic blocks, read off the gradient kernels (spectral.endpoint_norms).
     vals22, vals11, valsinf = [], [], []
     for j in js:
-        sym = block_symbol(pou, j)
-        n22 = float(np.max(sq * sym(lam)))
-        (ker,) = gradient_kernels(sym, basis)
-        ends = magnitude_norms(ker)
-        vals22.append(n22)
+        (ker,) = gradient_kernels(block_symbol(pou, j), basis)
+        ends = endpoint_norms(ker)
+        vals22.append(ends["2->2"])
         vals11.append(ends["1->1"])
         valsinf.append(ends["inf->inf"])
-        points.append({"kind": "block", "j": j, "norm22": n22,
+        points.append({"kind": "block", "j": j, "norm22": ends["2->2"],
                        "norm11": ends["1->1"], "norminf": ends["inf->inf"]})
     sc = 2.0 ** (-np.asarray(js, dtype=float))
     spread22 = geometric_spread(sc * vals22)
@@ -324,7 +313,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     kept_t, kept_v, dropped = [], [], []
     for t in ts:
         (ker,) = gradient_kernels(heat_symbol(t), basis)
-        v = magnitude_norms(ker)["inf->inf"]
+        v = endpoint_norms(ker)["inf->inf"]
         drop = bool(ker.tail_bound > P["tail_frac"] * v)
         points.append({"kind": "heat", "t": float(t), "norminf": v,
                        "tail": ker.tail_bound, "dropped": drop})
@@ -362,7 +351,6 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     unresolved = f"only 1 block scale j = {P['j_lo']}; a spread needs 2" if len(js) < 2 else None
     if unresolved:
         checks = {k: ok for k, ok in checks.items() if not k.startswith("block")}
-    rep = conclude(spec, P, checks, unresolved, notes, points=points, fit=fits)
-    rep.figures["heat_grad_scaled"] = (list(np.log10(kept_t)), list(np.log10(scaled)))
-    rep.figures["block_grad_22"] = (js, [math.log2(max(v, CLIP)) for v in vals22])
-    return rep
+    return conclude(spec, P, checks, unresolved, notes, points=points, fit=fits, figures={
+        "heat_grad_scaled": (list(np.log10(kept_t)), list(np.log10(scaled))),
+        "block_grad_22": (js, [math.log2(max(v, CLIP)) for v in vals22])})

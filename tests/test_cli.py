@@ -14,7 +14,7 @@ from nbesov.domains import (
     lshape_domain,
     save_basis,
 )
-from nbesov.spectral import endpoint_norms, heat_kernel, load_kernel
+from nbesov.spectral import SymbolFn, endpoint_norms, heat_kernel, load_kernel, multiplier_kernel
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +315,45 @@ def test_heat_prints_mean_removed_sup(basis_file, capsys):
     assert float(vals["mean_removed_sup"]) == pytest.approx(expect, rel=1e-4)
 
 
+def _long_double_mean_removed_sup(basis, t):
+    """max |K_t - 1/|Omega|| over node pairs, summed in long double over the
+    closed-form modes of an analytic basis other than the constant (pi is
+    the double the basis was built with)."""
+    ld, pi = np.longdouble, np.longdouble(math.pi)
+    k = np.asarray(basis.mode_index).reshape(basis.K, -1)[1:]
+    E, lam = np.ones((len(k), basis.grid.n_nodes), dtype=ld), np.zeros(len(k), dtype=ld)
+    for ax, (L, N) in enumerate(zip(basis.domain.lengths, basis.grid.shape)):
+        L = ld(L)
+        x = (np.arange(N, dtype=ld) + ld(0.5)) * (L / N)
+        modes = np.where(k[:, ax, None] == 0, 1 / np.sqrt(L),
+                         np.sqrt(2 / L) * np.cos(k[:, ax, None] * pi * x / L))
+        if ax == 0 and len(basis.grid.shape) == 2:  # nodes x-major
+            modes = np.repeat(modes, basis.grid.shape[1], axis=1)
+        elif ax == 1:
+            modes = np.tile(modes, (1, basis.grid.shape[0]))
+        E *= modes
+        lam += (k[:, ax] * pi / L) ** 2
+    return float(np.max(np.abs((E.T * np.exp(-t * lam)) @ E)))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--shape", "interval", "--K", "33", "--N", "64"],
+    ["--shape", "rectangle", "--Lx", repr(math.pi), "--Ly", repr(math.pi), "--Nx", "8",
+     "--Ny", "8", "--K", "25"],
+], ids=["interval", "rectangle"])
+def test_heat_mean_removed_sup_keeps_its_digits_at_late_t(tmp_path, capsys, flags):
+    # At t = 30, K_t - 1/|Omega| is about 1e-13 against K_t near 1/|Omega|,
+    # so a difference of the two keeps only 3 or 4 digits.
+    path = str(tmp_path / "b.json")
+    assert main(["basis", *flags, "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["heat", "--basis", path, "--t", "30"]) == 0
+    vals = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    want = _long_double_mean_removed_sup(load_basis(path), 30.0)
+    assert 0 < want < 1e-12
+    assert float(vals["mean_removed_sup"]) == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_heat_out_writes_the_named_file(basis_file, tmp_path, capsys):
     path = tmp_path / "kern"
     assert main(["heat", "--basis", basis_file, "--t", "0.5", "--out", str(path)]) == 0
@@ -343,7 +382,10 @@ def test_heat_on_saved_basis_matches_in_process_build(tmp_path, capsys, flags, b
     basis = build()
     kernel = heat_kernel(0.1, basis)
     expect = [f"norm[{name}] = {float(val)!r}" for name, val in endpoint_norms(kernel).items()]
-    sup = float(np.max(np.abs(kernel.matrix - 1.0 / basis.domain.volume)))
+    # sup |K_t - 1/|Omega|| as the kernel of e^{-t lambda} without lambda = 0.
+    projected = SymbolFn(fn=lambda lam: np.where(lam > 0, np.exp(-0.1 * lam), 0.0),
+                         tag="projected heat")
+    sup = endpoint_norms(multiplier_kernel(projected, basis))["1->inf"]
     expect += [f"tail_bound = {float(kernel.tail_bound)!r}", f"mean_removed_sup = {sup!r}"]
     assert capsys.readouterr().out.splitlines() == expect
 

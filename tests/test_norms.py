@@ -40,11 +40,11 @@ from nbesov.norms import (
 from nbesov.spectral import (
     GridFunction,
     OperatorKernel,
+    endpoint_norms,
     gradient_kernels,
     heat_kernel,
     heat_symbol,
     load_kernel,
-    magnitude_norms,
     multiplier_kernel,
     save_kernel,
     to_grid,
@@ -182,6 +182,19 @@ def test_amalgam_cells_are_kept_read_only_and_still_validate_theta(basis):
         amalgam_cells(basis.grid, 0.25 * basis.grid.h ** 2)
 
 
+@pytest.mark.parametrize("grid", [interval_grid(math.pi, 128), interval_grid(math.pi, 512),
+                                  rectangle_grid(math.pi, math.pi, 16, 16)],
+                         ids=["interval128", "interval512", "rectangle16x16"])
+def test_amalgam_cells_put_face_nodes_in_the_upper_cube(grid):
+    """At theta = h^2 every node (i + 1/2) h lies on the face between cubes i
+    and i + 1 of each axis; half-up puts it in cube i + 1, one node per
+    cube, however x / sqrt(theta) rounds."""
+    cells = amalgam_cells(grid, grid.h ** 2)
+    assert len(cells) == grid.n_nodes
+    for m, idx in cells:
+        assert len(idx) == 1 and np.array_equal(np.asarray(m), grid.index[idx[0]] + 1)
+
+
 # ---------------------------------------------------------------------------
 # Triple norm
 
@@ -241,7 +254,7 @@ def test_triple_norm_and_kernel_files_keep_a_profile_kernel_unformed(basis, tmp_
     for b in (basis, rect):
         for ker in (heat_kernel(0.05, b), gradient_kernels(heat_symbol(0.05), b)[-1]):
             triple_norm(ker, 0.5, 0.1)
-            magnitude_norms(ker)
+            endpoint_norms(ker)
             save_kernel(ker, str(tmp_path / "k.npz"))
             loaded = load_kernel(str(tmp_path / "k.npz"), b.grid)
             triple_norm(loaded, 0.5, 0.1)

@@ -37,7 +37,6 @@ from nbesov.spectral import (
     heat_symbol,
     kernel_profile,
     load_kernel,
-    magnitude_norms,
     multiplier_kernel,
     power_block_symbol,
     resolvent_gamma,
@@ -512,27 +511,81 @@ def test_columns_are_the_transposed_matrix_columns():
     assert float(np.max(np.abs(grad - grad.T))) > 1.0
 
 
-def test_magnitude_norms_are_endpoint_norms_without_22(basis):
-    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
-    for ker in (heat_kernel(0.05, basis), heat_kernel(0.05, rect)):
-        ends = endpoint_norms(ker)
-        assert ends.pop("2->2") > 0
-        assert magnitude_norms(ker) == ends
-
-
 def test_gradient_kernel_22_norm_is_max_sqrt_lambda_phi():
     # Negative control for the 2->2 route: d/dx phi(H) maps the cosines to
     # the orthonormal sines with factors sqrt(lambda_k) phi(lambda_k), so a
-    # gradient kernel that read max|phi| off symbol_values would report
+    # gradient kernel that carried phi(lambda_k) as its values would report
     # 1.0 here instead of 1.91 and 9.35.
     b = build_interval_basis(math.pi, 33, N=64)
     sq = np.sqrt(b.eigenvalues)
     for sym in (heat_symbol(0.05), block_symbol(make_partition("standard"), 3)):
         (ker,) = gradient_kernels(sym, b)
-        assert ker.symbol_values is None
-        want = float(np.max(sq * np.abs(sym(b.eigenvalues))))
+        s = sym(b.eigenvalues)
+        assert np.array_equal(ker.symbol_values, -(np.arange(33) * np.pi / math.pi) * s)
+        want = float(np.max(sq * np.abs(s)))
         assert want > 1.5
-        assert endpoint_norms(ker)["2->2"] == pytest.approx(want, rel=1e-10, abs=0), sym.tag
+        assert endpoint_norms(ker)["2->2"] == want, sym.tag
+
+
+def _weighted_svd(ker):
+    sw = np.sqrt(ker.grid.weights)
+    return np.linalg.svd(sw[:, None] * ker.matrix * sw[None, :], compute_uv=False)
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle", "lshape"])
+def test_assembled_kernels_take_no_svd(case, monkeypatch):
+    # Every kernel multiplier_kernel and gradient_kernels build carries the
+    # values its 2->2 norm is read from, on analytic and finite-difference
+    # bases alike: the dense SVD is the oracle, taken before it is refused.
+    b = {"interval": lambda: build_interval_basis(math.pi, 33, N=64),
+         "rectangle": lambda: build_rectangle_basis(math.pi, 2.0, 35, Nx=12, Ny=8),
+         "lshape": lambda: build_fd_basis(lshape_domain(), 0.1, 40)}[case]()
+    pou = make_partition("standard")
+    kernels = [k for sym in (heat_symbol(0.05), block_symbol(pou, 1), resolvent_symbol(0.75, 1.0))
+               for k in (multiplier_kernel(sym, b), *gradient_kernels(sym, b))]
+    want = [_weighted_svd(k)[0] for k in kernels]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense SVD taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for ker, w in zip(kernels, want):
+        assert ker.symbol_values is not None
+        assert endpoint_norms(ker)["2->2"] == pytest.approx(w, rel=1e-12, abs=0), ker.tag
+
+
+@pytest.mark.parametrize("case, tol", [("interval", 1e-14), ("rectangle", 1e-14),
+                                       ("lshape", 1e-7)], ids=["interval", "rectangle", "lshape"])
+def test_gradient_kernel_values_are_its_singular_values(case, tol):
+    # The whole spectrum, not only its top: |-kappa phi| on analytic bases
+    # (0 for a mode constant along the axis), and on a finite-difference
+    # basis the square roots of the K x K Gram's eigenvalues, whose small
+    # ones keep only about half the digits of the largest.
+    b = {"interval": lambda: build_interval_basis(math.pi, 33, N=64),
+         "rectangle": lambda: build_rectangle_basis(math.pi, 2.0, 35, Nx=12, Ny=8),
+         "lshape": lambda: build_fd_basis(lshape_domain(), 0.1, 40)}[case]()
+    for ker in gradient_kernels(heat_symbol(0.05), b):
+        sv = _weighted_svd(ker)[:b.K]
+        got = np.sort(np.abs(ker.symbol_values))[::-1]
+        assert np.allclose(got, sv, rtol=0, atol=tol * sv[0]), ker.tag
+
+
+def test_a_kernel_without_values_takes_the_svd(tmp_path, basis):
+    # A bare matrix kernel, and a gradient kernel file that holds no values
+    # (as files did before gradient kernels carried theirs).
+    (grad,) = gradient_kernels(heat_symbol(0.05), basis)
+    want = _weighted_svd(grad)[0]
+    bare = OperatorKernel(basis.grid, "bare", matrix=grad.matrix.copy())
+    p = tmp_path / "old_grad.npz"
+    np.savez(p, profile=grad._profile, tag=np.array(grad.tag),
+             grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(grad.tail_bound),
+             symbol_values=np.array([]))
+    loaded = load_kernel(str(p), basis.grid)
+    for ker in (bare, loaded):
+        assert ker.symbol_values is None
+        assert endpoint_norms(ker)["2->2"] == want
+        assert endpoint_norms(ker)["2->2"] == pytest.approx(endpoint_norms(grad)["2->2"],
+                                                            rel=1e-12, abs=0)
 
 
 def test_gradient_kernel_save_load_keeps_vector_data(tmp_path, basis):
@@ -546,7 +599,7 @@ def test_gradient_kernel_save_load_keeps_vector_data(tmp_path, basis):
             loaded = load_kernel(str(p), b.grid)
             a, m = loaded.matrix, ker.matrix
             assert a.dtype == m.dtype and a.shape == m.shape and a.tobytes() == m.tobytes()
-            assert loaded.symbol_values is None
+            assert np.array_equal(loaded.symbol_values, ker.symbol_values)
             assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
             assert endpoint_norms(loaded) == endpoint_norms(ker)
 
@@ -724,7 +777,7 @@ def test_streamed_norms_match_the_dense_oracle(N):
     kernels = [k for sym in _oracle_symbols(basis)
                for k in (multiplier_kernel(sym, basis), gradient_kernels(sym, basis)[0])]
     for ker in kernels + [heat_kernel(0.05, rect)]:
-        got = magnitude_norms(ker)
+        got = endpoint_norms(ker)
         want = _dense_magnitude_norms(ker)
         assert got["1->inf"] == want["1->inf"] and got["inf->inf"] == want["inf->inf"], ker.tag
         assert got["1->1"] == pytest.approx(want["1->1"], rel=1e-15, abs=0), ker.tag

@@ -25,12 +25,12 @@ from nbesov.norms import AmalgamParams, amalgam_cells, amalgam_columns, triple_n
 from nbesov.spectral import (
     OperatorKernel,
     bump_symbol,
+    endpoint_norms,
     heat_kernel,
-    magnitude_norms,
     multiplier_kernel,
     resolvent_symbol,
 )
-from nbesov.verify import amalgam
+from nbesov.verify import amalgam, moments
 from nbesov.verify.amalgam import (
     AMALGAM_DEFAULTS,
     _block_operator_bounds,
@@ -47,7 +47,7 @@ from nbesov.verify.besov import (
 )
 from nbesov.verify.common import coeff_batch, conclude, resynthesis_residual
 from nbesov.verify.heat import HEAT_DEFAULTS
-from nbesov.verify.moments import MOMENT_DEFAULTS
+from nbesov.verify.moments import MOMENT_DEFAULTS, exp_moment_decay
 from nbesov.verify.multipliers import (
     _LOWFREQ_BUILDERS,
     GRADIENT_DEFAULTS,
@@ -412,9 +412,8 @@ def test_gram_bounds_match_the_svd_and_triple_norm_oracles(build, thetas, varian
 def test_block_bounds_are_exact_on_one_node_cubes(basis):
     """At theta = h^2 every cube holds one node, so the norm is the largest
     column l^1 norm of the weighted kernel, and both bounds reach it.  The
-    side sits 1e-13 below h: at h itself every node lies on a cube face, and
-    rounding puts some in the same cube."""
-    theta = (basis.grid.h * (1 - 1e-13)) ** 2
+    nodes all lie on cube faces, and each goes to the upper cube."""
+    theta = basis.grid.h ** 2
     assert {len(idx) for _, idx in amalgam_cells(basis.grid, theta)} == {1}
     ker = multiplier_kernel(bump_symbol(make_partition("standard"), theta), basis)
     sw = np.sqrt(basis.grid.weights)
@@ -492,6 +491,28 @@ def test_amalgam_calls_triple_norm_only_at_positive_alpha(monkeypatch):
     assert len(rep.points) and sorted(set(seen)) == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("module, run, settings", [
+    (amalgam, exp_amalgam, [{"n_theta_1d": 3, "n_theta_2d": 2},
+                            {"n_theta_1d": 4, "n_theta_2d": 3, "interval_K": 129,
+                             "interval_N": 256, "rect_N": 16, "rect_K": 60}]),
+    (moments, exp_moment_decay, [{}, {"R": 256.0, "N": 4096, "fit_lo": -6}]),
+], ids=["amalgam", "moment_decay"])
+def test_check_names_carry_no_measured_numbers(monkeypatch, module, run, settings):
+    """Two settings move the measured values in fit (all but those at an
+    exact 0 or at roundoff) and leave the check names as they were."""
+    real, names = module.conclude, []
+
+    def record(spec, P, checks, *args, **kwargs):
+        names.append(list(checks))
+        return real(spec, P, checks, *args, **kwargs)
+
+    monkeypatch.setattr(module, "conclude", record)
+    fits = [run(ExperimentSpec(id=run.__name__[4:], params=p)).fit for p in settings]
+    assert sum(fits[0][k] != fits[1][k] for k in fits[0]) >= 5, fits
+    assert len(names[0]) == (7 if module is amalgam else 11)
+    assert names[0] == names[1]
+
+
 def _resynthesis_loop(F, C, basis, pou, js, cap):
     """The cap-plus-blocks loop the reconstruction experiments wrote by hand."""
     E, lam, w = basis.functions, basis.eigenvalues, basis.grid.weights
@@ -531,7 +552,7 @@ def test_duality_pairs_its_mean_zero_function_with_the_constant(suite_reports):
 
 
 def test_gradient_experiment_forms_no_kernel(monkeypatch):
-    """exp_gradient and magnitude_norms read interval kernels in row blocks;
+    """exp_gradient and endpoint_norms read interval kernels in row blocks;
     forming a dense (N, N) kernel or the (K, N) mode-gradient table would
     call one of these."""
     def refuse(*args, **kwargs):
@@ -546,7 +567,7 @@ def test_gradient_experiment_forms_no_kernel(monkeypatch):
     ker = heat_kernel(0.05, build_interval_basis(32 * math.pi, N // 2 + 1, N=N))
     tracemalloc.start()
     try:
-        magnitude_norms(ker)
+        endpoint_norms(ker)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -111,7 +111,8 @@ class EstimateReport:
         return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
 
     def save(self, out_dir: str) -> list[str]:
-        """Write the JSON report, the CSV point table, and figure files."""
+        """Write the JSON report, the CSV point table, and the figure files
+        that have rows."""
         os.makedirs(out_dir, exist_ok=True)
         written = []
         jpath = os.path.join(out_dir, f"{self.id}.json")
@@ -128,10 +129,12 @@ class EstimateReport:
                     writer.writerow([_csv_cell(row.get(c)) for c in cols])
             written.append(cpath)
         for name, (xs, ys) in sorted(self.figures.items()):
+            rows = [f"{_dat_cell(xv)} {_dat_cell(yv)}\n" for xv, yv in zip(xs, ys)]
+            if not rows:
+                continue
             fpath = os.path.join(out_dir, f"{self.id}.{name}.dat")
             with open(fpath, "w") as fh:
-                for xv, yv in zip(xs, ys):
-                    fh.write(f"{_dat_cell(xv)} {_dat_cell(yv)}\n")
+                fh.writelines(rows)
             written.append(fpath)
         return written
 

@@ -24,8 +24,8 @@ reads each cube's columns, save_kernel writes it (3N - 1 numbers per axis)
 and load_kernel reads it back, and the heat-envelope scan reads it through
 heat_kernel (OperatorKernel.profile).  The N^2 matrix is formed only for a
 caller that reads OperatorKernel.matrix.  Finite-difference bases form the
-dense product E^T diag(phi(lambda)) E.  Every kernel built here carries the
-values its 2->2 norm is read from (OperatorKernel), so no norm takes an SVD.
+dense product E^T diag(phi(lambda)) E.  Every kernel carries the values its
+2->2 norm is read from (OperatorKernel), so no norm takes an SVD.
 
 Every kernel carries a reported tail over the unresolved modes from
 symbol_tail_bound: on an analytic basis an exact bound, the unresolved
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -195,9 +196,8 @@ class OperatorKernel:
     basis, up to sign, -kappa_{k,c} phi(lambda_k), kappa_{k,c} = k_c pi / L_c, the
     factors mapping the grid-orthonormal cosines to grid-orthonormal sines;
     on a finite-difference basis sqrt(lambda(diag(phi) G_c W G_c^T diag(phi)))
-    with W the node weights (the smallest to about 1e-8 of the largest).  A
-    kernel given only by its matrix has None, and endpoint_norms takes an
-    SVD.  tail_bound reports the truncated part, sup_k |e_k|^2 sum_{k>K}
+    with W the node weights (the smallest to about 1e-8 of the largest).
+    tail_bound reports the truncated part, sup_k |e_k|^2 sum_{k>K}
     |phi(lambda_k)|, a bound on an analytic basis (symbol_tail_bound).
     """
 
@@ -205,8 +205,8 @@ class OperatorKernel:
     # traced kernels; ROADMAP item 1 drops that read.
     components = None
 
-    def __init__(self, grid: Grid, tag: str, *, matrix: NDArray | None = None,
-                 profile: NDArray | None = None, symbol_values: NDArray | None = None,
+    def __init__(self, grid: Grid, tag: str, *, symbol_values: NDArray,
+                 matrix: NDArray | None = None, profile: NDArray | None = None,
                  tail_bound: float = 0.0):
         if (matrix is None) == (profile is None):
             raise ValueError("a kernel is given by exactly one of matrix and profile")
@@ -805,8 +805,7 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
     1->1: max over columns of the weighted absolute column sum; 1->inf:
     max |K_ij|; inf->inf: max weighted absolute row sum.  One pass over
     kernel.row_blocks(), so a profile kernel never forms its matrix.
-    2->2: max |symbol_values| (OperatorKernel); only a kernel without them
-    takes the largest singular value of the weighted (N, N) matrix.
+    2->2: max |symbol_values| (OperatorKernel).
     """
     w = kernel.grid.weights
     cols, rows, peaks = np.zeros(w.size), np.empty(w.size), np.empty(w.size)
@@ -816,74 +815,71 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
         cols += w[r0:r1] @ mag
         rows[r0:r1] = mag @ w
         peaks[r0:r1] = mag.max(axis=1)
-    if kernel.symbol_values is not None:
-        n22 = float(np.max(np.abs(kernel.symbol_values)))
-    else:
-        sw = np.sqrt(w)
-        n22 = float(np.linalg.svd(sw[:, None] * kernel.matrix * sw[None, :], compute_uv=False)[0])
     return {"1->1": float(np.max(cols)), "1->inf": float(np.max(peaks)),
-            "inf->inf": float(np.max(rows)), "2->2": n22}
+            "inf->inf": float(np.max(rows)),
+            "2->2": float(np.max(np.abs(kernel.symbol_values)))}
 
 
 # ---------------------------------------------------------------------------
 # Kernel files
 
 
+KERNEL_FORMAT = "nbesov-kernel/2"
+
+
 def save_kernel(kernel: OperatorKernel, path: str) -> None:
-    """Binary dump (npz) to exactly path of the source the kernel holds,
-    its mirrored profile ((3N - 1,) on an interval, (3Nx - 1, 3Ny - 1) on a
-    rectangle) or its (N, N) matrix, with the symbol tag and grid id in the
-    header."""
-    source = ({"matrix": kernel._matrix} if kernel._profile is None
-              else {"profile": kernel._profile})
+    """Binary dump (npz) of format KERNEL_FORMAT to exactly path: the source
+    the grid dictates, the matrix on a finite-difference grid (the grids
+    without a shape) and the mirrored profile on any other, with the tag,
+    grid id, tail bound and symbol values.  Raises ValueError, writing
+    nothing, for a kernel without that source (a bare matrix on an
+    interval or rectangle grid)."""
+    name = "matrix" if kernel.grid.shape is None else "profile"
+    source = kernel._matrix if name == "matrix" else kernel._profile
+    if source is None:
+        raise ValueError(f"kernel {kernel.tag} on {kernel.grid.grid_id()} holds no {name}, "
+                         f"the source a {KERNEL_FORMAT} file holds on that grid")
     with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            **source,
-            tag=np.array(kernel.tag),
-            grid_id=np.array(kernel.grid.grid_id()),
-            tail_bound=np.array(kernel.tail_bound),
-            symbol_values=kernel.symbol_values if kernel.symbol_values is not None else np.array([]),
-        )
-
-
-_KERNEL_FIELDS = ("tag", "grid_id", "tail_bound", "symbol_values")
+        np.savez(fh, format=np.array(KERNEL_FORMAT), **{name: source},
+                 tag=np.array(kernel.tag), grid_id=np.array(kernel.grid.grid_id()),
+                 tail_bound=np.array(kernel.tail_bound, dtype=float),
+                 symbol_values=kernel.symbol_values)
 
 
 def load_kernel(path: str, grid: Grid) -> OperatorKernel:
-    """Read a save_kernel file for grid, of either layout (profile or
-    matrix); ValueError names the file when a field is missing, the file
-    holds both sources or a vector kernel, the source or symbol values are
-    not finite, the tail bound is NaN or negative, or the source does not
-    fit grid (a profile needs an interval or rectangle grid and one mirrored
-    axis of 3N - 1 numbers per grid axis)."""
-    with np.load(path, allow_pickle=False) as z:
-        if "components" in z.files:
-            raise ValueError(f"{path}: holds a vector kernel (components); "
-                             "kernels are scalar, one file per gradient axis")
-        sources = [f for f in ("matrix", "profile") if f in z.files]
-        if not sources:
-            raise ValueError(f"{path}: kernel file lacks field 'matrix' (or 'profile')")
-        if len(sources) == 2:
-            raise ValueError(f"{path}: kernel file holds both 'matrix' and 'profile'")
-        missing = [f for f in _KERNEL_FIELDS if f not in z.files]
-        if missing:
-            raise ValueError(f"{path}: kernel file lacks field {missing[0]!r}")
-        gid = str(z["grid_id"])
-        if gid != grid.grid_id():
-            raise ValueError(f"{path}: kernel was dumped for grid {gid}, not {grid.grid_id()}")
-        (name,), N = sources, grid.n_nodes
-        if name == "profile" and grid.shape is None:  # only polygon grids lack a shape
-            raise ValueError(f"{path}: a kernel profile needs an interval or rectangle grid, "
-                             f"not {gid}")
-        source, sv = z[name], z["symbol_values"]
-        tail = float(z["tail_bound"])
-        shape = (N, N) if name == "matrix" else tuple(3 * n - 1 for n in grid.shape)
+    """Read a save_kernel file for grid.  ValueError names the file unless
+    it has the six fields of KERNEL_FORMAT for grid, grid's id, a finite
+    float64 source of grid's shape, finite float64 symbol values of shape
+    (K,), K >= 1, and a float64 scalar tail bound >= 0 (inf is kept)."""
+    name = "matrix" if grid.shape is None else "profile"
+    fields = {"format", name, "tag", "grid_id", "tail_bound", "symbol_values"}
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            fmt = str(z["format"]) if "format" in z.files else None
+            if fmt != KERNEL_FORMAT:
+                raise ValueError(f"not a {KERNEL_FORMAT} file (field 'format' is {fmt!r}); "
+                                 "rebuild it with nbesov multiplier --out or nbesov heat --out")
+            if set(z.files) != fields:
+                raise ValueError(f"a {KERNEL_FORMAT} file for this grid holds the fields "
+                                 f"{sorted(fields)}, not {sorted(z.files)}")
+            f = {k: z[k] for k in fields}
+        if str(f["grid_id"]) != grid.grid_id():
+            raise ValueError(f"kernel was dumped for grid {f['grid_id']}, not {grid.grid_id()}")
+        source, sv, tail = f[name], f["symbol_values"], f["tail_bound"]
+        for field in (name, "symbol_values", "tail_bound"):
+            if f[field].dtype != np.float64:
+                raise ValueError(f"kernel {field} has dtype {f[field].dtype}, not float64")
+        shape = (grid.n_nodes,) * 2 if name == "matrix" else tuple(3 * n - 1 for n in grid.shape)
         if source.shape != shape:
-            raise ValueError(f"{path}: kernel {name} has shape {source.shape}, expected {shape}")
+            raise ValueError(f"kernel {name} has shape {source.shape}, expected {shape}")
+        if sv.ndim != 1 or sv.size == 0 or tail.ndim != 0:
+            raise ValueError(f"kernel symbol_values of shape {sv.shape} and tail_bound of shape "
+                             f"{tail.shape} are not a non-empty vector and a scalar")
         if not (np.all(np.isfinite(source)) and np.all(np.isfinite(sv))):
-            raise ValueError(f"{path}: kernel {name} or symbol values are not finite")
+            raise ValueError(f"kernel {name} or symbol values are not finite")
         if not tail >= 0.0:  # inf stays legal: a divergent tail reads inf
-            raise ValueError(f"{path}: tail bound {tail!r} is not >= 0")
-        return OperatorKernel(grid, str(z["tag"]), **{name: source},
-                              symbol_values=sv if sv.size else None, tail_bound=tail)
+            raise ValueError(f"tail bound {float(tail)!r} is not >= 0")
+    except (ValueError, zipfile.BadZipFile) as exc:  # BadZipFile: a truncated or corrupt file
+        raise ValueError(f"{path}: {exc}") from exc
+    return OperatorKernel(grid, str(f["tag"]), **{name: source}, symbol_values=sv,
+                          tail_bound=float(tail))

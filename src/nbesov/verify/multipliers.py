@@ -201,7 +201,7 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
     points, fits, notes, checks = [], {}, [], {}
-    figures = {"decay_interval_long": ([], [])}  # empty unless interval_long runs
+    figures = {}
 
     for name in P["domains"]:
         basis = _LOWFREQ_BUILDERS[name]()

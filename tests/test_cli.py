@@ -14,7 +14,14 @@ from nbesov.domains import (
     lshape_domain,
     save_basis,
 )
-from nbesov.spectral import SymbolFn, endpoint_norms, heat_kernel, load_kernel, multiplier_kernel
+from nbesov.spectral import (
+    SymbolFn,
+    endpoint_norms,
+    heat_kernel,
+    load_kernel,
+    multiplier_kernel,
+    resolvent_symbol,
+)
 
 
 @pytest.fixture(scope="module")
@@ -366,7 +373,7 @@ def test_heat_out_writes_the_named_file(basis_file, tmp_path, capsys):
     assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
 
 
-@pytest.mark.parametrize("flags, build", [
+_SAVED_BASES = pytest.mark.parametrize("flags, build", [
     (["--shape", "interval", "--L", "2.0", "--K", "33", "--N", "64"],
      lambda: build_interval_basis(2.0, 33, N=64)),
     (["--shape", "rectangle", "--Lx", "1.0", "--Ly", "2.0", "--Nx", "8", "--Ny", "12",
@@ -374,6 +381,9 @@ def test_heat_out_writes_the_named_file(basis_file, tmp_path, capsys):
     (["--shape", "lshape", "--h", "0.2", "--K", "12"],
      lambda: build_fd_basis(lshape_domain(), 0.2, 12)),
 ], ids=["interval", "rectangle", "lshape"])
+
+
+@_SAVED_BASES
 def test_heat_on_saved_basis_matches_in_process_build(tmp_path, capsys, flags, build):
     path = str(tmp_path / "b.json")
     assert main(["basis", *flags, "--out", path]) == 0
@@ -388,6 +398,30 @@ def test_heat_on_saved_basis_matches_in_process_build(tmp_path, capsys, flags, b
     sup = endpoint_norms(multiplier_kernel(projected, basis))["1->inf"]
     expect += [f"tail_bound = {float(kernel.tail_bound)!r}", f"mean_removed_sup = {sup!r}"]
     assert capsys.readouterr().out.splitlines() == expect
+
+
+@_SAVED_BASES
+def test_kernel_files_round_trip_bit_for_bit(tmp_path, capsys, flags, build):
+    # multiplier --out and heat --out write the kernel the command built;
+    # load_kernel returns it bit for bit: source, values, tag and tail.
+    path = str(tmp_path / "b.json")
+    assert main(["basis", *flags, "--out", path]) == 0
+    basis = load_basis(path)
+    for argv, ker in [
+        (["heat", "--t", "0.1"], heat_kernel(0.1, basis)),
+        (["multiplier", "--symbol", "resolvent", "--beta", "0.75"],
+         multiplier_kernel(resolvent_symbol(0.75, 1.0), basis)),
+    ]:
+        out = str(tmp_path / "k.npz")
+        assert main([argv[0], "--basis", path, *argv[1:], "--out", out]) == 0
+        loaded = load_kernel(out, basis.grid)
+        for a, b in [(loaded._profile, ker._profile), (loaded._matrix, ker._matrix),
+                     (loaded.symbol_values, ker.symbol_values)]:
+            assert (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
+                                                 and a.tobytes() == b.tobytes()), ker.tag
+        assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
+        assert loaded.matrix.tobytes() == ker.matrix.tobytes()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["norm", "multiplier", "heat"])

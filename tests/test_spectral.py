@@ -78,6 +78,23 @@ def test_heat_kernel_matches_image_sum(basis):
     np.testing.assert_allclose(ker.matrix, ref, atol=1e-10, rtol=0)
 
 
+def test_interval_heat_kernel_is_within_its_tail_of_the_image_sum():
+    # The image sum is the exact Neumann heat kernel at the nodes, cut where
+    # its terms fall below e^-40 of the largest.  The truncated kernel
+    # differs from it by at most tail_bound, plus a rounding floor of
+    # 1e-14 max|K| (the largest excess over the tail is 3.8e-15 max|K|, where
+    # the tail falls below rounding).  At t = 2.7e-4 the error is 0.98 of the
+    # tail, so a tail_bound half as large fails here.
+    b = build_interval_basis(math.pi, 200, N=512)
+    x = b.grid.points[:, 0]
+    for t in np.geomspace(b.grid.h ** 2, 2.0, 12):
+        n_images = 2 + math.ceil(math.sqrt(160 * t) / (2 * math.pi))
+        exact = _image_sum_heat(x, x, t, math.pi, n_images)
+        ker = heat_kernel(t, b)
+        floor = 1e-14 * np.max(np.abs(exact))
+        assert np.all(np.abs(ker.matrix - exact) <= ker.tail_bound + floor), t
+
+
 def test_heat_kernel_conserves_mass(basis):
     ker = heat_kernel(0.3, basis)
     row_integrals = ker.matrix @ basis.grid.weights
@@ -450,36 +467,59 @@ def test_rectangle_kernel_files_hold_the_profile(tmp_path):
         assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
 
 
+def _saved_fields(ker, tmp_path):
+    """The fields save_kernel writes for ker, for a test to edit and write
+    back with np.savez."""
+    p = tmp_path / "good.npz"
+    save_kernel(ker, str(p))
+    with np.load(p) as z:
+        return {k: z[k] for k in z.files}
+
+
+def _refused(tmp_path, fields, grid, match=None):
+    """The ValueError load_kernel raises on a file of these fields; it names the file."""
+    p = tmp_path / "bad.npz"
+    np.savez(p, **fields)
+    with pytest.raises(ValueError, match=match) as exc:
+        load_kernel(str(p), grid)
+    assert str(p) in str(exc.value)
+    return str(exc.value)
+
+
 @pytest.mark.parametrize("kernels", [_interval_kernels, _rectangle_kernels],
                          ids=["interval", "rectangle"])
-def test_matrix_layout_files_still_load(tmp_path, kernels):
+def test_a_matrix_on_an_interval_or_rectangle_grid_is_refused(tmp_path, kernels):
+    # A kernel file's source is the one its grid dictates: save_kernel
+    # writes nothing for a bare matrix kernel there, and load_kernel refuses
+    # a matrix file (the layout every file had before profiles existed).
     b, kernels = kernels(64) if kernels is _interval_kernels else kernels()
     for ker in kernels:
-        p = tmp_path / "old.npz"
-        np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
-                 grid_id=np.array(b.grid.grid_id()), tail_bound=np.array(ker.tail_bound),
-                 symbol_values=ker.symbol_values if ker.symbol_values is not None
-                 else np.array([]))
-        loaded = load_kernel(str(p), b.grid)
-        assert loaded.profile is None and np.array_equal(loaded.matrix, ker.matrix)
-        assert endpoint_norms(loaded) == endpoint_norms(ker)
+        bare = OperatorKernel(b.grid, ker.tag, matrix=ker.matrix, symbol_values=ker.symbol_values)
+        with pytest.raises(ValueError, match="holds no profile"):
+            save_kernel(bare, str(tmp_path / "bare.npz"))
+        assert not (tmp_path / "bare.npz").exists()
+        fields = _saved_fields(ker, tmp_path)
+        fields["matrix"] = ker.matrix
+        del fields["profile"]
+        assert "'matrix'" in _refused(tmp_path, fields, b.grid, match="'profile'")
 
 
 @pytest.mark.parametrize("case, message", [
     ("short", "shape"), ("nan", "not finite"), ("inf", "not finite"),
-    ("both", "both"), ("rectangle", "shape"), ("rect_short", "shape"),
-    ("rect_nan", "not finite"), ("polygon", "interval or rectangle grid"),
+    ("both", "fields"), ("rectangle", "shape"), ("rect_short", "shape"),
+    ("rect_nan", "not finite"), ("polygon", "fields"), ("complex", "float64"),
+    ("string", "float64"),
 ])
 def test_load_kernel_rejects_a_bad_profile(tmp_path, case, message):
     # A 1-D profile on a rectangle grid ("rectangle") fails the shape check:
-    # a rectangle profile is (3Nx - 1, 3Ny - 1).
+    # a rectangle profile is (3Nx - 1, 3Ny - 1).  A polygon grid's file
+    # holds a matrix, so a profile there is a field outside the format.
     b, (ker, *_) = _rectangle_kernels() if case.startswith("rect_") else _interval_kernels(64)
     grid = b.grid
-    prof = ker._profile.copy()
-    fields = dict(tag=np.array(ker.tag), tail_bound=np.array(0.0),
-                  symbol_values=ker.symbol_values)
+    fields = _saved_fields(ker, tmp_path)
+    prof = fields["profile"]
     if case in ("short", "rect_short"):
-        prof = prof[:-1]
+        fields["profile"] = prof[:-1]
     elif case in ("nan", "inf", "rect_nan"):
         prof[5] = np.inf if case == "inf" else np.nan
     elif case == "both":
@@ -488,12 +528,12 @@ def test_load_kernel_rejects_a_bad_profile(tmp_path, case, message):
         grid = build_rectangle_basis(math.pi, 2.0, 4, Nx=8, Ny=8).grid
     elif case == "polygon":
         grid = polygon_grid(lshape_domain(), 0.25)
-        prof = _rectangle_kernels(8, 8)[1][0]._profile
-    p = tmp_path / "bad.npz"
-    np.savez(p, profile=prof, grid_id=np.array(grid.grid_id()), **fields)
-    with pytest.raises(ValueError, match=message) as exc:
-        load_kernel(str(p), grid)
-    assert str(p) in str(exc.value)
+    elif case == "complex":
+        fields["profile"] = prof + 0j
+    elif case == "string":
+        fields["profile"] = prof.astype(str)
+    fields["grid_id"] = np.array(grid.grid_id())
+    _refused(tmp_path, fields, grid, match=message)
 
 
 def test_columns_are_the_transposed_matrix_columns():
@@ -550,7 +590,6 @@ def test_assembled_kernels_take_no_svd(case, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     for ker, w in zip(kernels, want):
-        assert ker.symbol_values is not None
         assert endpoint_norms(ker)["2->2"] == pytest.approx(w, rel=1e-12, abs=0), ker.tag
 
 
@@ -570,24 +609,6 @@ def test_gradient_kernel_values_are_its_singular_values(case, tol):
         assert np.allclose(got, sv, rtol=0, atol=tol * sv[0]), ker.tag
 
 
-def test_a_kernel_without_values_takes_the_svd(tmp_path, basis):
-    # A bare matrix kernel, and a gradient kernel file that holds no values
-    # (as files did before gradient kernels carried theirs).
-    (grad,) = gradient_kernels(heat_symbol(0.05), basis)
-    want = _weighted_svd(grad)[0]
-    bare = OperatorKernel(basis.grid, "bare", matrix=grad.matrix.copy())
-    p = tmp_path / "old_grad.npz"
-    np.savez(p, profile=grad._profile, tag=np.array(grad.tag),
-             grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(grad.tail_bound),
-             symbol_values=np.array([]))
-    loaded = load_kernel(str(p), basis.grid)
-    for ker in (bare, loaded):
-        assert ker.symbol_values is None
-        assert endpoint_norms(ker)["2->2"] == want
-        assert endpoint_norms(ker)["2->2"] == pytest.approx(endpoint_norms(grad)["2->2"],
-                                                            rel=1e-12, abs=0)
-
-
 def test_gradient_kernel_save_load_keeps_vector_data(tmp_path, basis):
     rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
     for b in (basis, rect):
@@ -604,31 +625,28 @@ def test_gradient_kernel_save_load_keeps_vector_data(tmp_path, basis):
             assert endpoint_norms(loaded) == endpoint_norms(ker)
 
 
-def test_load_kernel_rejects_mismatched_components(tmp_path, basis):
-    # A vector kernel file of the former layout (components beside matrix)
-    # is refused, even with a well-formed components array.
+def test_load_kernel_refuses_files_of_earlier_layouts(tmp_path, basis):
+    # A file with no format tag (every file before nbesov-kernel/2, such as
+    # the vector layout with components beside the matrix) is refused by its
+    # format, and a tagged file that adds components by the extra field.
     (ker,) = gradient_kernels(heat_symbol(0.05), basis)
-    p = tmp_path / "vector.npz"
-    np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
-             grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
-             symbol_values=np.array([]), components=ker.matrix[None])
-    with pytest.raises(ValueError, match="components") as exc:
-        load_kernel(str(p), basis.grid)
-    assert str(p) in str(exc.value)
+    old = dict(matrix=ker.matrix, tag=np.array(ker.tag),
+               grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
+               symbol_values=np.array([]), components=ker.matrix[None])
+    message = _refused(tmp_path, old, basis.grid, match="nbesov-kernel/2")
+    assert "'format' is None" in message and "nbesov heat --out" in message
+    fields = _saved_fields(ker, tmp_path)
+    _refused(tmp_path, dict(fields, format=np.array("nbesov-kernel/1")), basis.grid,
+             match="'nbesov-kernel/1'")
+    _refused(tmp_path, dict(fields, components=ker.matrix[None]), basis.grid, match="components")
 
 
-@pytest.mark.parametrize("field", ["matrix", "tag", "grid_id", "tail_bound", "symbol_values"])
+@pytest.mark.parametrize("field", ["format", "profile", "tag", "grid_id", "tail_bound",
+                                   "symbol_values"])
 def test_load_kernel_names_a_missing_field(tmp_path, basis, field):
-    ker = heat_kernel(0.05, basis)
-    fields = dict(matrix=ker.matrix, tag=np.array(ker.tag),
-                  grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
-                  symbol_values=ker.symbol_values)
+    fields = _saved_fields(heat_kernel(0.05, basis), tmp_path)
     del fields[field]
-    p = tmp_path / "bad.npz"
-    np.savez(p, **fields)
-    with pytest.raises(ValueError) as exc:
-        load_kernel(str(p), basis.grid)
-    assert str(p) in str(exc.value) and repr(field) in str(exc.value)
+    assert repr(field) in _refused(tmp_path, fields, basis.grid)
 
 
 def _oracle_symbols(basis):
@@ -808,11 +826,14 @@ def test_interval_matrix_is_formed_once(N, monkeypatch):
         assert np.array_equal(again, Kmat) and len(calls) == 2
 
 
-def test_kernel_takes_one_source(basis):
+def test_kernel_takes_one_source_and_its_values(basis):
     with pytest.raises(ValueError, match="exactly one"):
-        OperatorKernel(basis.grid, "none")
+        OperatorKernel(basis.grid, "none", symbol_values=np.ones(1))
     with pytest.raises(ValueError, match="exactly one"):
-        OperatorKernel(basis.grid, "both", matrix=np.eye(256), profile=np.zeros(767))
+        OperatorKernel(basis.grid, "both", matrix=np.eye(256), profile=np.zeros(767),
+                       symbol_values=np.ones(1))
+    with pytest.raises(TypeError, match="symbol_values"):
+        OperatorKernel(basis.grid, "bare", matrix=np.eye(256))
 
 
 def test_kernel_profile_rejects_other_bases():
@@ -857,42 +878,55 @@ def test_arithmetic_rejects_functions_on_other_grids(op):
         getattr(f, op)(GridFunction.constant(interval_grid(2.0, 8)))
 
 
-def test_load_kernel_rejects_a_matrix_of_another_size(tmp_path, basis):
-    ker = multiplier_kernel(heat_symbol(0.05), basis)
-    p = tmp_path / "small.npz"
-    np.savez(p, matrix=ker.matrix[:3, :3], tag=np.array(ker.tag),
-             grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
-             symbol_values=ker.symbol_values)
-    with pytest.raises(ValueError, match="matrix"):
-        load_kernel(str(p), basis.grid)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("matrix", np.nan), ("matrix", np.inf), ("symbol_values", np.nan),
-    ("tail_bound", np.nan), ("tail_bound", -1.0),
-])
-def test_load_kernel_rejects_non_finite_or_negative_numbers(tmp_path, basis, field, value):
-    ker = multiplier_kernel(heat_symbol(0.05), basis)
-    fields = dict(matrix=ker.matrix.copy(), tag=np.array(ker.tag),
-                  grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
-                  symbol_values=ker.symbol_values.copy())
-    if field == "tail_bound":
-        fields[field] = np.array(value)
+@pytest.mark.parametrize("bad", ["small", "nan", "inf", "float32"])
+def test_load_kernel_rejects_a_bad_matrix(tmp_path, bad):
+    b = build_fd_basis(lshape_domain(), 0.25, 6)
+    fields = _saved_fields(multiplier_kernel(heat_symbol(0.05), b), tmp_path)
+    M = fields["matrix"]
+    if bad == "small":
+        fields["matrix"] = M[:3, :3]
+    elif bad == "float32":
+        fields["matrix"] = M.astype(np.float32)
     else:
-        fields[field][1] = value
-    p = tmp_path / "bad.npz"
-    np.savez(p, **fields)
+        M[1, 2] = np.nan if bad == "nan" else np.inf
+    _refused(tmp_path, fields, b.grid, match="matrix")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("symbol_values", np.full(64, np.nan), "not finite"), ("tail_bound", np.nan, ">= 0"),
+    ("tail_bound", -1.0, ">= 0"), ("tail_bound", np.zeros(2), "shape"),
+    ("symbol_values", "text", "float64"), ("symbol_values", np.zeros((2, 3)), "shape"),
+    ("symbol_values", np.array([]), "shape"), ("tail_bound", np.array(1), "float64"),
+], ids=["values_nan", "tail_nan", "tail_negative", "tail_vector", "values_string",
+        "values_matrix", "values_empty", "tail_int"])
+def test_load_kernel_rejects_bad_values_or_tail(tmp_path, basis, field, value, message):
+    # Each malformed field is one ValueError that names the file, not a
+    # TypeError from float() or isfinite, nor a kernel that loads and
+    # reports a 2->2 norm of 0.
+    fields = _saved_fields(multiplier_kernel(heat_symbol(0.05), basis), tmp_path)
+    fields[field] = np.asarray(value)
+    _refused(tmp_path, fields, basis.grid, match=message)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped_byte"])
+def test_load_kernel_names_a_truncated_or_corrupt_file(tmp_path, basis, damage):
+    p = tmp_path / "k.npz"
+    save_kernel(heat_kernel(0.05, basis), str(p))
+    raw = bytearray(p.read_bytes())
+    if damage == "truncated":
+        raw = raw[:len(raw) // 2]
+    else:
+        raw[len(raw) // 3] ^= 0xFF
+    p.write_bytes(bytes(raw))
     with pytest.raises(ValueError) as exc:
         load_kernel(str(p), basis.grid)
     assert str(p) in str(exc.value)
 
 
 def test_load_kernel_keeps_an_infinite_tail_bound(tmp_path, basis):
-    ker = multiplier_kernel(heat_symbol(0.05), basis)
+    fields = _saved_fields(multiplier_kernel(heat_symbol(0.05), basis), tmp_path)
     p = tmp_path / "divergent.npz"
-    np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
-             grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(np.inf),
-             symbol_values=ker.symbol_values)
+    np.savez(p, **dict(fields, tail_bound=np.array(np.inf)))
     assert load_kernel(str(p), basis.grid).tail_bound == np.inf
 
 
@@ -900,13 +934,9 @@ def test_grid_id_keeps_full_precision(tmp_path, basis):
     assert interval_grid(math.pi, 512).grid_id() != interval_grid(3.14159, 512).grid_id()
     assert basis.grid.grid_id() == f"interval[{math.pi!r}]/h={math.pi / 256!r}/N=256"
     # A kernel file stamped with the old six-digit id no longer loads.
-    ker = multiplier_kernel(heat_symbol(0.05), basis)
-    p = tmp_path / "old.npz"
-    np.savez(p, matrix=ker.matrix, tag=np.array(ker.tag),
-             grid_id=np.array("interval[3.14159]/h=0.0122718/N=256"),
-             tail_bound=np.array(0.0), symbol_values=ker.symbol_values)
-    with pytest.raises(ValueError, match="dumped for grid"):
-        load_kernel(str(p), basis.grid)
+    fields = _saved_fields(multiplier_kernel(heat_symbol(0.05), basis), tmp_path)
+    fields["grid_id"] = np.array("interval[3.14159]/h=0.0122718/N=256")
+    _refused(tmp_path, fields, basis.grid, match="dumped for grid")
 
 
 def test_polygon_grid_ids_name_the_cells():

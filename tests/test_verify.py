@@ -120,6 +120,19 @@ def test_saved_report_files(suite_reports):
     assert reports["moment_decay"].figures
 
 
+def test_no_report_writes_an_empty_figure_file(tmp_path):
+    # The fake-eigenvalue control runs exp_low_freq_decay without
+    # interval_long, and an alphas_1d without 0 leaves multiplier_scaling's
+    # alpha = 0 slope figure without rows: neither figure file is written.
+    reports = run_suite(ids=["neg_fake_eigenvalue", "multiplier_scaling"], out_dir=str(tmp_path),
+                        overrides={"multiplier_scaling": {"alphas_1d": [0.5]}})
+    names = sorted(os.listdir(tmp_path))
+    assert [n for n in names if os.path.getsize(tmp_path / n) == 0] == []
+    assert "neg_fake_eigenvalue.decay_interval_long.dat" not in names
+    assert "multiplier_scaling.slope_1d_a0_1toinf.dat" not in names
+    assert [r.verdict for r in reports] == [FAIL, PASS]
+
+
 def test_negative_controls_fail_loudly():
     reports = run_suite(ids=NEG_IDS)
     for rep in reports:
@@ -423,6 +436,14 @@ def test_block_bounds_are_exact_on_one_node_cubes(basis):
     assert lower == pytest.approx(exact, rel=1e-14, abs=0)
 
 
+def _dense_kernel(grid, tag, M):
+    """A kernel of matrix M, with the singular values of the weighted matrix
+    as its 2->2 values."""
+    sw = np.sqrt(grid.weights)
+    return OperatorKernel(grid, tag, matrix=M, symbol_values=np.linalg.svd(
+        sw[:, None] * M * sw[None, :], compute_uv=False))
+
+
 @pytest.mark.parametrize("theta", [0.01, 0.1, 1.0])
 def test_block_bounds_are_exact_on_a_kernel_that_maps_each_cube_into_itself(theta):
     """A block-diagonal control: each column cube reaches one row cube, so
@@ -436,7 +457,7 @@ def test_block_bounds_are_exact_on_a_kernel_that_maps_each_cube_into_itself(thet
         M[np.ix_(idx, idx)] = rng.standard_normal((len(idx), len(idx)))
         B = sw[idx, None] * M[np.ix_(idx, idx)] * sw[None, idx]
         exact = max(exact, np.linalg.svd(B, compute_uv=False)[0])
-    upper, lower = _block_operator_bounds(OperatorKernel(basis.grid, "control", matrix=M), theta)
+    upper, lower = _block_operator_bounds(_dense_kernel(basis.grid, "control", M), theta)
     assert upper == pytest.approx(exact, rel=1e-12, abs=0)
     assert lower == pytest.approx(exact, rel=1e-12, abs=0)
 
@@ -445,7 +466,7 @@ def test_block_bounds_are_exact_on_a_kernel_that_maps_each_cube_into_itself(thet
 def test_block_bounds_bracket_random_dense_kernels(seed):
     basis = build_rectangle_basis(math.pi, math.pi, 40, Nx=12, Ny=12)
     rng = np.random.default_rng(seed)
-    ker = OperatorKernel(basis.grid, "random", matrix=rng.standard_normal((144, 144)))
+    ker = _dense_kernel(basis.grid, "random", rng.standard_normal((144, 144)))
     for theta in (4 * basis.grid.h ** 2, 0.1, 0.5, 3.0):
         upper, lower = _block_operator_bounds(ker, theta)
         assert triple_norm(ker, 0.0, theta) < lower < upper, theta

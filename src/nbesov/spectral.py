@@ -860,8 +860,8 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
                 raise ValueError(f"not a {KERNEL_FORMAT} file (field 'format' is {fmt!r}); "
                                  "rebuild it with nbesov multiplier --out or nbesov heat --out")
             if set(z.files) != fields:
-                raise ValueError(f"a {KERNEL_FORMAT} file for this grid holds the fields "
-                                 f"{sorted(fields)}, not {sorted(z.files)}")
+                raise ValueError(f"missing fields {sorted(fields - set(z.files))}, unexpected fields "
+                                 f"{sorted(set(z.files) - fields)} for a {KERNEL_FORMAT} file")
             f = {k: z[k] for k in fields}
         if str(f["grid_id"]) != grid.grid_id():
             raise ValueError(f"kernel was dumped for grid {f['grid_id']}, not {grid.grid_id()}")

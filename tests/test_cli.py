@@ -361,18 +361,6 @@ def test_heat_mean_removed_sup_keeps_its_digits_at_late_t(tmp_path, capsys, flag
     assert float(vals["mean_removed_sup"]) == pytest.approx(want, rel=1e-14, abs=0)
 
 
-def test_heat_out_writes_the_named_file(basis_file, tmp_path, capsys):
-    path = tmp_path / "kern"
-    assert main(["heat", "--basis", basis_file, "--t", "0.5", "--out", str(path)]) == 0
-    assert f"saved: {path}" in capsys.readouterr().out
-    assert path.exists() and not (tmp_path / "kern.npz").exists()
-    basis = load_basis(basis_file)
-    loaded, ker = load_kernel(str(path), basis.grid), heat_kernel(0.5, basis)
-    assert np.array_equal(loaded.matrix, ker.matrix)
-    assert np.array_equal(loaded.symbol_values, ker.symbol_values)
-    assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
-
-
 _SAVED_BASES = pytest.mark.parametrize("flags, build", [
     (["--shape", "interval", "--L", "2.0", "--K", "33", "--N", "64"],
      lambda: build_interval_basis(2.0, 33, N=64)),
@@ -381,6 +369,33 @@ _SAVED_BASES = pytest.mark.parametrize("flags, build", [
     (["--shape", "lshape", "--h", "0.2", "--K", "12"],
      lambda: build_fd_basis(lshape_domain(), 0.2, 12)),
 ], ids=["interval", "rectangle", "lshape"])
+
+
+@_SAVED_BASES
+def test_kernel_out_writes_the_named_file(tmp_path, capsys, flags, build):
+    # multiplier --out and heat --out write exactly the named path (no .npz
+    # appended), and load_kernel returns the kernel the command built bit
+    # for bit: source, values, tag and tail.
+    path = str(tmp_path / "b.json")
+    assert main(["basis", *flags, "--out", path]) == 0
+    basis = load_basis(path)
+    for argv, ker in [
+        (["heat", "--t", "0.1"], heat_kernel(0.1, basis)),
+        (["multiplier", "--symbol", "resolvent", "--beta", "0.75"],
+         multiplier_kernel(resolvent_symbol(0.75, 1.0), basis)),
+    ]:
+        capsys.readouterr()
+        out = tmp_path / argv[0]
+        assert main([argv[0], "--basis", path, *argv[1:], "--out", str(out)]) == 0
+        assert f"saved: {out}" in capsys.readouterr().out
+        assert out.exists() and not (tmp_path / f"{argv[0]}.npz").exists()
+        loaded = load_kernel(str(out), basis.grid)
+        for a, b in [(loaded._profile, ker._profile), (loaded._matrix, ker._matrix),
+                     (loaded.symbol_values, ker.symbol_values)]:
+            assert (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
+                                                 and a.tobytes() == b.tobytes()), ker.tag
+        assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
+        assert loaded.matrix.tobytes() == ker.matrix.tobytes()
 
 
 @_SAVED_BASES
@@ -398,30 +413,6 @@ def test_heat_on_saved_basis_matches_in_process_build(tmp_path, capsys, flags, b
     sup = endpoint_norms(multiplier_kernel(projected, basis))["1->inf"]
     expect += [f"tail_bound = {float(kernel.tail_bound)!r}", f"mean_removed_sup = {sup!r}"]
     assert capsys.readouterr().out.splitlines() == expect
-
-
-@_SAVED_BASES
-def test_kernel_files_round_trip_bit_for_bit(tmp_path, capsys, flags, build):
-    # multiplier --out and heat --out write the kernel the command built;
-    # load_kernel returns it bit for bit: source, values, tag and tail.
-    path = str(tmp_path / "b.json")
-    assert main(["basis", *flags, "--out", path]) == 0
-    basis = load_basis(path)
-    for argv, ker in [
-        (["heat", "--t", "0.1"], heat_kernel(0.1, basis)),
-        (["multiplier", "--symbol", "resolvent", "--beta", "0.75"],
-         multiplier_kernel(resolvent_symbol(0.75, 1.0), basis)),
-    ]:
-        out = str(tmp_path / "k.npz")
-        assert main([argv[0], "--basis", path, *argv[1:], "--out", out]) == 0
-        loaded = load_kernel(out, basis.grid)
-        for a, b in [(loaded._profile, ker._profile), (loaded._matrix, ker._matrix),
-                     (loaded.symbol_values, ker.symbol_values)]:
-            assert (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
-                                                 and a.tobytes() == b.tobytes()), ker.tag
-        assert (loaded.tag, loaded.tail_bound) == (ker.tag, ker.tail_bound)
-        assert loaded.matrix.tobytes() == ker.matrix.tobytes()
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["norm", "multiplier", "heat"])

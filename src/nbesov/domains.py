@@ -217,7 +217,8 @@ class EigenBasis:
     mode_index : per-mode metadata (interval: wavenumber k-1; rectangle:
         the pair (a, b); numeric: solver position).
 
-    gradients() and sup2() are filled on first use and kept.
+    gradients(), sup2() and the lattices of spectral._modes_up_to are filled on first
+    use and kept.
     """
 
     grid: Grid
@@ -227,6 +228,7 @@ class EigenBasis:
     mode_index: list = field(default_factory=list)
     _gradients: NDArray | None = field(default=None, init=False, repr=False, compare=False)
     _sup2: float | None = field(default=None, init=False, repr=False, compare=False)
+    _modes_below: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:

@@ -190,11 +190,7 @@ def block_lp_table(
     w = basis.grid.weights
     out = np.empty((len(js), len(ps), C.shape[1]))
     for a, j in enumerate(js):
-        svals = pou.phi(j, sq)
-        if not np.any(svals):
-            out[a] = 0.0
-            continue
-        fields = to_grid(svals[:, None] * C, basis)  # (N, S)
+        fields = to_grid(pou.phi(j, sq)[:, None] * C, basis)  # (N, S) from phi_j's band
         for b, p in enumerate(ps):
             out[a, b] = lp_columns(fields, w, p)
     return out

@@ -7,10 +7,11 @@ acts as
 
 with integral kernel K(x, y) = sum_k phi(lambda_k) e_k(x) e_k(y).  This
 module provides the coefficient transforms (to_grid and to_coeffs, the one
-seam between coefficient arrays and node values), multiplier application,
-the heat semigroup, gradients, fractional resolvent powers via the
-Gamma-function integral of the heat semigroup, and exact endpoint operator
-norms of kernels.
+seam between coefficient arrays and node values; synthesis costs O(band N),
+the band running from the first to the last nonzero coefficient),
+multiplier application, the heat semigroup, gradients, fractional resolvent
+powers via the Gamma-function integral of the heat semigroup, and exact
+endpoint operator norms of kernels.
 
 Kernels are held in one of two forms.  On an analytic basis (interval or
 rectangle) the cell-centred nodes turn every per-axis product
@@ -24,8 +25,9 @@ reads each cube's columns, save_kernel writes it (3N - 1 numbers per axis)
 and load_kernel reads it back, and the heat-envelope scan reads it through
 heat_kernel (OperatorKernel.profile).  The N^2 matrix is formed only for a
 caller that reads OperatorKernel.matrix.  Finite-difference bases form the
-dense product E^T diag(phi(lambda)) E.  Every kernel carries the values its
-2->2 norm is read from (OperatorKernel), so no norm takes an SVD.
+dense product E^T diag(phi(lambda)) E over the band where phi is nonzero.
+Every kernel carries the values its 2->2 norm is read from (OperatorKernel),
+so no norm takes an SVD.
 
 Every kernel carries a reported tail over the unresolved modes from
 symbol_tail_bound: on an analytic basis an exact bound, the unresolved
@@ -389,10 +391,20 @@ def power_block_symbol(pou: PartitionOfUnity, j: int, alpha: float) -> SymbolFn:
 # Transforms and multipliers
 
 
+def _band(C: NDArray) -> slice:
+    """The rows [first nonzero, last nonzero + 1) of a (K,) vector or a
+    (K, S) stack; empty when C is all zero."""
+    nz = np.flatnonzero(C.reshape(len(C), -1).any(axis=1))
+    return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
+
+
 def to_grid(C: NDArray, basis: EigenBasis) -> NDArray:
     """Node values E^T C = sum_k C_k e_k of a (K,) coefficient vector or a
-    (K, S) stack of S of them."""
-    return basis.functions.T @ C
+    (K, S) stack of S of them, in O(band N): only the band of rows from the
+    first to the last nonzero one is read (eigenvalues are sorted, so a
+    symbol's band is its spectral window), and an all-zero C gives zeros."""
+    band = _band(C)
+    return basis.functions[band].T @ C[band]
 
 
 def to_coeffs(F: NDArray, basis: EigenBasis) -> NDArray:
@@ -547,17 +559,26 @@ def _lattice_tail(symbol: SymbolFn, basis: EigenBasis, end: float) -> float | No
 
 def _modes_up_to(basis: EigenBasis, lam_c: float) -> tuple[NDArray, int]:
     """The eigenvalues <= lam_c of the lattice modes an analytic basis
-    leaves out, in no particular order, and N(lam_c), the count of every
-    mode <= lam_c."""
-    axes = [(np.arange(int(L * math.sqrt(lam_c) / math.pi) + 2) * np.pi / L) ** 2
-            for L in basis.domain.lengths]
-    lam = sum(np.ix_(*axes))
-    below = lam <= lam_c
-    k = np.asarray(basis.mode_index).reshape(basis.K, -1)
-    k = k[np.all(k < lam.shape, axis=1)]
-    resolved = np.zeros_like(below)
-    resolved[tuple(k.T)] = True
-    return lam[below & ~resolved], int(np.count_nonzero(below))
+    leaves out, in no particular order (read-only), and N(lam_c), the count
+    of every mode <= lam_c.  Kept on the basis per cutoff, up to 64 of them,
+    so a repeated cutoff returns the identical array; every step is one dict
+    operation, so threads at worst build one twice."""
+    kept = basis._modes_below.get(lam_c)
+    if kept is None:
+        axes = [(np.arange(int(L * math.sqrt(lam_c) / math.pi) + 2) * np.pi / L) ** 2
+                for L in basis.domain.lengths]
+        lam = sum(np.ix_(*axes))
+        below = lam <= lam_c
+        k = np.asarray(basis.mode_index).reshape(basis.K, -1)
+        k = k[np.all(k < lam.shape, axis=1)]
+        resolved = np.zeros_like(below)
+        resolved[tuple(k.T)] = True
+        kept = lam[below & ~resolved], int(np.count_nonzero(below))
+        kept[0].flags.writeable = False
+        if len(basis._modes_below) >= 64:
+            basis._modes_below.clear()
+        basis._modes_below[lam_c] = kept
+    return kept
 
 
 def multiplier_kernel(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
@@ -582,7 +603,8 @@ def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> list[dict[str,
                 for c in (range(basis.domain.n) if grad else (None,))]
     E = basis.functions
     if not grad:
-        return [{"matrix": (E.T * svals) @ E, "symbol_values": svals}]
+        band = _band(svals)
+        return [{"matrix": (E[band].T * svals[band]) @ E[band], "symbol_values": svals}]
     As = [Gc.T * svals for Gc in basis.gradients()]  # G_c^T diag(phi), (N, K)
     return [{"matrix": A @ E, "symbol_values": np.sqrt(np.maximum(
         np.linalg.eigvalsh((A.T * basis.grid.weights) @ A), 0.0))} for A in As]

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -999,3 +1000,92 @@ def test_transform_pair_is_the_dense_products(build):
     g = GridFunction(f, basis.grid)
     assert analyze(g, basis).values.tobytes() == (E @ (w * f)).tobytes()
     assert synthesize(analyze(g, basis)).values.tobytes() == (E.T @ (E @ (w * f))).tobytes()
+
+
+def _band_bases():
+    return {"interval": build_interval_basis(math.pi, 64, N=256),
+            "rectangle": build_rectangle_basis(math.pi, 2.0, 80, Nx=32, Ny=16),
+            "lshape": build_fd_basis(lshape_domain(), 0.1, 40)}
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle", "lshape"])
+def test_to_grid_reads_only_the_band(case):
+    # Rows of E outside the band of nonzero coefficients are NaN on a copy:
+    # synthesis stays finite and is the banded product, bit for bit.
+    basis = _band_bases()[case]
+    E, (lo, hi) = basis.functions, (5, 23)
+    poisoned = dataclasses.replace(basis, functions=E.copy())
+    poisoned.functions[:lo] = poisoned.functions[hi:] = np.nan
+    rng = np.random.default_rng(7)
+    for shape in ((basis.K,), (basis.K, 4)):
+        C = np.zeros(shape)
+        C[lo:hi] = rng.standard_normal((hi - lo, *shape[1:]))
+        F = to_grid(C, poisoned)
+        assert np.all(np.isfinite(F))
+        assert F.tobytes() == (E[lo:hi].T @ C[lo:hi]).tobytes()
+
+
+def test_to_grid_of_zeros_reads_no_mode_and_keeps_zeros_inside_the_band(basis):
+    nan = dataclasses.replace(basis, functions=np.full_like(basis.functions, np.nan))
+    for shape in ((basis.K,), (basis.K, 3)):
+        F = to_grid(np.zeros(shape), nan)
+        assert F.shape == (basis.grid.n_nodes, *shape[1:]) and np.all(F == 0.0)
+    # A zero row between nonzero ones is inside the band and is read.
+    C = np.zeros(basis.K)
+    C[[3, 9]] = 1.0
+    assert spectral._band(C) == slice(3, 10)
+    poisoned = dataclasses.replace(basis, functions=basis.functions.copy())
+    poisoned.functions[6] = np.nan
+    assert np.all(np.isnan(to_grid(C, poisoned)))
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle", "lshape"])
+@pytest.mark.parametrize("variant", ["standard", "perturbed"])
+def test_block_synthesis_matches_the_full_product(case, variant):
+    basis, pou = _band_bases()[case], make_partition(variant)
+    E, lam = basis.functions, basis.eigenvalues
+    R = np.random.default_rng(2).standard_normal((basis.K, 5))
+    symbols = [cap_symbol(pou)] + [block_symbol(pou, j) for j in range(-1, 8)]
+    for sym in symbols:
+        C = sym(lam)[:, None] * R
+        full = E.T @ C
+        np.testing.assert_allclose(to_grid(C, basis), full, rtol=0,
+                                   atol=1e-14 * max(np.max(np.abs(full)), 1e-300))
+
+
+@pytest.fixture(scope="module")
+def lshape05():
+    return build_fd_basis(lshape_domain(), 0.05, 200)
+
+
+def test_finite_difference_block_kernels_are_the_dense_products(lshape05):
+    E, lam, pou = lshape05.functions, lshape05.eigenvalues, make_partition("standard")
+    js = [j for j in range(-2, 8) if np.any(block_symbol(pou, j)(lam))]
+    assert len(js) >= 4
+    for j in js:
+        sym = block_symbol(pou, j)
+        ker = multiplier_kernel(sym, lshape05)
+        dense = (E.T * sym(lam)) @ E
+        assert ker.symbol_values.shape == (lshape05.K,)
+        np.testing.assert_allclose(ker.matrix, dense, rtol=0, atol=1e-14 * np.max(np.abs(dense)))
+    # Full support: the same product as the dense one, bit for bit.
+    heat = heat_symbol(0.01)
+    dense = (E.T * heat(lam)) @ E
+    assert multiplier_kernel(heat, lshape05).matrix.tobytes() == dense.tobytes()
+    # Gradient kernels keep every mode.
+    sym = block_symbol(pou, js[1])
+    for Gc, ker in zip(lshape05.gradients(), gradient_kernels(sym, lshape05)):
+        assert ker.matrix.tobytes() == ((Gc.T * sym(lam)) @ E).tobytes()
+
+
+def test_tail_lattice_is_kept_per_cutoff():
+    # A repeated cutoff reuses one read-only array; the tail keeps its bits.
+    basis = build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32)
+    sym = heat_symbol(0.05)
+    first = spectral.symbol_tail_bound(sym, basis)
+    (lam_c, (lam, n_c)), = basis._modes_below.items()
+    assert not lam.flags.writeable
+    assert spectral._modes_up_to(basis, lam_c)[0] is lam
+    assert spectral.symbol_tail_bound(sym, basis) == first
+    fresh = build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32)
+    assert spectral.symbol_tail_bound(sym, fresh) == first

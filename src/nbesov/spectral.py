@@ -20,12 +20,14 @@ so the kernel of phi(H) is exactly a sum of 2^n reads of one profile: a
 type-I DCT per axis of the symbol values (a DST-I on the axis of a
 gradient kernel; Makhoul 1980), O(N log N) and equal to the dense sum up
 to roundoff (see OperatorKernel and kernel_profile).  The kernel keeps only
-that profile: endpoint_norms reads it in row blocks, norms.triple_norm
-reads each cube's columns, save_kernel writes it (3N - 1 numbers per axis)
-and load_kernel reads it back, and the heat-envelope scan reads it through
-heat_kernel (OperatorKernel.profile).  The N^2 matrix is formed only for a
-caller that reads OperatorKernel.matrix.  Finite-difference bases form the
-dense product E^T diag(phi(lambda)) E over the band where phi is nonzero.
+that profile: endpoint_norms and apply_kernel read it in row blocks,
+norms.triple_norm and the amalgam experiment read columns, save_kernel
+writes it (3N - 1 numbers per axis) and load_kernel reads it back, and the
+heat-envelope scan reads it through heat_kernel (OperatorKernel.profile).
+No library path reads OperatorKernel.matrix; the N^2 matrix is formed only
+for a caller that asks for it.  Finite-difference bases form the dense
+products E^T diag(phi(lambda)) E and G_c^T diag(phi(lambda)) E over the band
+where phi is nonzero.
 Every kernel carries the values its 2->2 norm is read from (OperatorKernel),
 so no norm takes an SVD.
 
@@ -191,6 +193,8 @@ class OperatorKernel:
     summed in that order by every reader: row_blocks() reads the kernel in
     blocks of rows, columns() a set of columns, and matrix forms the dense
     array on first access and keeps it, so all three agree bit for bit.
+    Library code reads a kernel only through row_blocks() and columns();
+    matrix is a convenience for callers that want the array.
 
     max |symbol_values| is the exact 2->2 norm (on a finite-difference
     basis, up to the Gram deviation of its modes).  They are phi(lambda_k)
@@ -601,13 +605,13 @@ def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> list[dict[str,
         return [{"profile": _mirrored(kernel_profile(svals, basis, c), c),
                  "symbol_values": svals if c is None else _gradient_values(svals, basis, c)}
                 for c in (range(basis.domain.n) if grad else (None,))]
-    E = basis.functions
+    E, band = basis.functions, _band(svals)
     if not grad:
-        band = _band(svals)
         return [{"matrix": (E[band].T * svals[band]) @ E[band], "symbol_values": svals}]
-    As = [Gc.T * svals for Gc in basis.gradients()]  # G_c^T diag(phi), (N, K)
-    return [{"matrix": A @ E, "symbol_values": np.sqrt(np.maximum(
-        np.linalg.eigvalsh((A.T * basis.grid.weights) @ A), 0.0))} for A in As]
+    As = [Gc[band].T * svals[band] for Gc in basis.gradients()]  # G_c^T diag(phi), (N, b)
+    zeros = np.zeros(basis.K - len(svals[band]))  # the singular values off the band
+    return [{"matrix": A @ E[band], "symbol_values": np.concatenate((zeros, np.sqrt(np.maximum(
+        np.linalg.eigvalsh((A.T * basis.grid.weights) @ A), 0.0))))} for A in As]
 
 
 def _gradient_values(svals: NDArray, basis: EigenBasis, axis: int) -> NDArray:
@@ -668,7 +672,10 @@ def kernel_profile(svals: NDArray, basis: EigenBasis, axis: int | None = None) -
 
 
 def apply_kernel(kernel: OperatorKernel, f: GridFunction) -> GridFunction:
-    vals = kernel.matrix @ (f.grid.weights * f.values)
+    """(Af)_i = sum_j w_j K_ij f_j, one block of kernel.row_blocks() at a
+    time, so a profile kernel never forms its matrix."""
+    wf = f.grid.weights * f.values
+    vals = np.concatenate([B @ wf for _, B in kernel.row_blocks()])
     return GridFunction(values=vals, grid=kernel.grid)
 
 
@@ -800,8 +807,10 @@ def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> tuple[OperatorKerne
     Analytic bases keep each kernel's profile (kernel_profile with
     axis = c: a DST-I on axis c, a DCT-I on the other); finite-difference
     bases form the dense products G_c^T diag(phi(lambda)) E with the mode
-    gradients G_c.  Each carries the symbol_values of its 2->2 norm
-    (OperatorKernel); all share the tail bound of sqrt(lambda) phi(lambda).
+    gradients G_c over the band where phi is nonzero, and the singular
+    values from that band's Gram, padded with zeros to length K.  Each
+    carries the symbol_values of its 2->2 norm (OperatorKernel); all share
+    the tail bound of sqrt(lambda) phi(lambda).
     """
     sources = _assemble(symbol, basis, grad=True)
     maj = symbol.majorant

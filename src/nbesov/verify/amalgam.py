@@ -8,7 +8,8 @@ localization norm of the bump kernel.
 Exact block norms read sigma_max(B) = sqrt(lambda_max(B^T B)) off per-cube
 Gram matrices: the upper bump bound sums them over row cubes, and the lower
 bound is a monotone ascent on each column cube started at the top
-eigenvector of its summed Gram.
+eigenvector of its summed Gram.  Both readers take the kernel through
+OperatorKernel.columns(), so no N x N array is formed.
 """
 
 from __future__ import annotations
@@ -62,10 +63,13 @@ def _column_norm(kernel, theta):
     """Operator norm from L^1 into the cube-summed L^2 space.
 
     For an integral kernel this is the essential sup over source points of
-    the amalgam norm of the corresponding kernel column, exact on the grid.
+    the amalgam norm of the corresponding kernel column, exact on the grid;
+    the columns are read 64 at a time.
     """
     params = AmalgamParams(p=1.0, q=2.0, theta=theta)
-    return float(np.max(amalgam_columns(kernel.matrix, kernel.grid, params)))
+    N = kernel.grid.n_nodes
+    blocks = (kernel.columns(np.arange(c0, min(c0 + 64, N))).T for c0 in range(0, N, 64))
+    return max(float(np.max(amalgam_columns(F, kernel.grid, params))) for F in blocks)
 
 
 def _column_tail_bound(symbol, basis, n_cells):
@@ -100,21 +104,26 @@ def _block_operator_bounds(kernel, theta):
     convex and 1-homogeneous, so every iterate is a lower bound and none
     falls.  It stops when no cube gains 1e-12 relative, or at ASCENT_STEPS
     iterates, and is capped at the upper bound, which rounding can cross
-    where the two meet.
+    where the two meet.  Each column-cube size reads its columns of
+    W^(1/2) K W^(1/2) once; the row-cube blocks and the cube-sorted B_c^T
+    stack are both taken from them.
     """
     cells = amalgam_cells(kernel.grid, theta)
     sw = np.sqrt(kernel.grid.weights)
-    Kw = sw[:, None] * kernel.matrix * sw[None, :]
     sizes = [len(idx) for _, idx in cells]
     groups = [np.stack([idx for _, idx in cells if len(idx) == m]) for m in dict.fromkeys(sizes)]
     starts = np.cumsum([0] + sizes[:-1])
-    KwT = Kw[np.concatenate([idx for _, idx in cells])].T  # rows in cube order
+    order = np.concatenate([idx for _, idx in cells])
     upper = lower = 0.0
     for cols in groups:
-        blocks = [Kw[rows[:, None, :, None], cols[None, :, None, :]] for rows in groups]
+        # Kw[:, cols]^T per column cube, Kw = W^(1/2) K W^(1/2), (cubes, m, N).
+        KwT = (sw * kernel.columns(cols.ravel())).reshape(*cols.shape, -1) * sw[cols][..., None]
+        # B_rc[a, b] = KwT[c, b, rows_r[a]], stacked (row cubes, cubes, m_r, m).
+        c = np.arange(len(cols))[:, None, None]
+        blocks = [KwT[c, np.arange(cols.shape[1]), rows[:, None, :, None]] for rows in groups]
         gram = np.concatenate([B.swapaxes(-1, -2) @ B for B in blocks])
         upper = max(upper, float(np.sqrt(np.linalg.eigvalsh(gram)[..., -1]).sum(axis=0).max()))
-        Bt = KwT[cols]  # B_c^T per column cube, (cubes, m, N)
+        Bt = KwT.take(order, axis=2)  # B_c^T with rows in cube order, C-contiguous
         x = np.linalg.eigh(gram.sum(axis=0))[1][..., -1]
         f = np.zeros(len(cols))
         for _ in range(ASCENT_STEPS):

@@ -22,6 +22,7 @@ from nbesov.domains import (
     save_basis,
 )
 from nbesov.littlewood_paley import make_partition
+from nbesov.norms import AmalgamParams, amalgam_cells, amalgam_columns
 from nbesov.spectral import (
     GridFunction,
     OperatorKernel,
@@ -47,7 +48,7 @@ from nbesov.spectral import (
     to_coeffs,
     to_grid,
 )
-from nbesov.verify.amalgam import _column_tail_bound
+from nbesov.verify.amalgam import _column_norm, _column_tail_bound
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,30 @@ def test_interval_heat_kernel_is_within_its_tail_of_the_image_sum():
         ker = heat_kernel(t, b)
         floor = 1e-14 * np.max(np.abs(exact))
         assert np.all(np.abs(ker.matrix - exact) <= ker.tail_bound + floor), t
+
+
+def test_interval_resolvent_kernel_and_column_norm_are_within_their_tails():
+    # On the amalgam experiment's interval, (theta H + M)^-1 is G / theta
+    # with the Neumann Green's function of -d^2/dx^2 + m^2, m^2 = M / theta:
+    # G = cosh(m x<) cosh(m (L - x>)) / (m sinh(m L)).  The kernel is within
+    # tail_bound of it, plus a rounding floor of 1e-14 max|G / theta| (the
+    # error is about 0.59 of the tail at every theta, so a tail_bound half
+    # as large fails here), and the column norm is within its column tail
+    # of the amalgam norm of the exact columns (at most 0.08 of that bound).
+    b, M = build_interval_basis(math.pi, 257, N=512), 1.0
+    x = b.grid.points[:, 0]
+    lo, hi = np.minimum.outer(x, x), np.maximum.outer(x, x)
+    for theta in np.geomspace(4.0 * b.grid.h ** 2, 1.0, 9):
+        m = math.sqrt(M / theta)
+        exact = np.cosh(m * lo) * np.cosh(m * (math.pi - hi)) / (m * math.sinh(m * math.pi) * theta)
+        sym = resolvent_symbol(1.0, M, theta)
+        ker = multiplier_kernel(sym, b)
+        params = AmalgamParams(p=1.0, q=2.0, theta=theta)
+        want = float(np.max(amalgam_columns(exact, b.grid, params)))
+        tail = _column_tail_bound(sym, b, len(amalgam_cells(b.grid, theta)))
+        assert abs(_column_norm(ker, theta) - want) <= tail, theta
+        floor = 1e-14 * np.max(np.abs(exact))
+        assert np.all(np.abs(ker.matrix - exact) <= ker.tail_bound + floor), theta
 
 
 def test_heat_kernel_conserves_mass(basis):
@@ -385,13 +410,21 @@ def test_non_finite_symbol_rejected(basis):
         multiplier_kernel(bad, basis)
 
 
-def test_apply_kernel_is_weighted_contraction(basis):
-    ker = heat_kernel(0.2, basis)
+@pytest.mark.parametrize("rect", [False, True], ids=["interval", "rectangle"])
+def test_apply_kernel_is_weighted_contraction(basis, rect, request):
+    # Row blocks of the profile give the dense product bit for bit; the
+    # dense product is taken from a second kernel before .matrix is refused.
+    if rect:
+        basis = build_rectangle_basis(math.pi, 2.0, 80, Nx=32, Ny=16)
     rng = np.random.default_rng(11)
     f = GridFunction(rng.standard_normal(basis.grid.n_nodes), basis.grid)
+    expect = heat_kernel(0.2, basis).matrix @ (basis.grid.weights * f.values)
+    ker = heat_kernel(0.2, basis)
+    request.getfixturevalue("no_dense_kernels")
     out = apply_kernel(ker, f)
-    expect = ker.matrix @ (basis.grid.weights * f.values)
     np.testing.assert_array_equal(out.values, expect)
+    with pytest.raises(AssertionError, match="matrix read"):
+        ker.matrix
 
 
 def test_analyze_synthesize_round_trip(basis):
@@ -1058,8 +1091,22 @@ def lshape05():
     return build_fd_basis(lshape_domain(), 0.05, 200)
 
 
+def _weighted_singular_values(A, E, w):
+    """Singular values of W^(1/2) A E W^(1/2), largest first, from the thin
+    QR of (E W^(1/2))^T: exact without assuming E W E^T = I, at O(N K^2)
+    in place of an N x N SVD per kernel."""
+    sw = np.sqrt(w)
+    R = np.linalg.qr((E * sw).T, mode="r")
+    return np.linalg.svd((sw[:, None] * A) @ R.T, compute_uv=False)
+
+
 def test_finite_difference_block_kernels_are_the_dense_products(lshape05):
+    # Block kernels and their gradients read only the band where the symbol
+    # is nonzero: equal to the full products to rounding, with the gradient
+    # values the weighted singular values (the small ones to about 1e-8 of
+    # the largest, as on a full band).
     E, lam, pou = lshape05.functions, lshape05.eigenvalues, make_partition("standard")
+    G, w = lshape05.gradients(), lshape05.grid.weights
     js = [j for j in range(-2, 8) if np.any(block_symbol(pou, j)(lam))]
     assert len(js) >= 4
     for j in js:
@@ -1068,14 +1115,23 @@ def test_finite_difference_block_kernels_are_the_dense_products(lshape05):
         dense = (E.T * sym(lam)) @ E
         assert ker.symbol_values.shape == (lshape05.K,)
         np.testing.assert_allclose(ker.matrix, dense, rtol=0, atol=1e-14 * np.max(np.abs(dense)))
-    # Full support: the same product as the dense one, bit for bit.
+        for Gc, gker in zip(G, gradient_kernels(sym, lshape05)):
+            A = Gc.T * sym(lam)
+            dense = A @ E
+            assert np.max(np.abs(gker.matrix - dense)) <= 1e-14 * np.max(np.abs(dense))
+            sv = _weighted_singular_values(A, E, w)
+            assert gker.symbol_values.shape == (lshape05.K,)
+            np.testing.assert_allclose(gker.symbol_values[::-1], sv, rtol=0, atol=1e-7 * sv[0])
+    # Full support: the same products and values as the dense ones, bit for bit.
     heat = heat_symbol(0.01)
+    assert np.all(heat(lam) > 0)
     dense = (E.T * heat(lam)) @ E
     assert multiplier_kernel(heat, lshape05).matrix.tobytes() == dense.tobytes()
-    # Gradient kernels keep every mode.
-    sym = block_symbol(pou, js[1])
-    for Gc, ker in zip(lshape05.gradients(), gradient_kernels(sym, lshape05)):
-        assert ker.matrix.tobytes() == ((Gc.T * sym(lam)) @ E).tobytes()
+    for Gc, gker in zip(G, gradient_kernels(heat, lshape05)):
+        A = Gc.T * heat(lam)
+        assert gker.matrix.tobytes() == (A @ E).tobytes()
+        values = np.sqrt(np.maximum(np.linalg.eigvalsh((A.T * w) @ A), 0.0))
+        assert gker.symbol_values.tobytes() == values.tobytes()
 
 
 def test_tail_lattice_is_kept_per_cutoff():

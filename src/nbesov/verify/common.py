@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,6 +33,8 @@ __all__ = [
     "resynthesis_residual",
     "refinement_pair",
     "relative_drift",
+    "TAIL_FRAC",
+    "screened_fit",
     "conclude",
 ]
 
@@ -119,6 +122,51 @@ def refinement_pair() -> tuple[EigenBasis, EigenBasis]:
 def relative_drift(base: dict, other: dict, keys=None) -> dict:
     """{k: |other[k] - base[k]| / base[k]} over keys (default: all of base's)."""
     return {k: abs(other[k] - base[k]) / base[k] for k in keys or base}
+
+
+# A sweep point enters a fit only when its truncation tail bound is at most
+# this share of its measured value.
+TAIL_FRAC = 0.05
+
+
+class ScreenedFit(NamedTuple):
+    """What screened_fit returns; below two kept points every number is nan."""
+
+    kept: NDArray
+    note: str | None
+    unresolved: str | None
+    slope: float
+    lo: float
+    hi: float
+    spread: float
+    spread_hi: float
+
+
+def screened_fit(label: str, x, values, tails) -> ScreenedFit:
+    """Screen a sweep of (x, value, tail) points and fit the kept ones.
+
+    A point is kept when its tail is at most TAIL_FRAC of its value; note
+    names the dropped x, and unresolved gives the reason when fewer than
+    two are kept (each None otherwise); label names x in both.  slope is
+    the least-squares slope w . log v of log value against u = log x,
+    w = (u - mean u) / |u - mean u|^2, and [lo, hi] its exact range over
+    the boxes [v - tail, v + tail]: each end takes every log v_i at the end
+    of its box that the sign of w_i picks.  spread is max/min of the kept
+    values and spread_hi its upper end, max(v + tail) / min(v - tail).
+    """
+    x, v, t = (np.asarray(a, dtype=float) for a in (x, values, tails))
+    kept = t <= TAIL_FRAC * v
+    note = None if kept.all() else (f"dropped {label} = {', '.join(f'{d:.3g}' for d in x[~kept])}: "
+                                    f"the truncation tail exceeds {TAIL_FRAC:.0%} of the value there")
+    if kept.sum() < 2:
+        reason = f"{label}: {kept.sum()} of {kept.size} kept; a fit needs 2"
+        return ScreenedFit(kept, note, reason, *[np.nan] * 5)
+    v, t, u = v[kept], t[kept], np.log(x[kept])
+    w = (u - u.mean()) / np.sum((u - u.mean()) ** 2)
+    down, up = np.log(v - t), np.log(v + t)
+    return ScreenedFit(kept, note, None, float(w @ np.log(v)), float(w @ np.where(w > 0, down, up)),
+                       float(w @ np.where(w > 0, up, down)), geometric_spread(v),
+                       float(np.max(v + t) / np.min(v - t)))
 
 
 def conclude(

@@ -20,7 +20,8 @@ from ..spectral import (
     power_block_symbol,
     to_coeffs,
 )
-from .common import ExperimentSpec, conclude, geometric_spread, partition_for
+from .common import (TAIL_FRAC, ExperimentSpec, conclude, geometric_spread, partition_for,
+                     screened_fit)
 
 __all__ = ["exp_multiplier_scaling", "exp_low_freq_decay", "exp_gradient"]
 
@@ -269,7 +270,6 @@ GRADIENT_DEFAULTS = {
     "t_max": 10.0,
     "spread_cap_22": 3.0,
     "spread_cap_other": 4.0,
-    "tail_frac": 0.05,
 }
 
 
@@ -279,9 +279,8 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
 
     The domain is a long interval so that the spectrum is dense enough for
     negative-j blocks to be populated and so that the largest t stays in
-    the local (line-like) regime.  Small t where the truncated spectral
-    sum misses a non-negligible share of the gradient kernel are dropped
-    and reported.
+    the local (line-like) regime.  Small t whose truncation tail exceeds
+    TAIL_FRAC of the measured norm are dropped and reported (screened_fit).
     """
     P = spec.merged(GRADIENT_DEFAULTS)
     pou = partition_for(spec)
@@ -289,7 +288,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     lam = basis.eigenvalues
     js = list(range(P["j_lo"], P["j_hi"] + 1))
     _check_band(P, lam[-1], "the gradient basis")
-    points, fits, notes = [], {}, []
+    points, fits = [], {}
 
     # Dyadic blocks, read off the gradient kernels (spectral.endpoint_norms).
     vals22, vals11, valsinf = [], [], []
@@ -308,28 +307,22 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     fits["block"] = {"spread22": spread22, "spread11": spread11, "spreadinf": spreadinf,
                      "sup22": float(np.max(sc * vals22))}
 
-    # Heat-gradient in t.
+    # Heat-gradient in t, t^(1/2)-normalized, screened at TAIL_FRAC.
     ts = np.logspace(math.log10(basis.grid.h**2), math.log10(P["t_max"]), P["n_t"])
-    kept_t, kept_v, dropped = [], [], []
+    vals, tails = [], []
     for t in ts:
         (ker,) = gradient_kernels(heat_symbol(t), basis)
-        v = endpoint_norms(ker)["inf->inf"]
-        drop = bool(ker.tail_bound > P["tail_frac"] * v)
+        vals.append(endpoint_norms(ker)["inf->inf"])
+        tails.append(ker.tail_bound)
+    heat = screened_fit("heat t", ts, np.sqrt(ts) * vals, np.sqrt(ts) * tails)
+    for t, v, tail, keep in zip(ts, vals, tails, heat.kept):
         points.append({"kind": "heat", "t": float(t), "norminf": v,
-                       "tail": ker.tail_bound, "dropped": drop})
-        if drop:
-            dropped.append(float(t))
-        else:
-            kept_t.append(float(t))
-            kept_v.append(v)
-    scaled = np.sqrt(kept_t) * np.asarray(kept_v)
-    spread_t = geometric_spread(scaled)
-    fits["heat"] = {"spread": spread_t, "sup": float(np.max(scaled)),
-                    "n_kept": len(kept_t), "n_dropped": len(dropped)}
-    if dropped:
-        notes.append(f"dropped {len(dropped)} small t where the truncation tail "
-                     f"exceeds {P['tail_frac']:.0%} of the measured norm: "
-                     + ", ".join(f"{t:.3g}" for t in dropped))
+                       "tail": tail, "dropped": not keep})
+    kept_t, scaled = ts[heat.kept], (np.sqrt(ts) * vals)[heat.kept]
+    fits["heat"] = {"spread": heat.spread, "spread_hi": heat.spread_hi,
+                    "sup": float(np.max(scaled, initial=0.0)),
+                    "n_kept": len(kept_t), "n_dropped": len(ts) - len(kept_t)}
+    notes = [heat.note] if heat.note else []
 
     # Constants are annihilated by the gradient at every t.  Modes whose
     # coefficient a_k vanishes contribute exactly 0, so only the others are
@@ -342,15 +335,21 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     fits["constant_gradient"] = const_grad
 
     checks = {"block spread22": spread22 <= P["spread_cap_22"],
-              "heat spread": spread_t <= P["spread_cap_22"],
+              "heat spread": heat.spread_hi <= P["spread_cap_22"],
               "block spread11": spread11 <= P["spread_cap_other"],
               "block spreadinf": spreadinf <= P["spread_cap_other"],
               "constant_gradient": const_grad < 1e-10,
               "kept t >= 6": len(kept_t) >= 6}
-    # One value's spread is 1: one block scale leaves the block claims unresolved.
-    unresolved = f"only 1 block scale j = {P['j_lo']}; a spread needs 2" if len(js) < 2 else None
-    if unresolved:
+    # One value's spread is 1: one block scale leaves the block claims
+    # unresolved, as fewer than two kept t leave the heat claim.
+    unresolved = []
+    if len(js) < 2:
+        unresolved.append(f"only 1 block scale j = {P['j_lo']}; a spread needs 2")
         checks = {k: ok for k, ok in checks.items() if not k.startswith("block")}
-    return conclude(spec, P, checks, unresolved, notes, points=points, fit=fits, figures={
+    if heat.unresolved:
+        unresolved.append(heat.unresolved)
+        del checks["heat spread"]
+    return conclude(spec, P | {"tail_frac": TAIL_FRAC}, checks, "; ".join(unresolved) or None,
+                    notes, points=points, fit=fits, figures={
         "heat_grad_scaled": (list(np.log10(kept_t)), list(np.log10(scaled))),
         "block_grad_22": (js, [math.log2(max(v, CLIP)) for v in vals22])})

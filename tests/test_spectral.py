@@ -97,6 +97,28 @@ def test_interval_heat_kernel_is_within_its_tail_of_the_image_sum():
         assert np.all(np.abs(ker.matrix - exact) <= ker.tail_bound + floor), t
 
 
+def test_interval_heat_gradient_kernel_is_within_its_tail_of_the_image_sum():
+    # d/dx of the image sum, sum_n g'(x - y - 2nL) + g'(x + y - 2nL) with
+    # g'(z) = -z / (2t) g_t(z), on every 7th column (0 through 511).  Where
+    # truncation dominates the error is 0.54-0.95 of tail_bound, so a
+    # tail_bound half as large fails here; elsewhere it stays under
+    # 5e-15 max|dK| (rounding floor 1e-14).
+    b = build_interval_basis(math.pi, 200, N=512)
+    x = b.grid.points[:, 0]
+    cols = np.arange(0, 512, 7)
+    X, Y = np.meshgrid(x, x[cols], indexing="ij")
+    for t in np.geomspace(b.grid.h ** 2, 2.0, 12):
+        n_images = 2 + math.ceil(math.sqrt(160 * t) / (2 * math.pi))
+        exact = np.zeros_like(X)
+        for n in range(-n_images, n_images + 1):
+            for z in (X - Y - 2 * math.pi * n, X + Y - 2 * math.pi * n):
+                exact -= z / (2 * t) * np.exp(-z * z / (4 * t))
+        exact /= math.sqrt(4 * math.pi * t)
+        (ker,) = gradient_kernels(heat_symbol(t), b)
+        floor = 1e-14 * np.max(np.abs(exact))
+        assert np.all(np.abs(ker.columns(cols).T - exact) <= ker.tail_bound + floor), t
+
+
 def test_interval_resolvent_kernel_and_column_norm_are_within_their_tails():
     # On the amalgam experiment's interval, (theta H + M)^-1 is G / theta
     # with the Neumann Green's function of -d^2/dx^2 + m^2, m^2 = M / theta:
@@ -1002,6 +1024,15 @@ def test_polygon_grid_ids_name_the_cells():
     # Interval and rectangle ids carry no cell list.
     rect = rectangle_grid(math.pi, 2.0, 12, 8)
     assert rect.grid_id() == f"rectangle[{math.pi!r}x2.0]/h={math.pi / 12!r}x0.25/N=96"
+
+
+def test_apply_kernel_rejects_a_function_on_another_grid():
+    # A pi-interval kernel weighted ones on the unit interval's grid to 1/pi.
+    ker = heat_kernel(0.1, build_interval_basis(math.pi, 32, N=64))
+    with pytest.raises(ValueError, match="cannot be acted on by a kernel"):
+        apply_kernel(ker, GridFunction(np.ones(64), interval_grid(1.0, 64)))
+    same = GridFunction(np.ones(64), interval_grid(math.pi, 64))  # equal grid, new object
+    np.testing.assert_allclose(apply_kernel(ker, same).values, 1.0, rtol=1e-12)
 
 
 def test_analyze_rejects_a_function_on_another_grid():

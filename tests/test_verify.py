@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nbesov.reports import FAIL, INCONCLUSIVE, PASS, EstimateReport
+from nbesov.reports import FAIL, INCONCLUSIVE, PASS, EstimateReport, least_squares_fit
 from nbesov.verify import (
     DEFAULT_IDS,
     REGISTRY,
@@ -45,7 +45,14 @@ from nbesov.verify.besov import (
     PARTITION_DEFAULTS,
     RECON_DEFAULTS,
 )
-from nbesov.verify.common import coeff_batch, conclude, resynthesis_residual
+from nbesov.verify.common import (
+    TAIL_FRAC,
+    coeff_batch,
+    conclude,
+    geometric_spread,
+    resynthesis_residual,
+    screened_fit,
+)
 from nbesov.verify.heat import HEAT_DEFAULTS
 from nbesov.verify.moments import MOMENT_DEFAULTS, exp_moment_decay
 from nbesov.verify.multipliers import (
@@ -300,6 +307,105 @@ def test_amalgam_failure_outranks_an_unresolved_gap():
     assert not any("bump bound gap" in n for n in rep.notes)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_screened_fit_range_is_the_extreme_over_box_corners(seed):
+    """On up to 6 points, [lo, hi] and spread_hi against every corner of
+    the kept points' boxes [v - tail, v + tail], and the slope against
+    least_squares_fit of log v on log x."""
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 4
+    x = np.sort(rng.uniform(0.01, 10.0, n))
+    v = x ** rng.uniform(-1.0, 1.0) * rng.uniform(0.5, 2.0, n)
+    t = v * rng.uniform(0.0, TAIL_FRAC, n)
+    t[seed % n] = 2 * TAIL_FRAC * v[seed % n] if seed % 2 else TAIL_FRAC * v[seed % n]
+    fit = screened_fit("x", x, v, t)
+    kept = np.arange(n) != (seed % n if seed % 2 else -1)
+    assert np.array_equal(fit.kept, kept) and fit.unresolved is None
+    assert (fit.note is None) == bool(kept.all())
+    xk, vk, tk = x[kept], v[kept], t[kept]
+    corners = [vk + (2 * np.array(c) - 1) * tk for c in np.ndindex(*[2] * len(vk))]
+    slopes = [least_squares_fit(np.log(xk), np.log(c)).slope for c in corners]
+    assert fit.lo == pytest.approx(min(slopes), abs=1e-12)
+    assert fit.hi == pytest.approx(max(slopes), abs=1e-12)
+    assert fit.slope == pytest.approx(least_squares_fit(np.log(xk), np.log(vk)).slope, abs=1e-12)
+    assert fit.lo <= fit.slope <= fit.hi
+    assert fit.spread == geometric_spread(vk)
+    assert fit.spread_hi == pytest.approx(max(geometric_spread(c) for c in corners), rel=1e-14)
+
+
+def test_screened_fit_names_the_dropped_points_and_leaves_one_point_unresolved():
+    fit = screened_fit("heat t", [1.0, 2.0, 4.0], [1.0, 1.0, 1.0], [0.5, 0.0, 0.06])
+    assert fit.kept.tolist() == [False, True, False]
+    assert fit.unresolved == "heat t: 1 of 3 kept; a fit needs 2"
+    assert math.isnan(fit.slope) and math.isnan(fit.lo) and math.isnan(fit.spread_hi)
+    assert fit.note == ("dropped heat t = 1, 4: the truncation tail exceeds 5% "
+                        "of the value there")
+    assert screened_fit("t", [1.0, 2.0], [1.0, 2.0], [0.0, 0.1]).note is None
+
+
+def test_a_raw_slope_inside_its_window_with_a_range_outside_it_does_not_pass(monkeypatch):
+    """A synthetic sweep: norms theta^(-1/4) exactly, each with a tail of
+    4% of its value, so every theta is kept and the raw slope is -1/4; the
+    certified range reaches past a window of -1/4 -/+ 0.005."""
+    norms = []
+
+    def power_law(kernel, theta):
+        norms.append(theta ** -0.25)
+        return norms[-1]
+
+    monkeypatch.setattr(amalgam, "_column_norm", power_law)
+    monkeypatch.setattr(amalgam, "_column_tail_bound", lambda *args: 0.04 * norms[-1])
+    rep = exp_amalgam(ExperimentSpec(id="amalgam", params={
+        "n_theta_1d": 3, "n_theta_2d": 3, "slope_tol": 0.005}))
+    lo, hi = rep.fit["slope_1d_beta1_range"]
+    assert abs(rep.fit["slope_1d_beta1"] + 0.25) <= 1e-12
+    assert lo < -0.255 and hi > -0.245
+    assert not any(p.get("dropped") for p in rep.points)
+    assert rep.verdict == FAIL
+    assert rep.notes[-1].startswith("failed: 1d beta=1 slope; 1d beta=2 slope")
+
+
+def test_amalgam_drops_the_smallest_theta_at_beta_1(suite_reports):
+    """Its column tail is 96% of the norm: it is marked in points.csv and
+    named in the notes, and the slope check rests on the kept theta."""
+    with open(suite_reports["out_dir"] / "amalgam.points.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh)
+                if r["part"] == "resolvent_1d" and float(r["beta"]) == 1.0]
+    thetas = [float(r["theta"]) for r in rows]
+    smallest = rows[thetas.index(min(thetas))]
+    assert smallest["dropped"] == "True" and float(smallest["tail_frac"]) > TAIL_FRAC
+    assert all((r["dropped"] == "True") == (float(r["tail_frac"]) > TAIL_FRAC) for r in rows)
+    rep = suite_reports["reports"]["amalgam"]
+    assert any(n.startswith(f"dropped 1d beta=1 theta = {min(thetas):.3g}, ") for n in rep.notes)
+    assert rep.params["tail_frac"] == TAIL_FRAC == 0.05
+
+
+def test_amalgam_2d_claim_with_one_kept_theta_is_unresolved():
+    """At n_theta_2d = 2 the 2-D sweep keeps only theta = 1: no 2d slope
+    check, and the reason decides an otherwise passing run."""
+    rep = exp_amalgam(ExperimentSpec(id="amalgam", params={"n_theta_1d": 3, "n_theta_2d": 2}))
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.notes[-1] == "2d theta: 1 of 2 kept; a fit needs 2"
+    assert math.isnan(rep.fit["slope_2d"])
+    assert [p["dropped"] for p in rep.points if p["part"] == "resolvent_2d"] == [True, False]
+
+
+def test_gradient_screens_heat_t_at_the_shared_fraction(suite_reports):
+    """gradient has no tail_frac of its own: it records TAIL_FRAC, drops
+    exactly the t whose tail exceeds it, and its heat spread check reads
+    the certified upper end."""
+    assert "tail_frac" not in GRADIENT_DEFAULTS
+    with pytest.raises(ValueError, match="unknown parameters"):
+        run_suite(ids=["gradient"], overrides={"gradient": {"tail_frac": 0.5}})
+    rep = suite_reports["reports"]["gradient"]
+    heat = [p for p in rep.points if p["kind"] == "heat"]
+    assert [p["dropped"] for p in heat] == [p["tail"] > TAIL_FRAC * p["norminf"] for p in heat]
+    assert rep.fit["heat"]["n_dropped"] == sum(p["dropped"] for p in heat) > 0
+    heat_fit = rep.fit["heat"]
+    assert heat_fit["spread"] <= heat_fit["spread_hi"] < GRADIENT_DEFAULTS["spread_cap_22"]
+    assert rep.params["tail_frac"] == TAIL_FRAC
+
+
 @pytest.mark.parametrize("checks, reason, verdict, last", [
     ({}, None, PASS, None),
     ({}, "too few points", INCONCLUSIVE, "too few points"),
@@ -514,7 +620,7 @@ def test_amalgam_calls_triple_norm_only_at_positive_alpha(monkeypatch):
 
 
 @pytest.mark.parametrize("module, run, settings", [
-    (amalgam, exp_amalgam, [{"n_theta_1d": 3, "n_theta_2d": 2},
+    (amalgam, exp_amalgam, [{"n_theta_1d": 3, "n_theta_2d": 3},
                             {"n_theta_1d": 4, "n_theta_2d": 3, "interval_K": 129,
                              "interval_N": 256, "rect_N": 16, "rect_K": 60}]),
     (moments, exp_moment_decay, [{}, {"R": 256.0, "N": 4096, "fit_lo": -6}]),

@@ -427,7 +427,9 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
         center = root * np.asarray(m_idx, dtype=float)
         dist = np.linalg.norm(grid.points - center, axis=1)
         rowscale = sw * dist**alpha
-        Mt = kernel.columns(idx) * rowscale[None, :] * sw[idx][:, None]  # (rowscale_r K_rc) sw_c
+        Mt = kernel.columns(idx)  # a new array, scaled in place: (rowscale_r K_rc) sw_c
+        Mt *= rowscale
+        Mt *= sw[idx][:, None]
         best = max(best, np.linalg.eigvalsh(Mt @ Mt.T)[-1])
     return math.sqrt(best)
 

@@ -20,10 +20,11 @@ so the kernel of phi(H) is exactly a sum of 2^n reads of one profile: a
 type-I DCT per axis of the symbol values (a DST-I on the axis of a
 gradient kernel; Makhoul 1980), O(N log N) and equal to the dense sum up
 to roundoff (see OperatorKernel and kernel_profile).  The kernel keeps only
-that profile: endpoint_norms and apply_kernel read it in row blocks,
-norms.triple_norm and the amalgam experiment read columns, save_kernel
-writes it (3N - 1 numbers per axis) and load_kernel reads it back, and the
-heat-envelope scan reads it through heat_kernel (OperatorKernel.profile).
+that profile: apply_kernel reads it in row blocks, endpoint_norms in the
+row blocks of one row per mirror orbit, norms.triple_norm and the amalgam
+column norms read columns, save_kernel writes it (3N - 1 numbers per axis)
+and load_kernel reads it back, and the heat-envelope scan reads it through
+heat_kernel (OperatorKernel.profile).
 No library path reads OperatorKernel.matrix; the N^2 matrix is formed only
 for a caller that asks for it.  Finite-difference bases form the dense
 products E^T diag(phi(lambda)) E and G_c^T diag(phi(lambda)) E over the band
@@ -172,11 +173,26 @@ def _fold(src: NDArray, N: int, transpose: bool = False) -> tuple[NDArray, NDArr
 
 
 def _rows(T: NDArray, H: NDArray, out: NDArray) -> NDArray:
-    """out = T + H for (b, Nx, m, m) folds, written as the b m kernel rows
-    they hold (node p = i m + j), shape (b m, N)."""
-    b, n0, m = T.shape[:3]
-    np.add(T, H, out=out.reshape(b, m, n0, m).transpose(0, 2, 1, 3))
+    """out = T + H for (b, Nx, r, m) folds, the first r of the m second-axis
+    rows of b first-axis indices, written as the b r kernel rows they hold
+    (row j of index i at i r + j), shape (b r, Nx m)."""
+    b, n0, r, m = T.shape
+    np.add(T, H, out=out.reshape(b, r, n0, m).transpose(0, 2, 1, 3))
     return out
+
+
+def _is_mirrored(prof: NDArray, shape: tuple[int, ...] | None) -> bool:
+    """Whether prof has shape (3N - 1) per axis of shape and, on each axis,
+    V(-q) = V(2N - q) = s V(q) value for value with one sign s = +-1."""
+    if shape is None or prof.shape != tuple(3 * n - 1 for n in shape):
+        return False
+    for ax, n in enumerate(shape):
+        p = np.moveaxis(prof, ax, 0)
+        low, high = p[:2 * n - 1], p[n:]  # q = -(n-1)..n-1 and q = 1..2n-1
+        if not any(np.array_equal(low, s * low[::-1]) and np.array_equal(high, s * high[::-1])
+                   for s in (1.0, -1.0)):
+            return False
+    return True
 
 
 class OperatorKernel:
@@ -193,8 +209,14 @@ class OperatorKernel:
     summed in that order by every reader: row_blocks() reads the kernel in
     blocks of rows, columns() a set of columns, and matrix forms the dense
     array on first access and keeps it, so all three agree bit for bit.
-    Library code reads a kernel only through row_blocks() and columns();
-    matrix is a convenience for callers that want the array.
+    Library code reads a kernel only through row_blocks() and columns():
+    apply_kernel reads every row, endpoint_norms one row per mirror orbit
+    (row_blocks(orbit=True)), norms.triple_norm and the amalgam column norms
+    read columns; matrix is a convenience for callers that want the array.
+    A profile must be mirrored, V(-q) = V(2N - q) = s V(q) value for value
+    with one sign s = +-1 per axis (ValueError otherwise): reflecting both
+    nodes on one axis then multiplies every entry by s, so |K| is the same
+    on all rows of one mirror orbit.
 
     max |symbol_values| is the exact 2->2 norm (on a finite-difference
     basis, up to the Gram deviation of its modes).  They are phi(lambda_k)
@@ -218,6 +240,9 @@ class OperatorKernel:
                  tail_bound: float = 0.0):
         if (matrix is None) == (profile is None):
             raise ValueError("a kernel is given by exactly one of matrix and profile")
+        if profile is not None and not _is_mirrored(profile, grid.shape):
+            raise ValueError(f"kernel {tag}: the profile is not a mirrored profile of the grid, "
+                             "V(-q) = V(2N - q) = +-V(q) with one sign per axis")
         self.grid, self.tag = grid, tag
         self.symbol_values, self.tail_bound = symbol_values, tail_bound
         self._matrix, self._profile = matrix, profile
@@ -258,22 +283,29 @@ class OperatorKernel:
             self._matrix = _rows(*self._folds(), np.empty((N, N)))
         return self._matrix
 
-    def row_blocks(self):
+    def row_blocks(self, orbit: bool = False):
         """Yield (r0, K[r0:r0 + rows]) down the kernel, rows = 64 (for a
-        rectangle profile the multiple of Ny below it, at least Ny).  Each
-        block is written into one scratch array: the caller may overwrite
-        it, not keep it."""
+        rectangle profile the multiple of Ny below it, at least Ny).  With
+        orbit, a profile kernel yields only the rows of the nodes with
+        i < ceil(N/2) on every axis, one row per mirror orbit, in node
+        order, and r0 counts those rows.  Each block is written into one
+        scratch array: the caller may overwrite it, not keep it."""
         N, M = self.grid.n_nodes, self._matrix
-        T, H = (None, None) if M is not None else self._folds()
-        m = 1 if T is None else T.shape[2]  # rows per first-axis index
-        step = max(1, 64 // m) * m
-        buf = np.empty((min(step, N), N))
-        for r0 in range(0, N, step):
-            out = buf[:min(step, N - r0)]
+        T = H = None
+        if M is None or orbit:
+            T, H = self._folds()
+            if orbit:  # the first half of the first-axis and of the row-node indices
+                T, H = (A[:-(-A.shape[0] // 2), :, :-(-A.shape[2] // 2)] for A in (T, H))
+        r = 1 if T is None else T.shape[2]  # rows per first-axis index
+        n_rows = N if T is None else T.shape[0] * r
+        step = max(1, 64 // r) * r
+        buf = np.empty((min(step, n_rows), N))
+        for r0 in range(0, n_rows, step):
+            out = buf[:min(step, n_rows - r0)]
             if T is None:
                 out[...] = M[r0:r0 + step]
             else:
-                _rows(T[r0 // m:(r0 + step) // m], H[r0 // m:(r0 + step) // m], out)
+                _rows(T[r0 // r:(r0 + step) // r], H[r0 // r:(r0 + step) // r], out)
             yield r0, out
 
     def columns(self, idx: NDArray) -> NDArray:
@@ -841,18 +873,38 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
     """Exact endpoint operator norms of a kernel on the weighted grid.
 
     1->1: max over columns of the weighted absolute column sum; 1->inf:
-    max |K_ij|; inf->inf: max weighted absolute row sum.  One pass over
-    kernel.row_blocks(), so a profile kernel never forms its matrix.
-    2->2: max |symbol_values| (OperatorKernel).
+    max |K_ij|; inf->inf: max weighted absolute row sum.  2->2: max
+    |symbol_values| (OperatorKernel).  One pass over kernel.row_blocks(),
+    so a profile kernel never forms its matrix.
+
+    A profile kernel is read one row per mirror orbit, the nodes with
+    i < ceil(N/2) on every axis: its profile is mirrored (OperatorKernel)
+    and the interval and rectangle weights are uniform, so the rows of an
+    orbit hold the same |K|, one read backwards on the reflected axes of
+    another.  That gives 1->inf bit for bit and inf->inf up to the order
+    of summation, and the column sums are the orbit rows' partial sums
+    plus their flip on each axis, a row on a mirror line (odd N) weighted
+    1/2 per such axis.  A matrix kernel (finite-difference basis) is read
+    in full.
     """
-    w = kernel.grid.weights
-    cols, rows, peaks = np.zeros(w.size), np.empty(w.size), np.empty(w.size)
-    for r0, B in kernel.row_blocks():
+    w, shape = kernel.grid.weights, kernel.grid.shape
+    orbit = kernel.profile is not None
+    cw = w
+    if orbit:
+        node = np.indices([-(-n // 2) for n in shape]).reshape(len(shape), -1)
+        on_line = sum(2 * i + 1 == n for i, n in zip(node, shape))
+        cw = w[np.ravel_multi_index(node, shape)] * 0.5 ** on_line
+    cols, rows, peaks = np.zeros(w.size), np.empty(cw.size), np.empty(cw.size)
+    for r0, B in kernel.row_blocks(orbit):
         mag = np.abs(B, out=B)
         r1 = r0 + len(mag)
-        cols += w[r0:r1] @ mag
+        cols += cw[r0:r1] @ mag
         rows[r0:r1] = mag @ w
         peaks[r0:r1] = mag.max(axis=1)
+    if orbit:
+        cols = cols.reshape(shape)
+        for ax in range(len(shape)):
+            cols = cols + np.flip(cols, ax)
     return {"1->1": float(np.max(cols)), "1->inf": float(np.max(peaks)),
             "inf->inf": float(np.max(rows)),
             "2->2": float(np.max(np.abs(kernel.symbol_values)))}
@@ -887,8 +939,9 @@ def save_kernel(kernel: OperatorKernel, path: str) -> None:
 def load_kernel(path: str, grid: Grid) -> OperatorKernel:
     """Read a save_kernel file for grid.  ValueError names the file unless
     it has the six fields of KERNEL_FORMAT for grid, grid's id, a finite
-    float64 source of grid's shape, finite float64 symbol values of shape
-    (K,), K >= 1, and a float64 scalar tail bound >= 0 (inf is kept)."""
+    float64 source of grid's shape (a profile mirrored as OperatorKernel
+    requires), finite float64 symbol values of shape (K,), K >= 1, and a
+    float64 scalar tail bound >= 0 (inf is kept)."""
     name = "matrix" if grid.shape is None else "profile"
     fields = {"format", name, "tag", "grid_id", "tail_bound", "symbol_values"}
     try:
@@ -917,7 +970,7 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
             raise ValueError(f"kernel {name} or symbol values are not finite")
         if not tail >= 0.0:  # inf stays legal: a divergent tail reads inf
             raise ValueError(f"tail bound {float(tail)!r} is not >= 0")
+        return OperatorKernel(grid, str(f["tag"]), **{name: source}, symbol_values=sv,
+                              tail_bound=float(tail))  # refuses a profile that is not mirrored
     except (ValueError, zipfile.BadZipFile) as exc:  # BadZipFile: a truncated or corrupt file
         raise ValueError(f"{path}: {exc}") from exc
-    return OperatorKernel(grid, str(f["tag"]), **{name: source}, symbol_values=sv,
-                          tail_bound=float(tail))

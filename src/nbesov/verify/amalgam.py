@@ -8,8 +8,14 @@ localization norm of the bump kernel.
 Exact block norms read sigma_max(B) = sqrt(lambda_max(B^T B)) off per-cube
 Gram matrices: the upper bump bound sums them over row cubes, and the lower
 bound is a monotone ascent on each column cube started at the top
-eigenvector of its summed Gram.  Both readers take the kernel through
-OperatorKernel.columns(), so no N x N array is formed.
+eigenvector of its summed Gram.  Both read the weighted bump kernel
+W^(1/2) K W^(1/2) = U^T V through its mode factors (V the band's modes
+times W^(1/2), U the same scaled by the symbol), not through its columns:
+a QR per cube compresses each block B_rc = U_r^T V_c to a
+min(m_r, band) x min(m_c, band) block C_rc with the same singular values,
+so on the suite's sweep each Gram is at most 6 x 6 from theta = 0.012 on
+(band <= 6), where it was m x m.  The resolvent column norms read the
+kernel through OperatorKernel.columns().
 """
 
 from __future__ import annotations
@@ -93,49 +99,64 @@ def _column_tail_bound(symbol, basis, n_cells):
 ASCENT_STEPS = 50
 
 
-def _block_operator_bounds(kernel, theta):
-    """Two-sided bounds on the kernel's norm on the cube-summed L^2 space.
+def _mode_factors(svals, basis):
+    """Factors U, V of W^(1/2) K W^(1/2) = U^T V for the kernel
+    K = E^T diag(svals) E (a profile kernel's, up to rounding): V = X, the
+    modes where svals is nonzero (through to_grid) times W^(1/2), and
+    U = svals X, both (band, N)."""
+    band = np.flatnonzero(svals)
+    X = to_grid(np.eye(len(svals))[:, band], basis).T * np.sqrt(basis.grid.weights)
+    return svals[band, None] * X, X
 
-    With B_rc = W^(1/2) K W^(1/2) on row cube r and column cube c, the norm
-    is max_c max_{|x|=1} f_c(x), f_c(x) = sum_r |B_rc x|, as each extreme
-    point of the unit ball lies in one cube.  Upper: max_c sum_r
-    sqrt(lambda_max(G_rc)), one batched eigvalsh of the Grams
-    G_rc = B_rc^T B_rc per column-cube size.  Lower: max_c f_c along the
-    ascent x <- g/|g|, g = sum_r G_rc x / |B_rc x| = B_c^T u, batched per
+
+def _block_operator_bounds(U, V, grid, theta):
+    """Two-sided bounds on the norm of W^(-1/2) U^T V W^(-1/2) on the
+    cube-summed L^2 space of grid.
+
+    With B = U^T V and B_rc = U_r^T V_c its block on row cube r and column
+    cube c, the norm is max_c max_{|x|=1} f_c(x), f_c(x) = sum_r |B_rc x|,
+    as each extreme point of the unit ball lies in one cube.  One batched
+    QR per cube size gives U_r^T = Q_r R_r and V_c^T = P_c S_c, with R_r and
+    S_c of k = min(m, band) rows for a cube of m nodes, so
+    B_rc = Q_r C_rc P_c^T with C_rc = R_r S_c^T.  Q_r and P_c have
+    orthonormal columns, so B_rc and C_rc have the same singular values,
+    and |B_rc x| = |C_rc z| with z = P_c^T x, |z| <= |x|: f_c peaks on
+    |z| = 1 and is read on those k_c coordinates.
+    Upper: max_c sum_r sqrt(lambda_max(G_rc)), one batched eigvalsh of the
+    Grams G_rc = C_rc^T C_rc per column-cube size.  Lower: max_c f_c along
+    the ascent z <- g/|g|, g = sum_r G_rc z / |C_rc z| = C_c^T u, batched per
     column-cube size from the top eigenvectors of sum_r G_rc.  f_c is
     convex and 1-homogeneous, so every iterate is a lower bound and none
     falls.  It stops when no cube gains 1e-12 relative, or at ASCENT_STEPS
     iterates, and is capped at the upper bound, which rounding can cross
-    where the two meet.  Each column-cube size reads its columns of
-    W^(1/2) K W^(1/2) once; the row-cube blocks and the cube-sorted B_c^T
-    stack are both taken from them.
+    where the two meet.  No kernel column is read.
     """
-    cells = amalgam_cells(kernel.grid, theta)
-    sw = np.sqrt(kernel.grid.weights)
+    cells = amalgam_cells(grid, theta)
     sizes = [len(idx) for _, idx in cells]
     groups = [np.stack([idx for _, idx in cells if len(idx) == m]) for m in dict.fromkeys(sizes)]
-    starts = np.cumsum([0] + sizes[:-1])
-    order = np.concatenate([idx for _, idx in cells])
+    UV = np.stack((U, V))
+    # (R_r, S_c) per cube, (2, cubes, k, band); the row cubes taken in group order.
+    RS = [np.linalg.qr(UV[:, :, cols].transpose(0, 2, 3, 1), mode="r") for cols in groups]
+    ks = np.concatenate([np.full(len(R), R.shape[1]) for R, _ in RS])
+    starts = np.cumsum(np.concatenate(([0], ks[:-1])))
+    R_all = np.concatenate([R.reshape(-1, R.shape[-1]) for R, _ in RS])  # (sum k, band)
     upper = lower = 0.0
-    for cols in groups:
-        # Kw[:, cols]^T per column cube, Kw = W^(1/2) K W^(1/2), (cubes, m, N).
-        KwT = (sw * kernel.columns(cols.ravel())).reshape(*cols.shape, -1) * sw[cols][..., None]
-        # B_rc[a, b] = KwT[c, b, rows_r[a]], stacked (row cubes, cubes, m_r, m).
-        c = np.arange(len(cols))[:, None, None]
-        blocks = [KwT[c, np.arange(cols.shape[1]), rows[:, None, :, None]] for rows in groups]
+    for _, S in RS:
+        # C_rc = R_r S_c^T, stacked (row cubes, cubes, k_r, k_c) per row-cube size.
+        blocks = [R[:, None] @ S.swapaxes(-1, -2)[None] for R, _ in RS]
         gram = np.concatenate([B.swapaxes(-1, -2) @ B for B in blocks])
         upper = max(upper, float(np.sqrt(np.linalg.eigvalsh(gram)[..., -1]).sum(axis=0).max()))
-        Bt = KwT.take(order, axis=2)  # B_c^T with rows in cube order, C-contiguous
+        Ct = S @ R_all.T  # C_c^T with rows in cube order, (cubes, k_c, sum k)
         x = np.linalg.eigh(gram.sum(axis=0))[1][..., -1]
-        f = np.zeros(len(cols))
+        f = np.zeros(len(S))
         for _ in range(ASCENT_STEPS):
-            y = (x[:, None, :] @ Bt)[:, 0]
+            y = (x[:, None, :] @ Ct)[:, 0]
             r = np.sqrt(np.add.reduceat(y * y, starts, axis=1))
             f, prev = np.maximum(f, r.sum(axis=1)), f
             if np.all(f <= prev * (1 + 1e-12)):
                 break
             # r and |g| are 0 only where y and g are; the floor keeps 0/0 out.
-            g = (Bt @ (y / np.maximum(np.repeat(r, sizes, axis=1), 1e-300))[..., None])[..., 0]
+            g = (Ct @ (y / np.maximum(np.repeat(r, ks, axis=1), 1e-300))[..., None])[..., 0]
             x = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
         lower = max(lower, float(f.max()))
     return upper, min(lower, upper)
@@ -185,7 +206,7 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     triples = {alpha: [] for alpha in P["alphas"]}
     for th in thetas1:
         ker = multiplier_kernel(bump_symbol(pou, th), basis1)
-        up, lo = _block_operator_bounds(ker, th)
+        up, lo = _block_operator_bounds(*_mode_factors(ker.symbol_values, basis1), basis1.grid, th)
         uppers.append(up)
         gaps.append(up / lo)
         points.append({"part": "bump_bound", "theta": float(th), "upper": up, "lower": lo,

@@ -840,22 +840,29 @@ def test_interval_kernels_are_sums_of_the_profile(N, top):
             assert np.array_equal(ker, T + full[i + j + 1]), (sym.tag, grad)
 
 
-def _dense_magnitude_norms(ker):
-    """The three norms read off one dense |K|.  1->1 sums each candidate
-    column exactly (math.fsum): the BLAS column sums w @ |K| are themselves
-    off by up to 1.3e-15 relative at N = 2048."""
-    w, mag = ker.grid.weights, np.abs(ker.matrix)
-    sums = w @ mag
+def _exact_max(sums, terms):
+    """max over i of math.fsum(terms(i)), over the candidate i whose BLAS sum
+    is within 1e-12 of the largest."""
     cand = np.flatnonzero(sums >= sums.max() * (1 - 1e-12))
-    return {"1->1": max(math.fsum((w * mag[:, j]).tolist()) for j in cand),
-            "1->inf": float(np.max(mag)), "inf->inf": float(np.max(mag @ w))}
+    return max(math.fsum(terms(i).tolist()) for i in cand)
+
+
+def _dense_magnitude_norms(ker):
+    """The three norms read off one dense |K|.  1->1 and inf->inf sum each
+    candidate column and row exactly (math.fsum): the BLAS sums w @ |K| and
+    |K| @ w are themselves off by up to 1.3e-15 relative at N = 2048."""
+    w, mag = ker.grid.weights, np.abs(ker.matrix)
+    return {"1->1": _exact_max(w @ mag, lambda j: w * mag[:, j]),
+            "1->inf": float(np.max(mag)),
+            "inf->inf": _exact_max(mag @ w, lambda i: mag[i] * w)}
 
 
 @pytest.mark.parametrize("N", [255, 512, 2048])
 def test_streamed_norms_match_the_dense_oracle(N):
-    # 1->inf and inf->inf read every entry and every whole row, so they
-    # equal the dense oracle bit for bit; 1->1 adds the column sums block
-    # by block, so it agrees with the exact column sums to roundoff.
+    # 1->inf reads every distinct entry, so it equals the dense oracle bit
+    # for bit; 1->1 and inf->inf add the column sums block by block and the
+    # row sums of one row per mirror orbit, so they agree with the exact
+    # sums to roundoff.
     basis = build_interval_basis(32 * math.pi, N // 2 + 1, N=N)
     rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
     kernels = [k for sym in _oracle_symbols(basis)
@@ -863,8 +870,114 @@ def test_streamed_norms_match_the_dense_oracle(N):
     for ker in kernels + [heat_kernel(0.05, rect)]:
         got = endpoint_norms(ker)
         want = _dense_magnitude_norms(ker)
-        assert got["1->inf"] == want["1->inf"] and got["inf->inf"] == want["inf->inf"], ker.tag
-        assert got["1->1"] == pytest.approx(want["1->1"], rel=1e-15, abs=0), ker.tag
+        assert got["1->inf"] == want["1->inf"], ker.tag
+        for name in ("1->1", "inf->inf"):
+            assert got[name] == pytest.approx(want[name], rel=1e-15, abs=0), (ker.tag, name)
+
+
+def _full_row_norms(ker):
+    """The full-row read: 1->1, 1->inf and inf->inf over every row of
+    ker.row_blocks(), as BLAS sums, and again with 1->1 and inf->inf summed
+    exactly (math.fsum) over the candidate columns and rows within 1e-12 of
+    the largest."""
+    w = ker.grid.weights
+    cols, rows, peaks = np.zeros(w.size), np.empty(w.size), np.empty(w.size)
+    for r0, B in ker.row_blocks():
+        mag = np.abs(B, out=B)
+        r1 = r0 + len(mag)
+        cols += w[r0:r1] @ mag
+        rows[r0:r1] = mag @ w
+        peaks[r0:r1] = mag.max(axis=1)
+    blas = {"1->1": float(np.max(cols)), "1->inf": float(np.max(peaks)),
+            "inf->inf": float(np.max(rows))}
+    cand_r = np.flatnonzero(rows >= rows.max() * (1 - 1e-12))
+    cand_c = np.flatnonzero(cols >= cols.max() * (1 - 1e-12))
+    exact_rows = [math.fsum((np.abs(B[i - r0]) * w).tolist())
+                  for r0, B in ker.row_blocks() for i in cand_r if r0 <= i < r0 + len(B)]
+    exact_cols = [math.fsum((w * np.abs(col)).tolist()) for col in ker.columns(cand_c)]
+    return blas, dict(blas, **{"1->1": max(exact_cols), "inf->inf": max(exact_rows)})
+
+
+def _mirror_case_kernels(case):
+    """Scalar kernels and every gradient axis on one grid: heat and a
+    dyadic block, or at N = 2048 (the gradient experiment's 32 pi interval)
+    two blocks, whose few near-top rows and columns keep the exact sums
+    cheap (heat has 2048 there); test_streamed_norms_match_the_dense_oracle
+    covers heat at N = 2048."""
+    pou = make_partition("standard")
+    syms = (heat_symbol(0.05), block_symbol(pou, 1))
+    if case == ("interval", 2048):
+        b, syms = build_interval_basis(32 * math.pi, 1025, N=2048), (block_symbol(pou, j)
+                                                                    for j in (1, 3))
+    elif case[0] == "interval":
+        b = build_interval_basis(math.pi, case[1] // 2 + 1, N=case[1])
+    else:
+        b = build_rectangle_basis(math.pi, 2.0, min(200, (case[1] // 2 + 1) * (case[2] // 2 + 1)),
+                                  Nx=case[1], Ny=case[2])
+    return b, [k for sym in syms for k in (multiplier_kernel(sym, b), *gradient_kernels(sym, b))]
+
+
+_MIRROR_CASES = [("interval", 7), ("interval", 8), ("interval", 2048),
+                 ("rectangle", 7, 9), ("rectangle", 8, 6), ("rectangle", 32, 32)]
+
+
+@pytest.mark.parametrize("case", _MIRROR_CASES, ids=["i7", "i8", "i2048", "r7x9", "r8x6", "r32"])
+def test_orbit_read_norms_match_the_full_row_read(case, monkeypatch):
+    # endpoint_norms reads one row per mirror orbit of a profile kernel,
+    # ceil(N/2) rows on an interval and ceil(Nx/2) ceil(Ny/2) on a
+    # rectangle, odd N putting a row on a mirror line.  1->inf is the full
+    # read's bit for bit; 1->1 and inf->inf are the exact sums to the
+    # rounding of one BLAS sum of N terms: at N = 2048 the orbit row of
+    # grad0 block j=3 reads its row sum 1.02e-15 below the exact one (its
+    # mirror row, which the full read also takes, 3.9e-16).
+    b, kernels = _mirror_case_kernels(case)
+    read, real = [], OperatorKernel.row_blocks
+
+    def counted(self, *args, **kwargs):
+        for r0, B in real(self, *args, **kwargs):
+            read.append(len(B))
+            yield r0, B
+
+    for ker in kernels:
+        _, want = _full_row_norms(ker)
+        read.clear()
+        with monkeypatch.context() as m:
+            m.setattr(OperatorKernel, "row_blocks", counted)
+            got = endpoint_norms(ker)
+        assert sum(read) == math.prod(-(-n // 2) for n in b.grid.shape), ker.tag
+        assert got["1->inf"] == want["1->inf"], ker.tag
+        for name in ("1->1", "inf->inf"):
+            assert got[name] == pytest.approx(want[name], rel=2e-15, abs=0), (ker.tag, name)
+
+
+def test_matrix_kernels_keep_the_full_row_read():
+    # Finite-difference kernels hold a matrix with no mirror symmetry, so
+    # endpoint_norms reads every row, as the full-row read does, bit for bit.
+    b = build_fd_basis(lshape_domain(), 0.1, 40)
+    for sym in (heat_symbol(0.05), block_symbol(make_partition("standard"), 1)):
+        for ker in (multiplier_kernel(sym, b), *gradient_kernels(sym, b)):
+            blas, _ = _full_row_norms(ker)
+            assert {k: v for k, v in endpoint_norms(ker).items() if k != "2->2"} == blas, ker.tag
+
+
+def test_a_profile_that_is_not_mirrored_is_refused(tmp_path):
+    # endpoint_norms relies on every profile being mirrored value for value,
+    # so a kernel file with one outer profile entry moved by one ulp is
+    # refused and named, as is a kernel built on such a profile; the
+    # gradient kernels, odd on the differentiated axis, still load.
+    for b, kernels in (_interval_kernels(64), _rectangle_kernels()):
+        for ker in kernels:
+            p = tmp_path / "k.npz"
+            save_kernel(ker, str(p))
+            assert load_kernel(str(p), b.grid).profile.tobytes() == ker.profile.tobytes()
+        fields = _saved_fields(kernels[0], tmp_path)
+        prof = fields["profile"]
+        prof.flat[0] = np.nextafter(prof.flat[0], np.inf)
+        _refused(tmp_path, fields, b.grid, match="not a mirrored profile")
+        with pytest.raises(ValueError, match="not a mirrored profile"):
+            OperatorKernel(b.grid, "broken", profile=prof, symbol_values=np.ones(1))
+        with pytest.raises(ValueError, match="not a mirrored profile"):
+            OperatorKernel(b.grid, "short", profile=prof[:-1], symbol_values=np.ones(1))
 
 
 @pytest.mark.parametrize("N", [1, 255, 256])

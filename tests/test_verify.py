@@ -35,6 +35,7 @@ from nbesov.verify.amalgam import (
     AMALGAM_DEFAULTS,
     _block_operator_bounds,
     _column_tail_bound,
+    _mode_factors,
     exp_amalgam,
 )
 from nbesov.littlewood_paley import make_partition
@@ -506,6 +507,43 @@ def _svd_block_bounds(kernel, theta):
     return float(S.sum(axis=0).max()), triple_norm(kernel, 0.0, theta)
 
 
+def _column_block_bounds(kernel, theta):
+    """Oracle for _block_operator_bounds: the same upper bound and ascent on
+    the uncompressed blocks B_rc = W^(1/2) K W^(1/2), read from the kernel's
+    columns, each column cube's iterate x of length m."""
+    cells = amalgam_cells(kernel.grid, theta)
+    sw = np.sqrt(kernel.grid.weights)
+    sizes = [len(idx) for _, idx in cells]
+    groups = [np.stack([idx for _, idx in cells if len(idx) == m]) for m in dict.fromkeys(sizes)]
+    starts = np.cumsum([0] + sizes[:-1])
+    order = np.concatenate([idx for _, idx in cells])
+    upper = lower = 0.0
+    for cols in groups:
+        KwT = (sw * kernel.columns(cols.ravel())).reshape(*cols.shape, -1) * sw[cols][..., None]
+        c = np.arange(len(cols))[:, None, None]
+        blocks = [KwT[c, np.arange(cols.shape[1]), rows[:, None, :, None]] for rows in groups]
+        gram = np.concatenate([B.swapaxes(-1, -2) @ B for B in blocks])
+        upper = max(upper, float(np.sqrt(np.linalg.eigvalsh(gram)[..., -1]).sum(axis=0).max()))
+        Bt = KwT.take(order, axis=2)
+        x = np.linalg.eigh(gram.sum(axis=0))[1][..., -1]
+        f = np.zeros(len(cols))
+        for _ in range(amalgam.ASCENT_STEPS):
+            y = (x[:, None, :] @ Bt)[:, 0]
+            r = np.sqrt(np.add.reduceat(y * y, starts, axis=1))
+            f, prev = np.maximum(f, r.sum(axis=1)), f
+            if np.all(f <= prev * (1 + 1e-12)):
+                break
+            g = (Bt @ (y / np.maximum(np.repeat(r, sizes, axis=1), 1e-300))[..., None])[..., 0]
+            x = g / np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+        lower = max(lower, float(f.max()))
+    return upper, min(lower, upper)
+
+
+def _bump_bounds(ker, basis, theta):
+    """_block_operator_bounds on the mode factors, as exp_amalgam calls it."""
+    return _block_operator_bounds(*_mode_factors(ker.symbol_values, basis), basis.grid, theta)
+
+
 @pytest.mark.parametrize("build, thetas", [
     (lambda: build_interval_basis(math.pi, 257, N=512),
      np.geomspace(4.0 * (math.pi / 512) ** 2, 1.0, 9)),
@@ -516,29 +554,37 @@ def test_gram_bounds_match_the_svd_and_triple_norm_oracles(build, thetas, varian
     """The experiment's 9 theta on i512; on the rectangle the cubes come in
     9 and 10 sizes.  The upper bound is the SVD oracle's; the lower bound
     starts at least at the single-cube norm and ends within 10 % of the
-    upper one."""
+    upper one.  Both equal the column-reading oracle's to roundoff: the
+    compressed blocks C_rc have the singular values of B_rc."""
     basis, pou = build(), make_partition(variant)
     for theta in thetas:
         ker = multiplier_kernel(bump_symbol(pou, theta), basis)
-        upper, lower = _block_operator_bounds(ker, theta)
+        upper, lower = _bump_bounds(ker, basis, theta)
         svd_upper, single = _svd_block_bounds(ker, theta)
         assert upper == pytest.approx(svd_upper, rel=1e-14, abs=0), theta
         assert single < lower <= upper <= 1.1 * lower, theta
+        assert (upper, lower) == pytest.approx(_column_block_bounds(ker, theta), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("basis", [build_interval_basis(math.pi, 65, N=128),
                                    build_rectangle_basis(math.pi, math.pi, 40, Nx=16, Ny=16)],
                          ids=["interval", "rectangle"])
-def test_block_bounds_are_exact_on_one_node_cubes(basis):
+def test_block_bounds_are_exact_on_one_node_cubes(basis, monkeypatch):
     """At theta = h^2 every cube holds one node, so the norm is the largest
     column l^1 norm of the weighted kernel, and both bounds reach it.  The
-    nodes all lie on cube faces, and each goes to the upper cube."""
+    nodes all lie on cube faces, and each goes to the upper cube.  The
+    bounds read the mode factors, no kernel column."""
     theta = basis.grid.h ** 2
     assert {len(idx) for _, idx in amalgam_cells(basis.grid, theta)} == {1}
     ker = multiplier_kernel(bump_symbol(make_partition("standard"), theta), basis)
     sw = np.sqrt(basis.grid.weights)
     exact = np.abs(sw[:, None] * ker.matrix * sw[None, :]).sum(axis=0).max()
-    upper, lower = _block_operator_bounds(ker, theta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel columns read")
+
+    monkeypatch.setattr(OperatorKernel, "columns", refuse)
+    upper, lower = _bump_bounds(ker, basis, theta)
     assert upper == pytest.approx(exact, rel=1e-14, abs=0)
     assert lower == pytest.approx(exact, rel=1e-14, abs=0)
 
@@ -549,6 +595,12 @@ def _dense_kernel(grid, tag, M):
     sw = np.sqrt(grid.weights)
     return OperatorKernel(grid, tag, matrix=M, symbol_values=np.linalg.svd(
         sw[:, None] * M * sw[None, :], compute_uv=False))
+
+
+def _dense_bounds(M, grid, theta):
+    """_block_operator_bounds on the factors U = (W^(1/2) M W^(1/2))^T, V = I."""
+    sw = np.sqrt(grid.weights)
+    return _block_operator_bounds((sw[:, None] * M * sw[None, :]).T, np.eye(len(sw)), grid, theta)
 
 
 @pytest.mark.parametrize("theta", [0.01, 0.1, 1.0])
@@ -564,7 +616,7 @@ def test_block_bounds_are_exact_on_a_kernel_that_maps_each_cube_into_itself(thet
         M[np.ix_(idx, idx)] = rng.standard_normal((len(idx), len(idx)))
         B = sw[idx, None] * M[np.ix_(idx, idx)] * sw[None, idx]
         exact = max(exact, np.linalg.svd(B, compute_uv=False)[0])
-    upper, lower = _block_operator_bounds(_dense_kernel(basis.grid, "control", M), theta)
+    upper, lower = _dense_bounds(M, basis.grid, theta)
     assert upper == pytest.approx(exact, rel=1e-12, abs=0)
     assert lower == pytest.approx(exact, rel=1e-12, abs=0)
 
@@ -575,7 +627,7 @@ def test_block_bounds_bracket_random_dense_kernels(seed):
     rng = np.random.default_rng(seed)
     ker = _dense_kernel(basis.grid, "random", rng.standard_normal((144, 144)))
     for theta in (4 * basis.grid.h ** 2, 0.1, 0.5, 3.0):
-        upper, lower = _block_operator_bounds(ker, theta)
+        upper, lower = _dense_bounds(ker.matrix, basis.grid, theta)
         assert triple_norm(ker, 0.0, theta) < lower < upper, theta
 
 
@@ -588,7 +640,7 @@ def test_more_ascent_steps_never_lower_the_bound(monkeypatch):
     lowers = []
     for cap in (1, 2, 4, 8, 16, 32):
         monkeypatch.setattr(amalgam, "ASCENT_STEPS", cap)
-        lowers.append(_block_operator_bounds(ker, theta)[1])
+        lowers.append(_bump_bounds(ker, basis, theta)[1])
     assert triple_norm(ker, 0.0, theta) <= lowers[0] < lowers[-1]
     assert lowers == sorted(lowers)
 

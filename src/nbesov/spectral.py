@@ -225,7 +225,8 @@ class OperatorKernel:
     factors mapping the grid-orthonormal cosines to grid-orthonormal sines;
     on a finite-difference basis sqrt(lambda(diag(phi) G_c W G_c^T diag(phi)))
     with W the node weights (the smallest to about 1e-8 of the largest).
-    tail_bound bounds the truncation error only: sup_k |e_k|^2 sum_{k>K}
+    tail_bound, a required keyword so that no kernel claims 0.0 by default,
+    bounds the truncation error of every entry only: sup_k |e_k|^2 sum_{k>K}
     |phi(lambda_k)| on an analytic basis (symbol_tail_bound).  Rounding comes
     on top; against the image sums of heat and its gradient on the
     pi-interval (K = 200, N = 512) it stayed under 5e-15 max|K|.
@@ -236,8 +237,8 @@ class OperatorKernel:
     components = None
 
     def __init__(self, grid: Grid, tag: str, *, symbol_values: NDArray,
-                 matrix: NDArray | None = None, profile: NDArray | None = None,
-                 tail_bound: float = 0.0):
+                 tail_bound: float, matrix: NDArray | None = None,
+                 profile: NDArray | None = None):
         if (matrix is None) == (profile is None):
             raise ValueError("a kernel is given by exactly one of matrix and profile")
         if profile is not None and not _is_mirrored(profile, grid.shape):

@@ -1,6 +1,7 @@
 """Experiments on dyadic spectral multipliers: operator-norm scaling in the
 block index, low-frequency decay against the spectral gap, and gradient
-composition bounds."""
+composition bounds.  verify.common.screened_fit decides every power-law
+sweep here; low_freq_decay's exp(-mu 2^{-j}) envelope is a plain fit."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import numpy as np
 from ..domains import build_interval_basis, build_rectangle_basis, cosine_modes
 from ..reports import EstimateReport, least_squares_fit
 from ..spectral import (
+    GridFunction,
+    apply_kernel,
     block_symbol,
     bump_symbol,
     endpoint_norms,
@@ -18,7 +21,6 @@ from ..spectral import (
     heat_symbol,
     multiplier_kernel,
     power_block_symbol,
-    to_coeffs,
 )
 from .common import (TAIL_FRAC, ExperimentSpec, conclude, geometric_spread, partition_for,
                      screened_fit)
@@ -74,101 +76,94 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     non-negative, hence PSD kernels) and the exact symbol maximum for
     2->2.  A continuous theta sweep of ||phi0(theta H)||_{1->inf} checks
     the theta^{-n/2(1/p-1/q)} form of the same bound off the dyadic grid.
+
+    screened_fit decides every slope claim: the slope range inside target
+    -/+ slope_tol and, for the dyadic sweeps, the spread of norm / 2^{target j}
+    under spread_cap.  The dyadic tails are zero, exactly, as _check_band
+    keeps every phi_j inside the modes held; a vanishing block stays out of
+    the fit.  The theta sweep drops and names theta whose bump kernel's
+    tail_bound exceeds TAIL_FRAC of its norm.
     """
     P = spec.merged(MULTIPLIER_DEFAULTS)
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
-    points, fits, checks, slope_a0 = [], {}, {}, []
+    points, fits, checks, unresolved = [], {}, {}, []
     # Too few scales to fit a slope leaves the scaling claims unresolved:
-    # their slope checks are recorded in fit but not counted.
-    unresolved = None
+    # their fits are recorded but their checks not counted.
     if len(js) < P["min_points"]:
-        unresolved = (f"only {len(js)} scales j in [{P['j_lo']}, {P['j_hi']}]; "
-                      f"a slope fit needs {P['min_points']}")
+        unresolved.append(f"only {len(js)} scales j in [{P['j_lo']}, {P['j_hi']}]; "
+                          f"a slope fit needs {P['min_points']}")
 
     basis = build_interval_basis(P["L"], P["K"], N=P["N"])
     _check_band(P, basis.eigenvalues[-1], "the 1-D basis")
+    side, A = P["rect_side"], P["rect_modes"]
+    # The smallest eigenvalue the 2-D set leaves out is that of mode (A, 0).
+    _check_band(P, (A * math.pi / side) ** 2, "the 2-D mode set")
 
+    rows = {}  # (n, alpha, p, q) -> the norms over js
     pairs_1d = {(1.0, np.inf): "1->inf", (1.0, 1.0): "1->1",
                 (2.0, 2.0): "2->2", (np.inf, np.inf): "inf->inf"}
     for alpha in P["alphas_1d"]:
-        norm_rows = {pq: [] for pq in pairs_1d}
+        rows |= {(1, alpha, *pq): [] for pq in pairs_1d}
         for j in js:
             ends = endpoint_norms(multiplier_kernel(power_block_symbol(pou, j, alpha), basis))
-            for pq, tag in pairs_1d.items():
-                v = ends[tag]
-                norm_rows[pq].append(v)
-                points.append({"dim": 1, "alpha": alpha, "p": str(pq[0]),
-                               "q": str(pq[1]), "j": j, "norm": v})
-        if alpha == 0.0:
-            slope_a0 = [math.log2(max(v, CLIP)) for v in norm_rows[(1.0, np.inf)]]
-        for (p, q), vals in norm_rows.items():
-            target = (1.0 / p - 1.0 / q) + 2.0 * alpha
-            ok, slope, spread = _scaling_verdict(js, vals, target, P)
-            fits[f"1d_a{alpha:g}_{p:g}to{q:g}"] = {
-                "slope": slope, "target": target, "spread": spread}
-            if unresolved is None:
-                checks[f"1d alpha={alpha:g} {p:g}->{q:g}"] = ok
+            for (p, q), tag in pairs_1d.items():
+                rows[1, alpha, p, q].append(ends[tag])
+                points.append({"dim": 1, "alpha": alpha, "p": str(p), "q": str(q),
+                               "j": j, "norm": ends[tag]})
 
     # 2-D rectangle, separable evaluation.
-    side = P["rect_side"]
-    A = P["rect_modes"]
     # Per-axis squared modes and eigenvalues; the square's two axes agree.
     U2 = V2 = cosine_modes((side,), (256,), range(A))
     U2 *= U2
     kx2 = ky2 = (np.arange(A) * math.pi / side) ** 2
     lam2d = kx2[:, None] + ky2[None, :]
-    _check_band(P, lam2d.max(), "the 2-D mode set")
     for alpha in P["alphas_2d"]:
-        vals_1inf, vals_22 = [], []
+        rows |= {(2, alpha, 1.0, np.inf): [], (2, alpha, 2.0, 2.0): []}
         for j in js:
             S = power_block_symbol(pou, j, alpha)(lam2d)
-            v1 = _rect_diag_max(S, U2, V2)
-            v2 = float(S.max())
-            vals_1inf.append(v1)
-            vals_22.append(v2)
-            points.append({"dim": 2, "alpha": alpha, "p": "1", "q": "inf",
-                           "j": j, "norm": v1})
-            points.append({"dim": 2, "alpha": alpha, "p": "2", "q": "2",
-                           "j": j, "norm": v2})
-        for (p, q), vals in [((1.0, np.inf), vals_1inf), ((2.0, 2.0), vals_22)]:
-            target = 2.0 * (1.0 / p - 1.0 / q) + 2.0 * alpha
-            ok, slope, spread = _scaling_verdict(js, vals, target, P)
-            fits[f"2d_a{alpha:g}_{p:g}to{q:g}"] = {
-                "slope": slope, "target": target, "spread": spread}
-            if unresolved is None:
-                checks[f"2d alpha={alpha:g} {p:g}->{q:g}"] = ok
+            for (p, q), v in [((1.0, np.inf), _rect_diag_max(S, U2, V2)),
+                              ((2.0, 2.0), float(S.max()))]:
+                rows[2, alpha, p, q].append(v)
+                points.append({"dim": 2, "alpha": alpha, "p": f"{p:g}", "q": f"{q:g}",
+                               "j": j, "norm": v})
+
+    tol, x = P["slope_tol"], np.asarray(js, dtype=float)
+    for (n, alpha, p, q), vals in rows.items():
+        target, vals = n * (1.0 / p - 1.0 / q) + 2.0 * alpha, np.asarray(vals)
+        pos = vals > 0
+        # Detrended by 2^{target j}: the spread is that of norm / 2^{target j}
+        # and the slope is target plus the detrended one.
+        fit = screened_fit(f"{n}d 2^j", 2.0 ** x[pos], vals[pos] / 2.0 ** (target * x[pos]),
+                           np.zeros(pos.sum()))
+        fits[f"{n}d_a{alpha:g}_{p:g}to{q:g}"] = {
+            "slope": target + fit.slope, "target": target, "spread": fit.spread}
+        if not unresolved:
+            checks[f"{n}d alpha={alpha:g} {p:g}->{q:g}"] = (
+                pos.sum() >= P["min_points"] and -tol <= fit.lo and fit.hi <= tol
+                and fit.spread_hi <= P["spread_cap"])
 
     thetas = np.logspace(-4, 0, 9)
-    vals = []
+    vals, tails = [], []
     for th in thetas:
         ker = multiplier_kernel(bump_symbol(pou, th), basis)
-        v = endpoint_norms(ker)["1->inf"]
-        vals.append(v)
+        vals.append(endpoint_norms(ker)["1->inf"])
+        tails.append(ker.tail_bound)
         points.append({"dim": 1, "alpha": 0.0, "p": "1", "q": "inf",
-                       "theta": float(th), "norm": v})
-    fit = least_squares_fit(np.log2(thetas), np.log2(np.maximum(vals, CLIP)))
-    fits["theta_sweep_1to_inf"] = {"slope": fit.slope, "target": -0.5,
-                                   "residual": fit.residual}
-    checks["theta sweep 1->inf"] = abs(fit.slope + 0.5) <= P["slope_tol"]
+                       "theta": float(th), "norm": vals[-1]})
+    theta = screened_fit("theta", thetas, vals, tails)
+    fits["theta_sweep_1to_inf"] = {"slope": theta.slope, "target": -0.5,
+                                   "range": [theta.lo, theta.hi]}
     notes = ["theta sweep covers the continuous form of the dyadic bound"]
+    notes += [theta.note] if theta.note else []
+    if theta.unresolved:
+        unresolved.append(theta.unresolved)
+    else:
+        checks["theta sweep 1->inf"] = -0.5 - tol <= theta.lo and theta.hi <= -0.5 + tol
 
-    return conclude(spec, P, checks, unresolved, notes, points=points, fit=fits,
-                    figures={"slope_1d_a0_1toinf": (js, slope_a0)})
-
-
-def _scaling_verdict(js, vals, target, P):
-    vals = np.asarray(vals, dtype=float)
-    usable = vals > 0
-    if usable.sum() < P["min_points"]:
-        return False, float("nan"), float("inf")
-    x = np.asarray(js, dtype=float)[usable]
-    y = np.log2(vals[usable])
-    fit = least_squares_fit(x, y)
-    ratios = vals[usable] / 2.0 ** (target * x)
-    spread = geometric_spread(ratios)
-    ok = abs(fit.slope - target) <= P["slope_tol"] and spread <= P["spread_cap"]
-    return ok, fit.slope, spread
+    slope_a0 = [math.log2(max(v, CLIP)) for v in rows.get((1, 0.0, 1.0, np.inf), [])]
+    return conclude(spec, P | {"tail_frac": TAIL_FRAC}, checks, "; ".join(unresolved) or None,
+                    notes, points=points, fit=fits, figures={"slope_1d_a0_1toinf": (js, slope_a0)})
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +276,13 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     negative-j blocks to be populated and so that the largest t stays in
     the local (line-like) regime.  Small t whose truncation tail exceeds
     TAIL_FRAC of the measured norm are dropped and reported (screened_fit).
+    The constant check applies the t_max heat-gradient kernel to 1.
     """
     P = spec.merged(GRADIENT_DEFAULTS)
     pou = partition_for(spec)
     basis = build_interval_basis(P["L"], P["K"], N=P["N"])
-    lam = basis.eigenvalues
     js = list(range(P["j_lo"], P["j_hi"] + 1))
-    _check_band(P, lam[-1], "the gradient basis")
+    _check_band(P, basis.eigenvalues[-1], "the gradient basis")
     points, fits = [], {}
 
     # Dyadic blocks, read off the gradient kernels (spectral.endpoint_norms).
@@ -324,14 +319,8 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
                     "n_kept": len(kept_t), "n_dropped": len(ts) - len(kept_t)}
     notes = [heat.note] if heat.note else []
 
-    # Constants are annihilated by the gradient at every t.  Modes whose
-    # coefficient a_k vanishes contribute exactly 0, so only the others are
-    # differentiated.
-    a = heat_symbol(ts[-1])(lam) * to_coeffs(np.ones(basis.grid.n_nodes), basis)
-    nz = np.flatnonzero(a)
-    G = cosine_modes(basis.domain.lengths, basis.grid.shape,
-                     np.asarray(basis.mode_index)[nz], derivatives=True)[0]
-    const_grad = float(np.max(np.abs(G.T @ a[nz])))
+    # Constants are annihilated by the gradient at every t; ker is the t_max one.
+    const_grad = float(np.max(np.abs(apply_kernel(ker, GridFunction.constant(basis.grid)).values)))
     fits["constant_gradient"] = const_grad
 
     checks = {"block spread22": spread22 <= P["spread_cap_22"],

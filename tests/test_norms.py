@@ -201,9 +201,9 @@ def test_amalgam_cells_put_face_nodes_in_the_upper_cube(grid):
 
 def identity_kernel(grid):
     """Kernel representing the identity on the quadrature grid (1/w diagonal),
-    whose 2->2 values are all 1."""
+    whose 2->2 values are all 1, with no truncation tail."""
     return OperatorKernel(matrix=np.diag(1.0 / grid.weights), grid=grid, tag="identity",
-                          symbol_values=np.ones(grid.n_nodes))
+                          symbol_values=np.ones(grid.n_nodes), tail_bound=0.0)
 
 
 def test_triple_norm_of_identity_is_max_offset(basis):

@@ -550,7 +550,8 @@ def test_a_matrix_on_an_interval_or_rectangle_grid_is_refused(tmp_path, kernels)
     # a matrix file (the layout every file had before profiles existed).
     b, kernels = kernels(64) if kernels is _interval_kernels else kernels()
     for ker in kernels:
-        bare = OperatorKernel(b.grid, ker.tag, matrix=ker.matrix, symbol_values=ker.symbol_values)
+        bare = OperatorKernel(b.grid, ker.tag, matrix=ker.matrix, symbol_values=ker.symbol_values,
+                              tail_bound=ker.tail_bound)
         with pytest.raises(ValueError, match="holds no profile"):
             save_kernel(bare, str(tmp_path / "bare.npz"))
         assert not (tmp_path / "bare.npz").exists()
@@ -975,9 +976,10 @@ def test_a_profile_that_is_not_mirrored_is_refused(tmp_path):
         prof.flat[0] = np.nextafter(prof.flat[0], np.inf)
         _refused(tmp_path, fields, b.grid, match="not a mirrored profile")
         with pytest.raises(ValueError, match="not a mirrored profile"):
-            OperatorKernel(b.grid, "broken", profile=prof, symbol_values=np.ones(1))
+            OperatorKernel(b.grid, "broken", profile=prof, symbol_values=np.ones(1), tail_bound=0.0)
         with pytest.raises(ValueError, match="not a mirrored profile"):
-            OperatorKernel(b.grid, "short", profile=prof[:-1], symbol_values=np.ones(1))
+            OperatorKernel(b.grid, "short", profile=prof[:-1], symbol_values=np.ones(1),
+                           tail_bound=0.0)
 
 
 @pytest.mark.parametrize("N", [1, 255, 256])
@@ -1007,12 +1009,15 @@ def test_interval_matrix_is_formed_once(N, monkeypatch):
 
 def test_kernel_takes_one_source_and_its_values(basis):
     with pytest.raises(ValueError, match="exactly one"):
-        OperatorKernel(basis.grid, "none", symbol_values=np.ones(1))
+        OperatorKernel(basis.grid, "none", symbol_values=np.ones(1), tail_bound=0.0)
     with pytest.raises(ValueError, match="exactly one"):
         OperatorKernel(basis.grid, "both", matrix=np.eye(256), profile=np.zeros(767),
-                       symbol_values=np.ones(1))
+                       symbol_values=np.ones(1), tail_bound=0.0)
     with pytest.raises(TypeError, match="symbol_values"):
-        OperatorKernel(basis.grid, "bare", matrix=np.eye(256))
+        OperatorKernel(basis.grid, "bare", matrix=np.eye(256), tail_bound=0.0)
+    # No kernel claims a tail bound it was not given.
+    with pytest.raises(TypeError, match="tail_bound"):
+        OperatorKernel(basis.grid, "untailed", matrix=np.eye(256), symbol_values=np.ones(1))
 
 
 def test_kernel_profile_rejects_other_bases():

@@ -344,6 +344,54 @@ def test_screened_fit_names_the_dropped_points_and_leaves_one_point_unresolved()
     assert screened_fit("t", [1.0, 2.0], [1.0, 2.0], [0.0, 0.1]).note is None
 
 
+def test_screened_fit_with_zero_tails_is_the_plain_fit_and_spread():
+    """The dyadic multiplier sweeps carry zero tails: the range collapses
+    to the slope and spread_hi to the spread."""
+    js = np.arange(2.0, 7.0)
+    v = 2.0 ** (0.9 * js) * np.array([1.0, 1.3, 0.8, 1.1, 1.2])
+    fit = screened_fit("2^j", 2.0 ** js, v, np.zeros(5))
+    assert fit.kept.all() and fit.note is None and fit.unresolved is None
+    assert fit.lo == fit.hi == fit.slope
+    assert fit.slope == pytest.approx(least_squares_fit(js, np.log2(v)).slope, abs=1e-12)
+    assert fit.spread == fit.spread_hi == geometric_spread(v)
+
+
+@pytest.mark.parametrize("override", [{"slope_tol": 0.0}, {"spread_cap": 1.0}],
+                         ids=["closed_window", "spread_cap_1"])
+def test_multiplier_scaling_fails_on_a_closed_window_or_spread_cap(override):
+    """Both halves of the dyadic claims decide: a window of width 0 and a
+    spread cap of 1 each fail the run, naming the sweeps."""
+    one_alpha = {"alphas_1d": [0.5], "alphas_2d": [0.5]}
+    rep = run_suite(ids=["multiplier_scaling"],
+                    overrides={"multiplier_scaling": one_alpha | override})[0]
+    assert rep.verdict == FAIL
+    assert rep.notes[-1].startswith("failed: 1d alpha=0.5 1->inf")
+
+
+def test_multiplier_theta_sweep_drops_truncated_theta():
+    """With K = 65 the bumps at theta = 1e-4 and 3.16e-4 reach modes the
+    basis does not hold: they are dropped and named, and the theta slope is
+    the fit over the kept theta alone."""
+    rep = run_suite(ids=["multiplier_scaling"],
+                    overrides={"multiplier_scaling": {"K": 65, "j_hi": 5}})[0]
+    assert "dropped theta = 0.0001, 0.000316: the truncation tail exceeds 5% of the value there" \
+        in rep.notes
+    th, v = np.array([(p["theta"], p["norm"]) for p in rep.points if "theta" in p]).T
+    kept = th > 5e-4
+    fit = rep.fit["theta_sweep_1to_inf"]
+    assert fit["slope"] == pytest.approx(
+        least_squares_fit(np.log(th[kept]), np.log(v[kept])).slope, abs=1e-12)
+    assert fit["range"][0] <= fit["slope"] <= fit["range"][1]
+    assert rep.verdict == PASS
+
+
+def test_multiplier_scaling_refuses_a_2d_mode_set_that_cuts_the_top_block():
+    """60 modes per axis leave out mode (60, 0) at sqrt(lambda) = 94.2, inside
+    the support of phi_6, although the corner of the set sits at 131.1."""
+    with pytest.raises(ValueError, match="the 2-D mode set"):
+        run_suite(ids=["multiplier_scaling"], overrides={"multiplier_scaling": {"rect_modes": 60}})
+
+
 def test_a_raw_slope_inside_its_window_with_a_range_outside_it_does_not_pass(monkeypatch):
     """A synthetic sweep: norms theta^(-1/4) exactly, each with a tail of
     4% of its value, so every theta is kept and the raw slope is -1/4; the
@@ -591,9 +639,9 @@ def test_block_bounds_are_exact_on_one_node_cubes(basis, monkeypatch):
 
 def _dense_kernel(grid, tag, M):
     """A kernel of matrix M, with the singular values of the weighted matrix
-    as its 2->2 values."""
+    as its 2->2 values and no truncation tail."""
     sw = np.sqrt(grid.weights)
-    return OperatorKernel(grid, tag, matrix=M, symbol_values=np.linalg.svd(
+    return OperatorKernel(grid, tag, matrix=M, tail_bound=0.0, symbol_values=np.linalg.svd(
         sw[:, None] * M * sw[None, :], compute_uv=False))
 
 

@@ -3,7 +3,10 @@
 Checks the theta-scaling of resolvent norms from L^1 into the cube-summed
 L^2 space, uniform boundedness of the dyadic bump on that space via exact
 per-block singular values, and the theta^(alpha/2) growth of the weighted
-localization norm of the bump kernel.
+localization norm of the bump kernel.  verify.common.screened_fit decides
+the three resolvent and two triple-norm theta sweeps; a triple norm's tail
+is tail_bound times the Frobenius bound on each cube's weighted error block,
+0 at every default theta.
 
 Exact block norms read sigma_max(B) = sqrt(lambda_max(B^T B)) off per-cube
 Gram matrices: the upper bump bound sums them over row cubes, and the lower
@@ -26,7 +29,7 @@ import numpy as np
 
 from ..domains import lp_norm
 from ..norms import AmalgamParams, amalgam_cells, amalgam_columns, amalgam_norm, triple_norm
-from ..reports import EstimateReport, least_squares_fit
+from ..reports import EstimateReport
 from ..spectral import (
     GridFunction,
     SymbolFn,
@@ -43,6 +46,7 @@ from .common import (
     conclude,
     interval_basis,
     partition_for,
+    record_claim,
     rectangle_basis,
     screened_fit,
 )
@@ -95,6 +99,17 @@ def _column_tail_bound(symbol, basis, n_cells):
     return math.sqrt(n_cells * symbol_tail_bound(squared, basis))
 
 
+def _triple_tail_bound(kernel, alpha, theta):
+    """Bound on the truncation error of triple_norm(kernel, alpha, theta): each
+    entry of the error is at most tail_bound, so cube c moves its sigma_max by
+    at most tail_bound sqrt(sum_i w_i |x_i - c|^(2 alpha) sum_{j in c} w_j)."""
+    grid, cells = kernel.grid, amalgam_cells(kernel.grid, theta)
+    centers = math.sqrt(theta) * np.array([m for m, _ in cells], dtype=float)
+    dist = np.linalg.norm(grid.points[None] - centers[:, None], axis=2)
+    mass = np.array([grid.weights[idx].sum() for _, idx in cells])
+    return kernel.tail_bound * math.sqrt(float(np.max(dist ** (2 * alpha) @ grid.weights * mass)))
+
+
 # Cap on the lower bound's ascent iterates; the suite's bump kernels stall within 15.
 ASCENT_STEPS = 50
 
@@ -102,10 +117,9 @@ ASCENT_STEPS = 50
 def _mode_factors(svals, basis):
     """Factors U, V of W^(1/2) K W^(1/2) = U^T V for the kernel
     K = E^T diag(svals) E (a profile kernel's, up to rounding): V = X, the
-    modes where svals is nonzero (through to_grid) times W^(1/2), and
-    U = svals X, both (band, N)."""
+    modes where svals is nonzero times W^(1/2), and U = svals X, both (band, N)."""
     band = np.flatnonzero(svals)
-    X = to_grid(np.eye(len(svals))[:, band], basis).T * np.sqrt(basis.grid.weights)
+    X = basis.functions[band] * np.sqrt(basis.grid.weights)
     return svals[band, None] * X, X
 
 
@@ -165,7 +179,7 @@ def _block_operator_bounds(U, V, grid, theta):
 def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(AMALGAM_DEFAULTS)
     pou = partition_for(spec)
-    points, notes, checks, fits = [], [], {}, {}
+    points, notes, checks, fits, unresolved = [], [], {}, {}, []
 
     basis1 = interval_basis(math.pi, P["interval_K"], P["interval_N"])
     h1 = basis1.grid.h
@@ -177,7 +191,6 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     # Resolvent column norms against theta, slope -n/4 in n dimensions, each
     # sweep screened at TAIL_FRAC.  In two dimensions the larger beta keeps
     # far cubes summable.
-    unresolved = []
     sweeps = [(basis1, thetas1, beta, f"1d beta={beta:g}", f"slope_1d_beta{beta:g}")
               for beta in P["betas_1d"]]
     sweeps.append((basis2, thetas2, P["beta_2d"], "2d", "slope_2d"))
@@ -193,17 +206,13 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
                            "theta": float(th), "norm": val, "tail_frac": tail / val,
                            "dropped": not keep})
         fits[key], fits[f"{key}_range"] = fit.slope, [fit.lo, fit.hi]
-        notes += [fit.note] if fit.note else []
-        if fit.unresolved:
-            unresolved.append(fit.unresolved)
-        else:
-            target, tol = -basis.domain.n / 4, P["slope_tol"]
-            checks[f"{name} slope"] = target - tol <= fit.lo and fit.hi <= target + tol
+        record_claim(fit, f"{name} slope", fit.within(-basis.domain.n / 4, P["slope_tol"]),
+                     checks, notes, unresolved)
 
     # Uniform boundedness of the bump on the cube-summed L^2 space, and
     # growth like theta^(alpha/2) of its localization norm.
     uppers, gaps = [], []
-    triples = {alpha: [] for alpha in P["alphas"]}
+    triples = {alpha: ([], []) for alpha in P["alphas"]}
     for th in thetas1:
         ker = multiplier_kernel(bump_symbol(pou, th), basis1)
         up, lo = _block_operator_bounds(*_mode_factors(ker.symbol_values, basis1), basis1.grid, th)
@@ -211,37 +220,34 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
         gaps.append(up / lo)
         points.append({"part": "bump_bound", "theta": float(th), "upper": up, "lower": lo,
                        "gap": up / lo, "tail_bound": ker.tail_bound})
-        for alpha, vals in triples.items():
+        for alpha, (vals, tails) in triples.items():
             vals.append(triple_norm(ker, alpha, th))
+            tails.append(_triple_tail_bound(ker, alpha, th))
     fits["bump_upper_spread"] = spread = max(uppers) / min(uppers)
     fits["bump_gap"] = worst_gap = max(gaps)
     checks["bump bound spread"] = spread <= P["uniform_spread_cap"]
     if worst_gap > P["gap_cap"]:
         unresolved.append(f"bump bound gap {worst_gap:.1f} exceeds {P['gap_cap']:g}")
 
-    for alpha, vals in triples.items():
-        fit = least_squares_fit(np.log(thetas1), np.log(vals))
+    for alpha, (vals, tails) in triples.items():
+        fit = screened_fit(f"triple alpha={alpha:g} theta", thetas1, vals, tails)
         fits[f"triple_slope_alpha{alpha:g}"] = fit.slope
-        checks[f"triple alpha={alpha:g} slope"] = abs(fit.slope - alpha / 2.0) <= P["slope_tol"]
-        for th, v in zip(thetas1, vals):
-            points.append({"part": "triple", "alpha": alpha, "theta": float(th),
-                           "norm": v})
+        record_claim(fit, f"triple alpha={alpha:g} slope", fit.within(alpha / 2.0, P["slope_tol"]),
+                     checks, notes, unresolved)
+        points += [{"part": "triple", "alpha": alpha, "theta": float(th), "norm": v}
+                   for th, v in zip(thetas1, vals)]
 
     # Matching inner and outer exponents must reduce to the plain L^2 norm.
     C = coeff_batch(np.random.default_rng(spec.seed), basis1.K, 1, decay=0.05)
     f = GridFunction(to_grid(C[:, 0], basis1), basis1.grid)
     l2 = lp_norm(f, 2.0)
-    defect = max(
-        abs(amalgam_norm(f, AmalgamParams(p=2.0, q=2.0, theta=float(th))) - l2)
-        for th in thetas1
-    )
+    defect = max(abs(amalgam_norm(f, AmalgamParams(p=2.0, q=2.0, theta=float(th))) - l2)
+                 for th in thetas1)
     fits["pq_collapse_defect"] = defect
     checks["p=q collapse defect"] = defect <= P["exact_tol"] * max(l2, 1.0)
 
     return conclude(
         spec, P | {"tail_frac": TAIL_FRAC}, checks, "; ".join(unresolved) or None, notes,
-        points=points,
-        fit=fits,
-        figures={"resolvent_1d_beta2": (thetas1, np.array(
+        points=points, fit=fits, figures={"resolvent_1d_beta2": (thetas1, np.array(
             [p["norm"] for p in points if p["part"] == "resolvent_1d" and p["beta"] == 2.0]))},
     )

@@ -35,6 +35,7 @@ __all__ = [
     "relative_drift",
     "TAIL_FRAC",
     "screened_fit",
+    "record_claim",
     "conclude",
 ]
 
@@ -141,32 +142,53 @@ class ScreenedFit(NamedTuple):
     spread: float
     spread_hi: float
 
+    def within(self, target: float, tol: float) -> bool:
+        """Whether the slope range [lo, hi] lies inside target -/+ tol."""
+        return target - tol <= self.lo and self.hi <= target + tol
 
-def screened_fit(label: str, x, values, tails) -> ScreenedFit:
-    """Screen a sweep of (x, value, tail) points and fit the kept ones.
 
-    A point is kept when its tail is at most TAIL_FRAC of its value; note
-    names the dropped x, and unresolved gives the reason when fewer than
-    two are kept (each None otherwise); label names x in both.  slope is
-    the least-squares slope w . log v of log value against u = log x,
+def screened_fit(label: str, x, values, tails, min_points: int = 2) -> ScreenedFit:
+    """Screen a sweep of (x, value, tail) points and fit the kept ones: the
+    one rule for every sweep claim (verify.amalgam, verify.multipliers).
+
+    A point is kept when its tail is at most TAIL_FRAC of its value and that
+    value is positive.  note names the dropped x, one clause per cause, and
+    unresolved gives the reason when fewer than min_points are kept (each
+    None otherwise); label names x in both.  From two kept points on, slope
+    is the least-squares slope w . log v of log value against u = log x,
     w = (u - mean u) / |u - mean u|^2, and [lo, hi] its exact range over
     the boxes [v - tail, v + tail]: each end takes every log v_i at the end
     of its box that the sign of w_i picks.  spread is max/min of the kept
     values and spread_hi its upper end, max(v + tail) / min(v - tail).
     """
     x, v, t = (np.asarray(a, dtype=float) for a in (x, values, tails))
-    kept = t <= TAIL_FRAC * v
-    note = None if kept.all() else (f"dropped {label} = {', '.join(f'{d:.3g}' for d in x[~kept])}: "
-                                    f"the truncation tail exceeds {TAIL_FRAC:.0%} of the value there")
-    if kept.sum() < 2:
-        reason = f"{label}: {kept.sum()} of {kept.size} kept; a fit needs 2"
+    small = t <= TAIL_FRAC * v
+    kept = small & (v > 0)
+    causes = {f"the truncation tail exceeds {TAIL_FRAC:.0%} of the value there": ~small,
+              "the value there is not positive": small & ~kept}
+    note = "; ".join(f"dropped {label} = {', '.join(f'{d:.3g}' for d in x[out])}: {cause}"
+                     for cause, out in causes.items() if out.any()) or None
+    n = int(kept.sum())
+    reason = (f"{label}: {n} of {kept.size} kept; a fit needs {min_points}"
+              if n < min_points else None)
+    if n < 2:
         return ScreenedFit(kept, note, reason, *[np.nan] * 5)
     v, t, u = v[kept], t[kept], np.log(x[kept])
     w = (u - u.mean()) / np.sum((u - u.mean()) ** 2)
     down, up = np.log(v - t), np.log(v + t)
-    return ScreenedFit(kept, note, None, float(w @ np.log(v)), float(w @ np.where(w > 0, down, up)),
-                       float(w @ np.where(w > 0, up, down)), geometric_spread(v),
-                       float(np.max(v + t) / np.min(v - t)))
+    return ScreenedFit(kept, note, reason, float(w @ np.log(v)),
+                       float(w @ np.where(w > 0, down, up)), float(w @ np.where(w > 0, up, down)),
+                       geometric_spread(v), float(np.max(v + t) / np.min(v - t)))
+
+
+def record_claim(fit: ScreenedFit, name: str, ok, checks: dict, notes: list, unresolved: list):
+    """Record one sweep claim: fit's note in notes, then its unresolved
+    reason in unresolved or, when it has none, checks[name] = ok."""
+    notes.extend([fit.note] if fit.note else [])
+    if fit.unresolved:
+        unresolved.append(fit.unresolved)
+    else:
+        checks[name] = ok
 
 
 def conclude(

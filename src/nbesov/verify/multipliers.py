@@ -1,7 +1,8 @@
 """Experiments on dyadic spectral multipliers: operator-norm scaling in the
 block index, low-frequency decay against the spectral gap, and gradient
-composition bounds.  verify.common.screened_fit decides every power-law
-sweep here; low_freq_decay's exp(-mu 2^{-j}) envelope is a plain fit."""
+composition bounds.  verify.common.screened_fit decides multiplier_scaling's
+20 dyadic j sweeps and theta sweep and gradient's heat t sweep, one
+record_claim each; low_freq_decay's exp(-mu 2^{-j}) envelope is a plain fit."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from ..spectral import (
     power_block_symbol,
 )
 from .common import (TAIL_FRAC, ExperimentSpec, conclude, geometric_spread, partition_for,
-                     screened_fit)
+                     record_claim, screened_fit)
 
 __all__ = ["exp_multiplier_scaling", "exp_low_freq_decay", "exp_gradient"]
 
@@ -40,16 +41,6 @@ def _check_band(P, lam_top, what):
         raise ValueError(f"j_lo={P['j_lo']} > j_hi={P['j_hi']} leaves no block scale")
     if 2.0 ** (P["j_hi"] + 1) > math.sqrt(float(lam_top)) + 1e-9:
         raise ValueError(f"j range leaves the resolved band of {what}")
-
-
-def _rect_diag_max(S: np.ndarray, U2: np.ndarray, V2: np.ndarray) -> float:
-    """max_x sum_{a,b} S[a,b] ex_a(x1)^2 ey_b(x2)^2 for a separable basis.
-
-    This is the diagonal of the kernel; for a non-negative symbol the
-    kernel is positive semidefinite, so the diagonal maximum IS the
-    L^1 -> L^inf norm (Cauchy-Schwarz on the spectral sum).
-    """
-    return float((U2.T @ S @ V2).max())
 
 
 MULTIPLIER_DEFAULTS = {
@@ -80,19 +71,21 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     screened_fit decides every slope claim: the slope range inside target
     -/+ slope_tol and, for the dyadic sweeps, the spread of norm / 2^{target j}
     under spread_cap.  The dyadic tails are zero, exactly, as _check_band
-    keeps every phi_j inside the modes held; a vanishing block stays out of
-    the fit.  The theta sweep drops and names theta whose bump kernel's
+    keeps every phi_j inside the modes held; a vanishing block is dropped
+    and named, and fewer than min_points kept norms leave a claim
+    unresolved.  The theta sweep drops and names theta whose bump kernel's
     tail_bound exceeds TAIL_FRAC of its norm.
     """
     P = spec.merged(MULTIPLIER_DEFAULTS)
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
     points, fits, checks, unresolved = [], {}, {}, []
-    # Too few scales to fit a slope leaves the scaling claims unresolved:
-    # their fits are recorded but their checks not counted.
+    notes = ["theta sweep covers the continuous form of the dyadic bound"]
+    # Too few scales leave every dyadic claim unresolved, for this one reason.
     if len(js) < P["min_points"]:
         unresolved.append(f"only {len(js)} scales j in [{P['j_lo']}, {P['j_hi']}]; "
                           f"a slope fit needs {P['min_points']}")
+    dyadic_unresolved = [] if unresolved else unresolved
 
     basis = build_interval_basis(P["L"], P["K"], N=P["N"])
     _check_band(P, basis.eigenvalues[-1], "the 1-D basis")
@@ -112,7 +105,7 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
                 points.append({"dim": 1, "alpha": alpha, "p": str(p), "q": str(q),
                                "j": j, "norm": ends[tag]})
 
-    # 2-D rectangle, separable evaluation.
+    # 2-D rectangle: 1->inf is the diagonal max_x sum_{a,b} S[a,b] ex_a(x1)^2 ey_b(x2)^2.
     # Per-axis squared modes and eigenvalues; the square's two axes agree.
     U2 = V2 = cosine_modes((side,), (256,), range(A))
     U2 *= U2
@@ -122,7 +115,7 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
         rows |= {(2, alpha, 1.0, np.inf): [], (2, alpha, 2.0, 2.0): []}
         for j in js:
             S = power_block_symbol(pou, j, alpha)(lam2d)
-            for (p, q), v in [((1.0, np.inf), _rect_diag_max(S, U2, V2)),
+            for (p, q), v in [((1.0, np.inf), float((U2.T @ S @ V2).max())),
                               ((2.0, 2.0), float(S.max()))]:
                 rows[2, alpha, p, q].append(v)
                 points.append({"dim": 2, "alpha": alpha, "p": f"{p:g}", "q": f"{q:g}",
@@ -130,18 +123,15 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
 
     tol, x = P["slope_tol"], np.asarray(js, dtype=float)
     for (n, alpha, p, q), vals in rows.items():
-        target, vals = n * (1.0 / p - 1.0 / q) + 2.0 * alpha, np.asarray(vals)
-        pos = vals > 0
+        target, name = n * (1.0 / p - 1.0 / q) + 2.0 * alpha, f"{n}d alpha={alpha:g} {p:g}->{q:g}"
         # Detrended by 2^{target j}: the spread is that of norm / 2^{target j}
         # and the slope is target plus the detrended one.
-        fit = screened_fit(f"{n}d 2^j", 2.0 ** x[pos], vals[pos] / 2.0 ** (target * x[pos]),
-                           np.zeros(pos.sum()))
+        fit = screened_fit(f"{name} 2^j", 2.0 ** x, np.asarray(vals) / 2.0 ** (target * x),
+                           np.zeros(len(js)), P["min_points"])
         fits[f"{n}d_a{alpha:g}_{p:g}to{q:g}"] = {
             "slope": target + fit.slope, "target": target, "spread": fit.spread}
-        if not unresolved:
-            checks[f"{n}d alpha={alpha:g} {p:g}->{q:g}"] = (
-                pos.sum() >= P["min_points"] and -tol <= fit.lo and fit.hi <= tol
-                and fit.spread_hi <= P["spread_cap"])
+        record_claim(fit, name, fit.within(0.0, tol) and fit.spread_hi <= P["spread_cap"],
+                     checks, notes, dyadic_unresolved)
 
     thetas = np.logspace(-4, 0, 9)
     vals, tails = [], []
@@ -154,12 +144,7 @@ def exp_multiplier_scaling(spec: ExperimentSpec) -> EstimateReport:
     theta = screened_fit("theta", thetas, vals, tails)
     fits["theta_sweep_1to_inf"] = {"slope": theta.slope, "target": -0.5,
                                    "range": [theta.lo, theta.hi]}
-    notes = ["theta sweep covers the continuous form of the dyadic bound"]
-    notes += [theta.note] if theta.note else []
-    if theta.unresolved:
-        unresolved.append(theta.unresolved)
-    else:
-        checks["theta sweep 1->inf"] = -0.5 - tol <= theta.lo and theta.hi <= -0.5 + tol
+    record_claim(theta, "theta sweep 1->inf", theta.within(-0.5, tol), checks, notes, unresolved)
 
     slope_a0 = [math.log2(max(v, CLIP)) for v in rows.get((1, 0.0, 1.0, np.inf), [])]
     return conclude(spec, P | {"tail_frac": TAIL_FRAC}, checks, "; ".join(unresolved) or None,
@@ -209,7 +194,7 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
         lam2 = float(lam[1])
         E = basis.functions  # read directly: lam may carry a faked eigenvalue
 
-        norms22, norms1inf, consistent = [], [], True
+        norms22, consistent = [], True
         for j in js:
             svals = pou.phi(j, sq)
             if np.any(svals < 0.0):
@@ -224,7 +209,6 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
             if predicted_zero != (n22 == 0.0):
                 consistent = False
             norms22.append(n22)
-            norms1inf.append(n1inf)
             points.append({"domain": name, "j": j, "norm22": n22,
                            "norm1inf": n1inf, "predicted_zero": predicted_zero})
         x = 2.0 ** (-np.asarray(js, dtype=float))
@@ -275,7 +259,8 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     The domain is a long interval so that the spectrum is dense enough for
     negative-j blocks to be populated and so that the largest t stays in
     the local (line-like) regime.  Small t whose truncation tail exceeds
-    TAIL_FRAC of the measured norm are dropped and reported (screened_fit).
+    TAIL_FRAC of the measured norm are dropped and reported (screened_fit),
+    and fewer than six kept t leave the heat claim unresolved.
     The constant check applies the t_max heat-gradient kernel to 1.
     """
     P = spec.merged(GRADIENT_DEFAULTS)
@@ -283,24 +268,16 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     basis = build_interval_basis(P["L"], P["K"], N=P["N"])
     js = list(range(P["j_lo"], P["j_hi"] + 1))
     _check_band(P, basis.eigenvalues[-1], "the gradient basis")
-    points, fits = [], {}
 
     # Dyadic blocks, read off the gradient kernels (spectral.endpoint_norms).
-    vals22, vals11, valsinf = [], [], []
-    for j in js:
-        (ker,) = gradient_kernels(block_symbol(pou, j), basis)
-        ends = endpoint_norms(ker)
-        vals22.append(ends["2->2"])
-        vals11.append(ends["1->1"])
-        valsinf.append(ends["inf->inf"])
-        points.append({"kind": "block", "j": j, "norm22": ends["2->2"],
-                       "norm11": ends["1->1"], "norminf": ends["inf->inf"]})
-    sc = 2.0 ** (-np.asarray(js, dtype=float))
-    spread22 = geometric_spread(sc * vals22)
-    spread11 = geometric_spread(sc * vals11)
-    spreadinf = geometric_spread(sc * valsinf)
-    fits["block"] = {"spread22": spread22, "spread11": spread11, "spreadinf": spreadinf,
-                     "sup22": float(np.max(sc * vals22))}
+    ends = [endpoint_norms(gradient_kernels(block_symbol(pou, j), basis)[0]) for j in js]
+    points = [{"kind": "block", "j": j, "norm22": e["2->2"], "norm11": e["1->1"],
+               "norminf": e["inf->inf"]} for j, e in zip(js, ends)]
+    sc, vals22 = 2.0 ** (-np.asarray(js, dtype=float)), [e["2->2"] for e in ends]
+    spread22, spread11, spreadinf = (geometric_spread(sc * [e[tag] for e in ends])
+                                     for tag in ("2->2", "1->1", "inf->inf"))
+    fits = {"block": {"spread22": spread22, "spread11": spread11, "spreadinf": spreadinf,
+                      "sup22": float(np.max(sc * vals22))}}
 
     # Heat-gradient in t, t^(1/2)-normalized, screened at TAIL_FRAC.
     ts = np.logspace(math.log10(basis.grid.h**2), math.log10(P["t_max"]), P["n_t"])
@@ -309,7 +286,7 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
         (ker,) = gradient_kernels(heat_symbol(t), basis)
         vals.append(endpoint_norms(ker)["inf->inf"])
         tails.append(ker.tail_bound)
-    heat = screened_fit("heat t", ts, np.sqrt(ts) * vals, np.sqrt(ts) * tails)
+    heat = screened_fit("heat t", ts, np.sqrt(ts) * vals, np.sqrt(ts) * tails, min_points=6)
     for t, v, tail, keep in zip(ts, vals, tails, heat.kept):
         points.append({"kind": "heat", "t": float(t), "norminf": v,
                        "tail": tail, "dropped": not keep})
@@ -317,27 +294,22 @@ def exp_gradient(spec: ExperimentSpec) -> EstimateReport:
     fits["heat"] = {"spread": heat.spread, "spread_hi": heat.spread_hi,
                     "sup": float(np.max(scaled, initial=0.0)),
                     "n_kept": len(kept_t), "n_dropped": len(ts) - len(kept_t)}
-    notes = [heat.note] if heat.note else []
 
     # Constants are annihilated by the gradient at every t; ker is the t_max one.
     const_grad = float(np.max(np.abs(apply_kernel(ker, GridFunction.constant(basis.grid)).values)))
     fits["constant_gradient"] = const_grad
 
     checks = {"block spread22": spread22 <= P["spread_cap_22"],
-              "heat spread": heat.spread_hi <= P["spread_cap_22"],
               "block spread11": spread11 <= P["spread_cap_other"],
               "block spreadinf": spreadinf <= P["spread_cap_other"],
-              "constant_gradient": const_grad < 1e-10,
-              "kept t >= 6": len(kept_t) >= 6}
-    # One value's spread is 1: one block scale leaves the block claims
-    # unresolved, as fewer than two kept t leave the heat claim.
-    unresolved = []
+              "constant_gradient": const_grad < 1e-10}
+    # One value's spread is 1: one block scale leaves the block claims unresolved.
+    notes, unresolved = [], []
     if len(js) < 2:
         unresolved.append(f"only 1 block scale j = {P['j_lo']}; a spread needs 2")
         checks = {k: ok for k, ok in checks.items() if not k.startswith("block")}
-    if heat.unresolved:
-        unresolved.append(heat.unresolved)
-        del checks["heat spread"]
+    record_claim(heat, "heat spread", heat.spread_hi <= P["spread_cap_22"], checks, notes,
+                 unresolved)
     return conclude(spec, P | {"tail_frac": TAIL_FRAC}, checks, "; ".join(unresolved) or None,
                     notes, points=points, fit=fits, figures={
         "heat_grad_scaled": (list(np.log10(kept_t)), list(np.log10(scaled))),

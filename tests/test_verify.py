@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from nbesov.verify.amalgam import (
     _block_operator_bounds,
     _column_tail_bound,
     _mode_factors,
+    _triple_tail_bound,
     exp_amalgam,
 )
 from nbesov.littlewood_paley import make_partition
@@ -51,6 +53,8 @@ from nbesov.verify.common import (
     coeff_batch,
     conclude,
     geometric_spread,
+    interval_basis,
+    record_claim,
     resynthesis_residual,
     screened_fit,
 )
@@ -270,6 +274,19 @@ def test_too_few_scales_is_inconclusive_without_failures():
     assert rep.verdict == INCONCLUSIVE
     assert not [n for n in rep.notes if n.startswith("failed:")]
     assert rep.notes[-1] == "only 3 scales j in [2, 4]; a slope fit needs 4"
+    assert not any("kept; a fit needs" in n for n in rep.notes)
+
+
+def test_vanishing_dyadic_blocks_are_named_and_leave_their_claims_unresolved():
+    """Blocks j = -2, -1 sit below the first nonzero eigenvalue: each sweep
+    drops and names them, and the 3 norms left are fewer than min_points."""
+    rep = run_suite(ids=["multiplier_scaling"], overrides={"multiplier_scaling": {
+        "j_lo": -2, "j_hi": 2, "alphas_1d": [0.0], "alphas_2d": [0.0]}})[0]
+    assert rep.verdict == INCONCLUSIVE
+    assert "dropped 1d alpha=0 1->inf 2^j = 0.25, 0.5: the value there is not positive" \
+        in rep.notes
+    assert rep.notes[-1].startswith("1d alpha=0 1->inf 2^j: 3 of 5 kept; a fit needs 4; ")
+    assert rep.notes[-1].count("a fit needs 4") == 6
 
 
 def test_gradient_blocks_below_the_spectral_gap_fail_with_a_report(tmp_path):
@@ -280,6 +297,15 @@ def test_gradient_blocks_below_the_spectral_gap_fail_with_a_report(tmp_path):
     assert rep.verdict == FAIL
     assert rep.notes[-1].startswith("failed: block spread22")
     assert (tmp_path / "gradient.json").exists()
+
+
+def test_gradient_with_too_few_kept_t_leaves_the_heat_claim_unresolved():
+    """n_t = 2 keeps only t = t_max: the heat claim needs six kept t, and
+    it is unresolved rather than failed."""
+    rep = run_suite(ids=["gradient"], overrides={"gradient": {"n_t": 2}})[0]
+    assert rep.verdict == INCONCLUSIVE
+    assert not [n for n in rep.notes if n.startswith("failed:")]
+    assert rep.notes[-1] == "heat t: 1 of 2 kept; a fit needs 6"
 
 
 def test_gradient_on_one_block_scale_leaves_the_block_claims_unresolved():
@@ -356,6 +382,38 @@ def test_screened_fit_with_zero_tails_is_the_plain_fit_and_spread():
     assert fit.spread == fit.spread_hi == geometric_spread(v)
 
 
+def test_screened_fit_drops_a_value_that_is_not_positive_without_a_log_of_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = screened_fit("x", [1, 2, 4], [0, 1, 2], [0, 0, 0])
+    assert fit.kept.tolist() == [False, True, True] and fit.unresolved is None
+    assert fit.note == "dropped x = 1: the value there is not positive"
+    assert fit.slope == pytest.approx(1.0, abs=1e-12) and fit.lo == fit.hi == fit.slope
+    assert fit.spread == fit.spread_hi == 2.0
+    # A zero value with a positive tail is named for its tail, as before.
+    both = screened_fit("x", [1, 2, 4, 8, 16], [0.0, 0.0, 1.0, 2.0, 4.0], [0.5, 0, 0, 0, 0])
+    assert both.note == ("dropped x = 1: the truncation tail exceeds 5% of the value there; "
+                         "dropped x = 2: the value there is not positive")
+
+
+def test_screened_fit_below_min_points_is_unresolved_and_still_fitted():
+    fit = screened_fit("heat t", [1.0, 2.0, 4.0], [1.0, 2.0, 4.0], [0.0, 0.0, 0.0], min_points=4)
+    assert fit.kept.all() and fit.note is None
+    assert fit.unresolved == "heat t: 3 of 3 kept; a fit needs 4"
+    assert math.isfinite(fit.slope) and fit.slope == pytest.approx(1.0, abs=1e-12)
+
+
+def test_record_claim_keeps_the_note_then_the_check_or_the_reason():
+    checks, notes, unresolved = {}, [], []
+    kept = screened_fit("x", [1.0, 2.0, 4.0], [0.0, 2.0, 4.0], [0.0, 0.0, 0.0])
+    short = screened_fit("y", [1.0, 2.0], [1.0, 1.0], [0.0, 1.0])
+    assert kept.within(1.0, 1e-12) and not kept.within(0.9, 0.05)
+    record_claim(kept, "x slope", kept.within(1.0, 0.1), checks, notes, unresolved)
+    record_claim(short, "y slope", short.within(0.0, 0.1), checks, notes, unresolved)
+    assert checks == {"x slope": True}
+    assert notes == [kept.note, short.note] and unresolved == ["y: 1 of 2 kept; a fit needs 2"]
+
+
 @pytest.mark.parametrize("override", [{"slope_tol": 0.0}, {"spread_cap": 1.0}],
                          ids=["closed_window", "spread_cap_1"])
 def test_multiplier_scaling_fails_on_a_closed_window_or_spread_cap(override):
@@ -427,6 +485,33 @@ def test_amalgam_drops_the_smallest_theta_at_beta_1(suite_reports):
     rep = suite_reports["reports"]["amalgam"]
     assert any(n.startswith(f"dropped 1d beta=1 theta = {min(thetas):.3g}, ") for n in rep.notes)
     assert rep.params["tail_frac"] == TAIL_FRAC == 0.05
+
+
+def test_amalgam_triple_sweeps_drop_a_truncated_bump():
+    """At interval_K = 65 the bump at theta = 1.5e-4 reaches modes the basis
+    does not hold: both triple sweeps drop it, and the alpha = 1/2 slope
+    reads near its claim of 1/4 (0.423 when that theta was fitted)."""
+    rep = run_suite(ids=["amalgam"], overrides={"amalgam": {"interval_K": 65}})[0]
+    for alpha in ("0.5", "1"):
+        assert (f"dropped triple alpha={alpha} theta = 0.000151: the truncation tail exceeds "
+                "5% of the value there") in rep.notes
+    assert abs(rep.fit["triple_slope_alpha0.5"] - 0.25) < 0.01
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_triple_tail_bound_covers_the_truncated_triple_norm(alpha):
+    """On the pi-interval with N = 512 the K = 257 bump kernels hold every
+    mode of their symbol (tail_bound 0); the K = 65 ones at the two smallest
+    amalgam theta do not, and their triple norms stay within the triple
+    tail bound of the exact ones."""
+    short, full = (interval_basis(math.pi, K, 512) for K in (65, 257))
+    pou, h = make_partition("standard"), full.grid.h
+    for theta in np.geomspace(4.0 * h * h, 1.0, AMALGAM_DEFAULTS["n_theta_1d"])[:2]:
+        ker, exact = (multiplier_kernel(bump_symbol(pou, theta), b) for b in (short, full))
+        assert exact.tail_bound == 0.0 < ker.tail_bound
+        gap = abs(triple_norm(ker, alpha, theta) - triple_norm(exact, alpha, theta))
+        assert 0.0 < gap <= _triple_tail_bound(ker, alpha, theta)
+        assert _triple_tail_bound(exact, alpha, theta) == 0.0
 
 
 def test_amalgam_2d_claim_with_one_kept_theta_is_unresolved():

@@ -28,13 +28,13 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Domain",
@@ -399,13 +399,15 @@ def build_rectangle_basis(Lx: float, Ly: float, K: int, Nx: int = 64, Ny: int = 
     ))
 
 
-def _fd_laplacian(grid: Grid) -> sp.csr_matrix:
+def _fd_laplacian(grid: Grid) -> scipy.sparse.csr_matrix:
     """5-point Neumann Laplacian on a polygon mesh via ghost-point reflection.
 
     Missing neighbors reflect (zero flux), which zeroes their stencil
     contribution; the result is symmetric positive semidefinite with the
     constants in its kernel when the mesh is connected.
     """
+    import scipy.sparse as sp
+
     h = grid.spacing[0]
     N = grid.n_nodes
     rows, cols = [], []
@@ -438,7 +440,14 @@ def build_fd_basis(domain: Domain, h: float, K: int) -> EigenBasis:
     Eigenvalue clusters (relative gap < 1e-8) are re-orthonormalized by QR
     and every mode gets a fixed sign convention, so rebuilding with the
     same arguments reproduces the basis bit for bit.
+
+    scipy.sparse is imported here and in _fd_laplacian, not at module
+    level: no analytic basis, and so no default verification run, loads it.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.csgraph as csgraph
+    import scipy.sparse.linalg as spla
+
     grid = polygon_grid(domain, h)
     N = grid.n_nodes
     if K < 1:

@@ -19,7 +19,10 @@ e_a(x_i) e_a(x_i') into a sum of two cosines of (i - i') and (i + i' + 1),
 so the kernel of phi(H) is exactly a sum of 2^n reads of one profile: a
 type-I DCT per axis of the symbol values (a DST-I on the axis of a
 gradient kernel; Makhoul 1980), O(N log N) and equal to the dense sum up
-to roundoff (see OperatorKernel and kernel_profile).  The kernel keeps only
+to roundoff (see OperatorKernel and kernel_profile).  Each transform is the
+real FFT (numpy.fft.rfft) of the symmetric extension of its input, which is
+how pocketfft itself computes a DCT-I or DST-I, so no scipy module is
+imported on this path.  The kernel keeps only
 that profile: apply_kernel reads it in row blocks, endpoint_norms in the
 row blocks of one row per mirror orbit, norms.triple_norm and the amalgam
 column norms read columns, save_kernel writes it (3N - 1 numbers per axis)
@@ -49,9 +52,6 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
-from scipy.fft import dct, dst
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
 
 from .domains import EigenBasis, Grid, fd_gradient
 from .littlewood_paley import PartitionOfUnity
@@ -587,7 +587,7 @@ def _lattice_tail(symbol: SymbolFn, basis: EigenBasis, end: float) -> float | No
         """int_a^end lambda^{s - 1} e^{-t lambda} d lambda, or (t > 0) a bound on it."""
         if t > 0:
             if s > 0:
-                return t ** -s * gamma_fn(s) * gammaincc(s, t * a)
+                return t ** -s * _upper_gamma(s, t * a)
             return a ** (s - 1) * np.exp(-t * a) / t  # lambda^{s-1} <= a^{s-1}
         if s == 0:
             return np.log(end / a)
@@ -598,6 +598,41 @@ def _lattice_tail(symbol: SymbolFn, basis: EigenBasis, end: float) -> float | No
         rest = (c * a ** q * np.exp(-t * a) * boundary if boundary else 0.0) + c * (
             (A * integral(q + 1) if A else 0.0) + 0.5 * B * integral(q + 0.5))
     return float(np.sum(vals) + rest)
+
+
+def _upper_gamma(s: float, x: float) -> float:
+    """Gamma(s, x) = Gamma(s) Q(s, x) = int_x^inf u^{s-1} e^{-u} du, s > 0.
+
+    Half-integer s up to 6 (the heat majorant, its gradient and their
+    squares need s in {1/2, 1, 3/2, 2}) take the closed form
+    Gamma(1/2, x) = sqrt(pi) erfc(sqrt x), Gamma(1, x) = e^{-x} and
+    Gamma(r + 1, x) = r Gamma(r, x) + x^r e^{-x}, a sum of positive terms.
+    For these s, Gamma(s, x) < 1e-308 where e^{-x} underflows (x > 745), so
+    nothing above the subnormal range is lost there.  erfc of the rounded
+    y = fl(sqrt x) alone is off by a relative 2 x eps (1.6e-13 at x = 700);
+    the factor e^{y^2 - x}, with y^2 - x formed without rounding error from a
+    Veltkamp split of y, restores erfc(sqrt x).  Every other s reads
+    scipy.special, imported here so that no library tail loads it.
+    """
+    s, x = float(s), float(x)
+    if not (s <= 6 and (2 * s).is_integer()):
+        from scipy.special import gamma, gammaincc
+
+        return float(gamma(s) * gammaincc(s, x))
+    e = math.exp(-x)
+    if s % 1:
+        y = math.sqrt(x)
+        c = 134217729.0 * y  # 2^27 + 1: y = hi + lo, each half exactly squared
+        hi = c - (c - y)
+        lo = y - hi
+        g, r = math.sqrt(math.pi) * math.erfc(y) * math.exp(
+            -(((x - hi * hi) - 2 * hi * lo) - lo * lo)), 0.5
+    else:
+        g, r = e, 1.0
+    while r < s:
+        g = r * g + (x ** r * e if e else 0.0)
+        r += 1.0
+    return g
 
 
 def _modes_up_to(basis: EigenBasis, lam_c: float) -> tuple[NDArray, int]:
@@ -670,6 +705,25 @@ def _mirrored(V: NDArray, axis: int | None) -> NDArray:
     return V
 
 
+def _type1(V: NDArray, ax: int, sine: bool = False) -> NDArray:
+    """The DCT-I of V along axis ax, or with sine the DST-I of its interior
+    q = 1..N-1 with zeros at q = 0 and q = N, as the rfft of the even (odd)
+    extension written into one array of length 2N (see kernel_profile)."""
+    n = V.shape[ax] - 1
+    pre = (slice(None),) * ax
+    mirror = V[pre + (slice(n - 1, 0, -1),)]
+    ext = np.empty(V.shape[:ax] + (2 * n,) + V.shape[ax + 1:])
+    ext[pre + (slice(0, n + 1),)] = V
+    if not sine:
+        ext[pre + (slice(n + 1, None),)] = mirror
+        return np.fft.rfft(ext, axis=ax).real.copy()
+    np.negative(mirror, out=ext[pre + (slice(n + 1, None),)])
+    ext[pre + (0,)] = ext[pre + (n,)] = 0.0
+    W = -np.fft.rfft(ext, axis=ax).imag
+    W[pre + (0,)] = W[pre + (n,)] = 0.0  # the sine sum vanishes at q = 0 and q = N
+    return W
+
+
 def kernel_profile(svals: NDArray, basis: EigenBasis, axis: int | None = None) -> NDArray:
     """Profile V(q), q = 0..N per axis, of the kernel of phi(H), or with
     axis = c of d/dx_c phi(H), on an analytic interval or rectangle basis,
@@ -689,6 +743,16 @@ def kernel_profile(svals: NDArray, basis: EigenBasis, axis: int | None = None) -
     -kappa phi in place of the DCT-I on the differentiated axis.  The other
     offsets follow by mirroring, V(-q) = V(2N - q) = +-V(q) per axis (- on
     the differentiated axis).  Cost O(N log N).
+
+    Both transforms are one real FFT of length 2N of an extension of the
+    input written into one array: the DCT-I of x_0..x_N is the real part of
+    the rfft of the even extension x_0..x_N, x_{N-1}..x_1, and the DST-I of
+    the interior x_1..x_{N-1} is minus the imaginary part of the rfft of the
+    odd extension 0, x_1..x_{N-1}, 0, -x_{N-1}..-x_1.  The FFT of an even
+    (odd) sequence pairs the terms j and 2N - j into x_0 + (-1)^k x_N +
+    2 sum x_j cos(pi j k / N) (into -2i sum x_j sin(pi j k / N)), the
+    transform's definition: an identity, not an approximation, and the route
+    pocketfft itself takes for scipy.fft.dct/dst(type=1).
     """
     if not (basis.kind == "analytic" and basis.domain.kind in ("interval", "rectangle")):
         raise ValueError("kernel_profile needs an analytic interval or rectangle basis")
@@ -698,15 +762,8 @@ def kernel_profile(svals: NDArray, basis: EigenBasis, axis: int | None = None) -
         svals = _gradient_values(svals, basis, axis)
     V = np.zeros(tuple(n + 1 for n in shape))
     V[tuple(k.T)] = svals / (2.0 ** len(shape) * math.prod(lengths))
-    for ax, n in enumerate(shape):
-        if ax != axis:
-            V = dct(V, type=1, axis=ax)
-            continue
-        inner = (slice(None),) * ax + (slice(1, n),)
-        half = np.zeros_like(V)  # the sine sum vanishes at q = 0 and q = N
-        if n > 1:
-            half[inner] = dst(V[inner], type=1, axis=ax)
-        V = half
+    for ax in range(len(shape)):
+        V = _type1(V, ax, sine=ax == axis)
     return V
 
 
@@ -761,7 +818,7 @@ def _quadrature_nodes(beta: float, M: float, lam_max: float) -> NDArray:
             T = T_new
             break
         T = T_new
-    t_min = (_QUAD_LOW_EPS * gamma_fn(beta + 1.0)) ** (1.0 / beta) / (lam_max + M)
+    t_min = (_QUAD_LOW_EPS * math.gamma(beta + 1.0)) ** (1.0 / beta) / (lam_max + M)
     t_min = min(t_min, T * 1e-6)
     return np.exp(np.linspace(math.log(t_min), math.log(T), _QUAD_NODES))
 
@@ -790,7 +847,7 @@ def resolvent_gamma(beta: float, M: float, f: GridFunction, basis: EigenBasis) -
     wts[-1] *= 0.5
     decay = np.exp(-lam[:, None] * ts[None, :])  # (K, T) e^{-lam t}
     weight = ts**beta * np.exp(-M * ts) * wts
-    factors = (decay * weight).sum(axis=1) / gamma_fn(beta)
+    factors = (decay * weight).sum(axis=1) / math.gamma(beta)
     # Self-estimate: the same rule on every second node.  The node count is
     # even, so the endpoint falls between the kept nodes; close the rule at
     # the last one.
@@ -798,7 +855,7 @@ def resolvent_gamma(beta: float, M: float, f: GridFunction, basis: EigenBasis) -
     wts2[0] *= 0.5
     wts2[-1] *= 1.5
     weight2 = ts[::2] ** beta * np.exp(-M * ts[::2]) * wts2
-    factors2 = (decay[:, ::2] * weight2).sum(axis=1) / gamma_fn(beta)
+    factors2 = (decay[:, ::2] * weight2).sum(axis=1) / math.gamma(beta)
     err_quad = float(np.max(np.abs(factors - factors2) / exact(lam)))
     err_trunc = _QUAD_LOW_EPS + _QUAD_TAIL_EPS
     if err_quad + err_trunc > _QUAD_RTOL:

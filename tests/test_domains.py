@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nbesov import domains
 from nbesov.domains import (
@@ -374,7 +375,7 @@ def _fd_laplacian_per_node(grid):
     rows.extend(range(N))
     cols.extend(range(N))
     vals.extend(diag)
-    return domains.sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
 
 
 def _fd_gradient_per_node(values, grid):

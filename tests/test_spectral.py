@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,71 @@ def test_a_divergent_rectangle_resolvent_tail_reads_inf():
     assert spectral.symbol_tail_bound(resolvent_symbol(1.0, 1.0), _suite_rectangle()) == math.inf
 
 
+def _scipy_upper_gamma(s, x):
+    from scipy.special import gamma, gammaincc
+
+    return float(gamma(s) * gammaincc(s, x))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_upper_gamma_closed_form_matches_scipy(s):
+    """Gamma(s, x) for half-integer s against scipy.special on 400 points
+    log-spaced in [1e-3, 700].  The tolerance is 2e-13, not 1e-13: against
+    40-digit mpmath the closed form is off by at most 6.3e-16 there, but
+    scipy's gamma * gammaincc by up to 1.03e-13 (s = 1/2, x near 700)."""
+    for x in np.logspace(-3, math.log10(700.0), 400):
+        assert spectral._upper_gamma(s, x) == pytest.approx(_scipy_upper_gamma(s, x), rel=2e-13)
+
+
+def test_upper_gamma_half_reads_the_unrounded_root():
+    """Gamma(1/2, x) against its asymptotic series e^{-x} x^{-1/2}
+    sum_k (-1)^k (1/2)_k / x^k, 14 terms, exact to roundoff for x >= 200.
+    erfc(fl(sqrt x)) alone is off by up to 2 x eps = 1.6e-13 at x = 700."""
+    for x in np.linspace(200.0, 700.0, 101):
+        terms, term = [], 1.0
+        for k in range(14):
+            terms.append(term)
+            term *= -(k + 0.5) / x
+        series = math.exp(-x) / math.sqrt(x) * math.fsum(terms)
+        assert spectral._upper_gamma(0.5, x) == pytest.approx(series, rel=5e-15)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_upper_gamma_far_out_reads_zero_without_a_warning(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral._upper_gamma(s, 1e6) == 0.0
+
+
+@pytest.mark.parametrize("s", [0.3, 6.5, 7.0])
+def test_other_exponents_take_scipy(s):
+    for x in (1e-3, 0.7, 30.0):
+        assert spectral._upper_gamma(s, x) == _scipy_upper_gamma(s, x)
+
+
+@pytest.mark.parametrize("build", [lambda: build_interval_basis(math.pi, 257, N=512),
+                                   _suite_rectangle], ids=["i512", "rectangle"])
+@pytest.mark.parametrize("t", [1e-7, 1e-5, 1e-3, 0.03])
+def test_tail_bounds_agree_with_the_scipy_gamma_route(build, t, monkeypatch):
+    """Heat, heat-gradient (q = 1/2) and squared-heat (the amalgam column
+    tail) bounds with the closed form against the same bounds through
+    scipy.special, to 1e-14.  At t = 1e-7 the closed-form remainder moves
+    each bound by more than 1e-6, so the comparison reaches it."""
+    basis, heat = build(), heat_symbol(t)
+
+    def bounds():
+        return (spectral.symbol_tail_bound(heat, basis),
+                gradient_kernels(heat, basis)[0].tail_bound,
+                _column_tail_bound(heat, basis, 3))
+
+    got = bounds()
+    monkeypatch.setattr(spectral, "_upper_gamma", _scipy_upper_gamma)
+    assert bounds() == pytest.approx(got, rel=1e-14)
+    if t == 1e-7:
+        monkeypatch.setattr(spectral, "_upper_gamma", lambda s, x: 0.0)
+        assert all(b < g * (1 - 1e-6) for b, g in zip(bounds(), got))
+
+
 @pytest.mark.parametrize("variant", ["standard", "perturbed"])
 @pytest.mark.parametrize("j", [None, -3, 0, 5])
 def test_cap_symbol_declares_its_support(variant, j, basis, monkeypatch):
@@ -724,7 +790,7 @@ def _oracle_symbols(basis):
             resolvent_symbol(0.75, 1.0))
 
 
-@pytest.mark.parametrize("N", [7, 512, 2048])
+@pytest.mark.parametrize("N", [1, 7, 512, 2048])
 @pytest.mark.parametrize("top", [False, True])
 def test_interval_kernels_match_dense_oracle(N, top):
     # The interval route (Toeplitz + Hankel from one DCT-I / DST-I) against
@@ -839,6 +905,29 @@ def test_interval_kernels_are_sums_of_the_profile(N, top):
             full = np.concatenate((v, sign * v[N - 1:0:-1]))  # v(q), q = 0..2N-1
             T = np.where(i >= j, full[np.abs(i - j)], sign * full[np.abs(i - j)])
             assert np.array_equal(ker, T + full[i + j + 1]), (sym.tag, grad)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (9,), (513,), (2049,), (8, 6), (33, 31), (33, 33)])
+def test_type1_transforms_match_scipy(shape):
+    """The rfft-of-extension DCT-I and DST-I against scipy.fft along every
+    axis, each entry within 1e-15 of the sum of |x| over its line.  On the
+    interval of shape (2,) (N = 1) the DST-I interior is empty: all zeros.
+    The DST-I reads only the interior: other end values leave it bit for bit."""
+    from scipy.fft import dct, dst
+
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    for ax, n in enumerate(d - 1 for d in shape):
+        scale = 1e-15 * np.sum(np.abs(x), axis=ax, keepdims=True)
+        inner = (slice(None),) * ax + (slice(1, n),)
+        sine = np.zeros(shape)
+        if n > 1:
+            sine[inner] = dst(x[inner], type=1, axis=ax)
+        for got, ref in ((spectral._type1(x, ax), dct(x, type=1, axis=ax)),
+                         (spectral._type1(x, ax, sine=True), sine)):
+            assert got.shape == shape and np.all(np.abs(got - ref) <= scale), (ax, got - ref)
+        ends = x.copy()
+        ends[(slice(None),) * ax + ([0, n],)] *= 1e8
+        assert np.array_equal(spectral._type1(ends, ax, sine=True), spectral._type1(x, ax, sine=True))
 
 
 def _exact_max(sums, terms):

@@ -608,17 +608,21 @@ def _upper_gamma(s: float, x: float) -> float:
     Gamma(1/2, x) = sqrt(pi) erfc(sqrt x), Gamma(1, x) = e^{-x} and
     Gamma(r + 1, x) = r Gamma(r, x) + x^r e^{-x}, a sum of positive terms.
     For these s, Gamma(s, x) < 1e-308 where e^{-x} underflows (x > 745), so
-    nothing above the subnormal range is lost there.  erfc of the rounded
-    y = fl(sqrt x) alone is off by a relative 2 x eps (1.6e-13 at x = 700);
-    the factor e^{y^2 - x}, with y^2 - x formed without rounding error from a
-    Veltkamp split of y, restores erfc(sqrt x).  Every other s reads
-    scipy.special, imported here so that no library tail loads it.
+    they read 0.0 there and nothing above the subnormal range is lost.  erfc
+    of the rounded y = fl(sqrt x) alone is off by a relative 2 x eps (1.6e-13
+    at x = 700); the factor e^{y^2 - x}, with y^2 - x formed without rounding
+    error from a Veltkamp split of y, restores erfc(sqrt x).  (For huge x,
+    y^2 - x is of the order of ulp(x) and the factor would overflow; the
+    cut at 745 comes first.)  Every other s reads scipy.special, imported
+    here so that no library tail loads it.
     """
     s, x = float(s), float(x)
     if not (s <= 6 and (2 * s).is_integer()):
         from scipy.special import gamma, gammaincc
 
         return float(gamma(s) * gammaincc(s, x))
+    if x > 745:
+        return 0.0
     e = math.exp(-x)
     if s % 1:
         y = math.sqrt(x)
@@ -818,7 +822,7 @@ def _quadrature_nodes(beta: float, M: float, lam_max: float) -> NDArray:
             T = T_new
             break
         T = T_new
-    t_min = (_QUAD_LOW_EPS * math.gamma(beta + 1.0)) ** (1.0 / beta) / (lam_max + M)
+    t_min = math.exp((math.log(_QUAD_LOW_EPS) + math.lgamma(beta + 1.0)) / beta) / (lam_max + M)
     t_min = min(t_min, T * 1e-6)
     return np.exp(np.linspace(math.log(t_min), math.log(T), _QUAD_NODES))
 
@@ -840,23 +844,25 @@ def resolvent_gamma(beta: float, M: float, f: GridFunction, basis: EigenBasis) -
     ts = _quadrature_nodes(beta, M, float(lam[-1]))
     u = np.log(ts)
     du = u[1] - u[0]
-    # Trapezoid in u = log t: integrand t^beta e^{-(M + lam) t} per mode.
+    # Trapezoid in u = log t of the integrand t^beta e^{-(M + lam) t} /
+    # Gamma(beta) per mode, formed as one exponential so that no factor
+    # overflows or underflows on its own for a large beta.
     c = analyze(f, basis).values
     wts = np.full(len(ts), du)
     wts[0] *= 0.5
     wts[-1] *= 0.5
-    decay = np.exp(-lam[:, None] * ts[None, :])  # (K, T) e^{-lam t}
-    weight = ts**beta * np.exp(-M * ts) * wts
-    factors = (decay * weight).sum(axis=1) / math.gamma(beta)
+    g = np.exp((beta * u - math.lgamma(beta)) - (M + lam)[:, None] * ts)  # (K, T)
+    factors = (g * wts).sum(axis=1)
     # Self-estimate: the same rule on every second node.  The node count is
     # even, so the endpoint falls between the kept nodes; close the rule at
-    # the last one.
+    # the last one.  It is relative to the exact factor, or to the smallest
+    # normal number where that factor underflows, so no mode divides 0 by 0.
     wts2 = np.full(len(ts[::2]), 2 * du)
     wts2[0] *= 0.5
     wts2[-1] *= 1.5
-    weight2 = ts[::2] ** beta * np.exp(-M * ts[::2]) * wts2
-    factors2 = (decay[:, ::2] * weight2).sum(axis=1) / math.gamma(beta)
-    err_quad = float(np.max(np.abs(factors - factors2) / exact(lam)))
+    factors2 = (g[:, ::2] * wts2).sum(axis=1)
+    scale = np.maximum(exact(lam), np.finfo(float).tiny)
+    err_quad = float(np.max(np.abs(factors - factors2) / scale))
     err_trunc = _QUAD_LOW_EPS + _QUAD_TAIL_EPS
     if err_quad + err_trunc > _QUAD_RTOL:
         warnings.warn(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import threading
 import time
+from functools import lru_cache
 
 from ..reports import FAIL, INCONCLUSIVE, EstimateReport
 from .amalgam import exp_amalgam
@@ -84,6 +86,62 @@ def _run_timed(spec: ExperimentSpec) -> EstimateReport:
     return rep
 
 
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None on any other BLAS.  Looked up on the first run_suite call, not at
+    import: a symbol lookup through numpy's linalg extension, opened again,
+    searches the libraries it links.  numpy >= 2 wheels name the calls
+    scipy_openblas_*_num_threads64_, numpy 1.x wheels openblas_*64_."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_"):
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Runs its block on one OpenBLAS thread and then restores the caller's
+    count, whether the block returns or raises.  The count is process-wide,
+    so overlapping entries share it: the outermost entry saves the count and
+    the outermost exit restores it.  Where _openblas_threads finds no
+    OpenBLAS the block runs on whatever threads the BLAS has."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None
+
+    def __enter__(self):
+        blas = _openblas_threads()
+        with self._lock:
+            if self._depth == 0 and blas is not None:
+                get, set_ = blas
+                count = get()
+                set_(1)
+                self._restore = lambda: set_(count)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def run_suite(
     ids=None,
     base_seed: int = 0,
@@ -96,13 +154,21 @@ def run_suite(
     reports in request order; reports are written under out_dir when one is
     given.
 
+    The experiments run on one BLAS thread: the products they make are small,
+    more threads only slow them down, and a threaded product sums in an order
+    that depends on the thread count, which would change the last bits of the
+    reports.  The caller's thread count is restored on exit, whether the run
+    returns or raises.  This holds where numpy runs on OpenBLAS; on any other
+    BLAS the experiments run on its threads as they are.
+
     jobs is accepted for callers that pass jobs=1; any other value raises
     ValueError, because the suite runs on one thread.
     """
     if jobs != 1:
         raise ValueError(f"run_suite runs serially; jobs={jobs!r} is not 1")
     names = resolve_ids(ids if ids is not None else DEFAULT_IDS)
-    reports = [_run_timed(_spec_for(n, base_seed, pou_variant, overrides)) for n in names]
+    with _one_blas_thread:
+        reports = [_run_timed(_spec_for(n, base_seed, pou_variant, overrides)) for n in names]
     if out_dir is not None:
         for rep in reports:
             rep.save(out_dir)

@@ -31,6 +31,7 @@ from nbesov.spectral import (
     SymbolFn,
     analyze,
     apply_kernel,
+    apply_multiplier,
     block_symbol,
     bump_symbol,
     cap_symbol,
@@ -190,6 +191,24 @@ def test_resolvent_gamma_reports_unmet_tolerance(basis, monkeypatch):
     f = GridFunction.constant(basis.grid, 1.0)
     with pytest.warns(QuadratureWarning, match="exceeds rtol=1e-16"):
         resolvent_gamma(1.0, 1.0, f, basis)
+
+
+@pytest.mark.parametrize("beta", [150.0, 172.0, 1000.0])
+def test_resolvent_gamma_at_a_large_beta_is_finite(beta):
+    """t^beta overflowed at beta = 150 (NaN values) and Gamma(beta) at
+    beta = 172 (OverflowError).  Now each result is finite, raises no
+    RuntimeWarning, and agrees with the direct multiplier to _QUAD_RTOL
+    unless a QuadratureWarning said it might not."""
+    b = build_interval_basis(math.pi, 16, N=64)
+    f = GridFunction(np.cos(b.grid.points[:, 0]), b.grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        got = resolvent_gamma(beta, 1.0, f, b).values
+    want = apply_multiplier(resolvent_symbol(beta, 1.0), f, b).values
+    assert np.all(np.isfinite(got))
+    warned = any(issubclass(w.category, QuadratureWarning) for w in caught)
+    assert warned or np.max(np.abs(got - want)) <= spectral._QUAD_RTOL * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("beta, M", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
@@ -400,9 +419,24 @@ def test_upper_gamma_half_reads_the_unrounded_root():
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
 def test_upper_gamma_far_out_reads_zero_without_a_warning(s):
+    """Past x = 745 the closed form reads 0.0.  At 1e86, 1e96 and 1e136,
+    y^2 - x for y = fl(sqrt x) is of the order of ulp(x), and e^{y^2 - x}
+    used to raise OverflowError for s = 1/2 and 3/2."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert spectral._upper_gamma(s, 1e6) == 0.0
+        for x in (745.5, 1e6, 1e86, 1e96, 1e136, 1e300, math.inf):
+            assert spectral._upper_gamma(s, x) == 0.0
+
+
+def test_heat_kernel_at_a_huge_time_has_a_zero_tail():
+    """The tail bound at t = 1e300 reads Gamma(s, t a) far out (it used to
+    raise OverflowError); the kernel is the constant mode alone."""
+    b = build_interval_basis(math.pi, 16, N=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ker = heat_kernel(1e300, b)
+    assert ker.tail_bound == 0.0
+    assert np.all(ker.symbol_values[1:] == 0.0) and ker.symbol_values[0] == 1.0
 
 
 @pytest.mark.parametrize("s", [0.3, 6.5, 7.0])

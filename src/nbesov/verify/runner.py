@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import threading
 import time
+from contextlib import contextmanager
 from functools import lru_cache
 
 from ..reports import FAIL, INCONCLUSIVE, EstimateReport
@@ -92,7 +92,8 @@ def _openblas_threads():
     None on any other BLAS.  Looked up on the first run_suite call, not at
     import: a symbol lookup through numpy's linalg extension, opened again,
     searches the libraries it links.  numpy >= 2 wheels name the calls
-    scipy_openblas_*_num_threads64_, numpy 1.x wheels openblas_*64_."""
+    scipy_openblas_*_num_threads64_, numpy 1.x wheels openblas_*64_, and a
+    numpy built against a system or conda OpenBLAS openblas_*_num_threads."""
     import ctypes
 
     from numpy.linalg import _umath_linalg
@@ -101,7 +102,8 @@ def _openblas_threads():
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_"):
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
         get = getattr(lib, name.format("get"), None)
         set_ = getattr(lib, name.format("set"), None)
         if get is not None and set_ is not None:
@@ -109,37 +111,24 @@ def _openblas_threads():
     return None
 
 
-class _OneBlasThread:
+@contextmanager
+def _one_blas_thread():
     """Runs its block on one OpenBLAS thread and then restores the caller's
-    count, whether the block returns or raises.  The count is process-wide,
-    so overlapping entries share it: the outermost entry saves the count and
-    the outermost exit restores it.  Where _openblas_threads finds no
-    OpenBLAS the block runs on whatever threads the BLAS has."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = None
-
-    def __enter__(self):
-        blas = _openblas_threads()
-        with self._lock:
-            if self._depth == 0 and blas is not None:
-                get, set_ = blas
-                count = get()
-                set_(1)
-                self._restore = lambda: set_(count)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore is not None:
-                self._restore()
-                self._restore = None
-
-
-_one_blas_thread = _OneBlasThread()
+    count, whether the block returns or raises.  A nested entry saves 1 and
+    restores 1, so the outer exit is the one that restores the caller's
+    count.  Where _openblas_threads finds no OpenBLAS the block runs on
+    whatever threads the BLAS has."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
 
 
 def run_suite(
@@ -167,7 +156,7 @@ def run_suite(
     if jobs != 1:
         raise ValueError(f"run_suite runs serially; jobs={jobs!r} is not 1")
     names = resolve_ids(ids if ids is not None else DEFAULT_IDS)
-    with _one_blas_thread:
+    with _one_blas_thread():
         reports = [_run_timed(_spec_for(n, base_seed, pou_variant, overrides)) for n in names]
     if out_dir is not None:
         for rep in reports:

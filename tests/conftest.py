@@ -1,30 +1,11 @@
 import pytest
 
 from nbesov.spectral import OperatorKernel
-from nbesov.verify import run_suite, runner
+from nbesov.verify import run_suite
 
 
 def _dense_read(kernel):
     raise AssertionError(f"OperatorKernel.matrix read on {kernel.tag}")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def one_blas_thread():
-    """Every test runs on one OpenBLAS thread, as run_suite's experiments do,
-    and the count is restored at the end.  On a 2-core virtual machine the
-    first threaded OpenBLAS call after an idle spell was seen to stall for
-    0.66-1.2 s, which a time budget such as
-    test_c03_projected_semigroup_decay_exact's (about 0.15 s of work in 1 s)
-    cannot tell from slow code.  Tests that need another count set it."""
-    blas = runner._openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    yield
-    set_(before)
 
 
 @pytest.fixture

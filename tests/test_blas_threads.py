@@ -21,7 +21,7 @@ SRC = str(Path(nbesov.__file__).resolve().parents[1])
 
 BLAS = runner._openblas_threads()
 needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy is not linked to an OpenBLAS "
-                                    "that exports openblas_set_num_threads")
+                                    "whose get/set_num_threads calls runner finds")
 
 
 @pytest.fixture
@@ -87,8 +87,8 @@ def test_the_callers_count_comes_back_after_an_experiment_raises(two_threads, mo
 
 @needs_openblas
 def test_only_the_outermost_run_restores_the_count(two_threads, monkeypatch):
-    """A run that starts inside another (a second thread does the same)
-    leaves the count at 1 until the outer run ends."""
+    """A run that starts inside another leaves the count at 1 until the
+    outer run ends."""
     calls = []
 
     def outer(spec):

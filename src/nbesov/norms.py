@@ -21,14 +21,19 @@ Amalgam norms l^p(L^q)_theta tile space by the lattice of cubes with side
 theta^(1/2) centered at theta^(1/2) m, m integer, intersected with the
 domain: an L^q norm on each cube, then l^p across cubes.
 amalgam_columns is the one amalgam computation: it reduces a whole (N, S)
-stack of functions over the cube-sorted nodes at once, and amalgam_norm
-is its one-column case.  The triple norm of an operator A localizes it to
-cubes and weights the output by the distance to the cube center:
+stack of functions over the cube-sorted nodes at once, and amalgam_norm is
+its one-column case.  The triple norm of an operator A
+localizes it to cubes and weights the output by the distance to the cube
+center:
 
     |||A|||_{alpha,theta} = sup_m || |x - theta^(1/2) m|^alpha A chi_{C(m)} ||_{2->2}.
 
 Decay of the triple norm in theta is what makes kernel off-diagonal decay
-quantitative without ever forming pointwise kernel bounds.
+quantitative without ever forming pointwise kernel bounds.  triple_norm
+reads any kernel's columns cube by cube; cube_block_norms is the one
+cube-block routine for a kernel given by mode factors (mode_factors): it
+bounds the norm on l^1(L^2)_theta from both sides and gives the triple
+norms from the same blocks, each with its truncation tail.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ __all__ = [
     "amalgam_columns",
     "amalgam_norm",
     "triple_norm",
+    "mode_factors",
+    "CubeBlockNorms",
+    "cube_block_norms",
     "norm_csv_header",
     "norm_csv_row",
 ]
@@ -332,12 +340,51 @@ def seminorm_qM(
 # Amalgam norms
 
 
-# amalgam_cells keeps the partitions it made, per (grid id, theta): one
-# amalgam run asks for 16 of them 104 times.  The store is emptied when it
-# holds _CELLS_KEPT; every step is one dict operation, so threads at worst
-# build a partition twice.
+class _Cubes(NamedTuple):
+    """One lattice partition of a grid: its cells (amalgam_cells), the node
+    order that lists them cube by cube (None where that is node order, as
+    on an interval), and each cube's start in it."""
+
+    cells: tuple[tuple[tuple[int, ...], NDArray], ...]
+    order: NDArray | None
+    starts: NDArray
+
+
+# _cubes keeps the partitions it made, per (grid id, theta): one amalgam run
+# asks for 16 of them over 300 times.  The store is emptied when it holds
+# _CELLS_KEPT; every step is one dict operation, so threads at worst build a
+# partition twice.
 _CELLS_KEPT = 64
-_cells_made: dict[tuple[str, float], tuple] = {}
+_cells_made: dict[tuple[str, float], _Cubes] = {}
+
+
+def _cubes(grid: Grid, theta: float) -> _Cubes:
+    """The partition amalgam_cells describes, with its node order and starts."""
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta={theta} must be positive and finite")
+    root = math.sqrt(theta)
+    if root < grid.h * (1 - 1e-12):
+        raise ValueError(
+            f"cube side sqrt(theta)={root:.4g} is below the grid spacing {grid.h:.4g}"
+        )
+    key = (grid.grid_id(), float(theta))
+    cubes = _cells_made.get(key)
+    if cubes is None:
+        u = grid.points / root + 0.5
+        r = np.rint(u)
+        m = np.floor(np.where(np.abs(u - r) <= 4 * np.spacing(r), r, u)).astype(int)
+        order = np.lexsort(tuple(m[:, ax] for ax in reversed(range(m.shape[1]))))
+        order.flags.writeable = False
+        m_sorted = m[order]
+        change = np.any(np.diff(m_sorted, axis=0) != 0, axis=1)
+        starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
+        cells = tuple(zip(map(tuple, m_sorted[starts].tolist()), np.split(order, starts[1:])))
+        if np.array_equal(order, np.arange(len(order))):
+            order = None
+        if len(_cells_made) >= _CELLS_KEPT:
+            _cells_made.clear()
+        cubes = _cells_made[key] = _Cubes(cells, order, starts)
+    return cubes
 
 
 def amalgam_cells(grid: Grid, theta: float) -> tuple[tuple[tuple[int, ...], NDArray], ...]:
@@ -352,51 +399,38 @@ def amalgam_cells(grid: Grid, theta: float) -> tuple[tuple[tuple[int, ...], NDAr
     theta that is not positive and finite, or below the grid spacing
     squared.
     """
-    if not 0 < theta < math.inf:
-        raise ValueError(f"theta={theta} must be positive and finite")
-    root = math.sqrt(theta)
-    if root < grid.h * (1 - 1e-12):
-        raise ValueError(
-            f"cube side sqrt(theta)={root:.4g} is below the grid spacing {grid.h:.4g}"
-        )
-    key = (grid.grid_id(), float(theta))
-    cells = _cells_made.get(key)
-    if cells is None:
-        u = grid.points / root + 0.5
-        r = np.rint(u)
-        m = np.floor(np.where(np.abs(u - r) <= 4 * np.spacing(r), r, u)).astype(int)
-        order = np.lexsort(tuple(m[:, ax] for ax in reversed(range(m.shape[1]))))
-        order.flags.writeable = False
-        m_sorted = m[order]
-        change = np.any(np.diff(m_sorted, axis=0) != 0, axis=1)
-        starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(order)]])
-        cells = tuple((tuple(int(v) for v in m_sorted[a]), order[a:b])
-                      for a, b in zip(starts[:-1], starts[1:]))
-        if len(_cells_made) >= _CELLS_KEPT:
-            _cells_made.clear()
-        _cells_made[key] = cells
-    return cells
+    return _cubes(grid, theta).cells
 
 
 def amalgam_columns(F: NDArray, grid: Grid, params: AmalgamParams) -> NDArray:
     """l^p over lattice cubes of the per-cube quadrature L^q norm of every
     column of F (N, S); returns (S,).
 
-    One reduceat pass over the cube-sorted rows (np.maximum when q = inf).
-    This is the one amalgam computation; amalgam_norm wraps it.
+    The columns are copied once, as the rows of an (S, N) array with the
+    nodes in cube order (a plain copy on an interval, where that is node
+    order), so that each cube is one contiguous run of every row.  The copy
+    is raised to |F|^q w in place (squared, with no abs, at q = 2), and one
+    reduceat pass sums each run (np.maximum when q = inf).  This is the one
+    amalgam computation; amalgam_norm wraps it.
     """
-    cells = amalgam_cells(grid, params.theta)
-    order = np.concatenate([idx for _, idx in cells])
-    starts = np.cumsum([0] + [len(idx) for _, idx in cells[:-1]])
-    # np.abs returns a new array; the steps below reuse it in place, so a
-    # kernel-sized stack costs one (N, S) temporary.
-    A = np.abs(F[order]).astype(float, copy=False)
-    if np.isinf(params.q):
-        per_cube = np.maximum.reduceat(A, starts, axis=0)
+    cubes = _cubes(grid, params.theta)
+    q, w = params.q, grid.weights
+    if cubes.order is None:
+        A = np.array(F.T, dtype=float, order="C")
     else:
-        A **= params.q
-        A *= grid.weights[order, None]
-        per_cube = np.add.reduceat(A, starts, axis=0) ** (1.0 / params.q)
+        A, w = F.T[:, cubes.order].astype(float, copy=False), w[cubes.order]
+    if np.isinf(q):
+        per_cube = np.maximum.reduceat(np.abs(A, out=A), cubes.starts, axis=1)
+    else:
+        if q == 2:
+            A *= A
+        else:
+            A = np.abs(A, out=A)
+            A **= q
+        A *= w
+        per_cube = np.add.reduceat(A, cubes.starts, axis=1) ** (1.0 / q)
+    # (cubes, S) in C order: the l^p sum below runs down the cubes in order.
+    per_cube = np.ascontiguousarray(per_cube.T)
     if np.isinf(params.p):
         return per_cube.max(axis=0)
     return np.sum(per_cube**params.p, axis=0) ** (1.0 / params.p)
@@ -407,31 +441,241 @@ def amalgam_norm(f: GridFunction, params: AmalgamParams) -> float:
     return float(amalgam_columns(np.asarray(f.values)[:, None], f.grid, params)[0])
 
 
+def _cube_geometry(grid: Grid, cubes: _Cubes, theta: float) -> tuple[NDArray, NDArray]:
+    """(dist, mass): the (cubes, N) distances |x_i - theta^(1/2) m| from every
+    node to every cube center, and each cube's quadrature mass."""
+    centers = math.sqrt(theta) * np.array([m for m, _ in cubes.cells], dtype=float)
+    pts = grid.points
+    dist = np.sqrt(sum((pts[:, a] - centers[:, a, None]) ** 2 for a in range(pts.shape[1])))
+    w = grid.weights if cubes.order is None else grid.weights[cubes.order]
+    return dist, np.add.reduceat(w, cubes.starts)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha={alpha} must be finite and >= 0")
+
+
+def _top_eigenvalue(G: NDArray) -> NDArray:
+    """Largest eigenvalue of every symmetric (k, k) block of G (..., k, k):
+    exact in closed form for k <= 2, (x + z) / 2 + hypot((x - z) / 2, y) for
+    [[x, y], [y, z]]; else by one batched eigvalsh."""
+    if G.shape[-1] == 1:
+        return G[..., 0, 0]
+    if G.shape[-1] == 2:
+        x, y, z = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
+        return (x + z) / 2 + np.hypot((x - z) / 2, y)
+    return np.linalg.eigvalsh(G)[..., -1]
+
+
+def _sigma_max(B: NDArray) -> NDArray:
+    """Largest singular value of every (a, b) block of B (..., a, b).
+
+    Exact in closed form where min(a, b) <= 2 (Golub & Van Loan, 4th ed.,
+    §8.6): a 2 x 2 block [[p, q], [r, s]] has sigma_1 + sigma_2 =
+    hypot(p + s, q - r) and sigma_1 - sigma_2 = hypot(p - s, q + r), so
+    sigma_1 is half their sum; a 1 x k or 2 x k block is divided by its
+    largest |entry| first, so that no square over- or underflows, and
+    sigma^2 is the top eigenvalue of its 1 x 1 or 2 x 2 Gram
+    (_top_eigenvalue).  Elsewhere sqrt(lambda_max) of the Gram on the
+    shorter side, by one batched eigvalsh.
+    """
+    if B.shape[-2] > B.shape[-1]:
+        B = B.swapaxes(-1, -2)
+    a, b = B.shape[-2:]
+    if a == b == 2:
+        p, q, r, s = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
+        return (np.hypot(p + s, q - r) + np.hypot(p - s, q + r)) / 2
+    if a <= 2:
+        scale = np.maximum(B.max(axis=(-2, -1)), -B.min(axis=(-2, -1)))
+        Y = B / np.where(scale > 0, scale, 1.0)[..., None, None]
+        return scale * np.sqrt(_top_eigenvalue(Y @ Y.swapaxes(-1, -2)))
+    return np.sqrt(np.maximum(_top_eigenvalue(B @ B.swapaxes(-1, -2)), 0.0))
+
+
 def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
     """sup over cubes of || |x - c_m|^alpha A chi_{C(m)} ||_{2->2}.
 
     The per-cube norm is the largest singular value of the weighted
-    localized block M, read as sqrt(lambda_max(M^T M)) from the symmetric
-    eigensolver.  M^T is built from the cube's columns of the kernel
-    (kernel.columns), so a profile kernel never forms its matrix.  Rejects
-    alpha that is not finite and >= 0, and theta as amalgam_cells does.
+    localized block M (_sigma_max: closed form on one- and two-node cubes,
+    else sqrt(lambda_max(M^T M)) from the symmetric eigensolver).  M^T is
+    built from the cube's columns of the kernel (kernel.columns), one cube
+    at a time, so a profile kernel never forms its matrix.  Rejects alpha
+    that is not finite and >= 0, and theta as amalgam_cells does.
     """
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha={alpha} must be finite and >= 0")
+    _check_alpha(alpha)
     grid = kernel.grid
-    cells = amalgam_cells(grid, theta)
-    root = math.sqrt(theta)
+    cubes = _cubes(grid, theta)
+    dist, _ = _cube_geometry(grid, cubes, theta)
     sw = np.sqrt(grid.weights)
     best = 0.0
-    for m_idx, idx in cells:
-        center = root * np.asarray(m_idx, dtype=float)
-        dist = np.linalg.norm(grid.points - center, axis=1)
-        rowscale = sw * dist**alpha
+    for (_, idx), d in zip(cubes.cells, dist):
         Mt = kernel.columns(idx)  # a new array, scaled in place: (rowscale_r K_rc) sw_c
-        Mt *= rowscale
+        Mt *= sw * d**alpha
         Mt *= sw[idx][:, None]
-        best = max(best, np.linalg.eigvalsh(Mt @ Mt.T)[-1])
-    return math.sqrt(best)
+        best = max(best, float(_sigma_max(Mt)))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Cube blocks of a factored kernel
+
+
+def mode_factors(symbol_values: NDArray, basis: EigenBasis) -> tuple[NDArray, NDArray]:
+    """(phi, X) with W^(1/2) K W^(1/2) = X^T diag(phi) X for the kernel
+    K = E^T diag(symbol_values) E (a profile kernel of basis, up to
+    rounding): X the (band, N) modes where symbol_values is nonzero times
+    W^(1/2), phi those values.  cube_block_norms reads them as U = phi, V = X."""
+    band = np.flatnonzero(symbol_values)
+    return symbol_values[band], basis.functions[band] * np.sqrt(basis.grid.weights)
+
+
+class CubeBlockNorms(NamedTuple):
+    """What cube_block_norms returns.  tail bounds how far upper and lower
+    move, and triple_tail[i] how far triple[i] moves, when every kernel
+    entry moves by at most the tail_bound it was given."""
+
+    upper: float
+    lower: float
+    tail: float
+    triple: tuple[float, ...]
+    triple_tail: tuple[float, ...]
+
+
+# Cap on the lower bound's ascent iterates; the amalgam sweep's bump kernels stall within 15.
+ASCENT_STEPS = 50
+
+
+def _block_bounds(S: list, R: list, symmetric: bool) -> tuple[float, float, float]:
+    """(upper, lower, top) from the per-size factors S_c and R_r of
+    cube_block_norms, each (k, cubes, band): the bounds, and the largest
+    eigenvalue of sum_r C_rc^T C_rc over all cubes c."""
+    R_all = np.concatenate([r.reshape(-1, r.shape[-1]) for r in R])
+    cut = np.cumsum([0] + [s.shape[0] * s.shape[1] for s in S])  # R_all's rows per size
+    at = np.cumsum([0] + [s.shape[1] for s in S])  # cube positions per size
+    sig = np.empty((at[-1], at[-1]))  # sigma_max(C_rc)
+    lower = top = 0.0
+    for g, s in enumerate(S):
+        k, n = s.shape[:2]
+        Ct = s.swapaxes(0, 1) @ R_all.T  # C_c^T = S_c R^T for each cube c of this size
+        for a, (ka, na) in enumerate(s_.shape[:2] for s_ in S):
+            if symmetric and a > g:
+                continue  # read as the transpose of (g, a)
+            ra, rg = slice(at[a], at[a + 1]), slice(at[g], at[g + 1])
+            blocks = Ct[:, :, cut[a]:cut[a + 1]].reshape(n, k, ka, na).transpose(3, 0, 2, 1)
+            if symmetric and a == g:
+                i, j = np.triu_indices(n)
+                sig[at[g] + i, at[g] + j] = sig[at[g] + j, at[g] + i] = _sigma_max(blocks[i, j])
+                continue
+            sig[ra, rg] = _sigma_max(blocks)
+            if symmetric:
+                sig[rg, ra] = sig[ra, rg].T
+
+        lam, vec = np.linalg.eigh(Ct @ Ct.swapaxes(1, 2))  # sum_r C_rc^T C_rc
+        top = max(top, float(lam[:, -1].max()))
+        x = vec[..., -1]
+        f = np.zeros(n)
+        for _ in range(ASCENT_STEPS):
+            y = (x[:, None, :] @ Ct)[:, 0]  # C_c z, size by size
+            ys = [y[:, cut[h]:cut[h + 1]].reshape(n, *S[h].shape[:2]) for h in range(len(S))]
+            rs = [np.sqrt(np.einsum("cir,cir->cr", v, v)) for v in ys]  # |C_rc z|
+            f, prev = np.maximum(f, sum(r.sum(axis=1) for r in rs)), f
+            if np.all(f <= prev * (1 + 1e-12)):
+                break
+            # r and |g| are 0 only where y and g are; the floor keeps 0/0 out.
+            u = np.concatenate([(v / np.maximum(r, 1e-300)[:, None, :]).reshape(n, -1)
+                                for v, r in zip(ys, rs)], axis=1)
+            g_ = (Ct @ u[..., None])[..., 0]
+            x = g_ / np.maximum(np.linalg.norm(g_, axis=1, keepdims=True), 1e-300)
+        lower = max(lower, float(f.max()))
+    upper = float(sig.sum(axis=0).max())
+    return upper, min(lower, upper), top
+
+
+def cube_block_norms(U: NDArray, V: NDArray, grid: Grid, theta: float,
+                     alphas: Sequence[float] = (), tail_bound: float = 0.0) -> CubeBlockNorms:
+    """Two-sided bounds on the norm of A = W^(-1/2) U^T V W^(-1/2) on the
+    cube-summed L^2 space l^1(L^2)_theta of grid, and A's triple norms
+    |||A|||_{alpha,theta} (triple_norm) for each alpha in alphas.
+
+    U and V are (band, N) factors of the weighted kernel B = W^(1/2) K W^(1/2)
+    = U^T V; a 1-D U holds the phi of U = diag(phi) V (mode_factors), so B
+    is symmetric and each unordered cube pair is read once.  With B_rc its
+    block on row cube r and column cube c, the norm is max_c max_{|x|=1}
+    f_c(x), f_c(x) = sum_r |B_rc x|, as each extreme point of the unit ball
+    lies in one cube.
+
+    Each cube of m nodes is read in k = min(m, band) coordinates, by its
+    size: where band < m one batched QR per size gives U_r^T = Q_r R_r and
+    V_c^T = P_c S_c (R_r = S_r diag(phi) when B is symmetric), and where
+    band >= m, R_r = U_r^T and S_c = V_c^T as they are (a QR would compress
+    nothing).  Then B_rc = Q_r C_rc P_c^T with C_rc = R_r S_c^T, read per
+    column-cube size as the blocks of S_c R^T, one GEMM against the stacked
+    R of all row cubes, and as Q_r and P_c have orthonormal columns, C_rc
+    has the singular values of B_rc and |B_rc x| = |C_rc z| with
+    z = P_c^T x, |z| <= |x|: f_c peaks on |z| = 1, on k_c coordinates.
+    Upper: max_c sum_r sigma_max(C_rc), in closed form where
+    min(k_r, k_c) <= 2 (_sigma_max), else by batched eigvalsh.  Lower:
+    max_c f_c along the ascent z <- g/|g|, g = sum_r C_rc^T C_rc z /
+    |C_rc z|, batched per column-cube size from the top eigenvectors of
+    sum_r C_rc^T C_rc.  f_c is convex and 1-homogeneous, so every iterate
+    is a lower bound and none falls.  It stops when no cube gains 1e-12
+    relative, or at ASCENT_STEPS iterates, and is capped at the upper
+    bound, which rounding can cross where the two meet.
+
+    The triple norm's block on cube c is D_c B_c, D_c = diag(|x - c|^alpha),
+    and D_c B_c P_c = D_c U^T S_c^T, so its sigma_max^2 is the top
+    eigenvalue of the k_c x k_c Gram S_c (U D_c^2 U^T) S_c^T: formed from
+    the weighted columns S_c U = V_c^T U themselves where band >= m, from
+    their k = band compressed rows where band < m, and read in closed form
+    for k_c <= 2 (_top_eigenvalue).  alpha = 0 is read off the ascent's
+    start (the top eigenvalues of sum_r C_rc^T C_rc), not computed again.
+
+    Each entry of an error kernel of at most tail_bound = tau moves block
+    (r, c) by at most its Frobenius norm tau sqrt(w(r) w(c)), w the cube's
+    quadrature mass (Golub & Van Loan, 4th ed., §2.3): tail is
+    tau max_c sqrt(w(c)) sum_r sqrt(w(r)), and triple_tail
+    tau sqrt(max_c w(c) sum_i w_i |x_i - c|^(2 alpha)).  No kernel column
+    is read, and no array is larger than N x N.
+    """
+    for alpha in alphas:
+        _check_alpha(alpha)
+    cubes = _cubes(grid, theta)
+    band, symmetric = V.shape[0], U.ndim == 1
+    sizes = [len(idx) for _, idx in cubes.cells]
+    groups = [np.flatnonzero(np.equal(sizes, m)) for m in dict.fromkeys(sizes)]
+
+    def factor(A, ids):  # (k, cubes, band): A_c^T, or its R factor where band < m
+        At = A[:, np.stack([cubes.cells[i][1] for i in ids])].transpose(1, 2, 0)
+        return (np.linalg.qr(At, mode="r") if At.shape[1] > band else At).swapaxes(0, 1)
+
+    # Cubes go size by size; within a size, the factors' rows run coordinate
+    # by coordinate, each over all cubes, so that _block_bounds works on
+    # contiguous runs of cubes.
+    S = [factor(V, ids) for ids in groups]
+    R = [s * U for s in S] if symmetric else [factor(U, ids) for ids in groups]
+    upper, lower, top = _block_bounds(S, R, symmetric)
+
+    dist, mass = _cube_geometry(grid, cubes, theta)
+    Ufull = U[:, None] * V if symmetric else U
+    rows = [(s.reshape(-1, band) @ Ufull).reshape(*s.shape[:2], -1).swapaxes(0, 1) for s in S]
+
+    def triple(alpha):  # max_c sqrt(lambda_max(S_c U D_c^2 U^T S_c^T))
+        if alpha == 0:
+            return math.sqrt(max(top, 0.0))
+        best = 0.0
+        for T, ids in zip(rows, groups):
+            d2 = dist[ids]
+            d2 **= 2 * alpha
+            best = max(best, float(_top_eigenvalue((T * d2[:, None, :]) @ T.swapaxes(1, 2)).max()))
+        return math.sqrt(max(best, 0.0))
+
+    root_mass = np.sqrt(mass)
+    return CubeBlockNorms(
+        upper, lower, tail_bound * float(root_mass.max() * root_mass.sum()),
+        tuple(triple(alpha) for alpha in alphas),
+        tuple(tail_bound * math.sqrt(float(np.max(dist ** (2 * alpha) @ grid.weights * mass)))
+              for alpha in alphas))
 
 
 # ---------------------------------------------------------------------------

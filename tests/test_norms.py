@@ -16,6 +16,7 @@ from nbesov.domains import (
     polygon_grid,
     rectangle_grid,
 )
+from nbesov import norms
 from nbesov.littlewood_paley import make_partition
 from nbesov.norms import (
     AmalgamParams,
@@ -28,8 +29,10 @@ from nbesov.norms import (
     besov_inhom,
     besov_table,
     block_lp_table,
+    cube_block_norms,
     default_besov_params,
     lp_columns,
+    mode_factors,
     norm_csv_header,
     norm_csv_row,
     scale_window,
@@ -45,6 +48,7 @@ from nbesov.spectral import (
     heat_kernel,
     heat_symbol,
     load_kernel,
+    bump_symbol,
     multiplier_kernel,
     save_kernel,
     to_grid,
@@ -267,6 +271,74 @@ def test_triple_norm_and_kernel_files_keep_a_profile_kernel_unformed(basis, tmp_
 def test_triple_norm_rejects_alpha_that_is_not_finite_and_nonnegative(basis, alpha):
     with pytest.raises(ValueError, match="finite and >= 0"):
         triple_norm(heat_kernel(0.1, basis), alpha, 0.25)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        cube_block_norms(*mode_factors(np.ones(basis.K), basis), basis.grid, 0.25, (0.5, alpha))
+
+
+# ---------------------------------------------------------------------------
+# Cube blocks
+
+
+def _degenerate_blocks():
+    """Blocks whose largest singular value the closed forms must get right:
+    2 x 2 ones with b = 0, with d = 0, of rank 1 and all zero, and 1 x k,
+    k x 1, 2 x k and k x 2 ones, each also scaled to entries near 1e-300 and
+    near 1e300."""
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal(2), rng.standard_normal(5)
+    shapes = {
+        "2x2 b=0": np.array([[1.5, 0.0], [-0.7, 2.0]]),
+        "2x2 d=0": np.array([[1.5, -0.3], [0.7, 0.0]]),
+        "2x2 rank 1": np.outer(u, u[::-1]),
+        "2x2 equal rows": np.array([[1.0, 2.0], [1.0, 2.0]]),
+        "2x2 zero": np.zeros((2, 2)),
+        "1x5": v[None, :],
+        "5x1": v[:, None],
+        "1x5 zero": np.zeros((1, 5)),
+        "2x5": rng.standard_normal((2, 5)),
+        "2x5 rank 1": np.outer(u, v),
+        "5x2 zero column": np.stack([v, np.zeros(5)], axis=1),
+        "5x2 zero": np.zeros((5, 2)),
+    }
+    for name, B in shapes.items():
+        for scale in (1.0, 1e-300, 1e300):
+            yield f"{name} * {scale:g}", scale * B
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, B", list(_degenerate_blocks()))
+def test_sigma_max_closed_forms_match_the_svd(name, B):
+    """The closed forms against np.linalg.svd, one block at a time and
+    stacked, with warnings raised as errors: no square over- or underflows
+    near 1e300 and 1e-300, and an all-zero block reads 0 exactly."""
+    want = np.linalg.svd(B, compute_uv=False)[0]
+    got = norms._sigma_max(B)
+    assert got == pytest.approx(want, rel=4e-16 * max(B.shape), abs=0), name
+    assert np.all(norms._sigma_max(np.stack([B, -B, B])) == got)
+
+
+def test_cube_block_norms_read_a_symmetric_kernel_once_per_cube_pair(monkeypatch):
+    """A 1-D U = phi (mode_factors) and the 2-D U = diag(phi) V give the
+    same bounds and triple norms, while the first reads n (n + 1) / 2 of
+    the n^2 blocks C_rc, n cubes."""
+    basis = build_interval_basis(math.pi, 65, N=128)
+    pou = make_partition("standard")
+    blocks = []
+    real = norms._sigma_max
+    monkeypatch.setattr(norms, "_sigma_max",
+                        lambda B: blocks.append(math.prod(B.shape[:-2])) or real(B))
+    for theta in (4.0 * basis.grid.h ** 2, 0.01, 0.1, 1.0):
+        phi, X = mode_factors(multiplier_kernel(bump_symbol(pou, theta), basis).symbol_values,
+                              basis)
+        n = len(amalgam_cells(basis.grid, theta))
+        blocks.clear()
+        once = cube_block_norms(phi, X, basis.grid, theta, (0.5,))
+        n_once = sum(blocks)
+        blocks.clear()
+        both = cube_block_norms(phi[:, None] * X, X, basis.grid, theta, (0.5,))
+        assert sum(blocks) - n_once == n * (n - 1) // 2, theta
+        for a, b in zip(once, both):
+            assert a == pytest.approx(b, rel=1e-13, abs=0), theta
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from nbesov.domains import (
     build_interval_basis,
     build_rectangle_basis,
 )
-from nbesov.norms import AmalgamParams, amalgam_cells, amalgam_columns, triple_norm
+from nbesov import norms
+from nbesov.norms import amalgam_cells, cube_block_norms, mode_factors, triple_norm
 from nbesov.spectral import (
     OperatorKernel,
     bump_symbol,
@@ -32,14 +33,7 @@ from nbesov.spectral import (
     resolvent_symbol,
 )
 from nbesov.verify import amalgam, moments
-from nbesov.verify.amalgam import (
-    AMALGAM_DEFAULTS,
-    _block_operator_bounds,
-    _column_tail_bound,
-    _mode_factors,
-    _triple_tail_bound,
-    exp_amalgam,
-)
+from nbesov.verify.amalgam import AMALGAM_DEFAULTS, _column_tail_bound, exp_amalgam
 from nbesov.littlewood_paley import make_partition
 from nbesov.verify.besov import (
     DUALITY_DEFAULTS,
@@ -489,13 +483,32 @@ def test_amalgam_drops_the_smallest_theta_at_beta_1(suite_reports):
 
 def test_amalgam_triple_sweeps_drop_a_truncated_bump():
     """At interval_K = 65 the bump at theta = 1.5e-4 reaches modes the basis
-    does not hold: both triple sweeps drop it, and the alpha = 1/2 slope
-    reads near its claim of 1/4 (0.423 when that theta was fitted)."""
+    does not hold: the bump bound sweep and both triple sweeps drop it, and
+    the alpha = 1/2 slope reads near its claim of 1/4 (0.423 when that theta
+    was fitted).  The bound spread rests on the kept theta (26.5 when the
+    truncated bound, 0.066, was counted), so the run passes."""
     rep = run_suite(ids=["amalgam"], overrides={"amalgam": {"interval_K": 65}})[0]
-    for alpha in ("0.5", "1"):
-        assert (f"dropped triple alpha={alpha} theta = 0.000151: the truncation tail exceeds "
+    for sweep in ("bump bound", "triple alpha=0.5", "triple alpha=1"):
+        assert (f"dropped {sweep} theta = 0.000151: the truncation tail exceeds "
                 "5% of the value there") in rep.notes
     assert abs(rep.fit["triple_slope_alpha0.5"] - 0.25) < 0.01
+    assert rep.fit["bump_upper_spread"] < 2.0
+    assert rep.verdict == PASS
+
+
+def _bump_blocks(basis, theta, alphas=(), variant="standard"):
+    """cube_block_norms of the bump kernel on basis, as exp_amalgam calls it."""
+    ker = multiplier_kernel(bump_symbol(make_partition(variant), theta), basis)
+    return cube_block_norms(*mode_factors(ker.symbol_values, basis), basis.grid, theta, alphas,
+                            ker.tail_bound)
+
+
+def _truncated_sweep():
+    """The K = 65 and K = 257 bases on the pi-interval with N = 512, and the
+    amalgam experiment's theta on them."""
+    short, full = (interval_basis(math.pi, K, 512) for K in (65, 257))
+    h = full.grid.h
+    return short, full, np.geomspace(4.0 * h * h, 1.0, AMALGAM_DEFAULTS["n_theta_1d"])
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -503,15 +516,61 @@ def test_triple_tail_bound_covers_the_truncated_triple_norm(alpha):
     """On the pi-interval with N = 512 the K = 257 bump kernels hold every
     mode of their symbol (tail_bound 0); the K = 65 ones at the two smallest
     amalgam theta do not, and their triple norms stay within the triple
-    tail bound of the exact ones."""
-    short, full = (interval_basis(math.pi, K, 512) for K in (65, 257))
-    pou, h = make_partition("standard"), full.grid.h
-    for theta in np.geomspace(4.0 * h * h, 1.0, AMALGAM_DEFAULTS["n_theta_1d"])[:2]:
-        ker, exact = (multiplier_kernel(bump_symbol(pou, theta), b) for b in (short, full))
-        assert exact.tail_bound == 0.0 < ker.tail_bound
-        gap = abs(triple_norm(ker, alpha, theta) - triple_norm(exact, alpha, theta))
-        assert 0.0 < gap <= _triple_tail_bound(ker, alpha, theta)
-        assert _triple_tail_bound(exact, alpha, theta) == 0.0
+    tail bound of the exact ones.  triple_norm reads the same values."""
+    short, full, thetas = _truncated_sweep()
+    for theta in thetas[:2]:
+        cut, exact = (_bump_blocks(b, theta, (alpha,)) for b in (short, full))
+        gap = abs(cut.triple[0] - exact.triple[0])
+        assert 0.0 < gap <= cut.triple_tail[0]
+        assert exact.triple_tail == (0.0,)
+        ker = multiplier_kernel(bump_symbol(make_partition("standard"), theta), short)
+        assert triple_norm(ker, alpha, theta) == pytest.approx(cut.triple[0], rel=1e-13, abs=0)
+
+
+def _bump_gaps(scale):
+    """Whether scale times the block tail of every K = 65 bump bound covers
+    its distance to the K = 257 one, over the experiment's theta."""
+    short, full, thetas = _truncated_sweep()
+    covered = []
+    for theta in thetas:
+        cut, exact = (_bump_blocks(b, theta) for b in (short, full))
+        assert exact.tail == 0.0
+        covered.append(abs(cut.upper - exact.upper) <= scale * cut.tail
+                       and abs(cut.lower - exact.lower) <= scale * cut.tail)
+    return covered
+
+
+def test_block_tail_covers_the_truncated_bump_bounds():
+    """The K = 65 bump kernels leave out modes of their symbol at the two
+    smallest theta (tail_bound 18.5 and 2.3e-5) and hold them all from the
+    third on, where both bounds equal the K = 257 ones exactly.  The block
+    tail covers the distance at every theta; a hundredth of it does not."""
+    assert all(_bump_gaps(1.0))
+    assert not all(_bump_gaps(0.01))
+
+
+def test_bump_spread_reads_its_certified_upper_end_over_the_kept_theta(monkeypatch):
+    """A synthetic bump sweep: the smallest theta has a tail of 20 % of its
+    bound and a gap of 20, and is dropped, so no gap reason follows; the
+    kept bounds 1.0 and 1.9 have tails of 4 %, so their spread 1.9 is under
+    a cap of 2 while its certified upper end 1.9 * 1.04 / 0.96 is not."""
+    bounds = iter([(5.0, 0.25, 1.0), (1.0, 1.0, 0.04), (1.9, 1.9, 0.076)])
+
+    def synthetic(U, V, grid, theta, alphas, tail_bound):
+        upper, lower, tail = next(bounds)
+        return norms.CubeBlockNorms(upper, lower, tail, (1.0,) * len(alphas),
+                                    (0.0,) * len(alphas))
+
+    monkeypatch.setattr(amalgam, "cube_block_norms", synthetic)
+    rep = exp_amalgam(ExperimentSpec(id="amalgam", params={
+        "n_theta_1d": 3, "n_theta_2d": 3, "uniform_spread_cap": 2.0}))
+    theta0 = min(p["theta"] for p in rep.points if p["part"] == "bump_bound")
+    assert (f"dropped bump bound theta = {theta0:.3g}: the truncation tail exceeds 5% of the "
+            "value there") in rep.notes
+    assert rep.fit["bump_upper_spread"] == pytest.approx(1.9, rel=1e-15)
+    assert rep.fit["bump_gap"] == 1.0
+    assert "bump bound spread" in rep.notes[-1] and "gap" not in rep.notes[-1]
+    assert rep.verdict == FAIL
 
 
 def test_amalgam_2d_claim_with_one_kept_theta_is_unresolved():
@@ -621,7 +680,7 @@ def test_column_tail_bound_is_the_squared_symbol_tail(basis):
 
 
 def _svd_block_bounds(kernel, theta):
-    """Oracles for _block_operator_bounds: one batched SVD of the weighted
+    """Oracles for cube_block_norms: one batched SVD of the weighted
     blocks B_rc per cube-size pair, summed over row cubes, for the upper
     bound; triple_norm(kernel, 0, theta), the largest norm on functions
     supported in one cube, for the ascent's start."""
@@ -641,7 +700,7 @@ def _svd_block_bounds(kernel, theta):
 
 
 def _column_block_bounds(kernel, theta):
-    """Oracle for _block_operator_bounds: the same upper bound and ascent on
+    """Oracle for cube_block_norms: the same upper bound and ascent on
     the uncompressed blocks B_rc = W^(1/2) K W^(1/2), read from the kernel's
     columns, each column cube's iterate x of length m."""
     cells = amalgam_cells(kernel.grid, theta)
@@ -660,7 +719,7 @@ def _column_block_bounds(kernel, theta):
         Bt = KwT.take(order, axis=2)
         x = np.linalg.eigh(gram.sum(axis=0))[1][..., -1]
         f = np.zeros(len(cols))
-        for _ in range(amalgam.ASCENT_STEPS):
+        for _ in range(norms.ASCENT_STEPS):
             y = (x[:, None, :] @ Bt)[:, 0]
             r = np.sqrt(np.add.reduceat(y * y, starts, axis=1))
             f, prev = np.maximum(f, r.sum(axis=1)), f
@@ -673,8 +732,8 @@ def _column_block_bounds(kernel, theta):
 
 
 def _bump_bounds(ker, basis, theta):
-    """_block_operator_bounds on the mode factors, as exp_amalgam calls it."""
-    return _block_operator_bounds(*_mode_factors(ker.symbol_values, basis), basis.grid, theta)
+    """cube_block_norms' bounds on the mode factors, as exp_amalgam calls it."""
+    return cube_block_norms(*mode_factors(ker.symbol_values, basis), basis.grid, theta)[:2]
 
 
 @pytest.mark.parametrize("build, thetas", [
@@ -697,6 +756,24 @@ def test_gram_bounds_match_the_svd_and_triple_norm_oracles(build, thetas, varian
         assert upper == pytest.approx(svd_upper, rel=1e-14, abs=0), theta
         assert single < lower <= upper <= 1.1 * lower, theta
         assert (upper, lower) == pytest.approx(_column_block_bounds(ker, theta), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("build, thetas", [
+    (lambda: build_interval_basis(math.pi, 257, N=512),
+     np.geomspace(4.0 * (math.pi / 512) ** 2, 1.0, 9)),
+    (lambda: build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32), (0.1, 0.3)),
+], ids=["i512", "rect32"])
+def test_cube_block_triple_norms_match_triple_norm(build, thetas):
+    """The triple norms the core reads off the mode factors, from the
+    weighted columns where band >= m and compressed rows where band < m,
+    equal triple_norm's from the kernel's columns to roundoff."""
+    basis, pou = build(), make_partition("perturbed")
+    for theta in thetas:
+        ker = multiplier_kernel(bump_symbol(pou, theta), basis)
+        got = cube_block_norms(*mode_factors(ker.symbol_values, basis), basis.grid, theta,
+                               (0.5, 1.0)).triple
+        want = [triple_norm(ker, alpha, theta) for alpha in (0.5, 1.0)]
+        assert got == pytest.approx(want, rel=1e-13, abs=0), theta
 
 
 @pytest.mark.parametrize("basis", [build_interval_basis(math.pi, 65, N=128),
@@ -731,9 +808,9 @@ def _dense_kernel(grid, tag, M):
 
 
 def _dense_bounds(M, grid, theta):
-    """_block_operator_bounds on the factors U = (W^(1/2) M W^(1/2))^T, V = I."""
+    """cube_block_norms' bounds on the factors U = (W^(1/2) M W^(1/2))^T, V = I."""
     sw = np.sqrt(grid.weights)
-    return _block_operator_bounds((sw[:, None] * M * sw[None, :]).T, np.eye(len(sw)), grid, theta)
+    return cube_block_norms((sw[:, None] * M * sw[None, :]).T, np.eye(len(sw)), grid, theta)[:2]
 
 
 @pytest.mark.parametrize("theta", [0.01, 0.1, 1.0])
@@ -772,7 +849,7 @@ def test_more_ascent_steps_never_lower_the_bound(monkeypatch):
     ker = multiplier_kernel(bump_symbol(make_partition("perturbed"), theta), basis)
     lowers = []
     for cap in (1, 2, 4, 8, 16, 32):
-        monkeypatch.setattr(amalgam, "ASCENT_STEPS", cap)
+        monkeypatch.setattr(norms, "ASCENT_STEPS", cap)
         lowers.append(_bump_bounds(ker, basis, theta)[1])
     assert triple_norm(ker, 0.0, theta) <= lowers[0] < lowers[-1]
     assert lowers == sorted(lowers)
@@ -785,23 +862,86 @@ def test_bump_bounds_do_not_depend_on_the_seed():
     assert len(bumps[0]) == 3 and bumps[0] == bumps[1]
 
 
-def test_amalgam_calls_triple_norm_only_at_positive_alpha(monkeypatch):
-    """The bump bounds read every alpha = 0 value from the per-cube Gram
-    matrices, with no SVD."""
+def test_no_block_with_at_most_two_rows_or_columns_reaches_eigvalsh(monkeypatch):
+    """On the default 1-D bump sweep every eigvalsh call gets Grams of 3 x 3
+    or larger: blocks with min(k_r, k_c) <= 2 and one- and two-node cubes
+    take the closed forms.  Some theta still need eigvalsh."""
+    sizes = []
+    real = np.linalg.eigvalsh
+
+    def count(G):
+        sizes.append(G.shape[-1])
+        return real(G)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", count)
+    basis = interval_basis(math.pi, AMALGAM_DEFAULTS["interval_K"], AMALGAM_DEFAULTS["interval_N"])
+    h = basis.grid.h
+    for theta in np.geomspace(4.0 * h * h, 1.0, AMALGAM_DEFAULTS["n_theta_1d"]):
+        _bump_blocks(basis, theta, AMALGAM_DEFAULTS["alphas"])
+    assert sizes and min(sizes) >= 3
+
+
+def test_the_bump_sweep_compresses_by_qr_only_cubes_larger_than_the_band(monkeypatch):
+    """QR runs only on cube sizes m above the band, where it compresses the
+    m x band factor blocks to band rows: at the four smallest theta only
+    on the 11-node cubes of theta = 4.1e-3 (band 10)."""
+    shapes = []
+    real = np.linalg.qr
+
+    def record(A, mode):
+        shapes.append(A.shape[-2:])
+        return real(A, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", record)
+    basis = interval_basis(math.pi, AMALGAM_DEFAULTS["interval_K"], AMALGAM_DEFAULTS["interval_N"])
+    h = basis.grid.h
+    for i, theta in enumerate(np.geomspace(4.0 * h * h, 1.0, AMALGAM_DEFAULTS["n_theta_1d"])):
+        shapes.clear()
+        _bump_blocks(basis, theta)
+        assert all(m > band for m, band in shapes), theta
+        if i == 3:
+            assert shapes == [(11, 10)]
+
+
+def test_amalgam_reads_its_triple_norms_from_the_cube_block_core(monkeypatch):
+    """The bump bounds and both triple sweeps come from one cube_block_norms
+    call per theta, at the positive alphas only, with no SVD and no
+    triple_norm call."""
     seen = []
 
-    def positive_only(kernel, alpha, theta):
-        assert alpha > 0, "triple_norm called at alpha = 0"
-        seen.append(alpha)
-        return triple_norm(kernel, alpha, theta)
+    def record(U, V, grid, theta, alphas, tail_bound):
+        seen.append(tuple(alphas))
+        return cube_block_norms(U, V, grid, theta, alphas, tail_bound)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called")
+        raise AssertionError("np.linalg.svd or triple_norm called")
 
-    monkeypatch.setattr(amalgam, "triple_norm", positive_only)
+    monkeypatch.setattr(amalgam, "cube_block_norms", record)
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(norms, "triple_norm", refuse)
     rep = exp_amalgam(ExperimentSpec(id="amalgam", params={"n_theta_1d": 3, "n_theta_2d": 2}))
-    assert len(rep.points) and sorted(set(seen)) == [0.5, 1.0]
+    assert seen == [(0.5, 1.0)] * 3
+    assert len([p for p in rep.points if p["part"] == "triple"]) == 6
+
+
+def test_an_alpha_of_zero_is_read_off_the_ascent_start(monkeypatch):
+    """alpha = 0 costs no sigma_max call beyond those of the positive
+    alphas: it is the top eigenvalue the ascent starts from, the largest
+    norm on functions supported in one cube, which triple_norm reads from
+    the kernel's columns."""
+    basis = interval_basis(math.pi, 257, 512)
+    theta = float(np.geomspace(4.0 * basis.grid.h ** 2, 1.0, 9)[3])
+    calls = []
+    real = norms._sigma_max
+    monkeypatch.setattr(norms, "_sigma_max", lambda B: calls.append(B.shape) or real(B))
+    with_zero = _bump_blocks(basis, theta, (0.0, 0.5, 1.0))
+    n_with_zero, calls[:] = len(calls), []
+    without = _bump_blocks(basis, theta, (0.5, 1.0))
+    assert n_with_zero == len(calls) > 0
+    assert with_zero.triple[1:] == without.triple
+    ker = multiplier_kernel(bump_symbol(make_partition("standard"), theta), basis)
+    assert with_zero.triple[0] == pytest.approx(triple_norm(ker, 0.0, theta), rel=1e-13, abs=0)
+    assert with_zero.triple[0] <= with_zero.lower
 
 
 @pytest.mark.parametrize("module, run, settings", [

@@ -29,11 +29,13 @@ center:
     |||A|||_{alpha,theta} = sup_m || |x - theta^(1/2) m|^alpha A chi_{C(m)} ||_{2->2}.
 
 Decay of the triple norm in theta is what makes kernel off-diagonal decay
-quantitative without ever forming pointwise kernel bounds.  triple_norm
-reads any kernel's columns cube by cube; cube_block_norms is the one
-cube-block routine for a kernel given by mode factors (mode_factors): it
-bounds the norm on l^1(L^2)_theta from both sides and gives the triple
-norms from the same blocks, each with its truncation tail.
+quantitative without ever forming pointwise kernel bounds.
+cube_block_norms is the one cube-block routine for a kernel given by mode
+factors (mode_factors): it bounds the norm on l^1(L^2)_theta from both
+sides and gives the triple norms from the same blocks, each with its
+truncation tail.  triple_norm reads a factor kernel (finite-difference
+basis) through the same triple step, and any other kernel's columns cube
+by cube.
 """
 
 from __future__ import annotations
@@ -497,17 +499,30 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
     """sup over cubes of || |x - c_m|^alpha A chi_{C(m)} ||_{2->2}.
 
     The per-cube norm is the largest singular value of the weighted
-    localized block M (_sigma_max: closed form on one- and two-node cubes,
-    else sqrt(lambda_max(M^T M)) from the symmetric eigensolver).  M^T is
-    built from the cube's columns of the kernel (kernel.columns), one cube
-    at a time, so a profile kernel never forms its matrix.  Rejects alpha
-    that is not finite and >= 0, and theta as amalgam_cells does.
+    localized block M.  A factor kernel (finite-difference basis) is read
+    from its factor through cube_block_norms' triple step (_triple_tops),
+    batched by cube size and compressed by QR only where the band is
+    smaller than the cube.  Any other kernel builds M^T from the cube's
+    columns (kernel.columns), one cube at a time (_sigma_max: closed form on
+    one- and two-node cubes, else sqrt(lambda_max(M^T M)) from the symmetric
+    eigensolver).  No kernel forms its matrix.  Rejects alpha that is not
+    finite and >= 0, and theta as amalgam_cells does.
     """
     _check_alpha(alpha)
     grid = kernel.grid
     cubes = _cubes(grid, theta)
     dist, _ = _cube_geometry(grid, cubes, theta)
     sw = np.sqrt(grid.weights)
+    if kernel.source == "factor":
+        U, V = kernel.factor
+        if len(V) == 0:
+            return 0.0
+        V = V * sw  # W^(1/2) K W^(1/2) = (U W^(1/2))^T (V W^(1/2)), or diag(phi) for a 1-D U
+        Ufull = U[:, None] * V if U.ndim == 1 else U * sw
+        groups = _size_groups(cubes)
+        S = [_cube_factor(V, cubes, ids) for ids in groups]
+        (top,) = _triple_tops(S, groups, Ufull, dist, (alpha,))
+        return math.sqrt(max(top, 0.0))
     best = 0.0
     for (_, idx), d in zip(cubes.cells, dist):
         Mt = kernel.columns(idx)  # a new array, scaled in place: (rowscale_r K_rc) sw_c
@@ -544,6 +559,50 @@ class CubeBlockNorms(NamedTuple):
 
 # Cap on the lower bound's ascent iterates; the amalgam sweep's bump kernels stall within 15.
 ASCENT_STEPS = 50
+
+
+def _size_groups(cubes: _Cubes) -> list[NDArray]:
+    """The positions of the cubes of each size, sizes in order of first appearance."""
+    sizes = [len(idx) for _, idx in cubes.cells]
+    return [np.flatnonzero(np.equal(sizes, m)) for m in dict.fromkeys(sizes)]
+
+
+def _cube_factor(A: NDArray, cubes: _Cubes, ids: NDArray) -> NDArray:
+    """(k, cubes, band) for the cubes ids of one size m: A_c^T for each cube
+    c of a (band, N) factor A, or its R factor from one batched QR where
+    band < m, k = min(m, band).  The rows run coordinate by coordinate, each
+    over all cubes, so that _block_bounds works on contiguous runs of cubes."""
+    At = A[:, np.stack([cubes.cells[i][1] for i in ids])].transpose(1, 2, 0)
+    return (np.linalg.qr(At, mode="r") if At.shape[1] > len(A) else At).swapaxes(0, 1)
+
+
+# _triple_tops forms the weighted rows S_c U of at most this many numbers at
+# once (16 MB), so that no cube size holds an N x N array on a large grid.
+_TRIPLE_CHUNK = 1 << 21
+
+
+def _triple_tops(S: list, groups: list, Ufull: NDArray, dist: NDArray,
+                 alphas: Sequence[float]) -> list[float]:
+    """max_c lambda_max(S_c U D_c^2 U^T S_c^T), D_c = diag(|x - c|^alpha), for
+    each alpha: the squared triple norms of cube_block_norms, from the
+    per-size factors S of _cube_factor and the (band, N) left factor Ufull.
+    The weighted rows S_c U take one GEMM per cube size (per run of cubes
+    holding at most _TRIPLE_CHUNK numbers), which every alpha reuses, and
+    k_c <= 2 takes the closed forms of _top_eigenvalue."""
+    best = [0.0] * len(alphas)
+    band, N = Ufull.shape
+    for s, ids in zip(S, groups):
+        k, n = s.shape[:2]
+        step = max(1, _TRIPLE_CHUNK // (k * N))
+        for a in range(0, n, step):
+            run = s[:, a:a + step]
+            T = (run.reshape(-1, band) @ Ufull).reshape(*run.shape[:2], N).swapaxes(0, 1)
+            for i, alpha in enumerate(alphas):
+                d2 = dist[ids[a:a + step]]
+                d2 **= 2 * alpha
+                best[i] = max(best[i], float(_top_eigenvalue((T * d2[:, None, :])
+                                                             @ T.swapaxes(1, 2)).max()))
+    return best
 
 
 def _block_bounds(S: list, R: list, symmetric: bool) -> tuple[float, float, float]:
@@ -636,44 +695,29 @@ def cube_block_norms(U: NDArray, V: NDArray, grid: Grid, theta: float,
     quadrature mass (Golub & Van Loan, 4th ed., §2.3): tail is
     tau max_c sqrt(w(c)) sum_r sqrt(w(r)), and triple_tail
     tau sqrt(max_c w(c) sum_i w_i |x_i - c|^(2 alpha)).  No kernel column
-    is read, and no array is larger than N x N.
+    is read, no array is larger than N x N, and the triple step
+    (_triple_tops) forms its weighted rows in runs of at most
+    _TRIPLE_CHUNK numbers.
     """
     for alpha in alphas:
         _check_alpha(alpha)
     cubes = _cubes(grid, theta)
-    band, symmetric = V.shape[0], U.ndim == 1
-    sizes = [len(idx) for _, idx in cubes.cells]
-    groups = [np.flatnonzero(np.equal(sizes, m)) for m in dict.fromkeys(sizes)]
-
-    def factor(A, ids):  # (k, cubes, band): A_c^T, or its R factor where band < m
-        At = A[:, np.stack([cubes.cells[i][1] for i in ids])].transpose(1, 2, 0)
-        return (np.linalg.qr(At, mode="r") if At.shape[1] > band else At).swapaxes(0, 1)
-
-    # Cubes go size by size; within a size, the factors' rows run coordinate
-    # by coordinate, each over all cubes, so that _block_bounds works on
-    # contiguous runs of cubes.
-    S = [factor(V, ids) for ids in groups]
-    R = [s * U for s in S] if symmetric else [factor(U, ids) for ids in groups]
+    symmetric = U.ndim == 1
+    groups = _size_groups(cubes)  # cubes go size by size
+    S = [_cube_factor(V, cubes, ids) for ids in groups]
+    R = [s * U for s in S] if symmetric else [_cube_factor(U, cubes, ids) for ids in groups]
     upper, lower, top = _block_bounds(S, R, symmetric)
 
     dist, mass = _cube_geometry(grid, cubes, theta)
-    Ufull = U[:, None] * V if symmetric else U
-    rows = [(s.reshape(-1, band) @ Ufull).reshape(*s.shape[:2], -1).swapaxes(0, 1) for s in S]
-
-    def triple(alpha):  # max_c sqrt(lambda_max(S_c U D_c^2 U^T S_c^T))
-        if alpha == 0:
-            return math.sqrt(max(top, 0.0))
-        best = 0.0
-        for T, ids in zip(rows, groups):
-            d2 = dist[ids]
-            d2 **= 2 * alpha
-            best = max(best, float(_top_eigenvalue((T * d2[:, None, :]) @ T.swapaxes(1, 2)).max()))
-        return math.sqrt(max(best, 0.0))
-
+    positive = list(dict.fromkeys(a for a in alphas if a != 0))
+    tops = {0: top}  # alpha = 0 is read off the ascent's start
+    if positive:
+        Ufull = U[:, None] * V if symmetric else U
+        tops.update(zip(positive, _triple_tops(S, groups, Ufull, dist, positive)))
     root_mass = np.sqrt(mass)
     return CubeBlockNorms(
         upper, lower, tail_bound * float(root_mass.max() * root_mass.sum()),
-        tuple(triple(alpha) for alpha in alphas),
+        tuple(math.sqrt(max(tops[alpha], 0.0)) for alpha in alphas),
         tuple(tail_bound * math.sqrt(float(np.max(dist ** (2 * alpha) @ grid.weights * mass)))
               for alpha in alphas))
 

@@ -28,10 +28,15 @@ row blocks of one row per mirror orbit, norms.triple_norm and the amalgam
 column norms read columns, save_kernel writes it (3N - 1 numbers per axis)
 and load_kernel reads it back, and the heat-envelope scan reads it through
 heat_kernel (OperatorKernel.profile).
+On a finite-difference basis the kernel keeps its mode factor instead:
+E^T diag(phi(lambda)) E and G_c^T diag(phi(lambda)) E have rank at most the
+band where phi is nonzero, and the kernel holds (phi, E) or
+(diag(phi) G_c, E) over that band, O(band N) numbers.  apply_kernel takes
+two thin products, endpoint_norms forms the upper block triangle strip by
+strip, norms.triple_norm reads the factor cube size by cube size, and the
+kernel file holds the factor.
 No library path reads OperatorKernel.matrix; the N^2 matrix is formed only
-for a caller that asks for it.  Finite-difference bases form the dense
-products E^T diag(phi(lambda)) E and G_c^T diag(phi(lambda)) E over the band
-where phi is nonzero.
+for a caller that asks for it.
 Every kernel carries the values its 2->2 norm is read from (OperatorKernel),
 so no norm takes an SVD.
 
@@ -198,25 +203,35 @@ def _is_mirrored(prof: NDArray, shape: tuple[int, ...] | None) -> bool:
 class OperatorKernel:
     """Kernel K(x_i, y_j) acting by (Af)_i = sum_j w_j K_ij f_j.
 
-    It is held either as a dense (N, N) matrix or, on an analytic basis, as
-    its mirrored profile: prof[q + N - 1] = V(q) per axis, q = -(N-1)..2N-1,
-    shape (3N - 1,) on an interval and (3Nx - 1, 3Ny - 1) on a rectangle
-    (see kernel_profile).  With d = i - i' and s = i + i' + 1 per axis,
+    It is held in one of three forms, its source:
 
-        interval:  K = V(d) + V(s),
-        rectangle: K = (V(d1, d2) + V(d1, s2)) + (V(s1, d2) + V(s1, s2)),
+    - profile, on an analytic basis: the mirrored profile prof[q + N - 1] =
+      V(q) per axis, q = -(N-1)..2N-1, shape (3N - 1,) on an interval and
+      (3Nx - 1, 3Ny - 1) on a rectangle (see kernel_profile).  With
+      d = i - i' and s = i + i' + 1 per axis,
 
-    summed in that order by every reader: row_blocks() reads the kernel in
-    blocks of rows, columns() a set of columns, and matrix forms the dense
-    array on first access and keeps it, so all three agree bit for bit.
-    Library code reads a kernel only through row_blocks() and columns():
-    apply_kernel reads every row, endpoint_norms one row per mirror orbit
-    (row_blocks(orbit=True)), norms.triple_norm and the amalgam column norms
-    read columns; matrix is a convenience for callers that want the array.
-    A profile must be mirrored, V(-q) = V(2N - q) = s V(q) value for value
-    with one sign s = +-1 per axis (ValueError otherwise): reflecting both
-    nodes on one axis then multiplies every entry by s, so |K| is the same
-    on all rows of one mirror orbit.
+          interval:  K = V(d) + V(s),
+          rectangle: K = (V(d1, d2) + V(d1, s2)) + (V(s1, d2) + V(s1, s2)),
+
+      summed in that order by every reader.  A profile must be mirrored,
+      V(-q) = V(2N - q) = s V(q) value for value with one sign s = +-1 per
+      axis (ValueError otherwise): reflecting both nodes on one axis then
+      multiplies every entry by s, so |K| is the same on all rows of one
+      mirror orbit.
+    - factor = (U, V), on a finite-difference basis: K = U^T V with V the
+      (band, N) modes where the symbol is nonzero, of rank at most band.  A
+      1-D U holds the phi of U = diag(phi) V (norms.mode_factors' convention)
+      and marks K as symmetric; a 2-D U is (band, N), diag(phi) G_c for a
+      gradient kernel (ValueError for other shapes).
+    - matrix: a dense (N, N) array the caller hands in.
+
+    row_blocks() reads the kernel in blocks of rows and columns() a set of
+    columns; library code reads a kernel only through these, the factor
+    (endpoint_norms, apply_kernel, norms.triple_norm) and the profile.
+    matrix forms the dense array on first access and keeps it: from a
+    profile in the readers' summation order, so all three agree bit for
+    bit, and from a factor as the product (V^T diag(phi)) V or U^T V.  It is
+    a convenience for callers that want the array.
 
     max |symbol_values| is the exact 2->2 norm (on a finite-difference
     basis, up to the Gram deviation of its modes).  They are phi(lambda_k)
@@ -238,15 +253,25 @@ class OperatorKernel:
 
     def __init__(self, grid: Grid, tag: str, *, symbol_values: NDArray,
                  tail_bound: float, matrix: NDArray | None = None,
-                 profile: NDArray | None = None):
-        if (matrix is None) == (profile is None):
-            raise ValueError("a kernel is given by exactly one of matrix and profile")
+                 profile: NDArray | None = None,
+                 factor: tuple[NDArray, NDArray] | None = None):
+        given = [name for name, src in (("matrix", matrix), ("profile", profile),
+                                        ("factor", factor)) if src is not None]
+        if len(given) != 1:
+            raise ValueError("a kernel is given by exactly one of matrix, profile and factor")
         if profile is not None and not _is_mirrored(profile, grid.shape):
             raise ValueError(f"kernel {tag}: the profile is not a mirrored profile of the grid, "
                              "V(-q) = V(2N - q) = +-V(q) with one sign per axis")
-        self.grid, self.tag = grid, tag
+        if factor is not None:
+            U, V = factor
+            if not (V.ndim == 2 and V.shape[1] == grid.n_nodes
+                    and U.shape in (V.shape[:1], V.shape)):
+                raise ValueError(f"kernel {tag}: factor U of shape {U.shape} and V of shape "
+                                 f"{V.shape} are not (band,) or (band, N) beside (band, N), "
+                                 f"N = {grid.n_nodes}")
+        self.grid, self.tag, self.source = grid, tag, given[0]
         self.symbol_values, self.tail_bound = symbol_values, tail_bound
-        self._matrix, self._profile = matrix, profile
+        self._matrix, self._profile, self._factor = matrix, profile, factor
         self._folded: dict[bool, tuple[NDArray, NDArray]] = {}
 
     def _folds(self, transpose: bool = False) -> tuple[NDArray, NDArray]:
@@ -270,7 +295,7 @@ class OperatorKernel:
     @property
     def profile(self) -> NDArray | None:
         """Read-only V(0..N) per axis of a profile kernel, (N + 1,) on an
-        interval and (Nx + 1, Ny + 1) on a rectangle; None for a dense one."""
+        interval and (Nx + 1, Ny + 1) on a rectangle; None for another."""
         if self._profile is None:
             return None
         v = self._profile[tuple(slice(n - 1, 2 * n) for n in self.grid.shape)]
@@ -278,22 +303,39 @@ class OperatorKernel:
         return v
 
     @property
+    def factor(self) -> tuple[NDArray, NDArray] | None:
+        """(U, V) with K = U^T V for a factor kernel (a 1-D U standing for
+        diag(U) V); None for another."""
+        return self._factor
+
+    @property
     def matrix(self) -> NDArray:
         if self._matrix is None:
-            N = self.grid.n_nodes
-            self._matrix = _rows(*self._folds(), np.empty((N, N)))
+            if self._factor is not None:
+                U, V = self._factor
+                self._matrix = (V.T * U) @ V if U.ndim == 1 else U.T @ V
+            else:
+                N = self.grid.n_nodes
+                self._matrix = _rows(*self._folds(), np.empty((N, N)))
         return self._matrix
 
+    def _factor_rows(self, rows) -> NDArray:
+        """The (len(rows), band) left factor A of the rows (a slice or an
+        index array) of a factor kernel, K[rows] = A V."""
+        U, V = self._factor
+        return V[:, rows].T * U if U.ndim == 1 else U[:, rows].T
+
     def row_blocks(self, orbit: bool = False):
-        """Yield (r0, K[r0:r0 + rows]) down the kernel, rows = 64 (for a
+        """Yield (r0, K[r0:r1]) down the kernel, 64 rows at a time (for a
         rectangle profile the multiple of Ny below it, at least Ny).  With
         orbit, a profile kernel yields only the rows of the nodes with
         i < ceil(N/2) on every axis, one row per mirror orbit, in node
-        order, and r0 counts those rows.  Each block is written into one
-        scratch array: the caller may overwrite it, not keep it."""
+        order, and r0 counts those rows.  A factor kernel forms each block
+        from its factor.  Each block is written into one scratch array: the
+        caller may overwrite it, not keep it."""
         N, M = self.grid.n_nodes, self._matrix
         T = H = None
-        if M is None or orbit:
+        if self.source == "profile" and (M is None or orbit):
             T, H = self._folds()
             if orbit:  # the first half of the first-axis and of the row-node indices
                 T, H = (A[:-(-A.shape[0] // 2), :, :-(-A.shape[2] // 2)] for A in (T, H))
@@ -303,7 +345,9 @@ class OperatorKernel:
         buf = np.empty((min(step, n_rows), N))
         for r0 in range(0, n_rows, step):
             out = buf[:min(step, n_rows - r0)]
-            if T is None:
+            if self.source == "factor":
+                np.matmul(self._factor_rows(slice(r0, r0 + step)), self._factor[1], out=out)
+            elif T is None:
                 out[...] = M[r0:r0 + step]
             else:
                 _rows(T[r0 // r:(r0 + step) // r], H[r0 // r:(r0 + step) // r], out)
@@ -311,8 +355,11 @@ class OperatorKernel:
 
     def columns(self, idx: NDArray) -> NDArray:
         """K[:, idx]^T as a new (len(idx), N) array, read from the profile
-        while the matrix is not formed.  Columns, not rows: a gradient
-        kernel is not symmetric."""
+        while the matrix is not formed, and from the factor.  Columns, not
+        rows: a gradient kernel is not symmetric."""
+        if self.source == "factor":
+            U, V = self._factor  # a symmetric kernel's columns are its rows
+            return self._factor_rows(idx) @ V if U.ndim == 1 else V[:, idx].T @ U
         if self._matrix is not None:
             return self._matrix[:, idx].T
         Tt, H = self._folds(transpose=True)
@@ -667,7 +714,8 @@ def multiplier_kernel(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
     """Kernel of phi(H), sum_k phi(lambda_k) e_k(x) e_k(y), with tail report.
 
     Analytic bases keep the profile of one DCT-I per axis (kernel_profile);
-    finite-difference bases form the dense product E^T diag(phi(lambda)) E.
+    finite-difference bases keep the factor (phi, E) over the band where phi
+    is nonzero, K = E^T diag(phi(lambda)) E.
     """
     (source,) = _assemble(symbol, basis, grad=False)
     return OperatorKernel(basis.grid, symbol.tag, tail_bound=symbol_tail_bound(symbol, basis),
@@ -675,9 +723,11 @@ def multiplier_kernel(symbol: SymbolFn, basis: EigenBasis) -> OperatorKernel:
 
 
 def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> list[dict[str, NDArray]]:
-    """The OperatorKernel source (profile= or matrix=) and symbol_values= of
+    """The OperatorKernel source (profile= or factor=) and symbol_values= of
     phi(H), or with grad of d/dx_c phi(H) for every axis c; rejects symbols
-    that are not finite on the spectrum."""
+    that are not finite on the spectrum.  On a finite-difference basis the
+    factor is (phi, E) over the band where phi is nonzero, or (diag(phi) G_c,
+    E) there for a gradient kernel: O(band N) numbers, no N x N array."""
     svals = _symbol_values(symbol, basis)
     if basis.kind == "analytic":
         return [{"profile": _mirrored(kernel_profile(svals, basis, c), c),
@@ -685,11 +735,11 @@ def _assemble(symbol: SymbolFn, basis: EigenBasis, grad: bool) -> list[dict[str,
                 for c in (range(basis.domain.n) if grad else (None,))]
     E, band = basis.functions, _band(svals)
     if not grad:
-        return [{"matrix": (E[band].T * svals[band]) @ E[band], "symbol_values": svals}]
-    As = [Gc[band].T * svals[band] for Gc in basis.gradients()]  # G_c^T diag(phi), (N, b)
+        return [{"factor": (svals[band], E[band]), "symbol_values": svals}]
+    Us = [svals[band, None] * Gc[band] for Gc in basis.gradients()]  # diag(phi) G_c, (b, N)
     zeros = np.zeros(basis.K - len(svals[band]))  # the singular values off the band
-    return [{"matrix": A @ E[band], "symbol_values": np.concatenate((zeros, np.sqrt(np.maximum(
-        np.linalg.eigvalsh((A.T * basis.grid.weights) @ A), 0.0))))} for A in As]
+    return [{"factor": (U, E[band]), "symbol_values": np.concatenate((zeros, np.sqrt(np.maximum(
+        np.linalg.eigvalsh((U * basis.grid.weights) @ U.T), 0.0))))} for U in Us]
 
 
 def _gradient_values(svals: NDArray, basis: EigenBasis, axis: int) -> NDArray:
@@ -772,11 +822,17 @@ def kernel_profile(svals: NDArray, basis: EigenBasis, axis: int | None = None) -
 
 
 def apply_kernel(kernel: OperatorKernel, f: GridFunction) -> GridFunction:
-    """(Af)_i = sum_j w_j K_ij f_j for f on the kernel's grid, one block of
-    kernel.row_blocks() at a time, so a profile kernel never forms its matrix."""
+    """(Af)_i = sum_j w_j K_ij f_j for f on the kernel's grid: U^T (V (w f))
+    as two thin products for a factor kernel, else one block of
+    kernel.row_blocks() at a time, so no kernel forms its matrix."""
     _check_grid(f, kernel.grid, "acted on by a kernel")
     wf = f.grid.weights * f.values
-    vals = np.concatenate([B @ wf for _, B in kernel.row_blocks()])
+    if kernel.source == "factor":
+        U, V = kernel.factor
+        c = V @ wf
+        vals = V.T @ (U * c) if U.ndim == 1 else U.T @ c
+    else:
+        vals = np.concatenate([B @ wf for _, B in kernel.row_blocks()])
     return GridFunction(values=vals, grid=kernel.grid)
 
 
@@ -909,9 +965,9 @@ def gradient_kernels(symbol: SymbolFn, basis: EigenBasis) -> tuple[OperatorKerne
 
     Analytic bases keep each kernel's profile (kernel_profile with
     axis = c: a DST-I on axis c, a DCT-I on the other); finite-difference
-    bases form the dense products G_c^T diag(phi(lambda)) E with the mode
-    gradients G_c over the band where phi is nonzero, and the singular
-    values from that band's Gram, padded with zeros to length K.  Each
+    bases keep the factor (diag(phi) G_c, E) of G_c^T diag(phi(lambda)) E,
+    with the mode gradients G_c over the band where phi is nonzero, and the
+    singular values from that band's Gram, padded with zeros to length K.  Each
     carries the symbol_values of its 2->2 norm (OperatorKernel); all share
     the tail bound of sqrt(lambda) phi(lambda).
     """
@@ -938,8 +994,7 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
 
     1->1: max over columns of the weighted absolute column sum; 1->inf:
     max |K_ij|; inf->inf: max weighted absolute row sum.  2->2: max
-    |symbol_values| (OperatorKernel).  One pass over kernel.row_blocks(),
-    so a profile kernel never forms its matrix.
+    |symbol_values| (OperatorKernel).  No kernel forms its matrix.
 
     A profile kernel is read one row per mirror orbit, the nodes with
     i < ceil(N/2) on every axis: its profile is mirrored (OperatorKernel)
@@ -948,11 +1003,32 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
     another.  That gives 1->inf bit for bit and inf->inf up to the order
     of summation, and the column sums are the orbit rows' partial sums
     plus their flip on each axis, a row on a mirror line (odd N) weighted
-    1/2 per such axis.  A matrix kernel (finite-difference basis) is read
-    in full.
+    1/2 per such axis.
+
+    A symmetric factor kernel (finite-difference phi(H)) is read by its
+    upper block triangle, K[r0:r1, r0:] in strips of 128 rows formed from
+    the factor: each block's weighted absolute row sums go to its rows and
+    its column sums to the rows of its mirror block below the diagonal, so
+    every block is formed once, and 1->1 = inf->inf is one number.  Any
+    other kernel is read in full, one kernel.row_blocks() pass.
     """
     w, shape = kernel.grid.weights, kernel.grid.shape
-    orbit = kernel.profile is not None
+    two = float(np.max(np.abs(kernel.symbol_values)))
+    if kernel.source == "factor" and kernel.factor[0].ndim == 1:
+        N, V = w.size, kernel.factor[1]
+        rows, peak = np.zeros(N), 0.0
+        buf = np.empty(min(128, N) * N)
+        for r0 in range(0, N, 128):
+            r1 = min(r0 + 128, N)
+            mag = np.matmul(kernel._factor_rows(slice(r0, r1)), V[:, r0:],
+                            out=buf[:(r1 - r0) * (N - r0)].reshape(r1 - r0, N - r0))
+            np.abs(mag, out=mag)
+            rows[r0:r1] += mag @ w[r0:]
+            rows[r1:] += w[r0:r1] @ mag[:, r1 - r0:]
+            peak = max(peak, float(mag.max()))
+        one = float(np.max(rows))
+        return {"1->1": one, "1->inf": peak, "inf->inf": one, "2->2": two}
+    orbit = kernel.source == "profile"
     cw = w
     if orbit:
         node = np.indices([-(-n // 2) for n in shape]).reshape(len(shape), -1)
@@ -970,31 +1046,32 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
         for ax in range(len(shape)):
             cols = cols + np.flip(cols, ax)
     return {"1->1": float(np.max(cols)), "1->inf": float(np.max(peaks)),
-            "inf->inf": float(np.max(rows)),
-            "2->2": float(np.max(np.abs(kernel.symbol_values)))}
+            "inf->inf": float(np.max(rows)), "2->2": two}
 
 
 # ---------------------------------------------------------------------------
 # Kernel files
 
 
-KERNEL_FORMAT = "nbesov-kernel/2"
+KERNEL_FORMAT = "nbesov-kernel/3"
+
+# The fields of each kernel source in a KERNEL_FORMAT file.
+_SOURCE_FIELDS = {"profile": ("profile",), "factor": ("factor_u", "factor_v"),
+                  "matrix": ("matrix",)}
 
 
 def save_kernel(kernel: OperatorKernel, path: str) -> None:
-    """Binary dump (npz) of format KERNEL_FORMAT to exactly path: the source
-    the grid dictates, the matrix on a finite-difference grid (the grids
-    without a shape) and the mirrored profile on any other, with the tag,
-    grid id, tail bound and symbol values.  Raises ValueError, writing
-    nothing, for a kernel without that source (a bare matrix on an
-    interval or rectangle grid)."""
-    name = "matrix" if kernel.grid.shape is None else "profile"
-    source = kernel._matrix if name == "matrix" else kernel._profile
-    if source is None:
-        raise ValueError(f"kernel {kernel.tag} on {kernel.grid.grid_id()} holds no {name}, "
-                         f"the source a {KERNEL_FORMAT} file holds on that grid")
+    """Binary dump (npz) of format KERNEL_FORMAT to exactly path: the
+    kernel's one source (OperatorKernel), as the field profile (the
+    mirrored profile, 3N - 1 numbers per axis), factor_u and factor_v (U
+    and V, (band + 1) N numbers for phi(H) on a finite-difference basis:
+    1.9 MB at N = 1200 and 7.7 MB at N = 4800 with band = 200) or matrix (a
+    caller's own N x N array), with the tag, grid id, tail bound and symbol
+    values."""
+    arrays = {"profile": (kernel._profile,), "factor": kernel.factor, "matrix": (kernel._matrix,)}
+    source = dict(zip(_SOURCE_FIELDS[kernel.source], arrays[kernel.source]))
     with open(path, "wb") as fh:
-        np.savez(fh, format=np.array(KERNEL_FORMAT), **{name: source},
+        np.savez(fh, format=np.array(KERNEL_FORMAT), **source,
                  tag=np.array(kernel.tag), grid_id=np.array(kernel.grid.grid_id()),
                  tail_bound=np.array(kernel.tail_bound, dtype=float),
                  symbol_values=kernel.symbol_values)
@@ -1002,39 +1079,53 @@ def save_kernel(kernel: OperatorKernel, path: str) -> None:
 
 def load_kernel(path: str, grid: Grid) -> OperatorKernel:
     """Read a save_kernel file for grid.  ValueError names the file unless
-    it has the six fields of KERNEL_FORMAT for grid, grid's id, a finite
-    float64 source of grid's shape (a profile mirrored as OperatorKernel
+    it has the fields of KERNEL_FORMAT for one source (the profile on an
+    interval or rectangle grid and the factor on any other, where the file
+    holds no source field), grid's id, a finite float64 source of grid's
+    shape (a mirrored profile, a factor V of shape (band, N) with U of
+    shape (band,) or (band, N), or an (N, N) matrix, as OperatorKernel
     requires), finite float64 symbol values of shape (K,), K >= 1, and a
-    float64 scalar tail bound >= 0 (inf is kept)."""
-    name = "matrix" if grid.shape is None else "profile"
-    fields = {"format", name, "tag", "grid_id", "tail_bound", "symbol_values"}
+    float64 scalar tail bound >= 0 (inf is kept).  Files of earlier formats
+    are refused by their format field."""
     try:
         with np.load(path, allow_pickle=False) as z:
             fmt = str(z["format"]) if "format" in z.files else None
             if fmt != KERNEL_FORMAT:
                 raise ValueError(f"not a {KERNEL_FORMAT} file (field 'format' is {fmt!r}); "
                                  "rebuild it with nbesov multiplier --out or nbesov heat --out")
+            kind = next((k for k, names in _SOURCE_FIELDS.items() if set(names) & set(z.files)),
+                        "factor" if grid.shape is None else "profile")
+            names = _SOURCE_FIELDS[kind]
+            fields = {"format", *names, "tag", "grid_id", "tail_bound", "symbol_values"}
             if set(z.files) != fields:
                 raise ValueError(f"missing fields {sorted(fields - set(z.files))}, unexpected fields "
                                  f"{sorted(set(z.files) - fields)} for a {KERNEL_FORMAT} file")
             f = {k: z[k] for k in fields}
         if str(f["grid_id"]) != grid.grid_id():
             raise ValueError(f"kernel was dumped for grid {f['grid_id']}, not {grid.grid_id()}")
-        source, sv, tail = f[name], f["symbol_values"], f["tail_bound"]
-        for field in (name, "symbol_values", "tail_bound"):
+        sv, tail = f["symbol_values"], f["tail_bound"]
+        for field in (*names, "symbol_values", "tail_bound"):
             if f[field].dtype != np.float64:
                 raise ValueError(f"kernel {field} has dtype {f[field].dtype}, not float64")
-        shape = (grid.n_nodes,) * 2 if name == "matrix" else tuple(3 * n - 1 for n in grid.shape)
-        if source.shape != shape:
-            raise ValueError(f"kernel {name} has shape {source.shape}, expected {shape}")
+        if kind == "profile" and grid.shape is None:
+            raise ValueError(f"a profile kernel needs an interval or rectangle grid, "
+                             f"not {grid.grid_id()}")
+        if kind != "factor":  # OperatorKernel checks the shapes of a factor
+            shape = ((grid.n_nodes,) * 2 if kind == "matrix"
+                     else tuple(3 * n - 1 for n in grid.shape))
+            if f[kind].shape != shape:
+                raise ValueError(f"kernel {kind} has shape {f[kind].shape}, expected {shape}")
         if sv.ndim != 1 or sv.size == 0 or tail.ndim != 0:
             raise ValueError(f"kernel symbol_values of shape {sv.shape} and tail_bound of shape "
                              f"{tail.shape} are not a non-empty vector and a scalar")
-        if not (np.all(np.isfinite(source)) and np.all(np.isfinite(sv))):
-            raise ValueError(f"kernel {name} or symbol values are not finite")
+        if not all(np.all(np.isfinite(f[field])) for field in (*names, "symbol_values")):
+            raise ValueError(f"kernel {' or '.join(names)} or symbol values are not finite")
         if not tail >= 0.0:  # inf stays legal: a divergent tail reads inf
             raise ValueError(f"tail bound {float(tail)!r} is not >= 0")
-        return OperatorKernel(grid, str(f["tag"]), **{name: source}, symbol_values=sv,
-                              tail_bound=float(tail))  # refuses a profile that is not mirrored
+        source = tuple(f[n] for n in names) if kind == "factor" else f[kind]
+        # OperatorKernel refuses a profile that is not mirrored and a factor
+        # whose U and V do not fit each other and the grid.
+        return OperatorKernel(grid, str(f["tag"]), **{kind: source}, symbol_values=sv,
+                              tail_bound=float(tail))
     except (ValueError, zipfile.BadZipFile) as exc:  # BadZipFile: a truncated or corrupt file
         raise ValueError(f"{path}: {exc}") from exc

@@ -390,7 +390,9 @@ def test_kernel_out_writes_the_named_file(tmp_path, capsys, flags, build):
         assert f"saved: {out}" in capsys.readouterr().out
         assert out.exists() and not (tmp_path / f"{argv[0]}.npz").exists()
         loaded = load_kernel(str(out), basis.grid)
+        assert loaded.source == ker.source
         for a, b in [(loaded._profile, ker._profile), (loaded._matrix, ker._matrix),
+                     *zip(loaded.factor or (None, None), ker.factor or (None, None)),
                      (loaded.symbol_values, ker.symbol_values)]:
             assert (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
                                                  and a.tobytes() == b.tobytes()), ker.tag
@@ -595,3 +597,20 @@ def test_report_empty_directory(tmp_path, capsys):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     assert main(["report", "--dir", str(tmp_path / "empty")]) == 1
     assert "no report files" in capsys.readouterr().err
+
+
+def test_heat_out_on_an_lshape_basis_reloads_with_equal_norms(tmp_path, capsys):
+    # heat --out on a saved L-shape basis writes the kernel's factor, and
+    # the file reads back with the endpoint norms the command printed.
+    path, out = str(tmp_path / "L.json"), str(tmp_path / "heat.npz")
+    assert main(["basis", "--shape", "lshape", "--h", "0.1", "--K", "40", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["heat", "--basis", path, "--t", "0.01", "--out", out]) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("norm["))
+    with np.load(out) as z:
+        assert "factor_u" in z.files and "factor_v" in z.files and "matrix" not in z.files
+    loaded = load_kernel(out, load_basis(path).grid)
+    norms = endpoint_norms(loaded)
+    assert {f"norm[{k}]": repr(v) for k, v in norms.items()} == printed
+    assert norms == endpoint_norms(heat_kernel(0.01, load_basis(path)))

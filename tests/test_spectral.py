@@ -2,13 +2,14 @@ import dataclasses
 import inspect
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from nbesov import spectral
+from nbesov import norms, spectral
 from nbesov.domains import (
     Domain,
     build_fd_basis,
@@ -23,7 +24,7 @@ from nbesov.domains import (
     save_basis,
 )
 from nbesov.littlewood_paley import make_partition
-from nbesov.norms import AmalgamParams, amalgam_cells, amalgam_columns
+from nbesov.norms import AmalgamParams, amalgam_cells, amalgam_columns, triple_norm
 from nbesov.spectral import (
     GridFunction,
     OperatorKernel,
@@ -644,29 +645,31 @@ def _refused(tmp_path, fields, grid, match=None):
 
 @pytest.mark.parametrize("kernels", [_interval_kernels, _rectangle_kernels],
                          ids=["interval", "rectangle"])
-def test_a_matrix_on_an_interval_or_rectangle_grid_is_refused(tmp_path, kernels):
-    # A kernel file's source is the one its grid dictates: save_kernel
-    # writes nothing for a bare matrix kernel there, and load_kernel refuses
-    # a matrix file (the layout every file had before profiles existed).
+def test_a_matrix_kernel_file_holds_the_callers_matrix(tmp_path, kernels):
+    # A kernel file holds the kernel's one source: a caller's own matrix
+    # kernel on an interval or rectangle grid is written as its matrix and
+    # read back bit for bit, and a file with a profile and a matrix beside
+    # it is refused by the extra field.
     b, kernels = kernels(64) if kernels is _interval_kernels else kernels()
     for ker in kernels:
         bare = OperatorKernel(b.grid, ker.tag, matrix=ker.matrix, symbol_values=ker.symbol_values,
                               tail_bound=ker.tail_bound)
-        with pytest.raises(ValueError, match="holds no profile"):
-            save_kernel(bare, str(tmp_path / "bare.npz"))
-        assert not (tmp_path / "bare.npz").exists()
+        save_kernel(bare, str(tmp_path / "bare.npz"))
+        with np.load(tmp_path / "bare.npz") as z:
+            assert "matrix" in z.files and "profile" not in z.files
+        loaded = load_kernel(str(tmp_path / "bare.npz"), b.grid)
+        assert loaded.source == "matrix" and loaded.matrix.tobytes() == ker.matrix.tobytes()
         fields = _saved_fields(ker, tmp_path)
         fields["matrix"] = ker.matrix
-        del fields["profile"]
         _refused(tmp_path, fields, b.grid,
-                 match=r"missing fields \['profile'\], unexpected fields \['matrix'\]")
+                 match=r"missing fields \[\], unexpected fields \['matrix'\]")
 
 
 _BAD_PROFILES = [
     ("short", "shape"), ("nan", "not finite"), ("inf", "not finite"),
     ("both", r"missing fields \[\], unexpected fields \['matrix'\]"), ("rectangle", "shape"),
     ("rect_short", "shape"), ("rect_nan", "not finite"),
-    ("polygon", r"missing fields \['matrix'\], unexpected fields \['profile'\]"),
+    ("polygon", "a profile kernel needs an interval or rectangle grid"),
     ("complex", "float64"), ("string", "float64"),
 ]
 
@@ -674,8 +677,8 @@ _BAD_PROFILES = [
 @pytest.mark.parametrize("case, message", _BAD_PROFILES, ids=[c for c, _ in _BAD_PROFILES])
 def test_load_kernel_rejects_a_bad_profile(tmp_path, case, message):
     # A 1-D profile on a rectangle grid ("rectangle") fails the shape check:
-    # a rectangle profile is (3Nx - 1, 3Ny - 1).  A polygon grid's file
-    # holds a matrix, so a profile there is a field outside the format.
+    # a rectangle profile is (3Nx - 1, 3Ny - 1).  A polygon grid has no
+    # profile at all.
     b, (ker, *_) = _rectangle_kernels() if case.startswith("rect_") else _interval_kernels(64)
     grid = b.grid
     fields = _saved_fields(ker, tmp_path)
@@ -795,7 +798,7 @@ def test_load_kernel_refuses_files_of_earlier_layouts(tmp_path, basis):
     old = dict(matrix=ker.matrix, tag=np.array(ker.tag),
                grid_id=np.array(basis.grid.grid_id()), tail_bound=np.array(0.0),
                symbol_values=np.array([]), components=ker.matrix[None])
-    message = _refused(tmp_path, old, basis.grid, match="nbesov-kernel/2")
+    message = _refused(tmp_path, old, basis.grid, match="not a nbesov-kernel/3 file")
     assert "'format' is None" in message and "nbesov heat --out" in message
     fields = _saved_fields(ker, tmp_path)
     _refused(tmp_path, dict(fields, format=np.array("nbesov-kernel/1")), basis.grid,
@@ -1075,13 +1078,43 @@ def test_orbit_read_norms_match_the_full_row_read(case, monkeypatch):
 
 
 def test_matrix_kernels_keep_the_full_row_read():
-    # Finite-difference kernels hold a matrix with no mirror symmetry, so
+    # A caller's matrix has no mirror symmetry and no factor, so
     # endpoint_norms reads every row, as the full-row read does, bit for bit.
     b = build_fd_basis(lshape_domain(), 0.1, 40)
     for sym in (heat_symbol(0.05), block_symbol(make_partition("standard"), 1)):
-        for ker in (multiplier_kernel(sym, b), *gradient_kernels(sym, b)):
+        for fd in (multiplier_kernel(sym, b), *gradient_kernels(sym, b)):
+            ker = OperatorKernel(b.grid, fd.tag, matrix=fd.matrix, symbol_values=fd.symbol_values,
+                                 tail_bound=fd.tail_bound)
             blas, _ = _full_row_norms(ker)
             assert {k: v for k, v in endpoint_norms(ker).items() if k != "2->2"} == blas, ker.tag
+
+
+@pytest.mark.parametrize("case", ["h0.1", "h0.05"])
+def test_factor_kernel_norms_match_the_full_row_read(case, request):
+    # A symmetric factor kernel is read by its upper block triangle and a
+    # gradient factor kernel row block by row block from its factor: 1->inf
+    # is the full-row read of .matrix bit for bit, and 1->1 and inf->inf
+    # agree with it to the rounding of the sums (the standard of the
+    # mirror-orbit read), and are one number on a symmetric kernel.
+    # The caller's factor grows along the nodes, so its heaviest row is the
+    # last, whose sum lies almost wholly in blocks below the diagonal.
+    b = request.getfixturevalue("lshape10" if case == "h0.1" else "lshape05")
+    pou = make_partition("standard")
+    N = b.grid.n_nodes
+    ramp = OperatorKernel(b.grid, "ramp", symbol_values=np.ones(5), tail_bound=0.0, factor=(
+        np.arange(1.0, 6.0), np.random.default_rng(4).standard_normal((5, N)) * np.arange(N)))
+    for sym in (heat_symbol(0.01), block_symbol(pou, 1), resolvent_symbol(0.75, 1.0), None):
+        for ker in (multiplier_kernel(sym, b), *gradient_kernels(sym, b)) if sym else (ramp,):
+            M = np.abs(ker.matrix)
+            w = b.grid.weights
+            want = {"1->1": float(np.max(w @ M)), "1->inf": float(np.max(M)),
+                    "inf->inf": float(np.max(M @ w))}
+            got = endpoint_norms(ker)
+            assert got["1->inf"] == want["1->inf"], ker.tag
+            for name in ("1->1", "inf->inf"):
+                assert got[name] == pytest.approx(want[name], rel=2e-15, abs=0), (ker.tag, name)
+            if ker.factor[0].ndim == 1:
+                assert got["1->1"] == got["inf->inf"], ker.tag
 
 
 def test_a_profile_that_is_not_mirrored_is_refused(tmp_path):
@@ -1187,8 +1220,11 @@ def test_arithmetic_rejects_functions_on_other_grids(op):
 
 @pytest.mark.parametrize("bad", ["small", "nan", "inf", "float32"])
 def test_load_kernel_rejects_a_bad_matrix(tmp_path, bad):
+    # A caller's matrix kernel, whose file holds the matrix.
     b = build_fd_basis(lshape_domain(), 0.25, 6)
-    fields = _saved_fields(multiplier_kernel(heat_symbol(0.05), b), tmp_path)
+    fd = multiplier_kernel(heat_symbol(0.05), b)
+    fields = _saved_fields(OperatorKernel(b.grid, fd.tag, matrix=fd.matrix,
+                                          symbol_values=fd.symbol_values, tail_bound=0.0), tmp_path)
     M = fields["matrix"]
     if bad == "small":
         fields["matrix"] = M[:3, :3]
@@ -1404,6 +1440,247 @@ def test_finite_difference_block_kernels_are_the_dense_products(lshape05):
         assert gker.matrix.tobytes() == (A @ E).tobytes()
         values = np.sqrt(np.maximum(np.linalg.eigvalsh((A.T * w) @ A), 0.0))
         assert gker.symbol_values.tobytes() == values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def lshape10():
+    return build_fd_basis(lshape_domain(), 0.1, 40)
+
+
+def _fd_kernels(basis):
+    """A full-band and a block scalar kernel on a finite-difference basis,
+    each with its gradient kernels, beside the dense products they stand
+    for: (E^T diag(phi)) E and (G_c^T diag(phi)) E over every mode."""
+    E, G, lam = basis.functions, basis.gradients(), basis.eigenvalues
+    out = []
+    for sym in (heat_symbol(0.01), block_symbol(make_partition("standard"), 1)):
+        s = sym(lam)
+        out.append((multiplier_kernel(sym, basis), (E.T * s) @ E))
+        out += [(g, (Gc.T * s) @ E) for g, Gc in zip(gradient_kernels(sym, basis), G)]
+    return out
+
+
+def _close(got, want, rel=1e-14):
+    scale = float(np.max(np.abs(want)))
+    return float(np.max(np.abs(got - want))) <= rel * scale
+
+
+@pytest.mark.parametrize("case", ["h0.1", "h0.05"])
+def test_factor_kernel_readers_match_the_dense_products(case, request):
+    # Finite-difference kernels hold their factor: row_blocks(), columns(),
+    # apply_kernel and endpoint_norms read it without forming the matrix,
+    # and agree with the dense products to rounding.
+    b = request.getfixturevalue("lshape10" if case == "h0.1" else "lshape05")
+    w, N = b.grid.weights, b.grid.n_nodes
+    f = np.random.default_rng(3).standard_normal(N)
+    idx = np.array([0, 1, 17, N // 2, N - 1])
+    for ker, dense in _fd_kernels(b):
+        assert ker.source == "factor" and ker._matrix is None
+        rows = np.vstack([B.copy() for _, B in ker.row_blocks()])
+        assert [r0 for r0, _ in ker.row_blocks()] == list(range(0, N, 64)), ker.tag
+        assert _close(rows, dense) and _close(ker.columns(idx), dense[:, idx].T), ker.tag
+        assert _close(apply_kernel(ker, GridFunction(f, b.grid)).values, dense @ (w * f)), ker.tag
+        mag = np.abs(dense)
+        got = endpoint_norms(ker)
+        for name, want in (("1->1", np.max(w @ mag)), ("1->inf", np.max(mag)),
+                           ("inf->inf", np.max(mag @ w))):
+            assert got[name] == pytest.approx(float(want), rel=1e-14, abs=0), (ker.tag, name)
+        assert ker._matrix is None, ker.tag
+
+
+def _dense_triple_norm(dense, grid, alpha, theta):
+    """max over cubes of sqrt(lambda_max(M^T M)), M = D W^(1/2) K[:, cube]
+    W^(1/2) read off the dense kernel, by eigvalsh one cube at a time."""
+    sw = np.sqrt(grid.weights)
+    best = 0.0
+    for m, idx in amalgam_cells(grid, theta):
+        d = np.linalg.norm(grid.points - math.sqrt(theta) * np.asarray(m, dtype=float), axis=1)
+        M = (sw * d ** alpha)[:, None] * dense[:, idx] * sw[idx]
+        best = max(best, float(np.linalg.eigvalsh(M.T @ M)[-1]))
+    return math.sqrt(best)
+
+
+@pytest.mark.parametrize("case", ["h0.1", "h0.05"])
+def test_factor_triple_norms_match_per_cube_eigvalsh(case, request):
+    # The factor route (cube sizes batched, QR only where the band is
+    # smaller than the cube) against a dense eigvalsh per cube, for a
+    # scalar kernel and a gradient kernel, which is not symmetric.
+    b = request.getfixturevalue("lshape10" if case == "h0.1" else "lshape05")
+    for ker, dense in _fd_kernels(b)[:2]:
+        for theta in (0.05, 0.25, 1.0):
+            for alpha in (0.0, 0.5, 1.0):
+                want = _dense_triple_norm(dense, b.grid, alpha, theta)
+                got = triple_norm(ker, alpha, theta)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (ker.tag, theta, alpha)
+        assert ker._matrix is None, ker.tag
+
+
+def test_factor_triple_norm_compresses_by_qr_only_cubes_larger_than_the_band(lshape10,
+                                                                             monkeypatch):
+    # On h = 0.1 (band 40) the 25-node cubes of theta = 0.25 are read as
+    # they are and the 50- to 100-node cubes of theta = 1 are compressed to
+    # 40 rows, so no Gram is larger than the band; skipping that QR would
+    # give the same norm from 100 x 100 Grams.
+    qr_shapes, gram_sides = [], []
+    real_qr, real_top = np.linalg.qr, norms._top_eigenvalue
+
+    def qr(A, mode):
+        qr_shapes.append(A.shape[-2:])
+        return real_qr(A, mode=mode)
+
+    def top(G):
+        gram_sides.append(G.shape[-1])
+        return real_top(G)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(norms, "_top_eigenvalue", top)
+    ker = heat_kernel(0.01, lshape10)
+    band = len(ker.factor[1])
+    assert band == 40
+    for theta, compressed in ((0.25, False), (1.0, True)):
+        qr_shapes.clear()
+        gram_sides.clear()
+        triple_norm(ker, 0.5, theta)
+        assert bool(qr_shapes) == compressed, theta
+        assert all(m > band for m, _ in qr_shapes), theta
+        assert max(gram_sides) <= band, theta
+    assert max(gram_sides) == band
+
+
+def test_finite_difference_kernels_form_no_dense_matrix(lshape10, tmp_path, no_dense_kernels):
+    # With OperatorKernel.matrix raising, every library reader of a scalar
+    # and a gradient L-shape kernel runs, a kernel file included.
+    f = GridFunction(np.cos(lshape10.grid.points[:, 0]), lshape10.grid)
+    for ker in (heat_kernel(0.01, lshape10), *gradient_kernels(heat_symbol(0.01), lshape10)):
+        norms_ = endpoint_norms(ker)
+        apply_kernel(ker, f)
+        triple_norm(ker, 0.5, 0.25)
+        save_kernel(ker, str(tmp_path / "k.npz"))
+        back = load_kernel(str(tmp_path / "k.npz"), lshape10.grid)
+        assert endpoint_norms(back) == norms_ and triple_norm(back, 0.5, 0.25) > 0, ker.tag
+        with pytest.raises(AssertionError, match="matrix read"):
+            ker.matrix
+
+
+def test_finite_difference_endpoint_norms_hold_no_dense_kernel(lshape05):
+    # endpoint_norms(heat_kernel(0.01, L05)) with N = 1200, K = 200: measured
+    # at 6.4 MB of traced peak, set by the 200,000-term Weyl tail sum of
+    # heat_kernel (endpoint_norms alone peaks at 1.6 MB, 1.2 MB of it the
+    # 128-row strip).  The bound, 8 MB, is below the 11.5 MB of one dense
+    # N x N kernel, which the dense route held (17.9 MB peak).
+    endpoint_norms(heat_kernel(0.01, lshape05))  # the first call fills lshape05.sup2()
+    tracemalloc.start()
+    try:
+        endpoint_norms(heat_kernel(0.01, lshape05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert lshape05.grid.n_nodes ** 2 * 8 > 11e6
+
+
+def _kernel_cases():
+    """A profile kernel, a scalar and a gradient factor kernel, and a
+    caller's matrix kernel, each with its grid."""
+    b, (heat, *_) = _interval_kernels(64)
+    fd = build_fd_basis(lshape_domain(), 0.25, 12)
+    scalar = multiplier_kernel(block_symbol(make_partition("standard"), 1), fd)
+    grad = gradient_kernels(heat_symbol(0.05), fd)[1]
+    bare = OperatorKernel(fd.grid, "caller", matrix=np.random.default_rng(2).standard_normal(
+        (fd.grid.n_nodes,) * 2), symbol_values=np.ones(3), tail_bound=0.5)
+    return [(b.grid, heat), (fd.grid, scalar), (fd.grid, grad), (fd.grid, bare)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["profile", "factor", "gradient", "matrix"])
+def test_kernel_files_round_trip_bit_for_bit(tmp_path, case):
+    # A nbesov-kernel/3 file holds the kernel's one source: the profile,
+    # factor_u and factor_v, or the matrix; everything comes back bit for
+    # bit.  The scalar factor's U is the 1-D phi over the band (a block
+    # symbol: fewer rows than modes).
+    grid, ker = _kernel_cases()[case]
+    names = {"profile": ["profile"], "factor": ["factor_u", "factor_v"],
+             "matrix": ["matrix"]}[ker.source]
+    p = tmp_path / "k.npz"
+    save_kernel(ker, str(p))
+    with np.load(p) as z:
+        assert str(z["format"]) == "nbesov-kernel/3"
+        assert sorted(z.files) == sorted(names + ["format", "tag", "grid_id", "tail_bound",
+                                                  "symbol_values"])
+    back = load_kernel(str(p), grid)
+    assert back.source == ker.source
+    sources = {"profile": lambda k: [k._profile], "factor": lambda k: list(k.factor),
+               "matrix": lambda k: [k._matrix]}[ker.source]
+    for a, b in zip(sources(back), sources(ker)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if case == 1:
+        assert ker.factor[0].ndim == 1 and 0 < len(ker.factor[0]) < 12
+    assert (back.tag, back.tail_bound) == (ker.tag, ker.tail_bound)
+    assert back.symbol_values.tobytes() == ker.symbol_values.tobytes()
+    assert endpoint_norms(back) == endpoint_norms(ker)
+    assert back.matrix.tobytes() == ker.matrix.tobytes()
+
+
+def test_finite_difference_kernel_files_hold_the_factor(tmp_path, lshape05):
+    # (band + 1) N numbers for a heat kernel on L05, 1.9 MB, where the
+    # dense matrix file was 11.5 MB.
+    p = tmp_path / "k.npz"
+    save_kernel(heat_kernel(0.01, lshape05), str(p))
+    with np.load(p) as z:
+        assert z["factor_u"].shape == (200,) and z["factor_v"].shape == (200, 1200)
+    assert p.stat().st_size < 2.0e6
+
+
+_BAD_FACTORS = [("narrow", "shape"), ("mismatched", "factor U of shape"),
+                ("nan", "not finite"), ("inf", "not finite"), ("float32", "float64")]
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["scalar", "gradient"])
+@pytest.mark.parametrize("bad, message", _BAD_FACTORS, ids=[b for b, _ in _BAD_FACTORS])
+def test_load_kernel_rejects_a_bad_factor(tmp_path, bad, message, grad):
+    # A V narrower than the grid, a U that does not match V, a NaN, an inf
+    # and float32 data are each refused, naming the file.
+    b = build_fd_basis(lshape_domain(), 0.25, 6)
+    sym = heat_symbol(0.05)
+    ker = gradient_kernels(sym, b)[0] if grad else multiplier_kernel(sym, b)
+    fields = _saved_fields(ker, tmp_path)
+    U, V = fields["factor_u"], fields["factor_v"]
+    if bad == "narrow":
+        fields["factor_v"] = V[:, :-1]
+    elif bad == "mismatched":
+        fields["factor_u"] = U[:-1]
+    elif bad == "float32":
+        fields["factor_v"] = V.astype(np.float32)
+    else:
+        (U if grad else V)[1, 2] = np.nan if bad == "nan" else np.inf
+    _refused(tmp_path, fields, b.grid, match=message)
+
+
+def test_a_kernel_file_of_format_2_is_refused(tmp_path):
+    # Files in the nbesov-kernel/2 layout, written here as that format
+    # wrote them (the matrix on a finite-difference grid, the profile on an
+    # interval), are refused by their format with the rebuild hint.
+    fd = build_fd_basis(lshape_domain(), 0.25, 6)
+    b, (heat, *_) = _interval_kernels(64)
+    fd_heat = heat_kernel(0.05, fd)
+    for grid, ker, source in ((fd.grid, fd_heat, {"matrix": fd_heat.matrix}),
+                              (b.grid, heat, {"profile": heat._profile})):
+        v2 = {"format": np.array("nbesov-kernel/2"), **source,
+              "tag": np.array(ker.tag), "grid_id": np.array(grid.grid_id()),
+              "tail_bound": np.array(ker.tail_bound), "symbol_values": ker.symbol_values}
+        message = _refused(tmp_path, v2, grid, match="'nbesov-kernel/2'")
+        assert "not a nbesov-kernel/3 file" in message
+        assert "nbesov multiplier --out or nbesov heat --out" in message
+
+
+def test_a_factor_kernel_takes_a_factor_that_fits_the_grid(lshape10):
+    U, V = heat_kernel(0.01, lshape10).factor
+    N = lshape10.grid.n_nodes
+    for bad in ((U, V[:, :-1]), (U[:-1], V), (U[:, None] * V[:, :-1], V), (U, V[0])):
+        with pytest.raises(ValueError, match="factor U of shape"):
+            OperatorKernel(lshape10.grid, "bad", factor=bad, symbol_values=U, tail_bound=0.0)
+    ker = OperatorKernel(lshape10.grid, "ok", factor=(U[:, None] * V, V), symbol_values=U,
+                         tail_bound=0.0)
+    assert ker.matrix.shape == (N, N)
 
 
 def test_tail_lattice_is_kept_per_cutoff():

@@ -30,11 +30,11 @@ center:
 
 Decay of the triple norm in theta is what makes kernel off-diagonal decay
 quantitative without ever forming pointwise kernel bounds.
-cube_block_norms is the one cube-block routine for a kernel given by mode
-factors (mode_factors): it bounds the norm on l^1(L^2)_theta from both
-sides and gives the triple norms from the same blocks, each with its
-truncation tail.  triple_norm reads a factor kernel (finite-difference
-basis) through the same triple step, and any other kernel's columns cube
+cube_block_norms is the one cube-block routine for a kernel given by its
+mode factor (OperatorKernel.factor): it bounds the norm on l^1(L^2)_theta
+from both sides and gives the triple norms from the same blocks, each with
+its truncation tail.  triple_norm reads a factor kernel (finite-difference
+basis) through the same triple step, and a profile kernel's columns cube
 by cube.
 """
 
@@ -69,7 +69,6 @@ __all__ = [
     "amalgam_columns",
     "amalgam_norm",
     "triple_norm",
-    "mode_factors",
     "CubeBlockNorms",
     "cube_block_norms",
     "norm_csv_header",
@@ -500,29 +499,24 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
 
     The per-cube norm is the largest singular value of the weighted
     localized block M.  A factor kernel (finite-difference basis) is read
-    from its factor through cube_block_norms' triple step (_triple_tops),
-    batched by cube size and compressed by QR only where the band is
-    smaller than the cube.  Any other kernel builds M^T from the cube's
-    columns (kernel.columns), one cube at a time (_sigma_max: closed form on
-    one- and two-node cubes, else sqrt(lambda_max(M^T M)) from the symmetric
-    eigensolver).  No kernel forms its matrix.  Rejects alpha that is not
-    finite and >= 0, and theta as amalgam_cells does.
+    from its factor through cube_block_norms' weighted factors
+    (_weighted_cubes) and triple step (_triple_tops), batched by cube size
+    and compressed by QR only where the band is smaller than the cube.  A
+    profile kernel builds M^T from the cube's columns (kernel.columns), one
+    cube at a time (_sigma_max: closed form on one- and two-node cubes, else
+    sqrt(lambda_max(M^T M)) from the symmetric eigensolver).  No kernel
+    forms its matrix.  Rejects alpha that is not finite and >= 0, and theta
+    as amalgam_cells does.
     """
     _check_alpha(alpha)
     grid = kernel.grid
     cubes = _cubes(grid, theta)
     dist, _ = _cube_geometry(grid, cubes, theta)
-    sw = np.sqrt(grid.weights)
     if kernel.source == "factor":
-        U, V = kernel.factor
-        if len(V) == 0:
-            return 0.0
-        V = V * sw  # W^(1/2) K W^(1/2) = (U W^(1/2))^T (V W^(1/2)), or diag(phi) for a 1-D U
-        Ufull = U[:, None] * V if U.ndim == 1 else U * sw
-        groups = _size_groups(cubes)
-        S = [_cube_factor(V, cubes, ids) for ids in groups]
-        (top,) = _triple_tops(S, groups, Ufull, dist, (alpha,))
+        groups, S, U, V = _weighted_cubes(*kernel.factor, grid, cubes)
+        (top,) = _triple_tops(S, groups, U, V, dist, (alpha,))
         return math.sqrt(max(top, 0.0))
+    sw = np.sqrt(grid.weights)
     best = 0.0
     for (_, idx), d in zip(cubes.cells, dist):
         Mt = kernel.columns(idx)  # a new array, scaled in place: (rowscale_r K_rc) sw_c
@@ -534,15 +528,6 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Cube blocks of a factored kernel
-
-
-def mode_factors(symbol_values: NDArray, basis: EigenBasis) -> tuple[NDArray, NDArray]:
-    """(phi, X) with W^(1/2) K W^(1/2) = X^T diag(phi) X for the kernel
-    K = E^T diag(symbol_values) E (a profile kernel of basis, up to
-    rounding): X the (band, N) modes where symbol_values is nonzero times
-    W^(1/2), phi those values.  cube_block_norms reads them as U = phi, V = X."""
-    band = np.flatnonzero(symbol_values)
-    return symbol_values[band], basis.functions[band] * np.sqrt(basis.grid.weights)
 
 
 class CubeBlockNorms(NamedTuple):
@@ -576,20 +561,36 @@ def _cube_factor(A: NDArray, cubes: _Cubes, ids: NDArray) -> NDArray:
     return (np.linalg.qr(At, mode="r") if At.shape[1] > len(A) else At).swapaxes(0, 1)
 
 
+def _weighted_cubes(U: NDArray, V: NDArray, grid: Grid, cubes: _Cubes) -> tuple:
+    """(groups, S, U W^(1/2), V W^(1/2)): the factors of W^(1/2) K W^(1/2)
+    for K = U^T V (OperatorKernel.factor; a 1-D U, the phi of diag(phi) V,
+    stays as it is), groups the cube positions per size (_size_groups) and S
+    the per-size _cube_factor of V W^(1/2).  An empty band is read as one
+    zero mode, so that both bounds and every triple norm read 0."""
+    if len(V) == 0:
+        U, V = np.zeros((1, *U.shape[1:])), np.zeros((1, V.shape[1]))
+    sw = np.sqrt(grid.weights)
+    V = V * sw
+    groups = _size_groups(cubes)
+    return groups, [_cube_factor(V, cubes, ids) for ids in groups], U if U.ndim == 1 else U * sw, V
+
+
 # _triple_tops forms the weighted rows S_c U of at most this many numbers at
 # once (16 MB), so that no cube size holds an N x N array on a large grid.
 _TRIPLE_CHUNK = 1 << 21
 
 
-def _triple_tops(S: list, groups: list, Ufull: NDArray, dist: NDArray,
+def _triple_tops(S: list, groups: list, U: NDArray, V: NDArray, dist: NDArray,
                  alphas: Sequence[float]) -> list[float]:
     """max_c lambda_max(S_c U D_c^2 U^T S_c^T), D_c = diag(|x - c|^alpha), for
     each alpha: the squared triple norms of cube_block_norms, from the
-    per-size factors S of _cube_factor and the (band, N) left factor Ufull.
+    per-size factors S and the weighted U and V of _weighted_cubes, read as
+    the (band, N) left factor Ufull (diag(phi) V for a 1-D U).
     The weighted rows S_c U take one GEMM per cube size (per run of cubes
     holding at most _TRIPLE_CHUNK numbers), which every alpha reuses, and
     k_c <= 2 takes the closed forms of _top_eigenvalue."""
     best = [0.0] * len(alphas)
+    Ufull = U[:, None] * V if U.ndim == 1 else U
     band, N = Ufull.shape
     for s, ids in zip(S, groups):
         k, n = s.shape[:2]
@@ -653,13 +654,16 @@ def _block_bounds(S: list, R: list, symmetric: bool) -> tuple[float, float, floa
 
 def cube_block_norms(U: NDArray, V: NDArray, grid: Grid, theta: float,
                      alphas: Sequence[float] = (), tail_bound: float = 0.0) -> CubeBlockNorms:
-    """Two-sided bounds on the norm of A = W^(-1/2) U^T V W^(-1/2) on the
-    cube-summed L^2 space l^1(L^2)_theta of grid, and A's triple norms
-    |||A|||_{alpha,theta} (triple_norm) for each alpha in alphas.
+    """Two-sided bounds on the norm of the operator A of kernel K = U^T V
+    on the cube-summed L^2 space l^1(L^2)_theta of grid, and A's triple
+    norms |||A|||_{alpha,theta} (triple_norm) for each alpha in alphas.
 
-    U and V are (band, N) factors of the weighted kernel B = W^(1/2) K W^(1/2)
-    = U^T V; a 1-D U holds the phi of U = diag(phi) V (mode_factors), so B
-    is symmetric and each unordered cube pair is read once.  With B_rc its
+    U and V are a factor as OperatorKernel.factor holds it: V is (band, N),
+    and a 1-D U holds the phi of U = diag(phi) V, so K is symmetric and
+    each unordered cube pair is read once; else U is (band, N).  One
+    private step, which triple_norm shares (_weighted_cubes), applies the
+    weights: below, U and V stand for U W^(1/2) and V W^(1/2), the factors
+    of the weighted kernel B = W^(1/2) K W^(1/2) = U^T V.  With B_rc its
     block on row cube r and column cube c, the norm is max_c max_{|x|=1}
     f_c(x), f_c(x) = sum_r |B_rc x|, as each extreme point of the unit ball
     lies in one cube.
@@ -694,17 +698,17 @@ def cube_block_norms(U: NDArray, V: NDArray, grid: Grid, theta: float,
     (r, c) by at most its Frobenius norm tau sqrt(w(r) w(c)), w the cube's
     quadrature mass (Golub & Van Loan, 4th ed., §2.3): tail is
     tau max_c sqrt(w(c)) sum_r sqrt(w(r)), and triple_tail
-    tau sqrt(max_c w(c) sum_i w_i |x_i - c|^(2 alpha)).  No kernel column
-    is read, no array is larger than N x N, and the triple step
-    (_triple_tops) forms its weighted rows in runs of at most
-    _TRIPLE_CHUNK numbers.
+    tau sqrt(max_c w(c) sum_i w_i |x_i - c|^(2 alpha)).  An empty band (no
+    mode where phi is nonzero) is the zero kernel: both bounds and every
+    triple norm read 0, and the tails are these.  No kernel column is read,
+    no array is larger than N x N, and the triple step (_triple_tops) forms
+    its weighted rows in runs of at most _TRIPLE_CHUNK numbers.
     """
     for alpha in alphas:
         _check_alpha(alpha)
     cubes = _cubes(grid, theta)
+    groups, S, U, V = _weighted_cubes(U, V, grid, cubes)
     symmetric = U.ndim == 1
-    groups = _size_groups(cubes)  # cubes go size by size
-    S = [_cube_factor(V, cubes, ids) for ids in groups]
     R = [s * U for s in S] if symmetric else [_cube_factor(U, cubes, ids) for ids in groups]
     upper, lower, top = _block_bounds(S, R, symmetric)
 
@@ -712,8 +716,7 @@ def cube_block_norms(U: NDArray, V: NDArray, grid: Grid, theta: float,
     positive = list(dict.fromkeys(a for a in alphas if a != 0))
     tops = {0: top}  # alpha = 0 is read off the ascent's start
     if positive:
-        Ufull = U[:, None] * V if symmetric else U
-        tops.update(zip(positive, _triple_tops(S, groups, Ufull, dist, positive)))
+        tops.update(zip(positive, _triple_tops(S, groups, U, V, dist, positive)))
     root_mass = np.sqrt(mass)
     return CubeBlockNorms(
         upper, lower, tail_bound * float(root_mass.max() * root_mass.sum()),

@@ -35,8 +35,9 @@ band where phi is nonzero, and the kernel holds (phi, E) or
 two thin products, endpoint_norms forms the upper block triangle strip by
 strip, norms.triple_norm reads the factor cube size by cube size, and the
 kernel file holds the factor.
-No library path reads OperatorKernel.matrix; the N^2 matrix is formed only
-for a caller that asks for it.
+No library path reads OperatorKernel.matrix, formed or not: the N^2 matrix
+is formed only for a caller that asks for it, and a caller's own dense M is
+held as the factor (M^T, I).
 Every kernel carries the values its 2->2 norm is read from (OperatorKernel),
 so no norm takes an SVD.
 
@@ -203,7 +204,7 @@ def _is_mirrored(prof: NDArray, shape: tuple[int, ...] | None) -> bool:
 class OperatorKernel:
     """Kernel K(x_i, y_j) acting by (Af)_i = sum_j w_j K_ij f_j.
 
-    It is held in one of three forms, its source:
+    It is held in one of two forms, its source:
 
     - profile, on an analytic basis: the mirrored profile prof[q + N - 1] =
       V(q) per axis, q = -(N-1)..2N-1, shape (3N - 1,) on an interval and
@@ -220,18 +221,17 @@ class OperatorKernel:
       mirror orbit.
     - factor = (U, V), on a finite-difference basis: K = U^T V with V the
       (band, N) modes where the symbol is nonzero, of rank at most band.  A
-      1-D U holds the phi of U = diag(phi) V (norms.mode_factors' convention)
-      and marks K as symmetric; a 2-D U is (band, N), diag(phi) G_c for a
-      gradient kernel (ValueError for other shapes).
-    - matrix: a dense (N, N) array the caller hands in.
+      1-D U holds the phi of U = diag(phi) V and marks K as symmetric; a
+      2-D U is (band, N), diag(phi) G_c for a gradient kernel (ValueError
+      for other shapes).  A caller's dense M is the factor (M^T, I).
 
     row_blocks() reads the kernel in blocks of rows and columns() a set of
     columns; library code reads a kernel only through these, the factor
     (endpoint_norms, apply_kernel, norms.triple_norm) and the profile.
-    matrix forms the dense array on first access and keeps it: from a
-    profile in the readers' summation order, so all three agree bit for
-    bit, and from a factor as the product (V^T diag(phi)) V or U^T V.  It is
-    a convenience for callers that want the array.
+    matrix forms the dense array on first access and keeps it for the
+    caller; no reader reads it back.  From a profile it is summed in the
+    readers' order, so all agree bit for bit, and from a factor it is the
+    product (V^T diag(phi)) V or U^T V.
 
     max |symbol_values| is the exact 2->2 norm (on a finite-difference
     basis, up to the Gram deviation of its modes).  They are phi(lambda_k)
@@ -252,13 +252,10 @@ class OperatorKernel:
     components = None
 
     def __init__(self, grid: Grid, tag: str, *, symbol_values: NDArray,
-                 tail_bound: float, matrix: NDArray | None = None,
-                 profile: NDArray | None = None,
+                 tail_bound: float, profile: NDArray | None = None,
                  factor: tuple[NDArray, NDArray] | None = None):
-        given = [name for name, src in (("matrix", matrix), ("profile", profile),
-                                        ("factor", factor)) if src is not None]
-        if len(given) != 1:
-            raise ValueError("a kernel is given by exactly one of matrix, profile and factor")
+        if (profile is None) == (factor is None):
+            raise ValueError("a kernel is given by exactly one of profile and factor")
         if profile is not None and not _is_mirrored(profile, grid.shape):
             raise ValueError(f"kernel {tag}: the profile is not a mirrored profile of the grid, "
                              "V(-q) = V(2N - q) = +-V(q) with one sign per axis")
@@ -269,9 +266,9 @@ class OperatorKernel:
                 raise ValueError(f"kernel {tag}: factor U of shape {U.shape} and V of shape "
                                  f"{V.shape} are not (band,) or (band, N) beside (band, N), "
                                  f"N = {grid.n_nodes}")
-        self.grid, self.tag, self.source = grid, tag, given[0]
+        self.grid, self.tag, self.source = grid, tag, "profile" if factor is None else "factor"
         self.symbol_values, self.tail_bound = symbol_values, tail_bound
-        self._matrix, self._profile, self._factor = matrix, profile, factor
+        self._profile, self._factor, self._matrix = profile, factor, None
         self._folded: dict[bool, tuple[NDArray, NDArray]] = {}
 
     def _folds(self, transpose: bool = False) -> tuple[NDArray, NDArray]:
@@ -333,9 +330,9 @@ class OperatorKernel:
         order, and r0 counts those rows.  A factor kernel forms each block
         from its factor.  Each block is written into one scratch array: the
         caller may overwrite it, not keep it."""
-        N, M = self.grid.n_nodes, self._matrix
+        N = self.grid.n_nodes
         T = H = None
-        if self.source == "profile" and (M is None or orbit):
+        if self.source == "profile":
             T, H = self._folds()
             if orbit:  # the first half of the first-axis and of the row-node indices
                 T, H = (A[:-(-A.shape[0] // 2), :, :-(-A.shape[2] // 2)] for A in (T, H))
@@ -345,23 +342,19 @@ class OperatorKernel:
         buf = np.empty((min(step, n_rows), N))
         for r0 in range(0, n_rows, step):
             out = buf[:min(step, n_rows - r0)]
-            if self.source == "factor":
+            if T is None:
                 np.matmul(self._factor_rows(slice(r0, r0 + step)), self._factor[1], out=out)
-            elif T is None:
-                out[...] = M[r0:r0 + step]
             else:
                 _rows(T[r0 // r:(r0 + step) // r], H[r0 // r:(r0 + step) // r], out)
             yield r0, out
 
     def columns(self, idx: NDArray) -> NDArray:
         """K[:, idx]^T as a new (len(idx), N) array, read from the profile
-        while the matrix is not formed, and from the factor.  Columns, not
-        rows: a gradient kernel is not symmetric."""
+        or the factor.  Columns, not rows: a gradient kernel is not
+        symmetric."""
         if self.source == "factor":
             U, V = self._factor  # a symmetric kernel's columns are its rows
             return self._factor_rows(idx) @ V if U.ndim == 1 else V[:, idx].T @ U
-        if self._matrix is not None:
-            return self._matrix[:, idx].T
         Tt, H = self._folds(transpose=True)
         i, j = np.divmod(np.asarray(idx), Tt.shape[2])
         out = Tt[i, :, j, :]
@@ -1056,20 +1049,19 @@ def endpoint_norms(kernel: OperatorKernel) -> dict[str, float]:
 KERNEL_FORMAT = "nbesov-kernel/3"
 
 # The fields of each kernel source in a KERNEL_FORMAT file.
-_SOURCE_FIELDS = {"profile": ("profile",), "factor": ("factor_u", "factor_v"),
-                  "matrix": ("matrix",)}
+_SOURCE_FIELDS = {"profile": ("profile",), "factor": ("factor_u", "factor_v")}
 
 
 def save_kernel(kernel: OperatorKernel, path: str) -> None:
     """Binary dump (npz) of format KERNEL_FORMAT to exactly path: the
     kernel's one source (OperatorKernel), as the field profile (the
-    mirrored profile, 3N - 1 numbers per axis), factor_u and factor_v (U
-    and V, (band + 1) N numbers for phi(H) on a finite-difference basis:
-    1.9 MB at N = 1200 and 7.7 MB at N = 4800 with band = 200) or matrix (a
-    caller's own N x N array), with the tag, grid id, tail bound and symbol
-    values."""
-    arrays = {"profile": (kernel._profile,), "factor": kernel.factor, "matrix": (kernel._matrix,)}
-    source = dict(zip(_SOURCE_FIELDS[kernel.source], arrays[kernel.source]))
+    mirrored profile, 3N - 1 numbers per axis) or the fields factor_u and
+    factor_v (U and V, (band + 1) N numbers for phi(H) on a
+    finite-difference basis: 1.9 MB at N = 1200 and 7.7 MB at N = 4800 with
+    band = 200; 2 N^2 for a caller's dense (M^T, I)), with the tag, grid id,
+    tail bound and symbol values."""
+    arrays = (kernel._profile,) if kernel.source == "profile" else kernel.factor
+    source = dict(zip(_SOURCE_FIELDS[kernel.source], arrays))
     with open(path, "wb") as fh:
         np.savez(fh, format=np.array(KERNEL_FORMAT), **source,
                  tag=np.array(kernel.tag), grid_id=np.array(kernel.grid.grid_id()),
@@ -1082,11 +1074,12 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
     it has the fields of KERNEL_FORMAT for one source (the profile on an
     interval or rectangle grid and the factor on any other, where the file
     holds no source field), grid's id, a finite float64 source of grid's
-    shape (a mirrored profile, a factor V of shape (band, N) with U of
-    shape (band,) or (band, N), or an (N, N) matrix, as OperatorKernel
-    requires), finite float64 symbol values of shape (K,), K >= 1, and a
-    float64 scalar tail bound >= 0 (inf is kept).  Files of earlier formats
-    are refused by their format field."""
+    shape (a mirrored profile, or a factor V of shape (band, N) with U of
+    shape (band,) or (band, N), as OperatorKernel requires), finite float64
+    symbol values of shape (K,), K >= 1, and a float64 scalar tail bound
+    >= 0 (inf is kept).  Files of earlier formats are refused by their
+    format field, and a file with a field of neither source (such as a
+    dense matrix) by that field."""
     try:
         with np.load(path, allow_pickle=False) as z:
             fmt = str(z["format"]) if "format" in z.files else None
@@ -1107,14 +1100,13 @@ def load_kernel(path: str, grid: Grid) -> OperatorKernel:
         for field in (*names, "symbol_values", "tail_bound"):
             if f[field].dtype != np.float64:
                 raise ValueError(f"kernel {field} has dtype {f[field].dtype}, not float64")
-        if kind == "profile" and grid.shape is None:
-            raise ValueError(f"a profile kernel needs an interval or rectangle grid, "
-                             f"not {grid.grid_id()}")
-        if kind != "factor":  # OperatorKernel checks the shapes of a factor
-            shape = ((grid.n_nodes,) * 2 if kind == "matrix"
-                     else tuple(3 * n - 1 for n in grid.shape))
-            if f[kind].shape != shape:
-                raise ValueError(f"kernel {kind} has shape {f[kind].shape}, expected {shape}")
+        if kind == "profile":  # OperatorKernel checks the shapes of a factor
+            if grid.shape is None:
+                raise ValueError(f"a profile kernel needs an interval or rectangle grid, "
+                                 f"not {grid.grid_id()}")
+            shape = tuple(3 * n - 1 for n in grid.shape)
+            if f["profile"].shape != shape:
+                raise ValueError(f"kernel profile has shape {f['profile'].shape}, expected {shape}")
         if sv.ndim != 1 or sv.size == 0 or tail.ndim != 0:
             raise ValueError(f"kernel symbol_values of shape {sv.shape} and tail_bound of shape "
                              f"{tail.shape} are not a non-empty vector and a scalar")

@@ -9,13 +9,14 @@ triple norms.  The bump bounds' and triple norms' tails are tail_bound
 times Frobenius bounds on the weighted error blocks, 0 at every default
 theta.
 
-The bump bounds and triple norms come from norms.cube_block_norms, which
-reads the weighted bump kernel W^(1/2) K W^(1/2) = X^T diag(phi) X through
-its mode factors (norms.mode_factors), not through its columns: each cube
-size's blocks in k = min(m, band) coordinates, compressed by a QR only
-where the band is smaller than the cube, with sigma_max in closed form
-for blocks with at most two rows or columns.  The resolvent column norms
-read the (symmetric) kernels in blocks of 64 rows
+The bump bounds and triple norms come from norms.cube_block_norms on the
+bump's mode factor, its values and the basis' modes over their band (a
+view, as spectral._band cuts it), not on kernel columns: each cube size's
+blocks in k = min(m, band) coordinates, compressed by a QR only where the
+band is smaller than the cube, with sigma_max in closed form for blocks
+with at most two rows or columns.  A bump with no mode in its band reads
+bounds 0 and gap nan, and the sweep drops its theta.  The resolvent column
+norms read the (symmetric) kernels in blocks of 64 rows
 (OperatorKernel.row_blocks).
 """
 
@@ -32,12 +33,12 @@ from ..norms import (
     amalgam_columns,
     amalgam_norm,
     cube_block_norms,
-    mode_factors,
 )
 from ..reports import EstimateReport
 from ..spectral import (
     GridFunction,
     SymbolFn,
+    _band,
     bump_symbol,
     multiplier_kernel,
     resolvent_symbol,
@@ -141,12 +142,14 @@ def exp_amalgam(spec: ExperimentSpec) -> EstimateReport:
     # growth like theta^(alpha/2) of its localization norm.
     bumps = []
     for th in thetas1:
-        ker = multiplier_kernel(bump_symbol(pou, th), basis1)
-        bumps.append(cube_block_norms(*mode_factors(ker.symbol_values, basis1), basis1.grid,
-                                      th, P["alphas"], ker.tail_bound))
+        sym = bump_symbol(pou, th)
+        phi, tail = sym(basis1.eigenvalues), symbol_tail_bound(sym, basis1)
+        band = _band(phi)
+        bumps.append(cube_block_norms(phi[band], basis1.functions[band], basis1.grid, th,
+                                      P["alphas"], tail))
         up, lo = bumps[-1].upper, bumps[-1].lower
         points.append({"part": "bump_bound", "theta": float(th), "upper": up, "lower": lo,
-                       "gap": up / lo, "tail_bound": ker.tail_bound})
+                       "gap": up / lo if lo else math.nan, "tail_bound": tail})
     fit = screened_fit("bump bound theta", thetas1, [b.upper for b in bumps],
                        [b.tail for b in bumps])
     fits["bump_upper_spread"] = fit.spread

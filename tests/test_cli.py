@@ -391,7 +391,7 @@ def test_kernel_out_writes_the_named_file(tmp_path, capsys, flags, build):
         assert out.exists() and not (tmp_path / f"{argv[0]}.npz").exists()
         loaded = load_kernel(str(out), basis.grid)
         assert loaded.source == ker.source
-        for a, b in [(loaded._profile, ker._profile), (loaded._matrix, ker._matrix),
+        for a, b in [(loaded._profile, ker._profile),
                      *zip(loaded.factor or (None, None), ker.factor or (None, None)),
                      (loaded.symbol_values, ker.symbol_values)]:
             assert (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape

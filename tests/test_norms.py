@@ -16,7 +16,7 @@ from nbesov.domains import (
     polygon_grid,
     rectangle_grid,
 )
-from nbesov import norms
+from nbesov import norms, spectral
 from nbesov.littlewood_paley import make_partition
 from nbesov.norms import (
     AmalgamParams,
@@ -32,7 +32,6 @@ from nbesov.norms import (
     cube_block_norms,
     default_besov_params,
     lp_columns,
-    mode_factors,
     norm_csv_header,
     norm_csv_row,
     scale_window,
@@ -204,10 +203,11 @@ def test_amalgam_cells_put_face_nodes_in_the_upper_cube(grid):
 
 
 def identity_kernel(grid):
-    """Kernel representing the identity on the quadrature grid (1/w diagonal),
-    whose 2->2 values are all 1, with no truncation tail."""
-    return OperatorKernel(matrix=np.diag(1.0 / grid.weights), grid=grid, tag="identity",
-                          symbol_values=np.ones(grid.n_nodes), tail_bound=0.0)
+    """Kernel representing the identity on the quadrature grid (1/w diagonal,
+    the factor (1/w, I)), whose 2->2 values are all 1, with no truncation
+    tail."""
+    return OperatorKernel(factor=(1.0 / grid.weights, np.eye(grid.n_nodes)), grid=grid,
+                          tag="identity", symbol_values=np.ones(grid.n_nodes), tail_bound=0.0)
 
 
 def test_triple_norm_of_identity_is_max_offset(basis):
@@ -272,7 +272,7 @@ def test_triple_norm_rejects_alpha_that_is_not_finite_and_nonnegative(basis, alp
     with pytest.raises(ValueError, match="finite and >= 0"):
         triple_norm(heat_kernel(0.1, basis), alpha, 0.25)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        cube_block_norms(*mode_factors(np.ones(basis.K), basis), basis.grid, 0.25, (0.5, alpha))
+        cube_block_norms(np.ones(basis.K), basis.functions, basis.grid, 0.25, (0.5, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +318,9 @@ def test_sigma_max_closed_forms_match_the_svd(name, B):
 
 
 def test_cube_block_norms_read_a_symmetric_kernel_once_per_cube_pair(monkeypatch):
-    """A 1-D U = phi (mode_factors) and the 2-D U = diag(phi) V give the
-    same bounds and triple norms, while the first reads n (n + 1) / 2 of
-    the n^2 blocks C_rc, n cubes."""
+    """A 1-D U = phi and the 2-D U = diag(phi) V give the same bounds and
+    triple norms, while the first reads n (n + 1) / 2 of the n^2 blocks
+    C_rc, n cubes."""
     basis = build_interval_basis(math.pi, 65, N=128)
     pou = make_partition("standard")
     blocks = []
@@ -328,8 +328,9 @@ def test_cube_block_norms_read_a_symmetric_kernel_once_per_cube_pair(monkeypatch
     monkeypatch.setattr(norms, "_sigma_max",
                         lambda B: blocks.append(math.prod(B.shape[:-2])) or real(B))
     for theta in (4.0 * basis.grid.h ** 2, 0.01, 0.1, 1.0):
-        phi, X = mode_factors(multiplier_kernel(bump_symbol(pou, theta), basis).symbol_values,
-                              basis)
+        phi = bump_symbol(pou, theta)(basis.eigenvalues)
+        band = spectral._band(phi)
+        phi, X = phi[band], basis.functions[band]
         n = len(amalgam_cells(basis.grid, theta))
         blocks.clear()
         once = cube_block_norms(phi, X, basis.grid, theta, (0.5,))

@@ -643,31 +643,11 @@ def _refused(tmp_path, fields, grid, match=None):
     return str(exc.value)
 
 
-@pytest.mark.parametrize("kernels", [_interval_kernels, _rectangle_kernels],
-                         ids=["interval", "rectangle"])
-def test_a_matrix_kernel_file_holds_the_callers_matrix(tmp_path, kernels):
-    # A kernel file holds the kernel's one source: a caller's own matrix
-    # kernel on an interval or rectangle grid is written as its matrix and
-    # read back bit for bit, and a file with a profile and a matrix beside
-    # it is refused by the extra field.
-    b, kernels = kernels(64) if kernels is _interval_kernels else kernels()
-    for ker in kernels:
-        bare = OperatorKernel(b.grid, ker.tag, matrix=ker.matrix, symbol_values=ker.symbol_values,
-                              tail_bound=ker.tail_bound)
-        save_kernel(bare, str(tmp_path / "bare.npz"))
-        with np.load(tmp_path / "bare.npz") as z:
-            assert "matrix" in z.files and "profile" not in z.files
-        loaded = load_kernel(str(tmp_path / "bare.npz"), b.grid)
-        assert loaded.source == "matrix" and loaded.matrix.tobytes() == ker.matrix.tobytes()
-        fields = _saved_fields(ker, tmp_path)
-        fields["matrix"] = ker.matrix
-        _refused(tmp_path, fields, b.grid,
-                 match=r"missing fields \[\], unexpected fields \['matrix'\]")
-
-
 _BAD_PROFILES = [
     ("short", "shape"), ("nan", "not finite"), ("inf", "not finite"),
-    ("both", r"missing fields \[\], unexpected fields \['matrix'\]"), ("rectangle", "shape"),
+    ("both", r"missing fields \[\], unexpected fields \['matrix'\]"),
+    ("matrix", r"missing fields \['profile'\], unexpected fields \['matrix'\]"),
+    ("rectangle", "shape"),
     ("rect_short", "shape"), ("rect_nan", "not finite"),
     ("polygon", "a profile kernel needs an interval or rectangle grid"),
     ("complex", "float64"), ("string", "float64"),
@@ -678,7 +658,8 @@ _BAD_PROFILES = [
 def test_load_kernel_rejects_a_bad_profile(tmp_path, case, message):
     # A 1-D profile on a rectangle grid ("rectangle") fails the shape check:
     # a rectangle profile is (3Nx - 1, 3Ny - 1).  A polygon grid has no
-    # profile at all.
+    # profile at all.  A dense matrix is no kernel source: a file holding
+    # one beside the profile ("both") or in its place ("matrix") is refused.
     b, (ker, *_) = _rectangle_kernels() if case.startswith("rect_") else _interval_kernels(64)
     grid = b.grid
     fields = _saved_fields(ker, tmp_path)
@@ -689,6 +670,9 @@ def test_load_kernel_rejects_a_bad_profile(tmp_path, case, message):
         prof[5] = np.inf if case == "inf" else np.nan
     elif case == "both":
         fields["matrix"] = ker.matrix
+    elif case == "matrix":
+        fields["matrix"] = ker.matrix
+        del fields["profile"]
     elif case == "rectangle":
         grid = build_rectangle_basis(math.pi, 2.0, 4, Nx=8, Ny=8).grid
     elif case == "polygon":
@@ -1077,18 +1061,6 @@ def test_orbit_read_norms_match_the_full_row_read(case, monkeypatch):
             assert got[name] == pytest.approx(want[name], rel=2e-15, abs=0), (ker.tag, name)
 
 
-def test_matrix_kernels_keep_the_full_row_read():
-    # A caller's matrix has no mirror symmetry and no factor, so
-    # endpoint_norms reads every row, as the full-row read does, bit for bit.
-    b = build_fd_basis(lshape_domain(), 0.1, 40)
-    for sym in (heat_symbol(0.05), block_symbol(make_partition("standard"), 1)):
-        for fd in (multiplier_kernel(sym, b), *gradient_kernels(sym, b)):
-            ker = OperatorKernel(b.grid, fd.tag, matrix=fd.matrix, symbol_values=fd.symbol_values,
-                                 tail_bound=fd.tail_bound)
-            blas, _ = _full_row_norms(ker)
-            assert {k: v for k, v in endpoint_norms(ker).items() if k != "2->2"} == blas, ker.tag
-
-
 @pytest.mark.parametrize("case", ["h0.1", "h0.05"])
 def test_factor_kernel_norms_match_the_full_row_read(case, request):
     # A symmetric factor kernel is read by its upper block triangle and a
@@ -1142,7 +1114,7 @@ def test_a_profile_that_is_not_mirrored_is_refused(tmp_path):
 def test_interval_matrix_is_formed_once(N, monkeypatch):
     # The lazy matrix is the Toeplitz + Hankel sum the kernel builders used
     # to return, and row_blocks() reads the same rows from the profile
-    # before it is formed and from the matrix after.
+    # before it is formed and after: no reader reads the formed matrix.
     basis = build_interval_basis(math.pi, N // 2 + 1, N=N)
     calls = []
     real = OperatorKernel._folds
@@ -1160,20 +1132,25 @@ def test_interval_matrix_is_formed_once(N, monkeypatch):
         assert np.array_equal(streamed, Kmat) and np.array_equal(first, Kmat)
         assert ker.matrix is first and len(calls) == 2
         again = np.vstack([B.copy() for _, B in ker.row_blocks()])
-        assert np.array_equal(again, Kmat) and len(calls) == 2
+        assert np.array_equal(again, Kmat) and len(calls) == 3
 
 
 def test_kernel_takes_one_source_and_its_values(basis):
     with pytest.raises(ValueError, match="exactly one"):
         OperatorKernel(basis.grid, "none", symbol_values=np.ones(1), tail_bound=0.0)
+    identity = (np.ones(256), np.eye(256))
     with pytest.raises(ValueError, match="exactly one"):
-        OperatorKernel(basis.grid, "both", matrix=np.eye(256), profile=np.zeros(767),
+        OperatorKernel(basis.grid, "both", factor=identity, profile=np.zeros(767),
                        symbol_values=np.ones(1), tail_bound=0.0)
     with pytest.raises(TypeError, match="symbol_values"):
-        OperatorKernel(basis.grid, "bare", matrix=np.eye(256), tail_bound=0.0)
+        OperatorKernel(basis.grid, "bare", factor=identity, tail_bound=0.0)
     # No kernel claims a tail bound it was not given.
     with pytest.raises(TypeError, match="tail_bound"):
-        OperatorKernel(basis.grid, "untailed", matrix=np.eye(256), symbol_values=np.ones(1))
+        OperatorKernel(basis.grid, "untailed", factor=identity, symbol_values=np.ones(1))
+    # A caller's dense matrix is the factor (M^T, I), not a source of its own.
+    with pytest.raises(TypeError, match="matrix"):
+        OperatorKernel(basis.grid, "dense", matrix=np.eye(256), symbol_values=np.ones(1),
+                       tail_bound=0.0)
 
 
 def test_kernel_profile_rejects_other_bases():
@@ -1216,23 +1193,6 @@ def test_arithmetic_rejects_functions_on_other_grids(op):
     assert np.all(getattr(f, op)(same).values == (3.0 if op == "__add__" else -1.0))
     with pytest.raises(ValueError, match="shared grid"):
         getattr(f, op)(GridFunction.constant(interval_grid(2.0, 8)))
-
-
-@pytest.mark.parametrize("bad", ["small", "nan", "inf", "float32"])
-def test_load_kernel_rejects_a_bad_matrix(tmp_path, bad):
-    # A caller's matrix kernel, whose file holds the matrix.
-    b = build_fd_basis(lshape_domain(), 0.25, 6)
-    fd = multiplier_kernel(heat_symbol(0.05), b)
-    fields = _saved_fields(OperatorKernel(b.grid, fd.tag, matrix=fd.matrix,
-                                          symbol_values=fd.symbol_values, tail_bound=0.0), tmp_path)
-    M = fields["matrix"]
-    if bad == "small":
-        fields["matrix"] = M[:3, :3]
-    elif bad == "float32":
-        fields["matrix"] = M.astype(np.float32)
-    else:
-        M[1, 2] = np.nan if bad == "nan" else np.inf
-    _refused(tmp_path, fields, b.grid, match="matrix")
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -1547,6 +1507,35 @@ def test_factor_triple_norm_compresses_by_qr_only_cubes_larger_than_the_band(lsh
     assert max(gram_sides) == band
 
 
+def _reader_results(ker):
+    """What each kernel reader returns for ker: apply_kernel, endpoint_norms,
+    row_blocks(), columns(), triple_norm and amalgam's _column_norm."""
+    N = ker.grid.n_nodes
+    f = GridFunction(np.cos(np.arange(N)), ker.grid)
+    return [apply_kernel(ker, f).values, endpoint_norms(ker),
+            np.vstack([B.copy() for _, B in ker.row_blocks()]),
+            ker.columns(np.array([0, 1, N // 2, N - 1])),
+            triple_norm(ker, 0.5, 0.25), _column_norm(ker, 0.25)]
+
+
+@pytest.mark.parametrize("case", ["interval", "rectangle", "lshape"])
+def test_no_reader_reads_the_cached_matrix(case, request):
+    # Once a caller has formed .matrix, the kernel keeps it for the caller
+    # alone: with the kept matrix overwritten by NaN, every reader returns
+    # what it returned before, bit for bit, on scalar and gradient kernels.
+    b = {"interval": lambda: _interval_kernels(64)[0],
+         "rectangle": lambda: _rectangle_kernels()[0],
+         "lshape": lambda: request.getfixturevalue("lshape10")}[case]()
+    for ker in (heat_kernel(0.05, b), *gradient_kernels(heat_symbol(0.05), b)):
+        before = _reader_results(ker)
+        assert ker.matrix.shape == (b.grid.n_nodes,) * 2
+        ker._matrix = np.full_like(ker.matrix, np.nan)
+        after = _reader_results(ker)
+        assert np.isnan(ker.matrix).all()
+        for x, y in zip(before, after):
+            assert (x == y if isinstance(x, (dict, float)) else x.tobytes() == y.tobytes()), ker.tag
+
+
 def test_finite_difference_kernels_form_no_dense_matrix(lshape10, tmp_path, no_dense_kernels):
     # With OperatorKernel.matrix raising, every library reader of a scalar
     # and a gradient L-shape kernel runs, a kernel file included.
@@ -1580,26 +1569,23 @@ def test_finite_difference_endpoint_norms_hold_no_dense_kernel(lshape05):
 
 
 def _kernel_cases():
-    """A profile kernel, a scalar and a gradient factor kernel, and a
-    caller's matrix kernel, each with its grid."""
+    """A profile kernel and a scalar and a gradient factor kernel, each with
+    its grid."""
     b, (heat, *_) = _interval_kernels(64)
     fd = build_fd_basis(lshape_domain(), 0.25, 12)
     scalar = multiplier_kernel(block_symbol(make_partition("standard"), 1), fd)
     grad = gradient_kernels(heat_symbol(0.05), fd)[1]
-    bare = OperatorKernel(fd.grid, "caller", matrix=np.random.default_rng(2).standard_normal(
-        (fd.grid.n_nodes,) * 2), symbol_values=np.ones(3), tail_bound=0.5)
-    return [(b.grid, heat), (fd.grid, scalar), (fd.grid, grad), (fd.grid, bare)]
+    return [(b.grid, heat), (fd.grid, scalar), (fd.grid, grad)]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["profile", "factor", "gradient", "matrix"])
+@pytest.mark.parametrize("case", range(3), ids=["profile", "factor", "gradient"])
 def test_kernel_files_round_trip_bit_for_bit(tmp_path, case):
-    # A nbesov-kernel/3 file holds the kernel's one source: the profile,
-    # factor_u and factor_v, or the matrix; everything comes back bit for
-    # bit.  The scalar factor's U is the 1-D phi over the band (a block
-    # symbol: fewer rows than modes).
+    # A nbesov-kernel/3 file holds the kernel's one source: the profile, or
+    # factor_u and factor_v; everything comes back bit for bit.  The scalar
+    # factor's U is the 1-D phi over the band (a block symbol: fewer rows
+    # than modes).
     grid, ker = _kernel_cases()[case]
-    names = {"profile": ["profile"], "factor": ["factor_u", "factor_v"],
-             "matrix": ["matrix"]}[ker.source]
+    names = {"profile": ["profile"], "factor": ["factor_u", "factor_v"]}[ker.source]
     p = tmp_path / "k.npz"
     save_kernel(ker, str(p))
     with np.load(p) as z:
@@ -1608,8 +1594,7 @@ def test_kernel_files_round_trip_bit_for_bit(tmp_path, case):
                                                   "symbol_values"])
     back = load_kernel(str(p), grid)
     assert back.source == ker.source
-    sources = {"profile": lambda k: [k._profile], "factor": lambda k: list(k.factor),
-               "matrix": lambda k: [k._matrix]}[ker.source]
+    sources = {"profile": lambda k: [k._profile], "factor": lambda k: list(k.factor)}[ker.source]
     for a, b in zip(sources(back), sources(ker)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     if case == 1:

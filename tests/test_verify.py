@@ -19,16 +19,19 @@ from nbesov.verify import (
 )
 from nbesov.domains import (
     EigenBasis,
+    build_fd_basis,
     build_interval_basis,
     build_rectangle_basis,
+    lshape_domain,
 )
-from nbesov import norms
-from nbesov.norms import amalgam_cells, cube_block_norms, mode_factors, triple_norm
+from nbesov import norms, spectral
+from nbesov.norms import amalgam_cells, cube_block_norms, triple_norm
 from nbesov.spectral import (
     OperatorKernel,
     bump_symbol,
     endpoint_norms,
     heat_kernel,
+    heat_symbol,
     multiplier_kernel,
     resolvent_symbol,
 )
@@ -496,10 +499,50 @@ def test_amalgam_triple_sweeps_drop_a_truncated_bump():
     assert rep.verdict == PASS
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_amalgam_drops_a_bump_with_no_mode_in_its_band():
+    """At interval_K = 50 the bump at theta = 1.5e-4 lives on lambda in
+    (0.5/theta, 2/theta), about (3320, 13280), above every mode held
+    (lambda <= 49^2), so its kernel is 0: both bounds read 0, the gap nan,
+    and the bump bound sweep drops that theta and names it."""
+    rep = run_suite(ids=["amalgam"], overrides={"amalgam": {"interval_K": 50}})[0]
+    assert any(n.startswith("dropped bump bound theta = 0.000151") for n in rep.notes)
+    first = next(p for p in rep.points if p["part"] == "bump_bound")
+    assert first["upper"] == first["lower"] == 0.0 and math.isnan(first["gap"])
+    assert rep.verdict == PASS
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("u_shape", [(0,), (0, 128)], ids=["symmetric", "general"])
+def test_an_empty_band_is_the_zero_kernel(u_shape):
+    """A factor with no mode: both bounds and every triple norm read 0, the
+    tails are tail_bound's as for any kernel on the grid, and triple_norm
+    of a kernel of that factor reads 0."""
+    basis = build_interval_basis(math.pi, 65, N=128)
+    U, V = np.zeros(u_shape), np.zeros((0, 128))
+    alphas = (0.0, 0.5, 1.0)
+    full = cube_block_norms(np.ones(65), basis.functions, basis.grid, 0.1, alphas, 1e-3)
+    got = cube_block_norms(U, V, basis.grid, 0.1, alphas, 1e-3)
+    assert (got.upper, got.lower, got.triple) == (0.0, 0.0, (0.0,) * 3)
+    assert all(math.copysign(1.0, x) == 1.0 for x in (got.upper, got.lower, *got.triple))
+    assert (got.tail, got.triple_tail) == (full.tail, full.triple_tail) and got.tail > 0
+    ker = OperatorKernel(basis.grid, "empty", factor=(U, V), symbol_values=np.zeros(65),
+                         tail_bound=0.0)
+    assert triple_norm(ker, 0.5, 0.1) == 0.0
+
+
+def _mode_factor(svals, basis):
+    """(phi, E) over the band of the symbol values svals (spectral._band):
+    the factor of E^T diag(svals) E that exp_amalgam passes to
+    cube_block_norms."""
+    band = spectral._band(svals)
+    return svals[band], basis.functions[band]
+
+
 def _bump_blocks(basis, theta, alphas=(), variant="standard"):
     """cube_block_norms of the bump kernel on basis, as exp_amalgam calls it."""
     ker = multiplier_kernel(bump_symbol(make_partition(variant), theta), basis)
-    return cube_block_norms(*mode_factors(ker.symbol_values, basis), basis.grid, theta, alphas,
+    return cube_block_norms(*_mode_factor(ker.symbol_values, basis), basis.grid, theta, alphas,
                             ker.tail_bound)
 
 
@@ -732,8 +775,8 @@ def _column_block_bounds(kernel, theta):
 
 
 def _bump_bounds(ker, basis, theta):
-    """cube_block_norms' bounds on the mode factors, as exp_amalgam calls it."""
-    return cube_block_norms(*mode_factors(ker.symbol_values, basis), basis.grid, theta)[:2]
+    """cube_block_norms' bounds on the mode factor, as exp_amalgam calls it."""
+    return cube_block_norms(*_mode_factor(ker.symbol_values, basis), basis.grid, theta)[:2]
 
 
 @pytest.mark.parametrize("build, thetas", [
@@ -770,7 +813,7 @@ def test_cube_block_triple_norms_match_triple_norm(build, thetas):
     basis, pou = build(), make_partition("perturbed")
     for theta in thetas:
         ker = multiplier_kernel(bump_symbol(pou, theta), basis)
-        got = cube_block_norms(*mode_factors(ker.symbol_values, basis), basis.grid, theta,
+        got = cube_block_norms(*_mode_factor(ker.symbol_values, basis), basis.grid, theta,
                                (0.5, 1.0)).triple
         want = [triple_norm(ker, alpha, theta) for alpha in (0.5, 1.0)]
         assert got == pytest.approx(want, rel=1e-13, abs=0), theta
@@ -800,17 +843,39 @@ def test_block_bounds_are_exact_on_one_node_cubes(basis, monkeypatch):
 
 
 def _dense_kernel(grid, tag, M):
-    """A kernel of matrix M, with the singular values of the weighted matrix
-    as its 2->2 values and no truncation tail."""
+    """A kernel of matrix M, held as the factor (M^T, I), with the singular
+    values of the weighted matrix as its 2->2 values and no truncation
+    tail."""
     sw = np.sqrt(grid.weights)
-    return OperatorKernel(grid, tag, matrix=M, tail_bound=0.0, symbol_values=np.linalg.svd(
-        sw[:, None] * M * sw[None, :], compute_uv=False))
+    return OperatorKernel(grid, tag, factor=(M.T, np.eye(len(M))), tail_bound=0.0,
+                          symbol_values=np.linalg.svd(sw[:, None] * M * sw[None, :],
+                                                      compute_uv=False))
 
 
 def _dense_bounds(M, grid, theta):
-    """cube_block_norms' bounds on the factors U = (W^(1/2) M W^(1/2))^T, V = I."""
-    sw = np.sqrt(grid.weights)
-    return cube_block_norms((sw[:, None] * M * sw[None, :]).T, np.eye(len(sw)), grid, theta)[:2]
+    """cube_block_norms' bounds on the factor (M^T, I) of the matrix M."""
+    return cube_block_norms(M.T, np.eye(len(M)), grid, theta)[:2]
+
+
+@pytest.fixture(scope="module")
+def lshape10():
+    return build_fd_basis(lshape_domain(), 0.1, 40)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.1, 1.0])
+def test_cube_block_norms_take_a_kernel_factor_as_it_is_held(lshape10, theta):
+    """cube_block_norms reads OperatorKernel.factor as it is: on L-shape
+    heat (band 40) and bump (band 9, 5 and 1 here) kernels its bounds are
+    those of the kernel's matrix as the factor (M^T, I), and its triple
+    norms triple_norm's.  The cubes hold 1 to 75 nodes, so some are
+    compressed by QR and some are not."""
+    pou = make_partition("standard")
+    for ker in (heat_kernel(0.01, lshape10), multiplier_kernel(bump_symbol(pou, theta), lshape10)):
+        got = cube_block_norms(*ker.factor, ker.grid, theta, (0.5, 1.0), ker.tail_bound)
+        want = _dense_bounds(ker.matrix, ker.grid, theta)
+        assert (got.upper, got.lower) == pytest.approx(want, rel=1e-12, abs=0), (ker.tag, theta)
+        assert got.triple == pytest.approx([triple_norm(ker, a, theta) for a in (0.5, 1.0)],
+                                           rel=1e-12, abs=0), (ker.tag, theta)
 
 
 @pytest.mark.parametrize("theta", [0.01, 0.1, 1.0])

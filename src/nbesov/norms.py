@@ -34,8 +34,9 @@ cube_block_norms is the one cube-block routine for a kernel given by its
 mode factor (OperatorKernel.factor): it bounds the norm on l^1(L^2)_theta
 from both sides and gives the triple norms from the same blocks, each with
 its truncation tail.  triple_norm reads a factor kernel (finite-difference
-basis) through the same triple step, and a profile kernel's columns cube
-by cube.
+basis) through the same triple step, and a profile kernel as cube-sized
+slices of its transposed folds.  Both solve only the cubes whose trace
+||M||_F^2, a bound on sigma_max(M)^2, can beat the largest norm found.
 """
 
 from __future__ import annotations
@@ -494,6 +495,42 @@ def _sigma_max(B: NDArray) -> NDArray:
     return np.sqrt(np.maximum(_top_eigenvalue(B @ B.swapaxes(-1, -2)), 0.0))
 
 
+# The trace test's margins (triple_norm): a cube is skipped only where
+# trace (1 + _TRACE_SLACK) + _TRACE_FLOOR < best^2.
+_TRACE_SLACK = 1e-8
+_TRACE_FLOOR = 2.0 ** -1000
+
+
+def _beaten(trace, best2):
+    """Whether a cube of this computed trace cannot raise the computed best^2."""
+    return trace * (1 + _TRACE_SLACK) + _TRACE_FLOOR < best2
+
+
+# The trace pass of triple_norm reads a cube in runs of about this many rows
+# (whole i-lines of its box), so that each run stays in cache.
+_TRACE_ROWS = 32
+
+
+def _box_rows(folds: tuple[NDArray, NDArray], idx: NDArray, out: NDArray, step: int):
+    """Yield (r0, K^T[idx[r0:r1]]) down the cube idx of a profile kernel, from
+    its transposed folds (OperatorKernel._folds), in runs of whole i-lines
+    of at most max(step, j-range) rows, each written into the front of the
+    flat array out (step = len(idx) reads the whole cube at once).  A cube
+    is a box of node indices, i-range x j-range in node order, so a run is
+    the fold slice Tt[i0:i1, :, j0:j1, :] + H[i0:i1, :, j0:j1, :]."""
+    Tt, H = folds
+    nx, ny = Tt.shape[1:3]
+    (i0, j0), (i1, j1) = divmod(int(idx[0]), ny), divmod(int(idx[-1]), ny)
+    mj = j1 + 1 - j0
+    di = max(1, step // mj)
+    for a in range(i0, i1 + 1, di):
+        b = min(a + di, i1 + 1)
+        box = (slice(a, b), slice(None), slice(j0, j1 + 1))
+        rows = out[:(b - a) * mj * nx * ny].reshape(b - a, mj, nx, ny)
+        np.add(Tt[box].transpose(0, 2, 1, 3), H[box].transpose(0, 2, 1, 3), out=rows)
+        yield (a - i0) * mj, rows.reshape((b - a) * mj, -1)
+
+
 def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
     """sup over cubes of || |x - c_m|^alpha A chi_{C(m)} ||_{2->2}.
 
@@ -502,11 +539,27 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
     from its factor through cube_block_norms' weighted factors
     (_weighted_cubes) and triple step (_triple_tops), batched by cube size
     and compressed by QR only where the band is smaller than the cube.  A
-    profile kernel builds M^T from the cube's columns (kernel.columns), one
-    cube at a time (_sigma_max: closed form on one- and two-node cubes, else
-    sqrt(lambda_max(M^T M)) from the symmetric eigensolver).  No kernel
-    forms its matrix.  Rejects alpha that is not finite and >= 0, and theta
-    as amalgam_cells does.
+    profile kernel reads each cube's M^T as a slice of its transposed folds
+    (_box_rows): one pass takes every cube's trace ||M||_F^2, then the
+    cubes are visited in decreasing trace, one at a time (_sigma_max:
+    closed form on one- and two-node cubes, else sqrt(lambda_max(M^T M))
+    from the symmetric eigensolver).  No kernel forms its matrix.
+
+    Trace test: both routes skip a cube whose computed trace t has
+    t (1 + delta) + tau < best^2, best the largest sigma_max found so far,
+    delta = _TRACE_SLACK = 1e-8 and tau = _TRACE_FLOOR = 2^-1000, and so
+    return the bits that solving every cube gives.  For the PSD Gram G,
+    lambda_max(G) <= tr G = ||M||_F^2 (Horn & Johnson, 2nd ed., ch. 4).  In
+    rounding (Higham, 2nd ed., ch. 3; u = 2^-53, m the cube's rows): t is
+    a sum of nonnegative terms, within (N + m + 4) u of ||M||_F^2; the
+    computed Gram is within (N + 1) u tr G in norm, as its error is
+    entrywise below (N + 1) u |M|^T |M|, whose norm is at most its trace;
+    the eigensolver adds a backward error of p(m) u ||G||, p(m) <= m, and
+    the closed forms and square roots a few u.  For N, m <= 10^5 these stay
+    below 10^-10, a hundredth of delta, so a skipped cube's computed norm
+    cannot exceed best.  tau covers underflow, where each of at most N^2
+    squares loses up to 2^-1075.  Rejects alpha that is not finite and
+    >= 0, and theta as amalgam_cells does.
     """
     _check_alpha(alpha)
     grid = kernel.grid
@@ -516,11 +569,22 @@ def triple_norm(kernel: OperatorKernel, alpha: float, theta: float) -> float:
         groups, S, U, V = _weighted_cubes(*kernel.factor, grid, cubes)
         (top,) = _triple_tops(S, groups, U, V, dist, (alpha,))
         return math.sqrt(max(top, 0.0))
-    sw = np.sqrt(grid.weights)
+    folds = kernel._folds(transpose=True)
+    w = grid.weights
+    sw = np.sqrt(w)
+    buf = np.empty(max(len(idx) for _, idx in cubes.cells) * grid.n_nodes)
+    trace = np.empty(len(cubes.cells))
+    for c, ((_, idx), d) in enumerate(zip(cubes.cells, dist)):
+        s2 = w * d ** (2 * alpha)
+        trace[c] = sum(w[idx[r0:r0 + len(B)]] @ (np.square(B, out=B) @ s2)
+                       for r0, B in _box_rows(folds, idx, buf, _TRACE_ROWS))
     best = 0.0
-    for (_, idx), d in zip(cubes.cells, dist):
-        Mt = kernel.columns(idx)  # a new array, scaled in place: (rowscale_r K_rc) sw_c
-        Mt *= sw * d**alpha
+    for c in np.argsort(-trace, kind="stable"):
+        if _beaten(trace[c], best * best):
+            break
+        idx = cubes.cells[c][1]
+        ((_, Mt),) = _box_rows(folds, idx, buf, len(idx))  # scaled in place: (rowscale_r K_rc) sw_c
+        Mt *= sw * dist[c]**alpha
         Mt *= sw[idx][:, None]
         best = max(best, float(_sigma_max(Mt)))
     return best
@@ -582,28 +646,51 @@ _TRIPLE_CHUNK = 1 << 21
 
 def _triple_tops(S: list, groups: list, U: NDArray, V: NDArray, dist: NDArray,
                  alphas: Sequence[float]) -> list[float]:
-    """max_c lambda_max(S_c U D_c^2 U^T S_c^T), D_c = diag(|x - c|^alpha), for
-    each alpha: the squared triple norms of cube_block_norms, from the
-    per-size factors S and the weighted U and V of _weighted_cubes, read as
-    the (band, N) left factor Ufull (diag(phi) V for a 1-D U).
-    The weighted rows S_c U take one GEMM per cube size (per run of cubes
-    holding at most _TRIPLE_CHUNK numbers), which every alpha reuses, and
-    k_c <= 2 takes the closed forms of _top_eigenvalue."""
+    """max_c lambda_max(G_c), G_c = S_c U D_c^2 U^T S_c^T with
+    D_c = diag(|x - c|^alpha), for each alpha: the squared triple norms of
+    cube_block_norms, from the per-size factors S and the weighted U and V
+    of _weighted_cubes, read as the (band, N) left factor Ufull
+    (diag(phi) V for a 1-D U).  The weighted rows T_c = S_c U take one GEMM
+    per cube size (per run of cubes holding at most _TRIPLE_CHUNK numbers),
+    the sizes with the most coordinates k_c = min(m, band) first (sizes
+    above the band keep their order), and every alpha reuses it.
+
+    Each run takes every cube's trace tr G_c = ||T_c D_c||_F^2 from T_c
+    for every alpha, solves its top-trace cube, and then, in one batched
+    _top_eigenvalue call (closed form for k_c <= 2), the cubes whose trace
+    the best so far does not beat (_beaten, the trace test of
+    triple_norm).  A cube's Gram is the same product whatever cubes are
+    solved beside it, so the result has the bits of solving every cube."""
     best = [0.0] * len(alphas)
     Ufull = U[:, None] * V if U.ndim == 1 else U
     band, N = Ufull.shape
-    for s, ids in zip(S, groups):
+    for s, ids in sorted(zip(S, groups), key=lambda g: -len(g[0])):
         k, n = s.shape[:2]
         step = max(1, _TRIPLE_CHUNK // (k * N))
         for a in range(0, n, step):
             run = s[:, a:a + step]
             T = (run.reshape(-1, band) @ Ufull).reshape(*run.shape[:2], N).swapaxes(0, 1)
+            sq = np.einsum("ckx,ckx->cx", T, T)
             for i, alpha in enumerate(alphas):
                 d2 = dist[ids[a:a + step]]
                 d2 **= 2 * alpha
-                best[i] = max(best[i], float(_top_eigenvalue((T * d2[:, None, :])
-                                                             @ T.swapaxes(1, 2)).max()))
+                trace = np.einsum("cx,cx->c", sq, d2)
+                top = int(np.argmax(trace))
+                if _beaten(trace[top], best[i]):
+                    continue
+                best[i] = max(best[i], _gram_top(T, d2, [top]))
+                rest = ~_beaten(trace, best[i])
+                rest[top] = False
+                if rest.any():
+                    best[i] = max(best[i], _gram_top(T, d2, rest))
     return best
+
+
+def _gram_top(T: NDArray, d2: NDArray, sel) -> float:
+    """max over the cubes sel of a run of lambda_max((T_c D_c^2) T_c^T),
+    T (cubes, k, N) and d2 (cubes, N) the diagonals of D_c^2."""
+    Ts = T[sel]
+    return float(_top_eigenvalue((Ts * d2[sel][:, None, :]) @ Ts.swapaxes(1, 2)).max())
 
 
 def _block_bounds(S: list, R: list, symmetric: bool) -> tuple[float, float, float]:
@@ -691,8 +778,11 @@ def cube_block_norms(U: NDArray, V: NDArray, grid: Grid, theta: float,
     eigenvalue of the k_c x k_c Gram S_c (U D_c^2 U^T) S_c^T: formed from
     the weighted columns S_c U = V_c^T U themselves where band >= m, from
     their k = band compressed rows where band < m, and read in closed form
-    for k_c <= 2 (_top_eigenvalue).  alpha = 0 is read off the ascent's
-    start (the top eigenvalues of sum_r C_rc^T C_rc), not computed again.
+    for k_c <= 2 (_top_eigenvalue).  A Gram is solved only where its trace
+    can beat the largest top eigenvalue found (_triple_tops, with the trace
+    test and margins of triple_norm), and each triple norm has the bits of
+    solving every cube.  alpha = 0 is read off the ascent's start (the top
+    eigenvalues of sum_r C_rc^T C_rc), not computed again.
 
     Each entry of an error kernel of at most tail_bound = tau moves block
     (r, c) by at most its Frobenius norm tau sqrt(w(r) w(c)), w the cube's

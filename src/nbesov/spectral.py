@@ -23,9 +23,10 @@ to roundoff (see OperatorKernel and kernel_profile).  Each transform is the
 real FFT (numpy.fft.rfft) of the symmetric extension of its input, which is
 how pocketfft itself computes a DCT-I or DST-I, so no scipy module is
 imported on this path.  The kernel keeps only
-that profile: apply_kernel reads it in row blocks, endpoint_norms in the
-row blocks of one row per mirror orbit, norms.triple_norm and the amalgam
-column norms read columns, save_kernel writes it (3N - 1 numbers per axis)
+that profile: apply_kernel and the amalgam column norms read it in row
+blocks, endpoint_norms in the row blocks of one row per mirror orbit,
+norms.triple_norm in cube-sized slices of its transposed folds,
+save_kernel writes it (3N - 1 numbers per axis)
 and load_kernel reads it back, and the heat-envelope scan reads it through
 heat_kernel (OperatorKernel.profile).
 On a finite-difference basis the kernel keeps its mode factor instead:
@@ -225,9 +226,10 @@ class OperatorKernel:
       2-D U is (band, N), diag(phi) G_c for a gradient kernel (ValueError
       for other shapes).  A caller's dense M is the factor (M^T, I).
 
-    row_blocks() reads the kernel in blocks of rows and columns() a set of
-    columns; library code reads a kernel only through these, the factor
-    (endpoint_norms, apply_kernel, norms.triple_norm) and the profile.
+    row_blocks() reads the kernel in blocks of rows; library code reads a
+    kernel only through it, the factor (endpoint_norms, apply_kernel,
+    norms.triple_norm), the profile and its transposed folds
+    (norms.triple_norm).
     matrix forms the dense array on first access and keeps it for the
     caller; no reader reads it back.  From a profile it is summed in the
     readers' order, so all agree bit for bit, and from a factor it is the
@@ -347,19 +349,6 @@ class OperatorKernel:
             else:
                 _rows(T[r0 // r:(r0 + step) // r], H[r0 // r:(r0 + step) // r], out)
             yield r0, out
-
-    def columns(self, idx: NDArray) -> NDArray:
-        """K[:, idx]^T as a new (len(idx), N) array, read from the profile
-        or the factor.  Columns, not rows: a gradient kernel is not
-        symmetric."""
-        if self.source == "factor":
-            U, V = self._factor  # a symmetric kernel's columns are its rows
-            return self._factor_rows(idx) @ V if U.ndim == 1 else V[:, idx].T @ U
-        Tt, H = self._folds(transpose=True)
-        i, j = np.divmod(np.asarray(idx), Tt.shape[2])
-        out = Tt[i, :, j, :]
-        out += H[i, :, j, :]
-        return out.reshape(len(i), self.grid.n_nodes)
 
 
 # ---------------------------------------------------------------------------

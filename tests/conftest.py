@@ -11,7 +11,7 @@ def _dense_read(kernel):
 @pytest.fixture
 def no_dense_kernels(monkeypatch):
     """OperatorKernel.matrix raises for the rest of the test: the library
-    reads every kernel through row_blocks() and columns()."""
+    reads every kernel through row_blocks(), its profile or its factor."""
     monkeypatch.setattr(OperatorKernel, "matrix", property(_dense_read))
 
 

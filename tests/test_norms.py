@@ -49,6 +49,7 @@ from nbesov.spectral import (
     load_kernel,
     bump_symbol,
     multiplier_kernel,
+    resolvent_symbol,
     save_kernel,
     to_grid,
 )
@@ -246,13 +247,104 @@ def _column_block_svd(kernel, alpha, theta):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("grad", [False, True], ids=["heat", "gradient"])
 def test_triple_norm_is_the_weighted_column_block_svd(basis, alpha, grad):
-    # The gradient kernel is not symmetric, so a block read from rows
-    # instead of columns fails here.
+    # The gradient kernels are not symmetric, so a block read from rows
+    # instead of columns fails here.  On the 12 x 8 rectangle (a gradient
+    # kernel on each axis) the cubes are boxes of 1 to 3 i- and j-indices,
+    # so a box read with its i- and j-ranges swapped fails too.
     sym = heat_symbol(0.05)
-    for theta in ((4.0 * basis.grid.h) ** 2, 0.1, 1.0):
-        ker = gradient_kernels(sym, basis)[0] if grad else multiplier_kernel(sym, basis)
-        got = triple_norm(ker, alpha, theta)
-        assert got == pytest.approx(_column_block_svd(ker, alpha, theta), rel=1e-12)
+    for b in (basis, build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)):
+        kernels = gradient_kernels(sym, b) if grad else (multiplier_kernel(sym, b),)
+        for theta in ((4.0 * b.grid.h) ** 2, 0.1, 1.0):
+            for ker in kernels:
+                got = triple_norm(ker, alpha, theta)
+                want = _column_block_svd(ker, alpha, theta)
+                assert got == pytest.approx(want, rel=1e-12), (ker.tag, theta)
+
+
+def _per_cube_triple_norm(kernel, alpha, theta):
+    """triple_norm with every cube solved and no trace test: the profile
+    route as it read each cube before, its M^T taken off the dense matrix
+    and scaled in place in the same order, then _sigma_max."""
+    grid = kernel.grid
+    cubes = norms._cubes(grid, theta)
+    dist, _ = norms._cube_geometry(grid, cubes, theta)
+    sw, K = np.sqrt(grid.weights), kernel.matrix
+    best = 0.0
+    for (_, idx), d in zip(cubes.cells, dist):
+        Mt = np.ascontiguousarray(K[:, idx].T)
+        Mt *= sw * d**alpha
+        Mt *= sw[idx][:, None]
+        best = max(best, float(norms._sigma_max(Mt)))
+    return best
+
+
+@pytest.mark.parametrize("shape", ["interval", "rectangle"])
+def test_triple_norm_has_the_bits_of_solving_every_cube(basis, shape):
+    # The trace test skips only cubes that cannot change the result: bit
+    # for bit the per-cube route, on scalar and gradient kernels.
+    b = basis if shape == "interval" else build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
+    kernels = [multiplier_kernel(resolvent_symbol(1.3, 1.0), b), heat_kernel(0.05, b),
+               *gradient_kernels(heat_symbol(0.05), b)]
+    for ker in kernels:
+        for theta in ((4.0 * b.grid.h) ** 2, 0.1, 0.25, 1.0):
+            for alpha in (0.0, 0.5, 1.0):
+                want = _per_cube_triple_norm(ker, alpha, theta)
+                assert triple_norm(ker, alpha, theta) == want, (ker.tag, theta, alpha)
+
+
+def _one_mode_kernel(b, k):
+    """The kernel of the projection on mode k alone: every cube block has
+    rank 1, so its sigma_max^2 is its trace."""
+    svals = np.zeros(b.K)
+    svals[k] = 1.0
+    return OperatorKernel(b.grid, f"mode {k}", symbol_values=svals, tail_bound=0.0,
+                          profile=spectral._mirrored(spectral.kernel_profile(svals, b), None))
+
+
+@pytest.mark.parametrize("N", [64, 96])
+def test_triple_norm_keeps_mirrored_cubes_and_rank_one_blocks(N):
+    # At theta = (pi / (2n + 1))^2 the cubes of the pi-interval mirror each
+    # other about pi/2, so on these mirror-symmetric kernels the traces tie
+    # in pairs; on one-mode kernels every block has top = trace.  A cube
+    # skipped on trace < best^2 alone (no margin) changes the result in some
+    # of these cases; the trace test must not.
+    b = build_interval_basis(math.pi, N // 2, N=N)
+    for ker in (_one_mode_kernel(b, 1), _one_mode_kernel(b, 5),
+                multiplier_kernel(resolvent_symbol(0.6, 1.0), b)):
+        for n in range(1, 6):
+            theta = (math.pi / (2 * n + 1)) ** 2
+            sizes = [len(idx) for _, idx in amalgam_cells(b.grid, theta)]
+            assert sizes == sizes[::-1], (N, n)
+            for alpha in (0.0, 0.5, 1.0):
+                want = _per_cube_triple_norm(ker, alpha, theta)
+                assert triple_norm(ker, alpha, theta) == want, (ker.tag, n, alpha)
+
+
+def test_triple_norm_solves_fewer_cubes_than_it_holds(monkeypatch):
+    # On the 512-node interval at theta = 0.05 (15 cubes) the resolvent's
+    # top-trace cube beats the traces of most others, so most cubes are
+    # never solved; counted at _sigma_max and _top_eigenvalue.
+    b = build_interval_basis(math.pi, 257, N=512)
+    ker = multiplier_kernel(resolvent_symbol(1.3, 1.0), b)
+    solved, real_sigma, real_top = [], norms._sigma_max, norms._top_eigenvalue
+
+    def sigma(B):
+        solved.append(math.prod(B.shape[:-2]))
+        return real_sigma(B)
+
+    def top(G):
+        solved.append(0)  # inside _sigma_max, whose cube is already counted
+        return real_top(G)
+
+    monkeypatch.setattr(norms, "_sigma_max", sigma)
+    monkeypatch.setattr(norms, "_top_eigenvalue", top)
+    cubes = len(amalgam_cells(b.grid, 0.05))
+    assert cubes == 15
+    for alpha in (0.0, 0.5, 1.0):
+        solved.clear()
+        got = triple_norm(ker, alpha, 0.05)
+        assert 1 <= sum(solved) < cubes // 2, (alpha, solved)
+        assert got == _per_cube_triple_norm(ker, alpha, 0.05)
 
 
 def test_triple_norm_and_kernel_files_keep_a_profile_kernel_unformed(basis, tmp_path):

@@ -119,7 +119,7 @@ def test_interval_heat_gradient_kernel_is_within_its_tail_of_the_image_sum():
         exact /= math.sqrt(4 * math.pi * t)
         (ker,) = gradient_kernels(heat_symbol(t), b)
         floor = 1e-14 * np.max(np.abs(exact))
-        assert np.all(np.abs(ker.columns(cols).T - exact) <= ker.tail_bound + floor), t
+        assert np.all(np.abs(ker.matrix[:, cols] - exact) <= ker.tail_bound + floor), t
 
 
 def test_interval_resolvent_kernel_and_column_norm_are_within_their_tails():
@@ -685,17 +685,32 @@ def test_load_kernel_rejects_a_bad_profile(tmp_path, case, message):
     _refused(tmp_path, fields, grid, match=message)
 
 
-def test_columns_are_the_transposed_matrix_columns():
-    # Bit for bit, before and after the matrix is formed, and for the
-    # gradient kernel, whose odd mirror makes it far from symmetric.
+def test_cube_slices_are_the_transposed_matrix_columns():
+    # triple_norm reads a profile kernel's cube as one slice of its
+    # transposed folds (norms._box_rows): the cube's matrix columns bit for
+    # bit, whole and in runs of i-lines, before and after the matrix is
+    # formed, for the gradient kernels, whose odd mirror makes them far from
+    # symmetric, and for boxes of more than one i- and j-index.
     b, kernels = _interval_kernels(64)
-    rect = build_rectangle_basis(math.pi, 2.0, 30, Nx=12, Ny=8)
-    idx = np.array([0, 1, 2, 17, 40, 63])
-    for ker in (*kernels, heat_kernel(0.05, rect)):
-        got = ker.columns(idx)
-        want = ker.matrix[:, idx].T
-        assert got.shape == (idx.size, ker.grid.n_nodes), ker.tag
-        assert np.array_equal(got, want) and np.array_equal(ker.columns(idx), want), ker.tag
+    rect, rect_kernels = _rectangle_kernels(12, 8)
+    for ker, theta in [(k, 0.1) for k in kernels] + [(k, 0.3) for k in rect_kernels]:
+        N = ker.grid.n_nodes
+        cells = amalgam_cells(ker.grid, theta)
+        assert len(cells) > 1 and max(len(idx) for _, idx in cells) > 2, ker.tag
+        buf = np.empty(N * N)
+        got = []
+        for _, idx in cells:
+            ((r0, rows),) = norms._box_rows(ker._folds(transpose=True), idx, buf, len(idx))
+            rows = rows.copy()  # the runs below are written into the same buffer
+            runs = [(q0, B.copy()) for q0, B in
+                    norms._box_rows(ker._folds(transpose=True), idx, buf, 2)]
+            assert r0 == 0 and rows.shape == (len(idx), N), ker.tag
+            assert [q0 for q0, _ in runs] == list(range(0, len(idx), len(runs[0][1]))), ker.tag
+            assert np.array_equal(np.vstack([B for _, B in runs]), rows), ker.tag
+            got.append((idx, rows))
+        assert ker._matrix is None, ker.tag
+        for idx, rows in got:
+            assert np.array_equal(rows, ker.matrix[:, idx].T), ker.tag
     grad = kernels[1].matrix
     assert float(np.max(np.abs(grad - grad.T))) > 1.0
 
@@ -850,19 +865,15 @@ def test_rectangle_kernels_match_dense_oracle(Lx, Ly, Nx, Ny, top):
 
 
 def test_rectangle_readers_agree_bit_for_bit():
-    # row_blocks(), columns() and matrix all read the one profile in the one
-    # summation order: equal before and after the matrix is formed, for the
-    # scalar kernel and both gradient axes, and no block is a partial row
-    # of nodes.
+    # row_blocks() and matrix read the one profile in the one summation
+    # order: equal before and after the matrix is formed, for the scalar
+    # kernel and both gradient axes, and no block is a partial row of nodes.
     b, kernels = _rectangle_kernels(7, 4)
-    idx = np.array([0, 1, 5, 13, 27])
     for ker in kernels:
         blocks = [(r0, B.copy()) for r0, B in ker.row_blocks()]
-        cols = ker.columns(idx)
         assert ker._matrix is None, ker.tag
         M = ker.matrix
         assert [r0 for r0, _ in blocks] == [0] and np.array_equal(blocks[0][1], M), ker.tag
-        assert np.array_equal(cols, M[:, idx].T) and np.array_equal(ker.columns(idx), cols)
         assert np.array_equal(np.vstack([B.copy() for _, B in ker.row_blocks()]), M)
     b, (ker, *_) = _rectangle_kernels(32, 10)
     starts = [r0 for r0, _ in ker.row_blocks()]
@@ -1005,7 +1016,7 @@ def _full_row_norms(ker):
     cand_c = np.flatnonzero(cols >= cols.max() * (1 - 1e-12))
     exact_rows = [math.fsum((np.abs(B[i - r0]) * w).tolist())
                   for r0, B in ker.row_blocks() for i in cand_r if r0 <= i < r0 + len(B)]
-    exact_cols = [math.fsum((w * np.abs(col)).tolist()) for col in ker.columns(cand_c)]
+    exact_cols = [math.fsum((w * np.abs(col)).tolist()) for col in ker.matrix[:, cand_c].T]
     return blas, dict(blas, **{"1->1": max(exact_cols), "inf->inf": max(exact_rows)})
 
 
@@ -1427,18 +1438,17 @@ def _close(got, want, rel=1e-14):
 
 @pytest.mark.parametrize("case", ["h0.1", "h0.05"])
 def test_factor_kernel_readers_match_the_dense_products(case, request):
-    # Finite-difference kernels hold their factor: row_blocks(), columns(),
+    # Finite-difference kernels hold their factor: row_blocks(),
     # apply_kernel and endpoint_norms read it without forming the matrix,
     # and agree with the dense products to rounding.
     b = request.getfixturevalue("lshape10" if case == "h0.1" else "lshape05")
     w, N = b.grid.weights, b.grid.n_nodes
     f = np.random.default_rng(3).standard_normal(N)
-    idx = np.array([0, 1, 17, N // 2, N - 1])
     for ker, dense in _fd_kernels(b):
         assert ker.source == "factor" and ker._matrix is None
         rows = np.vstack([B.copy() for _, B in ker.row_blocks()])
         assert [r0 for r0, _ in ker.row_blocks()] == list(range(0, N, 64)), ker.tag
-        assert _close(rows, dense) and _close(ker.columns(idx), dense[:, idx].T), ker.tag
+        assert _close(rows, dense), ker.tag
         assert _close(apply_kernel(ker, GridFunction(f, b.grid)).values, dense @ (w * f)), ker.tag
         mag = np.abs(dense)
         got = endpoint_norms(ker)
@@ -1509,12 +1519,11 @@ def test_factor_triple_norm_compresses_by_qr_only_cubes_larger_than_the_band(lsh
 
 def _reader_results(ker):
     """What each kernel reader returns for ker: apply_kernel, endpoint_norms,
-    row_blocks(), columns(), triple_norm and amalgam's _column_norm."""
+    row_blocks(), triple_norm and amalgam's _column_norm."""
     N = ker.grid.n_nodes
     f = GridFunction(np.cos(np.arange(N)), ker.grid)
     return [apply_kernel(ker, f).values, endpoint_norms(ker),
             np.vstack([B.copy() for _, B in ker.row_blocks()]),
-            ker.columns(np.array([0, 1, N // 2, N - 1])),
             triple_norm(ker, 0.5, 0.25), _column_norm(ker, 0.25)]
 
 

@@ -28,8 +28,10 @@ from nbesov import norms, spectral
 from nbesov.norms import amalgam_cells, cube_block_norms, triple_norm
 from nbesov.spectral import (
     OperatorKernel,
+    block_symbol,
     bump_symbol,
     endpoint_norms,
+    gradient_kernels,
     heat_kernel,
     heat_symbol,
     multiplier_kernel,
@@ -191,7 +193,7 @@ def test_reduced_override_run():
 
 
 def test_perturbed_variant_run(no_dense_kernels):
-    # The amalgam readers take the kernel through columns() alone.
+    # The amalgam readers take the kernel through row_blocks() and mode factors.
     reports = run_suite(ids=["reconstruction", "amalgam"], pou_variant="perturbed")
     assert [r.verdict for r in reports] == [PASS, PASS]
 
@@ -697,6 +699,102 @@ def test_a_gate_override_is_recorded_in_params():
     assert rep.params["exact_tol"] == 1e-30
 
 
+def _all_cube_triple_tops(S, groups, U, V, dist, alphas):
+    """norms._triple_tops with every cube solved and no trace test: each
+    run's Grams in one batched product, as the triple step read them
+    before."""
+    best = [0.0] * len(alphas)
+    Ufull = U[:, None] * V if U.ndim == 1 else U
+    band, N = Ufull.shape
+    for s, ids in zip(S, groups):
+        k, n = s.shape[:2]
+        step = max(1, norms._TRIPLE_CHUNK // (k * N))
+        for a in range(0, n, step):
+            run = s[:, a:a + step]
+            T = (run.reshape(-1, band) @ Ufull).reshape(*run.shape[:2], N).swapaxes(0, 1)
+            for i, alpha in enumerate(alphas):
+                d2 = dist[ids[a:a + step]]
+                d2 **= 2 * alpha
+                G = (T * d2[:, None, :]) @ T.swapaxes(1, 2)
+                best[i] = max(best[i], float(norms._top_eigenvalue(G).max()))
+    return best
+
+
+def test_factor_triple_norms_have_the_bits_of_solving_every_cube(lshape10, monkeypatch):
+    """The factor route's trace test skips only cubes that cannot change
+    the result: on L-shape heat (band 40) and block (band 8) kernels and
+    their gradients, triple_norm is the all-cube triple step bit for bit,
+    and over these 36 cases it solves fewer cubes than they hold."""
+    grid, pou = lshape10.grid, make_partition("standard")
+    kernels = []
+    for sym in (heat_symbol(0.01), block_symbol(pou, 1)):
+        kernels += [multiplier_kernel(sym, lshape10), *gradient_kernels(sym, lshape10)]
+    solved, real_top = [], norms._top_eigenvalue
+
+    def top(G):
+        solved.append(math.prod(G.shape[:-2]))
+        return real_top(G)
+
+    monkeypatch.setattr(norms, "_top_eigenvalue", top)
+    counts = np.zeros(2, dtype=int)  # cubes solved, cubes held
+    for ker in kernels:
+        for theta in (0.05, 0.25, 1.0):
+            cubes = norms._cubes(grid, theta)
+            groups, S, U, V = norms._weighted_cubes(*ker.factor, grid, cubes)
+            dist, _ = norms._cube_geometry(grid, cubes, theta)
+            for alpha in (0.0, 0.5, 1.0):
+                (want,) = _all_cube_triple_tops(S, groups, U, V, dist, (alpha,))
+                solved.clear()
+                got = triple_norm(ker, alpha, theta)
+                assert got == math.sqrt(max(want, 0.0)), (ker.tag, theta, alpha)
+                counts += (sum(solved), len(cubes.cells))
+    assert counts[0] < counts[1] / 2, counts
+
+
+@pytest.mark.parametrize("N", [64, 96])
+def test_factor_triple_norms_keep_mirrored_cubes_and_rank_one_blocks(N):
+    """At theta = (pi / (2n + 1))^2 the cubes of the pi-interval mirror each
+    other about pi/2, so the traces of these mirror-symmetric kernels, held
+    as the factor (phi, E) of the interval's modes, tie in pairs; with one
+    mode every Gram is 1 x 1, its top its trace.  The top-trace cube's
+    mirror is then solved beside it, and in some of these cases it holds
+    the larger of the two, so each survivor must be solved."""
+    b = build_interval_basis(math.pi, N // 2, N=N)
+    E, lam = b.functions, b.eigenvalues
+    factors = [(np.ones(1), E[k:k + 1]) for k in (1, 3)]
+    factors.append((resolvent_symbol(0.6, 1.0)(lam), E))
+    for phi, V in factors:
+        ker = OperatorKernel(b.grid, "factor", factor=(phi, V), symbol_values=phi, tail_bound=0.0)
+        for n in range(1, 6):
+            theta = (math.pi / (2 * n + 1)) ** 2
+            cubes = norms._cubes(b.grid, theta)
+            groups, S, U, Vw = norms._weighted_cubes(phi, V, b.grid, cubes)
+            dist, _ = norms._cube_geometry(b.grid, cubes, theta)
+            for alpha in (0.0, 0.5, 1.0):
+                (want,) = _all_cube_triple_tops(S, groups, U, Vw, dist, (alpha,))
+                got = triple_norm(ker, alpha, theta)
+                assert got == math.sqrt(max(want, 0.0)), (len(V), n, alpha)
+
+
+@pytest.mark.parametrize("build, thetas", [
+    (lambda: build_interval_basis(math.pi, 257, N=512),
+     np.geomspace(4.0 * (math.pi / 512) ** 2, 1.0, 9)),
+    (lambda: build_rectangle_basis(math.pi, math.pi, 200, Nx=32, Ny=32), (0.1, 0.3)),
+], ids=["i512", "rect32"])
+def test_cube_block_triple_norms_have_the_bits_of_solving_every_cube(build, thetas):
+    """cube_block_norms' triple norms, as exp_amalgam asks for them, are
+    the all-cube triple step's bit for bit."""
+    basis, pou = build(), make_partition("perturbed")
+    for theta in thetas:
+        U, V = _mode_factor(bump_symbol(pou, theta)(basis.eigenvalues), basis)
+        got = cube_block_norms(U, V, basis.grid, theta, (0.5, 1.0)).triple
+        cubes = norms._cubes(basis.grid, theta)
+        groups, S, Uw, Vw = norms._weighted_cubes(U, V, basis.grid, cubes)
+        dist, _ = norms._cube_geometry(basis.grid, cubes, theta)
+        want = _all_cube_triple_tops(S, groups, Uw, Vw, dist, (0.5, 1.0))
+        assert got == tuple(math.sqrt(max(top, 0.0)) for top in want), theta
+
+
 @pytest.mark.parametrize("basis", [build_interval_basis(math.pi, 65, N=128),
                                    build_rectangle_basis(math.pi, math.pi, 40, Nx=16, Ny=16)],
                          ids=["interval", "rectangle"])
@@ -754,7 +852,8 @@ def _column_block_bounds(kernel, theta):
     order = np.concatenate([idx for _, idx in cells])
     upper = lower = 0.0
     for cols in groups:
-        KwT = (sw * kernel.columns(cols.ravel())).reshape(*cols.shape, -1) * sw[cols][..., None]
+        KwT = (sw * kernel.matrix[:, cols.ravel()].T).reshape(*cols.shape, -1)
+        KwT *= sw[cols][..., None]
         c = np.arange(len(cols))[:, None, None]
         blocks = [KwT[c, np.arange(cols.shape[1]), rows[:, None, :, None]] for rows in groups]
         gram = np.concatenate([B.swapaxes(-1, -2) @ B for B in blocks])
@@ -826,7 +925,7 @@ def test_block_bounds_are_exact_on_one_node_cubes(basis, monkeypatch):
     """At theta = h^2 every cube holds one node, so the norm is the largest
     column l^1 norm of the weighted kernel, and both bounds reach it.  The
     nodes all lie on cube faces, and each goes to the upper cube.  The
-    bounds read the mode factors, no kernel column."""
+    bounds read the mode factors, not the kernel's folds."""
     theta = basis.grid.h ** 2
     assert {len(idx) for _, idx in amalgam_cells(basis.grid, theta)} == {1}
     ker = multiplier_kernel(bump_symbol(make_partition("standard"), theta), basis)
@@ -834,9 +933,9 @@ def test_block_bounds_are_exact_on_one_node_cubes(basis, monkeypatch):
     exact = np.abs(sw[:, None] * ker.matrix * sw[None, :]).sum(axis=0).max()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("kernel columns read")
+        raise AssertionError("kernel folds read")
 
-    monkeypatch.setattr(OperatorKernel, "columns", refuse)
+    monkeypatch.setattr(OperatorKernel, "_folds", refuse)
     upper, lower = _bump_bounds(ker, basis, theta)
     assert upper == pytest.approx(exact, rel=1e-14, abs=0)
     assert lower == pytest.approx(exact, rel=1e-14, abs=0)

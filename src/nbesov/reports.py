@@ -1,11 +1,12 @@
 """Report objects produced by the verification experiments.
 
 Each experiment emits one EstimateReport: the parameter grid it ran on,
-the per-point measurements, a least-squares fit where a slope or rate is
-the claim under test, and a verdict.  Reports serialize to a canonical
-JSON layout (sorted keys, fixed separators) so a rerun with the same seed
-produces a byte-identical file; wall-clock time is kept out of the payload
-for that reason and only shown in the summary line.
+the per-point measurements, the fitted or exact quantities its claims
+read (verify.common.screened_fit makes every fit), and a verdict.
+Reports serialize to a canonical JSON layout (sorted keys, fixed
+separators) so a rerun with the same seed produces a byte-identical file;
+wall-clock time is kept out of the payload for that reason and only shown
+in the summary line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,36 +24,13 @@ __all__ = [
     "PASS",
     "FAIL",
     "INCONCLUSIVE",
-    "FitResult",
     "EstimateReport",
-    "least_squares_fit",
     "summary_table",
 ]
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares line y = slope*x + intercept with RMS residual."""
-
-    slope: float
-    intercept: float
-    residual: float
-
-
-def least_squares_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least two points to fit a line")
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return FitResult(slope=float(coef[0]), intercept=float(coef[1]), residual=rms)
 
 
 def _jsonable(value):

@@ -149,7 +149,8 @@ class ScreenedFit(NamedTuple):
 
 def screened_fit(label: str, x, values, tails, min_points: int = 2) -> ScreenedFit:
     """Screen a sweep of (x, value, tail) points and fit the kept ones: the
-    one rule for every sweep claim (verify.amalgam, verify.multipliers).
+    one rule for every fitted slope or rate (verify.amalgam, verify.heat,
+    verify.moments, verify.multipliers).
 
     A point is kept when its tail is at most TAIL_FRAC of its value and that
     value is positive.  note names the dropped x, one clause per cause, and

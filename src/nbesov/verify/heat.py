@@ -25,9 +25,10 @@ import math
 import numpy as np
 
 from ..domains import build_interval_basis, build_rectangle_basis
-from ..reports import EstimateReport, least_squares_fit
+from ..reports import EstimateReport
 from ..spectral import heat_kernel, kernel_profile
-from .common import ExperimentSpec, conclude, geometric_spread
+from .common import (TAIL_FRAC, ExperimentSpec, conclude, geometric_spread, record_claim,
+                     screened_fit)
 
 __all__ = ["exp_heat_gaussian"]
 
@@ -176,26 +177,28 @@ def _fit_envelope(rows, cs, P):
     return C_star, c_star, uniformity
 
 
-def _summarize(name, basis, rows, fit_rows, cs, P):
+def _summarize(name, basis, rows, fit_rows, cs, P, notes, unresolved):
     """One domain's fit entry, checks, dropped-t note (None when no t is
     dropped) and report points: the envelope (C, c) fitted over fit_rows,
     positivity over every row, and the decay rate mu of max |K_t - 1/|Omega||
     over the rows with t >= 1.  Rejects fit_rows with fewer than 6
-    admissible times."""
+    admissible times.  mu is minus screened_fit's slope of pk_max against
+    x = e^t, each row's kernel tail_bound its tail, and its check reads the
+    slow end -hi; record_claim adds to notes and unresolved."""
     if sum(r["admissible"] for r in fit_rows) < 6:
         raise ValueError(f"too few admissible times to fit the {name} envelope")
     C, c, unif = _fit_envelope(fit_rows, cs, P)
-    late = [r for r in rows if r["t"] >= 1.0]
-    mu_fit = least_squares_fit([r["t"] for r in late],
-                               [math.log(max(r["pk_max"], 1e-300)) for r in late])
-    mu = -mu_fit.slope
+    late = [(r["t"], r["pk_max"], r["tail"]) for r in rows if r["t"] >= 1.0]
+    t, pk, tail = np.reshape(late, (-1, 3)).T
+    decay = screened_fit(f"{name} e^t", np.exp(t), pk, tail)
     lam2 = float(basis.eigenvalues[1])
     pos_ok = all(r["pos_margin"] >= -1e-12 * r["k_diag_max"] for r in rows)
     floor = 1.0 / basis.domain.volume
-    fit = {"C": C, "c": c, "uniformity": unif, "mu": mu, "mu_residual": mu_fit.residual,
+    fit = {"C": C, "c": c, "uniformity": unif, "mu": -decay.slope,
            "lambda2": lam2, "positivity_ok": pos_ok, "C_floor_volume": floor}
-    checks = {f"{name} positivity": pos_ok, f"{name} mu": mu >= 0.5 * lam2,
-              f"{name} uniformity": unif <= P["uniformity_cap"], f"{name} C floor": C >= floor}
+    checks = {f"{name} positivity": pos_ok}
+    record_claim(decay, f"{name} mu", -decay.hi >= 0.5 * lam2, checks, notes, unresolved)
+    checks |= {f"{name} uniformity": unif <= P["uniformity_cap"], f"{name} C floor": C >= floor}
     ndropped = sum(1 for r in rows if not r["admissible"])
     note = f"{name}: dropped {ndropped} undecidable small t" if ndropped else None
     keys = ("t", "tail", "admissible", "pair_frac", "pos_margin", "pk_max")
@@ -207,7 +210,7 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
     P = spec.merged(HEAT_DEFAULTS)
     n_c = int(math.ceil(math.log(P["c_hi"] / P["c_lo"]) / math.log(P["c_step"]))) + 1
     cs = P["c_lo"] * P["c_step"] ** np.arange(n_c)
-    notes = []
+    notes, unresolved = [], []
 
     # Interval, base and refined.
     base = build_interval_basis(math.pi, P["interval_K"], N=P["interval_N"])
@@ -219,7 +222,7 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
     shared = [i for i in range(len(ts))
               if rows_b[i]["admissible"] and rows_f[i]["admissible"]]
     fit_b, checks_b, note, points = _summarize(
-        "interval", base, rows_b, [rows_b[i] for i in shared], cs, P)
+        "interval", base, rows_b, [rows_b[i] for i in shared], cs, P, notes, unresolved)
     Cf, cf, unif_f = _fit_envelope([rows_f[i] for i in shared], cs, P)
     Cb, cb = fit_b["C"], fit_b["c"]
     stable = (abs(Cf - Cb) <= P["refine_tol"] * Cb
@@ -235,13 +238,14 @@ def exp_heat_gaussian(spec: ExperimentSpec) -> EstimateReport:
     ts2 = np.logspace(math.log10(rect.grid.h**2), math.log10(P["t_max"]), 15)
     rows_r = _domain_scan(rect, ts2, cs, P, dim=2)
     fits["rectangle"], checks_r, note, points_r = _summarize(
-        "rectangle", rect, rows_r, rows_r, cs, P)
+        "rectangle", rect, rows_r, rows_r, cs, P, notes, unresolved)
     checks |= checks_r
     points += points_r
     if note:
         notes.append(note)
 
     adm = [r for r in rows_b if r["admissible"]]
-    return conclude(spec, P, checks, notes=notes, points=points, fit=fits, figures={
+    return conclude(spec, P | {"tail_frac": TAIL_FRAC}, checks, "; ".join(unresolved) or None,
+                    notes, points=points, fit=fits, figures={
         "pk_decay_interval": ([r["t"] for r in adm],
                               [math.log(max(r["pk_max"], 1e-300)) for r in adm])})

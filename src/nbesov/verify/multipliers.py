@@ -2,7 +2,8 @@
 block index, low-frequency decay against the spectral gap, and gradient
 composition bounds.  verify.common.screened_fit decides multiplier_scaling's
 20 dyadic j sweeps and theta sweep and gradient's heat t sweep, one
-record_claim each; low_freq_decay's exp(-mu 2^{-j}) envelope is a plain fit."""
+record_claim each; low_freq_decay checks the gap block exactly.  CLIP
+only keeps the log-scale figures finite."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import math
 import numpy as np
 
 from ..domains import build_interval_basis, build_rectangle_basis, cosine_modes
-from ..reports import EstimateReport, least_squares_fit
+from ..norms import scale_window
+from ..reports import EstimateReport
 from ..spectral import (
     GridFunction,
     apply_kernel,
@@ -170,22 +172,26 @@ _LOWFREQ_BUILDERS = {
 
 
 def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
-    """Block operator norms for j <= 0: vanish exactly below the spectral
-    gap, and the nonvanishing range sits under an exp(-mu 2^{-j}) envelope
-    with fitted mu > 0.
+    """Block operator norms for j <= 0 vanish exactly below the spectral gap.
 
-    The fit includes the identically-zero blocks (clipped at 1e-300),
-    which is what ties the decay rate to the gap: a basis with a fake
-    eigenvalue far below the true gap turns the fitted mu negative.
+    The gap block j_gap = floor(log2 sqrt(lambda_2)), norms.scale_window of
+    the basis' own spectrum, is nonzero, as phi_0 is positive inside its
+    support, and every coarser block vanishes.  So the first nonzero block
+    in [j_lo, j_hi] must be j_gap, or none when j_gap > j_hi; a window with
+    j_lo > j_gap cannot see the gap and leaves that claim unresolved.
+    fake_lambda2 fakes lam, which the norms read, and not j_gap.
+    gap_consistent compares each block with the zero the support of phi_j
+    predicts, both read off lam, so it holds on a faked spectrum as well.
     """
     P = spec.merged(LOWFREQ_DEFAULTS)
     pou = partition_for(spec)
     js = list(range(P["j_lo"], P["j_hi"] + 1))
-    points, fits, notes, checks = [], {}, [], {}
+    points, fits, notes, checks, unresolved = [], {}, [], {}, []
     figures = {}
 
     for name in P["domains"]:
         basis = _LOWFREQ_BUILDERS[name]()
+        j_gap = scale_window(basis)[0]
         lam = np.asarray(basis.eigenvalues, dtype=float)
         if P["fake_lambda2"] is not None:
             lam = lam.copy()
@@ -211,28 +217,25 @@ def exp_low_freq_decay(spec: ExperimentSpec) -> EstimateReport:
             norms22.append(n22)
             points.append({"domain": name, "j": j, "norm22": n22,
                            "norm1inf": n1inf, "predicted_zero": predicted_zero})
-        x = 2.0 ** (-np.asarray(js, dtype=float))
-        y = np.log(np.maximum(norms22, CLIP))
-        fit = least_squares_fit(x, y)
-        mu = -fit.slope
-        nonzero = [v for v in norms22 if v > 0]
-        envelope_C = max(
-            (v * math.exp(mu * 2.0 ** (-j)) for j, v in zip(js, norms22) if v > 0),
-            default=0.0,
-        )
-        vacuous = all(v == 0 for j, v in zip(js, norms22) if j < 0)
-        if vacuous:
+        nonzero = [j for j, v in zip(js, norms22) if v > 0]
+        first = nonzero[0] if nonzero else None
+        if lam2 >= 1.0:  # phi_{-1} vanishes from sqrt(lambda) = 1 on
             notes.append(f"{name}: vacuous range j <= -1 (gap sqrt(lambda_2)="
                          f"{math.sqrt(lam2):.3g} kills every negative block)")
-        fits[name] = {"mu": mu, "envelope_C": envelope_C,
+        fits[name] = {"j_gap": j_gap, "first_nonzero_j": first,
                       "lambda2": lam2, "n_nonzero": len(nonzero),
                       "gap_consistent": consistent}
-        checks[f"{name} mu > 0"] = mu > 0
+        if j_gap < P["j_lo"]:
+            unresolved.append(f"{name}: the gap block j_gap = {j_gap} lies below the "
+                              f"window [{P['j_lo']}, {P['j_hi']}]")
+        else:
+            checks[f"{name} gap block"] = first == (j_gap if j_gap <= P["j_hi"] else None)
         checks[f"{name} gap_consistent"] = consistent
         if name == "interval_long":
             figures["decay_interval_long"] = (js, [math.log(max(v, CLIP)) for v in norms22])
 
-    return conclude(spec, P, checks, notes=notes, points=points, fit=fits, figures=figures)
+    return conclude(spec, P, checks, "; ".join(unresolved) or None, notes, points=points,
+                    fit=fits, figures=figures)
 
 
 # ---------------------------------------------------------------------------

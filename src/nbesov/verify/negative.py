@@ -54,8 +54,8 @@ def neg_broken_partition(spec: ExperimentSpec) -> EstimateReport:
 
 
 def neg_fake_eigenvalue(spec: ExperimentSpec) -> EstimateReport:
-    """Second eigenvalue faked down to 2^-12: the low-frequency decay fit
-    must refuse the sub-dyadic blocks it suddenly fills."""
+    """Second eigenvalue faked down to 2^-12: it fills block -6, below the
+    basis' own gap block 0, and exp_low_freq_decay's gap check must fail."""
     rep = exp_low_freq_decay(replace(spec, params=spec.params | {
         "fake_lambda2": 2.0**-12, "domains": ("interval_pi",)}))
     rep.notes.append(_EXPECTED)

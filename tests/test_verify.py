@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nbesov.reports import FAIL, INCONCLUSIVE, PASS, EstimateReport, least_squares_fit
+from nbesov.reports import FAIL, INCONCLUSIVE, PASS, EstimateReport
 from nbesov.verify import (
     DEFAULT_IDS,
     REGISTRY,
@@ -37,7 +37,7 @@ from nbesov.spectral import (
     multiplier_kernel,
     resolvent_symbol,
 )
-from nbesov.verify import amalgam, moments
+from nbesov.verify import amalgam, moments, multipliers
 from nbesov.verify.amalgam import AMALGAM_DEFAULTS, _column_tail_bound, exp_amalgam
 from nbesov.littlewood_paley import make_partition
 from nbesov.verify.besov import (
@@ -337,7 +337,7 @@ def test_amalgam_failure_outranks_an_unresolved_gap():
 def test_screened_fit_range_is_the_extreme_over_box_corners(seed):
     """On up to 6 points, [lo, hi] and spread_hi against every corner of
     the kept points' boxes [v - tail, v + tail], and the slope against
-    least_squares_fit of log v on log x."""
+    np.polyfit of log v on log x."""
     rng = np.random.default_rng(seed)
     n = 3 + seed % 4
     x = np.sort(rng.uniform(0.01, 10.0, n))
@@ -350,10 +350,10 @@ def test_screened_fit_range_is_the_extreme_over_box_corners(seed):
     assert (fit.note is None) == bool(kept.all())
     xk, vk, tk = x[kept], v[kept], t[kept]
     corners = [vk + (2 * np.array(c) - 1) * tk for c in np.ndindex(*[2] * len(vk))]
-    slopes = [least_squares_fit(np.log(xk), np.log(c)).slope for c in corners]
+    slopes = [np.polyfit(np.log(xk), np.log(c), 1)[0] for c in corners]
     assert fit.lo == pytest.approx(min(slopes), abs=1e-12)
     assert fit.hi == pytest.approx(max(slopes), abs=1e-12)
-    assert fit.slope == pytest.approx(least_squares_fit(np.log(xk), np.log(vk)).slope, abs=1e-12)
+    assert fit.slope == pytest.approx(np.polyfit(np.log(xk), np.log(vk), 1)[0], abs=1e-12)
     assert fit.lo <= fit.slope <= fit.hi
     assert fit.spread == geometric_spread(vk)
     assert fit.spread_hi == pytest.approx(max(geometric_spread(c) for c in corners), rel=1e-14)
@@ -377,7 +377,7 @@ def test_screened_fit_with_zero_tails_is_the_plain_fit_and_spread():
     fit = screened_fit("2^j", 2.0 ** js, v, np.zeros(5))
     assert fit.kept.all() and fit.note is None and fit.unresolved is None
     assert fit.lo == fit.hi == fit.slope
-    assert fit.slope == pytest.approx(least_squares_fit(js, np.log2(v)).slope, abs=1e-12)
+    assert fit.slope == pytest.approx(np.polyfit(np.log(2.0 ** js), np.log(v), 1)[0], abs=1e-12)
     assert fit.spread == fit.spread_hi == geometric_spread(v)
 
 
@@ -437,7 +437,7 @@ def test_multiplier_theta_sweep_drops_truncated_theta():
     kept = th > 5e-4
     fit = rep.fit["theta_sweep_1to_inf"]
     assert fit["slope"] == pytest.approx(
-        least_squares_fit(np.log(th[kept]), np.log(v[kept])).slope, abs=1e-12)
+        np.polyfit(np.log(th[kept]), np.log(v[kept]), 1)[0], abs=1e-12)
     assert fit["range"][0] <= fit["slope"] <= fit["range"][1]
     assert rep.verdict == PASS
 
@@ -1209,3 +1209,73 @@ def test_low_freq_1inf_is_the_dense_kernel_max(fake):
         for p in points:
             want = float(np.max(np.abs((E.T * pou.phi(p["j"], sq)) @ E)))
             assert p["norm1inf"] == pytest.approx(want, rel=1e-15, abs=0), (name, p["j"])
+
+
+def test_no_fit_or_point_follows_the_clip_literal(monkeypatch, suite_reports):
+    """multipliers.CLIP keeps the log-scale figures finite and sets no fit
+    or point: at 1e-100 and 1e-200 the fits and points of the experiments
+    that read it are those of the default run.  Tier-1 cost: about 0.4 s."""
+    ids = ["multiplier_scaling", "low_freq_decay", "gradient"]
+    default = suite_reports["reports"]
+    for clip in (1e-100, 1e-200):
+        monkeypatch.setattr(multipliers, "CLIP", clip)
+        for rep in run_suite(ids=ids):
+            want = default[rep.id].payload()
+            assert rep.payload()["fit"] == want["fit"], (clip, rep.id)
+            assert rep.payload()["points"] == want["points"], (clip, rep.id)
+
+
+_LOWFREQ_ALL = tuple(_LOWFREQ_BUILDERS)
+
+
+@pytest.mark.parametrize("override, verdict, first, last_note", [
+    ({"j_lo": -3}, INCONCLUSIVE, (0, -1, -3),
+     "interval_long: the gap block j_gap = -5 lies below the window [-3, 0]"),
+    ({"j_hi": -6}, PASS, (None, None, None),
+     "interval_pi: vacuous range j <= -1 (gap sqrt(lambda_2)=1 kills every negative block)"),
+    ({"fake_lambda2": 2.0**-12}, FAIL, (-6, -6, -6),
+     "failed: " + "; ".join(f"{d} gap block" for d in _LOWFREQ_ALL)),
+], ids=["window_above_a_gap", "window_below_every_gap", "fake_on_every_domain"])
+def test_low_freq_gap_block_against_its_window(override, verdict, first, last_note):
+    """j_gap is read off each basis' own spectrum, whatever the window or a
+    faked lambda_2: a window starting above interval_long's gap leaves that
+    claim unresolved, by name, and does not fail; a window below every gap
+    holds only zero blocks; the fake moves each first nonzero block to -6.
+    Tier-1 cost: about 0.05 s."""
+    rep = run_suite(ids=["low_freq_decay"], overrides={"low_freq_decay": override})[0]
+    assert rep.verdict == verdict
+    assert [rep.fit[d]["j_gap"] for d in _LOWFREQ_ALL] == [0, -1, -5]
+    assert tuple(rep.fit[d]["first_nonzero_j"] for d in _LOWFREQ_ALL) == first
+    assert all(rep.fit[d]["gap_consistent"] for d in _LOWFREQ_ALL)
+    assert rep.notes[-1] == last_note
+
+
+def test_fake_eigenvalue_control_fails_on_the_gap_block(control_reports):
+    rep = control_reports["reports"]["neg_fake_eigenvalue"]
+    assert [n for n in rep.notes if n.startswith("failed:")] == ["failed: interval_pi gap block"]
+    assert rep.fit["interval_pi"]["j_gap"] == 0
+    assert rep.fit["interval_pi"]["first_nonzero_j"] == -6
+
+
+def test_heat_mu_is_the_slope_of_log_pk_max_over_late_t(suite_reports):
+    """heat_gaussian's mu against np.polyfit of log pk_max on t over the
+    points with t >= 1; with t_max = 0.5 no t is late and mu is unresolved
+    on both domains, where the run raised before.  Tier-1 cost: about 0.1 s."""
+    rep = suite_reports["reports"]["heat_gaussian"]
+    for name in ("interval", "rectangle"):
+        late = [p for p in rep.points if p["domain"] == name and p["t"] >= 1.0]
+        t, pk = (np.array([p[k] for p in late]) for k in ("t", "pk_max"))
+        assert rep.fit[name]["mu"] == pytest.approx(-np.polyfit(t, np.log(pk), 1)[0], rel=1e-12)
+    short = run_suite(ids=["heat_gaussian"], overrides={"heat_gaussian": {"t_max": 0.5}})[0]
+    assert short.verdict == INCONCLUSIVE
+    assert short.notes[-1] == ("interval e^t: 0 of 0 kept; a fit needs 2; "
+                               "rectangle e^t: 0 of 0 kept; a fit needs 2")
+
+
+def test_moment_slopes_are_the_log_slopes_over_the_fit_window(suite_reports):
+    rep = suite_reports["reports"]["moment_decay"]
+    js = list(range(MOMENT_DEFAULTS["fit_lo"], MOMENT_DEFAULTS["fit_hi"] + 1))
+    u = np.log(2.0 ** np.array(js))
+    for M in MOMENT_DEFAULTS["orders"]:
+        v = [p["block_l1"] for p in rep.points if p["M"] == M and p.get("j") in js]
+        assert rep.fit[f"slope_M{M}"] == pytest.approx(np.polyfit(u, np.log(v), 1)[0], abs=1e-12)
